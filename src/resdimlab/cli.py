@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -63,7 +63,6 @@ class ExperimentConfig:
     out: str = "resdimlab_out"
     report: str = "gap"
     f_table: Optional[List[int]] = None
-    quick: bool = False
 
     CAPS = {"depth": 7, "n": 7, "kmax": 6}
 
@@ -379,8 +378,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("heat", parents=[common])
     mp = sub.add_parser("mixed", parents=[common])
     mp.add_argument("--report", default=None, choices=["gap", "none"])
-    vp = sub.add_parser("validate", parents=[common])
-    vp.add_argument("--quick", action="store_true")
+    sub.add_parser("validate", parents=[common])
     return ap
 
 
@@ -391,15 +389,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.config) as fh:
             payload.update(json.load(fh))
     payload["command"] = args.command
-    for key in ("structure", "depth", "seed", "out", "kmax", "n", "pair", "report", "quick"):
+    for key in ("structure", "depth", "seed", "out", "kmax", "n", "pair", "report"):
         val = getattr(args, key, None)
-        if val is not None and val is not False:
+        if val is not None:
             payload[key] = val
     if getattr(args, "p_grid", None):
         payload["p_grid"] = [float(p) for p in args.p_grid.split(",")]
     env_out = os.environ.get("RESDIMLAB_OUT")
     if env_out and "out" not in payload:
         payload["out"] = env_out
+    unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        print(f"error: unknown config key(s) {', '.join(unknown)}", file=sys.stderr)
+        return 2
     cfg = ExperimentConfig(**payload)  # type: ignore[arg-type]
     try:
         manifest = run(cfg)

@@ -6,17 +6,20 @@ square with the rules of levels m+1..n and wiring, for every cell, the
 by their exact grid coordinates; a side shared by two cells contributes its
 edge twice, and the parallel copies are merged into one conductance-2 edge.
 
-Vertices sit on the integer grid {0..3^(n-m)}^2 (coordinate p/3^(n-m) - 1/2).
+Vertices sit on the integer grid {0..3^(n-m)}^2 (coordinate p/3^(n-m) - 1/2)
+and are numbered by first appearance over the cells, each cell listing its
+corners counterclockwise from the lower left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import List, Tuple
 
 import numpy as np
 
-from .hierarchy import CHILD_OFFSET, Schedule
+from .hierarchy import CHILD_OFFSET, GridIndex, Schedule
 from .resnet import LevelGraph
 
 __all__ = ["CornerGraph", "corner_graph", "corner_vertices_at_level"]
@@ -36,20 +39,18 @@ class CornerGraph:
     cell_corners: np.ndarray  # (n_cells, 4) vertex ids, ccw from lower-left
     cells_ix: np.ndarray
     cells_iy: np.ndarray
-    _index: Optional[Dict[Tuple[int, int], int]] = None
 
     @property
     def span(self) -> int:
         return 3 ** (self.n - self.m)
 
-    def vertex_index(self) -> Dict[Tuple[int, int], int]:
-        if self._index is None:
-            self._index = {(int(x), int(y)): i for i, (x, y) in enumerate(self.grid)}
-        return self._index
+    @cached_property
+    def grid_index(self) -> GridIndex:
+        return GridIndex(self.grid[:, 0], self.grid[:, 1], self.span + 1)
 
     def vertex_at(self, gx: int, gy: int) -> int:
-        idx = self.vertex_index().get((int(gx), int(gy)))
-        if idx is None:
+        idx = int(self.grid_index.lookup(gx, gy))
+        if idx < 0:
             raise KeyError(f"no corner vertex at grid ({gx}, {gy})")
         return idx
 
@@ -90,47 +91,33 @@ def corner_graph(schedule: Schedule, n: int, m: int = 0,
 
     # Cells of the relative hierarchy driven by levels m+1..n.
     depth = n - m
-    cells = [(0, 0)]
+    cells_ix = np.zeros(1, dtype=np.int64)
+    cells_iy = np.zeros(1, dtype=np.int64)
     for lvl in range(1, depth + 1):
-        rule = schedule.rule_at(m + lvl)
-        offs = [CHILD_OFFSET[d] for d in rule.digits]
-        cells = [(3 * ix + dx, 3 * iy + dy) for ix, iy in cells for dx, dy in offs]
-    cells_ix = np.array([c[0] for c in cells], dtype=np.int64)
-    cells_iy = np.array([c[1] for c in cells], dtype=np.int64)
+        offs = np.array([CHILD_OFFSET[d] for d in schedule.rule_at(m + lvl).digits], dtype=np.int64)
+        cells_ix = (3 * cells_ix[:, None] + offs[None, :, 0]).reshape(-1)
+        cells_iy = (3 * cells_iy[:, None] + offs[None, :, 1]).reshape(-1)
 
-    if 4 * len(cells) > vertex_cap:
-        raise ValueError(f"about {4 * len(cells)} corner vertices, above the cap {vertex_cap}")
+    if 4 * len(cells_ix) > vertex_cap:
+        raise ValueError(f"about {4 * len(cells_ix)} corner vertices, above the cap {vertex_cap}")
 
-    vid: Dict[Tuple[int, int], int] = {}
-    grid: List[Tuple[int, int]] = []
-
-    def vertex(gx: int, gy: int) -> int:
-        key = (gx, gy)
-        i = vid.get(key)
-        if i is None:
-            i = len(grid)
-            vid[key] = i
-            grid.append(key)
-        return i
-
-    edge_mult: Dict[Tuple[int, int], int] = {}
-    cell_corners = np.empty((len(cells), 4), dtype=np.int64)
-    for ci, (ix, iy) in enumerate(cells):
-        c5 = vertex(ix, iy)
-        c7 = vertex(ix + 1, iy)
-        c1 = vertex(ix + 1, iy + 1)
-        c3 = vertex(ix, iy + 1)
-        cell_corners[ci] = (c5, c7, c1, c3)
-        for a, b in ((c5, c7), (c7, c1), (c1, c3), (c3, c5)):
-            key = (a, b) if a < b else (b, a)
-            edge_mult[key] = edge_mult.get(key, 0) + 1
-
-    edges = [(u, v, float(mult)) for (u, v), mult in edge_mult.items()]
-    grid_arr = np.array(grid, dtype=np.int64)
+    # Corners c5, c7, c1, c3 of every cell; ids by first appearance in this order.
     span = 3 ** depth
-    coords = grid_arr / span - 0.5
-    g = LevelGraph(len(grid), edges, coords=coords)
-    return CornerGraph(n, m, g, grid_arr, cell_corners, cells_ix, cells_iy)
+    gx = cells_ix[:, None] + np.array([0, 1, 1, 0])
+    gy = cells_iy[:, None] + np.array([0, 0, 1, 1])
+    keys, first, inverse = np.unique((gx * (span + 1) + gy).reshape(-1),
+                                     return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[by_first] = np.arange(len(keys))
+    cell_corners = rank[inverse].reshape(-1, 4)
+    grid = np.stack(np.divmod(keys[by_first], span + 1), axis=1)
+
+    # One unit-conductance edge per cell side; LevelGraph adds the shared copies.
+    sides = np.stack([cell_corners, np.roll(cell_corners, -1, axis=1)], axis=2).reshape(-1, 2)
+    edges = np.column_stack([sides, np.ones(len(sides))])
+    g = LevelGraph(len(keys), edges, coords=grid / span - 0.5)
+    return CornerGraph(n, m, g, grid, cell_corners, cells_ix, cells_iy)
 
 
 def corner_vertices_at_level(cg: CornerGraph, level: int) -> List[int]:
@@ -144,15 +131,8 @@ def corner_vertices_at_level(cg: CornerGraph, level: int) -> List[int]:
     if not 0 <= level <= cg.n:
         raise ValueError("level out of range")
     f = 3 ** (cg.n - level)
-    idx = cg.vertex_index()
-    out = []
-    missing = []
-    for gx in range(0, 3 ** level + 1):
-        for gy in range(0, 3 ** level + 1):
-            v = idx.get((gx * f, gy * f))
-            if v is not None:
-                out.append(v)
-            else:
-                missing.append((gx, gy))
     # grid positions inside holes simply do not exist; that is expected
-    return out
+    gx, gy = np.meshgrid(np.arange(3 ** level + 1) * f, np.arange(3 ** level + 1) * f,
+                         indexing="ij")
+    ids = cg.grid_index.lookup(gx.ravel(), gy.ravel())
+    return ids[ids >= 0].tolist()

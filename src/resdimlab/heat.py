@@ -113,9 +113,9 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
         raise ValueError("measure resolution does not match the level")
     mass = np.zeros(cg.graph.n)
     np.add.at(mass, cg.cell_corners.reshape(-1), np.repeat(cell_mass / 4.0, 4))
-    edges = zip(cg.graph.edge_u, cg.graph.edge_v, cg.graph.conductance / renormalizer)
-    graph = LevelGraph(cg.graph.n, [(int(u), int(v), float(c)) for u, v, c in edges],
-                       coords=cg.coords_float())
+    edges = np.column_stack([cg.graph.edge_u, cg.graph.edge_v,
+                             cg.graph.conductance / renormalizer])
+    graph = LevelGraph(cg.graph.n, edges, coords=cg.coords_float())
     return FiniteDirichletForm(graph, mass, level=level, renormalizer=renormalizer,
                                dense_cap=dense_cap)
 

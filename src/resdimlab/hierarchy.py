@@ -19,6 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "RULE_VICSEK",
     "Schedule",
     "Address",
+    "GridIndex",
     "AdjacencyGraph",
     "FrameworkParams",
     "PartitionHierarchy",
@@ -85,22 +87,9 @@ class SubdivisionRule:
     def branching(self) -> int:
         return len(self.digits)
 
-    def similitude(self, digit: int):
-        """Return the exact map z -> p_d + (z - p_d)/3 on Fraction pairs."""
-        if digit not in self.digits:
-            raise ValueError(f"digit {digit} not in rule {self.name}")
-        px, py = FIXED_POINTS[digit]
-
-        def phi(z: Tuple[Fraction, Fraction]) -> Tuple[Fraction, Fraction]:
-            return (px + (z[0] - px) / 3, py + (z[1] - py) / 3)
-
-        return phi
-
 
 RULE_SC = SubdivisionRule("SC", SC_DIGITS)
 RULE_VICSEK = SubdivisionRule("Vicsek", VICSEK_DIGITS)
-
-_RULES = {"SC": RULE_SC, "sc": RULE_SC, "Vicsek": RULE_VICSEK, "vicsek": RULE_VICSEK, "VS": RULE_VICSEK}
 
 
 def mixed_indicator(n: int) -> int:
@@ -182,6 +171,29 @@ class Schedule:
 Address = Tuple[int, ...]
 
 
+class GridIndex:
+    """Ids of distinct points of the integer grid {0..side-1}^2.
+
+    The points are packed into int64 keys x*side + y and kept sorted, with the
+    permutation back to their ids, so a lookup is one np.searchsorted.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, side: int):
+        self.side = int(side)
+        keys = np.asarray(x, dtype=np.int64) * self.side + np.asarray(y, dtype=np.int64)
+        self._ids = np.argsort(keys, kind="stable")
+        self._keys = keys[self._ids]
+
+    def lookup(self, x, y) -> np.ndarray:
+        """Ids of the points (x, y), broadcast; -1 where no point is indexed."""
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        inside = (x >= 0) & (x < self.side) & (y >= 0) & (y < self.side)
+        keys = np.where(inside, x * self.side + y, -1)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(inside & (self._keys[pos] == keys), self._ids[pos], -1)
+
+
 @dataclass
 class _Level:
     """Cells of one level, in lexicographic address order."""
@@ -191,7 +203,10 @@ class _Level:
     iy: np.ndarray          # int64
     parent: np.ndarray      # index into previous level (-1 at level 0)
     digit: np.ndarray       # child digit (-1 at level 0)
-    index: Dict[Tuple[int, int], int] = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def grid_index(self) -> GridIndex:
+        return GridIndex(self.ix, self.iy, 3 ** self.n)
 
     @property
     def count(self) -> int:
@@ -259,10 +274,8 @@ class PartitionHierarchy:
         self._marker_rel_cache: Dict[int, Fraction] = {}
 
         total = 1
-        lvl = _Level(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                     np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int64))
-        lvl.index[(0, 0)] = 0
-        self.levels.append(lvl)
+        self.levels.append(_Level(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                                  np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int64)))
         for n in range(1, depth + 1):
             rule = schedule.rule_at(n)
             prev = self.levels[-1]
@@ -271,18 +284,12 @@ class PartitionHierarchy:
                 raise ValueError(
                     f"level {n} would hold {total} cells, above the cap {cell_cap}"
                 )
-            b = rule.branching
-            m = prev.count * b
-            ix = np.empty(m, dtype=np.int64)
-            iy = np.empty(m, dtype=np.int64)
-            parent = np.repeat(np.arange(prev.count, dtype=np.int64), b)
+            parent = np.repeat(np.arange(prev.count, dtype=np.int64), rule.branching)
             digit = np.tile(np.array(rule.digits, dtype=np.int64), prev.count)
             offs = np.array([CHILD_OFFSET[d] for d in rule.digits], dtype=np.int64)
             ix = (3 * prev.ix[:, None] + offs[None, :, 0]).reshape(-1)
             iy = (3 * prev.iy[:, None] + offs[None, :, 1]).reshape(-1)
-            lvl = _Level(n, ix, iy, parent, digit)
-            lvl.index = {(int(a), int(b_)): i for i, (a, b_) in enumerate(zip(ix, iy))}
-            self.levels.append(lvl)
+            self.levels.append(_Level(n, ix, iy, parent, digit))
 
     # -- addresses ---------------------------------------------------------
 
@@ -302,11 +309,8 @@ class PartitionHierarchy:
             lvl = self.levels[n]
             pix, piy = int(self.levels[n - 1].ix[i]), int(self.levels[n - 1].iy[i])
             dx, dy = CHILD_OFFSET[d]
-            key = (3 * pix + dx, 3 * piy + dy)
-            if key not in lvl.index:
-                raise ValueError(f"address {word} not in the hierarchy")
-            j = lvl.index[key]
-            if int(lvl.parent[j]) != i or int(lvl.digit[j]) != d:
+            j = int(lvl.grid_index.lookup(3 * pix + dx, 3 * piy + dy))
+            if j < 0 or int(lvl.parent[j]) != i or int(lvl.digit[j]) != d:
                 raise ValueError(f"address {word} not in the hierarchy")
             i = j
         return i
@@ -327,9 +331,6 @@ class PartitionHierarchy:
         xs = (Fraction(ix, s) - Fraction(1, 2), Fraction(ix + 1, s) - Fraction(1, 2))
         ys = (Fraction(iy, s) - Fraction(1, 2), Fraction(iy + 1, s) - Fraction(1, 2))
         return [(xs[0], ys[0]), (xs[1], ys[0]), (xs[1], ys[1]), (xs[0], ys[1])]
-
-    def branching_profile(self) -> List[int]:
-        return [self.schedule.branching(n) for n in range(1, self.depth + 1)]
 
     # -- markers -----------------------------------------------------------
 
@@ -371,21 +372,14 @@ class PartitionHierarchy:
         my = Fraction(iy, s) + (Fraction(1, 2) + rel_y) / s - Fraction(1, 2)
         return (mx, my)
 
-    def markers(self, n: int) -> List[Tuple[Fraction, Fraction]]:
-        return [self.marker(n, i) for i in range(self.levels[n].count)]
-
     # -- point location ----------------------------------------------------
 
     def cells_containing(self, n: int, x: Fraction, y: Fraction) -> List[int]:
         """Indices of the level-n cells whose closed square contains (x, y)."""
         s = 3 ** n
-        out = []
-        for ix in _grid_slots(x, s):
-            for iy in _grid_slots(y, s):
-                j = self.levels[n].index.get((ix, iy))
-                if j is not None:
-                    out.append(j)
-        return out
+        xs, ys = np.meshgrid(_grid_slots(x, s), _grid_slots(y, s), indexing="ij")
+        ids = self.levels[n].grid_index.lookup(xs.ravel(), ys.ravel())
+        return ids[ids >= 0].tolist()
 
     # -- exports -----------------------------------------------------------
 
@@ -453,17 +447,13 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
     if n in h._adjacency_cache:
         return h._adjacency_cache[n]
     lvl = h.levels[n]
-    pairs: List[Tuple[int, int]] = []
-    for i in range(lvl.count):
-        ix, iy = int(lvl.ix[i]), int(lvl.iy[i])
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                j = lvl.index.get((ix + dx, iy + dy))
-                if j is not None and j > i:
-                    pairs.append((i, j))
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    i = np.arange(lvl.count, dtype=np.int64)
+    pairs = []  # packed keys i*count + j of the pairs i < j
+    for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        j = lvl.grid_index.lookup(lvl.ix + dx, lvl.iy + dy)
+        up = j > i
+        pairs.append(i[up] * lvl.count + j[up])
+    edges = np.stack(np.divmod(np.sort(np.concatenate(pairs)), lvl.count), axis=1)
     g = AdjacencyGraph(n, lvl.count, edges)
     h._adjacency_cache[n] = g
     return g

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +27,6 @@ __all__ = [
     "fekete_limit",
     "h_profile",
     "profiles_to_csv",
-    "VolumeProfile",
 ]
 
 
@@ -78,22 +76,25 @@ class HierMeasure:
                   resolution: Optional[int] = None) -> Tuple[float, float]:
         """(inner, outer) bracket of mu(B(x, r)) by cell covers."""
         n = self.resolution() if resolution is None else resolution
-        lvl = self.h.levels[n]
-        s = 3 ** n
-        side = 1.0 / s
-        xmin = lvl.ix * side - 0.5
-        ymin = lvl.iy * side - 0.5
-        dx = np.maximum(np.maximum(xmin - x[0], x[0] - (xmin + side)), 0.0)
-        dy = np.maximum(np.maximum(ymin - x[1], x[1] - (ymin + side)), 0.0)
-        dmin2 = dx * dx + dy * dy
-        fx = np.maximum(np.abs(x[0] - xmin), np.abs(x[0] - (xmin + side)))
-        fy = np.maximum(np.abs(x[1] - ymin), np.abs(x[1] - (ymin + side)))
-        dmax2 = fx * fx + fy * fy
-        masses = self.masses_float(n)
-        r2 = r * r
-        inner = float(masses[dmax2 < r2].sum())
-        outer = float(masses[dmin2 < r2].sum())
-        return inner, outer
+        return _cover_bracket(self.h, n, self.masses_float(n), x, r)
+
+
+def _cover_bracket(h: PartitionHierarchy, n: int, masses: np.ndarray,
+                   x: Tuple[float, float], r: float) -> Tuple[float, float]:
+    """(inner, outer) ball-mass bracket: the mass of the level-n cells inside
+    the open ball B(x, r), and of those meeting it."""
+    lvl = h.levels[n]
+    side = 1.0 / 3 ** n
+    xmin = lvl.ix * side - 0.5
+    ymin = lvl.iy * side - 0.5
+    dx = np.maximum(np.maximum(xmin - x[0], x[0] - (xmin + side)), 0.0)
+    dy = np.maximum(np.maximum(ymin - x[1], x[1] - (ymin + side)), 0.0)
+    dmin2 = dx * dx + dy * dy
+    fx = np.maximum(np.abs(x[0] - xmin), np.abs(x[0] - (xmin + side)))
+    fy = np.maximum(np.abs(x[1] - ymin), np.abs(x[1] - (ymin + side)))
+    dmax2 = fx * fx + fy * fy
+    r2 = r * r
+    return float(masses[dmax2 < r2].sum()), float(masses[dmin2 < r2].sum())
 
 
 def hier_measure(h: PartitionHierarchy, rule: str = "uniform",
@@ -114,15 +115,6 @@ def hier_measure(h: PartitionHierarchy, rule: str = "uniform",
             raise ValueError("custom rule needs weight tables")
         return HierMeasure(h, tables)
     raise ValueError(f"unknown measure rule {rule!r}")
-
-
-@dataclass
-class VolumeProfile:
-    center: Tuple[float, float]
-    radii: List[float]
-    v_lo: List[float]
-    v_hi: List[float]
-    metric: str = "euclidean"
 
 
 def _sample_centers(h: PartitionHierarchy, level: int, count: int, seed: int) -> List[Tuple[float, float]]:
@@ -198,6 +190,7 @@ class PsiMeasure:
         self.coarse_levels = list(range(0, h.depth + 1, k))
         self.interior_child: Dict[Tuple[int, int], int] = {}
         self.psi: Dict[int, np.ndarray] = {}  # coarse level -> Fraction array
+        self._mass_float: Dict[int, np.ndarray] = {}
         self._build()
 
     def _descendants(self, level: int, i: int, k: int) -> np.ndarray:
@@ -248,7 +241,9 @@ class PsiMeasure:
         return self.psi[coarse_level][i]
 
     def masses_float(self, coarse_level: int) -> np.ndarray:
-        return np.array([float(q) for q in self.psi[coarse_level]])
+        if coarse_level not in self._mass_float:
+            self._mass_float[coarse_level] = np.array([float(q) for q in self.psi[coarse_level]])
+        return self._mass_float[coarse_level]
 
     def resolution(self) -> int:
         return self.coarse_levels[-1]
@@ -258,21 +253,7 @@ class PsiMeasure:
         n = self.resolution() if resolution is None else resolution
         if n not in self.psi:
             raise ValueError(f"level {n} is not a coarse level of the psi measure")
-        h = self.h
-        lvl = h.levels[n]
-        s = 3 ** n
-        side = 1.0 / s
-        xmin = lvl.ix * side - 0.5
-        ymin = lvl.iy * side - 0.5
-        dx = np.maximum(np.maximum(xmin - x[0], x[0] - (xmin + side)), 0.0)
-        dy = np.maximum(np.maximum(ymin - x[1], x[1] - (ymin + side)), 0.0)
-        dmin2 = dx * dx + dy * dy
-        fx = np.maximum(np.abs(x[0] - xmin), np.abs(x[0] - (xmin + side)))
-        fy = np.maximum(np.abs(x[1] - ymin), np.abs(x[1] - (ymin + side)))
-        dmax2 = fx * fx + fy * fy
-        masses = self.masses_float(n)
-        r2 = r * r
-        return float(masses[dmax2 < r2].sum()), float(masses[dmin2 < r2].sum())
+        return _cover_bracket(self.h, n, self.masses_float(n), x, r)
 
     def neighbor_comparability(self) -> dict:
         """Exact check of ((N*+eps)^k - 1) psi(w) >= psi(u) on adjacent pairs."""

@@ -20,11 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cornergraph import CornerGraph, corner_graph
-from .hierarchy import PartitionHierarchy, Schedule, build_hierarchy, mixed_indicator
+from .hierarchy import PartitionHierarchy, Schedule, build_hierarchy
 from .resnet import eff_resistance
 
 __all__ = [
-    "schedule_F",
     "ResistanceScales",
     "ScaleCache",
     "resistance_scales",
@@ -37,13 +36,6 @@ __all__ = [
     "gap_report",
     "scales_to_csv",
 ]
-
-
-def schedule_F(n: int) -> int:
-    """The mixed schedule bit: 1 iff k^2(k-1) < n <= k^3 for some k >= 1."""
-    if n < 1:
-        raise ValueError("schedule index must be >= 1")
-    return mixed_indicator(n)
 
 
 def k1_count(schedule: Schedule, n: int, m: int) -> int:

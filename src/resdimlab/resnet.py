@@ -5,9 +5,10 @@ vertex identification), Schur-complement traces, resistance weights, minimum
 energy unit flows, and the locality diagnostics (localized resistance and
 cross-set weight decay).
 
-Solver policy: sparse LU of the grounded Laplacian up to 2e5 vertices,
-diagonally preconditioned CG above; every solve is checked against a
-relative-residual bound of 1e-10.
+Solver policy: one path, a sparse LU (COLAMD ordering) of the grounded
+Laplacian at every size the corner-graph caps admit.  Every solve is checked
+against a relative-residual bound of 1e-10; a solve above it gets one step of
+iterative refinement with the same factors and fails if still above.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-SPARSE_DIRECT_LIMIT = 200_000
 
 
 class SolverError(RuntimeError):
@@ -48,8 +48,10 @@ class SolverError(RuntimeError):
 class LevelGraph:
     """Finite weighted graph; conductances strictly positive.
 
-    Parallel edges are merged on construction (conductances add); self loops
-    are rejected.  Immutable once built; factorizations are cached.
+    `edges` holds (u, v, conductance) triples, as an iterable or an (m, 3)
+    array.  Parallel edges are merged on construction (conductances add, in
+    input order) and the edges are kept in lexicographic (u < v) order; self
+    loops are rejected.  Immutable once built; factorizations are cached.
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, float]],
@@ -57,21 +59,23 @@ class LevelGraph:
                  vertex_measure: Optional[np.ndarray] = None,
                  labels: Optional[Sequence] = None):
         self.n = int(n)
-        acc: Dict[Tuple[int, int], float] = {}
-        for u, v, c in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError("self loop")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError("edge endpoint out of range")
-            if c <= 0:
-                raise ValueError("conductance must be positive")
-            key = (u, v) if u < v else (v, u)
-            acc[key] = acc.get(key, 0.0) + float(c)
-        keys = sorted(acc)
-        self.edge_u = np.array([k[0] for k in keys], dtype=np.int64)
-        self.edge_v = np.array([k[1] for k in keys], dtype=np.int64)
-        self.conductance = np.array([acc[k] for k in keys], dtype=np.float64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        triples = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+        u = triples[:, 0].astype(np.int64)
+        v = triples[:, 1].astype(np.int64)
+        c = triples[:, 2]
+        loop = u == v
+        outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n)
+        bad = loop | outside | (c <= 0)
+        if bad.any():
+            i = int(np.argmax(bad))  # report the first bad edge, as a scan would
+            raise ValueError("self loop" if loop[i] else "edge endpoint out of range"
+                             if outside[i] else "conductance must be positive")
+        keys, inverse = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v),
+                                  return_inverse=True)
+        self.edge_u, self.edge_v = np.divmod(keys, self.n)
+        self.conductance = np.bincount(inverse, weights=c, minlength=len(keys))
         self.coords = None if coords is None else np.asarray(coords, dtype=np.float64)
         self.vertex_measure = None if vertex_measure is None else np.asarray(vertex_measure, dtype=np.float64)
         self.labels = list(labels) if labels is not None else None
@@ -114,34 +118,30 @@ class LevelGraph:
         """Identify each vertex group to a single vertex (exact set queries).
 
         Returns the quotient graph and the vertex -> quotient-vertex map.
-        Edges interior to a group vanish; parallel edges add.
+        Edges interior to a group vanish; parallel edges add.  The remaining
+        vertices follow the groups, in increasing order.
         """
+        members = [np.asarray(grp, dtype=np.int64).reshape(-1) for grp in groups]
+        grouped = np.concatenate(members + [np.zeros(0, dtype=np.int64)])
+        if len(np.unique(grouped)) < len(grouped):
+            raise ValueError("merge groups overlap")
         mapping = np.full(self.n, -1, dtype=np.int64)
-        for gi, grp in enumerate(groups):
-            for v in grp:
-                if mapping[v] != -1:
-                    raise ValueError("merge groups overlap")
-                mapping[v] = gi
-        nxt = len(groups)
-        for v in range(self.n):
-            if mapping[v] == -1:
-                mapping[v] = nxt
-                nxt += 1
-        edges = []
-        for u, v, c in zip(self.edge_u, self.edge_v, self.conductance):
-            mu, mv = int(mapping[u]), int(mapping[v])
-            if mu != mv:
-                edges.append((mu, mv, float(c)))
-        return LevelGraph(nxt, edges), mapping
+        mapping[grouped] = np.repeat(np.arange(len(groups)), [len(m) for m in members])
+        free = np.flatnonzero(mapping == -1)
+        mapping[free] = len(groups) + np.arange(len(free))
+        mu, mv = mapping[self.edge_u], mapping[self.edge_v]
+        cross = mu != mv
+        edges = np.column_stack([mu[cross], mv[cross], self.conductance[cross]])
+        return LevelGraph(len(groups) + len(free), edges), mapping
 
     def subgraph(self, vertices: Sequence[int]) -> Tuple["LevelGraph", np.ndarray]:
-        vertices = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
-        pos = {int(v): i for i, v in enumerate(vertices)}
-        edges = []
-        for u, v, c in zip(self.edge_u, self.edge_v, self.conductance):
-            if int(u) in pos and int(v) in pos:
-                edges.append((pos[int(u)], pos[int(v)], float(c)))
-        g = LevelGraph(len(vertices), edges,
+        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[vertices] = np.arange(len(vertices))
+        pu, pv = pos[self.edge_u], pos[self.edge_v]
+        inside = (pu >= 0) & (pv >= 0)
+        g = LevelGraph(len(vertices), np.column_stack([pu[inside], pv[inside],
+                                                       self.conductance[inside]]),
                        coords=None if self.coords is None else self.coords[vertices])
         return g, vertices
 
@@ -157,29 +157,20 @@ class _Grounded:
         self.keep = np.concatenate([np.arange(ground), np.arange(ground + 1, g.n)])
         lap = g.laplacian().tocsc()
         self.lap_g = lap[self.keep][:, self.keep]
-        self._lu = None
-        self._use_direct = g.n <= SPARSE_DIRECT_LIMIT
-        if self._use_direct:
-            try:
-                self._lu = spla.splu(self.lap_g.tocsc())
-            except RuntimeError as exc:  # singular pivot
-                raise SolverError(f"sparse factorization failed: {exc}") from exc
+        try:
+            self._lu = spla.splu(self.lap_g.tocsc())
+        except RuntimeError as exc:  # singular pivot
+            raise SolverError(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, rhs_full: np.ndarray) -> np.ndarray:
         """Solve L u = rhs with u[ground] = 0; rhs indexed on all vertices."""
         b = rhs_full[self.keep]
-        if self._use_direct:
-            x = self._lu.solve(b)
-        else:
-            M = sp.diags(1.0 / self.lap_g.diagonal())
-            x, info = spla.cg(self.lap_g, b, rtol=1e-12, atol=0.0, maxiter=20000, M=M)
-            if info != 0:
-                raise SolverError(f"CG did not converge (info={info})")
+        x = self._lu.solve(b)
         nb = float(np.linalg.norm(b))
         if nb > 0:
             res = float(np.linalg.norm(self.lap_g @ x - b)) / nb
             if res > RESIDUAL_TOL:
-                x = x + self._lu.solve(b - self.lap_g @ x) if self._use_direct else x
+                x = x + self._lu.solve(b - self.lap_g @ x)
                 res = float(np.linalg.norm(self.lap_g @ x - b)) / nb
                 if res > RESIDUAL_TOL:
                     raise SolverError(f"solve residual {res:.3e} above {RESIDUAL_TOL}")
@@ -239,19 +230,21 @@ def _check_sets(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[List
 
 def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int],
                    return_potential: bool = False) -> ResistanceValue:
-    """Resistance between vertex sets, by identification and a grounded solve.
+    """Resistance between vertex sets, by identification and a grounded solve
+    on the connected component that holds them.
 
     Disconnected queries return a tagged infinite value rather than raising.
+    The potential is 0 off that component.
     """
     A, B = _check_sets(g, A, B)
     comp = g.components()
     if len({int(comp[v]) for v in A + B}) > 1:
         return ResistanceValue(float("inf"), "infinite")
-    merged, mapping = g.merged([A, B])
-    sub_ids = np.where(merged.components() == merged.components()[0])[0]
-    if 1 not in set(int(s) for s in sub_ids):
-        return ResistanceValue(float("inf"), "infinite")
-    solver = merged.grounded_solver(ground=1)  # ground the B supernode
+    ids = np.flatnonzero(comp == comp[A[0]])
+    sub = g if len(ids) == g.n else g.subgraph(ids)[0]
+    merged, mapping = sub.merged([np.searchsorted(ids, A), np.searchsorted(ids, B)])
+    # ground the B supernode; uncached, so its factors are freed on return
+    solver = _Grounded(merged, ground=1)
     rhs = np.zeros(merged.n)
     rhs[0] = 1.0
     rhs[1] = -1.0
@@ -259,8 +252,9 @@ def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int],
     value = float(u[0])
     pot = None
     if return_potential:
-        pot = u[mapping] / value if value > 0 else u[mapping]
         # normalized so A sits at 1 and B at 0
+        pot = np.zeros(g.n)
+        pot[ids] = u[mapping] / value if value > 0 else u[mapping]
     return ResistanceValue(value, "ok", potential=pot)
 
 
@@ -296,21 +290,15 @@ def trace(g: LevelGraph, S: Sequence[int], column_block: int = 256) -> LevelGrap
             X = lu.solve(L_IS[:, lo:hi].toarray())
             schur[:, lo:hi] -= L_SI @ X
     scale = float(np.abs(np.diag(schur)).max()) if len(S) else 1.0
-    edges = []
-    bad = 0.0
-    for i in range(len(S)):
-        row = schur[i]
-        for j in range(i + 1, len(S)):
-            c = -row[j]
-            if c > 1e-13 * scale:
-                edges.append((i, j, float(c)))
-            elif c < -1e-10 * scale:
-                bad = max(bad, float(-c))
-    if bad > 0:
-        raise SolverError(f"Schur complement produced a positive off-diagonal {bad:.3e} (scale {scale:.3e})")
+    cond = -np.triu(schur, 1)  # traced conductances above the diagonal
+    positive = cond < -1e-10 * scale
+    if positive.any():
+        raise SolverError(f"Schur complement produced a positive off-diagonal "
+                          f"{float(-cond[positive].min()):.3e} (scale {scale:.3e})")
+    i, j = np.nonzero(cond > 1e-13 * scale)
     coords = None if g.coords is None else g.coords[Sarr]
-    out = LevelGraph(len(S), edges, coords=coords, labels=[int(s) for s in S])
-    return out
+    return LevelGraph(len(S), np.column_stack([i, j, cond[i, j]]), coords=coords,
+                      labels=[int(s) for s in S])
 
 
 def resistance_weights(g_traced: LevelGraph, tol: float = 1e-10) -> np.ndarray:

@@ -61,6 +61,15 @@ def test_invalid_config_rejected(tmp_path):
     assert code == 2
 
 
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"structure": "vicsek", "depht": 2}))
+    code = main(["build", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: unknown config key(s) depht" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(command="fly").validate()

@@ -2,8 +2,38 @@ import numpy as np
 import pytest
 
 from resdimlab.cornergraph import corner_graph, corner_vertices_at_level
-from resdimlab.hierarchy import Schedule, build_hierarchy
+from resdimlab.hierarchy import CHILD_OFFSET, Schedule, build_hierarchy
 from resdimlab.resnet import eff_resistance
+
+
+def _dict_corner_graph(schedule, n, m):
+    """Reference builder: tuple-keyed dicts, vertex ids by first appearance."""
+    cells = [(0, 0)]
+    for lvl in range(m + 1, n + 1):
+        offs = [CHILD_OFFSET[d] for d in schedule.rule_at(lvl).digits]
+        cells = [(3 * ix + dx, 3 * iy + dy) for ix, iy in cells for dx, dy in offs]
+    vid, corners, mult = {}, [], {}
+    for ix, iy in cells:
+        cell = [vid.setdefault(p, len(vid))
+                for p in ((ix, iy), (ix + 1, iy), (ix + 1, iy + 1), (ix, iy + 1))]
+        corners.append(cell)
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            key = (min(a, b), max(a, b))
+            mult[key] = mult.get(key, 0) + 1
+    edges = sorted(mult)
+    return np.array(list(vid), dtype=np.int64), np.array(corners), edges, [float(mult[e]) for e in edges]
+
+
+@pytest.mark.parametrize("structure", ["sc", "vicsek", "mixed"])
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (3, 0), (4, 0), (4, 2)])
+def test_matches_dict_builder(structure, n, m):
+    sched = Schedule.by_name(structure)
+    grid, corners, edges, cond = _dict_corner_graph(sched, n, m)
+    cg = corner_graph(sched, n, m)
+    assert np.array_equal(cg.grid, grid)
+    assert np.array_equal(cg.cell_corners, corners)
+    assert list(zip(cg.graph.edge_u.tolist(), cg.graph.edge_v.tolist())) == edges
+    assert cg.graph.conductance.tolist() == cond
 
 
 def test_level_pair_nn_is_unit_cycle():

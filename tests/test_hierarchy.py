@@ -46,17 +46,29 @@ def test_adjacency_level1_counts():
     assert len(adjacency(sc, 0).edges) == 0
 
 
-def test_adjacency_symmetric_no_self_loops(sc_h6):
-    g = adjacency(sc_h6, 2)
+def _assert_adjacency_oracle(h, level):
+    g = adjacency(h, level)
     assert np.all(g.edges[:, 0] < g.edges[:, 1])
-    # exhaustive pairwise oracle at level 2: closed boxes intersect
-    lvl = sc_h6.levels[2]
-    expected = set()
+    # exhaustive pairwise oracle: closed boxes intersect
+    lvl = h.levels[level]
+    ix, iy = lvl.ix.tolist(), lvl.iy.tolist()
+    expected = []
     for i in range(lvl.count):
         for j in range(i + 1, lvl.count):
-            if abs(lvl.ix[i] - lvl.ix[j]) <= 1 and abs(lvl.iy[i] - lvl.iy[j]) <= 1:
-                expected.add((i, j))
-    assert expected == {(int(a), int(b)) for a, b in g.edges}
+            if abs(ix[i] - ix[j]) <= 1 and abs(iy[i] - iy[j]) <= 1:
+                expected.append((i, j))
+    # edges come in lexicographic order
+    assert expected == [(int(a), int(b)) for a, b in g.edges]
+
+
+def test_adjacency_symmetric_no_self_loops(sc_h6):
+    _assert_adjacency_oracle(sc_h6, 2)
+
+
+@pytest.mark.parametrize("hierarchy, level", [("vs_h6", 2), ("vs_h6", 3),
+                                              ("mx_h5", 2), ("mx_h5", 3)])
+def test_adjacency_oracle_vicsek_mixed(request, hierarchy, level):
+    _assert_adjacency_oracle(request.getfixturevalue(hierarchy), level)
 
 
 def test_partition_disjoint_interiors(sc_h6):

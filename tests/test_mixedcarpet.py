@@ -4,22 +4,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resdimlab.hierarchy import Schedule
+from resdimlab.hierarchy import Schedule, mixed_indicator
 from resdimlab.mixedcarpet import (chain_check, delta_pair, evres_fit,
-                                   qs_diagnostic, qs_envelope_drift, schedule_F)
+                                   qs_diagnostic, qs_envelope_drift)
 
 NE = (Fraction(1, 2), Fraction(1, 2))
 SW = (Fraction(-1, 2), Fraction(-1, 2))
 
 
 def test_schedule_f_blocks():
-    assert schedule_F(1) == 1
-    assert [schedule_F(n) for n in (2, 3, 4)] == [0, 0, 0]
-    assert [schedule_F(n) for n in range(5, 9)] == [1, 1, 1, 1]
-    assert [schedule_F(n) for n in range(9, 19)] == [0] * 10
-    assert [schedule_F(n) for n in range(19, 28)] == [1] * 9
+    assert mixed_indicator(1) == 1
+    assert [mixed_indicator(n) for n in (2, 3, 4)] == [0, 0, 0]
+    assert [mixed_indicator(n) for n in range(5, 9)] == [1, 1, 1, 1]
+    assert [mixed_indicator(n) for n in range(9, 19)] == [0] * 10
+    assert [mixed_indicator(n) for n in range(19, 28)] == [1] * 9
     with pytest.raises(ValueError):
-        schedule_F(0)
+        mixed_indicator(0)
 
 
 def test_resistance_scales_identity_pair(mx_cache):

@@ -45,6 +45,16 @@ def test_disconnected_tagged_infinite():
     assert not res.finite and math.isinf(res.value)
 
 
+def test_other_component_ignored():
+    g = LevelGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+    res = eff_resistance(g, [0], [2], return_potential=True)
+    assert res.finite
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    assert res.potential.tolist() == pytest.approx([1.0, 0.5, 0.0, 0.0, 0.0])
+    _, energy = min_energy_flow(g, [0], [2])
+    assert energy == pytest.approx(2.0, abs=1e-12)
+
+
 def test_potential_normalization():
     g = LevelGraph(4, UNIT_CYCLE)
     res = eff_resistance(g, [0], [2], return_potential=True)
