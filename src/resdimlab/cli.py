@@ -67,6 +67,10 @@ class ExperimentConfig:
     CAPS = {"depth": 7, "n": 7, "kmax": 6}
 
     def validate(self) -> None:
+        for f in fields(self):
+            if not _has_type(getattr(self, f.name), f.type):
+                raise ValueError(f"{f.name} must be of type {f.type}, "
+                                 f"got {getattr(self, f.name)!r}")
         if self.command not in ("build", "resist", "penergy", "dims", "heat", "mixed", "validate"):
             raise ValueError(f"unknown command {self.command!r}")
         if self.depth < 0 or self.depth > self.CAPS["depth"]:
@@ -82,6 +86,19 @@ class ExperimentConfig:
         if self.f_table is not None:
             return hmod.Schedule.from_table(self.f_table)
         return hmod.Schedule.by_name(self.structure)
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a config value (as loaded from JSON) fits a field annotation."""
+    if annotation.startswith("Optional["):
+        return value is None or _has_type(value, annotation[len("Optional["):-1])
+    if annotation.startswith("List["):
+        return isinstance(value, list) and all(_has_type(v, annotation[5:-1]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if annotation == "float":
+        return isinstance(value, (int, float))
+    return isinstance(value, {"int": int, "str": str}[annotation])
 
 
 def _write_json(path: str, obj) -> None:
@@ -385,27 +402,27 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     payload: Dict[str, object] = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            payload.update(json.load(fh))
-    payload["command"] = args.command
-    for key in ("structure", "depth", "seed", "out", "kmax", "n", "pair", "report"):
-        val = getattr(args, key, None)
-        if val is not None:
-            payload[key] = val
-    if getattr(args, "p_grid", None):
-        payload["p_grid"] = [float(p) for p in args.p_grid.split(",")]
-    env_out = os.environ.get("RESDIMLAB_OUT")
-    if env_out and "out" not in payload:
-        payload["out"] = env_out
-    unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
-    if unknown:
-        print(f"error: unknown config key(s) {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    cfg = ExperimentConfig(**payload)  # type: ignore[arg-type]
     try:
-        manifest = run(cfg)
-    except (ValueError, RuntimeError) as exc:
+        if getattr(args, "config", None):
+            with open(args.config) as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ValueError("config file must hold a JSON object")
+        payload["command"] = args.command
+        for key in ("structure", "depth", "seed", "out", "kmax", "n", "pair", "report"):
+            val = getattr(args, key, None)
+            if val is not None:
+                payload[key] = val
+        if getattr(args, "p_grid", None):
+            payload["p_grid"] = [float(p) for p in args.p_grid.split(",")]
+        env_out = os.environ.get("RESDIMLAB_OUT")
+        if env_out and "out" not in payload:
+            payload["out"] = env_out
+        unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
+        manifest = run(ExperimentConfig(**payload))  # type: ignore[arg-type]
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({"command": manifest["command"],

@@ -78,8 +78,7 @@ class CornerGraph:
         return self.grid / self.span - 0.5
 
 
-def corner_graph(schedule: Schedule, n: int, m: int = 0,
-                 vertex_cap: int = VERTEX_CAP) -> CornerGraph:
+def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
     """Build the (n, m) corner graph of `schedule`.
 
     Refuses above the depth cap; the pair (n, n) is the plain 4-cycle.
@@ -98,8 +97,8 @@ def corner_graph(schedule: Schedule, n: int, m: int = 0,
         cells_ix = (3 * cells_ix[:, None] + offs[None, :, 0]).reshape(-1)
         cells_iy = (3 * cells_iy[:, None] + offs[None, :, 1]).reshape(-1)
 
-    if 4 * len(cells_ix) > vertex_cap:
-        raise ValueError(f"about {4 * len(cells_ix)} corner vertices, above the cap {vertex_cap}")
+    if 4 * len(cells_ix) > VERTEX_CAP:
+        raise ValueError(f"about {4 * len(cells_ix)} corner vertices, above the cap {VERTEX_CAP}")
 
     # Corners c5, c7, c1, c3 of every cell; ids by first appearance in this order.
     span = 3 ** depth

@@ -65,24 +65,21 @@ class FiniteDirichletForm:
     def eig(self) -> Tuple[np.ndarray, np.ndarray]:
         """(eigenvalues ascending, phi) with phi columns mu-orthonormal."""
         if self._eig is None:
-            lap = self.graph.laplacian().toarray()
+            # scaled in place (rows, then columns) and handed to LAPACK to
+            # overwrite, so the n x n matrix is held once; eigh reads one triangle
+            sym = self.graph.laplacian().toarray(order="F")
             inv_sqrt = 1.0 / np.sqrt(self.mass)
-            sym = inv_sqrt[:, None] * lap * inv_sqrt[None, :]
-            sym = 0.5 * (sym + sym.T)
-            w, u = scipy.linalg.eigh(sym)
+            sym *= inv_sqrt[:, None]
+            sym *= inv_sqrt[None, :]
+            w, phi = scipy.linalg.eigh(sym, driver="evd", overwrite_a=True)
             w[0] = max(w[0], 0.0)
-            phi = inv_sqrt[:, None] * u
+            phi *= inv_sqrt[:, None]
             self._eig = (w, phi)
         return self._eig
 
     @property
     def lambda_max(self) -> float:
         return float(self.eig()[0][-1])
-
-    @property
-    def spectral_gap(self) -> float:
-        w = self.eig()[0]
-        return float(w[1]) if len(w) > 1 else 0.0
 
     def p_diag(self, times: Sequence[float], xs: Optional[Sequence[int]] = None) -> np.ndarray:
         """p(t, x, x) as an array (len(xs), len(times)); xs None = all."""
@@ -131,9 +128,6 @@ class HeatCurve:
     values: np.ndarray
     floor: float
 
-    def monotone_strict(self) -> bool:
-        return bool(np.all(np.diff(self.values) < 0))
-
 
 def heat_kernel(form: FiniteDirichletForm, x: int, times: Sequence[float]) -> HeatCurve:
     times = np.asarray(sorted(float(t) for t in times))
@@ -143,22 +137,22 @@ def heat_kernel(form: FiniteDirichletForm, x: int, times: Sequence[float]) -> He
     return HeatCurve(x=x, times=times, values=vals, floor=1.0 / form.total_mass)
 
 
-def time_window(form: FiniteDirichletForm, floor_tol: float = 0.01,
-                lattice_clip: float = 30.0) -> Tuple[float, float, float]:
-    """(t_lo, t_hi, t_mix): resolved window [lattice_clip/lambda_max, 0.5 t_mix].
+def time_window(form: FiniteDirichletForm) -> Tuple[float, float, float]:
+    """(t_lo, t_hi, t_mix): resolved window [30/lambda_max, 0.5 t_mix].
 
     Below ~30/lambda_max the on-diagonal kernel still tracks the single
     vertex mass (p ~ 1/m(x)) instead of the cascade, which would inflate the
     sup-over-x ratios; one dyadic decade above the naive 3/lambda_max clears
-    that saturation.
+    that saturation.  t_mix is the first time on a 1.5x grid at which every
+    p(t, x, x) is within 1% of the floor 1/mu(X).
     """
-    t_lo = lattice_clip / form.lambda_max
+    t_lo = 30.0 / form.lambda_max
     floor = 1.0 / form.total_mass
     t = t_lo
     t_mix = None
     for _ in range(200):
         pmax = float(form.p_diag([t]).max())
-        if pmax <= floor * (1.0 + floor_tol):
+        if pmax <= floor * 1.01:
             t_mix = t
             break
         t *= 1.5
@@ -167,7 +161,7 @@ def time_window(form: FiniteDirichletForm, floor_tol: float = 0.01,
     return t_lo, 0.5 * t_mix, t_mix
 
 
-def ol_ds_heat(form: FiniteDirichletForm, points_per_octave: int = 1,
+def ol_ds_heat(form: FiniteDirichletForm,
                window: Optional[Tuple[float, float]] = None) -> dict:
     """Windowed uniform spectral-dimension estimate from on-diagonal ratios.
 
@@ -186,19 +180,18 @@ def ol_ds_heat(form: FiniteDirichletForm, points_per_octave: int = 1,
         t_mix = float("nan")
     if not (t_hi > t_lo > 0):
         raise ValueError("window empty after range clipping")
-    n_oct = int(math.floor(math.log(t_hi / t_lo, 2) * points_per_octave))
+    n_oct = int(math.floor(math.log(t_hi / t_lo, 2)))
     if n_oct < 1:
         return {"estimate": float("nan"), "flag": "window-too-short",
                 "window": (t_lo, t_hi)}
-    step = 2.0 ** (1.0 / points_per_octave)
-    lattice = t_lo * step ** np.arange(n_oct + 1)
+    lattice = t_lo * 2.0 ** np.arange(n_oct + 1)
     logp = np.log(form.p_diag(lattice))
     per_ratio = {}
     for j in range(1, n_oct + 1):
-        # s = lattice[m], s/t = lattice[m-j], t = step^j
+        # s = lattice[m], s/t = lattice[m-j], t = 2^j
         diffs = logp[:, : n_oct + 1 - j] - logp[:, j:]
         best = float(diffs.max())
-        per_ratio[j] = 2.0 * best / (j * math.log(step))
+        per_ratio[j] = 2.0 * best / (j * math.log(2.0))
     estimate = min(per_ratio.values())
     return {
         "estimate": estimate,

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "SC_DIGITS",
@@ -220,24 +220,17 @@ class AdjacencyGraph:
     level: int
     count: int
     edges: np.ndarray  # (m, 2) int64, i < j
-    _nbrs: Optional[List[List[int]]] = field(default=None, repr=False)
+
+    @cached_property
+    def csr(self) -> sp.csr_matrix:
+        """Symmetric 0/1 adjacency matrix; row i's indices are i's neighbours."""
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.count, self.count))
 
     @property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.count, dtype=np.int64)
-        if len(self.edges):
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
-
-    def neighbor_lists(self) -> List[List[int]]:
-        if self._nbrs is None:
-            out: List[List[int]] = [[] for _ in range(self.count)]
-            for i, j in self.edges:
-                out[int(i)].append(int(j))
-                out[int(j)].append(int(i))
-            self._nbrs = out
-        return self._nbrs
+        return np.diff(self.csr.indptr)
 
 
 @dataclass
@@ -313,12 +306,6 @@ class PartitionHierarchy:
             if j < 0 or int(lvl.parent[j]) != i or int(lvl.digit[j]) != d:
                 raise ValueError(f"address {word} not in the hierarchy")
             i = j
-        return i
-
-    def ancestor(self, n: int, i: int, k: int) -> int:
-        """Index at level n-k of the k-th ancestor of cell i at level n."""
-        for m in range(n, n - k, -1):
-            i = int(self.levels[m].parent[i])
         return i
 
     def cell_box(self, n: int, i: int) -> Tuple[int, int, int]:
@@ -447,12 +434,15 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
     if n in h._adjacency_cache:
         return h._adjacency_cache[n]
     lvl = h.levels[n]
-    i = np.arange(lvl.count, dtype=np.int64)
-    pairs = []  # packed keys i*count + j of the pairs i < j
-    for dx, dy in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
-        j = lvl.grid_index.lookup(lvl.ix + dx, lvl.iy + dy)
-        up = j > i
-        pairs.append(i[up] * lvl.count + j[up])
+    # cells in grid-key order, so each lookup streams through the sorted keys
+    i = lvl.grid_index._ids
+    x, y = lvl.ix[i], lvl.iy[i]
+    pairs = []  # packed keys min*count + max of the adjacent pairs
+    # one offset of each opposite pair, so every adjacent pair is found from one end
+    for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        j = lvl.grid_index.lookup(x + dx, y + dy)
+        a, b = i[j >= 0], j[j >= 0]
+        pairs.append(np.minimum(a, b) * lvl.count + np.maximum(a, b))
     edges = np.stack(np.divmod(np.sort(np.concatenate(pairs)), lvl.count), axis=1)
     g = AdjacencyGraph(n, lvl.count, edges)
     h._adjacency_cache[n] = g
@@ -461,24 +451,25 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
 
 def _set_distance_within(g: AdjacencyGraph, sources: Sequence[int],
                          targets: Sequence[int], cap: int) -> Optional[int]:
-    """Graph distance from `sources` to `targets`, or None if > cap."""
+    """Graph distance from `sources` to `targets`, or None if > cap.
+
+    Breadth-first over CSR rows, so a query touches only cells within `cap` steps."""
     targets_set = set(targets)
     if targets_set.intersection(sources):
         return 0
-    nbrs = g.neighbor_lists()
+    indptr, indices = g.csr.indptr, g.csr.indices
     seen = set(sources)
-    frontier = deque((s, 0) for s in sources)
-    while frontier:
-        v, d = frontier.popleft()
-        if d == cap:
-            continue
-        for u in nbrs[v]:
-            if u in seen:
-                continue
-            if u in targets_set:
-                return d + 1
-            seen.add(u)
-            frontier.append((u, d + 1))
+    frontier = list(seen)
+    for d in range(1, cap + 1):
+        nxt = []
+        for v in frontier:
+            for u in indices[indptr[v]:indptr[v + 1]].tolist():
+                if u in targets_set:
+                    return d
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
     return None
 
 

@@ -59,15 +59,11 @@ class HierMeasure:
             if n == 0:
                 arr = np.ones(1)
             else:
-                prev = self.masses_float(n - 1)
                 lvl = self.h.levels[n]
-                w = np.array([float(self.weights[n][int(d)]) for d in lvl.digit])
-                arr = prev[lvl.parent] * w
+                by_digit = np.array([float(self.weights[n].get(d, 0)) for d in range(9)])  # digits 0..8
+                arr = self.masses_float(n - 1)[lvl.parent] * by_digit[lvl.digit]
             self._mass_float[n] = arr
         return self._mass_float[n]
-
-    def total(self) -> Fraction:
-        return Fraction(1)
 
     def resolution(self) -> int:
         return self.h.depth
@@ -179,7 +175,11 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
 
 
 class PsiMeasure:
-    """Interior-child weighted measure on the k-step coarsened tree."""
+    """Interior-child weighted measure on the k-step coarsened tree.
+
+    Bit j of a cell's int64 code is set when its ancestor after coarse step
+    j + 1 is the interior child of its parent; psi(cell) = value[level][code].
+    """
 
     def __init__(self, h: PartitionHierarchy, k: int, eps: Fraction, n_star: int):
         self.h = h
@@ -188,61 +188,50 @@ class PsiMeasure:
         self.n_star = n_star
         self.base = Fraction(n_star) + self.eps
         self.coarse_levels = list(range(0, h.depth + 1, k))
-        self.interior_child: Dict[Tuple[int, int], int] = {}
-        self.psi: Dict[int, np.ndarray] = {}  # coarse level -> Fraction array
+        self.interior_child: Dict[int, np.ndarray] = {}  # coarse level -> child id per cell
+        self.code: Dict[int, np.ndarray] = {}            # coarse level -> code per cell
+        self.value: Dict[int, List[Fraction]] = {}       # coarse level -> psi per code
         self._mass_float: Dict[int, np.ndarray] = {}
         self._build()
-
-    def _descendants(self, level: int, i: int, k: int) -> np.ndarray:
-        lo = hi = i
-        for m in range(level + 1, level + k + 1):
-            b = self.h.schedule.branching(m)
-            lo, hi = lo * b, hi * b + b - 1
-        return np.arange(lo, hi + 1)
 
     def _build(self) -> None:
         h, k = self.h, self.k
         grow = self.base ** k
-        psi_prev = np.array([Fraction(1)], dtype=object)
-        self.psi[0] = psi_prev
-        for cl in range(1, len(self.coarse_levels)):
-            top = self.coarse_levels[cl - 1]
-            bot = self.coarse_levels[cl]
-            n_bot = h.levels[bot].count
-            psi_bot = np.empty(n_bot, dtype=object)
-            span = 3 ** k
-            for w in range(h.levels[top].count):
-                desc = self._descendants(top, w, k)
-                count = len(desc)
-                if Fraction(count) > grow:
-                    raise ValueError(
-                        f"(N*+eps)^k = {grow} below the branching {count}; increase eps or k")
-                wx, wy = int(h.levels[top].ix[w]), int(h.levels[top].iy[w])
-                interior = None
-                for v in desc:
-                    rx = int(h.levels[bot].ix[v]) - span * wx
-                    ry = int(h.levels[bot].iy[v]) - span * wy
-                    if 1 <= rx <= span - 2 and 1 <= ry <= span - 2:
-                        interior = int(v)
-                        break
-                if interior is None:
-                    raise ValueError(
-                        f"no interior descendant at offset {k} below cell {w} (level {top})")
-                self.interior_child[(top, w)] = interior
-                small = 1 / grow
-                big = 1 - Fraction(count - 1) / grow
-                for v in desc:
-                    phi = big if int(v) == interior else small
-                    psi_bot[int(v)] = psi_prev[w] * phi
-            self.psi[bot] = psi_bot
-            psi_prev = psi_bot
+        span = 3 ** k
+        code = np.zeros(1, dtype=np.int64)
+        value = [Fraction(1)]
+        self.code[0], self.value[0] = code, value
+        for step, (top, bot) in enumerate(zip(self.coarse_levels, self.coarse_levels[1:])):
+            t, b = h.levels[top], h.levels[bot]
+            # the descendants of top cell w are the contiguous ids w*count .. w*count + count-1
+            count = b.count // t.count
+            if Fraction(count) > grow:
+                raise ValueError(
+                    f"(N*+eps)^k = {grow} below the branching {count}; increase eps or k")
+            rx = b.ix.reshape(t.count, count) - span * t.ix[:, None]
+            ry = b.iy.reshape(t.count, count) - span * t.iy[:, None]
+            inside = (rx >= 1) & (rx <= span - 2) & (ry >= 1) & (ry <= span - 2)
+            found = inside.any(axis=1)
+            if not found.all():
+                raise ValueError(f"no interior descendant at offset {k} below cell "
+                                 f"{int(np.argmin(found))} (level {top})")
+            interior = np.arange(t.count) * count + inside.argmax(axis=1)
+            bit = np.zeros(b.count, dtype=np.int64)
+            bit[interior] = 1 << step
+            code = np.repeat(code, count) | bit
+            small = 1 / grow
+            big = 1 - Fraction(count - 1) / grow
+            value = [q * small for q in value] + [q * big for q in value]
+            self.interior_child[top] = interior
+            self.code[bot], self.value[bot] = code, value
 
     def mass(self, coarse_level: int, i: int) -> Fraction:
-        return self.psi[coarse_level][i]
+        return self.value[coarse_level][int(self.code[coarse_level][i])]
 
     def masses_float(self, coarse_level: int) -> np.ndarray:
         if coarse_level not in self._mass_float:
-            self._mass_float[coarse_level] = np.array([float(q) for q in self.psi[coarse_level]])
+            table = np.array([float(q) for q in self.value[coarse_level]])
+            self._mass_float[coarse_level] = table[self.code[coarse_level]]
         return self._mass_float[coarse_level]
 
     def resolution(self) -> int:
@@ -251,28 +240,31 @@ class PsiMeasure:
     def ball_mass(self, x: Tuple[float, float], r: float,
                   resolution: Optional[int] = None) -> Tuple[float, float]:
         n = self.resolution() if resolution is None else resolution
-        if n not in self.psi:
+        if n not in self.code:
             raise ValueError(f"level {n} is not a coarse level of the psi measure")
         return _cover_bracket(self.h, n, self.masses_float(n), x, r)
 
     def neighbor_comparability(self) -> dict:
-        """Exact check of ((N*+eps)^k - 1) psi(w) >= psi(u) on adjacent pairs."""
+        """Exact check of ((N*+eps)^k - 1) psi(w) >= psi(u) on adjacent pairs,
+        once per distinct ordered pair of codes, weighted by its count."""
         bound = self.base ** self.k - 1
         worst: Optional[Fraction] = None
         violations = 0
         checked = 0
         for n in self.coarse_levels[1:]:
-            g = adjacency(self.h, n)
-            psi = self.psi[n]
-            for i, j in g.edges:
-                for a, b in ((int(i), int(j)), (int(j), int(i))):
-                    checked += 1
-                    lhs = bound * psi[a]
-                    if lhs < psi[b]:
-                        violations += 1
-                    q = psi[b] / psi[a]
-                    if worst is None or q > worst:
-                        worst = q
+            edges = adjacency(self.h, n).edges
+            value = self.value[n]
+            cu, cv = self.code[n][edges[:, 0]], self.code[n][edges[:, 1]]
+            keys = np.concatenate([cu * len(value) + cv, cv * len(value) + cu])
+            pairs, counts = np.unique(keys, return_counts=True)
+            checked += len(keys)
+            for key, cnt in zip(pairs.tolist(), counts.tolist()):
+                a, b = divmod(key, len(value))
+                if bound * value[a] < value[b]:
+                    violations += cnt
+                q = value[b] / value[a]
+                if worst is None or q > worst:
+                    worst = q
         return {"checked": checked, "violations": violations,
                 "max_neighbor_ratio": worst, "bound": bound}
 
@@ -345,7 +337,6 @@ def fekete_limit(ts: Sequence[float], fs: Sequence[float], tol: float = 1e-12) -
 
 def olds_volume(m, zeta_r_log: float, window: Sequence[int],
                 centers: Optional[Sequence[Tuple[float, float]]] = None,
-                radius_factors: Sequence[float] = (1.0, 1.5),
                 samples: int = 40, seed: int = 0,
                 resolution: Optional[int] = None) -> dict:
     """Volume-route spectral dimension on a window of levels.
@@ -364,10 +355,10 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
         centers = _sample_centers(h, min(2, h.depth), samples, seed)
     res = m.resolution() if resolution is None else resolution
 
-    # V(x, c*3^-j) midpoints of the cover bracket, per center and factor
+    # V(x, c*3^-j) midpoints of the cover bracket, per center and factor c
     logs: Dict[Tuple[int, int], List[float]] = {}
     for ci, x in enumerate(centers):
-        for fi, c in enumerate(radius_factors):
+        for fi, c in enumerate((1.0, 1.5)):
             vals = []
             for j in window:
                 lo, hi = m.ball_mass(x, c * 3.0 ** (-j), res)

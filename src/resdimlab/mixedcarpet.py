@@ -262,12 +262,6 @@ class QSDiagnostic:
     envelope: np.ndarray
     triples: List = field(default_factory=list)
 
-    def envelope_at(self, t: float) -> float:
-        idx = np.searchsorted(self.envelope_t, t, side="right") - 1
-        if idx < 0:
-            return 0.0
-        return float(self.envelope[idx])
-
 
 def qs_diagnostic(schedule: Schedule, n: int, samples: int = 300, seed: int = 0,
                   sample_level: int = 2, cache: Optional[ScaleCache] = None,

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .hierarchy import PartitionHierarchy, adjacency
@@ -38,6 +39,8 @@ __all__ = [
     "fit_rates",
     "rate_table_to_csv",
 ]
+
+RATE_TOL = 1e-3  # see critical_p
 
 
 @dataclass
@@ -84,22 +87,12 @@ def _ancestor_map(h: PartitionHierarchy, n: int, base: int) -> np.ndarray:
 
 
 def _level_distances(h: PartitionHierarchy, level: int, source: int) -> np.ndarray:
-    g = adjacency(h, level)
-    dist = np.full(g.count, np.iinfo(np.int64).max, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    nbrs = g.neighbor_lists()
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in nbrs[v]:
-                if dist[u] > d:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+    """Chain distances from `source` on the level cell graph; int64 max where unreachable."""
+    dist = csgraph.shortest_path(adjacency(h, level).csr, unweighted=True, indices=source)
+    out = np.full(len(dist), np.iinfo(np.int64).max, dtype=np.int64)
+    reach = np.isfinite(dist)
+    out[reach] = dist[reach]
+    return out
 
 
 def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
@@ -134,8 +127,7 @@ def _energy_and_grad(f: np.ndarray, eu: np.ndarray, ev: np.ndarray, p: float):
     return e, g
 
 
-def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
-             max_iter: int = 200) -> PEnergyValue:
+def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergyValue:
     """Minimize the p-power energy with the problem's 0/1 pins.
 
     p = 2 reduces to one linear solve; p > 1 runs eps-smoothed IRLS warmed
@@ -220,7 +212,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
         out = scipy.optimize.minimize(
             objective, f[free], jac=True, method="L-BFGS-B",
             bounds=[(0.0, 1.0)] * len(free),
-            options={"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-12})
+            options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12})
         f[free] = np.clip(out.x, 0.0, 1.0)
     e, g = _energy_and_grad(f, eu, ev, p)
     if len(free):
@@ -313,12 +305,11 @@ def fit_rates(ks: Sequence[int], log_vals: Sequence[float]) -> Tuple[float, floa
 
 
 def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = (1.0, 2.5),
-               tol: float = 0.05, base_level: int = 1, m_star: int = 1,
-               rate_tol: float = 1e-3) -> dict:
+               tol: float = 0.05, base_level: int = 1, m_star: int = 1) -> dict:
     """Bisection on p of the fitted decay rate of k -> sup energy.
 
     rate < 0 means p is above the critical exponent.  Rates inside
-    [-rate_tol, rate_tol] are treated as not-yet-decaying and widen the
+    [-RATE_TOL, RATE_TOL] are treated as not-yet-decaying and widen the
     reported interval with a flag.
     """
     if kmax < 3:
@@ -337,17 +328,17 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
     lo, hi = p_range
     flag = "ok"
     r_lo = rate_of(lo)
-    if r_lo < -rate_tol:
+    if r_lo < -RATE_TOL:
         return {"interval": (lo, lo), "flag": "critical-below-range", "rates": table}
     r_hi = rate_of(hi)
-    if r_hi > rate_tol:
+    if r_hi > RATE_TOL:
         return {"interval": (hi, hi), "flag": "critical-above-range", "rates": table}
-    if abs(r_lo) <= rate_tol or abs(r_hi) <= rate_tol:
+    if abs(r_lo) <= RATE_TOL or abs(r_hi) <= RATE_TOL:
         flag = "rate-indistinguishable-at-bracket"
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         r = rate_of(mid)
-        if abs(r) <= rate_tol:
+        if abs(r) <= RATE_TOL:
             flag = "rate-indistinguishable-at-bracket"
             # ambiguous: keep the wider side by shrinking toward the middle
             # from whichever bound is further

@@ -56,7 +56,6 @@ class LevelGraph:
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, float]],
                  coords: Optional[np.ndarray] = None,
-                 vertex_measure: Optional[np.ndarray] = None,
                  labels: Optional[Sequence] = None):
         self.n = int(n)
         if not isinstance(edges, np.ndarray):
@@ -77,7 +76,6 @@ class LevelGraph:
         self.edge_u, self.edge_v = np.divmod(keys, self.n)
         self.conductance = np.bincount(inverse, weights=c, minlength=len(keys))
         self.coords = None if coords is None else np.asarray(coords, dtype=np.float64)
-        self.vertex_measure = None if vertex_measure is None else np.asarray(vertex_measure, dtype=np.float64)
         self.labels = list(labels) if labels is not None else None
         self._lap: Optional[sp.csr_matrix] = None
         self._grounded: Dict[int, object] = {}
@@ -258,7 +256,7 @@ def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int],
     return ResistanceValue(value, "ok", potential=pot)
 
 
-def trace(g: LevelGraph, S: Sequence[int], column_block: int = 256) -> LevelGraph:
+def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
     """Trace onto S: Schur complement of the Laplacian, exact on resistances.
 
     The result's labels carry the original vertex ids of S.
@@ -285,8 +283,8 @@ def trace(g: LevelGraph, S: Sequence[int], column_block: int = 256) -> LevelGrap
             raise SolverError(f"non-SPD pivot on the eliminated block ({len(I)} vertices): {exc}") from exc
         schur = L_SS.astype(np.float64).copy()
         L_SI = L_IS.T.tocsr()
-        for lo in range(0, len(S), column_block):
-            hi = min(lo + column_block, len(S))
+        for lo in range(0, len(S), 256):  # 256 right-hand sides per solve
+            hi = min(lo + 256, len(S))
             X = lu.solve(L_IS[:, lo:hi].toarray())
             schur[:, lo:hi] -= L_SI @ X
     scale = float(np.abs(np.diag(schur)).max()) if len(S) else 1.0

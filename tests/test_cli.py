@@ -70,6 +70,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"depth": "3"}', "error: depth must be of type int"),
+    ('[{"depth": 3}]', "error: config file must hold a JSON object"),
+    ('{"depth": 3', "error: Expecting ',' delimiter"),
+    (None, "error: [Errno 2] No such file or directory"),
+], ids=["string-depth", "list-top-level", "malformed-json", "missing-file"])
+def test_bad_config_value_rejected(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code = main(["build", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(command="fly").validate()

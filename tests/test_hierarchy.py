@@ -1,5 +1,6 @@
 import json
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from resdimlab.hierarchy import (Schedule, adjacency, build_hierarchy, delta_level,
                                  nstar_estimate, validate_framework)
+from resdimlab.penergy import _level_distances
 
 CORNER_SW = (Fraction(-1, 2), Fraction(-1, 2))
 CORNER_NE = (Fraction(1, 2), Fraction(1, 2))
@@ -88,6 +90,59 @@ def test_delta_level_examples():
     d, clipped = delta_level(sc, CORNER_SW,
                              (Fraction(-1, 2) + Fraction(1, 27), Fraction(-1, 2)), 1)
     assert d == 3 and clipped
+
+
+def _plain_bfs(h, level, sources):
+    """Distances from `sources` on the level cell graph; None where unreachable."""
+    nbrs = [[] for _ in range(h.levels[level].count)]
+    for i, j in adjacency(h, level).edges.tolist():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    dist = [None] * len(nbrs)
+    queue = deque(sources)
+    for s in sources:
+        dist[s] = 0
+    while queue:
+        v = queue.popleft()
+        for u in nbrs[v]:
+            if dist[u] is None:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def _plain_delta_level(h, x, y, m):
+    best = None
+    for n in range(h.depth + 1):
+        wx, wy = h.cells_containing(n, *x), h.cells_containing(n, *y)
+        if wx and wy:
+            dist = _plain_bfs(h, n, wx)
+            if min(dist[v] for v in wy) <= m:
+                best = n
+    return best, best == h.depth
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
+                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
+def test_chain_distances_match_plain_bfs(schedule):
+    h = build_hierarchy(schedule, 3)
+    for level in (1, 2, 3):
+        count = h.levels[level].count
+        for source in (0, count // 2, count - 1):
+            expected = _plain_bfs(h, level, [source])
+            assert _level_distances(h, level, source).tolist() == expected
+    rng = np.random.default_rng(0)
+    lvl, s = h.levels[3], 27
+    for _ in range(40):
+        i, j = rng.integers(0, lvl.count, size=2)
+        cx = rng.integers(0, 2, size=4)
+        x = (Fraction(int(lvl.ix[i] + cx[0]), s) - Fraction(1, 2),
+             Fraction(int(lvl.iy[i] + cx[1]), s) - Fraction(1, 2))
+        y = (Fraction(int(lvl.ix[j] + cx[2]), s) - Fraction(1, 2),
+             Fraction(int(lvl.iy[j] + cx[3]), s) - Fraction(1, 2))
+        if x != y:
+            for m in (1, 2):
+                assert delta_level(h, x, y, m) == _plain_delta_level(h, x, y, m)
 
 
 def test_delta_level_errors():

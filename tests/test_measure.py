@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from resdimlab.hierarchy import Schedule, build_hierarchy
+from resdimlab.hierarchy import Schedule, adjacency, build_hierarchy
 from resdimlab.measure import (HierMeasure, PsiMeasure, doubling_check,
                                fekete_limit, hier_measure, olds_volume,
                                psi_measure)
@@ -65,17 +66,83 @@ def test_doubling_mixed(mx_h5):
 def test_psi_vicsek_center_child(vs_h6):
     psi = psi_measure(vs_h6, Fraction(1, 2), 1)
     # the interior child below the root is the center cell (digit 0)
-    assert vs_h6.address(1, psi.interior_child[(0, 0)]) == (0,)
-    total = sum(psi.psi[1])
+    assert vs_h6.address(1, psi.interior_child[0][0]) == (0,)
+    total = sum(psi.mass(1, i) for i in range(vs_h6.levels[1].count))
     assert total == 1
 
 
 def test_psi_sc_interior_grandchild(sc_h6):
     psi = psi_measure(sc_h6, Fraction(1, 2), 2)
-    v = psi.interior_child[(0, 0)]
+    v = psi.interior_child[0][0]
     ix, iy, s = sc_h6.cell_box(2, v)
     assert 1 <= ix <= 7 and 1 <= iy <= 7
-    assert sum(psi.psi[2]) == 1
+    assert sum(psi.mass(2, i) for i in range(sc_h6.levels[2].count)) == 1
+
+
+def _reference_psi(h, k, eps, n_star):
+    """Per-cell Fraction psi values and interior children, cell by cell."""
+    base = Fraction(n_star) + eps
+    grow = base ** k
+    span = 3 ** k
+    coarse = list(range(0, h.depth + 1, k))
+    psi = {0: [Fraction(1)]}
+    interior_child = {}
+    for top, bot in zip(coarse, coarse[1:]):
+        count = 1
+        for m in range(top + 1, bot + 1):
+            count *= h.schedule.branching(m)
+        psi_bot = [None] * h.levels[bot].count
+        interior_child[top] = []
+        for w in range(h.levels[top].count):
+            desc = range(w * count, (w + 1) * count)
+            wx, wy = int(h.levels[top].ix[w]), int(h.levels[top].iy[w])
+            interior = None
+            for v in desc:
+                rx = int(h.levels[bot].ix[v]) - span * wx
+                ry = int(h.levels[bot].iy[v]) - span * wy
+                if 1 <= rx <= span - 2 and 1 <= ry <= span - 2:
+                    interior = v
+                    break
+            assert interior is not None
+            interior_child[top].append(interior)
+            small = 1 / grow
+            big = 1 - Fraction(count - 1) / grow
+            for v in desc:
+                psi_bot[v] = psi[top][w] * (big if v == interior else small)
+        psi[bot] = psi_bot
+    return psi, interior_child
+
+
+def _reference_comparability(h, psi, bound):
+    worst, violations, checked = None, 0, 0
+    for n in list(psi)[1:]:
+        for i, j in adjacency(h, n).edges.tolist():
+            for a, b in ((i, j), (j, i)):
+                checked += 1
+                violations += bound * psi[n][a] < psi[n][b]
+                q = psi[n][b] / psi[n][a]
+                worst = q if worst is None or q > worst else worst
+    return {"checked": checked, "violations": violations,
+            "max_neighbor_ratio": worst, "bound": bound}
+
+
+@pytest.mark.parametrize("schedule, depth, k, n_star", [
+    (Schedule.pure_vicsek(), 5, 1, 5),
+    (Schedule.pure_sc(), 4, 2, 8),
+    (Schedule.from_table([0, 1, 1, 1, 0, 0]), 6, 2, 8),
+], ids=["vicsek-k1", "sc-k2", "table-k2"])
+def test_psi_matches_fraction_reference(schedule, depth, k, n_star):
+    h = build_hierarchy(schedule, depth)
+    eps = Fraction(1, 2)
+    psi = PsiMeasure(h, k, eps, n_star)
+    ref, ref_interior = _reference_psi(h, k, eps, n_star)
+    assert list(psi.interior_child) == list(ref_interior)
+    for top, kids in ref_interior.items():
+        assert psi.interior_child[top].tolist() == kids
+    for n, values in ref.items():
+        assert [psi.mass(n, i) for i in range(len(values))] == values
+        assert np.array_equal(psi.masses_float(n), np.array([float(q) for q in values]))
+    assert psi.neighbor_comparability() == _reference_comparability(h, ref, psi.base ** k - 1)
 
 
 def test_psi_no_interior_at_k1_for_sc(sc_h6):
