@@ -5,6 +5,8 @@ on the k-th generation inside w and 0 on every cell whose level-[w] ancestor
 sits at chain distance > M_* from w, then minimizes the p-power edge energy
 over the level-([w]+k) cell graph.  p = 2 is one sparse solve; p != 2 runs
 reweighted least squares with an L-BFGS-B polish under the box [0, 1].
+Energies, gradients and the reweighted systems all come from one signed
+edge-cell incidence matrix D per problem.
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -112,8 +114,8 @@ def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
         empty_outer=len(outer) == 0)
 
 
-def _energy_and_grad(f: np.ndarray, eu: np.ndarray, ev: np.ndarray, p: float):
-    d = f[eu] - f[ev]
+def _energy_and_grad(f: np.ndarray, D: sp.csr_matrix, p: float):
+    d = D @ f
     a = np.abs(d)
     e = float(np.sum(a ** p))
     if p >= 2:
@@ -121,113 +123,77 @@ def _energy_and_grad(f: np.ndarray, eu: np.ndarray, ev: np.ndarray, p: float):
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             gd = np.where(a > 0, p * a ** (p - 1) * np.sign(d), 0.0)
-    g = np.zeros_like(f)
-    np.add.at(g, eu, gd)
-    np.add.at(g, ev, -gd)
-    return e, g
+    return e, D.T @ gd
 
 
 def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergyValue:
     """Minimize the p-power energy with the problem's 0/1 pins.
 
-    p = 2 reduces to one linear solve; p > 1 runs eps-smoothed IRLS warmed
-    from the p = 2 potential, then an L-BFGS-B polish.  The certificate is
-    the first-order gap bound sum(|grad|) over free cells, relative to the
-    energy.
+    Everything is read from the signed edge-cell incidence matrix D (+1 at
+    the first cell of an edge, -1 at the second): the energy is
+    sum |D f|^p and its gradient is D^T (p |D f|^(p-1) sign(D f)).  p = 2
+    reduces to one linear solve; p > 1 runs eps-smoothed IRLS warmed from the
+    p = 2 potential, then an L-BFGS-B polish.  Each IRLS step solves
+    D_F^T W D_F f_F = -D_F^T W D f_pinned, with D_F the columns of the free
+    cells, W the edge weights and f_pinned the pins (0 on free cells).  The
+    certificate is the first-order gap bound sum(|grad|) over free cells,
+    relative to the energy; above `tol` the value is flagged no-convergence.
     """
     if p < 1:
         raise ValueError("p < 1 is outside the convex setting")
     if problem.empty_outer:
         return PEnergyValue(p, 0.0, flag="empty-outer")
     n = problem.n_cells
-    eu = problem.edges[:, 0]
-    ev = problem.edges[:, 1]
+    m = len(problem.edges)
+    D = sp.csr_matrix((np.tile([1.0, -1.0], m),
+                       (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))),
+                      shape=(m, n))
     f = np.zeros(n)
     f[problem.inner] = 1.0
-    fixed = np.zeros(n, dtype=bool)
-    fixed[problem.inner] = True
-    fixed[problem.outer] = True
-    free = np.where(~fixed)[0]
-    free_pos = np.full(n, -1, dtype=np.int64)
-    free_pos[free] = np.arange(len(free))
+    free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
+    D_F = D[:, free]
+    D_Ft = D_F.T.tocsr()
+    drive = D @ f  # D f_pinned: f holds only the pins here
 
     def weighted_solve(w: np.ndarray) -> None:
         # weighted graph Laplacian solve for the free block
-        if len(free) == 0:
-            return
-        mask_ff = (free_pos[eu] >= 0) & (free_pos[ev] >= 0)
-        mask_fb = (free_pos[eu] >= 0) ^ (free_pos[ev] >= 0)
-        rows = free_pos[eu[mask_ff]]
-        cols = free_pos[ev[mask_ff]]
-        vals = w[mask_ff]
-        nf = len(free)
-        off = sp.csr_matrix((np.concatenate([-vals, -vals]),
-                             (np.concatenate([rows, cols]),
-                              np.concatenate([cols, rows]))), shape=(nf, nf))
-        deg = np.zeros(nf)
-        np.add.at(deg, rows, vals)
-        np.add.at(deg, cols, vals)
-        b = np.zeros(nf)
-        u_b = eu[mask_fb]
-        v_b = ev[mask_fb]
-        w_b = w[mask_fb]
-        fu = free_pos[u_b]
-        fv = free_pos[v_b]
-        np.add.at(deg, fu[fu >= 0], w_b[fu >= 0])
-        np.add.at(deg, fv[fv >= 0], w_b[fv >= 0])
-        np.add.at(b, fu[fu >= 0], w_b[fu >= 0] * f[v_b[fu >= 0]])
-        np.add.at(b, fv[fv >= 0], w_b[fv >= 0] * f[u_b[fv >= 0]])
-        lap = sp.diags(deg) + off
-        sol = spla.splu(lap.tocsc()).solve(b)
+        lap = (D_Ft @ (sp.diags(w) @ D_F)).tocsc()
+        sol = spla.splu(lap).solve(-(D_Ft @ (w * drive)))
         f[free] = np.clip(sol, 0.0, 1.0)
 
     # p = 2 start (exact for p = 2)
-    weighted_solve(np.ones(len(eu)))
-    if p == 2:
-        d = f[eu] - f[ev]
-        value = float(np.sum(d * d))
-        _, g = _energy_and_grad(f, eu, ev, 2.0)
-        res = float(np.abs(g[free]).sum()) if len(free) else 0.0
-        return PEnergyValue(2.0, value, potential=f, residual=res)
-
-    flag = "ok"
-    if len(free):
+    weighted_solve(np.ones(m))
+    if p != 2 and len(free):
         for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
             for _ in range(12):
-                d = f[eu] - f[ev]
+                d = D @ f
                 w = (d * d + eps * eps) ** ((p - 2.0) / 2.0)
                 w = np.clip(w, 1e-14, 1e14)
                 prev = f[free].copy()
                 weighted_solve(w)
                 if np.max(np.abs(f[free] - prev)) < 1e-12:
                     break
-        # polish on the exact objective
-        e0, _ = _energy_and_grad(f, eu, ev, p)
 
         def objective(x):
             f[free] = x
-            e, g = _energy_and_grad(f, eu, ev, p)
+            e, g = _energy_and_grad(f, D, p)
             return e, g[free]
 
+        # polish on the exact objective
         out = scipy.optimize.minimize(
             objective, f[free], jac=True, method="L-BFGS-B",
             bounds=[(0.0, 1.0)] * len(free),
             options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12})
         f[free] = np.clip(out.x, 0.0, 1.0)
-    e, g = _energy_and_grad(f, eu, ev, p)
-    if len(free):
-        gf = g[free]
-        # components pinned at an active bound with inward gradient do not
-        # contribute to the first-order gap
-        act_lo = (f[free] <= 0.0) & (gf > 0)
-        act_hi = (f[free] >= 1.0) & (gf < 0)
-        gf = np.where(act_lo | act_hi, 0.0, gf)
-        res = float(np.abs(gf).sum())
-    else:
-        res = 0.0
-    if res > tol * max(e, 1e-30):
-        flag = "no-convergence"
-    return PEnergyValue(p, float(e), potential=f, residual=res, flag=flag)
+    e, g = _energy_and_grad(f, D, p)
+    gf = g[free]
+    # components pinned at an active bound with inward gradient do not
+    # contribute to the first-order gap
+    act_lo = (f[free] <= 0.0) & (gf > 0)
+    act_hi = (f[free] >= 1.0) & (gf < 0)
+    res = float(np.abs(np.where(act_lo | act_hi, 0.0, gf)).sum())
+    flag = "no-convergence" if res > tol * max(e, 1e-30) else "ok"
+    return PEnergyValue(p, e, potential=f, residual=res, flag=flag)
 
 
 def _dihedral_class(ix: int, iy: int, s: int) -> Tuple[int, int]:
@@ -314,6 +280,10 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
     """
     if kmax < 3:
         raise ValueError("kmax must be >= 3")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if not 1 <= p_range[0] < p_range[1] < math.inf:
+        raise ValueError("p_range must satisfy 1 <= lo < hi < inf")
     ks = list(range(1, kmax + 1))
     table: List[dict] = []
 

@@ -1,14 +1,18 @@
 """Weighted-graph electrical machinery.
 
-Laplacian solves for effective resistances (point and set queries by exact
-vertex identification), Schur-complement traces, resistance weights, minimum
-energy unit flows, and the locality diagnostics (localized resistance and
-cross-set weight decay).
+Laplacian solves for effective resistances (point and set queries),
+Schur-complement traces, resistance weights, minimum energy unit flows, and
+the locality diagnostics (localized resistance and cross-set weight decay).
 
-Solver policy: one path, a sparse LU (COLAMD ordering) of the grounded
-Laplacian at every size the corner-graph caps admit.  Every solve is checked
-against a relative-residual bound of 1e-10; a solve above it gets one step of
-iterative refinement with the same factors and fails if still above.
+Solver policy: one Dirichlet solve.  `_Grounded` pins a vertex set (holding
+a vertex of every component) and factors the Laplacian block of the free
+vertices with one sparse LU (COLAMD ordering), at every size the corner-graph
+caps admit.  That one factorization serves pair resistances (one grounded
+vertex), set resistances (A pinned at 1, B and other components at 0),
+traces and cross weights (the set pinned to unit potentials, 256 right sides
+per solve).  Every solve is checked against a relative-residual bound of
+1e-10 per right side; a solve above it gets one step of iterative refinement
+with the same factors and fails if still above.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class SolverError(RuntimeError):
 
 
 class LevelGraph:
-    """Finite weighted graph; conductances strictly positive.
+    """Finite weighted graph; conductances finite and strictly positive.
 
     `edges` holds (u, v, conductance) triples, as an iterable or an (m, 3)
     array.  Parallel edges are merged on construction (conductances add, in
@@ -66,11 +70,11 @@ class LevelGraph:
         c = triples[:, 2]
         loop = u == v
         outside = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n)
-        bad = loop | outside | (c <= 0)
+        bad = loop | outside | ~(np.isfinite(c) & (c > 0))
         if bad.any():
             i = int(np.argmax(bad))  # report the first bad edge, as a scan would
             raise ValueError("self loop" if loop[i] else "edge endpoint out of range"
-                             if outside[i] else "conductance must be positive")
+                             if outside[i] else "conductance must be positive and finite")
         keys, inverse = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v),
                                   return_inverse=True)
         self.edge_u, self.edge_v = np.divmod(keys, self.n)
@@ -109,7 +113,7 @@ class LevelGraph:
 
     def grounded_solver(self, ground: int = 0) -> "_Grounded":
         if ground not in self._grounded:
-            self._grounded[ground] = _Grounded(self, ground)
+            self._grounded[ground] = _Grounded(self, [ground])
         return self._grounded[ground]
 
     def merged(self, groups: Sequence[Sequence[int]]) -> Tuple["LevelGraph", np.ndarray]:
@@ -145,36 +149,57 @@ class LevelGraph:
 
 
 class _Grounded:
-    """Factorization of the Laplacian with one vertex grounded."""
+    """Factorization of the Laplacian block off a grounded vertex set.
 
-    def __init__(self, g: LevelGraph, ground: int):
-        if not g.is_connected():
-            raise SolverError("grounded solve on a disconnected graph")
+    Every connected component must hold a grounded vertex, so the free block
+    is nonsingular.
+    """
+
+    def __init__(self, g: LevelGraph, ground: Sequence[int]):
         self.g = g
-        self.ground = ground
-        self.keep = np.concatenate([np.arange(ground), np.arange(ground + 1, g.n)])
-        lap = g.laplacian().tocsc()
-        self.lap_g = lap[self.keep][:, self.keep]
+        grounded = np.zeros(g.n, dtype=bool)
+        grounded[np.asarray(ground, dtype=np.int64)] = True
+        comp = g.components()
+        if not np.isin(comp, comp[grounded]).all():
+            raise SolverError("a connected component holds no grounded vertex")
+        self.free = np.flatnonzero(~grounded)
+        lap = g.laplacian()
+        self.lap_ff = lap[self.free][:, self.free].tocsc()
         try:
-            self._lu = spla.splu(self.lap_g.tocsc())
+            self._lu = spla.splu(self.lap_ff)
         except RuntimeError as exc:  # singular pivot
             raise SolverError(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, rhs_full: np.ndarray) -> np.ndarray:
-        """Solve L u = rhs with u[ground] = 0; rhs indexed on all vertices."""
-        b = rhs_full[self.keep]
+        """Solve L u = rhs on the free vertices with u = 0 on the ground set.
+
+        rhs is indexed on all vertices (one column per right side); its
+        ground rows are ignored.  Each column must meet the residual bound.
+        """
+        b = rhs_full[self.free]
+        nb = np.linalg.norm(b, axis=0)
+
+        def worst_residual(x):
+            res = np.linalg.norm(self.lap_ff @ x - b, axis=0) / np.where(nb > 0, nb, 1.0)
+            return float(np.max(res, initial=0.0))
+
         x = self._lu.solve(b)
-        nb = float(np.linalg.norm(b))
-        if nb > 0:
-            res = float(np.linalg.norm(self.lap_g @ x - b)) / nb
+        if worst_residual(x) > RESIDUAL_TOL:
+            x = x + self._lu.solve(b - self.lap_ff @ x)
+            res = worst_residual(x)
             if res > RESIDUAL_TOL:
-                x = x + self._lu.solve(b - self.lap_g @ x)
-                res = float(np.linalg.norm(self.lap_g @ x - b)) / nb
-                if res > RESIDUAL_TOL:
-                    raise SolverError(f"solve residual {res:.3e} above {RESIDUAL_TOL}")
-        u = np.zeros(self.g.n)
-        u[self.keep] = x
+                raise SolverError(f"solve residual {res:.3e} above {RESIDUAL_TOL}")
+        u = np.zeros(rhs_full.shape)
+        u[self.free] = x
         return u
+
+    def extend(self, pinned: np.ndarray) -> np.ndarray:
+        """Harmonic extension: u = pinned on the ground set, L u = 0 off it.
+
+        `pinned` holds the ground-set values and 0 on the free vertices, one
+        column per right side.
+        """
+        return self.solve(-(self.g.laplacian() @ pinned)) + pinned
 
     def pair_resistance(self, x: int, y: int) -> float:
         if x == y:
@@ -228,65 +253,47 @@ def _check_sets(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[List
 
 def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int],
                    return_potential: bool = False) -> ResistanceValue:
-    """Resistance between vertex sets, by identification and a grounded solve
-    on the connected component that holds them.
+    """Resistance between vertex sets: pin A at 1, and B and every other
+    component at 0, solve for the free vertices, and return 1 / (current out
+    of A).
 
     Disconnected queries return a tagged infinite value rather than raising.
-    The potential is 0 off that component.
+    The potential is 1 on A, 0 on B and 0 off the component that holds them.
     """
     A, B = _check_sets(g, A, B)
     comp = g.components()
     if len({int(comp[v]) for v in A + B}) > 1:
         return ResistanceValue(float("inf"), "infinite")
-    ids = np.flatnonzero(comp == comp[A[0]])
-    sub = g if len(ids) == g.n else g.subgraph(ids)[0]
-    merged, mapping = sub.merged([np.searchsorted(ids, A), np.searchsorted(ids, B)])
-    # ground the B supernode; uncached, so its factors are freed on return
-    solver = _Grounded(merged, ground=1)
-    rhs = np.zeros(merged.n)
-    rhs[0] = 1.0
-    rhs[1] = -1.0
-    u = solver.solve(rhs)
-    value = float(u[0])
-    pot = None
-    if return_potential:
-        # normalized so A sits at 1 and B at 0
-        pot = np.zeros(g.n)
-        pot[ids] = u[mapping] / value if value > 0 else u[mapping]
-    return ResistanceValue(value, "ok", potential=pot)
+    # uncached, so its factors are freed on return
+    solver = _Grounded(g, np.concatenate([A, B, np.flatnonzero(comp != comp[A[0]])]))
+    pinned = np.zeros(g.n)
+    pinned[A] = 1.0
+    u = solver.extend(pinned)
+    current = float((g.laplacian()[A] @ u).sum())
+    return ResistanceValue(1.0 / current, "ok", potential=u if return_potential else None)
 
 
 def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
     """Trace onto S: Schur complement of the Laplacian, exact on resistances.
 
-    The result's labels carry the original vertex ids of S.
+    Column j of the Schur complement is (L u)[S] for the harmonic extension u
+    of the unit potential at S[j].  The result's labels carry the original
+    vertex ids of S.
     """
     S = sorted(set(int(s) for s in S))
     if not S:
         raise ValueError("trace onto the empty set")
     if not g.is_connected():
         raise ValueError("trace requires a connected graph")
-    s_mask = np.zeros(g.n, dtype=bool)
-    s_mask[S] = True
-    I = np.where(~s_mask)[0]
     Sarr = np.array(S, dtype=np.int64)
-    lap = g.laplacian().tocsc()
-    L_SS = lap[Sarr][:, Sarr].toarray()
-    if len(I) == 0:
-        schur = L_SS
-    else:
-        L_II = lap[I][:, I].tocsc()
-        L_IS = lap[I][:, Sarr].tocsc()
-        try:
-            lu = spla.splu(L_II)
-        except RuntimeError as exc:
-            raise SolverError(f"non-SPD pivot on the eliminated block ({len(I)} vertices): {exc}") from exc
-        schur = L_SS.astype(np.float64).copy()
-        L_SI = L_IS.T.tocsr()
-        for lo in range(0, len(S), 256):  # 256 right-hand sides per solve
-            hi = min(lo + 256, len(S))
-            X = lu.solve(L_IS[:, lo:hi].toarray())
-            schur[:, lo:hi] -= L_SI @ X
+    solver = _Grounded(g, Sarr)
+    lap_s = g.laplacian()[Sarr]
+    schur = np.empty((len(S), len(S)))
+    for lo in range(0, len(S), 256):  # 256 right-hand sides per solve
+        hi = min(lo + 256, len(S))
+        pinned = np.zeros((g.n, hi - lo))
+        pinned[Sarr[lo:hi], np.arange(hi - lo)] = 1.0
+        schur[:, lo:hi] = lap_s @ solver.extend(pinned)
     scale = float(np.abs(np.diag(schur)).max()) if len(S) else 1.0
     cond = -np.triu(schur, 1)  # traced conductances above the diagonal
     positive = cond < -1e-10 * scale
@@ -371,30 +378,18 @@ def localized_resistance(g: LevelGraph, x: int, y: int, alpha: float,
 def traced_cross_weight(g: LevelGraph, S: Sequence[int], S1: Sequence[int],
                         S2: Sequence[int]) -> float:
     """Sum of traced weights mu_{x,y} over S1 x S2 without materializing the
-    Schur complement: one linear solve against the indicator of S2."""
+    Schur complement: minus the current into S1 of the harmonic extension of
+    the indicator of S2 (pinned on S)."""
     S = sorted(set(int(s) for s in S))
     set_s = set(S)
     S1 = [v for v in S1 if v in set_s]
     S2 = [v for v in S2 if v in set_s]
     if set(S1) & set(S2):
         raise ValueError("cross-weight sets overlap")
-    pos = {v: i for i, v in enumerate(S)}
-    Sarr = np.array(S, dtype=np.int64)
-    s_mask = np.zeros(g.n, dtype=bool)
-    s_mask[Sarr] = True
-    I = np.where(~s_mask)[0]
-    lap = g.laplacian().tocsc()
-    ind2 = np.zeros(len(S))
-    ind2[[pos[v] for v in S2]] = 1.0
-    L_SS = lap[Sarr][:, Sarr]
-    w = L_SS @ ind2
-    if len(I):
-        L_IS = lap[I][:, Sarr].tocsc()
-        lu = spla.splu(lap[I][:, I].tocsc())
-        w = w - L_IS.T @ lu.solve(L_IS @ ind2)
-    ind1 = np.zeros(len(S))
-    ind1[[pos[v] for v in S1]] = 1.0
-    return float(-(ind1 @ w))
+    pinned = np.zeros(g.n)
+    pinned[S2] = 1.0
+    u = _Grounded(g, S).extend(pinned)
+    return float(-(g.laplacian()[S1] @ u).sum())
 
 
 def cross_weight_decay(h, a1_words: Sequence[Tuple[int, ...]],

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from resdimlab.hierarchy import Schedule, build_hierarchy
 from resdimlab.penergy import (SeparationProblem, build_separation, critical_p,
                                fit_rates, p_energy, p_spectral_dims, sup_energy,
                                symmetry_classes)
@@ -147,6 +151,123 @@ def test_critical_p_vicsek(vs_h6):
 def test_critical_p_kmax_error(vs_h6):
     with pytest.raises(ValueError):
         critical_p(vs_h6, 2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -0.05}, {"tol": math.nan},
+    {"p_range": (2.5, 1.0)}, {"p_range": (2.0, 2.0)},
+    {"p_range": (0.5, 2.5)}, {"p_range": (1.0, math.inf)},
+])
+def test_critical_p_bad_arguments(vs_h6, kwargs):
+    # rejected before any energy is computed, so tol = 0 cannot loop
+    with pytest.raises(ValueError):
+        critical_p(vs_h6, 4, **kwargs)
+
+
+def test_p2_flag_follows_residual():
+    prob = build_separation(build_hierarchy(Schedule.pure_sc(), 3), 1, 0, 2)
+    assert p_energy(prob, 2.0).flag == "ok"
+    val = p_energy(prob, 2.0, tol=1e-30)
+    assert val.residual > 0 and val.flag == "no-convergence"
+
+
+# -- oracle: p-energy with COO-assembled IRLS systems -------------------------
+
+def coo_energy_and_grad(f, eu, ev, p):
+    d = f[eu] - f[ev]
+    a = np.abs(d)
+    e = float(np.sum(a ** p))
+    if p >= 2:
+        gd = p * a ** (p - 1) * np.sign(d)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gd = np.where(a > 0, p * a ** (p - 1) * np.sign(d), 0.0)
+    g = np.zeros_like(f)
+    np.add.at(g, eu, gd)
+    np.add.at(g, ev, -gd)
+    return e, g
+
+
+def coo_p_energy(problem, p, tol=1e-7):
+    """Reference p_energy: IRLS systems assembled as COO Laplacians of the
+    free block with np.add.at scatters; returns (energy, flag)."""
+    n = problem.n_cells
+    eu, ev = problem.edges[:, 0], problem.edges[:, 1]
+    f = np.zeros(n)
+    f[problem.inner] = 1.0
+    fixed = np.zeros(n, dtype=bool)
+    fixed[problem.inner] = True
+    fixed[problem.outer] = True
+    free = np.where(~fixed)[0]
+    free_pos = np.full(n, -1, dtype=np.int64)
+    free_pos[free] = np.arange(len(free))
+
+    def weighted_solve(w):
+        mask_ff = (free_pos[eu] >= 0) & (free_pos[ev] >= 0)
+        mask_fb = (free_pos[eu] >= 0) ^ (free_pos[ev] >= 0)
+        rows, cols, vals = free_pos[eu[mask_ff]], free_pos[ev[mask_ff]], w[mask_ff]
+        nf = len(free)
+        off = sp.csr_matrix((np.concatenate([-vals, -vals]),
+                             (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                            shape=(nf, nf))
+        deg = np.zeros(nf)
+        np.add.at(deg, rows, vals)
+        np.add.at(deg, cols, vals)
+        b = np.zeros(nf)
+        u_b, v_b, w_b = eu[mask_fb], ev[mask_fb], w[mask_fb]
+        fu, fv = free_pos[u_b], free_pos[v_b]
+        np.add.at(deg, fu[fu >= 0], w_b[fu >= 0])
+        np.add.at(deg, fv[fv >= 0], w_b[fv >= 0])
+        np.add.at(b, fu[fu >= 0], w_b[fu >= 0] * f[v_b[fu >= 0]])
+        np.add.at(b, fv[fv >= 0], w_b[fv >= 0] * f[u_b[fv >= 0]])
+        lap = sp.diags(deg) + off
+        f[free] = np.clip(spla.splu(lap.tocsc()).solve(b), 0.0, 1.0)
+
+    weighted_solve(np.ones(len(eu)))
+    if p != 2:
+        for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+            for _ in range(12):
+                d = f[eu] - f[ev]
+                w = np.clip((d * d + eps * eps) ** ((p - 2.0) / 2.0), 1e-14, 1e14)
+                prev = f[free].copy()
+                weighted_solve(w)
+                if np.max(np.abs(f[free] - prev)) < 1e-12:
+                    break
+
+        def objective(x):
+            f[free] = x
+            e, g = coo_energy_and_grad(f, eu, ev, p)
+            return e, g[free]
+
+        out = scipy.optimize.minimize(
+            objective, f[free], jac=True, method="L-BFGS-B",
+            bounds=[(0.0, 1.0)] * len(free),
+            options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12})
+        f[free] = np.clip(out.x, 0.0, 1.0)
+    e, g = coo_energy_and_grad(f, eu, ev, p)
+    gf = g[free]
+    act = ((f[free] <= 0.0) & (gf > 0)) | ((f[free] >= 1.0) & (gf < 0))
+    res = float(np.abs(np.where(act, 0.0, gf)).sum())
+    return e, "no-convergence" if res > tol * max(e, 1e-30) else "ok"
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek()],
+                         ids=["sc", "vicsek"])
+def test_p_energy_matches_coo_assembly(schedule):
+    h = build_hierarchy(schedule, 4)
+    compared = 0
+    for members in symmetry_classes(h, 1).values():
+        for k in (1, 2, 3):
+            prob = build_separation(h, 1, members[0], k)
+            if prob.empty_outer:
+                continue
+            for p in (1.5, 2.0, 2.5):
+                want, want_flag = coo_p_energy(prob, p)
+                got = p_energy(prob, p)
+                if want_flag == "ok" and got.flag == "ok":
+                    assert abs(got.value - want) <= 1e-9 * want
+                    compared += 1
+    assert compared >= 7
 
 
 def test_energy_resistance_product_band(sc_sup2, vs_sup2, sc_cache, vs_cache):

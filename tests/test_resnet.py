@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from resdimlab.cornergraph import corner_graph, corner_vertices_at_level
@@ -9,7 +10,8 @@ from resdimlab.hierarchy import Schedule
 from resdimlab.resnet import (LevelGraph, cross_weight_decay,
                               eff_resistance, graph_from_csv, graph_to_csv,
                               localized_resistance, min_energy_flow,
-                              pinv_resistance, resistance_weights, trace)
+                              pinv_resistance, resistance_weights, trace,
+                              traced_cross_weight)
 from conftest import random_connected_graph
 
 UNIT_CYCLE = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
@@ -278,8 +280,88 @@ def test_parallel_edges_merge():
     assert g.conductance[0] == pytest.approx(3.0)
 
 
-def test_invalid_edges():
+def test_invalid_edges(tmp_path):
     with pytest.raises(ValueError):
         LevelGraph(2, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         LevelGraph(2, [(0, 1, -1.0)])
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LevelGraph(3, [(0, 1, float(bad)), (1, 2, 1.0)])
+        path = tmp_path / f"{bad}.csv"
+        path.write_text(f"u,v,conductance\n0,1,1\n1,2,{bad}\n")
+        with pytest.raises(ValueError, match="positive and finite"):
+            graph_from_csv(str(path))
+
+
+# -- oracles for the grounded-set solves -------------------------------------
+
+def merged_eff_resistance(g, A, B):
+    """Reference set resistance by identification: restrict to the component
+    of A and B, identify A and B to single vertices, ground the B vertex and
+    solve for a unit current.  Returns (R, potential with A at 1, B at 0,
+    0 elsewhere)."""
+    A, B = sorted(set(A)), sorted(set(B))
+    comp = g.components()
+    ids = np.flatnonzero(comp == comp[A[0]])
+    sub = g if len(ids) == g.n else g.subgraph(ids)[0]
+    merged, mapping = sub.merged([np.searchsorted(ids, A), np.searchsorted(ids, B)])
+    keep = np.array([v for v in range(merged.n) if v != 1])
+    lap = merged.laplacian().tocsc()
+    rhs = np.zeros(merged.n)
+    rhs[0], rhs[1] = 1.0, -1.0
+    u = np.zeros(merged.n)
+    u[keep] = spla.splu(lap[keep][:, keep].tocsc()).solve(rhs[keep])
+    pot = np.zeros(g.n)
+    pot[ids] = u[mapping] / u[0]
+    return float(u[0]), pot
+
+
+def dense_schur(g, S):
+    """Dense Schur complement of the Laplacian onto the sorted set S."""
+    S = np.array(sorted(set(S)))
+    I = np.setdiff1d(np.arange(g.n), S)
+    L = g.laplacian().toarray()
+    return L[np.ix_(S, S)] - L[np.ix_(S, I)] @ np.linalg.solve(L[np.ix_(I, I)], L[np.ix_(I, S)])
+
+
+def with_other_component(g, rng):
+    """g plus a disjoint random component, numbered after g's vertices."""
+    h = random_connected_graph(rng, n_max=10)
+    edges = np.column_stack([g.edge_u, g.edge_v, g.conductance])
+    extra = np.column_stack([h.edge_u + g.n, h.edge_v + g.n, h.conductance])
+    return LevelGraph(g.n + h.n, np.vstack([edges, extra]))
+
+
+def test_eff_resistance_matches_merged_graph():
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        g = random_connected_graph(rng)
+        verts = [int(v) for v in rng.permutation(g.n)]
+        na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        A, B = verts[:min(na, g.n - 1)], verts[min(na, g.n - 1):][:nb]
+        if trial % 3 == 0:
+            g = with_other_component(g, rng)
+        want, want_pot = merged_eff_resistance(g, A, B)
+        res = eff_resistance(g, A, B, return_potential=True)
+        assert abs(res.value - want) <= 1e-10 * want
+        assert np.abs(res.potential - want_pot).max() <= 1e-10
+
+
+def test_trace_and_cross_weight_match_dense_schur():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        g = random_connected_graph(rng)
+        verts = [int(v) for v in rng.permutation(g.n)]
+        S = sorted(verts[:max(3, g.n // 3)])
+        schur = dense_schur(g, S)
+        got = -resistance_weights(trace(g, S))
+        np.fill_diagonal(got, 0.0)
+        want = schur - np.diag(np.diag(schur))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        k = len(S) // 2
+        S1, S2 = S[:k], S[k:]
+        ind1 = np.isin(S, S1).astype(float)
+        ind2 = np.isin(S, S2).astype(float)
+        want_w = -(ind1 @ schur @ ind2)
+        assert abs(traced_cross_weight(g, S, S1, S2) - want_w) <= 1e-10 * want_w
