@@ -3,8 +3,11 @@
 Cells live on the exact 3-adic grid of the unit square Q = [-1/2, 1/2]^2:
 a level-n cell is an integer box (ix, iy) with 0 <= ix, iy < 3**n standing
 for [-1/2 + ix*3^-n, -1/2 + (ix+1)*3^-n] x [-1/2 + iy*3^-n, -1/2 + (iy+1)*3^-n].
-All intersection and containment tests are integer or Fraction arithmetic,
-so adjacency and point location carry no tolerances.
+All intersection and containment tests are integer arithmetic on the box
+coordinates: a level's GridIndex answers every "which cells lie in this
+grid window" query (adjacency, point location, ball covers), and exact
+Fraction points are mapped to their grid slots before the query, so none
+of these tests carries a tolerance.
 
 Two subdivision rules are supported per level: the eight-cell carpet rule
 (child digits 1..8, the center ninth removed) and the five-cell plus-sign
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -62,18 +66,8 @@ CHILD_OFFSET: Dict[int, Tuple[int, int]] = {
 SC_DIGITS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
 VICSEK_DIGITS: Tuple[int, ...] = (0, 1, 3, 5, 7)
 
-# Fixed points p_j of the similitudes, as exact fractions of the unit square.
-FIXED_POINTS: Dict[int, Tuple[Fraction, Fraction]] = {
-    0: (Fraction(0), Fraction(0)),
-    1: (Fraction(1, 2), Fraction(1, 2)),
-    2: (Fraction(0), Fraction(1, 2)),
-    3: (Fraction(-1, 2), Fraction(1, 2)),
-    4: (Fraction(-1, 2), Fraction(0)),
-    5: (Fraction(-1, 2), Fraction(-1, 2)),
-    6: (Fraction(0), Fraction(-1, 2)),
-    7: (Fraction(1, 2), Fraction(-1, 2)),
-    8: (Fraction(1, 2), Fraction(0)),
-}
+# Levels of the marker descent chain kept below the built depth.
+MARKER_TAIL = 40
 
 
 @dataclass(frozen=True)
@@ -193,6 +187,19 @@ class GridIndex:
         pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         return np.where(inside & (self._keys[pos] == keys), self._ids[pos], -1)
 
+    def box(self, xlo: int, xhi: int, ylo: int, yhi: int) -> np.ndarray:
+        """Ids of the points with xlo <= x <= xhi and ylo <= y <= yhi, clipped
+        to the grid, in key order (x-major)."""
+        xlo, ylo = max(xlo, 0), max(ylo, 0)
+        xhi, yhi = min(xhi, self.side - 1), min(yhi, self.side - 1)
+        if xlo > xhi or ylo > yhi:
+            return np.empty(0, dtype=np.int64)
+        # one key range per column
+        cols = np.arange(xlo, xhi + 1, dtype=np.int64) * self.side
+        start = np.searchsorted(self._keys, cols + ylo)
+        stop = np.searchsorted(self._keys, cols + yhi, side="right")
+        return np.concatenate([self._ids[a:b] for a, b in zip(start.tolist(), stop.tolist())])
+
 
 @dataclass
 class _Level:
@@ -294,6 +301,14 @@ class PartitionHierarchy:
             i = int(self.levels[m].parent[i])
         return tuple(reversed(digits))
 
+    def _address_words(self, n: int) -> List[str]:
+        """address() of every level-n cell as a digit string, one level at a time."""
+        words = np.array([""])
+        for m in range(1, n + 1):
+            lvl = self.levels[m]
+            words = np.char.add(words[lvl.parent], lvl.digit.astype("U1"))
+        return words.tolist()
+
     def index_of(self, word: Address) -> int:
         i = 0
         for n, d in enumerate(word, start=1):
@@ -313,12 +328,6 @@ class PartitionHierarchy:
         lvl = self.levels[n]
         return int(lvl.ix[i]), int(lvl.iy[i]), 3 ** n
 
-    def cell_corners(self, n: int, i: int) -> List[Tuple[Fraction, Fraction]]:
-        ix, iy, s = self.cell_box(n, i)
-        xs = (Fraction(ix, s) - Fraction(1, 2), Fraction(ix + 1, s) - Fraction(1, 2))
-        ys = (Fraction(iy, s) - Fraction(1, 2), Fraction(iy + 1, s) - Fraction(1, 2))
-        return [(xs[0], ys[0]), (xs[1], ys[0]), (xs[1], ys[1]), (xs[0], ys[1])]
-
     # -- markers -----------------------------------------------------------
 
     def _descent_digit(self, level: int) -> int:
@@ -329,24 +338,24 @@ class PartitionHierarchy:
         parity = sum(self.schedule.F(j) for j in range(1, level + 1)) % 2
         return 2 if parity == 1 else 6
 
-    def _marker_rel_y(self, n: int, tail: int = 40) -> Fraction:
+    def _marker_rel_y(self, n: int) -> Fraction:
         """Relative y of the marker inside a level-n cell (x is centered).
 
-        Exact limit of the descent chain, truncated `tail` levels below the
-        built depth; the truncation sits inside the chain cell so nesting
-        across built levels is exact.
+        Exact limit of the descent chain, truncated MARKER_TAIL levels below
+        the built depth; the truncation sits inside the chain cell so nesting
+        across built levels is exact.  A descent child at row dy moves the
+        point by (dy - 1)/3 of its parent's side.
         """
         if n in self._marker_rel_cache:
             return self._marker_rel_cache[n]
-        stop = self.depth + tail
+        stop = self.depth + MARKER_TAIL
         if self.schedule.horizon is not None:
             stop = min(stop, self.schedule.horizon)
         acc = Fraction(0)
         scale = Fraction(1)
         for j in range(n + 1, stop + 1):
-            d = self._descent_digit(j)
-            py = FIXED_POINTS[d][1]
-            acc += Fraction(2, 3) * py * scale
+            dy = CHILD_OFFSET[self._descent_digit(j)][1]
+            acc += Fraction(dy - 1, 3) * scale
             scale /= 3
         self._marker_rel_cache[n] = acc
         return acc
@@ -363,26 +372,21 @@ class PartitionHierarchy:
 
     def cells_containing(self, n: int, x: Fraction, y: Fraction) -> List[int]:
         """Indices of the level-n cells whose closed square contains (x, y)."""
-        s = 3 ** n
-        xs, ys = np.meshgrid(_grid_slots(x, s), _grid_slots(y, s), indexing="ij")
-        ids = self.levels[n].grid_index.lookup(xs.ravel(), ys.ravel())
-        return ids[ids >= 0].tolist()
+        # a point on a grid line lies in the slots on both sides of it
+        u, v = (x + Fraction(1, 2)) * 3 ** n, (y + Fraction(1, 2)) * 3 ** n
+        return self.levels[n].grid_index.box(math.ceil(u) - 1, math.floor(u),
+                                             math.ceil(v) - 1, math.floor(v)).tolist()
 
     # -- exports -----------------------------------------------------------
 
     def cells_json(self, n: int) -> dict:
         lvl = self.levels[n]
         s = 3 ** n
-        cells = []
-        for i in range(lvl.count):
-            ix, iy = int(lvl.ix[i]), int(lvl.iy[i])
-            cells.append({
-                "address": "".join(str(d) for d in self.address(n, i)),
-                "x_min": _frac_str(Fraction(2 * ix - s, 2 * s)),
-                "y_min": _frac_str(Fraction(2 * iy - s, 2 * s)),
-                "x_max": _frac_str(Fraction(2 * (ix + 1) - s, 2 * s)),
-                "y_max": _frac_str(Fraction(2 * (iy + 1) - s, 2 * s)),
-            })
+        # grid line k sits at -1/2 + k/s; every box edge is one of these
+        line = [_frac_str(Fraction(2 * k - s, 2 * s)) for k in range(s + 1)]
+        cells = [{"address": word, "x_min": line[ix], "y_min": line[iy],
+                  "x_max": line[ix + 1], "y_max": line[iy + 1]}
+                 for word, ix, iy in zip(self._address_words(n), lvl.ix.tolist(), lvl.iy.tolist())]
         return {"level": n, "count": lvl.count, "cells": cells}
 
     def export_cells(self, path: str, n: int) -> None:
@@ -394,23 +398,8 @@ class PartitionHierarchy:
             writer = csv.writer(fh)
             writer.writerow(["level", "w", "v"])
             for n in levels:
-                g = adjacency(self, n)
-                for i, j in g.edges:
-                    wi = "".join(str(d) for d in self.address(n, int(i)))
-                    wj = "".join(str(d) for d in self.address(n, int(j)))
-                    writer.writerow([n, wi, wj])
-
-
-def _grid_slots(coord: Fraction, scale: int) -> List[int]:
-    """Grid indices ix with ix <= (coord + 1/2)*scale <= ix + 1, clipped."""
-    u = (coord + Fraction(1, 2)) * scale
-    if u < 0 or u > scale:
-        return []
-    if u.denominator == 1:
-        v = int(u)
-        return [ix for ix in (v - 1, v) if 0 <= ix < scale]
-    v = u.numerator // u.denominator
-    return [v] if 0 <= v < scale else []
+                w = self._address_words(n)
+                writer.writerows([n, w[i], w[j]] for i, j in adjacency(self, n).edges.tolist())
 
 
 def _frac_str(q: Fraction) -> str:
@@ -473,6 +462,19 @@ def _set_distance_within(g: AdjacencyGraph, sources: Sequence[int],
     return None
 
 
+def _point_pair(x: Tuple[Fraction, Fraction], y: Tuple[Fraction, Fraction],
+                caller: str) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
+    """x and y as exact points; two distinct points of the closed root cell."""
+    x = (Fraction(x[0]), Fraction(x[1]))
+    y = (Fraction(y[0]), Fraction(y[1]))
+    if x == y:
+        raise ValueError(f"{caller} needs two distinct points")
+    for p in (x, y):
+        if not (abs(p[0]) <= Fraction(1, 2) and abs(p[1]) <= Fraction(1, 2)):
+            raise ValueError("point outside the root cell")
+    return x, y
+
+
 def delta_level(h: PartitionHierarchy, x: Tuple[Fraction, Fraction],
                 y: Tuple[Fraction, Fraction], m: int) -> Tuple[int, bool]:
     """Largest built n admitting cells w ∋ x, v ∋ y with l_n(w, v) <= m.
@@ -480,13 +482,7 @@ def delta_level(h: PartitionHierarchy, x: Tuple[Fraction, Fraction],
     Returns (delta, clipped); clipped means the condition still held at the
     built depth, so the true value may exceed it.
     """
-    x = (Fraction(x[0]), Fraction(x[1]))
-    y = (Fraction(y[0]), Fraction(y[1]))
-    if x == y:
-        raise ValueError("delta_level needs two distinct points")
-    for p in (x, y):
-        if not (abs(p[0]) <= Fraction(1, 2) and abs(p[1]) <= Fraction(1, 2)):
-            raise ValueError("point outside the root cell")
+    x, y = _point_pair(x, y, "delta_level")
     best: Optional[int] = None
     for n in range(h.depth + 1):
         wx = h.cells_containing(n, *x)
@@ -564,11 +560,13 @@ def validate_framework(h: PartitionHierarchy, depth: Optional[int] = None,
         if depth_rel < xi:
             violations.append(f"inner-ball failure at level {n}: depth {depth_rel} < {xi}")
 
-    # Marker nesting across built levels.
+    # Marker nesting across built levels: every level-n cell has the level
+    # n+1 descent child, and that child's marker is its parent's marker.
     for n in range(depth):
-        coarse = {h.marker(n, i) for i in range(h.levels[n].count)}
-        fine = {h.marker(n + 1, i) for i in range(h.levels[n + 1].count)}
-        if not coarse.issubset(fine):
+        d = h._descent_digit(n + 1)
+        dx, dy = CHILD_OFFSET[d]
+        if (d not in h.schedule.rule_at(n + 1).digits or dx != 1
+                or 3 * h._marker_rel_y(n) != (dy - 1) + h._marker_rel_y(n + 1)):
             violations.append(f"marker nesting fails {n} -> {n + 1}")
             break
 

@@ -2,8 +2,10 @@
 
 Cell masses are exact rationals (per-level child weights multiplying along
 the address); ball masses are bracketed between inner and outer cell covers
-at the finest built level.  The psi-measure implements the interior-child
-weighting that realizes controlled volume growth (N_* + eps)^k.
+at the finest built level, tested only on the cells that a GridIndex.box
+query returns for the grid window around the ball.  The psi-measure
+implements the interior-child weighting that realizes controlled volume
+growth (N_* + eps)^k.
 """
 
 from __future__ import annotations
@@ -78,11 +80,24 @@ class HierMeasure:
 def _cover_bracket(h: PartitionHierarchy, n: int, masses: np.ndarray,
                    x: Tuple[float, float], r: float) -> Tuple[float, float]:
     """(inner, outer) ball-mass bracket: the mass of the level-n cells inside
-    the open ball B(x, r), and of those meeting it."""
+    the open ball B(x, r), and of those meeting it.
+
+    Only the cells in the grid window of the ball's bounding box, widened by
+    one cell on each side, are tested; every cell meeting the ball lies in it.
+    The cells are taken in id order, so the sums match a scan of the level.
+    """
+    if not (math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(r) and r >= 0):
+        raise ValueError(f"ball needs a finite centre and radius >= 0, got {tuple(x)}, {r}")
     lvl = h.levels[n]
-    side = 1.0 / 3 ** n
-    xmin = lvl.ix * side - 0.5
-    ymin = lvl.iy * side - 0.5
+    s = 3 ** n
+    xlo, xhi = _window(x[0] - r, x[0] + r, s)
+    ylo, yhi = _window(x[1] - r, x[1] + r, s)
+    ids = lvl.grid_index.box(xlo, xhi, ylo, yhi)
+    ids.sort()
+    masses = masses[ids]
+    side = 1.0 / s
+    xmin = lvl.ix[ids] * side - 0.5
+    ymin = lvl.iy[ids] * side - 0.5
     dx = np.maximum(np.maximum(xmin - x[0], x[0] - (xmin + side)), 0.0)
     dy = np.maximum(np.maximum(ymin - x[1], x[1] - (ymin + side)), 0.0)
     dmin2 = dx * dx + dy * dy
@@ -91,6 +106,12 @@ def _cover_bracket(h: PartitionHierarchy, n: int, masses: np.ndarray,
     dmax2 = fx * fx + fy * fy
     r2 = r * r
     return float(masses[dmax2 < r2].sum()), float(masses[dmin2 < r2].sum())
+
+
+def _window(lo: float, hi: float, s: int) -> Tuple[int, int]:
+    """Grid indices of the cells meeting [lo, hi], plus one; clamped so huge balls cannot overflow."""
+    lo, hi = (min(max((v + 0.5) * s, -2.0), s + 1.0) for v in (lo, hi))
+    return math.floor(lo) - 2, math.floor(hi) + 1
 
 
 def hier_measure(h: PartitionHierarchy, rule: str = "uniform",
@@ -120,10 +141,8 @@ def _sample_centers(h: PartitionHierarchy, level: int, count: int, seed: int) ->
     s = 3 ** level
     picks = rng.integers(0, lvl.count, size=count)
     corner = rng.integers(0, 2, size=(count, 2))
-    out = []
-    for i, (cx, cy) in zip(picks, corner):
-        out.append(((int(lvl.ix[i]) + int(cx)) / s - 0.5, (int(lvl.iy[i]) + int(cy)) / s - 0.5))
-    return out
+    return [((int(lvl.ix[i]) + int(cx)) / s - 0.5, (int(lvl.iy[i]) + int(cy)) / s - 0.5)
+            for i, (cx, cy) in zip(picks, corner)]
 
 
 def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float]]] = None,
@@ -153,23 +172,13 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
             ratios.append(q)
             if q > worst:
                 worst, witness = q, (x, r)
-    gamma1 = None
-    for j in (1, 2, 3):
-        g = 3.0 ** j
-        ok = True
-        for x in centers:
-            for jj in levels:
-                r = 3.0 ** (-jj)
-                lo_r, _ = m.ball_mass(x, r)
-                _, hi_small = m.ball_mass(x, r / g)
-                if hi_small > lo_r / 2 + 1e-15:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            gamma1 = g
-            break
+
+    def halves(g: float) -> bool:
+        """Whether V(x, r/g) <= V(x, r)/2 for every sampled x and r = 3^-j."""
+        return all(m.ball_mass(x, 3.0 ** (-j) / g)[1] <= m.ball_mass(x, 3.0 ** (-j))[0] / 2 + 1e-15
+                   for x in centers for j in levels)
+
+    gamma1 = next((3.0 ** j for j in (1, 2, 3) if halves(3.0 ** j)), None)
     return {"doubling_constant": worst, "witness": witness,
             "gamma1": gamma1, "n_ratios": len(ratios)}
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cornergraph import CornerGraph, corner_graph
-from .hierarchy import PartitionHierarchy, Schedule, build_hierarchy
+from .hierarchy import PartitionHierarchy, Schedule, _point_pair, build_hierarchy
 from .resnet import eff_resistance
 
 __all__ = [
@@ -237,10 +237,7 @@ def delta_pair(h: PartitionHierarchy, x: Tuple[Fraction, Fraction],
     Exact rational arithmetic; (delta, clipped) where clipped marks that no
     level up to the built depth worked.
     """
-    x = (Fraction(x[0]), Fraction(x[1]))
-    y = (Fraction(y[0]), Fraction(y[1]))
-    if x == y:
-        raise ValueError("delta_pair needs two distinct points")
+    x, y = _point_pair(x, y, "delta_pair")
     for n in range(h.depth + 1):
         scale = Fraction(3) ** (-n)
         for i in h.cells_containing(n, *x):

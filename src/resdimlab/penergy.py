@@ -196,26 +196,21 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
     return PEnergyValue(p, e, potential=f, residual=res, flag=flag)
 
 
-def _dihedral_class(ix: int, iy: int, s: int) -> Tuple[int, int]:
-    """Canonical representative of the box under the symmetries of Q."""
-    best = None
-    for a, b in ((ix, iy), (iy, ix)):
-        for ra in (a, s - 1 - a):
-            for rb in (b, s - 1 - b):
-                cand = (ra, rb)
-                if best is None or cand < best:
-                    best = cand
-    return best
-
-
 def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int], List[int]]:
+    """Cells grouped by the orbit of their box under the symmetries of Q.
+
+    The key is the lexicographically least of the 8 images of (ix, iy):
+    (min(a, b), max(a, b)) with a, b the coordinates folded to the lower half.
+    Classes appear in the order of their first member; members ascend.
+    """
     lvl = h.levels[level]
     s = 3 ** level
-    classes: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(lvl.count):
-        key = _dihedral_class(int(lvl.ix[i]), int(lvl.iy[i]), s)
-        classes.setdefault(key, []).append(i)
-    return classes
+    a = np.minimum(lvl.ix, s - 1 - lvl.ix)
+    b = np.minimum(lvl.iy, s - 1 - lvl.iy)
+    keys, first, inverse = np.unique(np.minimum(a, b) * s + np.maximum(a, b),
+                                     return_index=True, return_inverse=True)
+    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return {divmod(int(keys[c]), s): members[c].tolist() for c in np.argsort(first)}
 
 
 def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,

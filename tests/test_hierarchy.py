@@ -209,6 +209,60 @@ def test_marker_nesting_and_inner_ball(mx_h5):
         assert Fraction(1, 2) - abs(rel) >= xi
 
 
+def _set_marker_nesting(h, depth):
+    """Marker-nesting violations from exact marker sets of every cell."""
+    for n in range(depth):
+        coarse = {h.marker(n, i) for i in range(h.levels[n].count)}
+        fine = {h.marker(n + 1, i) for i in range(h.levels[n + 1].count)}
+        if not coarse.issubset(fine):
+            return [f"marker nesting fails {n} -> {n + 1}"]
+    return []
+
+
+def _nesting_violations(h, depth):
+    params = validate_framework(h, depth, pair_samples=20)
+    return [v for v in params.violations if v.startswith("marker nesting")]
+
+
+@pytest.mark.parametrize("schedule, depth", [
+    (Schedule.pure_sc(), 5), (Schedule.pure_vicsek(), 5), (Schedule.mixed(), 5),
+    (Schedule.from_table([1, 0, 0, 1, 1, 0]), 5)], ids=["sc", "vicsek", "mixed", "table"])
+def test_marker_nesting_matches_marker_sets(schedule, depth):
+    h = build_hierarchy(schedule, depth)
+    for d in range(depth + 1):
+        assert _nesting_violations(h, d) == _set_marker_nesting(h, d) == []
+
+
+@pytest.mark.parametrize("schedule, level, digit", [
+    (Schedule.pure_sc(), 3, 4), (Schedule.pure_vicsek(), 2, 2)], ids=["carpet", "plus-sign"])
+def test_marker_nesting_detects_bad_descent(monkeypatch, schedule, level, digit):
+    h = build_hierarchy(schedule, 4)
+    descent = h._descent_digit
+    monkeypatch.setattr(h, "_descent_digit", lambda j: digit if j == level else descent(j))
+    expect = [f"marker nesting fails {level - 1} -> {level}"]
+    assert _set_marker_nesting(h, 4) == expect
+    assert _nesting_violations(h, 4) == expect
+
+
+def test_grid_index_box_matches_mask():
+    rng = np.random.default_rng(7)
+    for schedule in (Schedule.pure_sc(), Schedule.mixed()):
+        lvl = build_hierarchy(schedule, 4).levels[4]
+        keys = lvl.ix * 81 + lvl.iy
+        for _ in range(60):
+            xlo, xhi, ylo, yhi = (int(v) for v in rng.integers(-5, 86, size=4))
+            inside = (lvl.ix >= xlo) & (lvl.ix <= xhi) & (lvl.iy >= ylo) & (lvl.iy <= yhi)
+            expect = np.flatnonzero(inside)
+            expect = expect[np.argsort(keys[expect])]
+            assert lvl.grid_index.box(xlo, xhi, ylo, yhi).tolist() == expect.tolist()
+
+
+def test_address_words_match_address(mx_h5):
+    for n in range(mx_h5.depth + 1):
+        words = mx_h5._address_words(n)
+        assert words == ["".join(map(str, mx_h5.address(n, i))) for i in range(mx_h5.levels[n].count)]
+
+
 def test_marker_is_center_for_vicsek(vs_h6):
     mx, my = vs_h6.marker(2, 7)
     ix, iy, s = vs_h6.cell_box(2, 7)

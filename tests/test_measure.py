@@ -51,6 +51,76 @@ def test_ball_mass_brackets(vs_h6):
     assert 0 < lo <= hi < 1
 
 
+def _scan_cover_brackets(h, n, masses, x, radii):
+    """The ball-mass brackets of B(x, r), r in radii, by a scan of every
+    level-n cell (the distances are computed once per centre)."""
+    lvl = h.levels[n]
+    side = 1.0 / 3 ** n
+    xmin = lvl.ix * side - 0.5
+    ymin = lvl.iy * side - 0.5
+    dx = np.maximum(np.maximum(xmin - x[0], x[0] - (xmin + side)), 0.0)
+    dy = np.maximum(np.maximum(ymin - x[1], x[1] - (ymin + side)), 0.0)
+    dmin2 = dx * dx + dy * dy
+    fx = np.maximum(np.abs(x[0] - xmin), np.abs(x[0] - (xmin + side)))
+    fy = np.maximum(np.abs(x[1] - ymin), np.abs(x[1] - (ymin + side)))
+    dmax2 = fx * fx + fy * fy
+    out = []
+    for r in radii:
+        r2 = r * r
+        out.append((float(masses[dmax2 < r2].sum()), float(masses[dmin2 < r2].sum())))
+    return out
+
+
+def _bracket_cases(h, n, seed):
+    """Centres on grid lines, on corners, at random and outside Q; radii on
+    exact multiples of 3^-m, at random and at least sqrt(2)."""
+    rng = np.random.default_rng(seed)
+    s = 3 ** n
+    lvl = h.levels[n]
+    centers = [(-0.5, -0.5), (0.5, 0.5), (0.0, 0.0), (0.7, -0.2), (-1.5, 2.0), (3.0, 3.0)]
+    for i in rng.integers(0, lvl.count, size=3):
+        cx, cy = rng.integers(0, 2, size=2)
+        corner = ((int(lvl.ix[i]) + int(cx)) / s - 0.5, (int(lvl.iy[i]) + int(cy)) / s - 0.5)
+        centers += [corner, (corner[0], float(rng.uniform(-0.5, 0.5))),
+                    tuple(rng.uniform(-0.6, 0.6, size=2))]
+    radii = [0.0, 1e-9, 1.5 * 3.0 ** (-n), math.sqrt(2.0), 10.0] + list(rng.uniform(0.0, 0.5, size=2))
+    radii += [c * 3.0 ** (-m) for m in range(n + 2) for c in (1, 2)]
+    return centers, radii
+
+
+@pytest.mark.parametrize("schedule, depth", [
+    (Schedule.pure_sc(), 6), (Schedule.pure_vicsek(), 6), (Schedule.mixed(), 6)],
+    ids=["sc", "vicsek", "mixed"])
+def test_cover_bracket_matches_full_scan(schedule, depth):
+    m = hier_measure(build_hierarchy(schedule, depth))
+    for n in range(3, depth + 1):
+        centers, radii = _bracket_cases(m.h, n, seed=n)
+        for x in centers:
+            expect = _scan_cover_brackets(m.h, n, m.masses_float(n), x, radii)
+            assert [m.ball_mass(x, r, n) for r in radii] == expect
+
+
+@pytest.mark.parametrize("schedule, depth, k, n_star", [
+    (Schedule.pure_vicsek(), 5, 1, 5), (Schedule.pure_sc(), 4, 2, 8)], ids=["vicsek-k1", "sc-k2"])
+def test_psi_cover_bracket_matches_full_scan(schedule, depth, k, n_star):
+    psi = PsiMeasure(build_hierarchy(schedule, depth), k, Fraction(1, 2), n_star)
+    for n in psi.coarse_levels:
+        centers, radii = _bracket_cases(psi.h, n, seed=n)
+        for x in centers:
+            expect = _scan_cover_brackets(psi.h, n, psi.masses_float(n), x, radii)
+            assert [psi.ball_mass(x, r, n) for r in radii] == expect
+
+
+def test_ball_mass_rejects_bad_balls(vs_h6):
+    for m in (hier_measure(vs_h6), psi_measure(vs_h6, Fraction(1, 2), 1)):
+        assert m.ball_mass((0.1, 0.2), 0.0) == (0.0, 0.0)
+        for x, r in (((0.0, 0.0), -0.1), ((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf),
+                     ((math.nan, 0.0), 0.1), ((0.0, math.nan), 0.1), ((math.inf, 0.0), 0.1),
+                     ((0.0, -math.inf), 0.1)):
+            with pytest.raises(ValueError):
+                m.ball_mass(x, r)
+
+
 def test_doubling_sc():
     h = build_hierarchy(Schedule.pure_sc(), 4)
     out = doubling_check(hier_measure(h), levels=[1, 2])

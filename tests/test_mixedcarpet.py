@@ -79,6 +79,13 @@ def test_delta_pair_examples(mx_h5):
         delta_pair(mx_h5, NE, NE)
 
 
+def test_delta_pair_rejects_points_outside_q(mx_h5):
+    with pytest.raises(ValueError, match="outside the root cell"):
+        delta_pair(mx_h5, (Fraction(2), Fraction(0)), (Fraction(0), Fraction(0)))
+    with pytest.raises(ValueError, match="outside the root cell"):
+        delta_pair(mx_h5, (Fraction(0), Fraction(0)), (Fraction(5), Fraction(5)))
+
+
 def test_delta_pair_brute_force_oracle(mx_h5):
     rng = np.random.default_rng(4)
     s = 3 ** 3

@@ -101,6 +101,32 @@ def test_symmetry_classes_level1(sc_h6, vs_h6):
     assert len(symmetry_classes(vs_h6, 1)) == 2   # corner and center cells
 
 
+def _loop_symmetry_classes(h, level):
+    """Symmetry classes from the least of the 8 images of each box, cell by cell."""
+    lvl = h.levels[level]
+    s = 3 ** level
+    classes = {}
+    for i in range(lvl.count):
+        ix, iy = int(lvl.ix[i]), int(lvl.iy[i])
+        best = None
+        for a, b in ((ix, iy), (iy, ix)):
+            for ra in (a, s - 1 - a):
+                for rb in (b, s - 1 - b):
+                    if best is None or (ra, rb) < best:
+                        best = (ra, rb)
+        classes.setdefault(best, []).append(i)
+    return classes
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(), Schedule.mixed()],
+                         ids=["sc", "vicsek", "mixed"])
+def test_symmetry_classes_match_cell_loop(schedule):
+    h = build_hierarchy(schedule, 4)
+    for level in range(5):
+        got, expect = symmetry_classes(h, level), _loop_symmetry_classes(h, level)
+        assert list(got.items()) == list(expect.items())
+
+
 def test_sup_energy_argmax_deterministic(sc_h6):
     a = sup_energy(sc_h6, 1, 2, 2.0)
     b = sup_energy(sc_h6, 1, 2, 2.0)
