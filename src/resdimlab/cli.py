@@ -173,7 +173,7 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         for k in range(1, kmax + 1):
             out = pmod.sup_energy(h, 1, k, p)
             rows.append({"p": p, "k": k, "sup_energy": out["value"],
-                         "argmax_cell": out["argmax_cell"]})
+                         "argmax_cell": out["argmax_cell"], "flag": out["flag"]})
     pmod.rate_table_to_csv(rows, os.path.join(outdir, "rates.csv"))
     est = pmod.p_spectral_dims(h, 2.0, kmax)
     _write_json(os.path.join(outdir, "p_spectral.json"), {
@@ -182,28 +182,20 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         "dim_upper": est.dim_upper, "dim_lower": est.dim_lower, "flag": est.flag,
     })
     # p = 2 energy equals effective conductance on the same graph
-    prob = None
-    for w in range(h.levels[1].count):
-        cand = pmod.build_separation(h, 1, w, min(2, kmax))
-        if not cand.empty_outer:
-            prob = cand
-            break
+    cands = (pmod.build_separation(h, 1, w, min(2, kmax)) for w in range(h.levels[1].count))
+    prob = next((c for c in cands if not c.empty_outer), None)
     if prob is None:
         raise RuntimeError("no level-1 cell has a nonempty outer set")
     e2 = pmod.p_energy(prob, 2.0).value
     g = rmod.LevelGraph(prob.n_cells, [(int(u), int(v), 1.0) for u, v in prob.edges])
     cond = 1.0 / rmod.eff_resistance(g, list(prob.inner), list(prob.outer)).value
-    mono_ok = True
-    prev = None
-    for p in sorted(set(cfg.p_grid)):
-        v = pmod.p_energy(prob, p).value
-        if prev is not None and v > prev + 1e-9:
-            mono_ok = False
-        prev = v
+    vals = [pmod.p_energy(prob, p).value for p in sorted(set(cfg.p_grid))]
+    mono_ok = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     return [
         _check("penergy-p2-conductance", "p=2 energy equals effective conductance",
                abs(e2 - cond), abs(e2 - cond) <= 1e-9 * max(cond, 1.0)),
-        _check("penergy-monotone-p", "energies nonincreasing in p", prev, mono_ok),
+        _check("penergy-monotone-p", "energies nonincreasing in p",
+               vals[-1] if vals else None, mono_ok),
         _check("penergy-dims-finite", "p-spectral dimensions finite",
                est.dim_upper, math.isfinite(est.dim_upper) and math.isfinite(est.dim_lower)),
     ]

@@ -2,11 +2,11 @@
 
 The separation problem for a base cell w and depth offset k pins the value 1
 on the k-th generation inside w and 0 on every cell whose level-[w] ancestor
-sits at chain distance > M_* from w, then minimizes the p-power edge energy
-over the level-([w]+k) cell graph.  p = 2 is one sparse solve; p != 2 runs
-reweighted least squares with an L-BFGS-B polish under the box [0, 1].
-Energies, gradients and the reweighted systems all come from one signed
-edge-cell incidence matrix D per problem.
+sits at chain distance > M_* from w, then finds the least p-power edge energy
+over the level-([w]+k) cell graph.  p = 1 is an exact minimum cut; p = 2 is
+one sparse solve; other p take projected Newton steps on an eps-smoothed
+energy under the box [0, 1], with energies, gradients and the Newton
+systems all from one signed edge-cell incidence matrix D per problem.
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -114,37 +113,49 @@ def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
         empty_outer=len(outer) == 0)
 
 
-def _energy_and_grad(f: np.ndarray, D: sp.csr_matrix, p: float):
-    d = D @ f
-    a = np.abs(d)
-    e = float(np.sum(a ** p))
-    if p >= 2:
-        gd = p * a ** (p - 1) * np.sign(d)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gd = np.where(a > 0, p * a ** (p - 1) * np.sign(d), 0.0)
-    return e, D.T @ gd
+def _min_cut(problem: SeparationProblem) -> PEnergyValue:
+    """p = 1: the smallest minimum cut, from a maximum flow with unit capacity
+    both ways on each edge and m + 1 on the hubs into `inner` and out of
+    `outer`; its energy equals the flow value, which certifies it."""
+    n, m = problem.n_cells, len(problem.edges)
+    eu, ev = problem.edges.T
+    rows = np.concatenate([eu, ev, np.full(len(problem.inner), n), problem.outer])
+    cols = np.concatenate([ev, eu, problem.inner, np.full(len(problem.outer), n + 1)])
+    caps = np.where(np.arange(len(rows)) < 2 * m, 1, m + 1).astype(np.int32)
+    cap = sp.csr_array((caps, (rows, cols)), shape=(n + 2, n + 2))
+    flow = csgraph.maximum_flow(cap, n, n + 1)
+    # the source side: cells reached by residual edges (sparse subtraction
+    # stores no zeros, so saturated edges drop out)
+    reach = csgraph.breadth_first_order(cap - flow.flow, n, return_predecessors=False)
+    f = np.zeros(n)
+    f[reach[reach < n]] = 1.0
+    e = float(np.abs(f[eu] - f[ev]).sum())
+    gap = abs(e - flow.flow_value)
+    return PEnergyValue(1.0, e, f, gap, "ok" if gap == 0 else "no-convergence")
 
 
 def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergyValue:
-    """Minimize the p-power energy with the problem's 0/1 pins.
+    """The least p-power energy with the problem's 0/1 pins.
 
-    Everything is read from the signed edge-cell incidence matrix D (+1 at
-    the first cell of an edge, -1 at the second): the energy is
-    sum |D f|^p and its gradient is D^T (p |D f|^(p-1) sign(D f)).  p = 2
-    reduces to one linear solve; p > 1 runs eps-smoothed IRLS warmed from the
-    p = 2 potential, then an L-BFGS-B polish.  Each IRLS step solves
-    D_F^T W D_F f_F = -D_F^T W D f_pinned, with D_F the columns of the free
-    cells, W the edge weights and f_pinned the pins (0 on free cells).  The
-    certificate is the first-order gap bound sum(|grad|) over free cells,
-    relative to the energy; above `tol` the value is flagged no-convergence.
+    p = 1 is an exact minimum cut (`_min_cut`).  Other p read everything
+    from the signed edge-cell incidence matrix D (+1 at the first cell of an
+    edge, -1 at the second): the energy is sum |D f|^p.  p = 2 is one solve of
+    D_F^T D_F f_F = -D_F^T D f_pinned (D_F: the free columns; f_pinned: the
+    pins, 0 on free cells).  Other p start there and take Newton steps on
+    E_eps = sum (d^2 + eps^2)^(p/2), d = D f, for eps = 1e-2 ... 1e-12, with
+    Hessian D_F^T diag(p (d^2+eps^2)^(p/2-2) ((p-1) d^2 + eps^2)) D_F and Armijo
+    backtracking on f_F <- clip(f_F + t s, 0, 1).  A rung ends when the
+    Newton decrement is <= 1e-15 E_eps, the last when the certificate passes,
+    or after 30 steps.  A first-order gap sum(|grad|) over free cells above
+    `tol` times the energy flags the value no-convergence.
     """
     if p < 1:
         raise ValueError("p < 1 is outside the convex setting")
     if problem.empty_outer:
         return PEnergyValue(p, 0.0, flag="empty-outer")
-    n = problem.n_cells
-    m = len(problem.edges)
+    if p == 1:
+        return _min_cut(problem)
+    n, m = problem.n_cells, len(problem.edges)
     D = sp.csr_matrix((np.tile([1.0, -1.0], m),
                        (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))),
                       shape=(m, n))
@@ -155,45 +166,44 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
     D_Ft = D_F.T.tocsr()
     drive = D @ f  # D f_pinned: f holds only the pins here
 
-    def weighted_solve(w: np.ndarray) -> None:
-        # weighted graph Laplacian solve for the free block
-        lap = (D_Ft @ (sp.diags(w) @ D_F)).tocsc()
-        sol = spla.splu(lap).solve(-(D_Ft @ (w * drive)))
-        f[free] = np.clip(sol, 0.0, 1.0)
+    def weighted_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return spla.splu((D_Ft @ (sp.diags(w) @ D_F)).tocsc()).solve(rhs)
 
-    # p = 2 start (exact for p = 2)
-    weighted_solve(np.ones(m))
-    if p != 2 and len(free):
-        for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
-            for _ in range(12):
-                d = D @ f
-                w = (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-                w = np.clip(w, 1e-14, 1e14)
-                prev = f[free].copy()
-                weighted_solve(w)
-                if np.max(np.abs(f[free] - prev)) < 1e-12:
+    def certificate():
+        # components pinned at an active bound with inward gradient do not
+        # contribute to the first-order gap
+        d = D @ f
+        e = float(np.sum(np.abs(d) ** p))
+        gf = D_Ft @ (p * np.abs(d) ** (p - 1) * np.sign(d))
+        act = ((f[free] <= 0.0) & (gf > 0)) | ((f[free] >= 1.0) & (gf < 0))
+        res = float(np.abs(np.where(act, 0.0, gf)).sum())
+        return e, res, res <= tol * max(e, 1e-30)
+
+    f[free] = np.clip(weighted_solve(np.ones(m), -(D_Ft @ drive)), 0.0, 1.0)
+    for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12) if p != 2 and len(free) else ():
+        last = eps == 1e-12
+        for _ in range(30):
+            if last and certificate()[2]:
+                break
+            x = f[free]
+            d = D_F @ x + drive
+            r = d * d + eps * eps
+            e = float(np.sum(r ** (p / 2)))
+            g = D_Ft @ (p * d * r ** (p / 2 - 1))
+            w = p * r ** (p / 2 - 2) * ((p - 1) * d * d + eps * eps)
+            s = weighted_solve(np.maximum(w, 1e-14 * w.max()), -g)
+            dec = -float(g @ s)
+            if not last and dec <= 1e-15 * e:
+                break
+            for t in 0.5 ** np.arange(34):
+                xt = np.clip(x + t * s, 0.0, 1.0)
+                if np.sum(((D_F @ xt + drive) ** 2 + eps * eps) ** (p / 2)) <= e - 1e-4 * t * dec:
+                    f[free] = xt
                     break
-
-        def objective(x):
-            f[free] = x
-            e, g = _energy_and_grad(f, D, p)
-            return e, g[free]
-
-        # polish on the exact objective
-        out = scipy.optimize.minimize(
-            objective, f[free], jac=True, method="L-BFGS-B",
-            bounds=[(0.0, 1.0)] * len(free),
-            options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-12})
-        f[free] = np.clip(out.x, 0.0, 1.0)
-    e, g = _energy_and_grad(f, D, p)
-    gf = g[free]
-    # components pinned at an active bound with inward gradient do not
-    # contribute to the first-order gap
-    act_lo = (f[free] <= 0.0) & (gf > 0)
-    act_hi = (f[free] >= 1.0) & (gf < 0)
-    res = float(np.abs(np.where(act_lo | act_hi, 0.0, gf)).sum())
-    flag = "no-convergence" if res > tol * max(e, 1e-30) else "ok"
-    return PEnergyValue(p, e, potential=f, residual=res, flag=flag)
+            else:
+                break  # no decrease left on this rung
+    e, res, ok = certificate()
+    return PEnergyValue(p, e, f, res, "ok" if ok else "no-convergence")
 
 
 def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int], List[int]]:
@@ -230,13 +240,9 @@ def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
         reps = [members[0] for members in symmetry_classes(h, base_level).values()]
     else:
         reps = list(range(h.levels[base_level].count))
-    best = None
-    for w in reps:
-        prob = build_separation(h, base_level, w, k, m_star=m_star)
-        val = p_energy(prob, p)
-        if best is None or val.value > best[0].value:
-            best = (val, w)
-    val, w = best
+    # max keeps the first of equal values
+    val, w = max(((p_energy(build_separation(h, base_level, w, k, m_star=m_star), p), w)
+                  for w in reps), key=lambda vw: vw[0].value)
     word = "".join(str(d) for d in h.address(base_level, w))
     return {"value": val.value, "argmax_index": w, "argmax_cell": word,
             "flag": val.flag, "representatives": len(reps)}
@@ -271,7 +277,8 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
 
     rate < 0 means p is above the critical exponent.  Rates inside
     [-RATE_TOL, RATE_TOL] are treated as not-yet-decaying and widen the
-    reported interval with a flag.
+    reported interval with a flag.  Each row of "rates" counts, as
+    "uncertified", its sup energies flagged no-convergence.
     """
     if kmax < 3:
         raise ValueError("kmax must be >= 3")
@@ -283,11 +290,12 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
     table: List[dict] = []
 
     def rate_of(p: float) -> float:
-        sups = sup_energy_table(h, p, ks, base_level=base_level, m_star=m_star)
-        logs = [math.log(max(v, 1e-300)) for v in sups.values()]
+        sups = [sup_energy(h, base_level, k, p, m_star=m_star) for k in ks]
+        logs = [math.log(max(s["value"], 1e-300)) for s in sups]
         slope, up, lo = fit_rates(ks, logs)
         table.append({"p": p, "rate": slope, "rate_limsup": up, "rate_liminf": lo,
-                      "sup_energies": list(sups.values())})
+                      "sup_energies": [s["value"] for s in sups],
+                      "uncertified": sum(s["flag"] == "no-convergence" for s in sups)})
         return slope
 
     lo, hi = p_range
@@ -350,10 +358,10 @@ def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
 
 
 def rate_table_to_csv(rows: Sequence[dict], path: str) -> None:
-    """CSV rate table: p,k,sup_energy,argmax_cell."""
+    """CSV rate table: p,k,sup_energy,argmax_cell,flag (the sup energy's p_energy flag)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p", "k", "sup_energy", "argmax_cell"])
+        writer.writerow(["p", "k", "sup_energy", "argmax_cell", "flag"])
         for row in rows:
             writer.writerow([f"{row['p']:.17g}", row["k"],
-                             f"{row['sup_energy']:.17g}", row["argmax_cell"]])
+                             f"{row['sup_energy']:.17g}", row["argmax_cell"], row["flag"]])

@@ -24,9 +24,50 @@ def test_path_p2():
 
 
 def test_path_p1():
-    # any interior value gives total variation 1 across the two edges
+    # the minimum cut of a path is one edge
     val = p_energy(path_problem(), 1.0)
-    assert val.value == pytest.approx(1.0, abs=1e-9)
+    assert val.value == 1.0 and val.flag == "ok" and val.residual == 0.0
+    # the smallest minimum cut: only the pinned cell is on the source side
+    assert val.potential.tolist() == [1.0, 0.0, 0.0]
+
+
+def random_problem(rng, n_free):
+    """A random graph on 1-3 inner, 1-3 outer and `n_free` free cells."""
+    n_in, n_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    n = n_in + n_out + n_free
+    pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+    keep = rng.random(len(pairs)) < rng.uniform(0.15, 0.6)
+    cells = rng.permutation(n)
+    return SeparationProblem(base_level=0, base_index=0, k=0, level=0,
+                             edges=pairs[keep], n_cells=n,
+                             inner=np.sort(cells[:n_in]),
+                             outer=np.sort(cells[n_in:n_in + n_out]))
+
+
+def brute_min_cut(problem):
+    """Least sum |f(u) - f(v)| over every 0/1 assignment of the free cells."""
+    n = problem.n_cells
+    free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
+    bits = (np.arange(2 ** len(free))[:, None] >> np.arange(len(free))) & 1
+    f = np.zeros((len(bits), n))
+    f[:, problem.inner] = 1.0
+    f[:, free] = bits
+    eu, ev = problem.edges[:, 0], problem.edges[:, 1]
+    return float(np.abs(f[:, eu] - f[:, ev]).sum(axis=1).min())
+
+
+def test_p1_min_cut_matches_brute_force():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        prob = random_problem(rng, int(rng.integers(0, 15)))
+        val = p_energy(prob, 1.0)
+        assert val.value == brute_min_cut(prob), trial
+        assert val.flag == "ok" and val.residual == 0.0
+        f = val.potential
+        assert set(np.unique(f)) <= {0.0, 1.0}
+        assert np.all(f[prob.inner] == 1.0) and np.all(f[prob.outer] == 0.0)
+        eu, ev = prob.edges[:, 0], prob.edges[:, 1]
+        assert np.abs(f[eu] - f[ev]).sum() == val.value
 
 
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
@@ -277,23 +318,47 @@ def coo_p_energy(problem, p, tol=1e-7):
     return e, "no-convergence" if res > tol * max(e, 1e-30) else "ok"
 
 
-@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek()],
-                         ids=["sc", "vicsek"])
-def test_p_energy_matches_coo_assembly(schedule):
+SCHEDULES = pytest.mark.parametrize(
+    "schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(), Schedule.mixed()],
+    ids=["sc", "vicsek", "mixed"])
+
+
+def separation_problems(schedule):
+    """Every level-1 class representative at k = 1, 2, 3 on depth 4, outer nonempty."""
     h = build_hierarchy(schedule, 4)
-    compared = 0
     for members in symmetry_classes(h, 1).values():
         for k in (1, 2, 3):
             prob = build_separation(h, 1, members[0], k)
-            if prob.empty_outer:
-                continue
-            for p in (1.5, 2.0, 2.5):
-                want, want_flag = coo_p_energy(prob, p)
-                got = p_energy(prob, p)
-                if want_flag == "ok" and got.flag == "ok":
-                    assert abs(got.value - want) <= 1e-9 * want
-                    compared += 1
-    assert compared >= 7
+            if not prob.empty_outer:
+                yield prob
+
+
+@SCHEDULES
+def test_p_energy_matches_coo_assembly(schedule):
+    # the Newton solve against the IRLS + L-BFGS-B oracle: equal energies
+    # where both are certified, and no certificate lost
+    compared = 0
+    for prob in separation_problems(schedule):
+        for p in (1.3, 1.5, 1.75, 2.0, 2.125, 2.5):
+            want, want_flag = coo_p_energy(prob, p)
+            got = p_energy(prob, p)
+            f = got.potential
+            assert np.all(f[prob.inner] == 1.0) and np.all(f[prob.outer] == 0.0)
+            assert f.min() >= 0.0 and f.max() <= 1.0
+            assert not (want_flag == "ok" and got.flag == "no-convergence"), (prob.k, p)
+            if want_flag == "ok" and got.flag == "ok":
+                assert abs(got.value - want) <= 1e-9 * want
+                compared += 1
+    assert compared >= 13
+
+
+@SCHEDULES
+def test_p1_min_cut_matches_oracle(schedule):
+    for prob in separation_problems(schedule):
+        want, _ = coo_p_energy(prob, 1.0)
+        got = p_energy(prob, 1.0)
+        assert got.flag == "ok" and got.value == round(got.value)
+        assert abs(got.value - want) <= 1e-8 * want
 
 
 def test_energy_resistance_product_band(sc_sup2, vs_sup2, sc_cache, vs_cache):
