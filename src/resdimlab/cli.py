@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,9 +30,11 @@ __all__ = ["ExperimentConfig", "run", "main"]
 
 
 def _fmt(x) -> object:
+    """17 significant digits; NaN and inf as the strings "nan", "inf", "-inf",
+    so they stay valid JSON and apart from a missing value (null)."""
     if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            return None
+        if not math.isfinite(x):
+            return str(float(x))
         return float(f"{x:.17g}")
     return x
 
@@ -42,10 +44,8 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _fmt(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, np.generic):
+        return _fmt(obj.item())
     return _fmt(obj)
 
 
@@ -307,8 +307,7 @@ def _cmd_mixed(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     ]
     if cfg.report == "gap":
         rep = xmod.gap_report(seed=cfg.seed, caches={"mixed": cache})
-        with open(os.path.join(outdir, "dim_report.json"), "w") as fh:
-            fh.write(rep.to_json())
+        _write_json(os.path.join(outdir, "dim_report.json"), asdict(rep))
         checks.extend(_check(c["id"], c["description"], c["value"], c["pass"])
                       for c in rep.checks)
     return checks

@@ -48,11 +48,12 @@ class CornerGraph:
     def grid_index(self) -> GridIndex:
         return GridIndex(self.grid[:, 0], self.grid[:, 1], self.span + 1)
 
-    def vertex_at(self, gx: int, gy: int) -> int:
-        idx = int(self.grid_index.lookup(gx, gy))
-        if idx < 0:
+    def vertex_at(self, gx, gy):
+        """Vertex id at grid (gx, gy); array ids for array coordinates."""
+        idx = self.grid_index.lookup(gx, gy)
+        if (idx < 0).any():
             raise KeyError(f"no corner vertex at grid ({gx}, {gy})")
-        return idx
+        return int(idx) if idx.ndim == 0 else idx
 
     def corner_vertices(self) -> Tuple[int, int, int, int]:
         """p1, p3, p5, p7 (the four corners of the unit square)."""

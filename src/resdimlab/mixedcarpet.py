@@ -11,9 +11,8 @@ two-point resistance of the corner graph, with k1 counting carpet levels in
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +62,7 @@ class ScaleCache:
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
         self._graphs: Dict[Tuple[int, int], CornerGraph] = {}
+        self._pt: Dict[Tuple[int, int], float] = {}
         self._scales: Dict[Tuple[int, int], ResistanceScales] = {}
 
     def graph(self, n: int, m: int = 0) -> CornerGraph:
@@ -71,23 +71,27 @@ class ScaleCache:
             self._graphs[key] = corner_graph(self.schedule, n, m)
         return self._graphs[key]
 
+    def pt(self, n: int, m: int = 0) -> float:
+        """(Pt)_{n,m} alone: the opposite-corner resistance p1 to p5."""
+        key = (n, m)
+        if key not in self._pt:
+            cg = self.graph(n, m)
+            p1, p3, p5, p7 = cg.corner_vertices()
+            self._pt[key] = eff_resistance(cg.graph, [p1], [p5]).value
+        return self._pt[key]
+
     def scales(self, n: int, m: int = 0) -> ResistanceScales:
         key = (n, m)
         if key not in self._scales:
+            pt = self.pt(n, m)
             cg = self.graph(n, m)
-            p1, p3, p5, p7 = cg.corner_vertices()
-            pt = eff_resistance(cg.graph, [p1], [p5]).value
-            top = cg.side_vertices("top")
-            bottom = cg.side_vertices("bottom")
-            tb = eff_resistance(cg.graph, top, bottom).value
+            tb = eff_resistance(cg.graph, cg.side_vertices("top"),
+                                cg.side_vertices("bottom")).value
             self._scales[key] = ResistanceScales(
                 n=n, m=m, tb=tb, pt=pt,
                 k1=k1_count(self.schedule, n, m),
                 k2=k2_count(self.schedule, n, m))
         return self._scales[key]
-
-    def pt(self, n: int, m: int = 0) -> float:
-        return self.scales(n, m).pt
 
 
 def resistance_scales(schedule: Schedule, n: int, m: int = 0,
@@ -96,16 +100,15 @@ def resistance_scales(schedule: Schedule, n: int, m: int = 0,
     return cache.scales(n, m)
 
 
-def _sample_vertex_pairs(cg: CornerGraph, count: int, seed: int) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+def _sample_vertex_pairs(cg: CornerGraph, count: int, seed: int) -> np.ndarray:
+    """(2, count) ids of `count` random pairs of distinct vertices."""
     rng = np.random.default_rng(seed)
-    n_v = cg.graph.n
     pairs = []
     while len(pairs) < count:
-        i, j = rng.integers(0, n_v, size=2)
-        if i == j:
-            continue
-        pairs.append((tuple(int(c) for c in cg.grid[i]), tuple(int(c) for c in cg.grid[j])))
-    return pairs
+        i, j = rng.integers(0, cg.graph.n, size=2)
+        if i != j:
+            pairs.append((i, j))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
 def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
@@ -139,15 +142,12 @@ def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
             cg_m = cache.graph(m, 0)
             solver_m = cg_m.graph.grounded_solver()
             f = 3 ** (n - m)
-            for (a, b) in _sample_vertex_pairs(cg_m, pair_samples, seed + 97 * n + m):
-                va = cg_m.vertex_at(*a)
-                vb = cg_m.vertex_at(*b)
-                r_m = solver_m.pair_resistance(va, vb)
-                wa = cg_n.vertex_at(a[0] * f, a[1] * f)
-                wb = cg_n.vertex_at(b[0] * f, b[1] * f)
-                r_n = solver_n.pair_resistance(wa, wb)
-                c1 = max(c1, r_n / (r_m * sc_nm.pt))
-                c1b = max(c1b, r_m * sc_nm.tb / r_n)
+            va, vb = _sample_vertex_pairs(cg_m, pair_samples, seed + 97 * n + m)
+            r_m = solver_m.pair_resistances(va, vb)
+            r_n = solver_n.pair_resistances(cg_n.vertex_at(*(f * cg_m.grid[va].T)),
+                                            cg_n.vertex_at(*(f * cg_m.grid[vb].T)))
+            c1 = max(c1, float(np.max(r_n / (r_m * sc_nm.pt), initial=0.0)))
+            c1b = max(c1b, float(np.max(r_m * sc_nm.tb / r_n, initial=0.0)))
             rows.append({"n": n, "m": m, "TB": sc_nm.tb, "Pt": sc_nm.pt,
                          "k1": sc_nm.k1, "k2": sc_nm.k2})
         per_n[n] = {"C1": c1, "C1b": c1b, "C2": c2, "C3": c3}
@@ -289,20 +289,16 @@ def qs_diagnostic(schedule: Schedule, n: int, samples: int = 300, seed: int = 0,
                             tuple(int(v) for v in coarse.grid[b]),
                             tuple(int(v) for v in coarse.grid[c])))
     span = float(coarse.span)
-    ts, ratios = [], []
-    for (ax, ay), (bx, by), (cx, cy) in triples:
-        va = cg.vertex_at(ax * f, ay * f)
-        vb = cg.vertex_at(bx * f, by * f)
-        vc = cg.vertex_at(cx * f, cy * f)
-        d_xy = math.hypot((ax - bx) / span, (ay - by) / span)
-        d_xz = math.hypot((ax - cx) / span, (ay - cy) / span)
-        r_xy = solver.pair_resistance(va, vb) / pt_n
-        r_xz = solver.pair_resistance(va, vc) / pt_n
-        ts.append(d_xy / d_xz)
-        ratios.append(r_xy / r_xz)
+    ts = [math.hypot((ax - bx) / span, (ay - by) / span)
+          / math.hypot((ax - cx) / span, (ay - cy) / span)
+          for (ax, ay), (bx, by), (cx, cy) in triples]
+    corners = f * np.array(triples, dtype=np.int64).reshape(-1, 3, 2)
+    va, vb, vc = (cg.vertex_at(*corners[:, k].T) for k in range(3))
+    r = solver.pair_resistances(np.concatenate([va, va]), np.concatenate([vb, vc])) / pt_n
+    ratios = r[:len(va)] / r[len(va):]
     order = np.argsort(ts)
     t_arr = np.asarray(ts)[order]
-    r_arr = np.asarray(ratios)[order]
+    r_arr = ratios[order]
     env = np.maximum.accumulate(r_arr)
     return QSDiagnostic(n=n, sample_level=sample_level, t_values=t_arr,
                         ratios=r_arr, envelope_t=t_arr, envelope=env,
@@ -336,10 +332,6 @@ class DimReport:
 
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.checks)
-
-    def to_json(self) -> str:
-        out = asdict(self)
-        return json.dumps(out, indent=1, default=float)
 
 
 def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,

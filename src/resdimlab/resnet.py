@@ -10,9 +10,12 @@ vertices with one sparse LU (COLAMD ordering), at every size the corner-graph
 caps admit.  That one factorization serves pair resistances (one grounded
 vertex), set resistances (A pinned at 1, B and other components at 0),
 traces and cross weights (the set pinned to unit potentials, 256 right sides
-per solve).  Every solve is checked against a relative-residual bound of
-1e-10 per right side; a solve above it gets one step of iterative refinement
-with the same factors and fails if still above.
+per solve).  A batch of pair resistances is one Green's-function block: one
+unit right side per distinct endpoint, R(x, y) = G_xx + G_yy - 2 G_xy, in
+column blocks of at most PAIR_BLOCK_BYTES.  Every solve is checked against a
+relative-residual bound of 1e-10 per right side; a right side above it gets
+one step of iterative refinement with the same factors, and the solve fails
+if it is still above.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+PAIR_BLOCK_BYTES = 8 * 2 ** 20  # one dense n x block array of Green's-function columns
 
 
 class SolverError(RuntimeError):
@@ -177,20 +181,23 @@ class _Grounded:
         ground rows are ignored.  Each column must meet the residual bound.
         """
         b = rhs_full[self.free]
-        nb = np.linalg.norm(b, axis=0)
+        if b.ndim == 1:
+            b = b[:, None]
 
-        def worst_residual(x):
-            res = np.linalg.norm(self.lap_ff @ x - b, axis=0) / np.where(nb > 0, nb, 1.0)
-            return float(np.max(res, initial=0.0))
+        def norms(a):  # per column, summed in the same order for any batch width
+            return np.linalg.norm(np.ascontiguousarray(a.T), axis=1)
 
+        nb = norms(b)
+        nb[nb == 0] = 1.0
         x = self._lu.solve(b)
-        if worst_residual(x) > RESIDUAL_TOL:
-            x = x + self._lu.solve(b - self.lap_ff @ x)
-            res = worst_residual(x)
+        redo = np.flatnonzero(norms(self.lap_ff @ x - b) / nb > RESIDUAL_TOL)
+        if len(redo):  # refine only the columns above the bound
+            x[:, redo] += self._lu.solve(b[:, redo] - self.lap_ff @ x[:, redo])
+            res = float(np.max(norms(self.lap_ff @ x[:, redo] - b[:, redo]) / nb[redo]))
             if res > RESIDUAL_TOL:
                 raise SolverError(f"solve residual {res:.3e} above {RESIDUAL_TOL}")
         u = np.zeros(rhs_full.shape)
-        u[self.free] = x
+        u[self.free] = x if rhs_full.ndim == 2 else x[:, 0]
         return u
 
     def extend(self, pinned: np.ndarray) -> np.ndarray:
@@ -201,14 +208,27 @@ class _Grounded:
         """
         return self.solve(-(self.g.laplacian() @ pinned)) + pinned
 
+    def pair_resistances(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+        """R(x, y) = G_xx + G_yy - 2 G_xy for every pair (xs[i], ys[i]), with G
+        the grounded Green's function: one unit right side per distinct endpoint."""
+        xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+        ys = np.asarray(ys, dtype=np.int64).reshape(-1)
+        ends, inverse = np.unique(np.concatenate([xs, ys]), return_inverse=True)
+        ix, iy = inverse[:len(xs)], inverse[len(xs):]
+        g = np.empty((3, len(xs)))  # G_xx, G_yy, G_xy
+        block = max(1, PAIR_BLOCK_BYTES // (8 * self.g.n))
+        for lo in range(0, len(ends), block):
+            cols = ends[lo:lo + block]
+            rhs = np.zeros((self.g.n, len(cols)))
+            rhs[cols, np.arange(len(cols))] = 1.0
+            u = self.solve(rhs)
+            sx, sy = (lo <= ix) & (ix < lo + block), (lo <= iy) & (iy < lo + block)
+            g[0, sx] = u[xs[sx], ix[sx] - lo]
+            g[1:, sy] = u[ys[sy], iy[sy] - lo], u[xs[sy], iy[sy] - lo]
+        return g[0] + g[1] - 2.0 * g[2]  # exactly 0 where x == y: a + a - 2a is exact
+
     def pair_resistance(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
-        rhs = np.zeros(self.g.n)
-        rhs[x] += 1.0
-        rhs[y] -= 1.0
-        u = self.solve(rhs)
-        return float(u[x] - u[y])
+        return float(self.pair_resistances([x], [y])[0])
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from resdimlab.hierarchy import Schedule, build_hierarchy
@@ -79,3 +80,15 @@ def random_connected_graph(rng, n_max=50):
         if u != v:
             edges.append((int(u), int(v), float(rng.uniform(0.2, 5.0))))
     return LevelGraph(n, edges)
+
+
+def single_pair_resistance(solver, x, y):
+    """Oracle: the one e_x - e_y solve per pair that pair resistances made
+    before they were batched into Green's-function blocks."""
+    if x == y:
+        return 0.0
+    rhs = np.zeros(solver.g.n)
+    rhs[x] += 1.0
+    rhs[y] -= 1.0
+    u = solver.solve(rhs)
+    return float(u[x] - u[y])

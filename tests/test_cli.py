@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from resdimlab import mixedcarpet
 from resdimlab.cli import ExperimentConfig, main
 
 
@@ -102,3 +103,25 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_pass"]
+
+
+def test_dim_report_nan_is_valid_json(tmp_path, monkeypatch):
+    nan, inf = float("nan"), float("inf")
+    report = mixedcarpet.DimReport(
+        vicsek_ds_volume=nan, vicsek_ds_heat=1.3, vicsek_d2s=inf, sc_ds_volume=-inf,
+        sc_ds_heat=1.7, sc_d2s=1.7, sc_dim_arc_interval=(1.0, nan), n_star_sc=8.0,
+        n_star_vicsek=5.0, rho_hat=1.25, one_plus_log2_log3=1.63, vicsek_reference=1.19,
+        checks=[{"id": "nan-check", "description": "a NaN value", "value": nan,
+                 "pass": True}])
+    monkeypatch.setattr(mixedcarpet, "gap_report", lambda **kwargs: report)
+    code = main(["mixed", "--depth", "5", "--report", "gap", "--out", str(tmp_path)])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"bare {name} is not JSON")
+
+    out = json.loads((tmp_path / "dim_report.json").read_text(), parse_constant=reject)
+    assert (out["vicsek_ds_volume"], out["vicsek_d2s"], out["sc_ds_volume"]) == ("nan", "inf", "-inf")
+    assert out["sc_dim_arc_interval"] == [1.0, "nan"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
+    assert [c["value"] for c in manifest["checks"] if c["id"] == "nan-check"] == ["nan"]

@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from resdimlab import mixedcarpet
 from resdimlab.hierarchy import Schedule, mixed_indicator
-from resdimlab.mixedcarpet import (chain_check, delta_pair, evres_fit,
-                                   qs_diagnostic, qs_envelope_drift)
+from resdimlab.mixedcarpet import (ResistanceScales, ScaleCache, chain_check, delta_pair,
+                                   evres_fit, qs_diagnostic, qs_envelope_drift)
+from resdimlab.resnet import eff_resistance
+from conftest import single_pair_resistance
 
 NE = (Fraction(1, 2), Fraction(1, 2))
 SW = (Fraction(-1, 2), Fraction(-1, 2))
@@ -172,3 +175,105 @@ def test_rstar_approximant_band(mx_h5, mx_cache):
         approx = 1.0 / mx_cache.pt(d, 0) if d > 0 else 1.0
         band.append(rstar / approx)
     assert max(band) / min(band) <= 25.0
+
+
+# -- oracles: the per-pair loops that made one grounded solve per pair ----------
+
+def chain_constants_per_pair(schedule, n_max, pair_samples, seed, cache):
+    """C1 and C1b per n, one e_x - e_y solve per sampled pair."""
+    per_n = {}
+    for n in range(1, n_max + 1):
+        cg_n = cache.graph(n, 0)
+        solver_n = cg_n.graph.grounded_solver()
+        c1 = c1b = 0.0
+        for m in range(0, n):
+            sc_nm = cache.scales(n, m)
+            cg_m = cache.graph(m, 0)
+            solver_m = cg_m.graph.grounded_solver()
+            f = 3 ** (n - m)
+            rng = np.random.default_rng(seed + 97 * n + m)
+            count = 0
+            while count < pair_samples:
+                i, j = rng.integers(0, cg_m.graph.n, size=2)
+                if i == j:
+                    continue
+                count += 1
+                a, b = cg_m.grid[i], cg_m.grid[j]
+                r_m = single_pair_resistance(solver_m, cg_m.vertex_at(*a), cg_m.vertex_at(*b))
+                r_n = single_pair_resistance(solver_n, cg_n.vertex_at(a[0] * f, a[1] * f),
+                                             cg_n.vertex_at(b[0] * f, b[1] * f))
+                c1 = max(c1, r_n / (r_m * sc_nm.pt))
+                c1b = max(c1b, r_m * sc_nm.tb / r_n)
+        per_n[n] = {"C1": c1, "C1b": c1b}
+    return per_n
+
+
+def qs_ratios_per_pair(cache, n, triples, sample_level=2):
+    """(t, ratio) per triple, two e_x - e_y solves per triple."""
+    cg = cache.graph(n, 0)
+    solver = cg.graph.grounded_solver()
+    pt_n = cache.pt(n, 0)
+    f = 3 ** (n - sample_level)
+    span = float(cache.graph(sample_level, 0).span)
+    ts, ratios = [], []
+    for (ax, ay), (bx, by), (cx, cy) in triples:
+        va = cg.vertex_at(ax * f, ay * f)
+        vb = cg.vertex_at(bx * f, by * f)
+        vc = cg.vertex_at(cx * f, cy * f)
+        d_xy = math.hypot((ax - bx) / span, (ay - by) / span)
+        d_xz = math.hypot((ax - cx) / span, (ay - cy) / span)
+        ts.append(d_xy / d_xz)
+        ratios.append((single_pair_resistance(solver, va, vb) / pt_n)
+                      / (single_pair_resistance(solver, va, vc) / pt_n))
+    order = np.argsort(ts)
+    return np.asarray(ts)[order], np.asarray(ratios)[order]
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_chain_check_matches_per_pair_solves(mx_cache, n_max):
+    out = chain_check(Schedule.mixed(), n_max, pair_samples=25, seed=1, cache=mx_cache)
+    want = chain_constants_per_pair(Schedule.mixed(), n_max, 25, 1, mx_cache)
+    for n in range(1, n_max + 1):
+        for key in ("C1", "C1b"):
+            assert out["per_n"][n][key] == pytest.approx(want[n][key], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_qs_diagnostic_matches_per_pair_solves(mx_cache, n):
+    diag = qs_diagnostic(Schedule.mixed(), n, samples=250, seed=1, cache=mx_cache)
+    t_want, r_want = qs_ratios_per_pair(mx_cache, n, diag.triples)
+    assert np.array_equal(diag.t_values, t_want)
+    assert np.all(np.abs(diag.ratios - r_want) <= 1e-12 * r_want)
+    assert np.all(np.abs(diag.envelope - np.maximum.accumulate(r_want))
+                  <= 1e-12 * np.maximum.accumulate(r_want))
+
+
+def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, mx_cache):
+    evres_fit(n_max=2, pure_levels=4, caches={"mixed": mx_cache})  # mixed scales cached
+    calls = []
+
+    def counted(g, A, B, **kwargs):
+        calls.append(g)
+        return eff_resistance(g, A, B, **kwargs)
+
+    monkeypatch.setattr(mixedcarpet, "eff_resistance", counted)
+    caches = {"sc": ScaleCache(Schedule.pure_sc()), "vicsek": ScaleCache(Schedule.pure_vicsek()),
+              "mixed": mx_cache}
+    evres_fit(n_max=2, pure_levels=4, caches=caches)
+    pure = [caches[name].graph(n).graph for name in ("sc", "vicsek") for n in range(1, 5)]
+    assert len(calls) == len(pure) and all(a is b for a, b in zip(calls, pure))
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
+                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
+def test_scales_equal_direct_resistances(schedule):
+    cache = ScaleCache(schedule)
+    for n in range(1, 6):
+        cg = cache.graph(n)
+        p1, _, p5, _ = cg.corner_vertices()
+        s = cache.scales(n)
+        assert s == ResistanceScales(
+            n, 0, eff_resistance(cg.graph, cg.side_vertices("top"),
+                                 cg.side_vertices("bottom")).value,
+            eff_resistance(cg.graph, [p1], [p5]).value, s.k1, s.k2)
+        assert cache.pt(n) == s.pt

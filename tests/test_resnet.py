@@ -6,13 +6,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from resdimlab.cornergraph import corner_graph, corner_vertices_at_level
+from resdimlab import resnet
 from resdimlab.hierarchy import Schedule
 from resdimlab.resnet import (LevelGraph, cross_weight_decay,
                               eff_resistance, graph_from_csv, graph_to_csv,
                               localized_resistance, min_energy_flow,
                               pinv_resistance, resistance_weights, trace,
                               traced_cross_weight)
-from conftest import random_connected_graph
+from conftest import random_connected_graph, single_pair_resistance
 
 UNIT_CYCLE = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
 
@@ -365,3 +366,59 @@ def test_trace_and_cross_weight_match_dense_schur():
         ind2 = np.isin(S, S2).astype(float)
         want_w = -(ind1 @ schur @ ind2)
         assert abs(traced_cross_weight(g, S, S1, S2) - want_w) <= 1e-10 * want_w
+
+
+def test_solve_refines_only_the_columns_above_the_bound(monkeypatch):
+    rng = np.random.default_rng(11)
+    found = 0
+    for _ in range(50):
+        g = random_connected_graph(rng, n_max=40)
+        solver = g.grounded_solver()
+        rhs = rng.standard_normal((g.n, 6))
+        b = rhs[solver.free]
+        x = solver._lu.solve(b)
+        res = np.linalg.norm(solver.lap_ff @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+        worst = int(np.argmax(res))
+        bound = 0.5 * (res[worst] + np.max(np.delete(res, worst)))
+        refined = x[:, worst] + solver._lu.solve(b[:, worst] - solver.lap_ff @ x[:, worst])
+        after = np.linalg.norm(solver.lap_ff @ refined - b[:, worst]) / np.linalg.norm(b[:, worst])
+        if after > bound:
+            continue  # refinement would not pass this bound; draw another batch
+        found += 1
+        # exactly one column is above the bound
+        monkeypatch.setattr(resnet, "RESIDUAL_TOL", bound)
+        batch = solver.solve(rhs)
+        for k in range(rhs.shape[1]):
+            assert np.array_equal(batch[:, k], solver.solve(rhs[:, k]))
+        assert np.array_equal(batch[solver.free][:, worst], refined)
+        assert np.array_equal(np.delete(batch[solver.free], worst, axis=1),
+                              np.delete(x, worst, axis=1))
+    assert found >= 5
+
+
+def pair_batch(rng, n, ground):
+    """Pairs with repeated endpoints, x == y and the ground vertex."""
+    xs = rng.integers(0, n, size=30)
+    ys = rng.integers(0, n, size=30)
+    ys[:5] = xs[:5]
+    xs[5:8] = ground
+    ys[8:11] = ground
+    xs[11:14] = xs[14]
+    return xs, ys
+
+
+def test_pair_resistances_match_single_solves(monkeypatch):
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        g = random_connected_graph(rng, n_max=60)
+        ground = int(rng.integers(0, g.n)) if trial % 2 else 0
+        solver = g.grounded_solver(ground)
+        xs, ys = pair_batch(rng, g.n, ground)
+        # two columns per block, so each batch spans several blocks
+        monkeypatch.setattr(resnet, "PAIR_BLOCK_BYTES", 8 * g.n * 2)
+        got = solver.pair_resistances(xs, ys)
+        want = np.array([single_pair_resistance(solver, int(x), int(y)) for x, y in zip(xs, ys)])
+        assert len(np.unique(np.concatenate([xs, ys]))) > 2
+        assert np.all(got[xs == ys] == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert solver.pair_resistance(int(xs[5]), int(ys[5])) == got[5]
