@@ -79,8 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"n must be in 0..{self.CAPS['n']}")
         if self.kmax < 1 or self.kmax > self.CAPS["kmax"]:
             raise ValueError(f"kmax must be in 1..{self.CAPS['kmax']}")
-        if any(p < 1 for p in self.p_grid):
-            raise ValueError("p grid entries must be >= 1")
+        if not all(math.isfinite(p) and p >= 1 for p in self.p_grid):
+            raise ValueError("p grid entries must be finite and >= 1")
 
     def schedule(self) -> hmod.Schedule:
         if self.f_table is not None:

@@ -6,7 +6,9 @@ sits at chain distance > M_* from w, then finds the least p-power edge energy
 over the level-([w]+k) cell graph.  p = 1 is an exact minimum cut; p = 2 is
 one sparse solve; other p take projected Newton steps on an eps-smoothed
 energy under the box [0, 1], with energies, gradients and the Newton
-systems all from one signed edge-cell incidence matrix D per problem.
+systems all from one signed edge-cell incidence matrix D per problem.  The
+symbolic work is done once per problem: one sparsity pattern for every
+Newton system, and the column ordering of the p = 2 factorization.
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -99,6 +101,12 @@ def _level_distances(h: PartitionHierarchy, level: int, source: int) -> np.ndarr
 def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
                      k: int, m_star: int = 1) -> SeparationProblem:
     """Assemble the neighborhood-separation problem for one base cell."""
+    if not 0 <= base_level <= h.depth:
+        raise ValueError(f"base level {base_level} outside 0..{h.depth}")
+    if not 0 <= base_index < h.levels[base_level].count:
+        raise ValueError(f"base index {base_index} outside 0..{h.levels[base_level].count - 1}")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     n = base_level + k
     if n > h.depth:
         raise ValueError(f"level {n} not built (depth {h.depth})")
@@ -148,9 +156,18 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
     Newton decrement is <= 1e-15 E_eps, the last when the certificate passes,
     or after 30 steps.  A first-order gap sum(|grad|) over free cells above
     `tol` times the energy flags the value no-convergence.
+
+    All these systems share one pattern, built once with a scatter matrix S
+    so that S @ w is the data of D_F^T diag(w) D_F, and one ordering: the
+    p = 2 factorization picks it (COLAMD), and every Newton system is stored
+    permuted by it and factored in that order on its diagonal pivots (the
+    weights are floored above 0, so the system is symmetric positive
+    definite).  A singular system raises.
     """
-    if p < 1:
-        raise ValueError("p < 1 is outside the convex setting")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError("p must be finite and >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     if problem.empty_outer:
         return PEnergyValue(p, 0.0, flag="empty-outer")
     if p == 1:
@@ -162,12 +179,45 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
     f = np.zeros(n)
     f[problem.inner] = 1.0
     free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
+    nf = len(free)
     D_F = D[:, free]
     D_Ft = D_F.T.tocsr()
     drive = D @ f  # D f_pinned: f holds only the pins here
 
-    def weighted_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return spla.splu((D_Ft @ (sp.diags(w) @ D_F)).tocsc()).solve(rhs)
+    # H(w) = D_F^T diag(w) D_F: edge e adds w_e at (i, i) for each free end i,
+    # and -w_e at (i, j) and (j, i) when both ends are free
+    pos = np.full(n, -1)
+    pos[free] = np.arange(nf)
+    ends = pos[problem.edges.reshape(-1)]
+    a, b = ends[0::2], ends[1::2]
+    diag = np.flatnonzero(ends >= 0)
+    both = np.flatnonzero((a >= 0) & (b >= 0))
+    rows = np.concatenate([ends[diag], a[both], b[both]])
+    cols = np.concatenate([ends[diag], b[both], a[both]])
+    eids = np.concatenate([diag // 2, both, both])
+    sign = np.repeat([1.0, -1.0], [len(diag), 2 * len(both)])
+
+    def pattern(label: np.ndarray):
+        """H's CSC index arrays with free cell i relabelled label[i], and the
+        scatter matrix S (nnz(H) x m) whose product S @ w is H(w)'s data."""
+        key, slot = np.unique(label[cols] * np.int64(nf) + label[rows], return_inverse=True)
+        scatter = sp.csr_matrix((sign, (slot, eids)), shape=(len(key), m))
+        return scatter, key % nf, np.searchsorted(key, np.arange(nf + 1) * nf)
+
+    S, indices, indptr = pattern(np.arange(nf))
+    lu = spla.splu(sp.csc_matrix((S @ np.ones(m), indices, indptr), shape=(nf, nf)))
+    f[free] = np.clip(lu.solve(-(D_Ft @ drive)), 0.0, 1.0)
+    if p != 2 and nf:
+        # the Newton systems, stored in the p = 2 column ordering
+        perm = lu.perm_c
+        order = np.argsort(perm)
+        S, indices, indptr = pattern(perm)
+
+    def newton_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        H = sp.csc_matrix((S @ w, indices, indptr), shape=(nf, nf))
+        lu = spla.splu(H, permc_spec="NATURAL", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+        return lu.solve(rhs[order])[perm]
 
     def certificate():
         # components pinned at an active bound with inward gradient do not
@@ -179,8 +229,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
         res = float(np.abs(np.where(act, 0.0, gf)).sum())
         return e, res, res <= tol * max(e, 1e-30)
 
-    f[free] = np.clip(weighted_solve(np.ones(m), -(D_Ft @ drive)), 0.0, 1.0)
-    for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12) if p != 2 and len(free) else ():
+    for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12) if p != 2 and nf else ():
         last = eps == 1e-12
         for _ in range(30):
             if last and certificate()[2]:
@@ -191,7 +240,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
             e = float(np.sum(r ** (p / 2)))
             g = D_Ft @ (p * d * r ** (p / 2 - 1))
             w = p * r ** (p / 2 - 2) * ((p - 1) * d * d + eps * eps)
-            s = weighted_solve(np.maximum(w, 1e-14 * w.max()), -g)
+            s = newton_solve(np.maximum(w, 1e-14 * w.max()), -g)
             dec = -float(g @ s)
             if not last and dec <= 1e-15 * e:
                 break
@@ -240,6 +289,8 @@ def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
         reps = [members[0] for members in symmetry_classes(h, base_level).values()]
     else:
         reps = list(range(h.levels[base_level].count))
+    if not reps:
+        raise ValueError("no base cells")
     # max keeps the first of equal values
     val, w = max(((p_energy(build_separation(h, base_level, w, k, m_star=m_star), p), w)
                   for w in reps), key=lambda vw: vw[0].value)

@@ -92,8 +92,18 @@ def test_config_validation():
         ExperimentConfig(command="fly").validate()
     with pytest.raises(ValueError):
         ExperimentConfig(command="build", depth=-1).validate()
-    with pytest.raises(ValueError):
-        ExperimentConfig(command="penergy", p_grid=[0.5]).validate()
+    for grid in ([0.5], [float("nan"), 2.0], [2.0, float("inf")]):
+        with pytest.raises(ValueError, match="p grid entries must be finite and >= 1"):
+            ExperimentConfig(command="penergy", p_grid=grid).validate()
+
+
+@pytest.mark.parametrize("grid", ["nan,2", "inf,2", "2,-inf"])
+def test_non_finite_p_grid_rejected(tmp_path, capsys, grid):
+    code = main(["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
+                 "--p-grid", grid, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: p grid entries must be finite and >= 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -7,9 +7,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from resdimlab.hierarchy import Schedule, build_hierarchy
-from resdimlab.penergy import (SeparationProblem, build_separation, critical_p,
-                               fit_rates, p_energy, p_spectral_dims, sup_energy,
-                               symmetry_classes)
+from resdimlab import penergy
+from resdimlab.penergy import (PEnergyValue, SeparationProblem, build_separation,
+                               critical_p, fit_rates, p_energy, p_spectral_dims,
+                               sup_energy, symmetry_classes)
 from resdimlab.resnet import LevelGraph, eff_resistance
 
 
@@ -88,6 +89,41 @@ def test_single_edge_all_p():
 def test_p_below_one_rejected():
     with pytest.raises(ValueError):
         p_energy(path_problem(), 0.9)
+
+
+@pytest.mark.parametrize("p, tol", [
+    (math.nan, 1e-7), (math.inf, 1e-7), (-math.inf, 1e-7),
+    (1.5, math.nan), (1.5, math.inf), (1.5, 0.0), (1.5, -1e-7), (2.0, math.nan),
+])
+def test_non_finite_p_and_bad_tol_rejected(monkeypatch, p, tol):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("factorized before the arguments were checked")
+
+    monkeypatch.setattr(spla, "splu", no_solve)
+    message = "tol must be finite and positive" if math.isfinite(p) else "p must be finite and >= 1"
+    with pytest.raises(ValueError, match=message):
+        p_energy(path_problem(), p, tol=tol)
+
+
+@pytest.mark.parametrize("base_level, base_index, k", [
+    (1, 0, -1), (-1, 0, 1), (4, 0, 0), (1, -1, 1), (1, 8, 1), (1, 99, 1),
+], ids=["k=-1", "level=-1", "level>depth", "index=-1", "index=count", "index=99"])
+def test_build_separation_bad_arguments(base_level, base_index, k):
+    h = build_hierarchy(Schedule.pure_sc(), 3)
+    with pytest.raises(ValueError):
+        build_separation(h, base_level, base_index, k)
+
+
+def test_build_separation_edge_arguments():
+    h = build_hierarchy(Schedule.pure_sc(), 3)
+    assert len(build_separation(h, 0, 0, 3).inner) == 8 ** 3
+    assert build_separation(h, 3, 8 ** 3 - 1, 0).level == 3
+
+
+def test_sup_energy_no_cells():
+    h = build_hierarchy(Schedule.pure_sc(), 3)
+    with pytest.raises(ValueError, match="no base cells"):
+        sup_energy(h, 1, 1, 2.0, cells=[])
 
 
 def test_empty_outer_flagged(vs_h6):
@@ -398,3 +434,118 @@ def test_annulus_resistance_scale_band(sc_h6, sc_cache):
         band.append(r * sc_cache.pt(base) / sc_cache.pt(n))
     assert max(band) / min(band) <= 20.0
     assert all(b > 0 for b in band)
+
+
+# -- oracle: Newton systems assembled and ordered at every step ---------------
+
+def product_p_energy(problem, p, tol=1e-7):
+    """Reference p_energy: the same minimum cut at p = 1 and Newton ladder
+    otherwise, with each system assembled as D_F^T diag(w) D_F by sparse
+    products and factored by splu with its default ordering."""
+    if problem.empty_outer:
+        return PEnergyValue(p, 0.0, flag="empty-outer")
+    if p == 1:
+        return penergy._min_cut(problem)
+    n, m = problem.n_cells, len(problem.edges)
+    D = sp.csr_matrix((np.tile([1.0, -1.0], m),
+                       (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))),
+                      shape=(m, n))
+    f = np.zeros(n)
+    f[problem.inner] = 1.0
+    free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
+    D_F = D[:, free]
+    D_Ft = D_F.T.tocsr()
+    drive = D @ f
+
+    def weighted_solve(w, rhs):
+        return spla.splu((D_Ft @ (sp.diags(w) @ D_F)).tocsc()).solve(rhs)
+
+    def certificate():
+        d = D @ f
+        e = float(np.sum(np.abs(d) ** p))
+        gf = D_Ft @ (p * np.abs(d) ** (p - 1) * np.sign(d))
+        act = ((f[free] <= 0.0) & (gf > 0)) | ((f[free] >= 1.0) & (gf < 0))
+        res = float(np.abs(np.where(act, 0.0, gf)).sum())
+        return e, res, res <= tol * max(e, 1e-30)
+
+    f[free] = np.clip(weighted_solve(np.ones(m), -(D_Ft @ drive)), 0.0, 1.0)
+    for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12) if p != 2 and len(free) else ():
+        last = eps == 1e-12
+        for _ in range(30):
+            if last and certificate()[2]:
+                break
+            x = f[free]
+            d = D_F @ x + drive
+            r = d * d + eps * eps
+            e = float(np.sum(r ** (p / 2)))
+            g = D_Ft @ (p * d * r ** (p / 2 - 1))
+            w = p * r ** (p / 2 - 2) * ((p - 1) * d * d + eps * eps)
+            s = weighted_solve(np.maximum(w, 1e-14 * w.max()), -g)
+            dec = -float(g @ s)
+            if not last and dec <= 1e-15 * e:
+                break
+            for t in 0.5 ** np.arange(34):
+                xt = np.clip(x + t * s, 0.0, 1.0)
+                if np.sum(((D_F @ xt + drive) ** 2 + eps * eps) ** (p / 2)) <= e - 1e-4 * t * dec:
+                    f[free] = xt
+                    break
+            else:
+                break
+    e, res, ok = certificate()
+    return PEnergyValue(p, e, f, res, "ok" if ok else "no-convergence")
+
+
+@pytest.fixture
+def splu_orderings(monkeypatch):
+    """The permc_spec of every splu call, in order (None: the default)."""
+    calls = []
+    splu = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+P_GRID = (1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.2, 2.5)
+
+
+@pytest.mark.parametrize("schedule, depth", [(Schedule.pure_sc(), 4), (Schedule.pure_vicsek(), 5),
+                                             (Schedule.mixed(), 4)], ids=["sc4", "vicsek5", "mixed4"])
+def test_p_energy_matches_product_assembly(schedule, depth, splu_orderings):
+    # every level-1 class and k, over the p grid: the same flags, certified
+    # energies to 1e-12, and one ordering (the p = 2 start's) per call
+    h = build_hierarchy(schedule, depth)
+    compared = 0
+    for members in symmetry_classes(h, 1).values():
+        for k in range(1, depth):
+            prob = build_separation(h, 1, members[0], k)
+            for p in P_GRID:
+                want = product_p_energy(prob, p)
+                del splu_orderings[:]
+                got = p_energy(prob, p)
+                assert got.flag == want.flag, (members[0], k, p)
+                if got.flag == "ok":
+                    assert abs(got.value - want.value) <= 1e-12 * want.value, (members[0], k, p)
+                    compared += 1
+                if not prob.empty_outer:
+                    assert [spec for spec in splu_orderings if spec != "NATURAL"] == [None]
+    assert compared >= 30
+
+
+def test_critical_p_factorizations_match_product_assembly(monkeypatch, splu_orderings):
+    # the bisection of the bench penergy workload: the same rates and the
+    # same number of factorizations with either assembly
+    h = build_hierarchy(Schedule.pure_sc(), 4)
+    got = critical_p(h, 3)
+    n_got = len(splu_orderings)
+    del splu_orderings[:]
+    monkeypatch.setattr(penergy, "p_energy", product_p_energy)
+    want = critical_p(h, 3)
+    assert n_got == len(splu_orderings)
+    assert got["interval"] == want["interval"] and got["flag"] == want["flag"]
+    for a, b in zip(got["rates"], want["rates"]):
+        assert a["uncertified"] == b["uncertified"]
+        assert a["sup_energies"] == pytest.approx(b["sup_energies"], rel=1e-12)
