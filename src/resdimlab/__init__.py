@@ -11,7 +11,7 @@ from .penergy import (build_separation, p_energy, sup_energy, critical_p,
                       p_spectral_dims)
 from .measure import hier_measure, doubling_check, psi_measure, olds_volume, fekete_limit
 from .heat import build_form, form_from_graph, heat_kernel, ol_ds_heat, ds_pointwise
-from .mixedcarpet import (resistance_scales, chain_check, evres_fit, delta_pair,
+from .mixedcarpet import (chain_check, evres_fit, delta_pair,
                           qs_diagnostic, gap_report, ScaleCache)
 
 __version__ = "0.1.0"

@@ -77,6 +77,10 @@ class ExperimentConfig:
             raise ValueError(f"depth must be in 0..{self.CAPS['depth']}")
         if self.n < 0 or self.n > self.CAPS["n"]:
             raise ValueError(f"n must be in 0..{self.CAPS['n']}")
+        if self.command == "resist" and self.n < 1:
+            raise ValueError("n must be >= 1 for resist")
+        if self.command == "mixed" and self.depth < 3:
+            raise ValueError("depth must be >= 3 for mixed")
         if self.kmax < 1 or self.kmax > self.CAPS["kmax"]:
             raise ValueError(f"kmax must be in 1..{self.CAPS['kmax']}")
         if not all(math.isfinite(p) and p >= 1 for p in self.p_grid):

@@ -19,7 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .hierarchy import CHILD_OFFSET, GridIndex, Schedule
+from .hierarchy import GridIndex, Schedule, child_boxes
 from .resnet import LevelGraph
 
 __all__ = ["CornerGraph", "corner_graph", "corner_vertices_at_level"]
@@ -94,9 +94,7 @@ def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
     cells_ix = np.zeros(1, dtype=np.int64)
     cells_iy = np.zeros(1, dtype=np.int64)
     for lvl in range(1, depth + 1):
-        offs = np.array([CHILD_OFFSET[d] for d in schedule.rule_at(m + lvl).digits], dtype=np.int64)
-        cells_ix = (3 * cells_ix[:, None] + offs[None, :, 0]).reshape(-1)
-        cells_iy = (3 * cells_iy[:, None] + offs[None, :, 1]).reshape(-1)
+        cells_ix, cells_iy = child_boxes(cells_ix, cells_iy, schedule.rule_at(m + lvl).digits)
 
     if 4 * len(cells_ix) > VERTEX_CAP:
         raise ValueError(f"about {4 * len(cells_ix)} corner vertices, above the cap {VERTEX_CAP}")

@@ -44,21 +44,18 @@ DENSE_EIG_CAP = 6000
 class FiniteDirichletForm:
     """Weighted graph + vertex measure; the generator is M^-1 L."""
 
-    def __init__(self, graph: LevelGraph, mass: np.ndarray, level: Optional[int] = None,
-                 renormalizer: float = 1.0, dense_cap: int = DENSE_EIG_CAP):
+    def __init__(self, graph: LevelGraph, mass: np.ndarray):
         mass = np.asarray(mass, dtype=np.float64)
         if len(mass) != graph.n:
             raise ValueError("mass vector length mismatch")
         if np.any(mass <= 0):
             raise ValueError("zero-mass vertex")
-        if graph.n > dense_cap:
+        if graph.n > DENSE_EIG_CAP:
             raise ValueError(
-                f"{graph.n} vertices above the dense eigendecomposition cap {dense_cap}; "
+                f"{graph.n} vertices above the dense eigendecomposition cap {DENSE_EIG_CAP}; "
                 "build a lower level")
         self.graph = graph
         self.mass = mass
-        self.level = level
-        self.renormalizer = float(renormalizer)
         self.total_mass = float(mass.sum())
         self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -98,7 +95,7 @@ class FiniteDirichletForm:
 
 
 def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
-               renormalizer: float, dense_cap: int = DENSE_EIG_CAP) -> FiniteDirichletForm:
+               renormalizer: float) -> FiniteDirichletForm:
     """Renormalized corner-graph form with cell masses split over corners."""
     if level > h.depth:
         raise ValueError("level not built")
@@ -113,8 +110,7 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
     edges = np.column_stack([cg.graph.edge_u, cg.graph.edge_v,
                              cg.graph.conductance / renormalizer])
     graph = LevelGraph(cg.graph.n, edges, coords=cg.coords_float())
-    return FiniteDirichletForm(graph, mass, level=level, renormalizer=renormalizer,
-                               dense_cap=dense_cap)
+    return FiniteDirichletForm(graph, mass)
 
 
 def form_from_graph(graph: LevelGraph, mass: Sequence[float]) -> FiniteDirichletForm:

@@ -37,12 +37,14 @@ __all__ = [
     "RULE_VICSEK",
     "Schedule",
     "Address",
+    "child_boxes",
     "GridIndex",
     "AdjacencyGraph",
     "FrameworkParams",
     "PartitionHierarchy",
     "build_hierarchy",
     "adjacency",
+    "chain_ball",
     "delta_level",
     "validate_framework",
     "nstar_estimate",
@@ -68,6 +70,9 @@ VICSEK_DIGITS: Tuple[int, ...] = (0, 1, 3, 5, 7)
 
 # Levels of the marker descent chain kept below the built depth.
 MARKER_TAIL = 40
+
+# Most cells a hierarchy may hold on its deepest level.
+CELL_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,15 @@ class Schedule:
 Address = Tuple[int, ...]
 
 
+def child_boxes(ix: np.ndarray, iy: np.ndarray,
+                digits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid boxes of the children of every box (ix, iy), one level down:
+    parent-major, each parent's children in the order of `digits`."""
+    offs = np.array([CHILD_OFFSET[d] for d in digits], dtype=np.int64)
+    return ((3 * ix[:, None] + offs[None, :, 0]).reshape(-1),
+            (3 * iy[:, None] + offs[None, :, 1]).reshape(-1))
+
+
 class GridIndex:
     """Ids of distinct points of the integer grid {0..side-1}^2.
 
@@ -260,9 +274,7 @@ class PartitionHierarchy:
     Immutable after construction; every query is a pure read.
     """
 
-    DEFAULT_CELL_CAP = 5_000_000
-
-    def __init__(self, schedule: Schedule, depth: int, cell_cap: int = DEFAULT_CELL_CAP):
+    def __init__(self, schedule: Schedule, depth: int):
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if schedule.horizon is not None and depth > schedule.horizon:
@@ -280,15 +292,13 @@ class PartitionHierarchy:
             rule = schedule.rule_at(n)
             prev = self.levels[-1]
             total *= rule.branching
-            if total > cell_cap:
+            if total > CELL_CAP:
                 raise ValueError(
-                    f"level {n} would hold {total} cells, above the cap {cell_cap}"
+                    f"level {n} would hold {total} cells, above the cap {CELL_CAP}"
                 )
             parent = np.repeat(np.arange(prev.count, dtype=np.int64), rule.branching)
             digit = np.tile(np.array(rule.digits, dtype=np.int64), prev.count)
-            offs = np.array([CHILD_OFFSET[d] for d in rule.digits], dtype=np.int64)
-            ix = (3 * prev.ix[:, None] + offs[None, :, 0]).reshape(-1)
-            iy = (3 * prev.iy[:, None] + offs[None, :, 1]).reshape(-1)
+            ix, iy = child_boxes(prev.ix, prev.iy, rule.digits)
             self.levels.append(_Level(n, ix, iy, parent, digit))
 
     # -- addresses ---------------------------------------------------------
@@ -406,10 +416,9 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def build_hierarchy(schedule: Schedule, depth: int,
-                    cell_cap: int = PartitionHierarchy.DEFAULT_CELL_CAP) -> PartitionHierarchy:
+def build_hierarchy(schedule: Schedule, depth: int) -> PartitionHierarchy:
     """Materialize all cells of `schedule` down to `depth`."""
-    return PartitionHierarchy(schedule, depth, cell_cap=cell_cap)
+    return PartitionHierarchy(schedule, depth)
 
 
 def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
@@ -438,28 +447,24 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
     return g
 
 
-def _set_distance_within(g: AdjacencyGraph, sources: Sequence[int],
-                         targets: Sequence[int], cap: int) -> Optional[int]:
-    """Graph distance from `sources` to `targets`, or None if > cap.
+def chain_ball(g: AdjacencyGraph, sources: Sequence[int], radius: int) -> np.ndarray:
+    """Sorted ids of the cells within `radius` chain steps of `sources`.
 
-    Breadth-first over CSR rows, so a query touches only cells within `cap` steps."""
-    targets_set = set(targets)
-    if targets_set.intersection(sources):
-        return 0
+    Breadth-first over CSR rows, so a query touches only the cells of the ball."""
+    if radius < 0:
+        raise ValueError("chain radius must be >= 0")
     indptr, indices = g.csr.indptr, g.csr.indices
-    seen = set(sources)
+    seen = set(int(s) for s in sources)
     frontier = list(seen)
-    for d in range(1, cap + 1):
+    for _ in range(radius):
         nxt = []
         for v in frontier:
             for u in indices[indptr[v]:indptr[v + 1]].tolist():
-                if u in targets_set:
-                    return d
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
-    return None
+    return np.array(sorted(seen), dtype=np.int64)
 
 
 def _point_pair(x: Tuple[Fraction, Fraction], y: Tuple[Fraction, Fraction],
@@ -489,8 +494,7 @@ def delta_level(h: PartitionHierarchy, x: Tuple[Fraction, Fraction],
         wy = h.cells_containing(n, *y)
         if not wx or not wy:
             continue
-        d = _set_distance_within(adjacency(h, n), wx, wy, m)
-        if d is not None and d <= m:
+        if not set(wy).isdisjoint(chain_ball(adjacency(h, n), wx, m).tolist()):
             best = n
     if best is None:
         raise ValueError("no level satisfies the chain condition (points separated at level 0?)")

@@ -70,10 +70,9 @@ class HierMeasure:
     def resolution(self) -> int:
         return self.h.depth
 
-    def ball_mass(self, x: Tuple[float, float], r: float,
-                  resolution: Optional[int] = None) -> Tuple[float, float]:
+    def ball_mass(self, x: Tuple[float, float], r: float) -> Tuple[float, float]:
         """(inner, outer) bracket of mu(B(x, r)) by cell covers."""
-        n = self.resolution() if resolution is None else resolution
+        n = self.resolution()
         return _cover_bracket(self.h, n, self.masses_float(n), x, r)
 
 
@@ -114,24 +113,17 @@ def _window(lo: float, hi: float, s: int) -> Tuple[int, int]:
     return math.floor(lo) - 2, math.floor(hi) + 1
 
 
-def hier_measure(h: PartitionHierarchy, rule: str = "uniform",
-                 tables: Optional[Dict[int, Dict[int, Fraction]]] = None) -> HierMeasure:
-    """Standard measures: "uniform" splits each cell equally among children.
+def hier_measure(h: PartitionHierarchy) -> HierMeasure:
+    """The uniform measure: each cell's mass splits equally among its children.
 
     For the mixed schedule this is the additive measure 8^-k1 5^-(n-k1);
-    explicit per-level tables are accepted via rule="custom".
+    other per-level weight tables go to HierMeasure directly.
     """
-    if rule == "uniform":
-        weights = {}
-        for n in range(1, h.depth + 1):
-            digits = h.schedule.rule_at(n).digits
-            weights[n] = {d: Fraction(1, len(digits)) for d in digits}
-        return HierMeasure(h, weights)
-    if rule == "custom":
-        if tables is None:
-            raise ValueError("custom rule needs weight tables")
-        return HierMeasure(h, tables)
-    raise ValueError(f"unknown measure rule {rule!r}")
+    weights = {}
+    for n in range(1, h.depth + 1):
+        digits = h.schedule.rule_at(n).digits
+        weights[n] = {d: Fraction(1, len(digits)) for d in digits}
+    return HierMeasure(h, weights)
 
 
 def _sample_centers(h: PartitionHierarchy, level: int, count: int, seed: int) -> List[Tuple[float, float]]:
@@ -246,11 +238,8 @@ class PsiMeasure:
     def resolution(self) -> int:
         return self.coarse_levels[-1]
 
-    def ball_mass(self, x: Tuple[float, float], r: float,
-                  resolution: Optional[int] = None) -> Tuple[float, float]:
-        n = self.resolution() if resolution is None else resolution
-        if n not in self.code:
-            raise ValueError(f"level {n} is not a coarse level of the psi measure")
+    def ball_mass(self, x: Tuple[float, float], r: float) -> Tuple[float, float]:
+        n = self.resolution()
         return _cover_bracket(self.h, n, self.masses_float(n), x, r)
 
     def neighbor_comparability(self) -> dict:
@@ -288,13 +277,12 @@ class PsiMeasure:
         """
         h = self.h
         centers = _sample_centers(h, min(self.k, h.depth), samples, seed)
-        res = self.resolution()
         slopes = []
         worst_single = 0.0
         for x in centers:
             js, vs = [], []
             for lvl in self.coarse_levels:
-                lo, hi = self.ball_mass(x, 3.0 ** (-lvl), res)
+                lo, hi = self.ball_mass(x, 3.0 ** (-lvl))
                 mid = 0.5 * (lo + hi) if lo > 0 else hi
                 if mid > 0:
                     js.append(lvl)
@@ -346,8 +334,7 @@ def fekete_limit(ts: Sequence[float], fs: Sequence[float], tol: float = 1e-12) -
 
 def olds_volume(m, zeta_r_log: float, window: Sequence[int],
                 centers: Optional[Sequence[Tuple[float, float]]] = None,
-                samples: int = 40, seed: int = 0,
-                resolution: Optional[int] = None) -> dict:
+                samples: int = 40, seed: int = 0) -> dict:
     """Volume-route spectral dimension on a window of levels.
 
     rate = Fekete inf over lags of the sup (over centers and scales) of the
@@ -362,7 +349,6 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
     h = m.h
     if centers is None:
         centers = _sample_centers(h, min(2, h.depth), samples, seed)
-    res = m.resolution() if resolution is None else resolution
 
     # V(x, c*3^-j) midpoints of the cover bracket, per center and factor c
     logs: Dict[Tuple[int, int], List[float]] = {}
@@ -370,7 +356,7 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
         for fi, c in enumerate((1.0, 1.5)):
             vals = []
             for j in window:
-                lo, hi = m.ball_mass(x, c * 3.0 ** (-j), res)
+                lo, hi = m.ball_mass(x, c * 3.0 ** (-j))
                 vals.append(0.5 * (lo + hi) if lo > 0 else hi)
             logs[(ci, fi)] = [math.log(v) if v > 0 else -math.inf for v in vals]
 
@@ -419,8 +405,7 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
 
 def h_profile(m: HierMeasure, cg, renormalizer: float,
               centers: Optional[Sequence[int]] = None,
-              radii: Optional[Sequence[float]] = None,
-              dense_cap: int = 4000) -> dict:
+              radii: Optional[Sequence[float]] = None) -> dict:
     """Profiles h(x, r) = V(x, r) * sup-resistance over the Euclidean ball.
 
     `cg` is a corner graph whose resistances, divided by `renormalizer`,
@@ -431,8 +416,6 @@ def h_profile(m: HierMeasure, cg, renormalizer: float,
     from .resnet import resistance_vector
 
     g = cg.graph
-    if g.n > dense_cap:
-        raise ValueError("h_profile needs the dense resistance path")
     coords = cg.coords_float()
     if centers is None:
         centers = [int(cg.corner_vertices()[2]), int(np.argmin(np.sum(coords ** 2, axis=1)))]

@@ -25,7 +25,6 @@ from .resnet import eff_resistance
 __all__ = [
     "ResistanceScales",
     "ScaleCache",
-    "resistance_scales",
     "chain_check",
     "evres_fit",
     "delta_pair",
@@ -92,12 +91,6 @@ class ScaleCache:
                 k1=k1_count(self.schedule, n, m),
                 k2=k2_count(self.schedule, n, m))
         return self._scales[key]
-
-
-def resistance_scales(schedule: Schedule, n: int, m: int = 0,
-                      cache: Optional[ScaleCache] = None) -> ResistanceScales:
-    cache = cache or ScaleCache(schedule)
-    return cache.scales(n, m)
 
 
 def _sample_vertex_pairs(cg: CornerGraph, count: int, seed: int) -> np.ndarray:
@@ -255,7 +248,6 @@ class QSDiagnostic:
     sample_level: int
     t_values: np.ndarray
     ratios: np.ndarray
-    envelope_t: np.ndarray
     envelope: np.ndarray
     triples: List = field(default_factory=list)
 
@@ -269,6 +261,9 @@ def qs_diagnostic(schedule: Schedule, n: int, samples: int = 300, seed: int = 0,
     nondecreasing envelope of ratio against t = d(x,y)/d(x,z) is the
     finite-sample distortion function.
     """
+    if n < sample_level:
+        raise ValueError(f"qs_diagnostic needs n >= sample_level (n = {n}, "
+                         f"sample_level = {sample_level})")
     cache = cache or ScaleCache(schedule)
     cg = cache.graph(n, 0)
     pt_n = cache.pt(n, 0)
@@ -301,7 +296,7 @@ def qs_diagnostic(schedule: Schedule, n: int, samples: int = 300, seed: int = 0,
     r_arr = ratios[order]
     env = np.maximum.accumulate(r_arr)
     return QSDiagnostic(n=n, sample_level=sample_level, t_values=t_arr,
-                        ratios=r_arr, envelope_t=t_arr, envelope=env,
+                        ratios=r_arr, envelope=env,
                         triples=list(triples))
 
 

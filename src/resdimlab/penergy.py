@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .hierarchy import PartitionHierarchy, adjacency
+from .hierarchy import PartitionHierarchy, adjacency, chain_ball
 
 __all__ = [
     "SeparationProblem",
@@ -89,15 +89,6 @@ def _ancestor_map(h: PartitionHierarchy, n: int, base: int) -> np.ndarray:
     return anc
 
 
-def _level_distances(h: PartitionHierarchy, level: int, source: int) -> np.ndarray:
-    """Chain distances from `source` on the level cell graph; int64 max where unreachable."""
-    dist = csgraph.shortest_path(adjacency(h, level).csr, unweighted=True, indices=source)
-    out = np.full(len(dist), np.iinfo(np.int64).max, dtype=np.int64)
-    reach = np.isfinite(dist)
-    out[reach] = dist[reach]
-    return out
-
-
 def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
                      k: int, m_star: int = 1) -> SeparationProblem:
     """Assemble the neighborhood-separation problem for one base cell."""
@@ -112,9 +103,9 @@ def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
         raise ValueError(f"level {n} not built (depth {h.depth})")
     g = adjacency(h, n)
     anc = _ancestor_map(h, n, base_level)
-    dist = _level_distances(h, base_level, base_index)
+    near = chain_ball(adjacency(h, base_level), [base_index], m_star)
     inner = np.where(anc == base_index)[0]
-    outer = np.where(dist[anc] > m_star)[0]
+    outer = np.where(~np.isin(anc, near))[0]
     return SeparationProblem(
         base_level=base_level, base_index=base_index, k=k, level=n,
         edges=g.edges, n_cells=g.count, inner=inner, outer=outer,
@@ -273,22 +264,19 @@ def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int],
 
 
 def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
-               m_star: int = 1, symmetry_reduce: bool = True,
-               cells: Optional[Sequence[int]] = None) -> dict:
+               m_star: int = 1, cells: Optional[Sequence[int]] = None) -> dict:
     """sup over base cells of the separation energies, with the argmax cell.
 
     Both rules are symmetric under the dihedral group of the square, so one
-    representative per box class suffices; `symmetry_reduce=False` forces the
-    exhaustive sweep (used to verify the reduction).
+    representative per box class suffices; `cells` names the base cells to
+    sweep instead (`range(count)` is the exhaustive sweep).
     """
     if base_level + k > h.depth:
         raise ValueError("horizon exceeds built depth")
     if cells is not None:
         reps = list(cells)
-    elif symmetry_reduce:
-        reps = [members[0] for members in symmetry_classes(h, base_level).values()]
     else:
-        reps = list(range(h.levels[base_level].count))
+        reps = [members[0] for members in symmetry_classes(h, base_level).values()]
     if not reps:
         raise ValueError("no base cells")
     # max keeps the first of equal values

@@ -12,7 +12,10 @@ vertex), set resistances (A pinned at 1, B and other components at 0),
 traces and cross weights (the set pinned to unit potentials, 256 right sides
 per solve).  A batch of pair resistances is one Green's-function block: one
 unit right side per distinct endpoint, R(x, y) = G_xx + G_yy - 2 G_xy, in
-column blocks of at most PAIR_BLOCK_BYTES.  Every solve is checked against a
+column blocks of at most PAIR_BLOCK_BYTES.  The resistance profile R(x, .) of
+localized resistances and h profiles is such a batch grounded at x, where
+R(x, z) = G_zz; it makes one right side per vertex, so it refuses graphs
+above VECTOR_CAP vertices.  Every solve is checked against a
 relative-residual bound of 1e-10 per right side; a right side above it gets
 one step of iterative refinement with the same factors, and the solve fails
 if it is still above.
@@ -47,6 +50,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 PAIR_BLOCK_BYTES = 8 * 2 ** 20  # one dense n x block array of Green's-function columns
+VECTOR_CAP = 4000  # resistance_vector makes one grounded solve per vertex
 
 
 class SolverError(RuntimeError):
@@ -104,12 +108,8 @@ class LevelGraph:
 
     def components(self) -> np.ndarray:
         if self._components is None:
-            adj = sp.csr_matrix(
-                (np.ones(2 * self.m), (np.concatenate([self.edge_u, self.edge_v]),
-                                       np.concatenate([self.edge_v, self.edge_u]))),
-                shape=(self.n, self.n))
-            _, labels = csgraph.connected_components(adj, directed=False)
-            self._components = labels
+            # every edge is a nonzero of the Laplacian (conductances are > 0)
+            _, self._components = csgraph.connected_components(self.laplacian(), directed=False)
         return self._components
 
     def is_connected(self) -> bool:
@@ -326,20 +326,10 @@ def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
                       labels=[int(s) for s in S])
 
 
-def resistance_weights(g_traced: LevelGraph, tol: float = 1e-10) -> np.ndarray:
-    """Dense weight table mu_{x,y} of a finite form: conductances off the
-    diagonal, negative row sums on it.  Rows sum to zero by construction."""
-    n = g_traced.n
-    mu = np.zeros((n, n))
-    for u, v, c in zip(g_traced.edge_u, g_traced.edge_v, g_traced.conductance):
-        mu[u, v] += c
-        mu[v, u] += c
-    scale = mu.max() if mu.size else 1.0
-    if np.any(mu < -tol * max(scale, 1.0)):
-        raise SolverError("negative resistance weight beyond tolerance")
-    np.fill_diagonal(mu, 0.0)
-    np.fill_diagonal(mu, -mu.sum(axis=1))
-    return mu
+def resistance_weights(g_traced: LevelGraph) -> np.ndarray:
+    """Dense weight table mu_{x,y} of a finite form, minus the Laplacian:
+    conductances off the diagonal, negative row sums on it."""
+    return -g_traced.laplacian().toarray()
 
 
 def min_energy_flow(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[UnitFlow, float]:
@@ -358,20 +348,17 @@ def min_energy_flow(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[
     return uf, energy
 
 
-def resistance_vector(g: LevelGraph, x: int, dense_cap: int = 4000) -> np.ndarray:
-    """R(x, z) for every z, from the diagonal of the inverse grounded at x."""
-    if g.n > dense_cap:
-        raise ValueError(f"resistance_vector is dense-only (n={g.n} > {dense_cap})")
-    lap = g.laplacian().toarray()
-    keep = [v for v in range(g.n) if v != x]
-    inv = np.linalg.inv(lap[np.ix_(keep, keep)])
-    out = np.zeros(g.n)
-    out[keep] = np.diag(inv)
-    return out
+def resistance_vector(g: LevelGraph, x: int) -> np.ndarray:
+    """R(x, z) for every z: the Green's-function diagonal G_zz grounded at x."""
+    if g.n > VECTOR_CAP:
+        raise ValueError(f"resistance_vector makes one solve per vertex (n={g.n} > {VECTOR_CAP})")
+    if not 0 <= x < g.n:
+        raise ValueError("vertex out of range")
+    # uncached, so its factors are freed on return
+    return _Grounded(g, [x]).pair_resistances(np.full(g.n, x), np.arange(g.n))
 
 
-def localized_resistance(g: LevelGraph, x: int, y: int, alpha: float,
-                         dense_cap: int = 4000) -> dict:
+def localized_resistance(g: LevelGraph, x: int, y: int, alpha: float) -> dict:
     """Resistance between x and y inside the resistance ball B(x, alpha*R(x,y)).
 
     Reports the ratio to the global value; a disconnected ball yields an
@@ -381,7 +368,7 @@ def localized_resistance(g: LevelGraph, x: int, y: int, alpha: float,
         raise ValueError("localized resistance needs distinct vertices")
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    rvec = resistance_vector(g, x, dense_cap=dense_cap)
+    rvec = resistance_vector(g, x)
     r_global = float(rvec[y])
     radius = alpha * r_global
     ball = [v for v in range(g.n) if v == x or rvec[v] < radius]
@@ -431,48 +418,34 @@ def cross_weight_decay(h, a1_words: Sequence[Tuple[int, ...]],
     if levels[-1] >= N:
         raise ValueError("trace level must stay below the base level")
 
-    boxes1 = [_word_box(h, w) for w in a1_words]
-    boxes2 = [_word_box(h, w) for w in a2_words]
-    for b1 in boxes1:
-        for b2 in boxes2:
-            if _boxes_touch(b1, b2):
-                raise ValueError("cell unions are adjacent; positive-distance precondition fails")
+    boxes1 = [_word_box(h, w, N) for w in a1_words]
+    boxes2 = [_word_box(h, w, N) for w in a2_words]
+    # closed boxes touch iff their closed intervals overlap on both axes
+    if any(a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
+           for a in boxes1 for b in boxes2):
+        raise ValueError("cell unions are adjacent; positive-distance precondition fails")
 
     cg = corner_graph(h.schedule, N, 0)
+    in1, in2 = ({v for b in boxes for v in cg.grid_index.box(*b).tolist()}
+                for boxes in (boxes1, boxes2))
     sums = []
     for n in levels:
         S = corner_vertices_at_level(cg, n)
-        S1 = [v for v in S if _vertex_in_boxes(cg, v, boxes1, N)]
-        S2 = [v for v in S if _vertex_in_boxes(cg, v, boxes2, N)]
+        S1 = [v for v in S if v in in1]
+        S2 = [v for v in S if v in in2]
         if not S1 or not S2:
             raise ValueError(f"no level-{n} corner vertices inside a union")
         sums.append(traced_cross_weight(cg.graph, S, S1, S2))
     return {"levels": levels, "cross_weights": sums, "base_level": N}
 
 
-def _word_box(h, word: Tuple[int, ...]) -> Tuple[int, int, int]:
-    n = len(word)
-    i = h.index_of(tuple(word))
-    return h.cell_box(n, i)
-
-
-def _boxes_touch(b1: Tuple[int, int, int], b2: Tuple[int, int, int]) -> bool:
-    ix1, iy1, s1 = b1
-    ix2, iy2, s2 = b2
-    s = np.lcm(s1, s2)
-    f1, f2 = s // s1, s // s2
-    x_gap = max(ix2 * f2 - (ix1 + 1) * f1, ix1 * f1 - (ix2 + 1) * f2)
-    y_gap = max(iy2 * f2 - (iy1 + 1) * f1, iy1 * f1 - (iy2 + 1) * f2)
-    return x_gap <= 0 and y_gap <= 0
-
-
-def _vertex_in_boxes(cg, v: int, boxes, N: int) -> bool:
-    gx, gy = cg.grid[v]
-    for ix, iy, s in boxes:
-        f = 3 ** N // s
-        if ix * f <= gx <= (ix + 1) * f and iy * f <= gy <= (iy + 1) * f:
-            return True
-    return False
+def _word_box(h, word: Tuple[int, ...], N: int) -> Tuple[int, int, int, int]:
+    """Closed box (xlo, xhi, ylo, yhi) of a word's cell on the 3^N corner grid."""
+    if len(word) > N:
+        raise ValueError(f"word {tuple(word)} is deeper than the base level N = {N}")
+    ix, iy, s = h.cell_box(len(word), h.index_of(tuple(word)))
+    f = 3 ** N // s
+    return ix * f, (ix + 1) * f, iy * f, (iy + 1) * f
 
 
 # -- oracles ---------------------------------------------------------------

@@ -95,6 +95,25 @@ def test_config_validation():
     for grid in ([0.5], [float("nan"), 2.0], [2.0, float("inf")]):
         with pytest.raises(ValueError, match="p grid entries must be finite and >= 1"):
             ExperimentConfig(command="penergy", p_grid=grid).validate()
+    with pytest.raises(ValueError, match="n must be >= 1 for resist"):
+        ExperimentConfig(command="resist", n=0).validate()
+    with pytest.raises(ValueError, match="depth must be >= 3 for mixed"):
+        ExperimentConfig(command="mixed", depth=2).validate()
+    ExperimentConfig(command="build", depth=0).validate()
+    ExperimentConfig(command="mixed", depth=3).validate()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mixed", "--depth", "0"], "depth must be >= 3 for mixed"),
+    (["mixed", "--depth", "1"], "depth must be >= 3 for mixed"),
+    (["mixed", "--depth", "2"], "depth must be >= 3 for mixed"),
+    (["resist", "--n", "0"], "n must be >= 1 for resist"),
+], ids=["mixed-depth-0", "mixed-depth-1", "mixed-depth-2", "resist-n-0"])
+def test_too_shallow_command_rejected(tmp_path, capsys, argv, message):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("grid", ["nan,2", "inf,2", "2,-inf"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resdimlab import heat
 from resdimlab.heat import (build_form, chapman_kolmogorov_error, ds_pointwise,
                             form_from_graph, heat_kernel, ol_ds_heat, time_window)
 from resdimlab.measure import hier_measure
@@ -50,12 +51,13 @@ def test_renormalizer_one_is_plain(vs_h6):
     assert np.all(f1.graph.conductance == 1.0)
 
 
-def test_build_form_guards(vs_h6):
+def test_build_form_guards(vs_h6, monkeypatch):
     m = hier_measure(vs_h6)
     with pytest.raises(ValueError, match="renormalizer"):
         build_form(vs_h6, 1, m, 0.0)
-    with pytest.raises(ValueError, match="cap"):
-        build_form(vs_h6, 5, m, 1.0, dense_cap=100)
+    monkeypatch.setattr(heat, "DENSE_EIG_CAP", 100)
+    with pytest.raises(ValueError, match="cap 100"):
+        build_form(vs_h6, 5, m, 1.0)
 
 
 def test_monotone_and_floor(vs_form4):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resdimlab.hierarchy import (Schedule, adjacency, build_hierarchy, delta_level,
-                                 nstar_estimate, validate_framework)
-from resdimlab.penergy import _level_distances
+from resdimlab import hierarchy
+from resdimlab.hierarchy import (Schedule, adjacency, build_hierarchy, chain_ball,
+                                 delta_level, nstar_estimate, validate_framework)
 
 CORNER_SW = (Fraction(-1, 2), Fraction(-1, 2))
 CORNER_NE = (Fraction(1, 2), Fraction(1, 2))
@@ -30,9 +30,10 @@ def test_mixed_indicator_blocks():
     assert bits[18:27] == [1] * 9
 
 
-def test_depth_cap_rejected():
-    with pytest.raises(ValueError, match="cap"):
-        build_hierarchy(Schedule.pure_sc(), 10, cell_cap=10_000)
+def test_depth_cap_rejected(monkeypatch):
+    monkeypatch.setattr(hierarchy, "CELL_CAP", 10_000)
+    with pytest.raises(ValueError, match="above the cap 10000"):
+        build_hierarchy(Schedule.pure_sc(), 10)
 
 
 def test_unknown_rule_tag():
@@ -128,9 +129,11 @@ def test_chain_distances_match_plain_bfs(schedule):
     h = build_hierarchy(schedule, 3)
     for level in (1, 2, 3):
         count = h.levels[level].count
-        for source in (0, count // 2, count - 1):
-            expected = _plain_bfs(h, level, [source])
-            assert _level_distances(h, level, source).tolist() == expected
+        for sources in ([0], [count // 2], [count - 1], [0, count // 2]):
+            dist = _plain_bfs(h, level, sources)
+            for radius in range(4):
+                expected = [v for v, d in enumerate(dist) if d is not None and d <= radius]
+                assert chain_ball(adjacency(h, level), sources, radius).tolist() == expected
     rng = np.random.default_rng(0)
     lvl, s = h.levels[3], 27
     for _ in range(40):
@@ -151,6 +154,8 @@ def test_delta_level_errors():
         delta_level(sc, CORNER_SW, CORNER_SW, 1)
     with pytest.raises(ValueError, match="outside"):
         delta_level(sc, (Fraction(2), Fraction(0)), CORNER_SW, 1)
+    with pytest.raises(ValueError, match="chain radius must be >= 0"):
+        delta_level(sc, CORNER_SW, CORNER_NE, -1)
 
 
 def test_nstar_values(sc_h6, vs_h6, mx_h5):

@@ -42,12 +42,13 @@ def test_weight_validation(sc_h6):
         HierMeasure(sc_h6, zero)
 
 
-def test_ball_mass_brackets(vs_h6):
-    m = hier_measure(vs_h6)
-    lo, hi = m.ball_mass((0.0, 0.0), 2.0, resolution=3)
+def test_ball_mass_brackets():
+    m = hier_measure(build_hierarchy(Schedule.pure_vicsek(), 3))
+    lo, hi = m.ball_mass((0.0, 0.0), 2.0)
     assert lo == pytest.approx(1.0)
     assert hi == pytest.approx(1.0)
-    lo, hi = m.ball_mass((-0.5, -0.5), 0.4, resolution=4)
+    m = hier_measure(build_hierarchy(Schedule.pure_vicsek(), 4))
+    lo, hi = m.ball_mass((-0.5, -0.5), 0.4)
     assert 0 < lo <= hi < 1
 
 
@@ -92,23 +93,24 @@ def _bracket_cases(h, n, seed):
     (Schedule.pure_sc(), 6), (Schedule.pure_vicsek(), 6), (Schedule.mixed(), 6)],
     ids=["sc", "vicsek", "mixed"])
 def test_cover_bracket_matches_full_scan(schedule, depth):
-    m = hier_measure(build_hierarchy(schedule, depth))
     for n in range(3, depth + 1):
+        m = hier_measure(build_hierarchy(schedule, n))  # ball masses at level n
         centers, radii = _bracket_cases(m.h, n, seed=n)
         for x in centers:
             expect = _scan_cover_brackets(m.h, n, m.masses_float(n), x, radii)
-            assert [m.ball_mass(x, r, n) for r in radii] == expect
+            assert [m.ball_mass(x, r) for r in radii] == expect
 
 
 @pytest.mark.parametrize("schedule, depth, k, n_star", [
     (Schedule.pure_vicsek(), 5, 1, 5), (Schedule.pure_sc(), 4, 2, 8)], ids=["vicsek-k1", "sc-k2"])
 def test_psi_cover_bracket_matches_full_scan(schedule, depth, k, n_star):
-    psi = PsiMeasure(build_hierarchy(schedule, depth), k, Fraction(1, 2), n_star)
-    for n in psi.coarse_levels:
+    for n in range(0, depth + 1, k):
+        # ball masses at coarse level n
+        psi = PsiMeasure(build_hierarchy(schedule, n), k, Fraction(1, 2), n_star)
         centers, radii = _bracket_cases(psi.h, n, seed=n)
         for x in centers:
             expect = _scan_cover_brackets(psi.h, n, psi.masses_float(n), x, radii)
-            assert [psi.ball_mass(x, r, n) for r in radii] == expect
+            assert [psi.ball_mass(x, r) for r in radii] == expect
 
 
 def test_ball_mass_rejects_bad_balls(vs_h6):

@@ -154,6 +154,12 @@ def test_qs_same_triples_required(mx_cache):
         qs_envelope_drift(d4, d5)
 
 
+def test_qs_diagnostic_rejects_n_below_sample_level(mx_cache):
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"n >= sample_level \\(n = {n}, sample_level = 2\\)"):
+            qs_diagnostic(Schedule.mixed(), n, samples=10, cache=mx_cache)
+
+
 def test_rstar_approximant_band(mx_h5, mx_cache):
     cg5 = mx_cache.graph(5, 0)
     solver = cg5.graph.grounded_solver()

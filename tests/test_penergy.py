@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from resdimlab.hierarchy import Schedule, build_hierarchy
+from resdimlab.hierarchy import Schedule, adjacency, build_hierarchy, chain_ball
 from resdimlab import penergy
 from resdimlab.penergy import (PEnergyValue, SeparationProblem, build_separation,
                                critical_p, fit_rates, p_energy, p_spectral_dims,
@@ -105,19 +106,49 @@ def test_non_finite_p_and_bad_tol_rejected(monkeypatch, p, tol):
         p_energy(path_problem(), p, tol=tol)
 
 
-@pytest.mark.parametrize("base_level, base_index, k", [
-    (1, 0, -1), (-1, 0, 1), (4, 0, 0), (1, -1, 1), (1, 8, 1), (1, 99, 1),
-], ids=["k=-1", "level=-1", "level>depth", "index=-1", "index=count", "index=99"])
-def test_build_separation_bad_arguments(base_level, base_index, k):
+@pytest.mark.parametrize("base_level, base_index, k, m_star", [
+    (1, 0, -1, 1), (-1, 0, 1, 1), (4, 0, 0, 1), (1, -1, 1, 1), (1, 8, 1, 1), (1, 99, 1, 1),
+    (1, 0, 1, -1),
+], ids=["k=-1", "level=-1", "level>depth", "index=-1", "index=count", "index=99",
+        "m_star=-1"])
+def test_build_separation_bad_arguments(base_level, base_index, k, m_star):
     h = build_hierarchy(Schedule.pure_sc(), 3)
     with pytest.raises(ValueError):
-        build_separation(h, base_level, base_index, k)
+        build_separation(h, base_level, base_index, k, m_star=m_star)
 
 
 def test_build_separation_edge_arguments():
     h = build_hierarchy(Schedule.pure_sc(), 3)
     assert len(build_separation(h, 0, 0, 3).inner) == 8 ** 3
     assert build_separation(h, 3, 8 ** 3 - 1, 0).level == 3
+
+
+def shortest_path_separation(h, base_level, base_index, k, m_star):
+    """(inner, outer) as build_separation found them from csgraph.shortest_path
+    chain distances over the whole base level."""
+    n = base_level + k
+    anc = np.arange(h.levels[n].count)
+    for m in range(n, base_level, -1):
+        anc = h.levels[m].parent[anc]
+    dist = csgraph.shortest_path(adjacency(h, base_level).csr, unweighted=True,
+                                 indices=base_index)
+    far = np.full(len(dist), np.iinfo(np.int64).max, dtype=np.int64)
+    far[np.isfinite(dist)] = dist[np.isfinite(dist)]
+    return np.where(anc == base_index)[0], np.where(far[anc] > m_star)[0]
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
+                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
+def test_build_separation_matches_shortest_path(schedule):
+    h = build_hierarchy(schedule, 4)
+    for base_level in (0, 1, 2):
+        for base_index in range(h.levels[base_level].count):
+            for k in (0, 1, 2):
+                for m_star in (1, 2):
+                    prob = build_separation(h, base_level, base_index, k, m_star=m_star)
+                    inner, outer = shortest_path_separation(h, base_level, base_index, k, m_star)
+                    assert prob.inner.tolist() == inner.tolist()
+                    assert prob.outer.tolist() == outer.tolist()
 
 
 def test_sup_energy_no_cells():
@@ -168,8 +199,8 @@ def test_p2_equals_effective_conductance(sc_h6):
 
 def test_symmetry_reduction_matches_exhaustive(sc_h6, vs_h6):
     for h, k in ((sc_h6, 2), (vs_h6, 2)):
-        fast = sup_energy(h, 1, k, 2.0, symmetry_reduce=True)
-        slow = sup_energy(h, 1, k, 2.0, symmetry_reduce=False)
+        fast = sup_energy(h, 1, k, 2.0)
+        slow = sup_energy(h, 1, k, 2.0, cells=range(h.levels[1].count))
         assert fast["value"] == pytest.approx(slow["value"], rel=1e-9)
 
 
@@ -407,14 +438,13 @@ def test_energy_resistance_product_band(sc_sup2, vs_sup2, sc_cache, vs_cache):
 def test_annulus_resistance_scale_band(sc_h6, sc_cache):
     """Renormalized annulus resistances R(K_w, A_w) stay comparable to the
     per-level resistance scale."""
-    from resdimlab.penergy import _level_distances
     band = []
     for base in (1, 2):
         n = base + 2
         cg = sc_cache.graph(n, 0)
         h = sc_h6
-        dist = _level_distances(h, base, h.levels[base].count // 2)
         w = h.levels[base].count // 2
+        near = chain_ball(adjacency(h, base), [w], 1)
         f = 3 ** (n - base)
         wx, wy = int(h.levels[base].ix[w]), int(h.levels[base].iy[w])
         inner, outer = [], []
@@ -422,7 +452,7 @@ def test_annulus_resistance_scale_band(sc_h6, sc_cache):
             gx, gy = cg.grid[v]
             if wx * f <= gx <= (wx + 1) * f and wy * f <= gy <= (wy + 1) * f:
                 inner.append(v)
-        far_cells = np.where(dist > 1)[0]
+        far_cells = np.setdiff1d(np.arange(h.levels[base].count), near)
         far_boxes = {(int(h.levels[base].ix[c]), int(h.levels[base].iy[c])) for c in far_cells}
         for v in range(cg.graph.n):
             gx, gy = cg.grid[v]

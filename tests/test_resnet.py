@@ -1,13 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from resdimlab.cornergraph import corner_graph, corner_vertices_at_level
-from resdimlab import resnet
-from resdimlab.hierarchy import Schedule
+from resdimlab import cornergraph, resnet
+from resdimlab.hierarchy import Schedule, build_hierarchy
 from resdimlab.resnet import (LevelGraph, cross_weight_decay,
                               eff_resistance, graph_from_csv, graph_to_csv,
                               localized_resistance, min_energy_flow,
@@ -247,6 +250,8 @@ def test_localized_resistance_errors():
         localized_resistance(g, 0, 0, 2.0)
     with pytest.raises(ValueError):
         localized_resistance(g, 0, 1, 1.0)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        localized_resistance(g, -1, 1, 2.0)
 
 
 def test_cross_weight_decay_sc(sc_h6):
@@ -264,6 +269,12 @@ def test_cross_weight_decay_adjacent_error(sc_h6):
 def test_cross_weight_decay_single_level(sc_h6):
     out = cross_weight_decay(sc_h6, [(1,)], [(5,)], [3])
     assert len(out["cross_weights"]) == 1
+
+
+def test_cross_weight_decay_word_below_base_level():
+    h = build_hierarchy(Schedule.pure_sc(), 4)
+    with pytest.raises(ValueError, match=r"word \(1, 1, 1, 1\) is deeper than the base level N = 3"):
+        cross_weight_decay(h, [(1, 1, 1, 1)], [(5,)], [1, 2])
 
 
 def test_csv_roundtrip(tmp_path):
@@ -422,3 +433,145 @@ def test_pair_resistances_match_single_solves(monkeypatch):
         assert np.all(got[xs == ys] == 0.0)
         assert np.all(np.abs(got - want) <= 1e-12 * want)
         assert solver.pair_resistance(int(xs[5]), int(ys[5])) == got[5]
+
+
+# -- oracle: R(x, .) from the dense inverse ----------------------------------
+
+def dense_resistance_vector(g, x):
+    """R(x, z) for every z, from the diagonal of the dense inverse grounded at x."""
+    lap = g.laplacian().toarray()
+    keep = [v for v in range(g.n) if v != x]
+    inv = np.linalg.inv(lap[np.ix_(keep, keep)])
+    out = np.zeros(g.n)
+    out[keep] = np.diag(inv)
+    return out
+
+
+def test_resistance_vector_matches_dense_inverse():
+    rng = np.random.default_rng(13)
+    graphs = [(g, int(rng.integers(0, g.n)))
+              for g in (random_connected_graph(rng, n_max=60) for _ in range(30))]
+    for schedule, n, corner in ((Schedule.pure_sc(), 3, True), (Schedule.pure_vicsek(), 3, False),
+                                (Schedule.mixed(), 4, False)):
+        cg = corner_graph(schedule, n, 0)
+        centre = int(np.argmin(np.sum(cg.coords_float() ** 2, axis=1)))
+        graphs.append((cg.graph, cg.corner_vertices()[2] if corner else centre))
+    for g, x in graphs:
+        got = resnet.resistance_vector(g, x)
+        want = dense_resistance_vector(g, x)
+        assert got[x] == 0.0
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def test_resistance_vector_cap(monkeypatch):
+    monkeypatch.setattr(resnet, "VECTOR_CAP", 4)
+    with pytest.raises(ValueError, match="one solve per vertex"):
+        resnet.resistance_vector(LevelGraph(5, [(i, i + 1, 1.0) for i in range(4)]), 0)
+
+
+# -- oracle: weights and components by edge loops ----------------------------
+
+def loop_resistance_weights(g):
+    """Weight table by a loop over the edges: conductances off the diagonal,
+    negative row sums on it."""
+    mu = np.zeros((g.n, g.n))
+    for u, v, c in zip(g.edge_u, g.edge_v, g.conductance):
+        mu[u, v] += c
+        mu[v, u] += c
+    np.fill_diagonal(mu, 0.0)
+    np.fill_diagonal(mu, -mu.sum(axis=1))
+    return mu
+
+
+def adjacency_components(g):
+    """Component labels from a 0/1 adjacency matrix of the edges."""
+    adj = sp.csr_matrix((np.ones(2 * g.m), (np.concatenate([g.edge_u, g.edge_v]),
+                                            np.concatenate([g.edge_v, g.edge_u]))),
+                        shape=(g.n, g.n))
+    return csgraph.connected_components(adj, directed=False)[1]
+
+
+def test_weights_and_components_match_edge_loops(sc_cache):
+    rng = np.random.default_rng(14)
+    graphs = []
+    for trial in range(30):
+        g = random_connected_graph(rng)
+        graphs.append(with_other_component(g, rng) if trial % 3 == 0 else g)
+    graphs += [LevelGraph(4, [(0, 1, 1.0)]), trace(sc_cache.graph(2, 0).graph, range(0, 40, 3)),
+               sc_cache.graph(3, 0).graph]
+    for g in graphs:
+        assert g.components().tolist() == adjacency_components(g).tolist()
+        got, want = resistance_weights(g), loop_resistance_weights(g)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+# -- oracle: word boxes by scale lcm and per-vertex loops --------------------
+
+def lcm_word_box(h, word):
+    return h.cell_box(len(word), h.index_of(tuple(word)))
+
+
+def lcm_boxes_touch(b1, b2):
+    ix1, iy1, s1 = b1
+    ix2, iy2, s2 = b2
+    s = np.lcm(s1, s2)
+    f1, f2 = s // s1, s // s2
+    x_gap = max(ix2 * f2 - (ix1 + 1) * f1, ix1 * f1 - (ix2 + 1) * f2)
+    y_gap = max(iy2 * f2 - (iy1 + 1) * f1, iy1 * f1 - (iy2 + 1) * f2)
+    return x_gap <= 0 and y_gap <= 0
+
+
+def loop_vertex_in_boxes(cg, v, boxes, N):
+    gx, gy = cg.grid[v]
+    for ix, iy, s in boxes:
+        f = 3 ** N // s
+        if ix * f <= gx <= (ix + 1) * f and iy * f <= gy <= (iy + 1) * f:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek()],
+                         ids=["sc", "vicsek"])
+def test_cross_weight_sets_match_box_loops(monkeypatch, schedule):
+    """Touch decisions and S1/S2 lists equal those of the lcm box test and the
+    per-vertex loop, over unions of words of lengths 0..3."""
+    h = build_hierarchy(schedule, 3)
+    levels, N = [1, 2], 3
+    seen = []
+
+    def record(g, S, S1, S2):
+        seen.append((S1, S2))
+        return 1.0
+
+    monkeypatch.setattr(resnet, "traced_cross_weight", record)
+    monkeypatch.setattr(cornergraph, "corner_graph",
+                        functools.lru_cache(maxsize=None)(cornergraph.corner_graph))
+    cg = cornergraph.corner_graph(h.schedule, N, 0)
+    rng = np.random.default_rng(15)
+
+    def union():  # one or two words of lengths 0..3
+        return [h.address(n, int(rng.integers(0, h.levels[n].count)))
+                for n in rng.integers(0, 4, size=rng.integers(1, 3))]
+
+    touches = lists = 0
+    for _ in range(450):
+        a1, a2 = union(), union()
+        boxes1, boxes2 = [lcm_word_box(h, w) for w in a1], [lcm_word_box(h, w) for w in a2]
+        touch = any(lcm_boxes_touch(b1, b2) for b1 in boxes1 for b2 in boxes2)
+        want = []
+        for n in levels:
+            S = corner_vertices_at_level(cg, n)
+            want.append(([v for v in S if loop_vertex_in_boxes(cg, v, boxes1, N)],
+                         [v for v in S if loop_vertex_in_boxes(cg, v, boxes2, N)]))
+        seen.clear()
+        try:
+            cross_weight_decay(h, a1, a2, levels)
+        except ValueError as exc:
+            assert ("adjacent" in str(exc)) == touch
+            touches += touch
+            if not touch:  # stopped at the first level with an empty side
+                assert not all(want[len(seen)]) and seen == want[:len(seen)]
+            continue
+        assert not touch and seen == want
+        lists += 2 * len(want)
+    assert touches >= 200 and lists >= 100
