@@ -65,6 +65,9 @@ class ExperimentConfig:
     f_table: Optional[List[int]] = None
 
     CAPS = {"depth": 7, "n": 7, "kmax": 6}
+    # least value of each field a command can run with
+    MINIMUMS = {"resist": {"n": 1}, "penergy": {"depth": 3, "kmax": 2},
+                "dims": {"depth": 2, "kmax": 2}, "heat": {"depth": 1}, "mixed": {"depth": 3}}
 
     def validate(self) -> None:
         for f in fields(self):
@@ -77,12 +80,11 @@ class ExperimentConfig:
             raise ValueError(f"depth must be in 0..{self.CAPS['depth']}")
         if self.n < 0 or self.n > self.CAPS["n"]:
             raise ValueError(f"n must be in 0..{self.CAPS['n']}")
-        if self.command == "resist" and self.n < 1:
-            raise ValueError("n must be >= 1 for resist")
-        if self.command == "mixed" and self.depth < 3:
-            raise ValueError("depth must be >= 3 for mixed")
         if self.kmax < 1 or self.kmax > self.CAPS["kmax"]:
             raise ValueError(f"kmax must be in 1..{self.CAPS['kmax']}")
+        for name, least in self.MINIMUMS.get(self.command, {}).items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least} for {self.command}")
         if not all(math.isfinite(p) and p >= 1 for p in self.p_grid):
             raise ValueError("p grid entries must be finite and >= 1")
 
@@ -244,7 +246,7 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 
 
 def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
-    from .heat import (build_form, form_from_graph, ol_ds_heat, time_window,
+    from .heat import (FiniteDirichletForm, build_form, ol_ds_heat, time_window,
                        chapman_kolmogorov_error)
     sched = cfg.schedule()
     h = hmod.build_hierarchy(sched, cfg.depth)
@@ -269,7 +271,7 @@ def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         "structure": sched.name, "level": cfg.depth, "estimate": est["estimate"],
         "window": list(est["window"]), "flag": est["flag"],
     })
-    two = form_from_graph(rmod.LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5])
+    two = FiniteDirichletForm(rmod.LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5])
     terr = max(abs(v - (1 + math.exp(-4 * t)))
                for t, v in zip(times[:10], two.p_diag(times[:10], xs=[0])[0]))
     return [

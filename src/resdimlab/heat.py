@@ -30,7 +30,6 @@ __all__ = [
     "FiniteDirichletForm",
     "HeatCurve",
     "build_form",
-    "form_from_graph",
     "heat_kernel",
     "time_window",
     "ol_ds_heat",
@@ -111,10 +110,6 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
                              cg.graph.conductance / renormalizer])
     graph = LevelGraph(cg.graph.n, edges, coords=cg.coords_float())
     return FiniteDirichletForm(graph, mass)
-
-
-def form_from_graph(graph: LevelGraph, mass: Sequence[float]) -> FiniteDirichletForm:
-    return FiniteDirichletForm(graph, np.asarray(mass, dtype=float))
 
 
 @dataclass

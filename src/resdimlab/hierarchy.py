@@ -5,9 +5,10 @@ a level-n cell is an integer box (ix, iy) with 0 <= ix, iy < 3**n standing
 for [-1/2 + ix*3^-n, -1/2 + (ix+1)*3^-n] x [-1/2 + iy*3^-n, -1/2 + (iy+1)*3^-n].
 All intersection and containment tests are integer arithmetic on the box
 coordinates: a level's GridIndex answers every "which cells lie in this
-grid window" query (adjacency, point location, ball covers), and exact
-Fraction points are mapped to their grid slots before the query, so none
-of these tests carries a tolerance.
+grid window" query (adjacency, point location, ball covers).  Points are
+integers too: (gx, gy) on the grid of the built depth stands for
+(gx/3^depth - 1/2, gy/3^depth - 1/2), and its level-n slots come from
+divmod, so none of these tests carries a tolerance.
 
 Two subdivision rules are supported per level: the eight-cell carpet rule
 (child digits 1..8, the center ninth removed) and the five-cell plus-sign
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,6 +46,7 @@ __all__ = [
     "build_hierarchy",
     "adjacency",
     "chain_ball",
+    "sample_corners",
     "delta_level",
     "validate_framework",
     "nstar_estimate",
@@ -380,12 +382,13 @@ class PartitionHierarchy:
 
     # -- point location ----------------------------------------------------
 
-    def cells_containing(self, n: int, x: Fraction, y: Fraction) -> List[int]:
-        """Indices of the level-n cells whose closed square contains (x, y)."""
+    def cells_containing(self, n: int, gx: int, gy: int) -> List[int]:
+        """Indices of the level-n cells whose closed square contains the
+        point (gx, gy) of the depth grid."""
+        f = 3 ** (self.depth - n)
+        (u, du), (v, dv) = divmod(gx, f), divmod(gy, f)
         # a point on a grid line lies in the slots on both sides of it
-        u, v = (x + Fraction(1, 2)) * 3 ** n, (y + Fraction(1, 2)) * 3 ** n
-        return self.levels[n].grid_index.box(math.ceil(u) - 1, math.floor(u),
-                                             math.ceil(v) - 1, math.floor(v)).tolist()
+        return self.levels[n].grid_index.box(u - (du == 0), u, v - (dv == 0), v).tolist()
 
     # -- exports -----------------------------------------------------------
 
@@ -467,27 +470,40 @@ def chain_ball(g: AdjacencyGraph, sources: Sequence[int], radius: int) -> np.nda
     return np.array(sorted(seen), dtype=np.int64)
 
 
-def _point_pair(x: Tuple[Fraction, Fraction], y: Tuple[Fraction, Fraction],
-                caller: str) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-    """x and y as exact points; two distinct points of the closed root cell."""
-    x = (Fraction(x[0]), Fraction(x[1]))
-    y = (Fraction(y[0]), Fraction(y[1]))
+def sample_corners(h: PartitionHierarchy, level: int, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """(count, 2) int64 points of the 3**level grid: each a corner, drawn
+    second, of a level cell drawn uniformly first."""
+    lvl = h.levels[level]
+    picks = rng.integers(0, lvl.count, count)
+    return np.column_stack([lvl.ix[picks], lvl.iy[picks]]) + rng.integers(0, 2, (count, 2))
+
+
+def _point_pair(h: PartitionHierarchy, x: Tuple[int, int], y: Tuple[int, int],
+                caller: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """x and y as integer points of the depth grid; two distinct points of
+    the closed root cell."""
+    x = (operator.index(x[0]), operator.index(x[1]))
+    y = (operator.index(y[0]), operator.index(y[1]))
     if x == y:
         raise ValueError(f"{caller} needs two distinct points")
+    side = 3 ** h.depth
     for p in (x, y):
-        if not (abs(p[0]) <= Fraction(1, 2) and abs(p[1]) <= Fraction(1, 2)):
+        if not (0 <= p[0] <= side and 0 <= p[1] <= side):
             raise ValueError("point outside the root cell")
     return x, y
 
 
-def delta_level(h: PartitionHierarchy, x: Tuple[Fraction, Fraction],
-                y: Tuple[Fraction, Fraction], m: int) -> Tuple[int, bool]:
+def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
+                y: Tuple[int, int], m: int) -> Tuple[int, bool]:
     """Largest built n admitting cells w ∋ x, v ∋ y with l_n(w, v) <= m.
 
-    Returns (delta, clipped); clipped means the condition still held at the
-    built depth, so the true value may exceed it.
+    x and y are points (gx, gy) of the grid of h.depth, standing for
+    (gx/3^depth - 1/2, gy/3^depth - 1/2).  Returns (delta, clipped); clipped
+    means the condition still held at the built depth, so the true value
+    may exceed it.
     """
-    x, y = _point_pair(x, y, "delta_level")
+    x, y = _point_pair(h, x, y, "delta_level")
     best: Optional[int] = None
     for n in range(h.depth + 1):
         wx = h.cells_containing(n, *x)
@@ -583,25 +599,19 @@ def validate_framework(h: PartitionHierarchy, depth: Optional[int] = None,
 
     # (B3) band over sampled corner pairs at the finest level.
     rng = np.random.default_rng(seed)
-    lvl = h.levels[depth]
-    s = 3 ** depth
+    s, f = 3 ** depth, 3 ** (h.depth - depth)
     ratios: List[float] = []
     used = 0
     attempts = 0
     while used < pair_samples and attempts < 20 * pair_samples:
         attempts += 1
-        i, j = rng.integers(0, lvl.count, size=2)
-        cx = rng.integers(0, 2, size=4)
-        px = Fraction(int(lvl.ix[i]) + int(cx[0]), s) - Fraction(1, 2)
-        py = Fraction(int(lvl.iy[i]) + int(cx[1]), s) - Fraction(1, 2)
-        qx = Fraction(int(lvl.ix[j]) + int(cx[2]), s) - Fraction(1, 2)
-        qy = Fraction(int(lvl.iy[j]) + int(cx[3]), s) - Fraction(1, 2)
-        if (px, py) == (qx, qy):
+        p, q = sample_corners(h, depth, 2, rng)
+        if (p == q).all():
             continue
-        delta, clipped = delta_level(h, (px, py), (qx, qy), m_star)
+        delta, clipped = delta_level(h, tuple(f * p), tuple(f * q), m_star)
         if clipped:
             continue  # same finest cell: the ratio is a one-sided bound only
-        dist = float(np.hypot(float(px - qx), float(py - qy)))
+        dist = float(np.hypot(*((p - q) / s)))
         ratios.append(dist * 3.0 ** delta)
         used += 1
     if ratios:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hierarchy import PartitionHierarchy, adjacency, nstar_estimate
+from .hierarchy import PartitionHierarchy, adjacency, nstar_estimate, sample_corners
 
 __all__ = [
     "HierMeasure",
@@ -126,17 +126,6 @@ def hier_measure(h: PartitionHierarchy) -> HierMeasure:
     return HierMeasure(h, weights)
 
 
-def _sample_centers(h: PartitionHierarchy, level: int, count: int, seed: int) -> List[Tuple[float, float]]:
-    """Corner points of level cells (points of the limit set), deterministic."""
-    rng = np.random.default_rng(seed)
-    lvl = h.levels[level]
-    s = 3 ** level
-    picks = rng.integers(0, lvl.count, size=count)
-    corner = rng.integers(0, 2, size=(count, 2))
-    return [((int(lvl.ix[i]) + int(cx)) / s - 0.5, (int(lvl.iy[i]) + int(cy)) / s - 0.5)
-            for i, (cx, cy) in zip(picks, corner)]
-
-
 def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float]]] = None,
                    levels: Optional[Sequence[int]] = None, samples: int = 40,
                    seed: int = 0) -> dict:
@@ -149,7 +138,9 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
     if levels is None:
         levels = list(range(1, max(2, h.depth - 1)))
     if centers is None:
-        centers = _sample_centers(h, min(2, h.depth), samples, seed)
+        level = min(2, h.depth)
+        centers = (sample_corners(h, level, samples, np.random.default_rng(seed))
+                   / 3 ** level - 0.5).tolist()
     worst = 0.0
     witness = None
     ratios = []
@@ -163,7 +154,7 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
             q = hi_2r / lo_r
             ratios.append(q)
             if q > worst:
-                worst, witness = q, (x, r)
+                worst, witness = q, (tuple(x), r)
 
     def halves(g: float) -> bool:
         """Whether V(x, r/g) <= V(x, r)/2 for every sampled x and r = 3^-j."""
@@ -276,7 +267,9 @@ class PsiMeasure:
         reported (the `lesssim` form with its fitted prefactor).
         """
         h = self.h
-        centers = _sample_centers(h, min(self.k, h.depth), samples, seed)
+        level = min(self.k, h.depth)
+        centers = (sample_corners(h, level, samples, np.random.default_rng(seed))
+                   / 3 ** level - 0.5).tolist()
         slopes = []
         worst_single = 0.0
         for x in centers:
@@ -348,7 +341,9 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
         raise ValueError("window must span at least two scales")
     h = m.h
     if centers is None:
-        centers = _sample_centers(h, min(2, h.depth), samples, seed)
+        level = min(2, h.depth)
+        centers = (sample_corners(h, level, samples, np.random.default_rng(seed))
+                   / 3 ** level - 0.5).tolist()
 
     # V(x, c*3^-j) midpoints of the cover bracket, per center and factor c
     logs: Dict[Tuple[int, int], List[float]] = {}

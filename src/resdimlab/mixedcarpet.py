@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,15 +92,17 @@ class ScaleCache:
         return self._scales[key]
 
 
-def _sample_vertex_pairs(cg: CornerGraph, count: int, seed: int) -> np.ndarray:
-    """(2, count) ids of `count` random pairs of distinct vertices."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < count:
-        i, j = rng.integers(0, cg.graph.n, size=2)
-        if i != j:
-            pairs.append((i, j))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+def _sample_distinct(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, k) ids below n: draws of k ids, keeping only the draws whose
+    ids are distinct."""
+    if n < k:
+        raise ValueError(f"cannot draw {k} distinct ids below {n}")
+    rows = []
+    while len(rows) < count:
+        ids = rng.integers(0, n, k)
+        if len(set(ids.tolist())) == k:
+            rows.append(ids)
+    return np.array(rows, dtype=np.int64).reshape(-1, k)
 
 
 def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
@@ -135,7 +136,8 @@ def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
             cg_m = cache.graph(m, 0)
             solver_m = cg_m.graph.grounded_solver()
             f = 3 ** (n - m)
-            va, vb = _sample_vertex_pairs(cg_m, pair_samples, seed + 97 * n + m)
+            va, vb = _sample_distinct(cg_m.graph.n, 2, pair_samples,
+                                      np.random.default_rng(seed + 97 * n + m)).T
             r_m = solver_m.pair_resistances(va, vb)
             r_n = solver_n.pair_resistances(cg_n.vertex_at(*(f * cg_m.grid[va].T)),
                                             cg_n.vertex_at(*(f * cg_m.grid[vb].T)))
@@ -222,22 +224,23 @@ def evres_fit(n_max: int = 5, pure_levels: int = 5, seed: int = 0,
     }
 
 
-def delta_pair(h: PartitionHierarchy, x: Tuple[Fraction, Fraction],
-               y: Tuple[Fraction, Fraction]) -> Tuple[int, bool]:
+def delta_pair(h: PartitionHierarchy, x: Tuple[int, int],
+               y: Tuple[int, int]) -> Tuple[int, bool]:
     """Least n with a level-n cell whose closed square holds x while y lies
     in the image of the far region {|Re| v |Im| >= 3/2}.
 
-    Exact rational arithmetic; (delta, clipped) where clipped marks that no
-    level up to the built depth worked.
+    x and y are points (gx, gy) of the grid of h.depth, standing for
+    (gx/3^depth - 1/2, gy/3^depth - 1/2); the level-n cell (i, j) has its
+    centre at ((2i + 1) f/2, (2j + 1) f/2), f = 3^(depth - n), on that grid.
+    Returns (delta, clipped); clipped marks that no level up to the built
+    depth worked.
     """
-    x, y = _point_pair(x, y, "delta_pair")
+    x, y = _point_pair(h, x, y, "delta_pair")
     for n in range(h.depth + 1):
-        scale = Fraction(3) ** (-n)
+        f = 3 ** (h.depth - n)
         for i in h.cells_containing(n, *x):
-            ix, iy, s = h.cell_box(n, i)
-            cx = Fraction(2 * ix + 1, 2 * s) - Fraction(1, 2)
-            cy = Fraction(2 * iy + 1, 2 * s) - Fraction(1, 2)
-            if max(abs(y[0] - cx), abs(y[1] - cy)) >= Fraction(3, 2) * scale:
+            ix, iy, _ = h.cell_box(n, i)
+            if max(abs(2 * y[0] - (2 * ix + 1) * f), abs(2 * y[1] - (2 * iy + 1) * f)) >= 3 * f:
                 return n, False
     return h.depth, True
 
@@ -271,18 +274,8 @@ def qs_diagnostic(schedule: Schedule, n: int, samples: int = 300, seed: int = 0,
     coarse = cache.graph(sample_level, 0)
     f = 3 ** (n - sample_level)
     if triples is None:
-        rng = np.random.default_rng(seed)
-        triples = []
-        n_c = coarse.graph.n
-        guard = 0
-        while len(triples) < samples and guard < 50 * samples:
-            guard += 1
-            a, b, c = rng.integers(0, n_c, size=3)
-            if a == c or b == c or a == b:
-                continue
-            triples.append((tuple(int(v) for v in coarse.grid[a]),
-                            tuple(int(v) for v in coarse.grid[b]),
-                            tuple(int(v) for v in coarse.grid[c])))
+        ids = _sample_distinct(coarse.graph.n, 3, samples, np.random.default_rng(seed))
+        triples = [tuple(map(tuple, t)) for t in coarse.grid[ids].tolist()]
     span = float(coarse.span)
     ts = [math.hypot((ax - bx) / span, (ay - by) / span)
           / math.hypot((ax - cx) / span, (ay - cy) / span)

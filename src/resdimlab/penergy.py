@@ -36,7 +36,6 @@ __all__ = [
     "build_separation",
     "p_energy",
     "sup_energy",
-    "sup_energy_table",
     "critical_p",
     "p_spectral_dims",
     "fit_rates",
@@ -287,11 +286,6 @@ def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
             "flag": val.flag, "representatives": len(reps)}
 
 
-def sup_energy_table(h: PartitionHierarchy, p: float, ks: Sequence[int],
-                     base_level: int = 1, m_star: int = 1) -> Dict[int, float]:
-    return {k: sup_energy(h, base_level, k, p, m_star=m_star)["value"] for k in ks}
-
-
 def fit_rates(ks: Sequence[int], log_vals: Sequence[float]) -> Tuple[float, float, float]:
     """(least-squares tail slope, max tail step, min tail step).
 
@@ -376,8 +370,8 @@ def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
         from .hierarchy import nstar_estimate
         n_star = nstar_estimate(h, kmax=min(6, max(1, h.depth)))["n_star"]
     ks = list(range(1, kmax + 1))
-    sups = sup_energy_table(h, p, ks, base_level=base_level, m_star=m_star)
-    logs = [math.log(max(v, 1e-300)) for v in sups.values()]
+    logs = [math.log(max(sup_energy(h, base_level, k, p, m_star=m_star)["value"], 1e-300))
+            for k in ks]
     ls, up, lo = fit_rates(ks, logs)
     logN = math.log(n_star)
     flag = "ok"

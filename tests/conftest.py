@@ -56,14 +56,14 @@ def vs_form4(vs_h6, vs_cache):
 @pytest.fixture(scope="session")
 def sc_sup2(sc_h6):
     """SC p=2 sup-energy table, k = 1..5."""
-    from resdimlab.penergy import sup_energy_table
-    return sup_energy_table(sc_h6, 2.0, range(1, 6))
+    from resdimlab.penergy import sup_energy
+    return {k: sup_energy(sc_h6, 1, k, 2.0)["value"] for k in range(1, 6)}
 
 
 @pytest.fixture(scope="session")
 def vs_sup2(vs_h6):
-    from resdimlab.penergy import sup_energy_table
-    return sup_energy_table(vs_h6, 2.0, range(1, 6))
+    from resdimlab.penergy import sup_energy
+    return {k: sup_energy(vs_h6, 1, k, 2.0)["value"] for k in range(1, 6)}
 
 
 def random_connected_graph(rng, n_max=50):

@@ -10,14 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from resdimlab.heat import (build_form, chapman_kolmogorov_error, form_from_graph,
+from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
                             ol_ds_heat, time_window)
 from resdimlab.hierarchy import Schedule
 from resdimlab.measure import hier_measure, olds_volume, psi_measure
 from resdimlab.mixedcarpet import (chain_check, gap_report, qs_diagnostic,
                                    qs_envelope_drift)
-from resdimlab.penergy import (critical_p, fit_rates, p_spectral_dims,
-                               sup_energy_table)
+from resdimlab.penergy import critical_p, fit_rates, p_spectral_dims, sup_energy
 from resdimlab.resnet import (LevelGraph, eff_resistance, min_energy_flow,
                               pinv_resistance, trace)
 from conftest import random_connected_graph
@@ -116,7 +115,7 @@ def test_criterion_06_vicsek_p2_dimension(vs_h6):
 
 def test_criterion_07_heat_invariants(vs_form4, sc_form4, vs_h6):
     forms = {
-        "two-state": form_from_graph(LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5]),
+        "two-state": FiniteDirichletForm(LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5]),
         "vicsek-2": build_form(vs_h6, 2, hier_measure(vs_h6), 9.0),
         "vicsek-4": vs_form4,
         "sc-4": sc_form4,
@@ -178,7 +177,7 @@ def test_criterion_10_critical_p_behavior(sc_h6, vs_h6, sc_sup2):
     ks = [1, 2, 3, 4]
     logs2 = [math.log(sc_sup2[k]) for k in ks]
     rate2, _, _ = fit_rates(ks, logs2)
-    sups13 = sup_energy_table(sc_h6, 1.3, ks)
+    sups13 = {k: sup_energy(sc_h6, 1, k, 1.3)["value"] for k in ks}
     logs13 = [math.log(sups13[k]) for k in ks]
     rate13, _, _ = fit_rates(ks, logs13)
     arc_vs = critical_p(vs_h6, 4, p_range=(1.0, 2.5), tol=0.05)["interval"]

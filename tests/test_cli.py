@@ -101,6 +101,8 @@ def test_config_validation():
         ExperimentConfig(command="mixed", depth=2).validate()
     ExperimentConfig(command="build", depth=0).validate()
     ExperimentConfig(command="mixed", depth=3).validate()
+    for command in ExperimentConfig.MINIMUMS:
+        ExperimentConfig(command=command).validate()  # every default runs
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -108,7 +110,18 @@ def test_config_validation():
     (["mixed", "--depth", "1"], "depth must be >= 3 for mixed"),
     (["mixed", "--depth", "2"], "depth must be >= 3 for mixed"),
     (["resist", "--n", "0"], "n must be >= 1 for resist"),
-], ids=["mixed-depth-0", "mixed-depth-1", "mixed-depth-2", "resist-n-0"])
+    (["penergy", "--structure", "vicsek", "--depth", "1"], "depth must be >= 3 for penergy"),
+    (["penergy", "--structure", "vicsek", "--depth", "2"], "depth must be >= 3 for penergy"),
+    (["penergy", "--structure", "vicsek", "--depth", "3", "--kmax", "1"],
+     "kmax must be >= 2 for penergy"),
+    (["dims", "--structure", "vicsek", "--depth", "0"], "depth must be >= 2 for dims"),
+    (["dims", "--structure", "vicsek", "--depth", "1"], "depth must be >= 2 for dims"),
+    (["dims", "--structure", "vicsek", "--depth", "3", "--kmax", "1"],
+     "kmax must be >= 2 for dims"),
+    (["heat", "--structure", "vicsek", "--depth", "0"], "depth must be >= 1 for heat"),
+], ids=["mixed-depth-0", "mixed-depth-1", "mixed-depth-2", "resist-n-0",
+        "penergy-depth-1", "penergy-depth-2", "penergy-kmax-1", "dims-depth-0",
+        "dims-depth-1", "dims-kmax-1", "heat-depth-0"])
 def test_too_shallow_command_rejected(tmp_path, capsys, argv, message):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2

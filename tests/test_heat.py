@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from resdimlab import heat
-from resdimlab.heat import (build_form, chapman_kolmogorov_error, ds_pointwise,
-                            form_from_graph, heat_kernel, ol_ds_heat, time_window)
+from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
+                            ds_pointwise, heat_kernel, ol_ds_heat, time_window)
 from resdimlab.measure import hier_measure
 from resdimlab.resnet import LevelGraph
 
@@ -14,7 +14,7 @@ VIC_REF = 2 * math.log(5) / math.log(15)
 
 @pytest.fixture(scope="module")
 def two_state():
-    return form_from_graph(LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5])
+    return FiniteDirichletForm(LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5])
 
 
 def test_two_state_generator_eigenvalues(two_state):

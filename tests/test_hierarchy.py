@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from resdimlab import hierarchy
 from resdimlab.hierarchy import (Schedule, adjacency, build_hierarchy, chain_ball,
-                                 delta_level, nstar_estimate, validate_framework)
-
-CORNER_SW = (Fraction(-1, 2), Fraction(-1, 2))
-CORNER_NE = (Fraction(1, 2), Fraction(1, 2))
+                                 delta_level, nstar_estimate, sample_corners,
+                                 validate_framework)
 
 
 def test_cell_counts():
@@ -81,15 +80,17 @@ def test_partition_disjoint_interiors(sc_h6):
 
 
 def test_delta_level_examples():
+    # points are integers on the 27-grid of depth 3: (0, 0) is the SW corner
+    # (-1/2, -1/2), (27, 27) the NE corner (1/2, 1/2)
     sc = build_hierarchy(Schedule.pure_sc(), 3)
-    d, clipped = delta_level(sc, CORNER_SW, CORNER_NE, 1)
+    d, clipped = delta_level(sc, (0, 0), (27, 27), 1)
     assert d == 0 and not clipped
     vs = build_hierarchy(Schedule.pure_vicsek(), 3)
-    d, clipped = delta_level(vs, CORNER_SW, CORNER_NE, 2)
+    d, clipped = delta_level(vs, (0, 0), (27, 27), 2)
     assert d >= 1
-    # two corners of the SW finest cell: clipped at depth
-    d, clipped = delta_level(sc, CORNER_SW,
-                             (Fraction(-1, 2) + Fraction(1, 27), Fraction(-1, 2)), 1)
+    # two corners of the SW finest cell, (-1/2, -1/2) and (-1/2 + 1/27, -1/2):
+    # clipped at depth
+    d, clipped = delta_level(sc, (0, 0), (1, 0), 1)
     assert d == 3 and clipped
 
 
@@ -112,15 +113,42 @@ def _plain_bfs(h, level, sources):
     return dist
 
 
+def _fraction_cells_containing(h, n, x, y):
+    """Level-n cells whose closed square holds the exact point (x, y) of Q."""
+    u, v = (x + Fraction(1, 2)) * 3 ** n, (y + Fraction(1, 2)) * 3 ** n
+    return h.levels[n].grid_index.box(math.ceil(u) - 1, math.floor(u),
+                                      math.ceil(v) - 1, math.floor(v)).tolist()
+
+
 def _plain_delta_level(h, x, y, m):
+    """delta_level from exact Fraction points and full shortest-path distances."""
     best = None
     for n in range(h.depth + 1):
-        wx, wy = h.cells_containing(n, *x), h.cells_containing(n, *y)
+        wx, wy = _fraction_cells_containing(h, n, *x), _fraction_cells_containing(h, n, *y)
         if wx and wy:
-            dist = _plain_bfs(h, n, wx)
-            if min(dist[v] for v in wy) <= m:
+            dist = dijkstra(adjacency(h, n).csr, unweighted=True, indices=wx, min_only=True)
+            if dist[wy].min() <= m:
                 best = n
     return best, best == h.depth
+
+
+def _oracle_points(h, count, rng):
+    """Grid points of the depth grid: corners of finest cells, points drawn
+    anywhere in Q (holes included) and points on the boundary of Q."""
+    side = 3 ** h.depth
+    lvl = h.levels[h.depth]
+    pts = []
+    for kind in rng.integers(0, 3, count).tolist():
+        if kind == 0:
+            i = int(rng.integers(0, lvl.count))
+            pts.append((int(lvl.ix[i]) + int(rng.integers(0, 2)),
+                        int(lvl.iy[i]) + int(rng.integers(0, 2))))
+        elif kind == 1:
+            pts.append(tuple(int(v) for v in rng.integers(0, side + 1, 2)))
+        else:
+            edge, t = int(rng.integers(0, 2)) * side, int(rng.integers(0, side + 1))
+            pts.append((edge, t) if rng.integers(0, 2) else (t, edge))
+    return pts
 
 
 @pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
@@ -135,27 +163,80 @@ def test_chain_distances_match_plain_bfs(schedule):
                 expected = [v for v, d in enumerate(dist) if d is not None and d <= radius]
                 assert chain_ball(adjacency(h, level), sources, radius).tolist() == expected
     rng = np.random.default_rng(0)
-    lvl, s = h.levels[3], 27
-    for _ in range(40):
-        i, j = rng.integers(0, lvl.count, size=2)
-        cx = rng.integers(0, 2, size=4)
-        x = (Fraction(int(lvl.ix[i] + cx[0]), s) - Fraction(1, 2),
-             Fraction(int(lvl.iy[i] + cx[1]), s) - Fraction(1, 2))
-        y = (Fraction(int(lvl.ix[j] + cx[2]), s) - Fraction(1, 2),
-             Fraction(int(lvl.iy[j] + cx[3]), s) - Fraction(1, 2))
-        if x != y:
+    for depth in (3, 5):
+        h = build_hierarchy(schedule, depth)
+        side = 3 ** depth
+        pts = _oracle_points(h, 400, rng)
+        # near pairs reach the deep levels and the clipped case
+        near = [tuple(np.clip(np.add(x, rng.integers(-2, 3, 2)), 0, side).tolist())
+                for x in pts[:60]]
+        pairs = [(x, y) for x, y in zip(pts[::2] + pts[:60], pts[1::2] + near) if x != y]
+        assert len(pairs) >= 200
+        for x, y in pairs:
+            fx, fy = (tuple(Fraction(g, side) - Fraction(1, 2) for g in p) for p in (x, y))
             for m in (1, 2):
-                assert delta_level(h, x, y, m) == _plain_delta_level(h, x, y, m)
+                assert delta_level(h, x, y, m) == _plain_delta_level(h, fx, fy, m)
 
 
 def test_delta_level_errors():
-    sc = build_hierarchy(Schedule.pure_sc(), 2)
+    sc = build_hierarchy(Schedule.pure_sc(), 2)  # points on the 9-grid
     with pytest.raises(ValueError, match="distinct"):
-        delta_level(sc, CORNER_SW, CORNER_SW, 1)
-    with pytest.raises(ValueError, match="outside"):
-        delta_level(sc, (Fraction(2), Fraction(0)), CORNER_SW, 1)
+        delta_level(sc, (0, 0), (0, 0), 1)
+    # (10, 4) and (4, -1) lie just right of and just below Q
+    for outside in ((10, 4), (4, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            delta_level(sc, outside, (0, 0), 1)
     with pytest.raises(ValueError, match="chain radius must be >= 0"):
-        delta_level(sc, CORNER_SW, CORNER_NE, -1)
+        delta_level(sc, (0, 0), (9, 9), -1)
+    # a Fraction point of Q is not a grid point
+    with pytest.raises(TypeError):
+        delta_level(sc, (Fraction(-1, 2), Fraction(-1, 2)), (9, 9), 1)
+
+
+def _old_sample_centers(h, level, count, seed):
+    """Centres as the sampler of measure drew them before sample_corners."""
+    rng = np.random.default_rng(seed)
+    lvl = h.levels[level]
+    s = 3 ** level
+    picks = rng.integers(0, lvl.count, size=count)
+    corner = rng.integers(0, 2, size=(count, 2))
+    return [((int(lvl.ix[i]) + int(cx)) / s - 0.5, (int(lvl.iy[i]) + int(cy)) / s - 0.5)
+            for i, (cx, cy) in zip(picks, corner)]
+
+
+def _old_b3_points(h, depth, attempts, seed):
+    """Point pairs of the (B3) attempt loop of validate_framework before
+    sample_corners, as exact Fractions."""
+    rng = np.random.default_rng(seed)
+    lvl = h.levels[depth]
+    s = 3 ** depth
+    out = []
+    for _ in range(attempts):
+        i, j = rng.integers(0, lvl.count, size=2)
+        cx = rng.integers(0, 2, size=4)
+        px = Fraction(int(lvl.ix[i]) + int(cx[0]), s) - Fraction(1, 2)
+        py = Fraction(int(lvl.iy[i]) + int(cx[1]), s) - Fraction(1, 2)
+        qx = Fraction(int(lvl.ix[j]) + int(cx[2]), s) - Fraction(1, 2)
+        qy = Fraction(int(lvl.iy[j]) + int(cx[3]), s) - Fraction(1, 2)
+        out.append(((px, py), (qx, qy)))
+    return out
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
+                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
+def test_sample_corners_match_old_draws(schedule):
+    h = build_hierarchy(schedule, 4)
+    for level in (1, 2, 3, 4):
+        s = 3 ** level
+        for seed in (0, 1, 2, 3):
+            g = sample_corners(h, level, 40, np.random.default_rng(seed))
+            assert g.dtype == np.int64 and g.shape == (40, 2)
+            centers = [tuple(c) for c in (g / s - 0.5).tolist()]
+            assert centers == _old_sample_centers(h, level, 40, seed)
+            rng = np.random.default_rng(seed)
+            new = [tuple(tuple(Fraction(int(v), s) - Fraction(1, 2) for v in pt)
+                         for pt in sample_corners(h, level, 2, rng)) for _ in range(30)]
+            assert new == _old_b3_points(h, level, 30, seed)
 
 
 def test_nstar_values(sc_h6, vs_h6, mx_h5):

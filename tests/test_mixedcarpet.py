@@ -11,8 +11,9 @@ from resdimlab.mixedcarpet import (ResistanceScales, ScaleCache, chain_check, de
 from resdimlab.resnet import eff_resistance
 from conftest import single_pair_resistance
 
-NE = (Fraction(1, 2), Fraction(1, 2))
-SW = (Fraction(-1, 2), Fraction(-1, 2))
+# corners of Q on the 243-grid of the depth-5 hierarchy mx_h5
+NE = (243, 243)
+SW = (0, 0)
 
 
 def test_schedule_f_blocks():
@@ -74,61 +75,78 @@ def test_evres_fit(mx_cache):
 def test_delta_pair_examples(mx_h5):
     d, clipped = delta_pair(mx_h5, NE, SW)
     assert (d, clipped) == (1, False)
-    # nearby pair: separation only beyond the built depth
-    y = (Fraction(1, 2) - Fraction(1, 3 ** 5), Fraction(1, 2))
-    d, clipped = delta_pair(mx_h5, NE, y)
+    # nearby pair (1/2 - 3^-5, 1/2): separation only beyond the built depth
+    d, clipped = delta_pair(mx_h5, NE, (242, 243))
     assert clipped and d == mx_h5.depth
     with pytest.raises(ValueError):
         delta_pair(mx_h5, NE, NE)
 
 
 def test_delta_pair_rejects_points_outside_q(mx_h5):
+    # (2, 0) and (5, 5) of the plane lie off the grid; these grid points lie
+    # outside Q on either side
     with pytest.raises(ValueError, match="outside the root cell"):
-        delta_pair(mx_h5, (Fraction(2), Fraction(0)), (Fraction(0), Fraction(0)))
+        delta_pair(mx_h5, (244, 121), (121, 121))
     with pytest.raises(ValueError, match="outside the root cell"):
-        delta_pair(mx_h5, (Fraction(0), Fraction(0)), (Fraction(5), Fraction(5)))
+        delta_pair(mx_h5, (121, 121), (-1, 5))
+    # a Fraction point of Q is not a grid point
+    with pytest.raises(TypeError):
+        delta_pair(mx_h5, (Fraction(1, 2), Fraction(1, 2)), SW)
+
+
+def _q_point(g, s):
+    """The exact point of Q that the point g of the s-grid stands for."""
+    return tuple(Fraction(int(v), s) - Fraction(1, 2) for v in g)
+
+
+def _brute_delta_pair(h, x, y):
+    """delta_pair straight from the definition, on exact Fraction points of Q."""
+    for n in range(h.depth + 1):
+        scale = Fraction(3) ** (-n)
+        lvl = h.levels[n]
+        sc = 3 ** n
+        for ix, iy in zip(lvl.ix.tolist(), lvl.iy.tolist()):
+            if not (Fraction(ix, sc) - Fraction(1, 2) <= x[0] <= Fraction(ix + 1, sc) - Fraction(1, 2)
+                    and Fraction(iy, sc) - Fraction(1, 2) <= x[1] <= Fraction(iy + 1, sc) - Fraction(1, 2)):
+                continue
+            cx = Fraction(2 * ix + 1, 2 * sc) - Fraction(1, 2)
+            cy = Fraction(2 * iy + 1, 2 * sc) - Fraction(1, 2)
+            if max(abs(y[0] - cx), abs(y[1] - cy)) >= Fraction(3, 2) * scale:
+                return n
+    return None
 
 
 def test_delta_pair_brute_force_oracle(mx_h5):
     rng = np.random.default_rng(4)
-    s = 3 ** 3
-    for _ in range(12):
-        ax, ay, bx, by = rng.integers(0, s + 1, size=4)
-        x = (Fraction(int(ax), s) - Fraction(1, 2), Fraction(int(ay), s) - Fraction(1, 2))
-        y = (Fraction(int(bx), s) - Fraction(1, 2), Fraction(int(by), s) - Fraction(1, 2))
+    s = 3 ** mx_h5.depth
+    # points anywhere on the grid (holes included), then near pairs, half of
+    # them with x on the boundary of Q, which separate only at deep levels
+    pairs = [tuple(map(tuple, rng.integers(0, s + 1, (2, 2)).tolist())) for _ in range(90)]
+    for _ in range(30):
+        x = rng.integers(0, s + 1, 2)
+        if rng.integers(0, 2):
+            x[rng.integers(0, 2)] = s * rng.integers(0, 2)
+        y = np.clip(x + rng.integers(-4, 5, 2), 0, s)
+        pairs.append((tuple(x.tolist()), tuple(y.tolist())))
+    checked = 0
+    for x, y in pairs:
         if x == y:
             continue
         got, clipped = delta_pair(mx_h5, x, y)
-        # brute force straight from the definition
-        expect = None
-        for n in range(mx_h5.depth + 1):
-            scale = Fraction(3) ** (-n)
-            lvl = mx_h5.levels[n]
-            hit = False
-            for i in range(lvl.count):
-                ix, iy, sc = mx_h5.cell_box(n, i)
-                if not (Fraction(ix, sc) - Fraction(1, 2) <= x[0] <= Fraction(ix + 1, sc) - Fraction(1, 2)
-                        and Fraction(iy, sc) - Fraction(1, 2) <= x[1] <= Fraction(iy + 1, sc) - Fraction(1, 2)):
-                    continue
-                cx = Fraction(2 * ix + 1, 2 * sc) - Fraction(1, 2)
-                cy = Fraction(2 * iy + 1, 2 * sc) - Fraction(1, 2)
-                if max(abs(y[0] - cx), abs(y[1] - cy)) >= Fraction(3, 2) * scale:
-                    hit = True
-                    break
-            if hit:
-                expect = n
-                break
+        expect = _brute_delta_pair(mx_h5, _q_point(x, s), _q_point(y, s))
         if expect is None:
             assert clipped
         else:
             assert got == expect and not clipped
+        checked += 1
+    assert checked >= 100
 
 
 def test_delta_pair_scale_bound(mx_h5):
     # y within 3*3^-n of x admits separation only below level n - O(1)
     x = NE
     for n in (2, 3, 4):
-        y = (Fraction(1, 2) - Fraction(1, 3 ** n), Fraction(1, 2))
+        y = (243 - 3 ** (5 - n), 243)  # (1/2 - 3^-n, 1/2)
         d, clipped = delta_pair(mx_h5, x, y)
         if not clipped:
             assert d >= n - 2
@@ -154,6 +172,54 @@ def test_qs_same_triples_required(mx_cache):
         qs_envelope_drift(d4, d5)
 
 
+def _old_vertex_pairs(n, count, seed):
+    """(2, count) vertex pairs as chain_check drew them before _sample_distinct."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            pairs.append((i, j))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+def _old_triple_ids(n_c, samples, seed):
+    """Vertex-id triples as qs_diagnostic drew them before _sample_distinct."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    guard = 0
+    while len(triples) < samples and guard < 50 * samples:
+        guard += 1
+        a, b, c = rng.integers(0, n_c, size=3)
+        if a == c or b == c or a == b:
+            continue
+        triples.append((int(a), int(b), int(c)))
+    return triples
+
+
+def test_sample_distinct_matches_old_draws(mx_cache):
+    for n in range(4):
+        nv = mx_cache.graph(n, 0).graph.n
+        for seed in (0, 1, 2):
+            pairs = mixedcarpet._sample_distinct(nv, 2, 25, np.random.default_rng(seed))
+            assert pairs.dtype == np.int64
+            assert np.array_equal(pairs.T, _old_vertex_pairs(nv, 25, seed))
+    coarse = mx_cache.graph(2, 0)
+    for seed in range(5):
+        ids = mixedcarpet._sample_distinct(coarse.graph.n, 3, 250, np.random.default_rng(seed))
+        old = _old_triple_ids(coarse.graph.n, 250, seed)
+        assert ids.tolist() == [list(t) for t in old]
+        diag = qs_diagnostic(Schedule.mixed(), 2, samples=250, seed=seed, cache=mx_cache)
+        assert diag.triples == [tuple(tuple(int(v) for v in coarse.grid[i]) for i in t)
+                                for t in old]
+    # as few ids as a draw takes still works; fewer raise instead of looping forever
+    assert sorted(mixedcarpet._sample_distinct(3, 3, 4, np.random.default_rng(0))[0]) == [0, 1, 2]
+    for n, k in ((1, 2), (0, 2), (2, 3)):
+        with pytest.raises(ValueError, match=f"cannot draw {k} distinct ids below {n}"):
+            mixedcarpet._sample_distinct(n, k, 5, np.random.default_rng(0))
+    assert mixedcarpet._sample_distinct(4, 2, 0, np.random.default_rng(0)).shape == (0, 2)
+
+
 def test_qs_diagnostic_rejects_n_below_sample_level(mx_cache):
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"n >= sample_level \\(n = {n}, sample_level = 2\\)"):
@@ -170,11 +236,8 @@ def test_rstar_approximant_band(mx_h5, mx_cache):
         i, j = rng.integers(0, cg5.graph.n, size=2)
         if i == j:
             continue
-        gx, gy = cg5.grid[int(i)]
-        hx, hy = cg5.grid[int(j)]
-        x = (Fraction(int(gx), 243) - Fraction(1, 2), Fraction(int(gy), 243) - Fraction(1, 2))
-        y = (Fraction(int(hx), 243) - Fraction(1, 2), Fraction(int(hy), 243) - Fraction(1, 2))
-        d, clipped = delta_pair(mx_h5, x, y)
+        # the corner grid of level 5 is the 243-grid of mx_h5
+        d, clipped = delta_pair(mx_h5, tuple(cg5.grid[int(i)]), tuple(cg5.grid[int(j)]))
         if clipped:
             continue
         rstar = solver.pair_resistance(int(i), int(j)) / pt5
