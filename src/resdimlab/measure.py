@@ -83,7 +83,8 @@ def _cover_bracket(h: PartitionHierarchy, n: int, masses: np.ndarray,
 
     Only the cells in the grid window of the ball's bounding box, widened by
     one cell on each side, are tested; every cell meeting the ball lies in it.
-    The cells are taken in id order, so the sums match a scan of the level.
+    The cells are taken in id order, so the sums match a scan of the level;
+    a window holding the whole grid is that scan.
     """
     if not (math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(r) and r >= 0):
         raise ValueError(f"ball needs a finite centre and radius >= 0, got {tuple(x)}, {r}")
@@ -91,12 +92,14 @@ def _cover_bracket(h: PartitionHierarchy, n: int, masses: np.ndarray,
     s = 3 ** n
     xlo, xhi = _window(x[0] - r, x[0] + r, s)
     ylo, yhi = _window(x[1] - r, x[1] + r, s)
-    ids = lvl.grid_index.box(xlo, xhi, ylo, yhi)
-    ids.sort()
-    masses = masses[ids]
+    ix, iy = lvl.ix, lvl.iy
+    if not (xlo <= 0 and ylo <= 0 and xhi >= s - 1 and yhi >= s - 1):
+        ids = lvl.grid_index.box(xlo, xhi, ylo, yhi)
+        ids.sort()
+        masses, ix, iy = masses[ids], ix[ids], iy[ids]
     side = 1.0 / s
-    xmin = lvl.ix[ids] * side - 0.5
-    ymin = lvl.iy[ids] * side - 0.5
+    xmin = ix * side - 0.5
+    ymin = iy * side - 0.5
     dx = np.maximum(np.maximum(xmin - x[0], x[0] - (xmin + side)), 0.0)
     dy = np.maximum(np.maximum(ymin - x[1], x[1] - (ymin + side)), 0.0)
     dmin2 = dx * dx + dy * dy

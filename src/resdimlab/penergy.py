@@ -7,8 +7,13 @@ over the level-([w]+k) cell graph.  p = 1 is an exact minimum cut; p = 2 is
 one sparse solve; other p take projected Newton steps on an eps-smoothed
 energy under the box [0, 1], with energies, gradients and the Newton
 systems all from one signed edge-cell incidence matrix D per problem.  The
-symbolic work is done once per problem: one sparsity pattern for every
-Newton system, and the column ordering of the p = 2 factorization.
+solver data is built once per problem, on its first solve at p != 1, and
+kept on it: D, the p = 2 potential, one sparsity pattern for every Newton
+system, and the column ordering of the p = 2 factorization.  A solve may
+start from a certified potential of the same problem at another p; it then
+enters the eps ladder at its last rung, and reruns the whole ladder from the
+p = 2 potential if that start ends uncertified.  `critical_p` keeps its
+problems across the bisection and starts each p from the nearest p solved.
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -20,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 RATE_TOL = 1e-3  # see critical_p
+EPS_LADDER = (1e-2, 1e-4, 1e-6, 1e-9, 1e-12)  # see p_energy
 
 
 @dataclass
@@ -56,6 +63,11 @@ class SeparationProblem:
     inner: np.ndarray           # indices pinned to 1
     outer: np.ndarray           # indices pinned to 0
     empty_outer: bool = False
+
+    @cached_property
+    def _newton(self) -> "_NewtonSystem":
+        # built on the first solve at p != 1 and kept for every later p
+        return _NewtonSystem(self)
 
 
 @dataclass
@@ -132,7 +144,8 @@ def _min_cut(problem: SeparationProblem) -> PEnergyValue:
     return PEnergyValue(1.0, e, f, gap, "ok" if gap == 0 else "no-convergence")
 
 
-def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergyValue:
+def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
+             start: Optional[np.ndarray] = None) -> PEnergyValue:
     """The least p-power energy with the problem's 0/1 pins.
 
     p = 1 is an exact minimum cut (`_min_cut`).  Other p read everything
@@ -147,82 +160,129 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
     or after 30 steps.  A first-order gap sum(|grad|) over free cells above
     `tol` times the energy flags the value no-convergence.
 
-    All these systems share one pattern, built once with a scatter matrix S
-    so that S @ w is the data of D_F^T diag(w) D_F, and one ordering: the
-    p = 2 factorization picks it (COLAMD), and every Newton system is stored
-    permuted by it and factored in that order on its diagonal pivots (the
-    weights are floored above 0, so the system is symmetric positive
-    definite).  A singular system raises.
+    `start` is the potential of a certified solve of the same problem at
+    another p.  For p other than 1 and 2 (exact routes, which ignore it),
+    Newton then takes the free values from `start` (clipped to [0, 1]),
+    keeps the pins, and runs the last rung only; if its certificate fails,
+    the call runs the whole ladder from the p = 2 potential instead and
+    returns that, so a warm start never flags a value the cold solve would
+    certify.
+
+    The solver data (`_NewtonSystem`) is built on the problem's first solve
+    at p != 1 and kept on it.  Its one Newton pattern is built with a scatter
+    matrix S so that S @ w is the data of D_F^T diag(w) D_F, and stored in the
+    column ordering the p = 2 factorization picked (COLAMD); each Newton
+    system is factored in that order on its diagonal pivots (the weights are
+    floored above 0, so the system is symmetric positive definite).  A
+    singular system raises.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (problem.n_cells,):
+            raise ValueError(f"start must hold one value per cell ({problem.n_cells})")
+        if not np.all(np.isfinite(start)):
+            raise ValueError("start must be finite")
     if problem.empty_outer:
         return PEnergyValue(p, 0.0, flag="empty-outer")
     if p == 1:
         return _min_cut(problem)
-    n, m = problem.n_cells, len(problem.edges)
-    D = sp.csr_matrix((np.tile([1.0, -1.0], m),
-                       (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))),
-                      shape=(m, n))
-    f = np.zeros(n)
-    f[problem.inner] = 1.0
-    free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
-    nf = len(free)
-    D_F = D[:, free]
-    D_Ft = D_F.T.tocsr()
-    drive = D @ f  # D f_pinned: f holds only the pins here
+    system = problem._newton
+    if start is not None and p != 2:
+        f = system.f2.copy()
+        f[system.free] = np.clip(start[system.free], 0.0, 1.0)
+        val = _descend(system, p, tol, f, EPS_LADDER[-1:])
+        if val.flag == "ok":
+            return val
+    return _descend(system, p, tol, system.f2.copy(), () if p == 2 else EPS_LADDER)
 
-    # H(w) = D_F^T diag(w) D_F: edge e adds w_e at (i, i) for each free end i,
-    # and -w_e at (i, j) and (j, i) when both ends are free
-    pos = np.full(n, -1)
-    pos[free] = np.arange(nf)
-    ends = pos[problem.edges.reshape(-1)]
-    a, b = ends[0::2], ends[1::2]
-    diag = np.flatnonzero(ends >= 0)
-    both = np.flatnonzero((a >= 0) & (b >= 0))
-    rows = np.concatenate([ends[diag], a[both], b[both]])
-    cols = np.concatenate([ends[diag], b[both], a[both]])
-    eids = np.concatenate([diag // 2, both, both])
-    sign = np.repeat([1.0, -1.0], [len(diag), 2 * len(both)])
 
-    def pattern(label: np.ndarray):
+class _NewtonSystem:
+    """What every p != 1 solve of one problem shares: D, the free cells,
+    D_F, D_F^T, D f_pinned, the p = 2 potential and column ordering, and the
+    Newton pattern in that ordering (built on first use).  It depends only
+    on the problem, so no value depends on the order of the solves."""
+
+    def __init__(self, problem: SeparationProblem):
+        n, m = problem.n_cells, len(problem.edges)
+        self.D = sp.csr_matrix((np.tile([1.0, -1.0], m),
+                                (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))),
+                               shape=(m, n))
+        f = np.zeros(n)
+        f[problem.inner] = 1.0
+        self.free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
+        nf = self.nf = len(self.free)
+        self.D_F = self.D[:, self.free]
+        self.D_Ft = self.D_F.T.tocsr()
+        self.drive = self.D @ f  # D f_pinned: f holds only the pins here
+
+        # H(w) = D_F^T diag(w) D_F: edge e adds w_e at (i, i) for each free end
+        # i, and -w_e at (i, j) and (j, i) when both ends are free
+        pos = np.full(n, -1)
+        pos[self.free] = np.arange(nf)
+        ends = pos[problem.edges.reshape(-1)]
+        a, b = ends[0::2], ends[1::2]
+        diag = np.flatnonzero(ends >= 0)
+        both = np.flatnonzero((a >= 0) & (b >= 0))
+        self._entries = (np.concatenate([ends[diag], a[both], b[both]]),
+                         np.concatenate([ends[diag], b[both], a[both]]),
+                         np.concatenate([diag // 2, both, both]),
+                         np.repeat([1.0, -1.0], [len(diag), 2 * len(both)]))
+
+        S, indices, indptr = self._pattern(np.arange(nf))
+        lu = spla.splu(sp.csc_matrix((S @ np.ones(m), indices, indptr), shape=(nf, nf)))
+        f[self.free] = np.clip(lu.solve(-(self.D_Ft @ self.drive)), 0.0, 1.0)
+        self.f2 = f
+        self.perm = lu.perm_c
+        self.order = np.argsort(self.perm)
+
+    def _pattern(self, label: np.ndarray):
         """H's CSC index arrays with free cell i relabelled label[i], and the
         scatter matrix S (nnz(H) x m) whose product S @ w is H(w)'s data."""
+        rows, cols, eids, sign = self._entries
+        nf = self.nf
         key, slot = np.unique(label[cols] * np.int64(nf) + label[rows], return_inverse=True)
-        scatter = sp.csr_matrix((sign, (slot, eids)), shape=(len(key), m))
+        scatter = sp.csr_matrix((sign, (slot, eids)), shape=(len(key), self.D.shape[0]))
         return scatter, key % nf, np.searchsorted(key, np.arange(nf + 1) * nf)
 
-    S, indices, indptr = pattern(np.arange(nf))
-    lu = spla.splu(sp.csc_matrix((S @ np.ones(m), indices, indptr), shape=(nf, nf)))
-    f[free] = np.clip(lu.solve(-(D_Ft @ drive)), 0.0, 1.0)
-    if p != 2 and nf:
-        # the Newton systems, stored in the p = 2 column ordering
-        perm = lu.perm_c
-        order = np.argsort(perm)
-        S, indices, indptr = pattern(perm)
+    @cached_property
+    def newton_pattern(self):
+        """The Newton systems' pattern, stored in the p = 2 column ordering."""
+        pattern = self._pattern(self.perm)
+        del self._entries  # no other pattern is built from them
+        return pattern
 
-    def newton_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        H = sp.csc_matrix((S @ w, indices, indptr), shape=(nf, nf))
+    def newton_solve(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        S, indices, indptr = self.newton_pattern
+        H = sp.csc_matrix((S @ w, indices, indptr), shape=(self.nf, self.nf))
         lu = spla.splu(H, permc_spec="NATURAL", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
-        return lu.solve(rhs[order])[perm]
+        return lu.solve(rhs[self.order])[self.perm]
 
-    def certificate():
-        # components pinned at an active bound with inward gradient do not
-        # contribute to the first-order gap
-        d = D @ f
+    def certificate(self, f: np.ndarray, p: float, tol: float):
+        """(energy, first-order gap, gap <= tol * energy) at f.  Components
+        pinned at an active bound with inward gradient do not contribute."""
+        d = self.D @ f
         e = float(np.sum(np.abs(d) ** p))
-        gf = D_Ft @ (p * np.abs(d) ** (p - 1) * np.sign(d))
-        act = ((f[free] <= 0.0) & (gf > 0)) | ((f[free] >= 1.0) & (gf < 0))
+        gf = self.D_Ft @ (p * np.abs(d) ** (p - 1) * np.sign(d))
+        x = f[self.free]
+        act = ((x <= 0.0) & (gf > 0)) | ((x >= 1.0) & (gf < 0))
         res = float(np.abs(np.where(act, 0.0, gf)).sum())
         return e, res, res <= tol * max(e, 1e-30)
 
-    for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12) if p != 2 and nf else ():
-        last = eps == 1e-12
+
+def _descend(system: _NewtonSystem, p: float, tol: float, f: np.ndarray,
+             rungs: Sequence[float]) -> PEnergyValue:
+    """Projected Newton from f (updated in place) down the given eps rungs;
+    the value at the end with its certificate."""
+    free, D_F, D_Ft, drive = system.free, system.D_F, system.D_Ft, system.drive
+    for eps in rungs if system.nf else ():
+        last = eps == EPS_LADDER[-1]
         for _ in range(30):
-            if last and certificate()[2]:
+            if last and system.certificate(f, p, tol)[2]:
                 break
             x = f[free]
             d = D_F @ x + drive
@@ -230,7 +290,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
             e = float(np.sum(r ** (p / 2)))
             g = D_Ft @ (p * d * r ** (p / 2 - 1))
             w = p * r ** (p / 2 - 2) * ((p - 1) * d * d + eps * eps)
-            s = newton_solve(np.maximum(w, 1e-14 * w.max()), -g)
+            s = system.newton_solve(np.maximum(w, 1e-14 * w.max()), -g)
             dec = -float(g @ s)
             if not last and dec <= 1e-15 * e:
                 break
@@ -241,7 +301,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7) -> PEnergy
                     break
             else:
                 break  # no decrease left on this rung
-    e, res, ok = certificate()
+    e, res, ok = system.certificate(f, p, tol)
     return PEnergyValue(p, e, f, res, "ok" if ok else "no-convergence")
 
 
@@ -278,12 +338,28 @@ def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
         reps = [members[0] for members in symmetry_classes(h, base_level).values()]
     if not reps:
         raise ValueError("no base cells")
-    # max keeps the first of equal values
-    val, w = max(((p_energy(build_separation(h, base_level, w, k, m_star=m_star), p), w)
-                  for w in reps), key=lambda vw: vw[0].value)
-    word = "".join(str(d) for d in h.address(base_level, w))
-    return {"value": val.value, "argmax_index": w, "argmax_cell": word,
+    i, val = _sup([p_energy(build_separation(h, base_level, w, k, m_star=m_star), p)
+                   for w in reps])
+    word = "".join(str(d) for d in h.address(base_level, reps[i]))
+    return {"value": val.value, "argmax_index": reps[i], "argmax_cell": word,
             "flag": val.flag, "representatives": len(reps)}
+
+
+def _sup(vals: Sequence[PEnergyValue]) -> Tuple[int, PEnergyValue]:
+    """(index, value) of the largest energy; max keeps the first of equal values."""
+    return max(enumerate(vals), key=lambda iv: iv[1].value)
+
+
+def _warm_energy(problem: SeparationProblem, known: Dict[float, np.ndarray],
+                 p: float) -> PEnergyValue:
+    """p_energy started from the potential in `known` (certified potentials
+    of this problem by p > 1) at the p nearest to `p`, the lower p on a tie,
+    or cold when `known` is empty; a certified result at p > 1 joins `known`."""
+    near = min(known, key=lambda q: (abs(q - p), q), default=None)
+    val = p_energy(problem, p, start=None if near is None else known[near])
+    if p > 1 and val.flag == "ok":
+        known[p] = val.potential
+    return val
 
 
 def fit_rates(ks: Sequence[int], log_vals: Sequence[float]) -> Tuple[float, float, float]:
@@ -308,6 +384,12 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
                tol: float = 0.05, base_level: int = 1, m_star: int = 1) -> dict:
     """Bisection on p of the fitted decay rate of k -> sup energy.
 
+    The sup runs over one representative per symmetry class, as in
+    `sup_energy`.  Each (representative, k) problem is built once, and each
+    p > 1 is warm-started (`p_energy`'s `start`) from that problem's
+    certified potential at the nearest p > 1 already solved, the lower p on
+    a tie; a problem with none yet starts cold.
+
     rate < 0 means p is above the critical exponent.  Rates inside
     [-RATE_TOL, RATE_TOL] are treated as not-yet-decaying and widen the
     reported interval with a flag.  Each row of "rates" counts, as
@@ -319,16 +401,22 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
         raise ValueError("tol must be finite and positive")
     if not 1 <= p_range[0] < p_range[1] < math.inf:
         raise ValueError("p_range must satisfy 1 <= lo < hi < inf")
+    if base_level + kmax > h.depth:
+        raise ValueError("horizon exceeds built depth")
     ks = list(range(1, kmax + 1))
+    reps = [members[0] for members in symmetry_classes(h, base_level).values()]
+    # per k, each representative's problem and its certified potentials by p
+    rows = [[(build_separation(h, base_level, w, k, m_star=m_star), {}) for w in reps]
+            for k in ks]
     table: List[dict] = []
 
     def rate_of(p: float) -> float:
-        sups = [sup_energy(h, base_level, k, p, m_star=m_star) for k in ks]
-        logs = [math.log(max(s["value"], 1e-300)) for s in sups]
+        sups = [_sup([_warm_energy(prob, known, p) for prob, known in row])[1] for row in rows]
+        logs = [math.log(max(s.value, 1e-300)) for s in sups]
         slope, up, lo = fit_rates(ks, logs)
         table.append({"p": p, "rate": slope, "rate_limsup": up, "rate_liminf": lo,
-                      "sup_energies": [s["value"] for s in sups],
-                      "uncertified": sum(s["flag"] == "no-convergence" for s in sups)})
+                      "sup_energies": [s.value for s in sups],
+                      "uncertified": sum(s.flag == "no-convergence" for s in sups)})
         return slope
 
     lo, hi = p_range

@@ -546,36 +546,117 @@ P_GRID = (1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.2, 2.5)
                                              (Schedule.mixed(), 4)], ids=["sc4", "vicsek5", "mixed4"])
 def test_p_energy_matches_product_assembly(schedule, depth, splu_orderings):
     # every level-1 class and k, over the p grid: the same flags, certified
-    # energies to 1e-12, and one ordering (the p = 2 start's) per call
+    # energies to 1e-12, and one ordering (the p = 2 start's) per problem
+    # across all p
     h = build_hierarchy(schedule, depth)
     compared = 0
     for members in symmetry_classes(h, 1).values():
         for k in range(1, depth):
             prob = build_separation(h, 1, members[0], k)
+            orderings = []
             for p in P_GRID:
                 want = product_p_energy(prob, p)
                 del splu_orderings[:]
                 got = p_energy(prob, p)
+                orderings += [spec for spec in splu_orderings if spec != "NATURAL"]
                 assert got.flag == want.flag, (members[0], k, p)
                 if got.flag == "ok":
                     assert abs(got.value - want.value) <= 1e-12 * want.value, (members[0], k, p)
                     compared += 1
-                if not prob.empty_outer:
-                    assert [spec for spec in splu_orderings if spec != "NATURAL"] == [None]
+            if not prob.empty_outer:
+                assert orderings == [None]
     assert compared >= 30
 
 
 def test_critical_p_factorizations_match_product_assembly(monkeypatch, splu_orderings):
-    # the bisection of the bench penergy workload: the same rates and the
-    # same number of factorizations with either assembly
+    # the bisection of the bench penergy workload against cold solves by the
+    # product assembly: the same rates, in at most half the factorizations
     h = build_hierarchy(Schedule.pure_sc(), 4)
     got = critical_p(h, 3)
     n_got = len(splu_orderings)
     del splu_orderings[:]
-    monkeypatch.setattr(penergy, "p_energy", product_p_energy)
+    monkeypatch.setattr(penergy, "p_energy",
+                        lambda problem, p, tol=1e-7, start=None: product_p_energy(problem, p, tol))
     want = critical_p(h, 3)
-    assert n_got == len(splu_orderings)
+    assert 2 * n_got <= len(splu_orderings)
     assert got["interval"] == want["interval"] and got["flag"] == want["flag"]
     for a, b in zip(got["rates"], want["rates"]):
         assert a["uncertified"] == b["uncertified"]
         assert a["sup_energies"] == pytest.approx(b["sup_energies"], rel=1e-12)
+
+
+# -- warm starts ----------------------------------------------------------------
+
+# the p sequences critical_p(h, 3) visits on SC depth 4, and on Vicsek depth 5
+# and mixed depth 4
+BISECTION = {"sc": (1.0, 2.5, 1.75, 2.125, 1.9375, 1.84375, 1.890625),
+             "vicsek": (1.0, 2.5, 1.75, 1.375, 1.1875, 1.09375, 1.046875),
+             "mixed": (1.0, 2.5, 1.75, 1.375, 1.1875, 1.09375, 1.046875)}
+
+
+def test_warm_start_matches_cold(monkeypatch, splu_orderings):
+    # critical_p's warm starts against cold solves, for every level-1 class
+    # and k over the bisection order and the p grid: no certificate lost,
+    # certified energies to 1e-12, and the retry runs
+    ladders = []
+    descend = penergy._descend
+
+    def counted(system, p, tol, f, rungs):
+        ladders.append(len(rungs))
+        return descend(system, p, tol, f, rungs)
+
+    monkeypatch.setattr(penergy, "_descend", counted)
+    retries, factorizations = {}, {}
+    for name, schedule, depth in (("sc", Schedule.pure_sc(), 4),
+                                  ("vicsek", Schedule.pure_vicsek(), 5),
+                                  ("mixed", Schedule.mixed(), 4)):
+        h = build_hierarchy(schedule, depth)
+        retries[name], warm_count, cold_count = 0, 0, 0
+        for members in symmetry_classes(h, 1).values():
+            for k in range(1, depth):
+                warm, cold = (build_separation(h, 1, members[0], k) for _ in range(2))
+                known = {}
+                for p in dict.fromkeys(BISECTION[name] + P_GRID):
+                    del ladders[:], splu_orderings[:]
+                    got = penergy._warm_energy(warm, known, p)
+                    retries[name] += ladders == [1, len(penergy.EPS_LADDER)]
+                    warm_count += len(splu_orderings)
+                    del splu_orderings[:]
+                    want = p_energy(cold, p)
+                    cold_count += len(splu_orderings)
+                    where = (name, members[0], k, p)
+                    assert not (want.flag == "ok" and got.flag != "ok"), where
+                    if got.flag == want.flag == "ok":
+                        assert abs(got.value - want.value) <= 1e-12 * want.value, where
+        factorizations[name] = (warm_count, cold_count)
+    assert retries["sc"] >= 1
+    warm_count, cold_count = factorizations["vicsek"]
+    assert warm_count < cold_count
+
+
+def test_newton_cache_carries_no_state():
+    # the solver data kept on a problem changes no value: a repeated call, a
+    # call after a warm start at another p, and a fresh problem agree bit for bit
+    h = build_hierarchy(Schedule.pure_sc(), 4)
+    prob = build_separation(h, 1, 0, 2)
+    for p in (2.0, 1.5, 2.5):
+        first = p_energy(prob, p)
+        p_energy(prob, 1.7, start=first.potential)
+        for again in (p_energy(prob, p), p_energy(build_separation(h, 1, 0, 2), p)):
+            assert again.value == first.value and again.residual == first.residual
+            assert again.flag == first.flag
+            assert np.array_equal(again.potential, first.potential)
+
+
+@pytest.mark.parametrize("start, message", [
+    (np.array([1.0, 0.5]), "one value per cell"),
+    (np.array([1.0, np.nan, 0.0]), "finite"),
+    (np.array([1.0, 0.5, np.inf]), "finite"),
+], ids=["length", "nan", "inf"])
+def test_bad_start_rejected(monkeypatch, start, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("factorized before the arguments were checked")
+
+    monkeypatch.setattr(spla, "splu", no_solve)
+    with pytest.raises(ValueError, match=message):
+        p_energy(path_problem(), 1.5, start=start)
