@@ -2,14 +2,26 @@
 
 A form is a corner graph with conductances divided by the level's resistance
 renormalizer and a vertex measure obtained by splitting each cell's mass
-equally among its four corners.  Heat kernels come from the dense
-generalized eigenproblem L phi = lambda M phi with the eigenvectors
-orthonormal in the mass inner product, so
+equally among its four corners.  Heat kernels come from the generalized
+eigenproblem L phi = lambda M phi with the eigenvectors orthonormal in the
+mass inner product, so
 
     p(t, x, y) = sum_k exp(-lambda_k t) phi_k(x) phi_k(y)
 
 is exact up to the factorization; invariants (monotonicity, the 1/mu(X)
 floor, Chapman-Kolmogorov) are checked against it directly.
+
+The eigenproblem is split by the reflections x -> -x and y -> -y of the
+coordinate box that are exact symmetries of the form (every edge onto an
+edge of equal conductance, every mass onto an equal mass).  They generate
+an abelian group G of order 1, 2 or 4 whose irreducible characters are
+signs, so the symmetry-adapted basis (Serre, Linear Representations of
+Finite Groups) is one signed, normalized orbit sum per (character, vertex
+orbit) pair.  Each character's block B^T (M^-1/2 L M^-1/2) B is solved with
+a dense eigh, and the kernel is evaluated block by block on orbit columns:
+phi_k(v) = amp[v] U[col[v], k].  No n x n eigenvector matrix is formed.  A
+form without coordinates, or without an exact reflection, has the trivial
+group and one block, the whole scaled Laplacian.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .cornergraph import corner_graph
 from .hierarchy import PartitionHierarchy
@@ -38,6 +51,68 @@ __all__ = [
 ]
 
 DENSE_EIG_CAP = 6000
+MIX_BATCH = 16  # times of the mixing grid evaluated per p_diag call
+
+
+@dataclass
+class SpectralBlock:
+    """One character's eigenpairs (w ascending, U) on its orbit columns.
+
+    col[v] is the column of v's orbit and amp[v] its signed, mass-scaled
+    coefficient, so the mu-orthonormal eigenvectors are
+    phi_k(v) = amp[v] U[col[v], k]; amp is 0 (and col 0) on the vertices
+    whose orbit the character annihilates.
+    """
+
+    w: np.ndarray
+    U: np.ndarray
+    col: np.ndarray
+    amp: np.ndarray
+
+
+def _reflections(graph: LevelGraph, mass: np.ndarray) -> List[np.ndarray]:
+    """The reflections x -> -x and y -> -y of the coordinate box that are
+    exact symmetries of the form, as vertex permutations.
+
+    Each axis's distinct coordinate values must mirror about their centre;
+    the image of every vertex must be a vertex, of every edge an edge of
+    exactly equal conductance, and of every mass an exactly equal mass.
+    """
+    n = graph.n
+    coords = graph.coords
+    if coords is None or coords.shape != (n, 2):
+        return []
+    ranks, sizes, mirrored = [], [], []
+    for axis in (0, 1):
+        vals, rank = np.unique(coords[:, axis], return_inverse=True)
+        ranks.append(rank)
+        sizes.append(len(vals))
+        mirrored.append(len(vals) > 1 and np.allclose(
+            vals + vals[::-1], vals[0] + vals[-1], rtol=0.0, atol=1e-9 * (vals[-1] - vals[0])))
+    key = ranks[0] * sizes[1] + ranks[1]
+    order = np.argsort(key)
+    sorted_keys = key[order]
+    if np.any(np.diff(sorted_keys) == 0):
+        return []  # two vertices at one point: no vertex permutation
+    edge_keys = graph.edge_u * n + graph.edge_v  # sorted: edges are in (u < v) order
+    found = []
+    for axis in (0, 1):
+        if not mirrored[axis]:
+            continue
+        image_ranks = list(ranks)
+        image_ranks[axis] = sizes[axis] - 1 - ranks[axis]
+        image = image_ranks[0] * sizes[1] + image_ranks[1]
+        if not np.array_equal(np.sort(image), sorted_keys):
+            continue
+        perm = order[np.searchsorted(sorted_keys, image)]
+        pu, pv = perm[graph.edge_u], perm[graph.edge_v]
+        image_edges = np.minimum(pu, pv) * n + np.maximum(pu, pv)
+        by_key = np.argsort(image_edges)  # edge by_key[i] maps onto edge i
+        if (np.array_equal(mass[perm], mass)
+                and np.array_equal(image_edges[by_key], edge_keys)
+                and np.array_equal(graph.conductance[by_key], graph.conductance)):
+            found.append(perm)
+    return found
 
 
 class FiniteDirichletForm:
@@ -47,6 +122,8 @@ class FiniteDirichletForm:
         mass = np.asarray(mass, dtype=np.float64)
         if len(mass) != graph.n:
             raise ValueError("mass vector length mismatch")
+        if not np.all(np.isfinite(mass)):
+            raise ValueError("vertex masses must be finite")
         if np.any(mass <= 0):
             raise ValueError("zero-mass vertex")
         if graph.n > DENSE_EIG_CAP:
@@ -56,41 +133,84 @@ class FiniteDirichletForm:
         self.graph = graph
         self.mass = mass
         self.total_mass = float(mass.sum())
-        self._eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._eig: Optional[Tuple[np.ndarray, List[SpectralBlock]]] = None
+        self._window: Optional[Tuple[float, float, float]] = None
 
-    def eig(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, phi) with phi columns mu-orthonormal."""
+    def eig(self) -> Tuple[np.ndarray, List[SpectralBlock]]:
+        """(the whole spectrum ascending, one SpectralBlock per character).
+
+        The first block belongs to the trivial character; it holds the zero
+        mode, whose eigenvalue is clamped at 0.
+        """
         if self._eig is None:
-            # scaled in place (rows, then columns) and handed to LAPACK to
-            # overwrite, so the n x n matrix is held once; eigh reads one triangle
-            sym = self.graph.laplacian().toarray(order="F")
-            inv_sqrt = 1.0 / np.sqrt(self.mass)
-            sym *= inv_sqrt[:, None]
-            sym *= inv_sqrt[None, :]
-            w, phi = scipy.linalg.eigh(sym, driver="evd", overwrite_a=True)
-            w[0] = max(w[0], 0.0)
-            phi *= inv_sqrt[:, None]
-            self._eig = (w, phi)
+            n = self.graph.n
+            elems = [np.arange(n)]
+            for g in _reflections(self.graph, self.mass):
+                elems += [g[e] for e in elems]  # element i applies generator j iff bit j of i
+            stack = np.stack(elems)
+            rep = stack.min(axis=0)  # orbit representative
+            fixes = stack == np.arange(n)
+            size = len(elems) // fixes.sum(axis=0)  # orbit size
+            # an element sending v to rep(v); each is an involution, so it
+            # also sends rep(v) to v
+            via = np.argmax(stack == rep, axis=0)
+            scale = 1.0 / np.sqrt(self.mass)
+            lap = self.graph.laplacian()
+            blocks = []
+            for c in range(len(elems)):
+                chi = np.array([(-1.0) ** bin(c & i).count("1") for i in range(len(elems))])
+                inside = np.all(~fixes | (chi[:, None] == 1.0), axis=0)
+                reps = np.unique(rep[inside])
+                col = np.where(inside, np.searchsorted(reps, rep), 0)
+                amp = np.where(inside, chi[via] * scale / np.sqrt(size), 0.0)
+                rows = np.flatnonzero(inside)
+                basis = sp.csr_matrix((amp[rows], (rows, col[rows])), shape=(n, len(reps)))
+                # B^T (M^-1/2 L M^-1/2) B, handed to LAPACK to overwrite
+                sym = (basis.T @ lap @ basis).toarray(order="F")
+                w, U = scipy.linalg.eigh(sym, driver="evd", overwrite_a=True)
+                if c == 0:
+                    w[0] = max(w[0], 0.0)
+                blocks.append(SpectralBlock(w, U, col, amp))
+            self._eig = (np.sort(np.concatenate([b.w for b in blocks])), blocks)
         return self._eig
 
     @property
     def lambda_max(self) -> float:
         return float(self.eig()[0][-1])
 
+    def _vertices(self, xs) -> np.ndarray:
+        ids = np.asarray(xs).reshape(-1)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise TypeError("vertex ids must be integers")
+        if np.any((ids < 0) | (ids >= self.graph.n)):
+            raise ValueError("vertex out of range")
+        return ids.astype(np.int64)
+
     def p_diag(self, times: Sequence[float], xs: Optional[Sequence[int]] = None) -> np.ndarray:
         """p(t, x, x) as an array (len(xs), len(times)); xs None = all."""
-        w, phi = self.eig()
-        sq = phi ** 2 if xs is None else phi[np.asarray(xs)] ** 2
-        expm = np.exp(-np.outer(w, np.asarray(times, dtype=float)))
-        return sq @ expm
+        ids = np.arange(self.graph.n) if xs is None else self._vertices(xs)
+        times = np.asarray(times, dtype=float)
+        out = np.zeros((len(ids), len(times)))
+        for b in self.eig()[1]:
+            cols, at = np.unique(b.col[ids], return_inverse=True)
+            sq = b.U[cols]
+            sq *= sq
+            out += (b.amp[ids] ** 2)[:, None] * (sq @ np.exp(-np.outer(b.w, times)))[at]
+        return out
 
     def p_pair(self, t: float, x: int, y: int) -> float:
-        w, phi = self.eig()
-        return float(np.sum(np.exp(-w * t) * phi[x] * phi[y]))
+        x, y = self._vertices([x, y])
+        return float(sum(b.amp[x] * b.amp[y] * np.dot(np.exp(-b.w * t) * b.U[b.col[x]],
+                                                      b.U[b.col[y]])
+                         for b in self.eig()[1]))
 
     def p_row(self, t: float, x: int) -> np.ndarray:
-        w, phi = self.eig()
-        return phi @ (np.exp(-w * t) * phi[x])
+        (x,) = self._vertices([x])
+        out = np.zeros(self.graph.n)
+        for b in self.eig()[1]:
+            orbit_row = b.U @ (np.exp(-b.w * t) * b.U[b.col[x]])
+            out += b.amp[x] * b.amp * orbit_row[b.col]
+        return out
 
 
 def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
@@ -135,21 +255,25 @@ def time_window(form: FiniteDirichletForm) -> Tuple[float, float, float]:
     vertex mass (p ~ 1/m(x)) instead of the cascade, which would inflate the
     sup-over-x ratios; one dyadic decade above the naive 3/lambda_max clears
     that saturation.  t_mix is the first time on a 1.5x grid at which every
-    p(t, x, x) is within 1% of the floor 1/mu(X).
+    p(t, x, x) is within 1% of the floor 1/mu(X); the grid is evaluated
+    MIX_BATCH times per call.  The window is computed once per form.
     """
-    t_lo = 30.0 / form.lambda_max
-    floor = 1.0 / form.total_mass
-    t = t_lo
-    t_mix = None
-    for _ in range(200):
-        pmax = float(form.p_diag([t]).max())
-        if pmax <= floor * 1.01:
-            t_mix = t
-            break
-        t *= 1.5
-    if t_mix is None:
-        raise RuntimeError("mixing time not found; spectrum looks degenerate")
-    return t_lo, 0.5 * t_mix, t_mix
+    if form._window is None:
+        t_lo = 30.0 / form.lambda_max
+        floor = 1.0 / form.total_mass
+        grid = [t_lo]
+        for _ in range(199):
+            grid.append(grid[-1] * 1.5)
+        for start in range(0, len(grid), MIX_BATCH):
+            batch = grid[start:start + MIX_BATCH]
+            mixed = np.flatnonzero(form.p_diag(batch).max(axis=0) <= floor * 1.01)
+            if len(mixed):
+                t_mix = batch[mixed[0]]
+                form._window = (t_lo, 0.5 * t_mix, t_mix)
+                break
+        else:
+            raise RuntimeError("mixing time not found; spectrum looks degenerate")
+    return form._window
 
 
 def ol_ds_heat(form: FiniteDirichletForm,
@@ -204,6 +328,7 @@ def ds_pointwise(form: FiniteDirichletForm, x: int,
     in the lattice-cutoff regime (flagged unresolved) and past mixing
     (flagged saturated).  No limit is asserted; callers compare windows.
     """
+    form._vertices([x])
     t_lo, t_hi, t_mix = time_window(form)
     if times is None:
         lo = math.floor(math.log2(t_lo / 8))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from resdimlab import heat
 from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
@@ -133,3 +134,114 @@ def test_heat_volume_cross_consistency(vs_form4, vs_h6, sc_form4, sc_h6, sc_cach
     vol_sc = olds_volume(hier_measure(sc_h6), math.log(rho),
                          window=[1, 2, 3])["ds_estimate"]
     assert abs(heat_sc - vol_sc) <= 0.1
+
+
+def test_nonfinite_mass_rejected():
+    g = LevelGraph(2, [(0, 1, 1.0)])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteDirichletForm(g, [0.5, bad])
+
+
+@pytest.mark.parametrize("x", [-1, 2])
+def test_vertex_out_of_range(two_state, x):
+    with pytest.raises(ValueError, match="vertex out of range"):
+        two_state.p_diag([1.0], xs=[0, x])
+    with pytest.raises(ValueError, match="vertex out of range"):
+        two_state.p_pair(1.0, 0, x)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        two_state.p_pair(1.0, x, 0)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        two_state.p_row(1.0, x)
+    with pytest.raises(ValueError, match="vertex out of range"):
+        heat_kernel(two_state, x, [1.0])
+    with pytest.raises(ValueError, match="vertex out of range"):
+        ds_pointwise(two_state, x, times=[1.0, 2.0])
+
+
+def test_vertex_ids_must_be_integers(two_state):
+    with pytest.raises(TypeError, match="integers"):
+        two_state.p_pair(1.0, 0, 0.5)
+    with pytest.raises(TypeError, match="integers"):
+        two_state.p_diag([1.0], xs=[1.0])
+    assert two_state.p_diag([1.0], xs=[]).shape == (0, 1)
+
+
+# -- reflection blocks against the unreduced dense eigensolve ------------------
+
+def dense_oracle(form):
+    """The unreduced solve: (w, phi) of all n vertices, phi mu-orthonormal."""
+    scale = 1.0 / np.sqrt(form.mass)
+    sym = form.graph.laplacian().toarray() * scale[:, None] * scale[None, :]
+    w, phi = scipy.linalg.eigh(sym)
+    return w, phi * scale[:, None]
+
+
+def broken_form(sc_h6, sc_cache):
+    """The SC level-2 form with one corner conductance perturbed."""
+    form = build_form(sc_h6, 2, hier_measure(sc_h6), sc_cache.pt(2))
+    g = form.graph
+    c = g.conductance.copy()
+    c[0] *= 1.001
+    return FiniteDirichletForm(LevelGraph(g.n, np.column_stack([g.edge_u, g.edge_v, c]),
+                                          coords=g.coords), form.mass)
+
+
+@pytest.fixture(scope="module")
+def oracle_forms(vs_form4, sc_h6, sc_cache, mx_h5, mx_cache, two_state):
+    return {
+        "vicsek-4": vs_form4,
+        "sc-3": build_form(sc_h6, 3, hier_measure(sc_h6), sc_cache.pt(3)),
+        "mixed-3": build_form(mx_h5, 3, hier_measure(mx_h5), mx_cache.pt(3)),
+        "broken-sc-2": broken_form(sc_h6, sc_cache),
+        "two-state": two_state,
+    }
+
+
+@pytest.mark.parametrize("name", ["vicsek-4", "sc-3", "mixed-3", "broken-sc-2", "two-state"])
+def test_blocks_match_dense_oracle(oracle_forms, name):
+    form = oracle_forms[name]
+    w, blocks = form.eig()
+    if name in ("broken-sc-2", "two-state"):
+        assert len(blocks) == 1
+    w_ref, phi = dense_oracle(form)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * w_ref[-1]
+    t_lo, _, t_mix = time_window(form)
+    times = np.geomspace(t_lo / 8, 2 * t_mix, 40)
+    P = form.p_diag(times)
+    P_ref = (phi ** 2) @ np.exp(-np.outer(w_ref, times))
+    assert np.max(np.abs(P - P_ref) / P_ref) <= 1e-10
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x, y = (int(v) for v in rng.integers(0, form.graph.n, size=2))
+        j = int(rng.integers(0, len(times)))
+        t = float(times[j])
+        row_ref = phi @ (np.exp(-w_ref * t) * phi[x])
+        scale = np.sqrt(P_ref[x, j] * P_ref[:, j])
+        assert abs(form.p_pair(t, x, y) - row_ref[y]) <= 1e-10 * scale[y]
+        assert np.all(np.abs(form.p_row(t, x) - row_ref) <= 1e-10 * scale)
+    assert np.allclose(form.p_diag(times[:3], xs=[0, form.graph.n - 1, 0]),
+                       P[[0, form.graph.n - 1, 0], :3], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("schedule,level", [("sc", 3), ("vicsek", 3), ("mixed", 3)])
+def test_build_form_finds_klein_group(sc_h6, vs_h6, mx_h5, sc_cache, vs_cache, mx_cache,
+                                      schedule, level):
+    h, cache = {"sc": (sc_h6, sc_cache), "vicsek": (vs_h6, vs_cache),
+                "mixed": (mx_h5, mx_cache)}[schedule]
+    form = build_form(h, level, hier_measure(h), cache.pt(level))
+    _, blocks = form.eig()
+    assert len(blocks) == 4  # one block per sign character of the group
+    assert sum(len(b.w) for b in blocks) == form.graph.n
+
+
+def test_time_window_cached_and_batched(oracle_forms):
+    form = oracle_forms["sc-3"]
+    window = time_window(form)
+    assert time_window(form) is window
+    # reference: the one-time-per-call walk of the 1.5x grid
+    t_lo = 30.0 / form.lambda_max
+    t = t_lo
+    while form.p_diag([t]).max() > 1.01 / form.total_mass:
+        t *= 1.5
+    assert window == (t_lo, 0.5 * t, t)
