@@ -9,6 +9,13 @@ edge twice, and the parallel copies are merged into one conductance-2 edge.
 Vertices sit on the integer grid {0..3^(n-m)}^2 (coordinate p/3^(n-m) - 1/2)
 and are numbered by first appearance over the cells, each cell listing its
 corners counterclockwise from the lower left.
+
+Both subdivision rules are invariant under the dihedral group D4 of the
+square, so every corner graph is too.  The (Pt) and (TB) resistances are
+therefore solved exactly on a quarter of the graph (`pt_quarter`,
+`tb_quarter`): with s = 3^(n-m) odd and every edge a unit axis-parallel step,
+no edge crosses a mirror line without touching it, except the edges that
+cross x = s/2 or y = s/2 at their midpoints.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .hierarchy import GridIndex, Schedule, child_boxes
-from .resnet import LevelGraph
+from .resnet import LevelGraph, SolverError
 
-__all__ = ["CornerGraph", "corner_graph", "corner_vertices_at_level"]
+__all__ = ["CornerGraph", "corner_graph", "corner_vertices_at_level",
+           "pt_quarter", "tb_quarter"]
 
 VERTEX_CAP = 4_000_000
 DEPTH_CAP = 7
@@ -77,6 +85,25 @@ class CornerGraph:
 
     def coords_float(self) -> np.ndarray:
         return self.grid / self.span - 0.5
+
+    @cached_property
+    def d4_symmetric(self) -> bool:
+        """Whether x -> s-x, y -> s-y and (x, y) -> (y, x) each map the grid
+        onto itself and every edge onto an edge of exactly equal conductance."""
+        x, y = self.grid.T
+        s, g = self.span, self.graph
+        keys = g.edge_u * g.n + g.edge_v  # sorted: edges are kept in (u < v) order
+        for mx, my in ((s - x, y), (x, s - y), (y, x)):
+            image = self.grid_index.lookup(mx, my)  # injective, so onto when none is missing
+            if (image < 0).any():
+                return False
+            u, v = image[g.edge_u], image[g.edge_v]
+            mapped = np.minimum(u, v) * g.n + np.maximum(u, v)
+            order = np.argsort(mapped)
+            if not (np.array_equal(mapped[order], keys)
+                    and np.array_equal(g.conductance[order], g.conductance)):
+                return False
+        return True
 
 
 def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
@@ -134,3 +161,56 @@ def corner_vertices_at_level(cg: CornerGraph, level: int) -> List[int]:
                          indexing="ij")
     ids = cg.grid_index.lookup(gx.ravel(), gy.ravel())
     return ids[ids >= 0].tolist()
+
+
+def _quarter(cg: CornerGraph, inside: np.ndarray, mirror: np.ndarray,
+             gain: float) -> Tuple[LevelGraph, np.ndarray]:
+    """The graph induced on the `inside` vertices plus one terminal, the last
+    vertex, that stands for the `mirror` vertices; edges to the terminal have
+    their conductance multiplied by `gain`.  Returns it with the map from
+    corner-graph vertices to its vertices (-1 off it)."""
+    if not cg.d4_symmetric:
+        raise SolverError(f"corner graph ({cg.n}, {cg.m}) is not D4-symmetric")
+    g = cg.graph
+    terminal = int(np.count_nonzero(inside))
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[inside] = np.arange(terminal)
+    label[mirror] = terminal
+    lu, lv = label[g.edge_u], label[g.edge_v]
+    keep = (lu >= 0) & (lv >= 0) & (lu != lv)
+    c = np.where((lu == terminal) | (lv == terminal), gain, 1.0) * g.conductance
+    edges = np.column_stack([lu[keep], lv[keep], c[keep]])
+    return LevelGraph(terminal + 1, edges), label
+
+
+def pt_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
+    """(graph, A, B) with eff_resistance(graph, A, B) = R(p1, p5) = (Pt)_{n,m}.
+
+    The antidiagonal reflection (x, y) -> (s-y, s-x) swaps p1 and p5 and
+    takes the potential u to 1 - u, so u = 1/2 on D = {x + y = s}; the
+    diagonal reflection fixes p1 and D and splits the current from p1 evenly.
+    On Q = {x + y >= s, y <= x} with D merged into one terminal, R(p1, D) is
+    (Pt/2) * 2 = Pt.  Raises SolverError unless the graph is D4-symmetric.
+    """
+    x, y = cg.grid.T
+    s = cg.span
+    q = y <= x
+    g, label = _quarter(cg, q & (x + y > s), q & (x + y == s), 1.0)
+    return g, [int(label[cg.vertex_at(s, s)])], [g.n - 1]
+
+
+def tb_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
+    """(graph, A, B) with eff_resistance(graph, A, B) = R(top, bottom) = (TB)_{n,m}.
+
+    The reflection y -> s-y swaps the sides and takes u to 1 - u, so the
+    midpoint of every vertical edge across y = s/2 sits at 1/2: half of such
+    an edge of conductance c is an edge of conductance 2c to a terminal at
+    1/2.  The reflection x -> s-x keeps u, so the horizontal edges across
+    x = s/2 carry no current.  On Q = {x < s/2, y > s/2}, R(top, terminal)
+    is (TB/2) * 2 = TB.  Raises SolverError unless the graph is D4-symmetric.
+    """
+    x, y = cg.grid.T
+    s = cg.span
+    left = 2 * x < s
+    g, label = _quarter(cg, left & (2 * y > s), left & (2 * y == s - 1), 2.0)
+    return g, label[left & (y == s)].tolist(), [g.n - 1]

@@ -129,6 +129,13 @@ def hier_measure(h: PartitionHierarchy) -> HierMeasure:
     return HierMeasure(h, weights)
 
 
+def _sample_centers(h: PartitionHierarchy, level: int, samples: int, seed: int) -> list:
+    """`sample_corners` of level min(level, depth), seeded, as points of [-1/2, 1/2]^2."""
+    level = min(level, h.depth)
+    return (sample_corners(h, level, samples, np.random.default_rng(seed)) / 3 ** level
+            - 0.5).tolist()
+
+
 def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float]]] = None,
                    levels: Optional[Sequence[int]] = None, samples: int = 40,
                    seed: int = 0) -> dict:
@@ -141,9 +148,7 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
     if levels is None:
         levels = list(range(1, max(2, h.depth - 1)))
     if centers is None:
-        level = min(2, h.depth)
-        centers = (sample_corners(h, level, samples, np.random.default_rng(seed))
-                   / 3 ** level - 0.5).tolist()
+        centers = _sample_centers(h, 2, samples, seed)
     worst = 0.0
     witness = None
     ratios = []
@@ -269,10 +274,7 @@ class PsiMeasure:
         ratio would inherit.  The conservative single-lag constant is also
         reported (the `lesssim` form with its fitted prefactor).
         """
-        h = self.h
-        level = min(self.k, h.depth)
-        centers = (sample_corners(h, level, samples, np.random.default_rng(seed))
-                   / 3 ** level - 0.5).tolist()
+        centers = _sample_centers(self.h, self.k, samples, seed)
         slopes = []
         worst_single = 0.0
         for x in centers:
@@ -342,11 +344,8 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
     window = sorted(set(int(j) for j in window))
     if len(window) < 2:
         raise ValueError("window must span at least two scales")
-    h = m.h
     if centers is None:
-        level = min(2, h.depth)
-        centers = (sample_corners(h, level, samples, np.random.default_rng(seed))
-                   / 3 ** level - 0.5).tolist()
+        centers = _sample_centers(m.h, 2, samples, seed)
 
     # V(x, c*3^-j) midpoints of the cover bracket, per center and factor c
     logs: Dict[Tuple[int, int], List[float]] = {}

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cornergraph import CornerGraph, corner_graph
+from .cornergraph import CornerGraph, corner_graph, pt_quarter, tb_quarter
 from .hierarchy import PartitionHierarchy, Schedule, _point_pair, build_hierarchy
 from .resnet import eff_resistance
 
@@ -55,7 +55,11 @@ class ResistanceScales:
 
 
 class ScaleCache:
-    """Corner graphs and their resistance scales for one schedule."""
+    """Corner graphs and their resistance scales for one schedule.
+
+    (Pt) and (TB) are each one eff_resistance on the reflection quarter of
+    the corner graph (`cornergraph.pt_quarter`, `cornergraph.tb_quarter`).
+    """
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
@@ -73,20 +77,15 @@ class ScaleCache:
         """(Pt)_{n,m} alone: the opposite-corner resistance p1 to p5."""
         key = (n, m)
         if key not in self._pt:
-            cg = self.graph(n, m)
-            p1, p3, p5, p7 = cg.corner_vertices()
-            self._pt[key] = eff_resistance(cg.graph, [p1], [p5]).value
+            self._pt[key] = eff_resistance(*pt_quarter(self.graph(n, m))).value
         return self._pt[key]
 
     def scales(self, n: int, m: int = 0) -> ResistanceScales:
         key = (n, m)
         if key not in self._scales:
-            pt = self.pt(n, m)
-            cg = self.graph(n, m)
-            tb = eff_resistance(cg.graph, cg.side_vertices("top"),
-                                cg.side_vertices("bottom")).value
             self._scales[key] = ResistanceScales(
-                n=n, m=m, tb=tb, pt=pt,
+                n=n, m=m, pt=self.pt(n, m),
+                tb=eff_resistance(*tb_quarter(self.graph(n, m))).value,
                 k1=k1_count(self.schedule, n, m),
                 k2=k2_count(self.schedule, n, m))
         return self._scales[key]

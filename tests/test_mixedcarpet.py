@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resdimlab import mixedcarpet
+from resdimlab import mixedcarpet, resnet
+from resdimlab.cornergraph import pt_quarter
 from resdimlab.hierarchy import Schedule, mixed_indicator
-from resdimlab.mixedcarpet import (ResistanceScales, ScaleCache, chain_check, delta_pair,
-                                   evres_fit, qs_diagnostic, qs_envelope_drift)
+from resdimlab.mixedcarpet import (ScaleCache, chain_check, delta_pair, evres_fit,
+                                   qs_diagnostic, qs_envelope_drift)
 from resdimlab.resnet import eff_resistance
 from conftest import single_pair_resistance
 
@@ -27,9 +28,13 @@ def test_schedule_f_blocks():
 
 
 def test_resistance_scales_identity_pair(mx_cache):
-    s = mx_cache.scales(1, 1)
-    assert s.pt == pytest.approx(1.0, abs=1e-12)
-    assert s.k1 == 0 and s.k2 == 0
+    # (n, n) is the 4-cycle: two parallel 2-edge paths corner to corner, two
+    # parallel unit edges side to side
+    for n in (0, 1, 4):
+        s = mx_cache.scales(n, n)
+        assert s.pt == pytest.approx(1.0, abs=1e-12)
+        assert s.tb == pytest.approx(0.5, abs=1e-12)
+        assert s.k1 == 0 and s.k2 == 0
 
 
 def test_vicsek_pt_powers(vs_cache):
@@ -322,27 +327,52 @@ def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, mx_cache):
     calls = []
 
     def counted(g, A, B, **kwargs):
-        calls.append(g)
+        calls.append((g, A, B))
         return eff_resistance(g, A, B, **kwargs)
 
     monkeypatch.setattr(mixedcarpet, "eff_resistance", counted)
     caches = {"sc": ScaleCache(Schedule.pure_sc()), "vicsek": ScaleCache(Schedule.pure_vicsek()),
               "mixed": mx_cache}
     evres_fit(n_max=2, pure_levels=4, caches=caches)
-    pure = [caches[name].graph(n).graph for name in ("sc", "vicsek") for n in range(1, 5)]
-    assert len(calls) == len(pure) and all(a is b for a, b in zip(calls, pure))
+    # one solve per pure graph, on its Pt quarter
+    want = [pt_quarter(caches[name].graph(n)) for name in ("sc", "vicsek") for n in range(1, 5)]
+    assert len(calls) == len(want)
+    for (g, A, B), (wg, wA, wB) in zip(calls, want):
+        assert (g.n, A, B) == (wg.n, wA, wB)
+        assert np.array_equal(g.edge_u, wg.edge_u) and np.array_equal(g.edge_v, wg.edge_v)
+        assert np.array_equal(g.conductance, wg.conductance)
 
 
 @pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
-                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
+                                      Schedule.mixed(), Schedule.from_table([1, 1, 0, 1, 0])],
+                         ids=["sc", "vicsek", "mixed", "table"])
 def test_scales_equal_direct_resistances(schedule):
+    """Quarter solves against full-graph solves, every (n, m) with n <= 5."""
     cache = ScaleCache(schedule)
     for n in range(1, 6):
-        cg = cache.graph(n)
-        p1, _, p5, _ = cg.corner_vertices()
-        s = cache.scales(n)
-        assert s == ResistanceScales(
-            n, 0, eff_resistance(cg.graph, cg.side_vertices("top"),
-                                 cg.side_vertices("bottom")).value,
-            eff_resistance(cg.graph, [p1], [p5]).value, s.k1, s.k2)
-        assert cache.pt(n) == s.pt
+        for m in range(n + 1):
+            cg = cache.graph(n, m)
+            p1, _, p5, _ = cg.corner_vertices()
+            s = cache.scales(n, m)
+            assert (s.n, s.m) == (n, m)
+            assert s.tb == pytest.approx(eff_resistance(cg.graph, cg.side_vertices("top"),
+                                                        cg.side_vertices("bottom")).value,
+                                         rel=1e-9, abs=0)
+            assert s.pt == pytest.approx(eff_resistance(cg.graph, [p1], [p5]).value,
+                                         rel=1e-9, abs=0)
+            assert cache.pt(n, m) == s.pt
+
+
+def test_scales_factor_only_quarters(monkeypatch):
+    sizes = []
+    splu = resnet.spla.splu
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(resnet.spla, "splu", counted)
+    cache = ScaleCache(Schedule.mixed())
+    cache.scales(5)
+    assert len(sizes) == 2  # Pt and TB, one factorization each
+    assert max(sizes) <= cache.graph(5).graph.n / 4 + 2 * 3 ** 5
