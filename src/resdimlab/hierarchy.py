@@ -210,11 +210,23 @@ class GridIndex:
         xhi, yhi = min(xhi, self.side - 1), min(yhi, self.side - 1)
         if xlo > xhi or ylo > yhi:
             return np.empty(0, dtype=np.int64)
-        # one key range per column
-        cols = np.arange(xlo, xhi + 1, dtype=np.int64) * self.side
+        start, stop = self.column_ranges(np.arange(xlo, xhi + 1, dtype=np.int64), ylo, yhi)
+        return np.concatenate([self._ids[a:b] for a, b in zip(start.tolist(), stop.tolist())])
+
+    def column_ranges(self, x: np.ndarray, ylo, yhi) -> Tuple[np.ndarray, np.ndarray]:
+        """Key-order positions [start, stop) of the points of column x[i] with
+        ylo[i] <= y <= yhi[i], broadcast; the range is empty where yhi < ylo.
+        Rows are taken within the grid: 0 <= ylo and yhi < side."""
+        cols = np.asarray(x, dtype=np.int64) * self.side
         start = np.searchsorted(self._keys, cols + ylo)
         stop = np.searchsorted(self._keys, cols + yhi, side="right")
-        return np.concatenate([self._ids[a:b] for a, b in zip(start.tolist(), stop.tolist())])
+        return start, np.maximum(stop, start)
+
+    def prefix_sums(self, values: np.ndarray) -> np.ndarray:
+        """Running sums of per-id values in key order, from 0: the points at key
+        positions [start, stop) hold out[stop] - out[start] in total."""
+        values = np.asarray(values)
+        return np.concatenate([np.zeros(1, dtype=values.dtype), np.cumsum(values[self._ids])])
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 Cell masses are exact rationals (per-level child weights multiplying along
 the address); ball masses are bracketed between inner and outer cell covers
-at the finest built level, tested only on the cells that a GridIndex.box
-query returns for the grid window around the ball.  The psi-measure
-implements the interior-child weighting that realizes controlled volume
-growth (N_* + eps)^k.
+at the finest built level.  Each measure keeps, per level, its cell masses
+as int64 numerators over one common denominator, summed in GridIndex key
+order; a ball query finds the run of covered rows in each grid column and
+adds the run's prefix-sum difference, so both brackets are exact sums,
+rounded once.  The psi-measure implements the interior-child weighting
+that realizes controlled volume growth (N_* + eps)^k.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ class HierMeasure:
                 raise ValueError("weights must be positive")
             if sum(table.values()) != 1:
                 raise ValueError(f"level {n} weights sum to {sum(table.values())}, not 1")
+        # level n's masses are integers over prod_{m <= n} lcm[m]
+        self._lcm = {n: math.lcm(*(w.denominator for w in weights[n].values()))
+                     for n in range(1, h.depth + 1)}
+        _check_denominator(math.prod(self._lcm.values()))
         self._mass_float: Dict[int, np.ndarray] = {}
+        self._prefix: Dict[int, Tuple[np.ndarray, int]] = {}
 
     def mass(self, n: int, i: int) -> Fraction:
         out = Fraction(1)
@@ -67,47 +74,109 @@ class HierMeasure:
             self._mass_float[n] = arr
         return self._mass_float[n]
 
+    def _exact_masses(self, n: int) -> Tuple[np.ndarray, int]:
+        """Key-order prefix sums of the level-n masses as int64 numerators,
+        with their common denominator."""
+        if n not in self._prefix:
+            num, denom = np.ones(1, dtype=np.int64), 1
+            for m in range(1, n + 1):
+                lvl = self.h.levels[m]
+                by_digit = np.zeros(9, dtype=np.int64)  # digits 0..8
+                for d, w in self.weights[m].items():
+                    by_digit[d] = int(w * self._lcm[m])
+                num = num[lvl.parent] * by_digit[lvl.digit]
+                denom *= self._lcm[m]
+            self._prefix[n] = (self.h.levels[n].grid_index.prefix_sums(num), denom)
+        return self._prefix[n]
+
     def resolution(self) -> int:
         return self.h.depth
 
     def ball_mass(self, x: Tuple[float, float], r: float) -> Tuple[float, float]:
         """(inner, outer) bracket of mu(B(x, r)) by cell covers."""
         n = self.resolution()
-        return _cover_bracket(self.h, n, self.masses_float(n), x, r)
+        return _cover_bracket(self.h.levels[n], *self._exact_masses(n), x, r)
 
 
-def _cover_bracket(h: PartitionHierarchy, n: int, masses: np.ndarray,
+def _cover_bracket(lvl, prefix: np.ndarray, denom: int,
                    x: Tuple[float, float], r: float) -> Tuple[float, float]:
-    """(inner, outer) ball-mass bracket: the mass of the level-n cells inside
-    the open ball B(x, r), and of those meeting it.
+    """(inner, outer) ball-mass bracket: the mass of the cells of level `lvl`
+    inside the open ball B(x, r), and of those meeting it.
 
-    Only the cells in the grid window of the ball's bounding box, widened by
-    one cell on each side, are tested; every cell meeting the ball lies in it.
-    The cells are taken in id order, so the sums match a scan of the level;
-    a window holding the whole grid is that scan.
+    A cell is inside when dmax2 < r2 and meets the ball when dmin2 < r2, with
+    dmin2 and dmax2 its least and greatest squared distance to x in floating
+    point.  Along a grid column each test passes on one run of rows: both
+    distances are maxima of a nondecreasing and a nonincreasing function of
+    the row, and rounding keeps that order.  So each column costs a search
+    for the two ends of its run, one for each test, and the mass of the run
+    is a difference of the integer prefix sums `prefix` (cell masses times
+    `denom`, in the GridIndex key order); the two sums over the columns are
+    exact, and dividing them by `denom` rounds each bracket correctly.
+    Only the columns and rows of the grid window around the ball's bounding
+    box, widened by one cell on each side, are searched: every cell meeting
+    the ball lies in it.
     """
     if not (math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(r) and r >= 0):
         raise ValueError(f"ball needs a finite centre and radius >= 0, got {tuple(x)}, {r}")
-    lvl = h.levels[n]
-    s = 3 ** n
+    s = 3 ** lvl.n
     xlo, xhi = _window(x[0] - r, x[0] + r, s)
     ylo, yhi = _window(x[1] - r, x[1] + r, s)
-    ix, iy = lvl.ix, lvl.iy
-    if not (xlo <= 0 and ylo <= 0 and xhi >= s - 1 and yhi >= s - 1):
-        ids = lvl.grid_index.box(xlo, xhi, ylo, yhi)
-        ids.sort()
-        masses, ix, iy = masses[ids], ix[ids], iy[ids]
+    xlo, ylo, xhi, yhi = max(xlo, 0), max(ylo, 0), min(xhi, s - 1), min(yhi, s - 1)
+    if xlo > xhi or ylo > yhi:
+        return 0.0, 0.0
+    # a power-of-two scale keeps every square below finite, however large the
+    # ball or far its centre; it is 1 unless max(|x|, r) >= 2^500
+    scale = math.ldexp(1.0, -max(math.frexp(max(abs(x[0]), abs(x[1]), r))[1] - 500, 0))
+    x0, x1, rs = x[0] * scale, x[1] * scale, r * scale
+    r2 = rs * rs
     side = 1.0 / s
-    xmin = ix * side - 0.5
-    ymin = iy * side - 0.5
-    dx = np.maximum(np.maximum(xmin - x[0], x[0] - (xmin + side)), 0.0)
-    dy = np.maximum(np.maximum(ymin - x[1], x[1] - (ymin + side)), 0.0)
-    dmin2 = dx * dx + dy * dy
-    fx = np.maximum(np.abs(x[0] - xmin), np.abs(x[0] - (xmin + side)))
-    fy = np.maximum(np.abs(x[1] - ymin), np.abs(x[1] - (ymin + side)))
-    dmax2 = fx * fx + fy * fy
-    r2 = r * r
-    return float(masses[dmax2 < r2].sum()), float(masses[dmin2 < r2].sum())
+    cols = np.arange(xlo, xhi + 1)
+    xmin = (cols * side - 0.5) * scale
+    ymin = (np.arange(ylo, yhi + 1) * side - 0.5) * scale
+    step = side * scale
+    dx = np.maximum(np.maximum(xmin - x0, x0 - (xmin + step)), 0.0)
+    dy = np.maximum(np.maximum(ymin - x1, x1 - (ymin + step)), 0.0)
+    fx = np.maximum(np.abs(x0 - xmin), np.abs(x0 - (xmin + step)))
+    fy = np.maximum(np.abs(x1 - ymin), np.abs(x1 - (ymin + step)))
+    out = []
+    for a, b in ((fx * fx, fy * fy), (dx * dx, dy * dy)):  # dmax2, then dmin2
+        lo, hi = _row_runs(a, b, r2)
+        start, stop = lvl.grid_index.column_ranges(cols, ylo + lo, ylo + hi)
+        out.append(int((prefix[stop] - prefix[start]).sum()) / denom)
+    return out[0], out[1]
+
+
+def _row_runs(a: np.ndarray, b: np.ndarray, r2: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per column c, the first and last row i with a[c] + b[i] < r2 in floating
+    point (last < first where there is none), for a row profile b that falls
+    and then rises."""
+    m = int(np.argmin(b))
+    up = _leading(b[m:], a, r2)       # rows m, m + 1, ... that pass
+    down = _leading(b[m::-1], a, r2)  # rows m, m - 1, ...
+    return m + 1 - down, m - 1 + up
+
+
+def _leading(v: np.ndarray, a: np.ndarray, r2: float) -> np.ndarray:
+    """Per a[c], how many leading entries of the nondecreasing v pass a[c] + v < r2.
+
+    The pass set is a prefix, since rounding keeps a + v nondecreasing in v;
+    a search for r2 - a[c] lands at or next to its end, and the exact test
+    moves it the rest of the way.
+    """
+    k = np.searchsorted(v, r2 - a)
+    last = len(v) - 1
+    while True:
+        grow = (k <= last) & (a + v[np.minimum(k, last)] < r2)
+        shrink = (k > 0) & ~(a + v[np.maximum(k - 1, 0)] < r2)
+        if not (grow.any() or shrink.any()):
+            return k
+        k = k + grow - shrink
+
+
+def _check_denominator(denom: int) -> None:
+    """Ball masses sum int64 numerators over `denom`; refuse one that overflows."""
+    if denom > np.iinfo(np.int64).max:
+        raise ValueError(f"common mass denominator {denom} does not fit in int64")
 
 
 def _window(lo: float, hi: float, s: int) -> Tuple[int, int]:
@@ -149,14 +218,22 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
         levels = list(range(1, max(2, h.depth - 1)))
     if centers is None:
         centers = _sample_centers(h, 2, samples, seed)
+    balls: Dict[Tuple[int, float], Tuple[float, float]] = {}
+
+    def vol(ci: int, r: float) -> Tuple[float, float]:
+        """Bracket of V(centers[ci], r); each ball is queried once."""
+        if (ci, r) not in balls:
+            balls[ci, r] = m.ball_mass(centers[ci], r)
+        return balls[ci, r]
+
     worst = 0.0
     witness = None
     ratios = []
-    for x in centers:
+    for ci, x in enumerate(centers):
         for j in levels:
             r = 3.0 ** (-j)
-            lo_r, _ = m.ball_mass(x, r)
-            _, hi_2r = m.ball_mass(x, 2 * r)
+            lo_r, _ = vol(ci, r)
+            _, hi_2r = vol(ci, 2 * r)
             if lo_r <= 0:
                 continue
             q = hi_2r / lo_r
@@ -166,8 +243,8 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
 
     def halves(g: float) -> bool:
         """Whether V(x, r/g) <= V(x, r)/2 for every sampled x and r = 3^-j."""
-        return all(m.ball_mass(x, 3.0 ** (-j) / g)[1] <= m.ball_mass(x, 3.0 ** (-j))[0] / 2 + 1e-15
-                   for x in centers for j in levels)
+        return all(vol(ci, 3.0 ** (-j) / g)[1] <= vol(ci, 3.0 ** (-j))[0] / 2 + 1e-15
+                   for ci in range(len(centers)) for j in levels)
 
     gamma1 = next((3.0 ** j for j in (1, 2, 3) if halves(3.0 ** j)), None)
     return {"doubling_constant": worst, "witness": witness,
@@ -192,6 +269,7 @@ class PsiMeasure:
         self.code: Dict[int, np.ndarray] = {}            # coarse level -> code per cell
         self.value: Dict[int, List[Fraction]] = {}       # coarse level -> psi per code
         self._mass_float: Dict[int, np.ndarray] = {}
+        self._prefix: Dict[int, Tuple[np.ndarray, int]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -224,6 +302,7 @@ class PsiMeasure:
             value = [q * small for q in value] + [q * big for q in value]
             self.interior_child[top] = interior
             self.code[bot], self.value[bot] = code, value
+        _check_denominator(_lcm_denominator(value))
 
     def mass(self, coarse_level: int, i: int) -> Fraction:
         return self.value[coarse_level][int(self.code[coarse_level][i])]
@@ -234,12 +313,23 @@ class PsiMeasure:
             self._mass_float[coarse_level] = table[self.code[coarse_level]]
         return self._mass_float[coarse_level]
 
+    def _exact_masses(self, coarse_level: int) -> Tuple[np.ndarray, int]:
+        """Key-order prefix sums of the psi values as int64 numerators, with
+        their common denominator (the lcm of the value table's)."""
+        if coarse_level not in self._prefix:
+            values = self.value[coarse_level]
+            denom = _lcm_denominator(values)
+            table = np.array([int(q * denom) for q in values], dtype=np.int64)
+            index = self.h.levels[coarse_level].grid_index
+            self._prefix[coarse_level] = (index.prefix_sums(table[self.code[coarse_level]]), denom)
+        return self._prefix[coarse_level]
+
     def resolution(self) -> int:
         return self.coarse_levels[-1]
 
     def ball_mass(self, x: Tuple[float, float], r: float) -> Tuple[float, float]:
         n = self.resolution()
-        return _cover_bracket(self.h, n, self.masses_float(n), x, r)
+        return _cover_bracket(self.h.levels[n], *self._exact_masses(n), x, r)
 
     def neighbor_comparability(self) -> dict:
         """Exact check of ((N*+eps)^k - 1) psi(w) >= psi(u) on adjacent pairs,
@@ -294,6 +384,10 @@ class PsiMeasure:
             raise ValueError("no usable centers for the growth exponent")
         return {"growth_exponent": max(slopes), "bound": math.log(float(self.base)),
                 "single_lag_max": worst_single}
+
+
+def _lcm_denominator(values: Sequence[Fraction]) -> int:
+    return math.lcm(*(q.denominator for q in values))
 
 
 def psi_measure(h: PartitionHierarchy, eps: Fraction, k: int) -> PsiMeasure:

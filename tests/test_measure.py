@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -41,20 +43,41 @@ def test_weight_validation(sc_h6):
     with pytest.raises(ValueError, match="positive"):
         HierMeasure(sc_h6, zero)
 
+    # ball masses are int64 numerators over one common denominator
+    def one_heavy(den):
+        """Weights over den per level: 1 for each digit but the first."""
+        out = {}
+        for n in range(1, sc_h6.depth + 1):
+            digits = sc_h6.schedule.rule_at(n).digits
+            out[n] = {d: Fraction(1, den) for d in digits}
+            out[n][digits[0]] = Fraction(den - len(digits) + 1, den)
+        return out
+    assert HierMeasure(sc_h6, one_heavy(1009)).ball_mass((0.0, 0.0), 10.0) == (1.0, 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        HierMeasure(sc_h6, one_heavy(10007))  # 10007^6 > 2^63
 
-def test_ball_mass_brackets():
+
+def test_ball_mass_brackets(vs_h6, sc_h6):
     m = hier_measure(build_hierarchy(Schedule.pure_vicsek(), 3))
-    lo, hi = m.ball_mass((0.0, 0.0), 2.0)
-    assert lo == pytest.approx(1.0)
-    assert hi == pytest.approx(1.0)
+    assert m.ball_mass((0.0, 0.0), 2.0) == (1.0, 1.0)
     m = hier_measure(build_hierarchy(Schedule.pure_vicsek(), 4))
     lo, hi = m.ball_mass((-0.5, -0.5), 0.4)
     assert 0 < lo <= hi < 1
+    # a ball containing Q holds mass exactly 1, however large, with no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (hier_measure(vs_h6), hier_measure(sc_h6), psi_measure(vs_h6, Fraction(1, 2), 1)):
+            assert m.ball_mass((0.0, 0.0), 10.0) == (1.0, 1.0)
+            assert m.ball_mass((1e160, 0.0), 2e160) == (1.0, 1.0)
+            assert m.ball_mass((-1e300, 1e300), 1.5e300) == (1.0, 1.0)
+            assert m.ball_mass((1e160, 0.0), 1e150) == (0.0, 0.0)
 
 
-def _scan_cover_brackets(h, n, masses, x, radii):
+def _scan_cover_brackets(h, n, mass_of, x, radii):
     """The ball-mass brackets of B(x, r), r in radii, by a scan of every
-    level-n cell (the distances are computed once per centre)."""
+    level-n cell: the cells that the float distance tests select, and their
+    exact mass `mass_of(selected)` correctly rounded (the distances are
+    computed once per centre)."""
     lvl = h.levels[n]
     side = 1.0 / 3 ** n
     xmin = lvl.ix * side - 0.5
@@ -68,13 +91,36 @@ def _scan_cover_brackets(h, n, masses, x, radii):
     out = []
     for r in radii:
         r2 = r * r
-        out.append((float(masses[dmax2 < r2].sum()), float(masses[dmin2 < r2].sum())))
+        out.append((float(mass_of(dmax2 < r2)), float(mass_of(dmin2 < r2))))
     return out
+
+
+def _uniform_mass_of(m, n):
+    """Exact mass of selected level-n cells of a measure with equal cell masses."""
+    return lambda selected: int(selected.sum()) * m.mass(n, 0)
+
+
+def _exact_mass_of(m, n):
+    """Exact mass of selected level-n cells, from each cell's Fraction mass."""
+    masses = [m.mass(n, i) for i in range(m.h.levels[n].count)]
+    denom = math.lcm(*(q.denominator for q in masses))
+    nums = np.array([int(q * denom) for q in masses], dtype=object)
+    return lambda selected: Fraction(int(nums[selected].sum()), denom)
+
+
+def _random_measure(h, rng):
+    """A HierMeasure with random positive weights per level and digit."""
+    weights = {}
+    for n in range(1, h.depth + 1):
+        digits = h.schedule.rule_at(n).digits
+        parts = rng.integers(1, 10, size=len(digits)).tolist()
+        weights[n] = {d: Fraction(p, sum(parts)) for d, p in zip(digits, parts)}
+    return HierMeasure(h, weights)
 
 
 def _bracket_cases(h, n, seed):
     """Centres on grid lines, on corners, at random and outside Q; radii on
-    exact multiples of 3^-m, at random and at least sqrt(2)."""
+    exact multiples of 3^-m and of the cell side, at random and at least sqrt(2)."""
     rng = np.random.default_rng(seed)
     s = 3 ** n
     lvl = h.levels[n]
@@ -86,6 +132,9 @@ def _bracket_cases(h, n, seed):
                     tuple(rng.uniform(-0.6, 0.6, size=2))]
     radii = [0.0, 1e-9, 1.5 * 3.0 ** (-n), math.sqrt(2.0), 10.0] + list(rng.uniform(0.0, 0.5, size=2))
     radii += [c * 3.0 ** (-m) for m in range(n + 2) for c in (1, 2)]
+    # hypotenuses of integer triangles, so that a row's squared distance
+    # lands within rounding of r^2
+    radii += [k / s for k in (5, 13, 17)]
     return centers, radii
 
 
@@ -93,12 +142,18 @@ def _bracket_cases(h, n, seed):
     (Schedule.pure_sc(), 6), (Schedule.pure_vicsek(), 6), (Schedule.mixed(), 6)],
     ids=["sc", "vicsek", "mixed"])
 def test_cover_bracket_matches_full_scan(schedule, depth):
+    rng = np.random.default_rng(7)
     for n in range(3, depth + 1):
-        m = hier_measure(build_hierarchy(schedule, n))  # ball masses at level n
-        centers, radii = _bracket_cases(m.h, n, seed=n)
-        for x in centers:
-            expect = _scan_cover_brackets(m.h, n, m.masses_float(n), x, radii)
-            assert [m.ball_mass(x, r) for r in radii] == expect
+        h = build_hierarchy(schedule, n)  # ball masses at level n
+        measures = [(hier_measure(h), _uniform_mass_of)]
+        if n <= 4:  # per-cell Fractions are slow beyond
+            measures.append((_random_measure(h, rng), _exact_mass_of))
+        centers, radii = _bracket_cases(h, n, seed=n)
+        for m, mass_of in measures:
+            total = mass_of(m, n)
+            for x in centers:
+                expect = _scan_cover_brackets(h, n, total, x, radii)
+                assert [m.ball_mass(x, r) for r in radii] == expect
 
 
 @pytest.mark.parametrize("schedule, depth, k, n_star", [
@@ -108,8 +163,9 @@ def test_psi_cover_bracket_matches_full_scan(schedule, depth, k, n_star):
         # ball masses at coarse level n
         psi = PsiMeasure(build_hierarchy(schedule, n), k, Fraction(1, 2), n_star)
         centers, radii = _bracket_cases(psi.h, n, seed=n)
+        total = _exact_mass_of(psi, n)
         for x in centers:
-            expect = _scan_cover_brackets(psi.h, n, psi.masses_float(n), x, radii)
+            expect = _scan_cover_brackets(psi.h, n, total, x, radii)
             assert [psi.ball_mass(x, r) for r in radii] == expect
 
 
@@ -128,6 +184,39 @@ def test_doubling_sc():
     out = doubling_check(hier_measure(h), levels=[1, 2])
     assert out["doubling_constant"] <= 64.0
     assert out["gamma1"] is not None
+
+
+def test_doubling_check_queries_each_ball_once():
+    """Each V(x, r) is queried once, with the results of re-querying them."""
+    m = hier_measure(build_hierarchy(Schedule.pure_sc(), 5))
+    centers = [(0.0, 0.0), (-0.5, -0.5), (0.1, 0.3), (0.7, 0.7)]
+    levels = [1, 2, 3]
+    calls = []
+
+    def ball_mass(x, r):
+        calls.append((tuple(x), r))
+        return HierMeasure.ball_mass(m, x, r)
+
+    m.ball_mass = ball_mass
+    out = doubling_check(m, centers=centers, levels=levels)
+    assert len(calls) == len(set(calls))
+
+    # the reference queries V(x, 3^-j) again for every factor it tries
+    V = functools.partial(HierMeasure.ball_mass, m)
+    worst, witness, ratios = 0.0, None, []
+    for x in centers:
+        for j in levels:
+            lo_r, hi_2r = V(x, 3.0 ** -j)[0], V(x, 2 * 3.0 ** -j)[1]
+            if lo_r > 0:
+                ratios.append(hi_2r / lo_r)
+                if ratios[-1] > worst:
+                    worst, witness = ratios[-1], (x, 3.0 ** -j)
+    gamma1 = next((3.0 ** g for g in (1, 2, 3) if all(
+        V(x, 3.0 ** -j / 3.0 ** g)[1] <= V(x, 3.0 ** -j)[0] / 2 + 1e-15
+        for x in centers for j in levels)), None)
+    assert out == {"doubling_constant": worst, "witness": witness,
+                   "gamma1": gamma1, "n_ratios": len(ratios)}
+    assert witness is not None and gamma1 is not None
 
 
 def test_doubling_mixed(mx_h5):
