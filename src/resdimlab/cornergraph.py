@@ -10,12 +10,13 @@ Vertices sit on the integer grid {0..3^(n-m)}^2 (coordinate p/3^(n-m) - 1/2)
 and are numbered by first appearance over the cells, each cell listing its
 corners counterclockwise from the lower left.
 
-Both subdivision rules are invariant under the dihedral group D4 of the
-square, so every corner graph is too.  The (Pt) and (TB) resistances are
-therefore solved exactly on a quarter of the graph (`pt_quarter`,
-`tb_quarter`): with s = 3^(n-m) odd and every edge a unit axis-parallel step,
-no edge crosses a mirror line without touching it, except the edges that
-cross x = s/2 or y = s/2 at their midpoints.
+Every subdivision rule is invariant under the dihedral group D4 of the
+square, checked exactly when the rule is built (`SubdivisionRule`), so every
+corner graph is too.  The (Pt) and (TB) resistances are therefore solved
+exactly on a quarter of the graph (`pt_quarter`, `tb_quarter`): with
+s = 3^(n-m) odd and every edge a unit axis-parallel step, no edge crosses a
+mirror line without touching it, except the edges that cross x = s/2 or
+y = s/2 at their midpoints.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .hierarchy import GridIndex, Schedule, child_boxes
-from .resnet import LevelGraph, SolverError
+from .resnet import LevelGraph
 
 __all__ = ["CornerGraph", "corner_graph", "corner_vertices_at_level",
            "pt_quarter", "tb_quarter"]
@@ -69,41 +70,8 @@ class CornerGraph:
         return (self.vertex_at(s, s), self.vertex_at(0, s),
                 self.vertex_at(0, 0), self.vertex_at(s, 0))
 
-    def side_vertices(self, side: str) -> List[int]:
-        s = self.span
-        if side == "top":
-            sel = self.grid[:, 1] == s
-        elif side == "bottom":
-            sel = self.grid[:, 1] == 0
-        elif side == "left":
-            sel = self.grid[:, 0] == 0
-        elif side == "right":
-            sel = self.grid[:, 0] == s
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        return [int(v) for v in np.where(sel)[0]]
-
     def coords_float(self) -> np.ndarray:
         return self.grid / self.span - 0.5
-
-    @cached_property
-    def d4_symmetric(self) -> bool:
-        """Whether x -> s-x, y -> s-y and (x, y) -> (y, x) each map the grid
-        onto itself and every edge onto an edge of exactly equal conductance."""
-        x, y = self.grid.T
-        s, g = self.span, self.graph
-        keys = g.edge_u * g.n + g.edge_v  # sorted: edges are kept in (u < v) order
-        for mx, my in ((s - x, y), (x, s - y), (y, x)):
-            image = self.grid_index.lookup(mx, my)  # injective, so onto when none is missing
-            if (image < 0).any():
-                return False
-            u, v = image[g.edge_u], image[g.edge_v]
-            mapped = np.minimum(u, v) * g.n + np.maximum(u, v)
-            order = np.argsort(mapped)
-            if not (np.array_equal(mapped[order], keys)
-                    and np.array_equal(g.conductance[order], g.conductance)):
-                return False
-        return True
 
 
 def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
@@ -141,7 +109,7 @@ def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
     # One unit-conductance edge per cell side; LevelGraph adds the shared copies.
     sides = np.stack([cell_corners, np.roll(cell_corners, -1, axis=1)], axis=2).reshape(-1, 2)
     edges = np.column_stack([sides, np.ones(len(sides))])
-    g = LevelGraph(len(keys), edges, coords=grid / span - 0.5)
+    g = LevelGraph(len(keys), edges)
     return CornerGraph(n, m, g, grid, cell_corners, cells_ix, cells_iy)
 
 
@@ -169,8 +137,6 @@ def _quarter(cg: CornerGraph, inside: np.ndarray, mirror: np.ndarray,
     vertex, that stands for the `mirror` vertices; edges to the terminal have
     their conductance multiplied by `gain`.  Returns it with the map from
     corner-graph vertices to its vertices (-1 off it)."""
-    if not cg.d4_symmetric:
-        raise SolverError(f"corner graph ({cg.n}, {cg.m}) is not D4-symmetric")
     g = cg.graph
     terminal = int(np.count_nonzero(inside))
     label = np.full(g.n, -1, dtype=np.int64)
@@ -190,7 +156,7 @@ def pt_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
     takes the potential u to 1 - u, so u = 1/2 on D = {x + y = s}; the
     diagonal reflection fixes p1 and D and splits the current from p1 evenly.
     On Q = {x + y >= s, y <= x} with D merged into one terminal, R(p1, D) is
-    (Pt/2) * 2 = Pt.  Raises SolverError unless the graph is D4-symmetric.
+    (Pt/2) * 2 = Pt.  Exact because every rule is D4-invariant (`SubdivisionRule`).
     """
     x, y = cg.grid.T
     s = cg.span
@@ -207,7 +173,7 @@ def tb_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
     an edge of conductance c is an edge of conductance 2c to a terminal at
     1/2.  The reflection x -> s-x keeps u, so the horizontal edges across
     x = s/2 carry no current.  On Q = {x < s/2, y > s/2}, R(top, terminal)
-    is (TB/2) * 2 = TB.  Raises SolverError unless the graph is D4-symmetric.
+    is (TB/2) * 2 = TB.  Exact because every rule is D4-invariant (`SubdivisionRule`).
     """
     x, y = cg.grid.T
     s = cg.span

@@ -11,17 +11,18 @@ mass inner product, so
 is exact up to the factorization; invariants (monotonicity, the 1/mu(X)
 floor, Chapman-Kolmogorov) are checked against it directly.
 
-The eigenproblem is split by the reflections x -> -x and y -> -y of the
-coordinate box that are exact symmetries of the form (every edge onto an
-edge of equal conductance, every mass onto an equal mass).  They generate
-an abelian group G of order 1, 2 or 4 whose irreducible characters are
-signs, so the symmetry-adapted basis (Serre, Linear Representations of
-Finite Groups) is one signed, normalized orbit sum per (character, vertex
-orbit) pair.  Each character's block B^T (M^-1/2 L M^-1/2) B is solved with
-a dense eigh, and the kernel is evaluated block by block on orbit columns:
+The eigenproblem is split by the candidate mirrors that are exact symmetries
+of the form (every edge onto an edge of equal conductance, every mass onto
+an equal mass); `build_form` offers the integer-grid reflections x -> s - x
+and y -> s - y of the corner graph.  They generate an abelian group G of
+order 1, 2 or 4 whose irreducible characters are signs, so the
+symmetry-adapted basis (Serre, Linear Representations of Finite Groups) is
+one signed, normalized orbit sum per (character, vertex orbit) pair.  Each
+character's block B^T (M^-1/2 L M^-1/2) B is solved with a dense eigh, and
+the kernel is evaluated block by block on orbit columns:
 phi_k(v) = amp[v] U[col[v], k].  No n x n eigenvector matrix is formed.  A
-form without coordinates, or without an exact reflection, has the trivial
-group and one block, the whole scaled Laplacian.
+form without an exact mirror (a non-uniform measure can break one) has the
+trivial group and one block, the whole scaled Laplacian.
 """
 
 from __future__ import annotations
@@ -70,55 +71,46 @@ class SpectralBlock:
     amp: np.ndarray
 
 
-def _reflections(graph: LevelGraph, mass: np.ndarray) -> List[np.ndarray]:
-    """The reflections x -> -x and y -> -y of the coordinate box that are
-    exact symmetries of the form, as vertex permutations.
+def _symmetries(graph: LevelGraph, mass: np.ndarray,
+                perms: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The group generated by the candidate `perms` that are exact symmetries
+    of the form, as vertex permutations, identity first.
 
-    Each axis's distinct coordinate values must mirror about their centre;
-    the image of every vertex must be a vertex, of every edge an edge of
-    exactly equal conductance, and of every mass an exactly equal mass.
+    A candidate is kept when it is a permutation and an involution that
+    commutes with the ones kept before it and is not already in their group,
+    and maps every edge onto an edge of exactly equal conductance and every
+    mass onto an exactly equal mass.  Element i applies kept candidate j
+    iff bit j of i is set.
     """
     n = graph.n
-    coords = graph.coords
-    if coords is None or coords.shape != (n, 2):
-        return []
-    ranks, sizes, mirrored = [], [], []
-    for axis in (0, 1):
-        vals, rank = np.unique(coords[:, axis], return_inverse=True)
-        ranks.append(rank)
-        sizes.append(len(vals))
-        mirrored.append(len(vals) > 1 and np.allclose(
-            vals + vals[::-1], vals[0] + vals[-1], rtol=0.0, atol=1e-9 * (vals[-1] - vals[0])))
-    key = ranks[0] * sizes[1] + ranks[1]
-    order = np.argsort(key)
-    sorted_keys = key[order]
-    if np.any(np.diff(sorted_keys) == 0):
-        return []  # two vertices at one point: no vertex permutation
+    group = [np.arange(n)]
     edge_keys = graph.edge_u * n + graph.edge_v  # sorted: edges are in (u < v) order
-    found = []
-    for axis in (0, 1):
-        if not mirrored[axis]:
+    for perm in perms:
+        perm = np.asarray(perm, dtype=np.int64)
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), group[0]):
             continue
-        image_ranks = list(ranks)
-        image_ranks[axis] = sizes[axis] - 1 - ranks[axis]
-        image = image_ranks[0] * sizes[1] + image_ranks[1]
-        if not np.array_equal(np.sort(image), sorted_keys):
-            continue
-        perm = order[np.searchsorted(sorted_keys, image)]
         pu, pv = perm[graph.edge_u], perm[graph.edge_v]
         image_edges = np.minimum(pu, pv) * n + np.maximum(pu, pv)
         by_key = np.argsort(image_edges)  # edge by_key[i] maps onto edge i
         if (np.array_equal(mass[perm], mass)
                 and np.array_equal(image_edges[by_key], edge_keys)
-                and np.array_equal(graph.conductance[by_key], graph.conductance)):
-            found.append(perm)
-    return found
+                and np.array_equal(graph.conductance[by_key], graph.conductance)
+                and np.array_equal(perm[perm], group[0])
+                and all(np.array_equal(perm[g], g[perm]) for g in group)
+                and not any(np.array_equal(perm, g) for g in group)):
+            group += [perm[g] for g in group]
+    return group
 
 
 class FiniteDirichletForm:
-    """Weighted graph + vertex measure; the generator is M^-1 L."""
+    """Weighted graph + vertex measure; the generator is M^-1 L.
 
-    def __init__(self, graph: LevelGraph, mass: np.ndarray):
+    `mirrors` are candidate vertex permutations; the eigenproblem is split by
+    those that are exact symmetries of the form (`_symmetries`).
+    """
+
+    def __init__(self, graph: LevelGraph, mass: np.ndarray,
+                 mirrors: Sequence[np.ndarray] = ()):
         mass = np.asarray(mass, dtype=np.float64)
         if len(mass) != graph.n:
             raise ValueError("mass vector length mismatch")
@@ -132,6 +124,7 @@ class FiniteDirichletForm:
                 "build a lower level")
         self.graph = graph
         self.mass = mass
+        self.mirrors = tuple(mirrors)
         self.total_mass = float(mass.sum())
         self._eig: Optional[Tuple[np.ndarray, List[SpectralBlock]]] = None
         self._window: Optional[Tuple[float, float, float]] = None
@@ -144,9 +137,7 @@ class FiniteDirichletForm:
         """
         if self._eig is None:
             n = self.graph.n
-            elems = [np.arange(n)]
-            for g in _reflections(self.graph, self.mass):
-                elems += [g[e] for e in elems]  # element i applies generator j iff bit j of i
+            elems = _symmetries(self.graph, self.mass, self.mirrors)
             stack = np.stack(elems)
             rep = stack.min(axis=0)  # orbit representative
             fixes = stack == np.arange(n)
@@ -228,8 +219,10 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
     np.add.at(mass, cg.cell_corners.reshape(-1), np.repeat(cell_mass / 4.0, 4))
     edges = np.column_stack([cg.graph.edge_u, cg.graph.edge_v,
                              cg.graph.conductance / renormalizer])
-    graph = LevelGraph(cg.graph.n, edges, coords=cg.coords_float())
-    return FiniteDirichletForm(graph, mass)
+    x, y = cg.grid.T
+    s = cg.span
+    mirrors = (cg.grid_index.lookup(s - x, y), cg.grid_index.lookup(x, s - y))
+    return FiniteDirichletForm(LevelGraph(cg.graph.n, edges), mass, mirrors)
 
 
 @dataclass

@@ -79,10 +79,24 @@ CELL_CAP = 5_000_000
 
 @dataclass(frozen=True)
 class SubdivisionRule:
-    """One level's subdivision: a named set of child digits, ratio 1/3."""
+    """One level's subdivision: a named set of child digits, ratio 1/3.
+
+    The child offsets must be invariant under x -> 2 - x and (x, y) -> (y, x),
+    which generate the symmetry group D4 of the square.  By induction over
+    `child_boxes`, every cell set built from such rules, and every corner
+    graph on it, is then D4-invariant: the one check behind the symmetry
+    reductions of `cornergraph`, `heat` and `penergy`.
+    """
 
     name: str
     digits: Tuple[int, ...]
+
+    def __post_init__(self):
+        offsets = {CHILD_OFFSET[d] for d in self.digits if d in CHILD_OFFSET}
+        if (len(offsets) != len(self.digits) or offsets != {(2 - x, y) for x, y in offsets}
+                or offsets != {(y, x) for x, y in offsets}):
+            raise ValueError(f"rule {self.name}: digits {self.digits} are not distinct "
+                             "child digits invariant under the symmetries of the square")
 
     @property
     def branching(self) -> int:

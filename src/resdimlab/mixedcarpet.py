@@ -151,7 +151,7 @@ def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
             "table": rows}
 
 
-def evres_fit(n_max: int = 5, pure_levels: int = 5, seed: int = 0,
+def evres_fit(n_max: int = 5, pure_levels: int = 5,
               caches: Optional[Dict[str, ScaleCache]] = None) -> dict:
     """Isolate the per-level resistance factors and fit the product model.
 
@@ -356,8 +356,9 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
     d2s_sc_val = 2.0 / (1.0 - d2s_sc.rate_ls / math.log(n_star_sc))
     d2s_vs_val = 2.0 / (1.0 - d2s_vs.rate_ls / math.log(n_star_vs))
 
-    vol_sc = olds_volume(m_sc, math.log(rho_hat), window=list(range(1, depth_sc)))
-    vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, depth_vicsek + 1)))
+    vol_sc = olds_volume(m_sc, math.log(rho_hat), window=list(range(1, depth_sc)), seed=seed)
+    vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, depth_vicsek + 1)),
+                         seed=seed)
 
     if heat_estimates is None:
         form_sc = build_form(h_sc, depth_sc, m_sc, sc_cache.pt(depth_sc))

@@ -308,9 +308,11 @@ def _descend(system: _NewtonSystem, p: float, tol: float, f: np.ndarray,
 def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int], List[int]]:
     """Cells grouped by the orbit of their box under the symmetries of Q.
 
-    The key is the lexicographically least of the 8 images of (ix, iy):
-    (min(a, b), max(a, b)) with a, b the coordinates folded to the lower half.
-    Classes appear in the order of their first member; members ascend.
+    The images of a cell are cells because every rule is D4-invariant, which
+    `SubdivisionRule` checks when it is built.  The key is the
+    lexicographically least of the 8 images of (ix, iy): (min(a, b), max(a, b))
+    with a, b the coordinates folded to the lower half.  Classes appear in the
+    order of their first member; members ascend.
     """
     lvl = h.levels[level]
     s = 3 ** level
@@ -326,8 +328,8 @@ def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
                m_star: int = 1, cells: Optional[Sequence[int]] = None) -> dict:
     """sup over base cells of the separation energies, with the argmax cell.
 
-    Both rules are symmetric under the dihedral group of the square, so one
-    representative per box class suffices; `cells` names the base cells to
+    Every rule is symmetric under the dihedral group of the square (checked by
+    `SubdivisionRule`), so one representative per box class suffices; `cells` names the base cells to
     sweep instead (`range(count)` is the exhaustive sweep).
     """
     if base_level + k > h.depth:

@@ -67,7 +67,6 @@ class LevelGraph:
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, float]],
-                 coords: Optional[np.ndarray] = None,
                  labels: Optional[Sequence] = None):
         self.n = int(n)
         if not isinstance(edges, np.ndarray):
@@ -87,7 +86,6 @@ class LevelGraph:
                                   return_inverse=True)
         self.edge_u, self.edge_v = np.divmod(keys, self.n)
         self.conductance = np.bincount(inverse, weights=c, minlength=len(keys))
-        self.coords = None if coords is None else np.asarray(coords, dtype=np.float64)
         self.labels = list(labels) if labels is not None else None
         self._lap: Optional[sp.csr_matrix] = None
         self._grounded: Dict[int, object] = {}
@@ -147,8 +145,7 @@ class LevelGraph:
         pu, pv = pos[self.edge_u], pos[self.edge_v]
         inside = (pu >= 0) & (pv >= 0)
         g = LevelGraph(len(vertices), np.column_stack([pu[inside], pv[inside],
-                                                       self.conductance[inside]]),
-                       coords=None if self.coords is None else self.coords[vertices])
+                                                       self.conductance[inside]]))
         return g, vertices
 
 
@@ -321,9 +318,7 @@ def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
         raise SolverError(f"Schur complement produced a positive off-diagonal "
                           f"{float(-cond[positive].min()):.3e} (scale {scale:.3e})")
     i, j = np.nonzero(cond > 1e-13 * scale)
-    coords = None if g.coords is None else g.coords[Sarr]
-    return LevelGraph(len(S), np.column_stack([i, j, cond[i, j]]), coords=coords,
-                      labels=[int(s) for s in S])
+    return LevelGraph(len(S), np.column_stack([i, j, cond[i, j]]), labels=[int(s) for s in S])
 
 
 def resistance_weights(g_traced: LevelGraph) -> np.ndarray:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from resdimlab.cornergraph import (CornerGraph, corner_graph, corner_vertices_at_level,
-                                   pt_quarter, tb_quarter)
-from resdimlab.hierarchy import CHILD_OFFSET, Schedule, build_hierarchy
-from resdimlab.resnet import LevelGraph, SolverError, eff_resistance
+from resdimlab.cornergraph import corner_graph, corner_vertices_at_level
+from resdimlab.hierarchy import (CHILD_OFFSET, SC_DIGITS, VICSEK_DIGITS, Schedule,
+                                 SubdivisionRule, build_hierarchy)
+from resdimlab.resnet import eff_resistance
 
 
 def _dict_corner_graph(schedule, n, m):
@@ -86,29 +86,13 @@ def test_depth_cap():
         corner_graph(Schedule.pure_sc(), 8, 0)
 
 
-def test_side_vertices():
-    cg = corner_graph(Schedule.pure_sc(), 2, 0)
-    top = cg.side_vertices("top")
-    assert len(top) == 10
-    assert all(cg.grid[v][1] == cg.span for v in top)
-    with pytest.raises(ValueError):
-        cg.side_vertices("diagonal")
+@pytest.mark.parametrize("digits", [(1, 2, 3), (2, 6), (1, 2, 3, 4, 5, 6, 7), (0, 1, 1, 3, 5, 7),
+                                    (0, 9)])
+def test_rules_refuse_broken_symmetry(digits):
+    with pytest.raises(ValueError, match="symmetries of the square"):
+        SubdivisionRule("broken", digits)
 
 
-@pytest.mark.parametrize("structure", ["sc", "vicsek", "mixed"])
-def test_quarters_refuse_broken_symmetry(structure):
-    cg = corner_graph(Schedule.by_name(structure), 3, 1)
-    assert cg.d4_symmetric
-    g = cg.graph
-    edges = np.column_stack([g.edge_u, g.edge_v, g.conductance])
-    bumped = edges.copy()
-    bumped[5, 2] = np.nextafter(bumped[5, 2], np.inf)  # one conductance, one ulp
-    stretched = edges.copy()  # still mirror-symmetric in x and y, not in the diagonal
-    stretched[cg.grid[g.edge_u, 1] == cg.grid[g.edge_v, 1], 2] *= 2.0
-    for broken in (bumped, edges[1:], stretched):  # edges[1:]: no edge is its own D4 orbit
-        bad = CornerGraph(cg.n, cg.m, LevelGraph(g.n, broken), cg.grid, cg.cell_corners,
-                          cg.cells_ix, cg.cells_iy)
-        assert not bad.d4_symmetric
-        for quarter in (pt_quarter, tb_quarter):
-            with pytest.raises(SolverError, match="not D4-symmetric"):
-                quarter(bad)
+def test_symmetric_rules_accepted():
+    for digits in (SC_DIGITS, VICSEK_DIGITS, (1, 3, 5, 7), (0, 2, 4, 6, 8), (0,)):
+        assert SubdivisionRule("ok", digits).digits == digits

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import scipy.linalg
 from resdimlab import heat
 from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
                             ds_pointwise, heat_kernel, ol_ds_heat, time_window)
-from resdimlab.measure import hier_measure
+from resdimlab.cornergraph import corner_graph
+from resdimlab.hierarchy import SC_DIGITS, Schedule
+from resdimlab.measure import HierMeasure, hier_measure
 from resdimlab.resnet import LevelGraph
 
 VIC_REF = 2 * math.log(5) / math.log(15)
@@ -115,7 +118,8 @@ def test_ds_pointwise_flags(vs_form4):
 
 def test_ds_pointwise_bulk_vicsek(vs_form4):
     # center vertex: bulk-window slopes near the reference exponent
-    center = int(np.argmin(np.sum(vs_form4.graph.coords ** 2, axis=1)))
+    coords = corner_graph(Schedule.pure_vicsek(), 4).coords_float()
+    center = int(np.argmin(np.sum(coords ** 2, axis=1)))
     rows = [r for r in ds_pointwise(vs_form4, center) if r["flag"] == "ok"]
     mid = rows[len(rows) // 3: 2 * len(rows) // 3 + 1]
     assert mid, "no bulk window rows"
@@ -183,8 +187,18 @@ def broken_form(sc_h6, sc_cache):
     g = form.graph
     c = g.conductance.copy()
     c[0] *= 1.001
-    return FiniteDirichletForm(LevelGraph(g.n, np.column_stack([g.edge_u, g.edge_v, c]),
-                                          coords=g.coords), form.mass)
+    return FiniteDirichletForm(LevelGraph(g.n, np.column_stack([g.edge_u, g.edge_v, c])),
+                               form.mass, form.mirrors)
+
+
+def weighted_form(sc_h6, sc_cache):
+    """The SC level-2 form under a seeded measure with non-uniform weights."""
+    rng = np.random.default_rng(5)
+    weights = {}
+    for n in range(1, sc_h6.depth + 1):
+        parts = rng.integers(1, 10, size=len(SC_DIGITS)).tolist()
+        weights[n] = {d: Fraction(p, sum(parts)) for d, p in zip(SC_DIGITS, parts)}
+    return build_form(sc_h6, 2, HierMeasure(sc_h6, weights), sc_cache.pt(2))
 
 
 @pytest.fixture(scope="module")
@@ -194,16 +208,20 @@ def oracle_forms(vs_form4, sc_h6, sc_cache, mx_h5, mx_cache, two_state):
         "sc-3": build_form(sc_h6, 3, hier_measure(sc_h6), sc_cache.pt(3)),
         "mixed-3": build_form(mx_h5, 3, hier_measure(mx_h5), mx_cache.pt(3)),
         "broken-sc-2": broken_form(sc_h6, sc_cache),
+        "weighted-sc-2": weighted_form(sc_h6, sc_cache),
         "two-state": two_state,
     }
 
 
-@pytest.mark.parametrize("name", ["vicsek-4", "sc-3", "mixed-3", "broken-sc-2", "two-state"])
+@pytest.mark.parametrize("name", ["vicsek-4", "sc-3", "mixed-3", "broken-sc-2", "weighted-sc-2",
+                                  "two-state"])
 def test_blocks_match_dense_oracle(oracle_forms, name):
     form = oracle_forms[name]
     w, blocks = form.eig()
     if name in ("broken-sc-2", "two-state"):
         assert len(blocks) == 1
+    if name == "weighted-sc-2":
+        assert len(blocks) < 4  # the measure breaks a mirror
     w_ref, phi = dense_oracle(form)
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * w_ref[-1]
     t_lo, _, t_mix = time_window(form)
@@ -245,3 +263,22 @@ def test_time_window_cached_and_batched(oracle_forms):
     while form.p_diag([t]).max() > 1.01 / form.total_mass:
         t *= 1.5
     assert window == (t_lo, 0.5 * t, t)
+
+
+def test_mirror_candidates_filtered(oracle_forms):
+    """Only commuting involutions outside the group so far are kept."""
+    form = oracle_forms["sc-3"]
+    n = form.graph.n
+    cg = corner_graph(Schedule.pure_sc(), 3)
+    x, y = cg.grid.T
+    transpose = cg.grid_index.lookup(y, x)  # an involution, not commuting with the mirrors
+    rotation = cg.grid_index.lookup(y, cg.span - x)  # a symmetry of order 4
+    partial = form.mirrors[0].copy()
+    partial[0] = -1  # not a permutation
+    noisy = FiniteDirichletForm(form.graph, form.mass, form.mirrors + form.mirrors[::-1]
+                                + (np.arange(n), transpose, rotation, partial))
+    w, blocks = noisy.eig()
+    assert len(blocks) == 4
+    assert np.array_equal(w, form.eig()[0])
+    assert len(FiniteDirichletForm(form.graph, form.mass, (rotation,)).eig()[1]) == 1
+    assert len(FiniteDirichletForm(form.graph, form.mass, (transpose,)).eig()[1]) == 2

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resdimlab import mixedcarpet, resnet
+from resdimlab import measure, mixedcarpet, resnet
 from resdimlab.cornergraph import pt_quarter
 from resdimlab.hierarchy import Schedule, mixed_indicator
-from resdimlab.mixedcarpet import (ScaleCache, chain_check, delta_pair, evres_fit,
+from resdimlab.mixedcarpet import (ScaleCache, chain_check, delta_pair, evres_fit, gap_report,
                                    qs_diagnostic, qs_envelope_drift)
 from resdimlab.resnet import eff_resistance
 from conftest import single_pair_resistance
@@ -355,8 +355,9 @@ def test_scales_equal_direct_resistances(schedule):
             p1, _, p5, _ = cg.corner_vertices()
             s = cache.scales(n, m)
             assert (s.n, s.m) == (n, m)
-            assert s.tb == pytest.approx(eff_resistance(cg.graph, cg.side_vertices("top"),
-                                                        cg.side_vertices("bottom")).value,
+            top = np.flatnonzero(cg.grid[:, 1] == cg.span)
+            bottom = np.flatnonzero(cg.grid[:, 1] == 0)
+            assert s.tb == pytest.approx(eff_resistance(cg.graph, top, bottom).value,
                                          rel=1e-9, abs=0)
             assert s.pt == pytest.approx(eff_resistance(cg.graph, [p1], [p5]).value,
                                          rel=1e-9, abs=0)
@@ -376,3 +377,18 @@ def test_scales_factor_only_quarters(monkeypatch):
     cache.scales(5)
     assert len(sizes) == 2  # Pt and TB, one factorization each
     assert max(sizes) <= cache.graph(5).graph.n / 4 + 2 * 3 ** 5
+
+
+def test_gap_report_threads_seed(monkeypatch, sc_cache, vs_cache, mx_cache):
+    seeds = []
+
+    def recorded(m, zeta_r_log, window, seed=0, **kwargs):
+        seeds.append(seed)
+        return {"ds_estimate": 1.0}
+
+    monkeypatch.setattr(measure, "olds_volume", recorded)
+    rep = gap_report(depth_sc=2, depth_vicsek=2, kmax_sc=3, kmax_vicsek=3, dim_arc_kmax=3,
+                     seed=7, caches={"sc": sc_cache, "vicsek": vs_cache, "mixed": mx_cache},
+                     heat_estimates={"sc": 1.7, "vicsek": 1.2})
+    assert seeds == [7, 7]
+    assert rep.provenance["seed"] == 7
