@@ -186,6 +186,7 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         "p": est.p, "rate_ls": est.rate_ls, "rate_limsup": est.rate_limsup,
         "rate_liminf": est.rate_liminf, "n_star": est.n_star,
         "dim_upper": est.dim_upper, "dim_lower": est.dim_lower, "flag": est.flag,
+        "uncertified": est.uncertified,
     })
     # p = 2 energy equals effective conductance on the same graph
     cands = (pmod.build_separation(h, 1, w, min(2, kmax)) for w in range(h.levels[1].count))

@@ -219,9 +219,9 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
     np.add.at(mass, cg.cell_corners.reshape(-1), np.repeat(cell_mass / 4.0, 4))
     edges = np.column_stack([cg.graph.edge_u, cg.graph.edge_v,
                              cg.graph.conductance / renormalizer])
-    x, y = cg.grid.T
-    s = cg.span
-    mirrors = (cg.grid_index.lookup(s - x, y), cg.grid_index.lookup(x, s - y))
+    # the two axis mirrors of the square, x -> span - x and y -> span - y
+    mirrors = tuple(cg.grid_index.permutation(g) for g in ((False, True, False),
+                                                           (False, False, True)))
     return FiniteDirichletForm(LevelGraph(cg.graph.n, edges), mass, mirrors)
 
 

@@ -19,6 +19,7 @@ mixed schedule switches rule by the predicate k^2(k-1) < n <= k^3.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ __all__ = [
     "Schedule",
     "Address",
     "child_boxes",
+    "D4",
     "GridIndex",
     "AdjacencyGraph",
     "FrameworkParams",
@@ -195,6 +197,12 @@ def child_boxes(ix: np.ndarray, iy: np.ndarray,
             (3 * iy[:, None] + offs[None, :, 1]).reshape(-1))
 
 
+# The symmetries of the square as (swap, mirror_x, mirror_y), identity first:
+# swap the axes if `swap`, then x -> side-1-x if `mirror_x` and y -> side-1-y
+# if `mirror_y`.
+D4: Tuple[Tuple[bool, bool, bool], ...] = tuple(itertools.product((False, True), repeat=3))
+
+
 class GridIndex:
     """Ids of distinct points of the integer grid {0..side-1}^2.
 
@@ -216,6 +224,18 @@ class GridIndex:
         keys = np.where(inside, x * self.side + y, -1)
         pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
         return np.where(inside & (self._keys[pos] == keys), self._ids[pos], -1)
+
+    def permutation(self, element: Tuple[bool, bool, bool]) -> np.ndarray:
+        """perm[i]: the id of the image of point i under `element` of D4, -1
+        where the image is not indexed."""
+        swap, mirror_x, mirror_y = element
+        x, y = np.divmod(self._keys, self.side)
+        if swap:
+            x, y = y, x
+        perm = np.empty_like(self._ids)
+        perm[self._ids] = self.lookup(self.side - 1 - x if mirror_x else x,
+                                      self.side - 1 - y if mirror_y else y)
+        return perm
 
     def box(self, xlo: int, xhi: int, ylo: int, yhi: int) -> np.ndarray:
         """Ids of the points with xlo <= x <= xhi and ylo <= y <= yhi, clipped

@@ -7,12 +7,16 @@ over the level-([w]+k) cell graph.  p = 1 is an exact minimum cut; p = 2 is
 one sparse solve; other p take projected Newton steps on an eps-smoothed
 energy under the box [0, 1], with energies, gradients and the Newton
 systems all from one signed edge-cell incidence matrix D per problem.  The
-solver data is built once per problem, on its first solve at p != 1, and
-kept on it: D, the p = 2 potential, one sparsity pattern for every Newton
-system, and the column ordering of the p = 2 factorization.  A solve may
-start from a certified potential of the same problem at another p; it then
-enters the eps ladder at its last rung, and reruns the whole ladder from the
-p = 2 potential if that start ends uncertified.  `critical_p` keeps its
+reflections of the square that fix w fix the problem, and its energy is
+convex, so every flow and Newton system is solved on the quotient by that
+stabilizer (half the cells or fewer); the potential is lifted back, and its
+flag and residual come from the full problem.  The solver data is built
+once per problem, on its first solve at p != 1, and kept on it: D, the
+p = 2 potential, one sparsity pattern for every Newton system, and the
+column ordering of the p = 2 factorization.  A solve may start from a
+certified potential of the same problem at another p; it then enters the
+eps ladder at its last rung, and reruns the whole ladder from the p = 2
+potential if that start ends uncertified.  `critical_p` keeps its
 problems across the bisection and starts each p from the nearest p solved.
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .hierarchy import PartitionHierarchy, adjacency, chain_ball
+from .hierarchy import D4, PartitionHierarchy, adjacency, chain_ball
 
 __all__ = [
     "SeparationProblem",
@@ -63,6 +67,13 @@ class SeparationProblem:
     inner: np.ndarray           # indices pinned to 1
     outer: np.ndarray           # indices pinned to 0
     empty_outer: bool = False
+    # cell -> label of its orbit under the symmetries of the problem (equal
+    # labels, one orbit); None: every cell its own orbit
+    orbit: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.orbit is None:
+            self.orbit = np.arange(self.n_cells)
 
     @cached_property
     def _newton(self) -> "_NewtonSystem":
@@ -91,6 +102,7 @@ class SpectralDimEstimate:
     dim_upper: float
     dim_lower: float
     flag: str = "ok"
+    uncertified: int = 0        # sup energies behind the fit flagged no-convergence
 
 
 def _ancestor_map(h: PartitionHierarchy, n: int, base: int) -> np.ndarray:
@@ -102,7 +114,9 @@ def _ancestor_map(h: PartitionHierarchy, n: int, base: int) -> np.ndarray:
 
 def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
                      k: int, m_star: int = 1) -> SeparationProblem:
-    """Assemble the neighborhood-separation problem for one base cell."""
+    """Assemble the neighborhood-separation problem for one base cell; its
+    `orbit` labels each cell by the least cell of its orbit under the
+    stabilizer of the base cell in D4, which fixes the graph and the pins."""
     if not 0 <= base_level <= h.depth:
         raise ValueError(f"base level {base_level} outside 0..{h.depth}")
     if not 0 <= base_index < h.levels[base_level].count:
@@ -117,29 +131,48 @@ def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
     near = chain_ball(adjacency(h, base_level), [base_index], m_star)
     inner = np.where(anc == base_index)[0]
     outer = np.where(~np.isin(anc, near))[0]
+    base_grid = h.levels[base_level].grid_index
+    stabilizer = [e for e in D4 if base_grid.permutation(e)[base_index] == base_index]
+    orbit = np.min([h.levels[n].grid_index.permutation(e) for e in stabilizer], axis=0)
     return SeparationProblem(
         base_level=base_level, base_index=base_index, k=k, level=n,
         edges=g.edges, n_cells=g.count, inner=inner, outer=outer,
-        empty_outer=len(outer) == 0)
+        empty_outer=len(outer) == 0, orbit=orbit)
+
+
+def _quotient(problem: SeparationProblem) -> Tuple[np.ndarray, np.ndarray, SeparationProblem]:
+    """(each cell's orbit as 0..r-1, the least cell of each orbit, the problem
+    on the r orbits).  Each edge maps to its pair of orbits; edges inside one
+    orbit are dropped and repeated pairs kept, so a potential constant on the
+    orbits has the same energy on the quotient as on the cells."""
+    _, first, lift = np.unique(problem.orbit, return_index=True, return_inverse=True)
+    edges = lift[problem.edges]
+    return lift, first, replace(
+        problem, edges=edges[edges[:, 0] != edges[:, 1]], n_cells=len(first),
+        inner=np.unique(lift[problem.inner]), outer=np.unique(lift[problem.outer]), orbit=None)
 
 
 def _min_cut(problem: SeparationProblem) -> PEnergyValue:
-    """p = 1: the smallest minimum cut, from a maximum flow with unit capacity
-    both ways on each edge and m + 1 on the hubs into `inner` and out of
-    `outer`; its energy equals the flow value, which certifies it."""
-    n, m = problem.n_cells, len(problem.edges)
-    eu, ev = problem.edges.T
-    rows = np.concatenate([eu, ev, np.full(len(problem.inner), n), problem.outer])
-    cols = np.concatenate([ev, eu, problem.inner, np.full(len(problem.outer), n + 1)])
+    """p = 1: the smallest minimum cut, from a maximum flow on the orbit
+    quotient with unit capacity both ways on each edge (repeats add up) and
+    m + 1 on the hubs into `inner` and out of `outer`.  That cut is invariant,
+    so lifted it is the cells' own; its energy equals the flow value, which
+    certifies it."""
+    lift, _, quotient = _quotient(problem)
+    n, m = quotient.n_cells, len(quotient.edges)
+    eu, ev = quotient.edges.T
+    rows = np.concatenate([eu, ev, np.full(len(quotient.inner), n), quotient.outer])
+    cols = np.concatenate([ev, eu, quotient.inner, np.full(len(quotient.outer), n + 1)])
     caps = np.where(np.arange(len(rows)) < 2 * m, 1, m + 1).astype(np.int32)
     cap = sp.csr_array((caps, (rows, cols)), shape=(n + 2, n + 2))
     flow = csgraph.maximum_flow(cap, n, n + 1)
-    # the source side: cells reached by residual edges (sparse subtraction
+    # the source side: orbits reached by residual edges (sparse subtraction
     # stores no zeros, so saturated edges drop out)
     reach = csgraph.breadth_first_order(cap - flow.flow, n, return_predecessors=False)
-    f = np.zeros(n)
-    f[reach[reach < n]] = 1.0
-    e = float(np.abs(f[eu] - f[ev]).sum())
+    g = np.zeros(n)
+    g[reach[reach < n]] = 1.0
+    f = g[lift]
+    e = float(np.abs(f[problem.edges[:, 0]] - f[problem.edges[:, 1]]).sum())
     gap = abs(e - flow.flow_value)
     return PEnergyValue(1.0, e, f, gap, "ok" if gap == 0 else "no-convergence")
 
@@ -147,6 +180,10 @@ def _min_cut(problem: SeparationProblem) -> PEnergyValue:
 def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
              start: Optional[np.ndarray] = None) -> PEnergyValue:
     """The least p-power energy with the problem's 0/1 pins.
+
+    Every solve runs on the quotient by the problem's orbits (`_quotient`)
+    and returns the potential lifted to the cells, with the flag and residual
+    of the full problem; single-cell orbits leave the problem as it is.
 
     p = 1 is an exact minimum cut (`_min_cut`).  Other p read everything
     from the signed edge-cell incidence matrix D (+1 at the first cell of an
@@ -162,7 +199,8 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
 
     `start` is the potential of a certified solve of the same problem at
     another p.  For p other than 1 and 2 (exact routes, which ignore it),
-    Newton then takes the free values from `start` (clipped to [0, 1]),
+    Newton then takes the free values from `start` at the least cell of each
+    orbit (clipped to [0, 1]),
     keeps the pins, and runs the last rung only; if its certificate fails,
     the call runs the whole ladder from the p = 2 potential instead and
     returns that, so a warm start never flags a value the cold solve would
@@ -193,37 +231,46 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
     system = problem._newton
     if start is not None and p != 2:
         f = system.f2.copy()
-        f[system.free] = np.clip(start[system.free], 0.0, 1.0)
+        f[system.free] = np.clip(start[system.first[system.free]], 0.0, 1.0)
         val = _descend(system, p, tol, f, EPS_LADDER[-1:])
         if val.flag == "ok":
             return val
     return _descend(system, p, tol, system.f2.copy(), () if p == 2 else EPS_LADDER)
 
 
+def _incidence(problem: SeparationProblem) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """(D: +1 at the first cell of each edge and -1 at the second, the free cells)."""
+    n, m = problem.n_cells, len(problem.edges)
+    return (sp.csr_matrix((np.tile([1.0, -1.0], m),
+                           (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))), shape=(m, n)),
+            np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer])))
+
+
 class _NewtonSystem:
-    """What every p != 1 solve of one problem shares: D, the free cells,
-    D_F, D_F^T, D f_pinned, the p = 2 potential and column ordering, and the
-    Newton pattern in that ordering (built on first use).  It depends only
-    on the problem, so no value depends on the order of the solves."""
+    """What every p != 1 solve of one problem shares: on the orbit quotient,
+    D, the free orbits, D_F, D_F^T, D f_pinned, the p = 2 potential and column
+    ordering, and the Newton pattern in that ordering (built on first use);
+    on the cells, the lift and the certificate's D and D_F^T.  It depends
+    only on the problem, so no value depends on the order of the solves."""
 
     def __init__(self, problem: SeparationProblem):
-        n, m = problem.n_cells, len(problem.edges)
-        self.D = sp.csr_matrix((np.tile([1.0, -1.0], m),
-                                (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))),
-                               shape=(m, n))
+        self.cells_D, self.cells_free = _incidence(problem)
+        self.cells_D_Ft = self.cells_D[:, self.cells_free].T.tocsr()
+        self.lift, self.first, quotient = _quotient(problem)
+        n, m = quotient.n_cells, len(quotient.edges)
+        D, self.free = _incidence(quotient)
         f = np.zeros(n)
-        f[problem.inner] = 1.0
-        self.free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
+        f[quotient.inner] = 1.0
         nf = self.nf = len(self.free)
-        self.D_F = self.D[:, self.free]
+        self.D_F = D[:, self.free]
         self.D_Ft = self.D_F.T.tocsr()
-        self.drive = self.D @ f  # D f_pinned: f holds only the pins here
+        self.drive = D @ f  # D f_pinned: f holds only the pins here
 
         # H(w) = D_F^T diag(w) D_F: edge e adds w_e at (i, i) for each free end
         # i, and -w_e at (i, j) and (j, i) when both ends are free
         pos = np.full(n, -1)
         pos[self.free] = np.arange(nf)
-        ends = pos[problem.edges.reshape(-1)]
+        ends = pos[quotient.edges.reshape(-1)]
         a, b = ends[0::2], ends[1::2]
         diag = np.flatnonzero(ends >= 0)
         both = np.flatnonzero((a >= 0) & (b >= 0))
@@ -245,7 +292,7 @@ class _NewtonSystem:
         rows, cols, eids, sign = self._entries
         nf = self.nf
         key, slot = np.unique(label[cols] * np.int64(nf) + label[rows], return_inverse=True)
-        scatter = sp.csr_matrix((sign, (slot, eids)), shape=(len(key), self.D.shape[0]))
+        scatter = sp.csr_matrix((sign, (slot, eids)), shape=(len(key), self.D_F.shape[0]))
         return scatter, key % nf, np.searchsorted(key, np.arange(nf + 1) * nf)
 
     @cached_property
@@ -262,13 +309,15 @@ class _NewtonSystem:
                        options={"SymmetricMode": True})
         return lu.solve(rhs[self.order])[self.perm]
 
-    def certificate(self, f: np.ndarray, p: float, tol: float):
-        """(energy, first-order gap, gap <= tol * energy) at f.  Components
-        pinned at an active bound with inward gradient do not contribute."""
-        d = self.D @ f
+    def certificate(self, g: np.ndarray, p: float, tol: float):
+        """(energy, first-order gap, gap <= tol * energy) of the cells at the
+        quotient potential g lifted.  Components pinned at an active bound
+        with inward gradient do not contribute."""
+        f = g[self.lift]
+        d = self.cells_D @ f
         e = float(np.sum(np.abs(d) ** p))
-        gf = self.D_Ft @ (p * np.abs(d) ** (p - 1) * np.sign(d))
-        x = f[self.free]
+        gf = self.cells_D_Ft @ (p * np.abs(d) ** (p - 1) * np.sign(d))
+        x = f[self.cells_free]
         act = ((x <= 0.0) & (gf > 0)) | ((x >= 1.0) & (gf < 0))
         res = float(np.abs(np.where(act, 0.0, gf)).sum())
         return e, res, res <= tol * max(e, 1e-30)
@@ -276,8 +325,8 @@ class _NewtonSystem:
 
 def _descend(system: _NewtonSystem, p: float, tol: float, f: np.ndarray,
              rungs: Sequence[float]) -> PEnergyValue:
-    """Projected Newton from f (updated in place) down the given eps rungs;
-    the value at the end with its certificate."""
+    """Projected Newton from the quotient potential f (updated in place) down
+    the given eps rungs; the value at the end, lifted, with its certificate."""
     free, D_F, D_Ft, drive = system.free, system.D_F, system.D_Ft, system.drive
     for eps in rungs if system.nf else ():
         last = eps == EPS_LADDER[-1]
@@ -302,26 +351,29 @@ def _descend(system: _NewtonSystem, p: float, tol: float, f: np.ndarray,
             else:
                 break  # no decrease left on this rung
     e, res, ok = system.certificate(f, p, tol)
-    return PEnergyValue(p, e, f, res, "ok" if ok else "no-convergence")
+    return PEnergyValue(p, e, f[system.lift], res, "ok" if ok else "no-convergence")
 
 
 def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int], List[int]]:
-    """Cells grouped by the orbit of their box under the symmetries of Q.
+    """Cells grouped by their orbit under the symmetries of Q, the same D4
+    permutations (`GridIndex.permutation`) whose stabilizers give each
+    separation problem its orbits.
 
     The images of a cell are cells because every rule is D4-invariant, which
     `SubdivisionRule` checks when it is built.  The key is the
-    lexicographically least of the 8 images of (ix, iy): (min(a, b), max(a, b))
-    with a, b the coordinates folded to the lower half.  Classes appear in the
-    order of their first member; members ascend.
+    lexicographically least (ix, iy) in the orbit, the least of the 8 images
+    of any member's box.  Classes appear in the order of their first member;
+    members ascend.
     """
     lvl = h.levels[level]
     s = 3 ** level
-    a = np.minimum(lvl.ix, s - 1 - lvl.ix)
-    b = np.minimum(lvl.iy, s - 1 - lvl.iy)
-    keys, first, inverse = np.unique(np.minimum(a, b) * s + np.maximum(a, b),
-                                     return_index=True, return_inverse=True)
+    # each cell labelled by its orbit's least cell, so labels sort like first members
+    _, inverse = np.unique(np.min([lvl.grid_index.permutation(e) for e in D4], axis=0),
+                           return_inverse=True)
+    keys = np.full(inverse.max() + 1, s * s)
+    np.minimum.at(keys, inverse, lvl.ix * s + lvl.iy)
     members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    return {divmod(int(keys[c]), s): members[c].tolist() for c in np.argsort(first)}
+    return {divmod(int(key), s): group.tolist() for key, group in zip(keys, members)}
 
 
 def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
@@ -453,15 +505,21 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
 def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
                     base_level: int = 1, m_star: int = 1,
                     n_star: Optional[float] = None) -> SpectralDimEstimate:
-    """Upper/lower p-spectral dimensions from the fitted energy decay."""
+    """Upper/lower p-spectral dimensions from the fitted energy decay.
+
+    `uncertified` counts the sup energies behind the fit flagged
+    no-convergence; when it is positive, a flag that would read "ok" reads
+    "uncertified-energy".
+    """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     if n_star is None:
         from .hierarchy import nstar_estimate
         n_star = nstar_estimate(h, kmax=min(6, max(1, h.depth)))["n_star"]
     ks = list(range(1, kmax + 1))
-    logs = [math.log(max(sup_energy(h, base_level, k, p, m_star=m_star)["value"], 1e-300))
-            for k in ks]
+    sups = [sup_energy(h, base_level, k, p, m_star=m_star) for k in ks]
+    logs = [math.log(max(s["value"], 1e-300)) for s in sups]
+    uncertified = sum(s["flag"] == "no-convergence" for s in sups)
     ls, up, lo = fit_rates(ks, logs)
     logN = math.log(n_star)
     flag = "ok"
@@ -475,9 +533,12 @@ def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
     d_lo = dim(lo)
     if math.isnan(d_up) or math.isnan(d_lo):
         flag = "rate-at-or-above-logN"
+    elif uncertified:
+        flag = "uncertified-energy"
     return SpectralDimEstimate(
         p=p, ks=ks, log_sup=logs, rate_ls=ls, rate_limsup=up, rate_liminf=lo,
-        n_star=float(n_star), dim_upper=d_up, dim_lower=d_lo, flag=flag)
+        n_star=float(n_star), dim_upper=d_up, dim_lower=d_lo, flag=flag,
+        uncertified=uncertified)
 
 
 def rate_table_to_csv(rows: Sequence[dict], path: str) -> None:

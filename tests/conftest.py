@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from resdimlab.hierarchy import Schedule, build_hierarchy
 from resdimlab.measure import hier_measure
@@ -64,6 +65,29 @@ def sc_sup2(sc_h6):
 def vs_sup2(vs_h6):
     from resdimlab.penergy import sup_energy
     return {k: sup_energy(vs_h6, 1, k, 2.0)["value"] for k in range(1, 6)}
+
+
+class SpluCalls(list):
+    """The permc_spec of every splu call, in order (None: the default), with
+    the shape of each factored matrix, in the same order, in `shapes`."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+
+@pytest.fixture
+def splu_orderings(monkeypatch):
+    calls = SpluCalls()
+    splu = spla.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        calls.shapes.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
 
 
 def random_connected_graph(rng, n_max=50):

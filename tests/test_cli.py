@@ -138,6 +138,14 @@ def test_non_finite_p_grid_rejected(tmp_path, capsys, grid):
     assert not (tmp_path / "out").exists()
 
 
+def test_p_spectral_json_counts_uncertified(tmp_path):
+    code = main(["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
+                 "--p-grid", "2", "--out", str(tmp_path)])
+    assert code == 0
+    est = json.loads((tmp_path / "p_spectral.json").read_text())
+    assert est["uncertified"] == 0 and est["flag"] == "ok"
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "resdimlab.cli", "resist", "--structure", "vicsek",

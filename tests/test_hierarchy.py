@@ -8,8 +8,8 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from resdimlab import hierarchy
-from resdimlab.hierarchy import (Schedule, adjacency, build_hierarchy, chain_ball,
-                                 delta_level, nstar_estimate, sample_corners,
+from resdimlab.hierarchy import (D4, GridIndex, Schedule, adjacency, build_hierarchy,
+                                 chain_ball, delta_level, nstar_estimate, sample_corners,
                                  validate_framework)
 
 
@@ -17,6 +17,26 @@ def test_cell_counts():
     assert build_hierarchy(Schedule.pure_sc(), 2).levels[2].count == 64
     assert build_hierarchy(Schedule.pure_vicsek(), 3).levels[3].count == 125
     assert build_hierarchy(Schedule.mixed(), 5).levels[5].count == 8 * 5 * 5 * 5 * 8
+
+
+def test_grid_permutation_matches_point_loop():
+    # the image of each point under each symmetry of the square, found by a
+    # dictionary of the points; -1 where the image is not a point
+    rng = np.random.default_rng(5)
+    side = 7
+    pts = np.unique(rng.integers(0, side, (30, 2)), axis=0)[rng.permutation(25)]
+    where = {(int(a), int(b)): i for i, (a, b) in enumerate(pts)}
+    index = GridIndex(pts[:, 0], pts[:, 1], side)
+    for swap, mirror_x, mirror_y in D4:
+        want = []
+        for a, b in pts.tolist():
+            a, b = (b, a) if swap else (a, b)
+            want.append(where.get((side - 1 - a if mirror_x else a,
+                                   side - 1 - b if mirror_y else b), -1))
+        assert index.permutation((swap, mirror_x, mirror_y)).tolist() == want
+    full = GridIndex(*np.divmod(np.arange(side * side), side), side)
+    perms = {tuple(full.permutation(e).tolist()) for e in D4}
+    assert len(perms) == 8 and tuple(range(side * side)) in perms
 
 
 def test_mixed_indicator_blocks():

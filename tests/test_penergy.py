@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -525,20 +526,6 @@ def product_p_energy(problem, p, tol=1e-7):
     return PEnergyValue(p, e, f, res, "ok" if ok else "no-convergence")
 
 
-@pytest.fixture
-def splu_orderings(monkeypatch):
-    """The permc_spec of every splu call, in order (None: the default)."""
-    calls = []
-    splu = spla.splu
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec"))
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
-    return calls
-
-
 P_GRID = (1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.2, 2.5)
 
 
@@ -660,3 +647,93 @@ def test_bad_start_rejected(monkeypatch, start, message):
     monkeypatch.setattr(spla, "splu", no_solve)
     with pytest.raises(ValueError, match=message):
         p_energy(path_problem(), 1.5, start=start)
+
+
+# -- the stabilizer quotient ----------------------------------------------------
+
+QUOTIENT_CASES = pytest.mark.parametrize(
+    "schedule, depth",
+    [(Schedule.pure_sc(), 4), (Schedule.pure_vicsek(), 5), (Schedule.mixed(), 4)],
+    ids=["sc4", "vicsek5", "mixed4"])
+
+
+def level1_problems(schedule, depth):
+    """Every level-1 class representative's problem at k = 1..depth-1."""
+    h = build_hierarchy(schedule, depth)
+    for members in symmetry_classes(h, 1).values():
+        for k in range(1, depth):
+            yield build_separation(h, 1, members[0], k)
+
+
+@QUOTIENT_CASES
+def test_quotient_matches_unreduced(schedule, depth):
+    # solves on the stabilizer quotient against the same problem with the
+    # identity orbit map: the same flags, certified energies to 1e-12, and
+    # p = 1 cuts equal exactly (the smallest minimum cut is invariant)
+    compared = 0
+    for prob in level1_problems(schedule, depth):
+        full = dataclasses.replace(prob, orbit=np.arange(prob.n_cells))
+        for p in (1.0, 1.3, 1.8, 2.0):
+            got, want = p_energy(prob, p), p_energy(full, p)
+            where = (prob.base_index, prob.k, p)
+            assert got.flag == want.flag, where
+            if p == 1:
+                assert got.value == want.value and got.residual == want.residual == 0.0, where
+                assert np.array_equal(got.potential, want.potential), where
+            elif got.flag == "ok":
+                assert abs(got.value - want.value) <= 1e-12 * want.value, where
+                compared += 1
+    assert compared >= 10
+
+
+@QUOTIENT_CASES
+def test_quotient_halves_newton_systems(schedule, depth, splu_orderings):
+    # every level-1 cell is fixed by a reflection of the square, so no system
+    # of its problems has more than ceil(n_free / 2) + 3^level unknowns (cells
+    # on the mirror line are their own orbits); full-size systems fail here
+    biting = 0
+    for prob in level1_problems(schedule, depth):
+        assert len(np.unique(prob.orbit)) < prob.n_cells
+        if prob.empty_outer:
+            continue
+        n_free = prob.n_cells - len(prob.inner) - len(prob.outer)
+        bound = math.ceil(n_free / 2) + 3 ** prob.level
+        del splu_orderings.shapes[:]
+        for p in (2.0, 1.5):
+            p_energy(prob, p)
+        assert splu_orderings.shapes
+        where = (prob.base_index, prob.k)
+        assert all(max(shape) <= bound for shape in splu_orderings.shapes), where
+        biting += bound < n_free
+    assert biting >= 1
+
+
+@SCHEDULES
+def test_lifted_potential_is_invariant(schedule):
+    # the potential is lifted from the orbits, so every edge inside one orbit
+    # has d == 0 bitwise; a rounding residue on such an edge once tripped the
+    # p < 2 certificate of SC depth 4, base cell 0, k = 1, p = 1.5
+    inside_edges = 0
+    for prob in separation_problems(schedule):
+        eu, ev = prob.edges[:, 0], prob.edges[:, 1]
+        inside = prob.orbit[eu] == prob.orbit[ev]
+        inside_edges += int(inside.sum())
+        for p in (1.0, 1.5, 2.0):
+            f = p_energy(prob, p).potential
+            assert np.array_equal(f, f[prob.orbit])  # an orbit's label is its least cell
+            assert np.all(f[eu[inside]] - f[ev[inside]] == 0.0)
+    # Vicsek has no edge between two cells of one orbit (mirror cells never touch)
+    assert (inside_edges > 0) == (schedule.name != "vicsek")
+    if schedule.name == "sc":
+        assert p_energy(build_separation(build_hierarchy(schedule, 4), 1, 0, 1), 1.5).flag == "ok"
+
+
+def test_p_spectral_dims_counts_uncertified(monkeypatch):
+    # a fit behind a no-convergence sup energy is flagged, unless its rate
+    # already fails; the count is kept either way
+    h = build_hierarchy(Schedule.pure_sc(), 1)
+    for rate, flag in ((-1.0, "uncertified-energy"), (3.0, "rate-at-or-above-logN")):
+        monkeypatch.setattr(penergy, "sup_energy", lambda h, base_level, k, p, m_star=1: {
+            "value": math.exp(rate * k), "flag": "no-convergence" if k == 2 else "ok"})
+        est = p_spectral_dims(h, 2.0, 3, n_star=8.0)
+        assert est.uncertified == 1 and est.flag == flag
