@@ -174,14 +174,15 @@ def _cmd_resist(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     h = hmod.build_hierarchy(cfg.schedule(), cfg.depth)
     kmax = min(cfg.kmax, cfg.depth - 1)
+    sweep = pmod.SupSweep(h, range(1, kmax + 1))
     rows = []
     for p in cfg.p_grid:
-        for k in range(1, kmax + 1):
-            out = pmod.sup_energy(h, 1, k, p)
-            rows.append({"p": p, "k": k, "sup_energy": out["value"],
-                         "argmax_cell": out["argmax_cell"], "flag": out["flag"]})
+        for k, (cell, val) in zip(sweep.ks, sweep.sups(p)):
+            rows.append({"p": p, "k": k, "sup_energy": val.value,
+                         "argmax_cell": "".join(str(d) for d in h.address(1, cell)),
+                         "flag": val.flag})
     pmod.rate_table_to_csv(rows, os.path.join(outdir, "rates.csv"))
-    est = pmod.p_spectral_dims(h, 2.0, kmax)
+    est = sweep.spectral_dims(2.0)
     _write_json(os.path.join(outdir, "p_spectral.json"), {
         "p": est.p, "rate_ls": est.rate_ls, "rate_limsup": est.rate_limsup,
         "rate_liminf": est.rate_liminf, "n_star": est.n_star,
@@ -189,14 +190,14 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         "uncertified": est.uncertified,
     })
     # p = 2 energy equals effective conductance on the same graph
-    cands = (pmod.build_separation(h, 1, w, min(2, kmax)) for w in range(h.levels[1].count))
-    prob = next((c for c in cands if not c.empty_outer), None)
-    if prob is None:
+    j = sweep.ks.index(min(2, kmax))
+    i = next((i for i, prob in enumerate(sweep.problems[j]) if not prob.empty_outer), None)
+    if i is None:
         raise RuntimeError("no level-1 cell has a nonempty outer set")
-    e2 = pmod.p_energy(prob, 2.0).value
+    prob, e2 = sweep.problems[j][i], sweep.values(2.0)[j][i].value
     g = rmod.LevelGraph(prob.n_cells, [(int(u), int(v), 1.0) for u, v in prob.edges])
     cond = 1.0 / rmod.eff_resistance(g, list(prob.inner), list(prob.outer)).value
-    vals = [pmod.p_energy(prob, p).value for p in sorted(set(cfg.p_grid))]
+    vals = [sweep.values(p)[j][i].value for p in sorted(set(cfg.p_grid))]
     mono_ok = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     return [
         _check("penergy-p2-conductance", "p=2 energy equals effective conductance",
@@ -218,8 +219,7 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     pt = [cache.pt(n, 0) for n in range(1, depth + 1)]
     zeta_log = math.log(pt[-1] / pt[-2]) if len(pt) >= 2 else math.log(3.0)
     vol = mmod.olds_volume(meas, zeta_log, window=list(range(1, depth + 1)), seed=cfg.seed)
-    est = pmod.p_spectral_dims(h, 2.0, min(cfg.kmax, h.depth - 1))
-    d2s = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
+    d2s = pmod.p_spectral_dims(h, 2.0, min(cfg.kmax, h.depth - 1)).dim_ls
     form = build_form(h, depth, meas, pt[-1])
     heat = ol_ds_heat(form)
     profile_level = min(depth, 3)

@@ -334,7 +334,6 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
     from .heat import build_form, ol_ds_heat
     from .measure import hier_measure, olds_volume
     from .penergy import critical_p, p_spectral_dims
-    from .hierarchy import nstar_estimate
 
     caches = caches or {}
     sc_cache = caches.setdefault("sc", ScaleCache(Schedule.pure_sc()))
@@ -348,13 +347,8 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
     m_sc = hier_measure(h_sc)
     m_vs = hier_measure(h_vs)
 
-    n_star_sc = nstar_estimate(h_sc, 5)["n_star"]
-    n_star_vs = nstar_estimate(h_vs, 5)["n_star"]
-
     d2s_sc = p_spectral_dims(h_sc, 2.0, kmax_sc)
     d2s_vs = p_spectral_dims(h_vs, 2.0, kmax_vicsek)
-    d2s_sc_val = 2.0 / (1.0 - d2s_sc.rate_ls / math.log(n_star_sc))
-    d2s_vs_val = 2.0 / (1.0 - d2s_vs.rate_ls / math.log(n_star_vs))
 
     vol_sc = olds_volume(m_sc, math.log(rho_hat), window=list(range(1, depth_sc)), seed=seed)
     vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, depth_vicsek + 1)),
@@ -385,12 +379,12 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
          "value": vol_vs["ds_estimate"],
          "pass": abs(vol_vs["ds_estimate"] - vic_ref) <= 0.1},
         {"id": "sc-window-below-2", "description": "SC window dim estimates < 2",
-         "value": max(heat_sc, vol_sc["ds_estimate"], d2s_sc_val),
-         "pass": max(heat_sc, vol_sc["ds_estimate"], d2s_sc_val) < 2.0},
+         "value": max(heat_sc, vol_sc["ds_estimate"], d2s_sc.dim_ls),
+         "pass": max(heat_sc, vol_sc["ds_estimate"], d2s_sc.dim_ls) < 2.0},
         {"id": "d2s-vs-heat-sc", "description": "d2s <= ds(heat) + 0.1 on the carpet",
-         "value": d2s_sc_val - heat_sc, "pass": d2s_sc_val <= heat_sc + 0.1},
+         "value": d2s_sc.dim_ls - heat_sc, "pass": d2s_sc.dim_ls <= heat_sc + 0.1},
         {"id": "d2s-vs-heat-vicsek", "description": "d2s <= ds(heat) + 0.1 on the plus-sign set",
-         "value": d2s_vs_val - heat_vs, "pass": d2s_vs_val <= heat_vs + 0.1},
+         "value": d2s_vs.dim_ls - heat_vs, "pass": d2s_vs.dim_ls <= heat_vs + 0.1},
         {"id": "dim-arc-lower", "description": "dim_ARC interval lower end >= 1",
          "value": interval[0], "pass": interval[0] >= 1.0},
         {"id": "dim-arc-below-2", "description": "dim_ARC interval upper end < 2",
@@ -399,13 +393,13 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
     return DimReport(
         vicsek_ds_volume=vol_vs["ds_estimate"],
         vicsek_ds_heat=heat_vs,
-        vicsek_d2s=d2s_vs_val,
+        vicsek_d2s=d2s_vs.dim_ls,
         sc_ds_volume=vol_sc["ds_estimate"],
         sc_ds_heat=heat_sc,
-        sc_d2s=d2s_sc_val,
+        sc_d2s=d2s_sc.dim_ls,
         sc_dim_arc_interval=tuple(interval),
-        n_star_sc=float(n_star_sc),
-        n_star_vicsek=float(n_star_vs),
+        n_star_sc=d2s_sc.n_star,
+        n_star_vicsek=d2s_vs.n_star,
         rho_hat=rho_hat,
         one_plus_log2_log3=tw,
         vicsek_reference=vic_ref,

@@ -13,11 +13,11 @@ stabilizer (half the cells or fewer); the potential is lifted back, and its
 flag and residual come from the full problem.  The solver data is built
 once per problem, on its first solve at p != 1, and kept on it: D, the
 p = 2 potential, one sparsity pattern for every Newton system, and the
-column ordering of the p = 2 factorization.  A solve may start from a
-certified potential of the same problem at another p; it then enters the
-eps ladder at its last rung, and reruns the whole ladder from the p = 2
-potential if that start ends uncertified.  `critical_p` keeps its
-problems across the bisection and starts each p from the nearest p solved.
+column ordering of the p = 2 factorization.  Every sup energy (`penergy`
+command, `sup_energy`, `p_spectral_dims`, `critical_p`) comes from a
+`SupSweep`: each problem built once, solved once per p, each p > 1 started
+from its certified potential at the nearest p solved (the last eps rung,
+then the whole ladder from the p = 2 potential if that ends uncertified).
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .hierarchy import D4, PartitionHierarchy, adjacency, chain_ball
+from .hierarchy import D4, PartitionHierarchy, adjacency, chain_ball, nstar_estimate
 
 __all__ = [
     "SeparationProblem",
@@ -45,6 +45,7 @@ __all__ = [
     "SpectralDimEstimate",
     "build_separation",
     "p_energy",
+    "SupSweep",
     "sup_energy",
     "critical_p",
     "p_spectral_dims",
@@ -101,6 +102,7 @@ class SpectralDimEstimate:
     n_star: float
     dim_upper: float
     dim_lower: float
+    dim_ls: float               # the central value, from rate_ls
     flag: str = "ok"
     uncertified: int = 0        # sup energies behind the fit flagged no-convergence
 
@@ -376,44 +378,86 @@ def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int],
     return {divmod(int(key), s): group.tolist() for key, group in zip(keys, members)}
 
 
+class SupSweep:
+    """Sups over base cells of the level-k separation energies, k in `ks`; the
+    base cells are `cells`, or one per `symmetry_classes` class.  Each problem
+    (`problems[j][i]`: ks[j], cells[i]) is built once and solved once per p; a
+    p > 1 starts from its certified potential at the nearest p > 1 already
+    solved, the lower p on a tie, or cold when there is none."""
+
+    def __init__(self, h: PartitionHierarchy, ks: Sequence[int], base_level: int = 1,
+                 m_star: int = 1, cells: Optional[Sequence[int]] = None):
+        self.h, self.ks = h, list(ks)
+        if not self.ks:
+            raise ValueError("no k values to sweep")
+        if base_level + max(self.ks) > h.depth:
+            raise ValueError("horizon exceeds built depth")
+        self.cells = list(cells) if cells is not None else [
+            members[0] for members in symmetry_classes(h, base_level).values()]
+        if not self.cells:
+            raise ValueError("no base cells")
+        self.problems = [[build_separation(h, base_level, w, k, m_star=m_star)
+                          for w in self.cells] for k in self.ks]
+        self._solved: Dict[float, List[List[PEnergyValue]]] = {}
+
+    def values(self, p: float) -> List[List[PEnergyValue]]:
+        """Every problem's energy at p, laid out as `problems`."""
+        if p not in self._solved:
+            self._solved[p] = [[p_energy(prob, p, start=self._start(j, i, p))
+                                for i, prob in enumerate(row)]
+                               for j, row in enumerate(self.problems)]
+        return self._solved[p]
+
+    def _start(self, j: int, i: int, p: float) -> Optional[np.ndarray]:
+        known = {q: vals[j][i].potential for q, vals in self._solved.items()
+                 if q > 1 and vals[j][i].flag == "ok"}
+        return known[min(known, key=lambda q: (abs(q - p), q))] if known else None
+
+    def sups(self, p: float) -> List[Tuple[int, PEnergyValue]]:
+        """Per k, (argmax base cell, its energy) at p; the first of equal values wins."""
+        return [max(zip(self.cells, row), key=lambda cv: cv[1].value) for row in self.values(p)]
+
+    def spectral_dims(self, p: float, n_star: Optional[float] = None) -> SpectralDimEstimate:
+        """Upper, lower and central p-spectral dimensions from the fitted decay
+        of the sups at p.  `uncertified` counts the sups behind the fit flagged
+        no-convergence; when it is positive, a flag that would read "ok" reads
+        "uncertified-energy"."""
+        if n_star is None:
+            n_star = nstar_estimate(self.h, kmax=min(6, max(1, self.h.depth)))["n_star"]
+        sups = [val for _, val in self.sups(p)]
+        logs = [math.log(max(s.value, 1e-300)) for s in sups]
+        uncertified = sum(s.flag == "no-convergence" for s in sups)
+        ls, up, lo = fit_rates(self.ks, logs)
+        logN = math.log(n_star)
+        flag = "ok"
+
+        def dim(rate: float) -> float:
+            if rate >= logN:
+                return float("nan")
+            return p / (1.0 - rate / logN)
+
+        d_up = dim(up)
+        d_lo = dim(lo)
+        if math.isnan(d_up) or math.isnan(d_lo):
+            flag = "rate-at-or-above-logN"
+        elif uncertified:
+            flag = "uncertified-energy"
+        return SpectralDimEstimate(
+            p=p, ks=list(self.ks), log_sup=logs, rate_ls=ls, rate_limsup=up, rate_liminf=lo,
+            n_star=float(n_star), dim_upper=d_up, dim_lower=d_lo, dim_ls=dim(ls), flag=flag,
+            uncertified=uncertified)
+
+
 def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
                m_star: int = 1, cells: Optional[Sequence[int]] = None) -> dict:
-    """sup over base cells of the separation energies, with the argmax cell.
-
-    Every rule is symmetric under the dihedral group of the square (checked by
-    `SubdivisionRule`), so one representative per box class suffices; `cells` names the base cells to
-    sweep instead (`range(count)` is the exhaustive sweep).
-    """
-    if base_level + k > h.depth:
-        raise ValueError("horizon exceeds built depth")
-    if cells is not None:
-        reps = list(cells)
-    else:
-        reps = [members[0] for members in symmetry_classes(h, base_level).values()]
-    if not reps:
-        raise ValueError("no base cells")
-    i, val = _sup([p_energy(build_separation(h, base_level, w, k, m_star=m_star), p)
-                   for w in reps])
-    word = "".join(str(d) for d in h.address(base_level, reps[i]))
-    return {"value": val.value, "argmax_index": reps[i], "argmax_cell": word,
-            "flag": val.flag, "representatives": len(reps)}
-
-
-def _sup(vals: Sequence[PEnergyValue]) -> Tuple[int, PEnergyValue]:
-    """(index, value) of the largest energy; max keeps the first of equal values."""
-    return max(enumerate(vals), key=lambda iv: iv[1].value)
-
-
-def _warm_energy(problem: SeparationProblem, known: Dict[float, np.ndarray],
-                 p: float) -> PEnergyValue:
-    """p_energy started from the potential in `known` (certified potentials
-    of this problem by p > 1) at the p nearest to `p`, the lower p on a tie,
-    or cold when `known` is empty; a certified result at p > 1 joins `known`."""
-    near = min(known, key=lambda q: (abs(q - p), q), default=None)
-    val = p_energy(problem, p, start=None if near is None else known[near])
-    if p > 1 and val.flag == "ok":
-        known[p] = val.potential
-    return val
+    """sup over base cells of the separation energies, with the argmax cell:
+    a one-k `SupSweep` (`cells` as there; `range(count)` is the exhaustive
+    sweep)."""
+    sweep = SupSweep(h, [k], base_level, m_star, cells)
+    [(cell, val)] = sweep.sups(p)
+    word = "".join(str(d) for d in h.address(base_level, cell))
+    return {"value": val.value, "argmax_index": cell, "argmax_cell": word,
+            "flag": val.flag, "representatives": len(sweep.cells)}
 
 
 def fit_rates(ks: Sequence[int], log_vals: Sequence[float]) -> Tuple[float, float, float]:
@@ -438,11 +482,9 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
                tol: float = 0.05, base_level: int = 1, m_star: int = 1) -> dict:
     """Bisection on p of the fitted decay rate of k -> sup energy.
 
-    The sup runs over one representative per symmetry class, as in
-    `sup_energy`.  Each (representative, k) problem is built once, and each
-    p > 1 is warm-started (`p_energy`'s `start`) from that problem's
-    certified potential at the nearest p > 1 already solved, the lower p on
-    a tie; a problem with none yet starts cold.
+    The sups come from one `SupSweep` over k = 1..kmax, so each
+    (representative, k) problem is built once and each p > 1 starts from
+    that problem's certified potential at the nearest p already solved.
 
     rate < 0 means p is above the critical exponent.  Rates inside
     [-RATE_TOL, RATE_TOL] are treated as not-yet-decaying and widen the
@@ -455,19 +497,13 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
         raise ValueError("tol must be finite and positive")
     if not 1 <= p_range[0] < p_range[1] < math.inf:
         raise ValueError("p_range must satisfy 1 <= lo < hi < inf")
-    if base_level + kmax > h.depth:
-        raise ValueError("horizon exceeds built depth")
-    ks = list(range(1, kmax + 1))
-    reps = [members[0] for members in symmetry_classes(h, base_level).values()]
-    # per k, each representative's problem and its certified potentials by p
-    rows = [[(build_separation(h, base_level, w, k, m_star=m_star), {}) for w in reps]
-            for k in ks]
+    sweep = SupSweep(h, range(1, kmax + 1), base_level, m_star)
     table: List[dict] = []
 
     def rate_of(p: float) -> float:
-        sups = [_sup([_warm_energy(prob, known, p) for prob, known in row])[1] for row in rows]
+        sups = [val for _, val in sweep.sups(p)]
         logs = [math.log(max(s.value, 1e-300)) for s in sups]
-        slope, up, lo = fit_rates(ks, logs)
+        slope, up, lo = fit_rates(sweep.ks, logs)
         table.append({"p": p, "rate": slope, "rate_limsup": up, "rate_liminf": lo,
                       "sup_energies": [s.value for s in sups],
                       "uncertified": sum(s.flag == "no-convergence" for s in sups)})
@@ -505,40 +541,10 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
 def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
                     base_level: int = 1, m_star: int = 1,
                     n_star: Optional[float] = None) -> SpectralDimEstimate:
-    """Upper/lower p-spectral dimensions from the fitted energy decay.
-
-    `uncertified` counts the sup energies behind the fit flagged
-    no-convergence; when it is positive, a flag that would read "ok" reads
-    "uncertified-energy".
-    """
+    """`SupSweep.spectral_dims` over k = 1..kmax."""
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
-    if n_star is None:
-        from .hierarchy import nstar_estimate
-        n_star = nstar_estimate(h, kmax=min(6, max(1, h.depth)))["n_star"]
-    ks = list(range(1, kmax + 1))
-    sups = [sup_energy(h, base_level, k, p, m_star=m_star) for k in ks]
-    logs = [math.log(max(s["value"], 1e-300)) for s in sups]
-    uncertified = sum(s["flag"] == "no-convergence" for s in sups)
-    ls, up, lo = fit_rates(ks, logs)
-    logN = math.log(n_star)
-    flag = "ok"
-
-    def dim(rate: float) -> float:
-        if rate >= logN:
-            return float("nan")
-        return p / (1.0 - rate / logN)
-
-    d_up = dim(up)
-    d_lo = dim(lo)
-    if math.isnan(d_up) or math.isnan(d_lo):
-        flag = "rate-at-or-above-logN"
-    elif uncertified:
-        flag = "uncertified-energy"
-    return SpectralDimEstimate(
-        p=p, ks=ks, log_sup=logs, rate_ls=ls, rate_limsup=up, rate_liminf=lo,
-        n_star=float(n_star), dim_upper=d_up, dim_lower=d_lo, flag=flag,
-        uncertified=uncertified)
+    return SupSweep(h, range(1, kmax + 1), base_level, m_star).spectral_dims(p, n_star)
 
 
 def rate_table_to_csv(rows: Sequence[dict], path: str) -> None:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from resdimlab import mixedcarpet
+from resdimlab import mixedcarpet, penergy
 from resdimlab.cli import ExperimentConfig, main
 
 
@@ -144,6 +144,21 @@ def test_p_spectral_json_counts_uncertified(tmp_path):
     assert code == 0
     est = json.loads((tmp_path / "p_spectral.json").read_text())
     assert est["uncertified"] == 0 and est["flag"] == "ok"
+
+
+def test_penergy_solves_each_problem_once(tmp_path, monkeypatch):
+    # rates.csv, p_spectral.json and the checks read one sweep: 2 level-1
+    # classes x k = 1..3 problems, each solved once at p = 1.3 and p = 2
+    calls = {"p_energy": 0, "build_separation": 0}
+    for name, original in [(name, getattr(penergy, name)) for name in calls]:
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(penergy, name, counted)
+    code = main(["penergy", "--structure", "sc", "--depth", "4", "--kmax", "3",
+                 "--p-grid", "1.3,2.0", "--out", str(tmp_path)])
+    assert code == 0
+    assert calls == {"p_energy": 12, "build_separation": 6}
 
 
 def test_console_entry_point(tmp_path):

@@ -266,6 +266,7 @@ def test_p_spectral_dims_vicsek(vs_h6):
     est = p_spectral_dims(vs_h6, 2.0, 5)
     ref = 2 * math.log(5) / math.log(15)
     central = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
+    assert est.dim_ls == central
     assert central == pytest.approx(ref, abs=0.05)
     assert est.dim_lower <= est.dim_upper + 1e-12
 
@@ -582,43 +583,118 @@ BISECTION = {"sc": (1.0, 2.5, 1.75, 2.125, 1.9375, 1.84375, 1.890625),
 
 
 def test_warm_start_matches_cold(monkeypatch, splu_orderings):
-    # critical_p's warm starts against cold solves, for every level-1 class
+    # a SupSweep's warm starts against cold solves, for every level-1 class
     # and k over the bisection order and the p grid: no certificate lost,
     # certified energies to 1e-12, and the retry runs
-    ladders = []
+    ladders, calls = [], []
     descend = penergy._descend
 
     def counted(system, p, tol, f, rungs):
         ladders.append(len(rungs))
         return descend(system, p, tol, f, rungs)
 
+    def recorded(problem, p, tol=1e-7, start=None):
+        # the ladders and factorizations of each of the sweep's solves
+        del ladders[:], splu_orderings[:]
+        val = p_energy(problem, p, tol, start)
+        calls.append((list(ladders), len(splu_orderings)))
+        return val
+
     monkeypatch.setattr(penergy, "_descend", counted)
+    monkeypatch.setattr(penergy, "p_energy", recorded)
     retries, factorizations = {}, {}
     for name, schedule, depth in (("sc", Schedule.pure_sc(), 4),
                                   ("vicsek", Schedule.pure_vicsek(), 5),
                                   ("mixed", Schedule.mixed(), 4)):
         h = build_hierarchy(schedule, depth)
+        warm, cold = (penergy.SupSweep(h, range(1, depth)) for _ in range(2))
         retries[name], warm_count, cold_count = 0, 0, 0
-        for members in symmetry_classes(h, 1).values():
-            for k in range(1, depth):
-                warm, cold = (build_separation(h, 1, members[0], k) for _ in range(2))
-                known = {}
-                for p in dict.fromkeys(BISECTION[name] + P_GRID):
-                    del ladders[:], splu_orderings[:]
-                    got = penergy._warm_energy(warm, known, p)
-                    retries[name] += ladders == [1, len(penergy.EPS_LADDER)]
-                    warm_count += len(splu_orderings)
+        for p in dict.fromkeys(BISECTION[name] + P_GRID):
+            del calls[:]
+            got = warm.values(p)
+            assert len(calls) == len(warm.ks) * len(warm.cells)
+            retries[name] += sum(lad == [1, len(penergy.EPS_LADDER)] for lad, _ in calls)
+            warm_count += sum(n for _, n in calls)
+            for j, row in enumerate(cold.problems):
+                for i, prob in enumerate(row):
                     del splu_orderings[:]
-                    want = p_energy(cold, p)
+                    want = p_energy(prob, p)
                     cold_count += len(splu_orderings)
-                    where = (name, members[0], k, p)
-                    assert not (want.flag == "ok" and got.flag != "ok"), where
-                    if got.flag == want.flag == "ok":
-                        assert abs(got.value - want.value) <= 1e-12 * want.value, where
+                    where = (name, warm.cells[i], warm.ks[j], p)
+                    assert not (want.flag == "ok" and got[j][i].flag != "ok"), where
+                    if got[j][i].flag == want.flag == "ok":
+                        assert abs(got[j][i].value - want.value) <= 1e-12 * want.value, where
         factorizations[name] = (warm_count, cold_count)
     assert retries["sc"] >= 1
     warm_count, cold_count = factorizations["vicsek"]
     assert warm_count < cold_count
+
+
+@SCHEDULES
+def test_sweep_matches_cold_solves(schedule, monkeypatch):
+    # at its first p a sweep solves cold, so each value is p_energy's on a
+    # freshly built problem bit for bit; the sups are the first maxima, and
+    # asking again solves nothing
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return p_energy(*args, **kwargs)
+
+    monkeypatch.setattr(penergy, "p_energy", recorded)
+    h = build_hierarchy(schedule, 4)
+    for p in (1.0, 1.3, 2.0):
+        sweep = penergy.SupSweep(h, range(1, 4))
+        got = sweep.values(p)
+        for j, k in enumerate(sweep.ks):
+            for i, cell in enumerate(sweep.cells):
+                want = p_energy(build_separation(h, 1, cell, k), p)
+                where = (cell, k, p)
+                assert (got[j][i].value, got[j][i].residual, got[j][i].flag) == (
+                    want.value, want.residual, want.flag), where
+                assert (got[j][i].potential is None) == (want.potential is None), where
+                if want.potential is not None:
+                    assert np.array_equal(got[j][i].potential, want.potential), where
+            first = [v.value for v in got[j]].index(max(v.value for v in got[j]))
+            cell, val = sweep.sups(p)[j]
+            assert cell == sweep.cells[first] and val is got[j][first]
+        del calls[:]
+        assert sweep.values(p) is got and calls == []
+
+
+def test_sweep_starts_from_nearest_certified_p(monkeypatch):
+    # each p > 1 starts from the problem's certified potential at the nearest
+    # p > 1 already solved, the lower p on an exact tie; p = 1 and uncertified
+    # values seed nothing.  Each p lists the solved p > 1 by preference.
+    starts = []
+
+    def recorded(problem, p, tol=1e-7, start=None):
+        starts.append(start)
+        return p_energy(problem, p, tol, start)
+
+    monkeypatch.setattr(penergy, "p_energy", recorded)
+    sweep = penergy.SupSweep(build_hierarchy(Schedule.pure_sc(), 3), [1, 2])
+    where = [(j, i) for j in range(2) for i in range(len(sweep.cells))]
+    for p, prefs in ((1.0, ()), (1.25, ()), (1.5, (1.25,)), (1.375, (1.25, 1.5)),
+                     (2.5, (1.5, 1.375, 1.25))):
+        del starts[:]
+        sweep.values(p)
+        assert len(starts) == len(where)
+        for start, (j, i) in zip(starts, where):
+            seeds = [sweep.values(q)[j][i] for q in prefs if sweep.values(q)[j][i].flag == "ok"]
+            assert start is (seeds[0].potential if seeds else None), (p, j, i)
+    # the cold p = 1.25 solve of one problem ends uncertified, so it is skipped
+    assert any(v.flag == "no-convergence" for row in sweep.values(1.25) for v in row)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ks": []}, "no k values"),
+    ({"ks": [1, 2], "cells": []}, "no base cells"),
+    ({"ks": [1, 3]}, "horizon exceeds built depth"),
+], ids=["no-k", "no-cells", "horizon"])
+def test_sweep_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        penergy.SupSweep(build_hierarchy(Schedule.pure_sc(), 3), **kwargs)
 
 
 def test_newton_cache_carries_no_state():
@@ -731,9 +807,10 @@ def test_lifted_potential_is_invariant(schedule):
 def test_p_spectral_dims_counts_uncertified(monkeypatch):
     # a fit behind a no-convergence sup energy is flagged, unless its rate
     # already fails; the count is kept either way
-    h = build_hierarchy(Schedule.pure_sc(), 1)
+    h = build_hierarchy(Schedule.pure_sc(), 4)
     for rate, flag in ((-1.0, "uncertified-energy"), (3.0, "rate-at-or-above-logN")):
-        monkeypatch.setattr(penergy, "sup_energy", lambda h, base_level, k, p, m_star=1: {
-            "value": math.exp(rate * k), "flag": "no-convergence" if k == 2 else "ok"})
+        monkeypatch.setattr(penergy, "p_energy", lambda problem, p, tol=1e-7, start=None: (
+            PEnergyValue(p, math.exp(rate * problem.k),
+                         flag="no-convergence" if problem.k == 2 else "ok")))
         est = p_spectral_dims(h, 2.0, 3, n_star=8.0)
         assert est.uncertified == 1 and est.flag == flag
