@@ -2,9 +2,9 @@
 
 A form is a corner graph with conductances divided by the level's resistance
 renormalizer and a vertex measure obtained by splitting each cell's mass
-equally among its four corners.  Heat kernels come from the generalized
-eigenproblem L phi = lambda M phi with the eigenvectors orthonormal in the
-mass inner product, so
+equally among its four corners, summed exactly and rounded once.  Heat
+kernels come from the generalized eigenproblem L phi = lambda M phi with the
+eigenvectors orthonormal in the mass inner product, so
 
     p(t, x, y) = sum_k exp(-lambda_k t) phi_k(x) phi_k(y)
 
@@ -21,7 +21,7 @@ one signed, normalized orbit sum per (character, vertex orbit) pair.  Each
 character's block B^T (M^-1/2 L M^-1/2) B is solved with a dense eigh, and
 the kernel is evaluated block by block on orbit columns:
 phi_k(v) = amp[v] U[col[v], k].  No n x n eigenvector matrix is formed.  A
-form without an exact mirror (a non-uniform measure can break one) has the
+form without an exact mirror (one the measure is not invariant under) has the
 trivial group and one block, the whole scaled Laplacian.
 """
 
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from .cornergraph import corner_graph
 from .hierarchy import PartitionHierarchy
-from .measure import HierMeasure
+from .measure import HierMeasure, _quotients
 from .resnet import LevelGraph
 
 __all__ = [
@@ -212,11 +212,13 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
     if renormalizer <= 0:
         raise ValueError("renormalizer must be positive")
     cg = corner_graph(h.schedule, level, 0)
-    cell_mass = measure.masses_float(level)
-    if len(cell_mass) != len(cg.cell_corners):
+    num, denom = measure.exact_masses(level)
+    if len(num) != len(cg.cell_corners):
         raise ValueError("measure resolution does not match the level")
-    mass = np.zeros(cg.graph.n)
-    np.add.at(mass, cg.cell_corners.reshape(-1), np.repeat(cell_mass / 4.0, 4))
+    # a vertex's cells' numerators sum to at most denom: exact in int64
+    shares = np.zeros(cg.graph.n, dtype=np.int64)
+    np.add.at(shares, cg.cell_corners.reshape(-1), np.repeat(num, 4))
+    mass = _quotients(shares, 4 * denom)
     edges = np.column_stack([cg.graph.edge_u, cg.graph.edge_v,
                              cg.graph.conductance / renormalizer])
     # the two axis mirrors of the square, x -> span - x and y -> span - y

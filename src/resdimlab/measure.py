@@ -1,13 +1,13 @@
 """Hierarchical measures, volume profiles, and the volume-route dimension.
 
-Cell masses are exact rationals (per-level child weights multiplying along
-the address); ball masses are bracketed between inner and outer cell covers
-at the finest built level.  Each measure keeps, per level, its cell masses
-as int64 numerators over one common denominator, summed in GridIndex key
-order; a ball query finds the run of covered rows in each grid column and
-adds the run's prefix-sum difference, so both brackets are exact sums,
-rounded once.  The psi-measure implements the interior-child weighting
-that realizes controlled volume growth (N_* + eps)^k.
+A measure's cell masses have one representation, `exact_masses`: per level,
+int64 numerators in cell order over one common denominator.  `mass` reads
+it as a Fraction and `masses_float` as correctly rounded floats, and ball
+masses are bracketed between inner and outer cell covers at the resolution
+level: a ball query adds, per grid column, the prefix-sum difference of the
+table (in GridIndex key order) over its run of covered rows, so both
+brackets are exact sums, rounded once.  The psi-measure implements the
+interior-child weighting that realizes controlled volume growth (N_* + eps)^k.
 """
 
 from __future__ import annotations
@@ -34,14 +34,41 @@ __all__ = [
 ]
 
 
-class HierMeasure:
+class _MassTable:
+    """The integer mass table behind every mass view; subclasses compute a
+    level's (numerators, denominator) in `_numerators`."""
+
+    def __init__(self, h: PartitionHierarchy):
+        self.h = h
+        self._exact: Dict[int, Tuple[np.ndarray, int]] = {}
+        self._prefix: Optional[Tuple[np.ndarray, int]] = None
+
+    def exact_masses(self, n: int) -> Tuple[np.ndarray, int]:
+        """(numerators, denominator) of the level-n cell masses, in cell order."""
+        if n not in self._exact:
+            self._exact[n] = self._numerators(n)
+        return self._exact[n]
+
+    def mass(self, n: int, i: int) -> Fraction:
+        num, denom = self.exact_masses(n)
+        return Fraction(int(num[i]), denom)
+
+    def _ball_table(self) -> Tuple[np.ndarray, int]:
+        """The resolution level's table as key-order prefix sums, all a ball query keeps."""
+        if self._prefix is None:
+            num, denom = self._numerators(self.resolution())
+            self._prefix = (self.h.levels[self.resolution()].grid_index.prefix_sums(num), denom)
+        return self._prefix
+
+
+class HierMeasure(_MassTable):
     """Per-level child-weight tables; mu(cell) multiplies along the address."""
 
     def __init__(self, h: PartitionHierarchy, weights: Dict[int, Dict[int, Fraction]]):
-        self.h = h
+        super().__init__(h)
         self.weights = weights
         for n in range(1, h.depth + 1):
-            table = weights[n]
+            table = weights.get(n, {})
             digits = h.schedule.rule_at(n).digits
             if set(table) != set(digits):
                 raise ValueError(f"level {n} weight table does not match the alphabet")
@@ -53,49 +80,34 @@ class HierMeasure:
         self._lcm = {n: math.lcm(*(w.denominator for w in weights[n].values()))
                      for n in range(1, h.depth + 1)}
         _check_denominator(math.prod(self._lcm.values()))
-        self._mass_float: Dict[int, np.ndarray] = {}
-        self._prefix: Dict[int, Tuple[np.ndarray, int]] = {}
 
-    def mass(self, n: int, i: int) -> Fraction:
-        out = Fraction(1)
-        for m in range(n, 0, -1):
-            out *= self.weights[m][int(self.h.levels[m].digit[i])]
-            i = int(self.h.levels[m].parent[i])
-        return out
+    def _numerators(self, n: int) -> Tuple[np.ndarray, int]:
+        num, denom = np.ones(1, dtype=np.int64), 1
+        for m in range(1, n + 1):
+            lvl = self.h.levels[m]
+            by_digit = np.zeros(9, dtype=np.int64)  # digits 0..8
+            for d, w in self.weights[m].items():
+                by_digit[d] = int(w * self._lcm[m])
+            num = num[lvl.parent] * by_digit[lvl.digit]
+            denom *= self._lcm[m]
+        return num, denom
 
     def masses_float(self, n: int) -> np.ndarray:
-        if n not in self._mass_float:
-            if n == 0:
-                arr = np.ones(1)
-            else:
-                lvl = self.h.levels[n]
-                by_digit = np.array([float(self.weights[n].get(d, 0)) for d in range(9)])  # digits 0..8
-                arr = self.masses_float(n - 1)[lvl.parent] * by_digit[lvl.digit]
-            self._mass_float[n] = arr
-        return self._mass_float[n]
-
-    def _exact_masses(self, n: int) -> Tuple[np.ndarray, int]:
-        """Key-order prefix sums of the level-n masses as int64 numerators,
-        with their common denominator."""
-        if n not in self._prefix:
-            num, denom = np.ones(1, dtype=np.int64), 1
-            for m in range(1, n + 1):
-                lvl = self.h.levels[m]
-                by_digit = np.zeros(9, dtype=np.int64)  # digits 0..8
-                for d, w in self.weights[m].items():
-                    by_digit[d] = int(w * self._lcm[m])
-                num = num[lvl.parent] * by_digit[lvl.digit]
-                denom *= self._lcm[m]
-            self._prefix[n] = (self.h.levels[n].grid_index.prefix_sums(num), denom)
-        return self._prefix[n]
+        return _quotients(*self.exact_masses(n))
 
     def resolution(self) -> int:
         return self.h.depth
 
     def ball_mass(self, x: Tuple[float, float], r: float) -> Tuple[float, float]:
         """(inner, outer) bracket of mu(B(x, r)) by cell covers."""
-        n = self.resolution()
-        return _cover_bracket(self.h.levels[n], *self._exact_masses(n), x, r)
+        return _cover_bracket(self.h.levels[self.resolution()], *self._ball_table(), x, r)
+
+
+def _quotients(num: np.ndarray, denom: int) -> np.ndarray:
+    """num / denom per entry, correctly rounded: one Python-int division per
+    distinct numerator, so equal numerators give bitwise-equal floats."""
+    values, inverse = np.unique(num, return_inverse=True)
+    return np.array([v / denom for v in values.tolist()], dtype=np.float64)[inverse]
 
 
 def _cover_bracket(lvl, prefix: np.ndarray, denom: int,
@@ -251,7 +263,7 @@ def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float
             "gamma1": gamma1, "n_ratios": len(ratios)}
 
 
-class PsiMeasure:
+class PsiMeasure(_MassTable):
     """Interior-child weighted measure on the k-step coarsened tree.
 
     Bit j of a cell's int64 code is set when its ancestor after coarse step
@@ -259,7 +271,7 @@ class PsiMeasure:
     """
 
     def __init__(self, h: PartitionHierarchy, k: int, eps: Fraction, n_star: int):
-        self.h = h
+        super().__init__(h)
         self.k = k
         self.eps = Fraction(eps)
         self.n_star = n_star
@@ -268,8 +280,6 @@ class PsiMeasure:
         self.interior_child: Dict[int, np.ndarray] = {}  # coarse level -> child id per cell
         self.code: Dict[int, np.ndarray] = {}            # coarse level -> code per cell
         self.value: Dict[int, List[Fraction]] = {}       # coarse level -> psi per code
-        self._mass_float: Dict[int, np.ndarray] = {}
-        self._prefix: Dict[int, Tuple[np.ndarray, int]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -304,32 +314,22 @@ class PsiMeasure:
             self.code[bot], self.value[bot] = code, value
         _check_denominator(_lcm_denominator(value))
 
-    def mass(self, coarse_level: int, i: int) -> Fraction:
-        return self.value[coarse_level][int(self.code[coarse_level][i])]
+    def _numerators(self, coarse_level: int) -> Tuple[np.ndarray, int]:
+        if coarse_level not in self.value:
+            raise ValueError(f"no coarse level {coarse_level}: the levels are {self.coarse_levels}")
+        values = self.value[coarse_level]
+        denom = _lcm_denominator(values)
+        table = np.array([int(q * denom) for q in values], dtype=np.int64)
+        return table[self.code[coarse_level]], denom
 
     def masses_float(self, coarse_level: int) -> np.ndarray:
-        if coarse_level not in self._mass_float:
-            table = np.array([float(q) for q in self.value[coarse_level]])
-            self._mass_float[coarse_level] = table[self.code[coarse_level]]
-        return self._mass_float[coarse_level]
-
-    def _exact_masses(self, coarse_level: int) -> Tuple[np.ndarray, int]:
-        """Key-order prefix sums of the psi values as int64 numerators, with
-        their common denominator (the lcm of the value table's)."""
-        if coarse_level not in self._prefix:
-            values = self.value[coarse_level]
-            denom = _lcm_denominator(values)
-            table = np.array([int(q * denom) for q in values], dtype=np.int64)
-            index = self.h.levels[coarse_level].grid_index
-            self._prefix[coarse_level] = (index.prefix_sums(table[self.code[coarse_level]]), denom)
-        return self._prefix[coarse_level]
+        return _quotients(*self.exact_masses(coarse_level))
 
     def resolution(self) -> int:
         return self.coarse_levels[-1]
 
     def ball_mass(self, x: Tuple[float, float], r: float) -> Tuple[float, float]:
-        n = self.resolution()
-        return _cover_bracket(self.h.levels[n], *self._exact_masses(n), x, r)
+        return _cover_bracket(self.h.levels[self.resolution()], *self._ball_table(), x, r)
 
     def neighbor_comparability(self) -> dict:
         """Exact check of ((N*+eps)^k - 1) psi(w) >= psi(u) on adjacent pairs,

@@ -417,6 +417,12 @@ class SupSweep:
         """Per k, (argmax base cell, its energy) at p; the first of equal values wins."""
         return [max(zip(self.cells, row), key=lambda cv: cv[1].value) for row in self.values(p)]
 
+    def fit(self, p: float) -> Tuple[List[PEnergyValue], List[float], int, Tuple[float, ...]]:
+        """At p: the sups per k, their logs, the no-convergence count and their fit_rates."""
+        sups = [val for _, val in self.sups(p)]
+        logs = [math.log(max(s.value, 1e-300)) for s in sups]
+        return sups, logs, sum(s.flag == "no-convergence" for s in sups), fit_rates(self.ks, logs)
+
     def spectral_dims(self, p: float, n_star: Optional[float] = None) -> SpectralDimEstimate:
         """Upper, lower and central p-spectral dimensions from the fitted decay
         of the sups at p.  `uncertified` counts the sups behind the fit flagged
@@ -424,10 +430,7 @@ class SupSweep:
         "uncertified-energy"."""
         if n_star is None:
             n_star = nstar_estimate(self.h, kmax=min(6, max(1, self.h.depth)))["n_star"]
-        sups = [val for _, val in self.sups(p)]
-        logs = [math.log(max(s.value, 1e-300)) for s in sups]
-        uncertified = sum(s.flag == "no-convergence" for s in sups)
-        ls, up, lo = fit_rates(self.ks, logs)
+        _, logs, uncertified, (ls, up, lo) = self.fit(p)
         logN = math.log(n_star)
         flag = "ok"
 
@@ -501,12 +504,9 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
     table: List[dict] = []
 
     def rate_of(p: float) -> float:
-        sups = [val for _, val in sweep.sups(p)]
-        logs = [math.log(max(s.value, 1e-300)) for s in sups]
-        slope, up, lo = fit_rates(sweep.ks, logs)
+        sups, _, uncertified, (slope, up, lo) = sweep.fit(p)
         table.append({"p": p, "rate": slope, "rate_limsup": up, "rate_liminf": lo,
-                      "sup_energies": [s.value for s in sups],
-                      "uncertified": sum(s.flag == "no-convergence" for s in sups)})
+                      "sup_energies": [s.value for s in sups], "uncertified": uncertified})
         return slope
 
     lo, hi = p_range

@@ -224,9 +224,6 @@ class _Grounded:
             g[1:, sy] = u[ys[sy], iy[sy] - lo], u[xs[sy], iy[sy] - lo]
         return g[0] + g[1] - 2.0 * g[2]  # exactly 0 where x == y: a + a - 2a is exact
 
-    def pair_resistance(self, x: int, y: int) -> float:
-        return float(self.pair_resistances([x], [y])[0])
-
 
 @dataclass
 class ResistanceValue:

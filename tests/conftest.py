@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from resdimlab.hierarchy import Schedule, build_hierarchy
+from resdimlab.hierarchy import SC_DIGITS, Schedule, build_hierarchy
 from resdimlab.measure import hier_measure
 from resdimlab.mixedcarpet import ScaleCache
 
@@ -116,3 +118,14 @@ def single_pair_resistance(solver, x, y):
     rhs[y] -= 1.0
     u = solver.solve(rhs)
     return float(u[x] - u[y])
+
+
+def seeded_sc_weights(depth):
+    """Seeded non-uniform carpet weights: per level, random positive parts
+    over their sum on the SC digits."""
+    rng = np.random.default_rng(5)
+    weights = {}
+    for n in range(1, depth + 1):
+        parts = rng.integers(1, 10, size=len(SC_DIGITS)).tolist()
+        weights[n] = {d: Fraction(p, sum(parts)) for d, p in zip(SC_DIGITS, parts)}
+    return weights

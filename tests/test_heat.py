@@ -10,8 +10,9 @@ from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_
                             ds_pointwise, heat_kernel, ol_ds_heat, time_window)
 from resdimlab.cornergraph import corner_graph
 from resdimlab.hierarchy import SC_DIGITS, Schedule
-from resdimlab.measure import HierMeasure, hier_measure
+from resdimlab.measure import HierMeasure, hier_measure, psi_measure
 from resdimlab.resnet import LevelGraph
+from conftest import seeded_sc_weights
 
 VIC_REF = 2 * math.log(5) / math.log(15)
 
@@ -59,6 +60,9 @@ def test_build_form_guards(vs_h6, monkeypatch):
     m = hier_measure(vs_h6)
     with pytest.raises(ValueError, match="renormalizer"):
         build_form(vs_h6, 1, m, 0.0)
+    # a psi-measure has masses on its coarse levels only
+    with pytest.raises(ValueError, match="no coarse level 3"):
+        build_form(vs_h6, 3, psi_measure(vs_h6, Fraction(1, 2), 2), 1.0)
     monkeypatch.setattr(heat, "DENSE_EIG_CAP", 100)
     with pytest.raises(ValueError, match="cap 100"):
         build_form(vs_h6, 5, m, 1.0)
@@ -193,12 +197,15 @@ def broken_form(sc_h6, sc_cache):
 
 def weighted_form(sc_h6, sc_cache):
     """The SC level-2 form under a seeded measure with non-uniform weights."""
-    rng = np.random.default_rng(5)
-    weights = {}
-    for n in range(1, sc_h6.depth + 1):
-        parts = rng.integers(1, 10, size=len(SC_DIGITS)).tolist()
-        weights[n] = {d: Fraction(p, sum(parts)) for d, p in zip(SC_DIGITS, parts)}
-    return build_form(sc_h6, 2, HierMeasure(sc_h6, weights), sc_cache.pt(2))
+    return build_form(sc_h6, 2, HierMeasure(sc_h6, seeded_sc_weights(sc_h6.depth)), sc_cache.pt(2))
+
+
+def d4_measure(h):
+    """A non-uniform measure on the carpet hierarchy h, invariant under the
+    symmetries of the square: weight 1/10 on the corner digits 1, 3, 5, 7 and
+    3/20 on the edge digits at every level."""
+    table = {d: Fraction(1, 10) if d % 2 else Fraction(3, 20) for d in SC_DIGITS}
+    return HierMeasure(h, {n: table for n in range(1, h.depth + 1)})
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +216,13 @@ def oracle_forms(vs_form4, sc_h6, sc_cache, mx_h5, mx_cache, two_state):
         "mixed-3": build_form(mx_h5, 3, hier_measure(mx_h5), mx_cache.pt(3)),
         "broken-sc-2": broken_form(sc_h6, sc_cache),
         "weighted-sc-2": weighted_form(sc_h6, sc_cache),
+        "d4-sc-3": build_form(sc_h6, 3, d4_measure(sc_h6), sc_cache.pt(3)),
         "two-state": two_state,
     }
 
 
 @pytest.mark.parametrize("name", ["vicsek-4", "sc-3", "mixed-3", "broken-sc-2", "weighted-sc-2",
-                                  "two-state"])
+                                  "d4-sc-3", "two-state"])
 def test_blocks_match_dense_oracle(oracle_forms, name):
     form = oracle_forms[name]
     w, blocks = form.eig()
@@ -222,6 +230,8 @@ def test_blocks_match_dense_oracle(oracle_forms, name):
         assert len(blocks) == 1
     if name == "weighted-sc-2":
         assert len(blocks) < 4  # the measure breaks a mirror
+    if name == "d4-sc-3":
+        assert len(blocks) == 4  # the measure keeps both mirrors
     w_ref, phi = dense_oracle(form)
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * w_ref[-1]
     t_lo, _, t_mix = time_window(form)
@@ -242,12 +252,13 @@ def test_blocks_match_dense_oracle(oracle_forms, name):
                        P[[0, form.graph.n - 1, 0], :3], rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("schedule,level", [("sc", 3), ("vicsek", 3), ("mixed", 3)])
+@pytest.mark.parametrize("schedule,level", [("sc", 3), ("vicsek", 3), ("mixed", 3), ("sc-d4", 3)])
 def test_build_form_finds_klein_group(sc_h6, vs_h6, mx_h5, sc_cache, vs_cache, mx_cache,
                                       schedule, level):
     h, cache = {"sc": (sc_h6, sc_cache), "vicsek": (vs_h6, vs_cache),
-                "mixed": (mx_h5, mx_cache)}[schedule]
-    form = build_form(h, level, hier_measure(h), cache.pt(level))
+                "mixed": (mx_h5, mx_cache), "sc-d4": (sc_h6, sc_cache)}[schedule]
+    measure = d4_measure(h) if schedule == "sc-d4" else hier_measure(h)
+    form = build_form(h, level, measure, cache.pt(level))
     _, blocks = form.eig()
     assert len(blocks) == 4  # one block per sign character of the group
     assert sum(len(b.w) for b in blocks) == form.graph.n

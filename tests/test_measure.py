@@ -11,6 +11,29 @@ from resdimlab.measure import (HierMeasure, PsiMeasure, doubling_check,
                                fekete_limit, hier_measure, olds_volume,
                                psi_measure)
 
+from conftest import seeded_sc_weights
+
+
+def _walk_mass(m, n, i):
+    """Reference: the product of the Fraction weights along cell i's address."""
+    out = Fraction(1)
+    for level in range(n, 0, -1):
+        out *= m.weights[level][int(m.h.levels[level].digit[i])]
+        i = int(m.h.levels[level].parent[i])
+    return out
+
+
+def _assert_views_match_walk(m, levels):
+    """Every mass view of HierMeasure m equals the address walk: the integer
+    table and `mass` exactly, `masses_float` bitwise as float(Fraction)."""
+    for n in levels:
+        ref = [_walk_mass(m, n, i) for i in range(m.h.levels[n].count)]
+        num, denom = m.exact_masses(n)
+        assert num.dtype == np.int64 and len(num) == len(ref)
+        assert [Fraction(int(v), denom) for v in num] == ref
+        assert [m.mass(n, i) for i in range(len(ref))] == ref
+        assert m.masses_float(n).tobytes() == np.array([float(q) for q in ref]).tobytes()
+
 
 def test_uniform_masses_exact(sc_h6, vs_h6, mx_h5):
     assert hier_measure(sc_h6).mass(3, 17) == Fraction(1, 512)
@@ -19,17 +42,21 @@ def test_uniform_masses_exact(sc_h6, vs_h6, mx_h5):
     # additive mixed measure: 8^-k1 5^-(n-k1)
     assert m.mass(5, 0) == Fraction(1, 8 * 5 * 5 * 5 * 8)
     assert m.mass(3, 0) == Fraction(1, 8 * 5 * 5)
+    for h in (sc_h6, vs_h6, mx_h5):
+        _assert_views_match_walk(hier_measure(h), range(5))
 
 
-def test_additivity_exact(mx_h5):
-    m = hier_measure(mx_h5)
-    for n in (1, 2, 3):
-        lvl = mx_h5.levels[n]
-        by_parent = {}
-        for i in range(lvl.count):
-            by_parent.setdefault(int(lvl.parent[i]), []).append(i)
-        for parent, kids in list(by_parent.items())[:5]:
-            assert sum(m.mass(n, i) for i in kids) == m.mass(n - 1, parent)
+def test_additivity_exact(mx_h5, sc_h6):
+    seeded = HierMeasure(sc_h6, seeded_sc_weights(sc_h6.depth))
+    _assert_views_match_walk(seeded, range(5))
+    for m in (hier_measure(mx_h5), seeded):
+        for n in (1, 2, 3):
+            lvl = m.h.levels[n]
+            by_parent = {}
+            for i in range(lvl.count):
+                by_parent.setdefault(int(lvl.parent[i]), []).append(i)
+            for parent, kids in list(by_parent.items())[:5]:
+                assert sum(m.mass(n, i) for i in kids) == m.mass(n - 1, parent)
 
 
 def test_weight_validation(sc_h6):
@@ -42,6 +69,9 @@ def test_weight_validation(sc_h6):
             for n in range(1, sc_h6.depth + 1)}
     with pytest.raises(ValueError, match="positive"):
         HierMeasure(sc_h6, zero)
+    missing = {n: table for n, table in hier_measure(sc_h6).weights.items() if n != 2}
+    with pytest.raises(ValueError, match="level 2 weight table"):
+        HierMeasure(sc_h6, missing)
 
     # ball masses are int64 numerators over one common denominator
     def one_heavy(den):

@@ -245,7 +245,7 @@ def test_rstar_approximant_band(mx_h5, mx_cache):
         d, clipped = delta_pair(mx_h5, tuple(cg5.grid[int(i)]), tuple(cg5.grid[int(j)]))
         if clipped:
             continue
-        rstar = solver.pair_resistance(int(i), int(j)) / pt5
+        rstar = solver.pair_resistances([i], [j])[0] / pt5
         approx = 1.0 / mx_cache.pt(d, 0) if d > 0 else 1.0
         band.append(rstar / approx)
     assert max(band) / min(band) <= 25.0

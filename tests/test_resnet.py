@@ -208,9 +208,7 @@ def test_triangle_inequality(seed):
     g = random_connected_graph(rng, n_max=15)
     solver = g.grounded_solver()
     x, y, z = rng.integers(0, g.n, size=3)
-    rxy = solver.pair_resistance(int(x), int(y))
-    ryz = solver.pair_resistance(int(y), int(z))
-    rxz = solver.pair_resistance(int(x), int(z))
+    rxy, ryz, rxz = solver.pair_resistances([x, y, x], [y, z, z])
     assert rxz <= rxy + ryz + 1e-9
 
 
@@ -224,7 +222,7 @@ def test_set_vs_point_domination(seed):
     B = [int(v) for v in verts[2:4]]
     set_r = eff_resistance(g, A, B).value
     solver = g.grounded_solver()
-    point_min = min(solver.pair_resistance(a, b) for a in A for b in B)
+    point_min = solver.pair_resistances(np.repeat(A, len(B)), np.tile(B, len(A))).min()
     assert set_r <= point_min + 1e-9
 
 
@@ -432,7 +430,7 @@ def test_pair_resistances_match_single_solves(monkeypatch):
         assert len(np.unique(np.concatenate([xs, ys]))) > 2
         assert np.all(got[xs == ys] == 0.0)
         assert np.all(np.abs(got - want) <= 1e-12 * want)
-        assert solver.pair_resistance(int(xs[5]), int(ys[5])) == got[5]
+        assert solver.pair_resistances(xs[5:6], ys[5:6])[0] == got[5]
 
 
 # -- oracle: R(x, .) from the dense inverse ----------------------------------
