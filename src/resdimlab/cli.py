@@ -180,7 +180,7 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         for k, (cell, val) in zip(sweep.ks, sweep.sups(p)):
             rows.append({"p": p, "k": k, "sup_energy": val.value,
                          "argmax_cell": "".join(str(d) for d in h.address(1, cell)),
-                         "flag": val.flag})
+                         "flag": val.flag, "lower": val.lower, "upper": val.upper})
     pmod.rate_table_to_csv(rows, os.path.join(outdir, "rates.csv"))
     est = sweep.spectral_dims(2.0)
     _write_json(os.path.join(outdir, "p_spectral.json"), {
@@ -195,7 +195,7 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     if i is None:
         raise RuntimeError("no level-1 cell has a nonempty outer set")
     prob, e2 = sweep.problems[j][i], sweep.values(2.0)[j][i].value
-    g = rmod.LevelGraph(prob.n_cells, [(int(u), int(v), 1.0) for u, v in prob.edges])
+    g = rmod.LevelGraph(prob.n_cells, np.column_stack([prob.edges, np.ones(len(prob.edges))]))
     cond = 1.0 / rmod.eff_resistance(g, list(prob.inner), list(prob.outer)).value
     vals = [sweep.values(p)[j][i].value for p in sorted(set(cfg.p_grid))]
     mono_ok = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))

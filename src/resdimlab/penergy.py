@@ -6,18 +6,22 @@ sits at chain distance > M_* from w, then finds the least p-power edge energy
 over the level-([w]+k) cell graph.  p = 1 is an exact minimum cut; p = 2 is
 one sparse solve; other p take projected Newton steps on an eps-smoothed
 energy under the box [0, 1], with energies, gradients and the Newton
-systems all from one signed edge-cell incidence matrix D per problem.  The
-reflections of the square that fix w fix the problem, and its energy is
-convex, so every flow and Newton system is solved on the quotient by that
-stabilizer (half the cells or fewer); the potential is lifted back, and its
-flag and residual come from the full problem.  The solver data is built
-once per problem, on its first solve at p != 1, and kept on it: D, the
-p = 2 potential, one sparsity pattern for every Newton system, and the
-column ordering of the p = 2 factorization.  Every sup energy (`penergy`
-command, `sup_energy`, `p_spectral_dims`, `critical_p`) comes from a
-`SupSweep`: each problem built once, solved once per p, each p > 1 started
-from its certified potential at the nearest p solved (the last eps rung,
-then the whole ladder from the p = 2 potential if that ends uncertified).
+systems all from one signed edge-cell incidence matrix D per problem.  Every
+value is bracketed: above by the energy of its potential, below by the
+maximum flow at p = 1 and otherwise by Hölder's bound for a flow made
+conservative with the last Newton factorization; a Newton descent ends as
+soon as that bracket closes.  The reflections of the square
+that fix w fix the problem, and its energy is convex, so every flow and
+Newton system is solved on the quotient by that stabilizer (half the cells
+or fewer); the potential and flow are lifted back, and the bracket, flag and
+residual come from the full problem.  The solver data is built once per
+problem, on its first solve at p != 1, and kept on it: D, the p = 2
+potential, one sparsity pattern for every Newton system, and the column
+ordering of the p = 2 factorization.  Every sup energy (`penergy` command,
+`sup_energy`, `p_spectral_dims`, `critical_p`) comes from a `SupSweep`: each
+problem built once, solved once per p, each p > 1 started from its certified
+potential at the nearest p solved (the last eps rung, then the whole ladder
+from the p = 2 potential if that bracket does not close).
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -30,7 +34,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +59,7 @@ __all__ = [
 
 RATE_TOL = 1e-3  # see critical_p
 EPS_LADDER = (1e-2, 1e-4, 1e-6, 1e-9, 1e-12)  # see p_energy
+BRACKET_CLOSED = 1e-12  # a descent ends once upper - lower <= this times upper
 
 
 @dataclass
@@ -85,10 +90,15 @@ class SeparationProblem:
 @dataclass
 class PEnergyValue:
     p: float
-    value: float
+    value: float                # the upper end of the bracket: the energy of `potential`
     potential: Optional[np.ndarray] = None
-    residual: float = 0.0
+    residual: float = 0.0       # first-order gap, recorded (the gate only at p = 2)
     flag: str = "ok"            # "ok" | "empty-outer" | "no-convergence"
+    lower: float = 0.0          # a proven lower bound on the least energy
+
+    @property
+    def upper(self) -> float:
+        return self.value
 
 
 @dataclass
@@ -176,7 +186,8 @@ def _min_cut(problem: SeparationProblem) -> PEnergyValue:
     f = g[lift]
     e = float(np.abs(f[problem.edges[:, 0]] - f[problem.edges[:, 1]]).sum())
     gap = abs(e - flow.flow_value)
-    return PEnergyValue(1.0, e, f, gap, "ok" if gap == 0 else "no-convergence")
+    return PEnergyValue(1.0, e, f, gap, "ok" if gap == 0 else "no-convergence",
+                        float(flow.flow_value))
 
 
 def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
@@ -184,29 +195,36 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
     """The least p-power energy with the problem's 0/1 pins.
 
     Every solve runs on the quotient by the problem's orbits (`_quotient`)
-    and returns the potential lifted to the cells, with the flag and residual
-    of the full problem; single-cell orbits leave the problem as it is.
+    and returns the potential lifted to the cells, with the bracket, flag and
+    residual of the full problem; single-cell orbits leave the problem as it
+    is.  Every value carries a bracket lower <= least energy <= upper = value.
 
-    p = 1 is an exact minimum cut (`_min_cut`).  Other p read everything
-    from the signed edge-cell incidence matrix D (+1 at the first cell of an
-    edge, -1 at the second): the energy is sum |D f|^p.  p = 2 is one solve of
-    D_F^T D_F f_F = -D_F^T D f_pinned (D_F: the free columns; f_pinned: the
-    pins, 0 on free cells).  Other p start there and take Newton steps on
-    E_eps = sum (d^2 + eps^2)^(p/2), d = D f, for eps = 1e-2 ... 1e-12, with
-    Hessian D_F^T diag(p (d^2+eps^2)^(p/2-2) ((p-1) d^2 + eps^2)) D_F and Armijo
-    backtracking on f_F <- clip(f_F + t s, 0, 1).  A rung ends when the
-    Newton decrement is <= 1e-15 E_eps, the last when the certificate passes,
-    or after 30 steps.  A first-order gap sum(|grad|) over free cells above
-    `tol` times the energy flags the value no-convergence.
+    p = 1 is an exact minimum cut (`_min_cut`), bracketed by its flow value.
+    Other p read everything from the signed edge-cell incidence matrix D (+1
+    at the first cell of an edge, -1 at the second): the energy is
+    sum |D f|^p.  p = 2 is one solve of D_F^T D_F f_F = -D_F^T D f_pinned
+    (D_F: the free columns; f_pinned: the pins, 0 on free cells), flagged
+    no-convergence when its first-order gap sum(|grad|) over free cells is
+    above `tol` times the energy.  Other p start there and take Newton steps
+    on E_eps = sum (d^2 + eps^2)^(p/2), d = D f, for eps = 1e-2 ... 1e-12,
+    with Hessian H = D_F^T W D_F, W = diag(p (d^2+eps^2)^(p/2-2) ((p-1) d^2 +
+    eps^2)), and Armijo backtracking on f_F <- clip(f_F + t s, 0, 1).  A rung
+    ends when the Newton decrement is <= 1e-15 E_eps, when no step decreases
+    E_eps, or after 30 steps.  Once a step's decrement or accepted decrease
+    is below 1e-8 E_eps, the Hölder bracket (`_NewtonSystem.bracket`) is
+    taken at the new iterate with the factorization just used, and the
+    whole ladder ends as soon as upper - lower <= BRACKET_CLOSED * upper.
+    A gap above `tol` times upper flags the value no-convergence; the
+    first-order gap is kept as `residual`.
 
     `start` is the potential of a certified solve of the same problem at
     another p.  For p other than 1 and 2 (exact routes, which ignore it),
     Newton then takes the free values from `start` at the least cell of each
-    orbit (clipped to [0, 1]),
-    keeps the pins, and runs the last rung only; if its certificate fails,
-    the call runs the whole ladder from the p = 2 potential instead and
-    returns that, so a warm start never flags a value the cold solve would
-    certify.
+    orbit (clipped to [0, 1]), keeps the pins, and runs the last rung only;
+    unless its bracket closes, the call runs the whole ladder from the p = 2
+    potential instead and returns that, so a warm start never flags a value
+    the cold solve would certify, and a warm value is within BRACKET_CLOSED
+    of the least energy.
 
     The solver data (`_NewtonSystem`) is built on the problem's first solve
     at p != 1 and kept on it.  Its one Newton pattern is built with a scatter
@@ -235,7 +253,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
         f = system.f2.copy()
         f[system.free] = np.clip(start[system.first[system.free]], 0.0, 1.0)
         val = _descend(system, p, tol, f, EPS_LADDER[-1:])
-        if val.flag == "ok":
+        if val.flag == "ok" and _closed(val.upper, val.lower):
             return val
     return _descend(system, p, tol, system.f2.copy(), () if p == 2 else EPS_LADDER)
 
@@ -252,13 +270,19 @@ class _NewtonSystem:
     """What every p != 1 solve of one problem shares: on the orbit quotient,
     D, the free orbits, D_F, D_F^T, D f_pinned, the p = 2 potential and column
     ordering, and the Newton pattern in that ordering (built on first use);
-    on the cells, the lift and the certificate's D and D_F^T.  It depends
-    only on the problem, so no value depends on the order of the solves."""
+    on the cells, the lift and the bracket's D, D_F^T and D f_pinned.  It
+    depends only on the problem, so no value depends on the order of the
+    solves."""
 
     def __init__(self, problem: SeparationProblem):
         self.cells_D, self.cells_free = _incidence(problem)
         self.cells_D_Ft = self.cells_D[:, self.cells_free].T.tocsr()
+        pins = np.zeros(problem.n_cells)
+        pins[problem.inner] = 1.0
+        self.cells_drive = self.cells_D @ pins
         self.lift, self.first, quotient = _quotient(problem)
+        ends = self.lift[problem.edges]
+        self.kept = np.flatnonzero(ends[:, 0] != ends[:, 1])  # the cell edge of each quotient edge
         n, m = quotient.n_cells, len(quotient.edges)
         D, self.free = _incidence(quotient)
         f = np.zeros(n)
@@ -304,56 +328,92 @@ class _NewtonSystem:
         del self._entries  # no other pattern is built from them
         return pattern
 
-    def newton_solve(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def factor(self, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Solves with H(w), from one factorization."""
         S, indices, indptr = self.newton_pattern
         H = sp.csc_matrix((S @ w, indices, indptr), shape=(self.nf, self.nf))
         lu = spla.splu(H, permc_spec="NATURAL", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
-        return lu.solve(rhs[self.order])[self.perm]
+        return lambda rhs: lu.solve(rhs[self.order])[self.perm]
 
-    def certificate(self, g: np.ndarray, p: float, tol: float):
-        """(energy, first-order gap, gap <= tol * energy) of the cells at the
-        quotient potential g lifted.  Components pinned at an active bound
-        with inward gradient do not contribute."""
+    def bracket(self, g: np.ndarray, p: float, project=None) -> Tuple[float, float, float]:
+        """(upper, lower, first-order gap) for the cells at the quotient
+        potential g lifted; upper is its energy sum |d|^p, d = D f.
+
+        lower is Hölder's bound ((F - sum |l|)_+ / ||j||_q)^p, q = p/(p-1),
+        for a flow j on the cell edges with F = <j, D f_pinned> and leak
+        l = D_F^T j.  It holds for any j: a minimizer f* lies in the box
+        [0, 1], so F - sum |l| <= F + <l, f*_F> = <j, D f*> <= ||j||_q E(f*)^(1/p).
+        j is |d|^(p-2) d, made conservative on the quotient, when `project` is
+        (w, a solve with H(w)), as j - diag(w) D_F H(w)^-1 D_F^T j; F, l and
+        the norm are taken on the cells.  The first-order gap sums |grad E|
+        over free cells, leaving out those at a bound with inward gradient."""
         f = g[self.lift]
         d = self.cells_D @ f
-        e = float(np.sum(np.abs(d) ** p))
-        gf = self.cells_D_Ft @ (p * np.abs(d) ** (p - 1) * np.sign(d))
+        a = np.abs(d)
+        upper = float(np.sum(a ** p))
+        j = np.sign(d) * a ** (p - 1)
+        gf = self.cells_D_Ft @ (p * j)
         x = f[self.cells_free]
         act = ((x <= 0.0) & (gf > 0)) | ((x >= 1.0) & (gf < 0))
         res = float(np.abs(np.where(act, 0.0, gf)).sum())
-        return e, res, res <= tol * max(e, 1e-30)
+        if project is not None:
+            w, solve = project
+            j[self.kept] -= w * (self.D_F @ solve(self.D_Ft @ j[self.kept]))
+        leak = float(np.abs(self.cells_D_Ft @ j).sum())
+        norm = float(np.sum(np.abs(j) ** (p / (p - 1)))) ** ((p - 1) / p)
+        lower = (max(float(j @ self.cells_drive) - leak, 0.0) / norm) ** p if norm else 0.0
+        return upper, lower, res
 
 
 def _descend(system: _NewtonSystem, p: float, tol: float, f: np.ndarray,
              rungs: Sequence[float]) -> PEnergyValue:
-    """Projected Newton from the quotient potential f (updated in place) down
-    the given eps rungs; the value at the end, lifted, with its certificate."""
+    """Newton from the quotient potential f (updated in place) down the given
+    eps rungs (`_newton`); the value at the end, lifted, with its bracket and
+    flag: at p = 2 from the first-order gap, otherwise from the bracket."""
+    upper, lower, res = _newton(system, p, f, rungs)
+    ok = res <= tol * max(upper, 1e-30) if p == 2 else upper - lower <= tol * upper
+    return PEnergyValue(p, upper, f[system.lift], res, "ok" if ok else "no-convergence", lower)
+
+
+def _newton(system: _NewtonSystem, p: float, f: np.ndarray,
+            rungs: Sequence[float]) -> Tuple[float, float, float]:
+    """Projected Newton steps down the rungs, ended as soon as the bracket
+    closes; the bracket at the end, from the last factorization."""
     free, D_F, D_Ft, drive = system.free, system.D_F, system.D_Ft, system.drive
+    project = None  # (weights, solve) of the last factorization
     for eps in rungs if system.nf else ():
-        last = eps == EPS_LADDER[-1]
         for _ in range(30):
-            if last and system.certificate(f, p, tol)[2]:
-                break
             x = f[free]
             d = D_F @ x + drive
             r = d * d + eps * eps
             e = float(np.sum(r ** (p / 2)))
             g = D_Ft @ (p * d * r ** (p / 2 - 1))
             w = p * r ** (p / 2 - 2) * ((p - 1) * d * d + eps * eps)
-            s = system.newton_solve(np.maximum(w, 1e-14 * w.max()), -g)
+            w = np.maximum(w, 1e-14 * w.max())
+            project = None  # free the last factorization before the next
+            project = w, system.factor(w)
+            s = project[1](-g)
             dec = -float(g @ s)
-            if not last and dec <= 1e-15 * e:
+            if dec <= 1e-15 * e:
                 break
             for t in 0.5 ** np.arange(34):
                 xt = np.clip(x + t * s, 0.0, 1.0)
-                if np.sum(((D_F @ xt + drive) ** 2 + eps * eps) ** (p / 2)) <= e - 1e-4 * t * dec:
+                et = float(np.sum(((D_F @ xt + drive) ** 2 + eps * eps) ** (p / 2)))
+                if et <= e - 1e-4 * t * dec:
                     f[free] = xt
                     break
             else:
                 break  # no decrease left on this rung
-    e, res, ok = system.certificate(f, p, tol)
-    return PEnergyValue(p, e, f[system.lift], res, "ok" if ok else "no-convergence")
+            if min(dec, e - et) <= 1e-8 * e:
+                bracket = system.bracket(f, p, project)
+                if _closed(*bracket[:2]):
+                    return bracket
+    return system.bracket(f, p, project)
+
+
+def _closed(upper: float, lower: float) -> bool:
+    return upper - lower <= BRACKET_CLOSED * upper
 
 
 def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int], List[int]]:
@@ -548,10 +608,12 @@ def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
 
 
 def rate_table_to_csv(rows: Sequence[dict], path: str) -> None:
-    """CSV rate table: p,k,sup_energy,argmax_cell,flag (the sup energy's p_energy flag)."""
+    """CSV rate table: p,k,sup_energy,argmax_cell,flag,lower,upper (the sup
+    energy's p_energy flag and bracket)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["p", "k", "sup_energy", "argmax_cell", "flag"])
+        writer.writerow(["p", "k", "sup_energy", "argmax_cell", "flag", "lower", "upper"])
         for row in rows:
-            writer.writerow([f"{row['p']:.17g}", row["k"],
-                             f"{row['sup_energy']:.17g}", row["argmax_cell"], row["flag"]])
+            writer.writerow([f"{row['p']:.17g}", row["k"], f"{row['sup_energy']:.17g}",
+                             row["argmax_cell"], row["flag"],
+                             f"{row['lower']:.17g}", f"{row['upper']:.17g}"])

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -144,6 +145,21 @@ def test_p_spectral_json_counts_uncertified(tmp_path):
     assert code == 0
     est = json.loads((tmp_path / "p_spectral.json").read_text())
     assert est["uncertified"] == 0 and est["flag"] == "ok"
+
+
+def test_rates_csv_carries_bracket(tmp_path):
+    # each sup energy is the upper end of its bracket; a certified one has a
+    # gap of at most tol = 1e-7 times it
+    code = main(["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
+                 "--p-grid", "1.3,2", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "rates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        lower, upper = float(row["lower"]), float(row["upper"])
+        assert row["flag"] == "ok" and upper == float(row["sup_energy"])
+        assert 0 < upper - 1e-7 * upper <= lower <= upper * (1 + 1e-14)
 
 
 def test_penergy_solves_each_problem_once(tmp_path, monkeypatch):

@@ -73,11 +73,21 @@ def test_p1_min_cut_matches_brute_force():
         assert np.abs(f[eu] - f[ev]).sum() == val.value
 
 
-@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+# the bracket is evaluated in floating point: its ends hold up to their own
+# rounding, a few ulps amplified by p
+ROUNDING = 1e-14
+
+
+@pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.8, 2.5, 3.0])
 def test_path_matches_brute_force(p):
+    # one free cell: the grid holds the minimizer t = 1/2, so the grid
+    # minimum is the least energy to rounding, and the bracket contains it
     ts = np.linspace(0.0, 1.0, 200001)
     brute = float(np.min((1 - ts) ** p + ts ** p))
-    assert p_energy(path_problem(), p).value == pytest.approx(brute, rel=1e-7)
+    val = p_energy(path_problem(), p)
+    assert val.value == pytest.approx(brute, rel=1e-7)
+    assert val.flag == "ok" and val.upper == val.value
+    assert val.lower <= brute * (1 + ROUNDING) and brute <= val.upper * (1 + ROUNDING)
 
 
 def test_single_edge_all_p():
@@ -533,9 +543,10 @@ P_GRID = (1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.2, 2.5)
 @pytest.mark.parametrize("schedule, depth", [(Schedule.pure_sc(), 4), (Schedule.pure_vicsek(), 5),
                                              (Schedule.mixed(), 4)], ids=["sc4", "vicsek5", "mixed4"])
 def test_p_energy_matches_product_assembly(schedule, depth, splu_orderings):
-    # every level-1 class and k, over the p grid: the same flags, certified
-    # energies to 1e-12, and one ordering (the p = 2 start's) per problem
-    # across all p
+    # every level-1 class and k, over the p grid: no value the oracle's
+    # first-order gate certifies loses its certificate, every value the
+    # bracket certifies equals the oracle's energy to 1e-12, and one ordering
+    # (the p = 2 start's) per problem across all p
     h = build_hierarchy(schedule, depth)
     compared = 0
     for members in symmetry_classes(h, 1).values():
@@ -547,7 +558,7 @@ def test_p_energy_matches_product_assembly(schedule, depth, splu_orderings):
                 del splu_orderings[:]
                 got = p_energy(prob, p)
                 orderings += [spec for spec in splu_orderings if spec != "NATURAL"]
-                assert got.flag == want.flag, (members[0], k, p)
+                assert not (want.flag == "ok" and got.flag != "ok"), (members[0], k, p)
                 if got.flag == "ok":
                     assert abs(got.value - want.value) <= 1e-12 * want.value, (members[0], k, p)
                     compared += 1
@@ -665,12 +676,17 @@ def test_sweep_matches_cold_solves(schedule, monkeypatch):
 def test_sweep_starts_from_nearest_certified_p(monkeypatch):
     # each p > 1 starts from the problem's certified potential at the nearest
     # p > 1 already solved, the lower p on an exact tie; p = 1 and uncertified
-    # values seed nothing.  Each p lists the solved p > 1 by preference.
+    # values seed nothing.  Each p lists the solved p > 1 by preference.  The
+    # p = 1.25 value of one problem is flagged uncertified here, since every
+    # cold solve of this sweep certifies.
     starts = []
 
     def recorded(problem, p, tol=1e-7, start=None):
         starts.append(start)
-        return p_energy(problem, p, tol, start)
+        val = p_energy(problem, p, tol, start)
+        if p == 1.25 and problem is sweep.problems[1][0]:
+            val = dataclasses.replace(val, flag="no-convergence")
+        return val
 
     monkeypatch.setattr(penergy, "p_energy", recorded)
     sweep = penergy.SupSweep(build_hierarchy(Schedule.pure_sc(), 3), [1, 2])
@@ -683,8 +699,8 @@ def test_sweep_starts_from_nearest_certified_p(monkeypatch):
         for start, (j, i) in zip(starts, where):
             seeds = [sweep.values(q)[j][i] for q in prefs if sweep.values(q)[j][i].flag == "ok"]
             assert start is (seeds[0].potential if seeds else None), (p, j, i)
-    # the cold p = 1.25 solve of one problem ends uncertified, so it is skipped
-    assert any(v.flag == "no-convergence" for row in sweep.values(1.25) for v in row)
+    # the uncertified p = 1.25 value is skipped: at p = 1.375 its problem starts from p = 1.5
+    assert [v.flag for row in sweep.values(1.25) for v in row].count("no-convergence") == 1
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -814,3 +830,116 @@ def test_p_spectral_dims_counts_uncertified(monkeypatch):
                          flag="no-convergence" if problem.k == 2 else "ok")))
         est = p_spectral_dims(h, 2.0, 3, n_star=8.0)
         assert est.uncertified == 1 and est.flag == flag
+
+
+# -- the Hölder bracket -----------------------------------------------------------
+
+BRACKET_P = (1.1, 1.3, 1.8, 2.5)
+
+
+def energy(problem, f, p):
+    return float(np.sum(np.abs(f[problem.edges[:, 0]] - f[problem.edges[:, 1]]) ** p))
+
+
+def brute_min(problem, p, starts=4, seed=0):
+    """The least energy found by bounded L-BFGS-B from the p = 2 potential and
+    from seeded random starts: a feasible energy, so never below the minimum."""
+    n = problem.n_cells
+    free = np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer]))
+    f = np.zeros(n)
+    f[problem.inner] = 1.0
+    eu, ev = problem.edges[:, 0], problem.edges[:, 1]
+
+    def objective(x):
+        f[free] = x
+        e, g = coo_energy_and_grad(f, eu, ev, p)
+        return e, g[free]
+
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for x0 in [p_energy(problem, 2.0).potential[free]] + [rng.random(len(free)) for _ in range(starts)]:
+        out = scipy.optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                                      bounds=[(0.0, 1.0)] * len(free),
+                                      options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-14})
+        f[free] = np.clip(out.x, 0.0, 1.0)
+        best = min(best, energy(problem, f, p))
+    return best
+
+
+def connected_problem(rng, n_free):
+    """A `random_problem` whose graph is connected, so every Newton system is
+    positive definite."""
+    while True:
+        prob = random_problem(rng, n_free)
+        graph = sp.coo_matrix((np.ones(len(prob.edges)), tuple(prob.edges.T)),
+                              shape=(prob.n_cells, prob.n_cells))
+        if csgraph.connected_components(graph, directed=False)[0] == 1:
+            return prob
+
+
+@pytest.mark.parametrize("p", BRACKET_P)
+def test_bracket_contains_brute_minimum(p):
+    # seeded small problems: lower <= any feasible energy, upper is the energy
+    # of the returned potential, and a closed bracket puts upper within
+    # 1e-12 of the brute-force minimum
+    rng = np.random.default_rng(11)
+    closed = 0
+    for trial in range(12):
+        prob = connected_problem(rng, int(rng.integers(1, 6)))
+        val = p_energy(prob, p)
+        brute = brute_min(prob, p, seed=trial)
+        assert val.lower <= brute * (1 + ROUNDING), trial
+        assert val.upper == energy(prob, val.potential, p), trial
+        if val.upper - val.lower <= penergy.BRACKET_CLOSED * val.upper:
+            assert val.upper - brute <= penergy.BRACKET_CLOSED * val.upper, trial
+            closed += 1
+    assert closed >= 10
+
+
+@pytest.mark.parametrize("p", BRACKET_P)
+def test_leaky_flow_still_bounds(p):
+    # at the minimizer, a flow pushed off conservation by a random potential
+    # correction leaks into the free cells.  Hölder's ratio F / ||j||_q alone
+    # then overshoots the least energy for some draws; subtracting the leak
+    # keeps the bound below it for every draw
+    rng = np.random.default_rng(3)
+    overshoots = 0
+    for trial in range(6):
+        prob = connected_problem(rng, int(rng.integers(2, 6)))
+        val = p_energy(prob, p)
+        brute = min(brute_min(prob, p, seed=trial), val.upper)
+        system = penergy._NewtonSystem(prob)  # every orbit one cell: quotient = cells
+        w = rng.uniform(0.5, 2.0, system.D_F.shape[0])
+        solve = system.factor(w)
+        q = p / (p - 1)
+        for _ in range(4):
+            noise = 1e-3 * rng.standard_normal(system.nf)
+            _, lower, _ = system.bracket(val.potential, p, (w, lambda rhs: solve(rhs) + noise))
+            assert lower <= brute * (1 + ROUNDING), trial
+            # the same leaky flow, without its leak
+            d = system.cells_D @ val.potential
+            j = np.sign(d) * np.abs(d) ** (p - 1)
+            j -= w * (system.D_F @ (solve(system.D_Ft @ j) + noise))
+            assert np.abs(system.cells_D_Ft @ j).sum() > 0
+            ratio = (j @ system.cells_drive / np.sum(np.abs(j) ** q) ** (1 / q)) ** p
+            overshoots += ratio > brute * (1 + ROUNDING)
+    assert overshoots >= 1
+
+
+def test_bench_p13_energies_close_early(splu_orderings):
+    # the three p = 1.3 energies of the bench penergy sweep (SC depth 4,
+    # k = 1..3) that spun on the last eps rung: certified now, each in fewer
+    # Newton factorizations than the 68, 66 and 70 it took under the
+    # first-order gate
+    h = build_hierarchy(Schedule.pure_sc(), 4)
+    sweep = penergy.SupSweep(h, [1, 2, 3])
+    sweep.values(2.0)
+    spun = {(2, 1): 68, (3, 0): 66, (3, 1): 70}
+    for j, k in enumerate(sweep.ks):
+        for i, prob in enumerate(sweep.problems[j]):
+            del splu_orderings[:]
+            val = p_energy(prob, 1.3)
+            assert val.flag == "ok", (k, i)
+            assert val.upper - val.lower <= penergy.BRACKET_CLOSED * val.upper, (k, i)
+            if (k, i) in spun:
+                assert splu_orderings.count("NATURAL") < spun[k, i], (k, i)
