@@ -30,8 +30,7 @@ import numpy as np
 from .hierarchy import GridIndex, Schedule, child_boxes
 from .resnet import LevelGraph
 
-__all__ = ["CornerGraph", "corner_graph", "corner_vertices_at_level",
-           "pt_quarter", "tb_quarter"]
+__all__ = ["CornerGraph", "corner_graph", "pt_quarter", "tb_quarter"]
 
 VERTEX_CAP = 4_000_000
 DEPTH_CAP = 7
@@ -111,24 +110,6 @@ def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
     edges = np.column_stack([sides, np.ones(len(sides))])
     g = LevelGraph(len(keys), edges)
     return CornerGraph(n, m, g, grid, cell_corners, cells_ix, cells_iy)
-
-
-def corner_vertices_at_level(cg: CornerGraph, level: int) -> List[int]:
-    """Vertex ids of the coarser level-`level` corner set inside cg (m = 0).
-
-    Valid because both rules keep all four corner children, so coarse corner
-    points persist at every finer level.
-    """
-    if cg.m != 0:
-        raise ValueError("level embedding assumes m = 0")
-    if not 0 <= level <= cg.n:
-        raise ValueError("level out of range")
-    f = 3 ** (cg.n - level)
-    # grid positions inside holes simply do not exist; that is expected
-    gx, gy = np.meshgrid(np.arange(3 ** level + 1) * f, np.arange(3 ** level + 1) * f,
-                         indexing="ij")
-    ids = cg.grid_index.lookup(gx.ravel(), gy.ravel())
-    return ids[ids >= 0].tolist()
 
 
 def _quarter(cg: CornerGraph, inside: np.ndarray, mirror: np.ndarray,

@@ -367,20 +367,6 @@ class PartitionHierarchy:
             words = np.char.add(words[lvl.parent], lvl.digit.astype("U1"))
         return words.tolist()
 
-    def index_of(self, word: Address) -> int:
-        i = 0
-        for n, d in enumerate(word, start=1):
-            if n > self.depth:
-                raise ValueError("address deeper than built depth")
-            lvl = self.levels[n]
-            pix, piy = int(self.levels[n - 1].ix[i]), int(self.levels[n - 1].iy[i])
-            dx, dy = CHILD_OFFSET[d]
-            j = int(lvl.grid_index.lookup(3 * pix + dx, 3 * piy + dy))
-            if j < 0 or int(lvl.parent[j]) != i or int(lvl.digit[j]) != d:
-                raise ValueError(f"address {word} not in the hierarchy")
-            i = j
-        return i
-
     def cell_box(self, n: int, i: int) -> Tuple[int, int, int]:
         """(ix, iy, scale) with scale = 3**n; cell = box/scale shifted to Q."""
         lvl = self.levels[n]

@@ -361,7 +361,9 @@ class _NewtonSystem:
             w, solve = project
             j[self.kept] -= w * (self.D_F @ solve(self.D_Ft @ j[self.kept]))
         leak = float(np.abs(self.cells_D_Ft @ j).sum())
-        norm = float(np.sum(np.abs(j) ** (p / (p - 1)))) ** ((p - 1) / p)
+        # ||j||_q as top * ||j / top||_q: near p = 1, q is in the hundreds and |j|^q overflows
+        top = float(np.abs(j).max(initial=0.0))
+        norm = top * float(np.sum((np.abs(j) / top) ** (p / (p - 1)))) ** ((p - 1) / p) if top else 0.0
         lower = (max(float(j @ self.cells_drive) - leak, 0.0) / norm) ** p if norm else 0.0
         return upper, lower, res
 

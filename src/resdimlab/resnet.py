@@ -1,24 +1,22 @@
 """Weighted-graph electrical machinery.
 
 Laplacian solves for effective resistances (point and set queries),
-Schur-complement traces, resistance weights, minimum energy unit flows, and
-the locality diagnostics (localized resistance and cross-set weight decay).
+resistance profiles, Schur-complement traces and minimum energy unit flows.
 
 Solver policy: one Dirichlet solve.  `_Grounded` pins a vertex set (holding
 a vertex of every component) and factors the Laplacian block of the free
 vertices with one sparse LU (COLAMD ordering), at every size the corner-graph
 caps admit.  That one factorization serves pair resistances (one grounded
-vertex), set resistances (A pinned at 1, B and other components at 0),
-traces and cross weights (the set pinned to unit potentials, 256 right sides
-per solve).  A batch of pair resistances is one Green's-function block: one
-unit right side per distinct endpoint, R(x, y) = G_xx + G_yy - 2 G_xy, in
-column blocks of at most PAIR_BLOCK_BYTES.  The resistance profile R(x, .) of
-localized resistances and h profiles is such a batch grounded at x, where
-R(x, z) = G_zz; it makes one right side per vertex, so it refuses graphs
-above VECTOR_CAP vertices.  Every solve is checked against a
-relative-residual bound of 1e-10 per right side; a right side above it gets
-one step of iterative refinement with the same factors, and the solve fails
-if it is still above.
+vertex), set resistances (A pinned at 1, B and other components at 0) and
+traces (the set pinned to unit potentials, 256 right sides per solve).  A
+batch of pair resistances is one Green's-function block: one unit right
+side per distinct endpoint, R(x, y) = G_xx + G_yy - 2 G_xy, in column blocks
+of at most PAIR_BLOCK_BYTES.  The resistance profile R(x, .) behind h
+profiles is such a batch grounded at x, where R(x, z) = G_zz; it makes one
+right side per vertex, so it refuses graphs above VECTOR_CAP vertices.
+Every solve is checked against a relative-residual bound of 1e-10 per right
+side; a right side above it gets one step of iterative refinement with the
+same factors, and the solve fails if it is still above.
 """
 
 from __future__ import annotations
@@ -39,18 +37,13 @@ __all__ = [
     "SolverError",
     "eff_resistance",
     "trace",
-    "resistance_weights",
     "min_energy_flow",
-    "localized_resistance",
-    "cross_weight_decay",
     "pinv_resistance",
-    "graph_from_csv",
-    "graph_to_csv",
 ]
 
 RESIDUAL_TOL = 1e-10
 PAIR_BLOCK_BYTES = 8 * 2 ** 20  # one dense n x block array of Green's-function columns
-VECTOR_CAP = 4000  # resistance_vector makes one grounded solve per vertex
+VECTOR_CAP = 4000  # a profile takes one unit right side per vertex on one factorization
 
 
 class SolverError(RuntimeError):
@@ -137,16 +130,6 @@ class LevelGraph:
         cross = mu != mv
         edges = np.column_stack([mu[cross], mv[cross], self.conductance[cross]])
         return LevelGraph(len(groups) + len(free), edges), mapping
-
-    def subgraph(self, vertices: Sequence[int]) -> Tuple["LevelGraph", np.ndarray]:
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-        pos = np.full(self.n, -1, dtype=np.int64)
-        pos[vertices] = np.arange(len(vertices))
-        pu, pv = pos[self.edge_u], pos[self.edge_v]
-        inside = (pu >= 0) & (pv >= 0)
-        g = LevelGraph(len(vertices), np.column_stack([pu[inside], pv[inside],
-                                                       self.conductance[inside]]))
-        return g, vertices
 
 
 class _Grounded:
@@ -245,12 +228,6 @@ class UnitFlow:
     sink: Tuple[int, ...]
     energy: float
 
-    def node_balance(self, n: int) -> np.ndarray:
-        bal = np.zeros(n)
-        np.add.at(bal, self.edge_u, self.flow)
-        np.add.at(bal, self.edge_v, -self.flow)
-        return bal
-
 
 def _check_sets(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[List[int], List[int]]:
     A = sorted(set(int(a) for a in A))
@@ -318,12 +295,6 @@ def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
     return LevelGraph(len(S), np.column_stack([i, j, cond[i, j]]), labels=[int(s) for s in S])
 
 
-def resistance_weights(g_traced: LevelGraph) -> np.ndarray:
-    """Dense weight table mu_{x,y} of a finite form, minus the Laplacian:
-    conductances off the diagonal, negative row sums on it."""
-    return -g_traced.laplacian().toarray()
-
-
 def min_energy_flow(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[UnitFlow, float]:
     """Optimal unit flow from A to B and its energy (= effective resistance)."""
     A, B = _check_sets(g, A, B)
@@ -350,96 +321,6 @@ def resistance_vector(g: LevelGraph, x: int) -> np.ndarray:
     return _Grounded(g, [x]).pair_resistances(np.full(g.n, x), np.arange(g.n))
 
 
-def localized_resistance(g: LevelGraph, x: int, y: int, alpha: float) -> dict:
-    """Resistance between x and y inside the resistance ball B(x, alpha*R(x,y)).
-
-    Reports the ratio to the global value; a disconnected ball yields an
-    infinite ratio, flagged.
-    """
-    if x == y:
-        raise ValueError("localized resistance needs distinct vertices")
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    rvec = resistance_vector(g, x)
-    r_global = float(rvec[y])
-    radius = alpha * r_global
-    ball = [v for v in range(g.n) if v == x or rvec[v] < radius]
-    sub, ids = g.subgraph(ball)
-    pos = {int(v): i for i, v in enumerate(ids)}
-    res = eff_resistance(sub, [pos[x]], [pos[y]])
-    if not res.finite:
-        return {"global": r_global, "local": float("inf"), "ratio": float("inf"),
-                "flag": "disconnected-ball", "ball_size": len(ball)}
-    return {"global": r_global, "local": res.value, "ratio": res.value / r_global,
-            "flag": "ok", "ball_size": len(ball)}
-
-
-def traced_cross_weight(g: LevelGraph, S: Sequence[int], S1: Sequence[int],
-                        S2: Sequence[int]) -> float:
-    """Sum of traced weights mu_{x,y} over S1 x S2 without materializing the
-    Schur complement: minus the current into S1 of the harmonic extension of
-    the indicator of S2 (pinned on S)."""
-    S = sorted(set(int(s) for s in S))
-    set_s = set(S)
-    S1 = [v for v in S1 if v in set_s]
-    S2 = [v for v in S2 if v in set_s]
-    if set(S1) & set(S2):
-        raise ValueError("cross-weight sets overlap")
-    pinned = np.zeros(g.n)
-    pinned[S2] = 1.0
-    u = _Grounded(g, S).extend(pinned)
-    return float(-(g.laplacian()[S1] @ u).sum())
-
-
-def cross_weight_decay(h, a1_words: Sequence[Tuple[int, ...]],
-                       a2_words: Sequence[Tuple[int, ...]],
-                       levels: Sequence[int],
-                       base_level: Optional[int] = None) -> dict:
-    """Traced cross-weights between two non-adjacent cell unions, per level.
-
-    The underlying form is the corner graph one level below the deepest
-    requested trace (or `base_level`); each entry traces it onto the level-n
-    corner vertices and sums the weights across the two unions.
-    """
-    from .cornergraph import corner_graph, corner_vertices_at_level
-
-    levels = sorted(set(int(n) for n in levels))
-    if not levels:
-        raise ValueError("no levels requested")
-    N = base_level if base_level is not None else max(levels) + 1
-    if levels[-1] >= N:
-        raise ValueError("trace level must stay below the base level")
-
-    boxes1 = [_word_box(h, w, N) for w in a1_words]
-    boxes2 = [_word_box(h, w, N) for w in a2_words]
-    # closed boxes touch iff their closed intervals overlap on both axes
-    if any(a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
-           for a in boxes1 for b in boxes2):
-        raise ValueError("cell unions are adjacent; positive-distance precondition fails")
-
-    cg = corner_graph(h.schedule, N, 0)
-    in1, in2 = ({v for b in boxes for v in cg.grid_index.box(*b).tolist()}
-                for boxes in (boxes1, boxes2))
-    sums = []
-    for n in levels:
-        S = corner_vertices_at_level(cg, n)
-        S1 = [v for v in S if v in in1]
-        S2 = [v for v in S if v in in2]
-        if not S1 or not S2:
-            raise ValueError(f"no level-{n} corner vertices inside a union")
-        sums.append(traced_cross_weight(cg.graph, S, S1, S2))
-    return {"levels": levels, "cross_weights": sums, "base_level": N}
-
-
-def _word_box(h, word: Tuple[int, ...], N: int) -> Tuple[int, int, int, int]:
-    """Closed box (xlo, xhi, ylo, yhi) of a word's cell on the 3^N corner grid."""
-    if len(word) > N:
-        raise ValueError(f"word {tuple(word)} is deeper than the base level N = {N}")
-    ix, iy, s = h.cell_box(len(word), h.index_of(tuple(word)))
-    f = 3 ** N // s
-    return ix * f, (ix + 1) * f, iy * f, (iy + 1) * f
-
-
 # -- oracles ---------------------------------------------------------------
 
 def pinv_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> float:
@@ -449,31 +330,6 @@ def pinv_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> float:
     lap = merged.laplacian().toarray()
     plus = np.linalg.pinv(lap)
     return float(plus[0, 0] - 2 * plus[0, 1] + plus[1, 1])
-
-
-# -- CSV interfaces ---------------------------------------------------------
-
-def graph_from_csv(path: str) -> LevelGraph:
-    edges = []
-    top = -1
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header] != ["u", "v", "conductance"]:
-            raise ValueError("expected header u,v,conductance")
-        for row in reader:
-            u, v, c = int(row[0]), int(row[1]), float(row[2])
-            top = max(top, u, v)
-            edges.append((u, v, c))
-    return LevelGraph(top + 1, edges)
-
-
-def graph_to_csv(g: LevelGraph, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "conductance"])
-        for u, v, c in zip(g.edge_u, g.edge_v, g.conductance):
-            writer.writerow([int(u), int(v), f"{c:.17g}"])
 
 
 def results_to_csv(rows: Sequence[Tuple[str, float, str]], path: str) -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from resdimlab.cornergraph import corner_graph, corner_vertices_at_level
+from resdimlab.cornergraph import corner_graph
 from resdimlab.hierarchy import (CHILD_OFFSET, SC_DIGITS, VICSEK_DIGITS, Schedule,
                                  SubdivisionRule, build_hierarchy)
 from resdimlab.resnet import eff_resistance
@@ -70,15 +70,6 @@ def test_cells_align_with_hierarchy():
     cg = corner_graph(sched, 3, 0)
     assert np.array_equal(cg.cells_ix, h.levels[3].ix)
     assert np.array_equal(cg.cells_iy, h.levels[3].iy)
-
-
-def test_coarse_corner_embedding():
-    cg = corner_graph(Schedule.pure_sc(), 3, 0)
-    v1 = corner_vertices_at_level(cg, 1)
-    assert len(v1) == 16
-    v2 = corner_vertices_at_level(cg, 2)
-    assert len(v2) == 96
-    assert set(v1) <= set(v2)
 
 
 def test_depth_cap():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -924,6 +925,24 @@ def test_leaky_flow_still_bounds(p):
             ratio = (j @ system.cells_drive / np.sum(np.abs(j) ** q) ** (1 / q)) ** p
             overshoots += ratio > brute * (1 + ROUNDING)
     assert overshoots >= 1
+
+
+@pytest.mark.parametrize("p", [1.002, 1.01])
+def test_leaky_flow_bracket_near_p1(p):
+    # near p = 1 the Hölder exponent q = p / (p - 1) is in the hundreds, so a
+    # leaky flow with |j| about 10 overflows |j|^q unless the norm is scaled
+    rng = np.random.default_rng(3)
+    for trial in range(6):
+        prob = connected_problem(rng, int(rng.integers(2, 6)))
+        val = p_energy(prob, p)
+        system = penergy._NewtonSystem(prob)
+        w = rng.uniform(0.5, 2.0, system.D_F.shape[0])
+        solve = system.factor(w)
+        noise = 10.0 * rng.standard_normal(system.nf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            upper, lower, _ = system.bracket(val.potential, p, (w, lambda rhs: solve(rhs) + noise))
+        assert 0.0 <= lower <= upper, trial
 
 
 def test_bench_p13_energies_close_early(splu_orderings):

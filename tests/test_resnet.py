@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -8,14 +7,10 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from resdimlab.cornergraph import corner_graph, corner_vertices_at_level
-from resdimlab import cornergraph, resnet
-from resdimlab.hierarchy import Schedule, build_hierarchy
-from resdimlab.resnet import (LevelGraph, cross_weight_decay,
-                              eff_resistance, graph_from_csv, graph_to_csv,
-                              localized_resistance, min_energy_flow,
-                              pinv_resistance, resistance_weights, trace,
-                              traced_cross_weight)
+from resdimlab.cornergraph import corner_graph
+from resdimlab import resnet
+from resdimlab.hierarchy import Schedule
+from resdimlab.resnet import LevelGraph, eff_resistance, min_energy_flow, pinv_resistance, trace
 from conftest import random_connected_graph, single_pair_resistance
 
 UNIT_CYCLE = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
@@ -109,8 +104,8 @@ def test_nested_trace_consistency():
         pos = {lbl: i for i, lbl in enumerate(t_big.labels)}
         t_direct = trace(g, s_small)
         t_nested = trace(t_big, [pos[v] for v in s_small])
-        mu_a = resistance_weights(t_direct)
-        mu_b = resistance_weights(t_nested)
+        mu_a = -t_direct.laplacian().toarray()
+        mu_b = -t_nested.laplacian().toarray()
         assert np.allclose(mu_a, mu_b, rtol=1e-9, atol=1e-12)
 
 
@@ -155,18 +150,11 @@ def test_monotone_traced_set_resistance():
     assert values[-1] == pytest.approx(eff_resistance(g, A, B).value, rel=1e-9)
 
 
-def test_resistance_weights_structure():
-    g = LevelGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    mu = resistance_weights(trace(g, [0, 2]))
-    assert mu[0, 1] == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(mu.sum(axis=1), 0.0, atol=1e-12)
-
-
-def test_resistance_weights_sc_trace_nonnegative(sc_cache):
+def test_resistance_weights_sc_trace_nonnegative():
     cg2 = corner_graph(Schedule.pure_sc(), 2, 0)
-    coarse = corner_vertices_at_level(cg2, 1)
+    coarse = np.flatnonzero((cg2.grid % 3 == 0).all(axis=1))  # the level-1 corners
     t = trace(cg2.graph, coarse)
-    mu = resistance_weights(t)
+    mu = -t.laplacian().toarray()
     off = mu - np.diag(np.diag(mu))
     assert off.min() >= -1e-10 * max(1.0, off.max())
 
@@ -176,7 +164,9 @@ def test_min_energy_flow_cycle():
     flow, energy = min_energy_flow(g, [0], [2])
     assert energy == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.abs(flow.flow), 0.5)
-    bal = flow.node_balance(4)
+    bal = np.zeros(4)
+    np.add.at(bal, flow.edge_u, flow.flow)
+    np.add.at(bal, flow.edge_v, -flow.flow)
     assert bal[0] == pytest.approx(1.0)
     assert bal[2] == pytest.approx(-1.0)
     assert abs(bal[1]) < 1e-12 and abs(bal[3]) < 1e-12
@@ -226,71 +216,13 @@ def test_set_vs_point_domination(seed):
     assert set_r <= point_min + 1e-9
 
 
-def test_localized_resistance_whole_graph():
-    g = LevelGraph(5, [(i, i + 1, 1.0) for i in range(4)])
-    out = localized_resistance(g, 0, 4, 2.0)
-    assert out["ratio"] == pytest.approx(1.0, abs=1e-12)
-    assert out["ball_size"] == 5
-
-
-def test_localized_resistance_sc_level3():
-    cg = corner_graph(Schedule.pure_sc(), 3, 0)
-    x = cg.vertex_at(1, 0)
-    y = cg.vertex_at(2, 0)
-    out = localized_resistance(cg.graph, x, y, 4.0)
-    assert out["flag"] == "ok"
-    assert out["ratio"] <= 2.0
-
-
-def test_localized_resistance_errors():
-    g = LevelGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    with pytest.raises(ValueError):
-        localized_resistance(g, 0, 0, 2.0)
-    with pytest.raises(ValueError):
-        localized_resistance(g, 0, 1, 1.0)
-    with pytest.raises(ValueError, match="vertex out of range"):
-        localized_resistance(g, -1, 1, 2.0)
-
-
-def test_cross_weight_decay_sc(sc_h6):
-    out = cross_weight_decay(sc_h6, [(1,)], [(5,)], [2, 3, 4])
-    w = out["cross_weights"]
-    assert all(v > 0 for v in w)
-    assert w[0] > w[1] > w[2]
-
-
-def test_cross_weight_decay_adjacent_error(sc_h6):
-    with pytest.raises(ValueError, match="adjacent"):
-        cross_weight_decay(sc_h6, [(1,)], [(2,)], [2])
-
-
-def test_cross_weight_decay_single_level(sc_h6):
-    out = cross_weight_decay(sc_h6, [(1,)], [(5,)], [3])
-    assert len(out["cross_weights"]) == 1
-
-
-def test_cross_weight_decay_word_below_base_level():
-    h = build_hierarchy(Schedule.pure_sc(), 4)
-    with pytest.raises(ValueError, match=r"word \(1, 1, 1, 1\) is deeper than the base level N = 3"):
-        cross_weight_decay(h, [(1, 1, 1, 1)], [(5,)], [1, 2])
-
-
-def test_csv_roundtrip(tmp_path):
-    g = LevelGraph(4, UNIT_CYCLE)
-    path = tmp_path / "g.csv"
-    graph_to_csv(g, str(path))
-    g2 = graph_from_csv(str(path))
-    assert g2.n == 4 and g2.m == 4
-    assert eff_resistance(g2, [0], [2]).value == pytest.approx(1.0)
-
-
 def test_parallel_edges_merge():
     g = LevelGraph(2, [(0, 1, 1.0), (1, 0, 2.0)])
     assert g.m == 1
     assert g.conductance[0] == pytest.approx(3.0)
 
 
-def test_invalid_edges(tmp_path):
+def test_invalid_edges():
     with pytest.raises(ValueError):
         LevelGraph(2, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
@@ -298,10 +230,6 @@ def test_invalid_edges(tmp_path):
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="positive and finite"):
             LevelGraph(3, [(0, 1, float(bad)), (1, 2, 1.0)])
-        path = tmp_path / f"{bad}.csv"
-        path.write_text(f"u,v,conductance\n0,1,1\n1,2,{bad}\n")
-        with pytest.raises(ValueError, match="positive and finite"):
-            graph_from_csv(str(path))
 
 
 # -- oracles for the grounded-set solves -------------------------------------
@@ -314,7 +242,11 @@ def merged_eff_resistance(g, A, B):
     A, B = sorted(set(A)), sorted(set(B))
     comp = g.components()
     ids = np.flatnonzero(comp == comp[A[0]])
-    sub = g if len(ids) == g.n else g.subgraph(ids)[0]
+    pos = np.full(g.n, -1)
+    pos[ids] = np.arange(len(ids))
+    inside = pos[g.edge_u] >= 0  # an edge lies in one component
+    sub = LevelGraph(len(ids), np.column_stack([pos[g.edge_u[inside]], pos[g.edge_v[inside]],
+                                                g.conductance[inside]]))
     merged, mapping = sub.merged([np.searchsorted(ids, A), np.searchsorted(ids, B)])
     keep = np.array([v for v in range(merged.n) if v != 1])
     lap = merged.laplacian().tocsc()
@@ -358,23 +290,17 @@ def test_eff_resistance_matches_merged_graph():
         assert np.abs(res.potential - want_pot).max() <= 1e-10
 
 
-def test_trace_and_cross_weight_match_dense_schur():
+def test_trace_matches_dense_schur():
     rng = np.random.default_rng(8)
     for _ in range(20):
         g = random_connected_graph(rng)
         verts = [int(v) for v in rng.permutation(g.n)]
         S = sorted(verts[:max(3, g.n // 3)])
         schur = dense_schur(g, S)
-        got = -resistance_weights(trace(g, S))
+        got = trace(g, S).laplacian().toarray()
         np.fill_diagonal(got, 0.0)
         want = schur - np.diag(np.diag(schur))
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        k = len(S) // 2
-        S1, S2 = S[:k], S[k:]
-        ind1 = np.isin(S, S1).astype(float)
-        ind2 = np.isin(S, S2).astype(float)
-        want_w = -(ind1 @ schur @ ind2)
-        assert abs(traced_cross_weight(g, S, S1, S2) - want_w) <= 1e-10 * want_w
 
 
 def test_solve_refines_only_the_columns_above_the_bound(monkeypatch):
@@ -467,18 +393,23 @@ def test_resistance_vector_cap(monkeypatch):
         resnet.resistance_vector(LevelGraph(5, [(i, i + 1, 1.0) for i in range(4)]), 0)
 
 
-# -- oracle: weights and components by edge loops ----------------------------
+def test_resistance_vector_vertex_out_of_range():
+    with pytest.raises(ValueError, match="vertex out of range"):
+        resnet.resistance_vector(LevelGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]), -1)
 
-def loop_resistance_weights(g):
-    """Weight table by a loop over the edges: conductances off the diagonal,
-    negative row sums on it."""
-    mu = np.zeros((g.n, g.n))
+
+# -- oracle: Laplacians and components by edge loops -------------------------
+
+def loop_laplacian(g):
+    """Laplacian by a loop over the edges: minus the conductances off the
+    diagonal, row sums of the conductances on it."""
+    lap = np.zeros((g.n, g.n))
     for u, v, c in zip(g.edge_u, g.edge_v, g.conductance):
-        mu[u, v] += c
-        mu[v, u] += c
-    np.fill_diagonal(mu, 0.0)
-    np.fill_diagonal(mu, -mu.sum(axis=1))
-    return mu
+        lap[u, v] -= c
+        lap[v, u] -= c
+    np.fill_diagonal(lap, 0.0)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
 
 
 def adjacency_components(g):
@@ -499,77 +430,5 @@ def test_weights_and_components_match_edge_loops(sc_cache):
                sc_cache.graph(3, 0).graph]
     for g in graphs:
         assert g.components().tolist() == adjacency_components(g).tolist()
-        got, want = resistance_weights(g), loop_resistance_weights(g)
+        got, want = g.laplacian().toarray(), loop_laplacian(g)
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-
-
-# -- oracle: word boxes by scale lcm and per-vertex loops --------------------
-
-def lcm_word_box(h, word):
-    return h.cell_box(len(word), h.index_of(tuple(word)))
-
-
-def lcm_boxes_touch(b1, b2):
-    ix1, iy1, s1 = b1
-    ix2, iy2, s2 = b2
-    s = np.lcm(s1, s2)
-    f1, f2 = s // s1, s // s2
-    x_gap = max(ix2 * f2 - (ix1 + 1) * f1, ix1 * f1 - (ix2 + 1) * f2)
-    y_gap = max(iy2 * f2 - (iy1 + 1) * f1, iy1 * f1 - (iy2 + 1) * f2)
-    return x_gap <= 0 and y_gap <= 0
-
-
-def loop_vertex_in_boxes(cg, v, boxes, N):
-    gx, gy = cg.grid[v]
-    for ix, iy, s in boxes:
-        f = 3 ** N // s
-        if ix * f <= gx <= (ix + 1) * f and iy * f <= gy <= (iy + 1) * f:
-            return True
-    return False
-
-
-@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek()],
-                         ids=["sc", "vicsek"])
-def test_cross_weight_sets_match_box_loops(monkeypatch, schedule):
-    """Touch decisions and S1/S2 lists equal those of the lcm box test and the
-    per-vertex loop, over unions of words of lengths 0..3."""
-    h = build_hierarchy(schedule, 3)
-    levels, N = [1, 2], 3
-    seen = []
-
-    def record(g, S, S1, S2):
-        seen.append((S1, S2))
-        return 1.0
-
-    monkeypatch.setattr(resnet, "traced_cross_weight", record)
-    monkeypatch.setattr(cornergraph, "corner_graph",
-                        functools.lru_cache(maxsize=None)(cornergraph.corner_graph))
-    cg = cornergraph.corner_graph(h.schedule, N, 0)
-    rng = np.random.default_rng(15)
-
-    def union():  # one or two words of lengths 0..3
-        return [h.address(n, int(rng.integers(0, h.levels[n].count)))
-                for n in rng.integers(0, 4, size=rng.integers(1, 3))]
-
-    touches = lists = 0
-    for _ in range(450):
-        a1, a2 = union(), union()
-        boxes1, boxes2 = [lcm_word_box(h, w) for w in a1], [lcm_word_box(h, w) for w in a2]
-        touch = any(lcm_boxes_touch(b1, b2) for b1 in boxes1 for b2 in boxes2)
-        want = []
-        for n in levels:
-            S = corner_vertices_at_level(cg, n)
-            want.append(([v for v in S if loop_vertex_in_boxes(cg, v, boxes1, N)],
-                         [v for v in S if loop_vertex_in_boxes(cg, v, boxes2, N)]))
-        seen.clear()
-        try:
-            cross_weight_decay(h, a1, a2, levels)
-        except ValueError as exc:
-            assert ("adjacent" in str(exc)) == touch
-            touches += touch
-            if not touch:  # stopped at the first level with an empty side
-                assert not all(want[len(seen)]) and seen == want[:len(seen)]
-            continue
-        assert not touch and seen == want
-        lists += 2 * len(want)
-    assert touches >= 200 and lists >= 100
