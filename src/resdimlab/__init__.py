@@ -8,7 +8,7 @@ from .cornergraph import CornerGraph, corner_graph
 from .penergy import (build_separation, p_energy, sup_energy, critical_p,
                       p_spectral_dims)
 from .measure import hier_measure, doubling_check, psi_measure, olds_volume, fekete_limit
-from .heat import build_form, heat_kernel, ol_ds_heat
+from .heat import build_form, ol_ds_heat
 from .mixedcarpet import chain_check, evres_fit, qs_diagnostic, gap_report, ScaleCache
 
 __version__ = "0.1.0"

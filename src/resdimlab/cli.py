@@ -3,8 +3,9 @@
 Each subcommand materializes its artifacts (CSV/JSON) in the output
 directory together with a manifest that lists every executed check with a
 stable id and a pass flag.  Exit code 0 means every executed check passed.
-Floats are formatted with 17 significant digits so identical configs give
-identical files.
+Every file is written here, by `_write_csv` or `_write_json`; the library
+modules only return rows and dicts.  Floats are formatted with 17
+significant digits so identical configs give identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +56,6 @@ class ExperimentConfig:
     structure: str = "sc"
     depth: int = 3
     n: int = 2
-    m: int = 0
-    pair: str = "corners"
     kmax: int = 4
     p_grid: List[float] = field(default_factory=lambda: [1.5, 2.0])
     seed: int = 0
@@ -65,9 +64,15 @@ class ExperimentConfig:
     f_table: Optional[List[int]] = None
 
     CAPS = {"depth": 7, "n": 7, "kmax": 6}
+    CHOICES = {"structure": ("sc", "vicsek", "mixed"), "report": ("gap", "none")}
     # least value of each field a command can run with
     MINIMUMS = {"resist": {"n": 1}, "penergy": {"depth": 3, "kmax": 2},
                 "dims": {"depth": 2, "kmax": 2}, "heat": {"depth": 1}, "mixed": {"depth": 3}}
+    # deepest level of schedule() each command builds; mixed and validate build
+    # their own schedules
+    LEVELS = {"build": lambda c: c.depth, "resist": lambda c: c.n,
+              "penergy": lambda c: c.depth, "dims": lambda c: max(c.depth, c.kmax) + 1,
+              "heat": lambda c: c.depth}
 
     def validate(self) -> None:
         for f in fields(self):
@@ -76,6 +81,9 @@ class ExperimentConfig:
                                  f"got {getattr(self, f.name)!r}")
         if self.command not in ("build", "resist", "penergy", "dims", "heat", "mixed", "validate"):
             raise ValueError(f"unknown command {self.command!r}")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}")
         if self.depth < 0 or self.depth > self.CAPS["depth"]:
             raise ValueError(f"depth must be in 0..{self.CAPS['depth']}")
         if self.n < 0 or self.n > self.CAPS["n"]:
@@ -87,6 +95,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {least} for {self.command}")
         if not all(math.isfinite(p) and p >= 1 for p in self.p_grid):
             raise ValueError("p grid entries must be finite and >= 1")
+        sched = self.schedule()
+        level = self.LEVELS.get(self.command, lambda c: 0)(self)
+        if sched.horizon is not None and level > sched.horizon:
+            raise ValueError(f"schedule {sched.name} defined only up to level {sched.horizon}")
 
     def schedule(self) -> hmod.Schedule:
         if self.f_table is not None:
@@ -107,6 +119,21 @@ def _has_type(value, annotation: str) -> bool:
     return isinstance(value, {"int": int, "str": str}[annotation])
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
+    """A row is a sequence in header order or a dict keyed by the header;
+    floats are written at 17 significant digits, every other value as it is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            if isinstance(row, dict):
+                row = [row[k] for k in header]
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+_SCALES = ["n", "m", "TB", "Pt", "k1", "k2"]
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
         json.dump(_sanitize(obj), fh, indent=1, sort_keys=True)
@@ -122,8 +149,11 @@ def _check(cid: str, description: str, value, ok: bool) -> dict:
 def _cmd_build(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     h = hmod.build_hierarchy(cfg.schedule(), cfg.depth)
     params = hmod.validate_framework(h)
-    h.export_cells(os.path.join(outdir, f"cells_level{cfg.depth}.json"), cfg.depth)
-    h.export_edges_csv(os.path.join(outdir, "edges.csv"), range(cfg.depth + 1))
+    _write_json(os.path.join(outdir, f"cells_level{cfg.depth}.json"), h.cells_json(cfg.depth))
+    words = [h.address_words(n) for n in range(cfg.depth + 1)]
+    _write_csv(os.path.join(outdir, "edges.csv"), ["level", "w", "v"],
+               ((n, words[n][i], words[n][j])
+                for n in range(cfg.depth + 1) for i, j in hmod.adjacency(h, n).edges.tolist()))
     _write_json(os.path.join(outdir, "framework.json"), {
         "zeta": str(params.zeta), "xi": str(params.xi), "m_star": params.m_star,
         "l_star": params.l_star, "n_star": params.n_star,
@@ -152,11 +182,7 @@ def _cmd_resist(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     for n in range(1, cfg.n + 1):
         s = cache.scales(n, 0)
         rows.append({"n": n, "m": 0, "TB": s.tb, "Pt": s.pt, "k1": s.k1, "k2": s.k2})
-    xmod.scales_to_csv(rows, os.path.join(outdir, "scales.csv"))
-    queries = [(f"pt-{r['n']}", r["Pt"], "ok") for r in rows]
-    if cfg.pair == "tb":
-        queries = [(f"tb-{r['n']}", r["TB"], "ok") for r in rows]
-    rmod.results_to_csv(queries, os.path.join(outdir, "queries.csv"))
+    _write_csv(os.path.join(outdir, "scales.csv"), _SCALES, rows)
     checks = [
         _check("mixed-pt-ge-tb", "(Pt) >= (TB) on every computed pair",
                min(r["Pt"] - r["TB"] for r in rows),
@@ -181,7 +207,8 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
             rows.append({"p": p, "k": k, "sup_energy": val.value,
                          "argmax_cell": "".join(str(d) for d in h.address(1, cell)),
                          "flag": val.flag, "lower": val.lower, "upper": val.upper})
-    pmod.rate_table_to_csv(rows, os.path.join(outdir, "rates.csv"))
+    _write_csv(os.path.join(outdir, "rates.csv"),
+               ["p", "k", "sup_energy", "argmax_cell", "flag", "lower", "upper"], rows)
     est = sweep.spectral_dims(2.0)
     _write_json(os.path.join(outdir, "p_spectral.json"), {
         "p": est.p, "rate_ls": est.rate_ls, "rate_limsup": est.rate_limsup,
@@ -225,7 +252,8 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     profile_level = min(depth, 3)
     prof = mmod.h_profile(meas, cache.graph(profile_level, 0),
                           cache.pt(profile_level, 0))
-    mmod.profiles_to_csv(prof["rows"], os.path.join(outdir, "profiles.csv"))
+    _write_csv(os.path.join(outdir, "profiles.csv"),
+               ["x_id", "r", "V_lo", "V_hi", "olR", "h_lo", "h_hi"], prof["rows"])
     _write_json(os.path.join(outdir, "dims.json"), {
         "structure": sched.name, "depth": depth,
         "volume_ds": vol["ds_estimate"], "volume_ds_sup_window": vol["ds_sup_window"],
@@ -259,12 +287,8 @@ def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     P = form.p_diag(times)
     rng = np.random.default_rng(cfg.seed)
     xs = rng.integers(0, form.graph.n, size=min(10, form.graph.n))
-    with open(os.path.join(outdir, "heat_curves.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "x_id", "t", "p"])
-        for x in xs:
-            for t, p in zip(times, P[int(x)]):
-                writer.writerow([cfg.depth, int(x), f"{t:.17g}", f"{p:.17g}"])
+    _write_csv(os.path.join(outdir, "heat_curves.csv"), ["level", "x_id", "t", "p"],
+               ((cfg.depth, int(x), t, p) for x in xs for t, p in zip(times, P[int(x)])))
     floor = 1.0 / form.total_mass
     ck = chapman_kolmogorov_error(form, n_samples=10, seed=cfg.seed)
     est = ol_ds_heat(form)
@@ -290,13 +314,13 @@ def _cmd_mixed(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     cache = xmod.ScaleCache(sched)
     n_max = min(cfg.depth, 5)
     ch = xmod.chain_check(sched, n_max, pair_samples=25, seed=cfg.seed, cache=cache)
-    xmod.scales_to_csv(ch["table"], os.path.join(outdir, "scales.csv"))
+    _write_csv(os.path.join(outdir, "scales.csv"), _SCALES, ch["table"])
     fit = xmod.evres_fit(n_max=n_max, caches={"mixed": cache})
     d4 = xmod.qs_diagnostic(sched, n_max - 1, samples=250, seed=cfg.seed, cache=cache)
     d5 = xmod.qs_diagnostic(sched, n_max, samples=250, seed=cfg.seed, cache=cache,
                             triples=d4.triples)
     drift = xmod.qs_envelope_drift(d4, d5)
-    xmod.envelope_to_csv(d5, os.path.join(outdir, "envelope.csv"))
+    _write_csv(os.path.join(outdir, "envelope.csv"), ["t", "ratio"], zip(d5.t_values, d5.ratios))
     checks = [
         _check("mixed-chain-finite", "chaining constants finite",
                max(ch["constants"].values()),
@@ -378,7 +402,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--structure", default=None, choices=["sc", "vicsek", "mixed"])
+    common.add_argument("--structure", default=None,
+                        choices=ExperimentConfig.CHOICES["structure"])
     common.add_argument("--depth", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None)
@@ -386,13 +411,12 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("build", parents=[common])
     rp = sub.add_parser("resist", parents=[common])
     rp.add_argument("--n", type=int, default=None)
-    rp.add_argument("--pair", default=None, choices=["corners", "tb"])
     pp = sub.add_parser("penergy", parents=[common])
     pp.add_argument("--p-grid", default=None, help="comma separated exponents")
     sub.add_parser("dims", parents=[common])
     sub.add_parser("heat", parents=[common])
     mp = sub.add_parser("mixed", parents=[common])
-    mp.add_argument("--report", default=None, choices=["gap", "none"])
+    mp.add_argument("--report", default=None, choices=ExperimentConfig.CHOICES["report"])
     sub.add_parser("validate", parents=[common])
     return ap
 
@@ -407,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not isinstance(payload, dict):
                 raise ValueError("config file must hold a JSON object")
         payload["command"] = args.command
-        for key in ("structure", "depth", "seed", "out", "kmax", "n", "pair", "report"):
+        for key in ("structure", "depth", "seed", "out", "kmax", "n", "report"):
             val = getattr(args, key, None)
             if val is not None:
                 payload[key] = val

@@ -42,9 +42,7 @@ from .resnet import LevelGraph
 
 __all__ = [
     "FiniteDirichletForm",
-    "HeatCurve",
     "build_form",
-    "heat_kernel",
     "time_window",
     "ol_ds_heat",
     "ds_pointwise",
@@ -225,22 +223,6 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
     mirrors = tuple(cg.grid_index.permutation(g) for g in ((False, True, False),
                                                            (False, False, True)))
     return FiniteDirichletForm(LevelGraph(cg.graph.n, edges), mass, mirrors)
-
-
-@dataclass
-class HeatCurve:
-    x: int
-    times: np.ndarray
-    values: np.ndarray
-    floor: float
-
-
-def heat_kernel(form: FiniteDirichletForm, x: int, times: Sequence[float]) -> HeatCurve:
-    times = np.asarray(sorted(float(t) for t in times))
-    if np.any(times <= 0):
-        raise ValueError("times must be positive")
-    vals = form.p_diag(times, xs=[x])[0]
-    return HeatCurve(x=x, times=times, values=vals, floor=1.0 / form.total_mass)
 
 
 def time_window(form: FiniteDirichletForm) -> Tuple[float, float, float]:

@@ -18,14 +18,12 @@ mixed schedule switches rule by the predicate k^2(k-1) < n <= k^3.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -359,7 +357,7 @@ class PartitionHierarchy:
             i = int(self.levels[m].parent[i])
         return tuple(reversed(digits))
 
-    def _address_words(self, n: int) -> List[str]:
+    def address_words(self, n: int) -> List[str]:
         """address() of every level-n cell as a digit string, one level at a time."""
         words = np.array([""])
         for m in range(1, n + 1):
@@ -431,20 +429,8 @@ class PartitionHierarchy:
         line = [_frac_str(Fraction(2 * k - s, 2 * s)) for k in range(s + 1)]
         cells = [{"address": word, "x_min": line[ix], "y_min": line[iy],
                   "x_max": line[ix + 1], "y_max": line[iy + 1]}
-                 for word, ix, iy in zip(self._address_words(n), lvl.ix.tolist(), lvl.iy.tolist())]
+                 for word, ix, iy in zip(self.address_words(n), lvl.ix.tolist(), lvl.iy.tolist())]
         return {"level": n, "count": lvl.count, "cells": cells}
-
-    def export_cells(self, path: str, n: int) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.cells_json(n), fh, indent=1)
-
-    def export_edges_csv(self, path: str, levels: Iterable[int]) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "w", "v"])
-            for n in levels:
-                w = self._address_words(n)
-                writer.writerows([n, w[i], w[j]] for i, j in adjacency(self, n).edges.tolist())
 
 
 def _frac_str(q: Fraction) -> str:

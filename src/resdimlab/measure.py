@@ -12,7 +12,6 @@ interior-child weighting that realizes controlled volume growth (N_* + eps)^k.
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +29,6 @@ __all__ = [
     "olds_volume",
     "fekete_limit",
     "h_profile",
-    "profiles_to_csv",
 ]
 
 
@@ -555,14 +553,3 @@ def h_profile(m: HierMeasure, cg, renormalizer: float,
     return {"rows": rows, "monotone": monotone, "gamma2": gamma2,
             "h_doubling": doubling}
 
-
-def profiles_to_csv(rows: Sequence[dict], path: str) -> None:
-    """CSV profile rows: x_id,r,V_lo,V_hi,olR,h_lo,h_hi."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_id", "r", "V_lo", "V_hi", "olR", "h_lo", "h_hi"])
-        for row in rows:
-            writer.writerow([row["x_id"], f"{row['r']:.17g}",
-                             f"{row['V_lo']:.17g}", f"{row['V_hi']:.17g}",
-                             f"{row['olR']:.17g}",
-                             f"{row['h_lo']:.17g}", f"{row['h_hi']:.17g}"])

@@ -10,10 +10,9 @@ two-point resistance of the corner graph, with k1 counting carpet levels in
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "QSDiagnostic",
     "DimReport",
     "gap_report",
-    "scales_to_csv",
 ]
 
 
@@ -412,21 +410,3 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
         },
     )
 
-
-def scales_to_csv(rows: Sequence[dict], path: str) -> None:
-    """CSV: n,m,TB,Pt,k1,k2."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m", "TB", "Pt", "k1", "k2"])
-        for r in rows:
-            writer.writerow([r["n"], r["m"], f"{r['TB']:.17g}", f"{r['Pt']:.17g}",
-                             r["k1"], r["k2"]])
-
-
-def envelope_to_csv(diag: QSDiagnostic, path: str) -> None:
-    """Scatter CSV: t,ratio."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "ratio"])
-        for t, r in zip(diag.t_values, diag.ratios):
-            writer.writerow([f"{t:.17g}", f"{r:.17g}"])

@@ -30,7 +30,6 @@ conductance between the pinned sets.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -54,7 +53,6 @@ __all__ = [
     "critical_p",
     "p_spectral_dims",
     "fit_rates",
-    "rate_table_to_csv",
 ]
 
 RATE_TOL = 1e-3  # see critical_p
@@ -608,14 +606,3 @@ def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
         raise ValueError("kmax must be >= 2")
     return SupSweep(h, range(1, kmax + 1), base_level, m_star).spectral_dims(p, n_star)
 
-
-def rate_table_to_csv(rows: Sequence[dict], path: str) -> None:
-    """CSV rate table: p,k,sup_energy,argmax_cell,flag,lower,upper (the sup
-    energy's p_energy flag and bracket)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "k", "sup_energy", "argmax_cell", "flag", "lower", "upper"])
-        for row in rows:
-            writer.writerow([f"{row['p']:.17g}", row["k"], f"{row['sup_energy']:.17g}",
-                             row["argmax_cell"], row["flag"],
-                             f"{row['lower']:.17g}", f"{row['upper']:.17g}"])

@@ -21,7 +21,6 @@ same factors, and the solve fails if it is still above.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -331,10 +330,3 @@ def pinv_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> float:
     plus = np.linalg.pinv(lap)
     return float(plus[0, 0] - 2 * plus[0, 1] + plus[1, 1])
 
-
-def results_to_csv(rows: Sequence[Tuple[str, float, str]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "value", "flag"])
-        for qid, value, flag in rows:
-            writer.writerow([qid, f"{value:.17g}", flag])

@@ -7,6 +7,7 @@ import pytest
 
 from resdimlab import mixedcarpet, penergy
 from resdimlab.cli import ExperimentConfig, main
+from resdimlab.hierarchy import Schedule
 
 
 def test_validate_command(tmp_path):
@@ -35,6 +36,58 @@ def test_resist_command_vicsek(tmp_path):
     rows = (tmp_path / "scales.csv").read_text().strip().splitlines()
     assert rows[0] == "n,m,TB,Pt,k1,k2"
     assert len(rows) == 4
+
+
+def test_resist_f_table(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"f_table": [1, 0, 0, 1]}))
+    code = main(["resist", "--n", "4", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "scales.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cache = mixedcarpet.ScaleCache(Schedule.from_table([1, 0, 0, 1]))
+    assert [(int(r["n"]), float(r["TB"]), float(r["Pt"])) for r in rows] == [
+        (n, cache.scales(n, 0).tb, cache.scales(n, 0).pt) for n in range(1, 5)]
+
+
+# header and cell kind of each CSV artifact: floats at 17 significant
+# digits, ints bare
+CSV_FORMATS = {
+    "edges": (["build", "--structure", "vicsek", "--depth", "2"], "edges.csv",
+              {"level": int, "w": str, "v": str}),
+    "scales-resist": (["resist", "--structure", "vicsek", "--n", "2"], "scales.csv",
+                      {"n": int, "m": int, "TB": float, "Pt": float, "k1": int, "k2": int}),
+    "scales-mixed": (["mixed", "--depth", "5", "--report", "none"], "scales.csv",
+                     {"n": int, "m": int, "TB": float, "Pt": float, "k1": int, "k2": int}),
+    "rates": (["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
+               "--p-grid", "1.3,2"], "rates.csv",
+              {"p": float, "k": int, "sup_energy": float, "argmax_cell": str, "flag": str,
+               "lower": float, "upper": float}),
+    "profiles": (["dims", "--structure", "vicsek", "--depth", "2", "--kmax", "3"],
+                 "profiles.csv", {"x_id": int, "r": float, "V_lo": float, "V_hi": float,
+                                  "olR": float, "h_lo": float, "h_hi": float}),
+    "heat-curves": (["heat", "--structure", "vicsek", "--depth", "2"], "heat_curves.csv",
+                    {"level": int, "x_id": int, "t": float, "p": float}),
+    "envelope": (["mixed", "--depth", "5", "--report", "none"], "envelope.csv",
+                 {"t": float, "ratio": float}),
+}
+
+
+@pytest.mark.parametrize("name", CSV_FORMATS)
+def test_csv_format(tmp_path, name):
+    argv, filename, kinds = CSV_FORMATS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    with open(tmp_path / filename, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(kinds) and rows
+    for row in rows:
+        for kind, cell in zip(kinds.values(), row, strict=True):
+            if kind is float:
+                assert f"{float(cell):.17g}" == cell
+            elif kind is int:
+                assert str(int(cell)) == cell
+            else:
+                assert cell and cell == cell.strip()
 
 
 def test_manifest_determinism(tmp_path):
@@ -72,17 +125,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"depth": "3"}', "error: depth must be of type int"),
-    ('[{"depth": 3}]', "error: config file must hold a JSON object"),
-    ('{"depth": 3', "error: Expecting ',' delimiter"),
-    (None, "error: [Errno 2] No such file or directory"),
-], ids=["string-depth", "list-top-level", "malformed-json", "missing-file"])
-def test_bad_config_value_rejected(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("argv, text, message", [
+    (["build"], '{"depth": "3"}', "error: depth must be of type int"),
+    (["build"], '[{"depth": 3}]', "error: config file must hold a JSON object"),
+    (["build"], '{"depth": 3', "error: Expecting ',' delimiter"),
+    (["build"], None, "error: [Errno 2] No such file or directory"),
+    (["mixed"], '{"report": "gapp"}', "error: report must be one of gap, none"),
+    (["build"], '{"structure": "foo"}', "error: structure must be one of sc, vicsek, mixed"),
+    (["build"], '{"f_table": [1, 0, 2]}', "error: schedule table entries must be 0 or 1"),
+    (["resist", "--n", "5"], '{"f_table": [1, 0, 0, 1]}',
+     "error: schedule custom defined only up to level 4"),
+], ids=["string-depth", "list-top-level", "malformed-json", "missing-file", "unknown-report",
+        "unknown-structure", "f-table-entry", "f-table-horizon"])
+def test_bad_config_value_rejected(tmp_path, capsys, argv, text, message):
     path = tmp_path / "cfg.json"
     if text is not None:
         path.write_text(text)
-    code = main(["build", "--config", str(path), "--out", str(tmp_path / "out")])
+    code = main(argv + ["--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

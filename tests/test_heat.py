@@ -7,7 +7,7 @@ import scipy.linalg
 
 from resdimlab import heat
 from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
-                            ds_pointwise, heat_kernel, ol_ds_heat, time_window)
+                            ds_pointwise, ol_ds_heat, time_window)
 from resdimlab.cornergraph import corner_graph
 from resdimlab.hierarchy import SC_DIGITS, Schedule
 from resdimlab.measure import HierMeasure, hier_measure, psi_measure
@@ -29,8 +29,7 @@ def test_two_state_generator_eigenvalues(two_state):
 
 def test_two_state_closed_form(two_state):
     ts = [0.05, 0.1, 0.5, 1.0, 2.0]
-    curve = heat_kernel(two_state, 0, ts)
-    for t, v in zip(curve.times, curve.values):
+    for t, v in zip(ts, two_state.p_diag(ts, xs=[0])[0]):
         assert v == pytest.approx(1.0 + math.exp(-4.0 * t), abs=1e-12)
 
 
@@ -88,11 +87,6 @@ def test_symmetry(vs_form4):
 
 def test_chapman_kolmogorov(vs_form4):
     assert chapman_kolmogorov_error(vs_form4, n_samples=15) <= 1e-8
-
-
-def test_heat_kernel_time_guard(two_state):
-    with pytest.raises(ValueError):
-        heat_kernel(two_state, 0, [0.0, 1.0])
 
 
 def test_ol_ds_heat_vicsek(vs_form4):
@@ -161,8 +155,6 @@ def test_vertex_out_of_range(two_state, x):
         two_state.p_pair(1.0, x, 0)
     with pytest.raises(ValueError, match="vertex out of range"):
         two_state.p_row(1.0, x)
-    with pytest.raises(ValueError, match="vertex out of range"):
-        heat_kernel(two_state, x, [1.0])
     with pytest.raises(ValueError, match="vertex out of range"):
         ds_pointwise(two_state, x, times=[1.0, 2.0])
 

@@ -1,4 +1,3 @@
-import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -365,7 +364,7 @@ def test_grid_index_box_matches_mask():
 
 def test_address_words_match_address(mx_h5):
     for n in range(mx_h5.depth + 1):
-        words = mx_h5._address_words(n)
+        words = mx_h5.address_words(n)
         assert words == ["".join(map(str, mx_h5.address(n, i))) for i in range(mx_h5.levels[n].count)]
 
 
@@ -376,24 +375,18 @@ def test_marker_is_center_for_vicsek(vs_h6):
     assert my == Fraction(2 * iy + 1, 2 * s) - Fraction(1, 2)
 
 
-def test_exports_roundtrip(tmp_path):
+def test_exports_roundtrip():
     h = build_hierarchy(Schedule.pure_vicsek(), 2)
-    path = tmp_path / "cells.json"
-    h.export_cells(str(path), 2)
-    data = json.loads(path.read_text())
-    assert data["count"] == 25
+    data = h.cells_json(2)
+    assert data["count"] == 25 == len(data["cells"])
     cell = data["cells"][0]
     num, den = cell["x_min"].split("/")
     assert Fraction(int(num), int(den)) >= Fraction(-1, 2)
-    edge_path = tmp_path / "edges.csv"
-    h.export_edges_csv(str(edge_path), [1])
-    lines = edge_path.read_text().strip().splitlines()
-    assert lines[0] == "level,w,v"
-    assert len(lines) == 1 + 4
+    assert len(adjacency(h, 1).edges) == 4
 
 
 def test_address_index_roundtrip(mx_h5):
-    words = mx_h5._address_words(5)
+    words = mx_h5.address_words(5)
     for i in (0, 123, 4567):
         assert "".join(map(str, mx_h5.address(5, i))) == words[i]
 

@@ -406,7 +406,7 @@ def test_fekete_violation_reported():
 
 
 def test_h_profile_vicsek(vs_h6, vs_cache):
-    from resdimlab.measure import h_profile, profiles_to_csv
+    from resdimlab.measure import h_profile
     cg = vs_cache.graph(3, 0)
     out = h_profile(hier_measure(vs_h6), cg, vs_cache.pt(3))
     assert out["monotone"]
@@ -414,15 +414,6 @@ def test_h_profile_vicsek(vs_h6, vs_cache):
     assert out["h_doubling"] > 0 and math.isfinite(out["h_doubling"])
     rows = out["rows"]
     assert all(r["h_lo"] <= r["h_hi"] + 1e-15 for r in rows)
-
-
-def test_h_profile_csv(tmp_path, vs_h6, vs_cache):
-    from resdimlab.measure import h_profile, profiles_to_csv
-    out = h_profile(hier_measure(vs_h6), vs_cache.graph(2, 0), vs_cache.pt(2))
-    path = tmp_path / "profiles.csv"
-    profiles_to_csv(out["rows"], str(path))
-    header = path.read_text().splitlines()[0]
-    assert header == "x_id,r,V_lo,V_hi,olR,h_lo,h_hi"
 
 
 def test_nstar_volume_lower_bound(vs_h6, sc_h6):
