@@ -84,6 +84,10 @@ class ExperimentConfig:
         for name, allowed in self.CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}")
+        if self.command in ("mixed", "validate") and (self.structure != "sc"
+                                                      or self.f_table is not None):
+            raise ValueError(f"{self.command} builds its own schedules; "
+                             "it takes no structure or f_table")
         if self.depth < 0 or self.depth > self.CAPS["depth"]:
             raise ValueError(f"depth must be in 0..{self.CAPS['depth']}")
         if self.n < 0 or self.n > self.CAPS["n"]:

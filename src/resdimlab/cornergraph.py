@@ -16,7 +16,12 @@ corner graph is too.  The (Pt) and (TB) resistances are therefore solved
 exactly on a quarter of the graph (`pt_quarter`, `tb_quarter`): with
 s = 3^(n-m) odd and every edge a unit axis-parallel step, no edge crosses a
 mirror line without touching it, except the edges that cross x = s/2 or
-y = s/2 at their midpoints.
+y = s/2 at their midpoints.  A quarter is built from the schedule, keeping
+at every level only the cells whose closed box meets it, never from the full
+graph.  Every cell that touches a quarter vertex is kept, and the kept cells
+are a subsequence of the full cell order, so the quarter is the one the full
+graph would give, vertex numbering and edge order included.  The vertex cap
+counts the kept cells.
 """
 
 from __future__ import annotations
@@ -73,28 +78,34 @@ class CornerGraph:
         return self.grid / self.span - 0.5
 
 
-def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
-    """Build the (n, m) corner graph of `schedule`.
+def _cells(schedule: Schedule, n: int, m: int, keep=None):
+    """Cells of the relative hierarchy driven by levels m+1..n, parent-major,
+    with the corners of each (c5, c7, c1, c3, ids by first appearance over the
+    cells) and the grid point of each id.
 
-    Refuses above the depth cap; the pair (n, n) is the plain 4-cycle.
+    With `keep`, every level drops the cells whose closed box
+    [X0, X1] x [Y0, Y1], on the grid {0..3^(n-m)}^2, fails keep(X0, X1, Y0, Y1);
+    the cells left are a subsequence of the full order.  The vertex cap
+    counts the cells left.
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     if n - m > DEPTH_CAP:
         raise ValueError(f"corner graph depth {n - m} above the cap {DEPTH_CAP}")
-
-    # Cells of the relative hierarchy driven by levels m+1..n.
     depth = n - m
+    span = 3 ** depth
     cells_ix = np.zeros(1, dtype=np.int64)
     cells_iy = np.zeros(1, dtype=np.int64)
     for lvl in range(1, depth + 1):
         cells_ix, cells_iy = child_boxes(cells_ix, cells_iy, schedule.rule_at(m + lvl).digits)
+        if keep is not None:
+            f = 3 ** (depth - lvl)
+            inside = keep(f * cells_ix, f * (cells_ix + 1), f * cells_iy, f * (cells_iy + 1))
+            cells_ix, cells_iy = cells_ix[inside], cells_iy[inside]
 
     if 4 * len(cells_ix) > VERTEX_CAP:
         raise ValueError(f"about {4 * len(cells_ix)} corner vertices, above the cap {VERTEX_CAP}")
 
-    # Corners c5, c7, c1, c3 of every cell; ids by first appearance in this order.
-    span = 3 ** depth
     gx = cells_ix[:, None] + np.array([0, 1, 1, 0])
     gy = cells_iy[:, None] + np.array([0, 0, 1, 1])
     keys, first, inverse = np.unique((gx * (span + 1) + gy).reshape(-1),
@@ -104,33 +115,44 @@ def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
     rank[by_first] = np.arange(len(keys))
     cell_corners = rank[inverse].reshape(-1, 4)
     grid = np.stack(np.divmod(keys[by_first], span + 1), axis=1)
+    return cells_ix, cells_iy, cell_corners, grid
 
+
+def _sides(cell_corners: np.ndarray) -> np.ndarray:
+    """One (u, v) row per cell side, four per cell."""
+    return np.stack([cell_corners, np.roll(cell_corners, -1, axis=1)], axis=2).reshape(-1, 2)
+
+
+def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
+    """Build the (n, m) corner graph of `schedule`.
+
+    Refuses above the depth cap; the pair (n, n) is the plain 4-cycle.
+    """
+    cells_ix, cells_iy, cell_corners, grid = _cells(schedule, n, m)
     # One unit-conductance edge per cell side; LevelGraph adds the shared copies.
-    sides = np.stack([cell_corners, np.roll(cell_corners, -1, axis=1)], axis=2).reshape(-1, 2)
-    edges = np.column_stack([sides, np.ones(len(sides))])
-    g = LevelGraph(len(keys), edges)
+    sides = _sides(cell_corners)
+    g = LevelGraph(len(grid), np.column_stack([sides, np.ones(len(sides))]))
     return CornerGraph(n, m, g, grid, cell_corners, cells_ix, cells_iy)
 
 
-def _quarter(cg: CornerGraph, inside: np.ndarray, mirror: np.ndarray,
+def _quarter(cell_corners: np.ndarray, inside: np.ndarray, mirror: np.ndarray,
              gain: float) -> Tuple[LevelGraph, np.ndarray]:
-    """The graph induced on the `inside` vertices plus one terminal, the last
-    vertex, that stands for the `mirror` vertices; edges to the terminal have
-    their conductance multiplied by `gain`.  Returns it with the map from
-    corner-graph vertices to its vertices (-1 off it)."""
-    g = cg.graph
+    """The graph the cell sides induce on the `inside` vertices plus one
+    terminal, the last vertex, that stands for the `mirror` vertices; edges
+    to the terminal have conductance `gain` per side.  Returns it with the
+    map from cell-corner ids to its vertices (-1 off it)."""
     terminal = int(np.count_nonzero(inside))
-    label = np.full(g.n, -1, dtype=np.int64)
+    label = np.full(len(inside), -1, dtype=np.int64)
     label[inside] = np.arange(terminal)
     label[mirror] = terminal
-    lu, lv = label[g.edge_u], label[g.edge_v]
+    lu, lv = label[_sides(cell_corners)].T
     keep = (lu >= 0) & (lv >= 0) & (lu != lv)
-    c = np.where((lu == terminal) | (lv == terminal), gain, 1.0) * g.conductance
+    c = np.where((lu == terminal) | (lv == terminal), gain, 1.0)
     edges = np.column_stack([lu[keep], lv[keep], c[keep]])
     return LevelGraph(terminal + 1, edges), label
 
 
-def pt_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
+def pt_quarter(schedule: Schedule, n: int, m: int = 0) -> Tuple[LevelGraph, List[int], List[int]]:
     """(graph, A, B) with eff_resistance(graph, A, B) = R(p1, p5) = (Pt)_{n,m}.
 
     The antidiagonal reflection (x, y) -> (s-y, s-x) swaps p1 and p5 and
@@ -139,14 +161,16 @@ def pt_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
     On Q = {x + y >= s, y <= x} with D merged into one terminal, R(p1, D) is
     (Pt/2) * 2 = Pt.  Exact because every rule is D4-invariant (`SubdivisionRule`).
     """
-    x, y = cg.grid.T
-    s = cg.span
+    s = 3 ** (n - m)
+    _, _, cell_corners, grid = _cells(
+        schedule, n, m, lambda x0, x1, y0, y1: (y0 <= x1) & (x1 + np.minimum(y1, x1) >= s))
+    x, y = grid.T
     q = y <= x
-    g, label = _quarter(cg, q & (x + y > s), q & (x + y == s), 1.0)
-    return g, [int(label[cg.vertex_at(s, s)])], [g.n - 1]
+    g, label = _quarter(cell_corners, q & (x + y > s), q & (x + y == s), 1.0)
+    return g, label[(x == s) & (y == s)].tolist(), [g.n - 1]
 
 
-def tb_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
+def tb_quarter(schedule: Schedule, n: int, m: int = 0) -> Tuple[LevelGraph, List[int], List[int]]:
     """(graph, A, B) with eff_resistance(graph, A, B) = R(top, bottom) = (TB)_{n,m}.
 
     The reflection y -> s-y swaps the sides and takes u to 1 - u, so the
@@ -156,8 +180,10 @@ def tb_quarter(cg: CornerGraph) -> Tuple[LevelGraph, List[int], List[int]]:
     x = s/2 carry no current.  On Q = {x < s/2, y > s/2}, R(top, terminal)
     is (TB/2) * 2 = TB.  Exact because every rule is D4-invariant (`SubdivisionRule`).
     """
-    x, y = cg.grid.T
-    s = cg.span
+    s = 3 ** (n - m)
+    _, _, cell_corners, grid = _cells(
+        schedule, n, m, lambda x0, x1, y0, y1: (2 * x0 <= s - 1) & (2 * y1 >= s - 1))
+    x, y = grid.T
     left = 2 * x < s
-    g, label = _quarter(cg, left & (2 * y > s), left & (2 * y == s - 1), 2.0)
+    g, label = _quarter(cell_corners, left & (2 * y > s), left & (2 * y == s - 1), 2.0)
     return g, label[left & (y == s)].tolist(), [g.n - 1]

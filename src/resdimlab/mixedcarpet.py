@@ -55,8 +55,11 @@ class ResistanceScales:
 class ScaleCache:
     """Corner graphs and their resistance scales for one schedule.
 
-    (Pt) and (TB) are each one eff_resistance on the reflection quarter of
-    the corner graph (`cornergraph.pt_quarter`, `cornergraph.tb_quarter`).
+    (Pt) and (TB) are each one eff_resistance on a reflection quarter built
+    straight from the schedule (`cornergraph.pt_quarter`,
+    `cornergraph.tb_quarter`); no full corner graph is built for them.  The
+    full graphs of `graph` serve the pair batches of `chain_check`,
+    `qs_diagnostic` and `measure.h_profile`.
     """
 
     def __init__(self, schedule: Schedule):
@@ -75,7 +78,7 @@ class ScaleCache:
         """(Pt)_{n,m} alone: the opposite-corner resistance p1 to p5."""
         key = (n, m)
         if key not in self._pt:
-            self._pt[key] = eff_resistance(*pt_quarter(self.graph(n, m))).value
+            self._pt[key] = eff_resistance(*pt_quarter(self.schedule, n, m)).value
         return self._pt[key]
 
     def scales(self, n: int, m: int = 0) -> ResistanceScales:
@@ -83,7 +86,7 @@ class ScaleCache:
         if key not in self._scales:
             self._scales[key] = ResistanceScales(
                 n=n, m=m, pt=self.pt(n, m),
-                tb=eff_resistance(*tb_quarter(self.graph(n, m))).value,
+                tb=eff_resistance(*tb_quarter(self.schedule, n, m)).value,
                 k1=k1_count(self.schedule, n, m),
                 k2=k2_count(self.schedule, n, m))
         return self._scales[key]

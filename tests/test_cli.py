@@ -135,8 +135,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     (["build"], '{"f_table": [1, 0, 2]}', "error: schedule table entries must be 0 or 1"),
     (["resist", "--n", "5"], '{"f_table": [1, 0, 0, 1]}',
      "error: schedule custom defined only up to level 4"),
+    (["mixed", "--depth", "5", "--report", "none", "--structure", "vicsek"], '{"f_table": [1, 0, 1]}',
+     "error: mixed builds its own schedules; it takes no structure or f_table"),
+    (["mixed", "--depth", "5", "--report", "none"], '{"structure": "vicsek"}',
+     "error: mixed builds its own schedules; it takes no structure or f_table"),
+    (["validate"], '{"f_table": [1, 0, 1]}',
+     "error: validate builds its own schedules; it takes no structure or f_table"),
 ], ids=["string-depth", "list-top-level", "malformed-json", "missing-file", "unknown-report",
-        "unknown-structure", "f-table-entry", "f-table-horizon"])
+        "unknown-structure", "f-table-entry", "f-table-horizon", "mixed-structure-f-table",
+        "mixed-structure", "validate-f-table"])
 def test_bad_config_value_rejected(tmp_path, capsys, argv, text, message):
     path = tmp_path / "cfg.json"
     if text is not None:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from resdimlab.cornergraph import corner_graph
+from resdimlab import cornergraph
+from resdimlab.cornergraph import corner_graph, pt_quarter, tb_quarter
 from resdimlab.hierarchy import (CHILD_OFFSET, SC_DIGITS, VICSEK_DIGITS, Schedule,
                                  SubdivisionRule, build_hierarchy)
-from resdimlab.resnet import eff_resistance
+from resdimlab.resnet import LevelGraph, eff_resistance
 
 
 def _dict_corner_graph(schedule, n, m):
@@ -70,6 +71,65 @@ def test_cells_align_with_hierarchy():
     cg = corner_graph(sched, 3, 0)
     assert np.array_equal(cg.cells_ix, h.levels[3].ix)
     assert np.array_equal(cg.cells_iy, h.levels[3].iy)
+
+
+def _quarter_of_full_graph(cg, which):
+    """The quarter labelling applied to the full corner graph, as the quarter
+    builders were before they built only the quarter's cells."""
+    g, (x, y), s = cg.graph, cg.grid.T, cg.span
+    if which == "pt":
+        q = y <= x
+        inside, mirror, gain = q & (x + y > s), q & (x + y == s), 1.0
+    else:
+        left = 2 * x < s
+        inside, mirror, gain = left & (2 * y > s), left & (2 * y == s - 1), 2.0
+    terminal = int(np.count_nonzero(inside))
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[inside] = np.arange(terminal)
+    label[mirror] = terminal
+    lu, lv = label[g.edge_u], label[g.edge_v]
+    keep = (lu >= 0) & (lv >= 0) & (lu != lv)
+    c = np.where((lu == terminal) | (lv == terminal), gain, 1.0) * g.conductance
+    quarter = LevelGraph(terminal + 1, np.column_stack([lu[keep], lv[keep], c[keep]]))
+    A = ([int(label[cg.vertex_at(s, s)])] if which == "pt"
+         else label[left & (y == s)].tolist())
+    return quarter, A, [terminal]
+
+
+@pytest.mark.parametrize("structure, n_max", [("sc", 5), ("vicsek", 6), ("mixed", 6)])
+def test_quarters_equal_full_graph_quarters(structure, n_max):
+    """Quarters built from their own cells equal the quarters cut from the
+    full corner graph bit for bit, every (n, m) with n <= n_max."""
+    sched = Schedule.by_name(structure)
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            cg = corner_graph(sched, n, m)
+            for which, build in (("pt", pt_quarter), ("tb", tb_quarter)):
+                g, A, B = build(sched, n, m)
+                want, wA, wB = _quarter_of_full_graph(cg, which)
+                assert (g.n, A, B) == (want.n, wA, wB)
+                assert np.array_equal(g.edge_u, want.edge_u)
+                assert np.array_equal(g.edge_v, want.edge_v)
+                assert np.array_equal(g.conductance, want.conductance)
+
+
+def test_quarter_cap_counts_kept_cells(monkeypatch):
+    sched = Schedule.pure_sc()
+    cg = corner_graph(sched, 3)
+    x0, y0, s = cg.cells_ix, cg.cells_iy, cg.span
+    x1, y1 = x0 + 1, y0 + 1
+    kept = {pt_quarter: int(np.count_nonzero((y0 <= x1) & (x1 + np.minimum(y1, x1) >= s))),
+            tb_quarter: int(np.count_nonzero((2 * x0 <= s - 1) & (2 * y1 >= s - 1)))}
+    monkeypatch.setattr(cornergraph, "VERTEX_CAP", 4 * len(x0) - 1)
+    with pytest.raises(ValueError, match=f"about {4 * len(x0)} corner vertices"):
+        corner_graph(sched, 3)
+    for build, k in kept.items():
+        assert k < len(x0)
+        monkeypatch.setattr(cornergraph, "VERTEX_CAP", 4 * k)
+        build(sched, 3)
+        monkeypatch.setattr(cornergraph, "VERTEX_CAP", 4 * k - 1)
+        with pytest.raises(ValueError, match=f"about {4 * k} corner vertices"):
+            build(sched, 3)
 
 
 def test_depth_cap():

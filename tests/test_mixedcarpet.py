@@ -335,7 +335,8 @@ def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, mx_cache):
               "mixed": mx_cache}
     evres_fit(n_max=2, pure_levels=4, caches=caches)
     # one solve per pure graph, on its Pt quarter
-    want = [pt_quarter(caches[name].graph(n)) for name in ("sc", "vicsek") for n in range(1, 5)]
+    want = [pt_quarter(caches[name].schedule, n) for name in ("sc", "vicsek")
+            for n in range(1, 5)]
     assert len(calls) == len(want)
     for (g, A, B), (wg, wA, wB) in zip(calls, want):
         assert (g.n, A, B) == (wg.n, wA, wB)
@@ -343,25 +344,36 @@ def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, mx_cache):
         assert np.array_equal(g.conductance, wg.conductance)
 
 
-@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
-                                      Schedule.mixed(), Schedule.from_table([1, 1, 0, 1, 0])],
+@pytest.mark.parametrize("schedule, deep", [(Schedule.pure_sc(), False),
+                                            (Schedule.pure_vicsek(), True),
+                                            (Schedule.mixed(), True),
+                                            (Schedule.from_table([1, 1, 0, 1, 0]), False)],
                          ids=["sc", "vicsek", "mixed", "table"])
-def test_scales_equal_direct_resistances(schedule):
-    """Quarter solves against full-graph solves, every (n, m) with n <= 5."""
+def test_scales_equal_direct_resistances(schedule, deep):
+    """Quarter solves against full-graph solves, every (n, m) with n <= 5,
+    and (6, 0) where `deep`."""
     cache = ScaleCache(schedule)
+    pairs = [(n, m) for n in range(1, 6) for m in range(n + 1)] + [(6, 0)] * deep
+    for n, m in pairs:
+        cg = cache.graph(n, m)
+        p1, _, p5, _ = cg.corner_vertices()
+        s = cache.scales(n, m)
+        assert (s.n, s.m) == (n, m)
+        top = np.flatnonzero(cg.grid[:, 1] == cg.span)
+        bottom = np.flatnonzero(cg.grid[:, 1] == 0)
+        assert s.tb == pytest.approx(eff_resistance(cg.graph, top, bottom).value,
+                                     rel=1e-9, abs=0)
+        assert s.pt == pytest.approx(eff_resistance(cg.graph, [p1], [p5]).value,
+                                     rel=1e-9, abs=0)
+        assert cache.pt(n, m) == s.pt
+
+
+def test_scales_build_no_full_graph():
+    cache = ScaleCache(Schedule.mixed())
     for n in range(1, 6):
         for m in range(n + 1):
-            cg = cache.graph(n, m)
-            p1, _, p5, _ = cg.corner_vertices()
-            s = cache.scales(n, m)
-            assert (s.n, s.m) == (n, m)
-            top = np.flatnonzero(cg.grid[:, 1] == cg.span)
-            bottom = np.flatnonzero(cg.grid[:, 1] == 0)
-            assert s.tb == pytest.approx(eff_resistance(cg.graph, top, bottom).value,
-                                         rel=1e-9, abs=0)
-            assert s.pt == pytest.approx(eff_resistance(cg.graph, [p1], [p5]).value,
-                                         rel=1e-9, abs=0)
-            assert cache.pt(n, m) == s.pt
+            cache.scales(n, m)
+    assert cache._graphs == {}
 
 
 def test_scales_factor_only_quarters(monkeypatch):
