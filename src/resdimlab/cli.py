@@ -16,11 +16,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import heat
 from . import hierarchy as hmod
 from . import measure as mmod
 from . import mixedcarpet as xmod
@@ -50,77 +52,90 @@ def _sanitize(obj):
     return _fmt(obj)
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    structure: str = "sc"
-    depth: int = 3
-    n: int = 2
-    kmax: int = 4
-    p_grid: List[float] = field(default_factory=lambda: [1.5, 2.0])
-    seed: int = 0
-    out: str = "resdimlab_out"
-    report: str = "gap"
-    f_table: Optional[List[int]] = None
+@dataclass(frozen=True)
+class Param:
+    """How a command reads one parameter: `kind` is the JSON type of its value
+    ([t] for a list of t), an int lies in lo..hi and a str among `choices`.  A
+    default or bound may be a function of the config, called once the
+    parameters before it are settled.  With `reach` set, the command builds
+    schedule level value + reach.  With `flag` False, only --config sets it."""
+    kind: object
+    default: object = None
+    lo: object = None
+    hi: object = None
+    choices: Tuple[str, ...] = ()
+    reach: Optional[int] = None
+    flag: bool = True
 
-    CAPS = {"depth": 7, "n": 7, "kmax": 6}
-    CHOICES = {"structure": ("sc", "vicsek", "mixed"), "report": ("gap", "none")}
-    # least value of each field a command can run with
-    MINIMUMS = {"resist": {"n": 1}, "penergy": {"depth": 3, "kmax": 2},
-                "dims": {"depth": 2, "kmax": 2}, "heat": {"depth": 1}, "mixed": {"depth": 3}}
-    # deepest level of schedule() each command builds; mixed and validate build
-    # their own schedules
-    LEVELS = {"build": lambda c: c.depth, "resist": lambda c: c.n,
-              "penergy": lambda c: c.depth, "dims": lambda c: max(c.depth, c.kmax) + 1,
-              "heat": lambda c: c.depth}
+
+_SCHEDULE = {"f_table": Param([int], flag=False),
+             "structure": Param(str, lambda c: "sc" if c.f_table is None else None,
+                                choices=("sc", "vicsek", "mixed"))}
+_RUN = {"seed": Param(int, 0, 0, math.inf),
+        "out": Param(str, lambda c: os.environ.get("RESDIMLAB_OUT") or "resdimlab_out")}
+
+# the parameters each command reads, settled in this order
+PARAMS: Dict[str, Dict[str, Param]] = {
+    "build": {**_SCHEDULE, "depth": Param(int, 3, 0, 7, reach=0), **_RUN},
+    "resist": {**_SCHEDULE, "n": Param(int, 2, 1, 7, reach=0), **_RUN},
+    "penergy": {**_SCHEDULE, "depth": Param(int, 3, 3, 7, reach=0),
+                "kmax": Param(int, lambda c: min(4, c.depth - 1), 2, lambda c: c.depth - 1),
+                "p_grid": Param([float], [1.5, 2.0]), **_RUN},
+    "dims": {**_SCHEDULE, "depth": Param(int, 3, 2, 7, reach=1),
+             "kmax": Param(int, 4, 2, 6, reach=1), **_RUN},
+    "heat": {**_SCHEDULE, "depth": Param(int, 3, 1, 7, reach=0), **_RUN},
+    "mixed": {"depth": Param(int, 3, 3, 5),
+              "report": Param(str, "gap", choices=("gap", "none")), **_RUN},
+    "validate": _RUN,
+}
+
+
+class ExperimentConfig(SimpleNamespace):
+    """A command and the values given for the parameters it reads; `validate`
+    settles every one of them, a default for each value not given."""
+
+    def __init__(self, command: str, **values):
+        if command not in PARAMS:
+            raise ValueError(f"unknown command {command!r}")
+        unread = sorted(k for k, v in values.items()
+                        if v is not None and k not in PARAMS[command])
+        if unread:
+            raise ValueError(f"{command} does not read {', '.join(unread)}")
+        if values.get("structure") is not None and values.get("f_table") is not None:
+            raise ValueError("give structure or f_table, not both")
+        super().__init__(command=command, **values)
 
     def validate(self) -> None:
-        for f in fields(self):
-            if not _has_type(getattr(self, f.name), f.type):
-                raise ValueError(f"{f.name} must be of type {f.type}, "
-                                 f"got {getattr(self, f.name)!r}")
-        if self.command not in ("build", "resist", "penergy", "dims", "heat", "mixed", "validate"):
-            raise ValueError(f"unknown command {self.command!r}")
-        for name, allowed in self.CHOICES.items():
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name} must be one of {', '.join(allowed)}")
-        if self.command in ("mixed", "validate") and (self.structure != "sc"
-                                                      or self.f_table is not None):
-            raise ValueError(f"{self.command} builds its own schedules; "
-                             "it takes no structure or f_table")
-        if self.depth < 0 or self.depth > self.CAPS["depth"]:
-            raise ValueError(f"depth must be in 0..{self.CAPS['depth']}")
-        if self.n < 0 or self.n > self.CAPS["n"]:
-            raise ValueError(f"n must be in 0..{self.CAPS['n']}")
-        if self.kmax < 1 or self.kmax > self.CAPS["kmax"]:
-            raise ValueError(f"kmax must be in 1..{self.CAPS['kmax']}")
-        for name, least in self.MINIMUMS.get(self.command, {}).items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least} for {self.command}")
-        if not all(math.isfinite(p) and p >= 1 for p in self.p_grid):
+        params = PARAMS[self.command]
+        for name, p in params.items():
+            value = getattr(self, name, None)
+            if value is None:
+                value = p.default(self) if callable(p.default) else p.default
+            setattr(self, name, value)
+            if value is None:
+                continue
+            kind, items = (p.kind[0], value) if isinstance(p.kind, list) else (p.kind, [value])
+            accept = (int, float) if kind is float else kind  # a bool is no number
+            if not isinstance(items, list) or any(isinstance(v, bool) or not isinstance(v, accept)
+                                                  for v in items):
+                raise ValueError(f"{name} must be of type {'list of ' if items is value else ''}"
+                                 f"{kind.__name__}, got {value!r}")
+            if p.choices and value not in p.choices:
+                raise ValueError(f"{name} must be one of {', '.join(p.choices)}")
+            lo, hi = (b(self) if callable(b) else b for b in (p.lo, p.hi))
+            if lo is not None and not lo <= value <= hi:
+                raise ValueError(f"{name} must be in {lo}..{hi} for {self.command}")
+        if "p_grid" in params and not all(math.isfinite(p) and p >= 1 for p in self.p_grid):
             raise ValueError("p grid entries must be finite and >= 1")
-        sched = self.schedule()
-        level = self.LEVELS.get(self.command, lambda c: 0)(self)
-        if sched.horizon is not None and level > sched.horizon:
-            raise ValueError(f"schedule {sched.name} defined only up to level {sched.horizon}")
+        levels = [getattr(self, k) + p.reach for k, p in params.items() if p.reach is not None]
+        horizon = self.schedule().horizon if levels else None
+        if horizon is not None and max(levels) > horizon:
+            raise ValueError(f"schedule {self.schedule().name} defined only up to level {horizon}")
 
     def schedule(self) -> hmod.Schedule:
         if self.f_table is not None:
             return hmod.Schedule.from_table(self.f_table)
         return hmod.Schedule.by_name(self.structure)
-
-
-def _has_type(value, annotation: str) -> bool:
-    """Whether a config value (as loaded from JSON) fits a field annotation."""
-    if annotation.startswith("Optional["):
-        return value is None or _has_type(value, annotation[len("Optional["):-1])
-    if annotation.startswith("List["):
-        return isinstance(value, list) and all(_has_type(v, annotation[5:-1]) for v in value)
-    if isinstance(value, bool):
-        return False
-    if annotation == "float":
-        return isinstance(value, (int, float))
-    return isinstance(value, {"int": int, "str": str}[annotation])
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
@@ -152,7 +167,7 @@ def _check(cid: str, description: str, value, ok: bool) -> dict:
 
 def _cmd_build(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     h = hmod.build_hierarchy(cfg.schedule(), cfg.depth)
-    params = hmod.validate_framework(h)
+    params = hmod.validate_framework(h, seed=cfg.seed)
     _write_json(os.path.join(outdir, f"cells_level{cfg.depth}.json"), h.cells_json(cfg.depth))
     words = [h.address_words(n) for n in range(cfg.depth + 1)]
     _write_csv(os.path.join(outdir, "edges.csv"), ["level", "w", "v"],
@@ -203,8 +218,7 @@ def _cmd_resist(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 
 def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     h = hmod.build_hierarchy(cfg.schedule(), cfg.depth)
-    kmax = min(cfg.kmax, cfg.depth - 1)
-    sweep = pmod.SupSweep(h, range(1, kmax + 1))
+    sweep = pmod.SupSweep(h, range(1, cfg.kmax + 1))
     rows = []
     for p in cfg.p_grid:
         for k, (cell, val) in zip(sweep.ks, sweep.sups(p)):
@@ -221,7 +235,7 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         "uncertified": est.uncertified,
     })
     # p = 2 energy equals effective conductance on the same graph
-    j = sweep.ks.index(min(2, kmax))
+    j = sweep.ks.index(2)
     i = next((i for i, prob in enumerate(sweep.problems[j]) if not prob.empty_outer), None)
     if i is None:
         raise RuntimeError("no level-1 cell has a nonempty outer set")
@@ -241,7 +255,6 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 
 
 def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
-    from .heat import build_form, ol_ds_heat
     sched = cfg.schedule()
     depth = cfg.depth
     h = hmod.build_hierarchy(sched, max(depth + 1, cfg.kmax + 1))
@@ -250,9 +263,9 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     pt = [cache.pt(n, 0) for n in range(1, depth + 1)]
     zeta_log = math.log(pt[-1] / pt[-2]) if len(pt) >= 2 else math.log(3.0)
     vol = mmod.olds_volume(meas, zeta_log, window=list(range(1, depth + 1)), seed=cfg.seed)
-    d2s = pmod.p_spectral_dims(h, 2.0, min(cfg.kmax, h.depth - 1)).dim_ls
-    form = build_form(h, depth, meas, pt[-1])
-    heat = ol_ds_heat(form)
+    d2s = pmod.p_spectral_dims(h, 2.0, cfg.kmax).dim_ls
+    form = heat.build_form(h, depth, meas, pt[-1])
+    heat_ds = heat.ol_ds_heat(form)["estimate"]
     profile_level = min(depth, 3)
     prof = mmod.h_profile(meas, cache.graph(profile_level, 0),
                           cache.pt(profile_level, 0))
@@ -261,32 +274,30 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     _write_json(os.path.join(outdir, "dims.json"), {
         "structure": sched.name, "depth": depth,
         "volume_ds": vol["ds_estimate"], "volume_ds_sup_window": vol["ds_sup_window"],
-        "heat_ds": heat["estimate"], "d2s": d2s,
+        "heat_ds": heat_ds, "d2s": d2s,
         "zeta_r_log": zeta_log, "pt_table": pt,
     })
-    vals = [vol["ds_estimate"], heat["estimate"], d2s]
+    vals = [vol["ds_estimate"], heat_ds, d2s]
     return [
         _check("measure-h-monotone", "h profile nondecreasing with gamma2 fitted",
                prof["gamma2"], prof["monotone"] and prof["gamma2"] is not None),
         _check("dims-below-2", "every dimension estimate < 2", max(vals),
                all(v < 2.0 for v in vals)),
         _check("heat-volume-agree", "heat and volume routes within 0.1",
-               abs(heat["estimate"] - vol["ds_estimate"]),
-               abs(heat["estimate"] - vol["ds_estimate"]) <= 0.1),
+               abs(heat_ds - vol["ds_estimate"]),
+               abs(heat_ds - vol["ds_estimate"]) <= 0.1),
         _check("d2s-vs-heat", "d2s <= heat ds + 0.1",
-               d2s - heat["estimate"], d2s <= heat["estimate"] + 0.1),
+               d2s - heat_ds, d2s <= heat_ds + 0.1),
     ]
 
 
 def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
-    from .heat import (FiniteDirichletForm, build_form, ol_ds_heat, time_window,
-                       chapman_kolmogorov_error)
     sched = cfg.schedule()
     h = hmod.build_hierarchy(sched, cfg.depth)
     meas = mmod.hier_measure(h)
     cache = xmod.ScaleCache(sched)
-    form = build_form(h, cfg.depth, meas, cache.pt(cfg.depth, 0))
-    t_lo, t_hi, t_mix = time_window(form)
+    form = heat.build_form(h, cfg.depth, meas, cache.pt(cfg.depth, 0))
+    t_lo, t_hi, t_mix = heat.time_window(form)
     times = np.geomspace(t_lo / 8, t_mix * 2, 40)
     P = form.p_diag(times)
     rng = np.random.default_rng(cfg.seed)
@@ -294,13 +305,13 @@ def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     _write_csv(os.path.join(outdir, "heat_curves.csv"), ["level", "x_id", "t", "p"],
                ((cfg.depth, int(x), t, p) for x in xs for t, p in zip(times, P[int(x)])))
     floor = 1.0 / form.total_mass
-    ck = chapman_kolmogorov_error(form, n_samples=10, seed=cfg.seed)
-    est = ol_ds_heat(form)
+    ck = heat.chapman_kolmogorov_error(form, n_samples=10, seed=cfg.seed)
+    est = heat.ol_ds_heat(form)
     _write_json(os.path.join(outdir, "heat_estimate.json"), {
         "structure": sched.name, "level": cfg.depth, "estimate": est["estimate"],
         "window": list(est["window"]), "flag": est["flag"],
     })
-    two = FiniteDirichletForm(rmod.LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5])
+    two = heat.FiniteDirichletForm(rmod.LevelGraph(2, [(0, 1, 1.0)]), [0.5, 0.5])
     terr = max(abs(v - (1 + math.exp(-4 * t)))
                for t, v in zip(times[:10], two.p_diag(times[:10], xs=[0])[0]))
     return [
@@ -316,12 +327,11 @@ def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 def _cmd_mixed(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     sched = hmod.Schedule.mixed()
     cache = xmod.ScaleCache(sched)
-    n_max = min(cfg.depth, 5)
-    ch = xmod.chain_check(sched, n_max, pair_samples=25, seed=cfg.seed, cache=cache)
+    ch = xmod.chain_check(sched, cfg.depth, pair_samples=25, seed=cfg.seed, cache=cache)
     _write_csv(os.path.join(outdir, "scales.csv"), _SCALES, ch["table"])
-    fit = xmod.evres_fit(n_max=n_max, caches={"mixed": cache})
-    d4 = xmod.qs_diagnostic(sched, n_max - 1, samples=250, seed=cfg.seed, cache=cache)
-    d5 = xmod.qs_diagnostic(sched, n_max, samples=250, seed=cfg.seed, cache=cache,
+    fit = xmod.evres_fit(n_max=cfg.depth, caches={"mixed": cache})
+    d4 = xmod.qs_diagnostic(sched, cfg.depth - 1, samples=250, seed=cfg.seed, cache=cache)
+    d5 = xmod.qs_diagnostic(sched, cfg.depth, samples=250, seed=cfg.seed, cache=cache,
                             triples=d4.triples)
     drift = xmod.qs_envelope_drift(d4, d5)
     _write_csv(os.path.join(outdir, "envelope.csv"), ["t", "ratio"], zip(d5.t_values, d5.ratios))
@@ -399,55 +409,43 @@ def run(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises the message argparse would print before exit 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def _floats(text: str) -> List[float]:
+    return [float(p) for p in text.split(",")]
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="resdimlab",
-                                 description="resistance and dimension estimators on "
-                                             "square-based self-similar hierarchies")
+    ap = _Parser(prog="resdimlab", description="resistance and dimension estimators on "
+                                               "square-based self-similar hierarchies")
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--structure", default=None,
-                        choices=ExperimentConfig.CHOICES["structure"])
-    common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--kmax", type=int, default=None)
-    sub.add_parser("build", parents=[common])
-    rp = sub.add_parser("resist", parents=[common])
-    rp.add_argument("--n", type=int, default=None)
-    pp = sub.add_parser("penergy", parents=[common])
-    pp.add_argument("--p-grid", default=None, help="comma separated exponents")
-    sub.add_parser("dims", parents=[common])
-    sub.add_parser("heat", parents=[common])
-    mp = sub.add_parser("mixed", parents=[common])
-    mp.add_argument("--report", default=None, choices=ExperimentConfig.CHOICES["report"])
-    sub.add_parser("validate", parents=[common])
+    for command, params in PARAMS.items():
+        sp = sub.add_parser(command)
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        for name, p in params.items():
+            if p.flag:
+                sp.add_argument("--" + name.replace("_", "-"),
+                                type=p.kind if isinstance(p.kind, type) else _floats,
+                                metavar="{" + ",".join(p.choices) + "}" if p.choices else None)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
-    payload: Dict[str, object] = {}
     try:
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
+        args = {k: v for k, v in vars(_parser().parse_args(argv)).items() if v is not None}
+        payload: Dict[str, object] = {}
+        if "config" in args:
+            with open(args.pop("config")) as fh:
                 payload = json.load(fh)
             if not isinstance(payload, dict):
                 raise ValueError("config file must hold a JSON object")
-        payload["command"] = args.command
-        for key in ("structure", "depth", "seed", "out", "kmax", "n", "report"):
-            val = getattr(args, key, None)
-            if val is not None:
-                payload[key] = val
-        if getattr(args, "p_grid", None):
-            payload["p_grid"] = [float(p) for p in args.p_grid.split(",")]
-        env_out = os.environ.get("RESDIMLAB_OUT")
-        if env_out and "out" not in payload:
-            payload["out"] = env_out
-        unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
-        if unknown:
-            raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
-        manifest = run(ExperimentConfig(**payload))  # type: ignore[arg-type]
+        payload.update(args)
+        manifest = run(ExperimentConfig(**payload))
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

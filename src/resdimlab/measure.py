@@ -2,12 +2,13 @@
 
 A measure's cell masses have one representation, `exact_masses`: per level,
 int64 numerators in cell order over one common denominator.  `mass` reads
-it as a Fraction and `masses_float` as correctly rounded floats, and ball
-masses are bracketed between inner and outer cell covers at the resolution
-level: a ball query adds, per grid column, the prefix-sum difference of the
-table (in GridIndex key order) over its run of covered rows, so both
-brackets are exact sums, rounded once.  The psi-measure implements the
-interior-child weighting that realizes controlled volume growth (N_* + eps)^k.
+it as a Fraction, `heat.build_form` sums it into corner shares rounded once
+by `_quotients`, and ball masses are bracketed between inner and outer cell
+covers at the resolution level: a ball query adds, per grid column, the
+prefix-sum difference of the table (in GridIndex key order) over its run of
+covered rows, so both brackets are exact sums, rounded once.  The psi-measure
+implements the interior-child weighting that realizes controlled volume
+growth (N_* + eps)^k.
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ class HierMeasure(_MassTable):
             num = num[lvl.parent] * by_digit[lvl.digit]
             denom *= self._lcm[m]
         return num, denom
-
-    def masses_float(self, n: int) -> np.ndarray:
-        return _quotients(*self.exact_masses(n))
 
     def resolution(self) -> int:
         return self.h.depth
@@ -319,9 +317,6 @@ class PsiMeasure(_MassTable):
         denom = _lcm_denominator(values)
         table = np.array([int(q * denom) for q in values], dtype=np.int64)
         return table[self.code[coarse_level]], denom
-
-    def masses_float(self, coarse_level: int) -> np.ndarray:
-        return _quotients(*self.exact_masses(coarse_level))
 
     def resolution(self) -> int:
         return self.coarse_levels[-1]

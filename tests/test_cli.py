@@ -1,12 +1,14 @@
 import csv
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from resdimlab import mixedcarpet, penergy
-from resdimlab.cli import ExperimentConfig, main
+from resdimlab import cli, hierarchy, mixedcarpet, penergy
+from resdimlab.cli import PARAMS, ExperimentConfig, main
 from resdimlab.hierarchy import Schedule
 
 
@@ -121,7 +123,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     path.write_text(json.dumps({"structure": "vicsek", "depht": 2}))
     code = main(["build", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "error: unknown config key(s) depht" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: build does not read depht\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -136,11 +138,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     (["resist", "--n", "5"], '{"f_table": [1, 0, 0, 1]}',
      "error: schedule custom defined only up to level 4"),
     (["mixed", "--depth", "5", "--report", "none", "--structure", "vicsek"], '{"f_table": [1, 0, 1]}',
-     "error: mixed builds its own schedules; it takes no structure or f_table"),
+     "error: unrecognized arguments: --structure vicsek"),
     (["mixed", "--depth", "5", "--report", "none"], '{"structure": "vicsek"}',
-     "error: mixed builds its own schedules; it takes no structure or f_table"),
-    (["validate"], '{"f_table": [1, 0, 1]}',
-     "error: validate builds its own schedules; it takes no structure or f_table"),
+     "error: mixed does not read structure"),
+    (["validate"], '{"f_table": [1, 0, 1]}', "error: validate does not read f_table"),
 ], ids=["string-depth", "list-top-level", "malformed-json", "missing-file", "unknown-report",
         "unknown-structure", "f-table-entry", "f-table-horizon", "mixed-structure-f-table",
         "mixed-structure", "validate-f-table"])
@@ -162,30 +163,30 @@ def test_config_validation():
     for grid in ([0.5], [float("nan"), 2.0], [2.0, float("inf")]):
         with pytest.raises(ValueError, match="p grid entries must be finite and >= 1"):
             ExperimentConfig(command="penergy", p_grid=grid).validate()
-    with pytest.raises(ValueError, match="n must be >= 1 for resist"):
+    with pytest.raises(ValueError, match=r"n must be in 1\.\.7 for resist"):
         ExperimentConfig(command="resist", n=0).validate()
-    with pytest.raises(ValueError, match="depth must be >= 3 for mixed"):
+    with pytest.raises(ValueError, match=r"depth must be in 3\.\.5 for mixed"):
         ExperimentConfig(command="mixed", depth=2).validate()
     ExperimentConfig(command="build", depth=0).validate()
     ExperimentConfig(command="mixed", depth=3).validate()
-    for command in ExperimentConfig.MINIMUMS:
+    for command in PARAMS:
         ExperimentConfig(command=command).validate()  # every default runs
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["mixed", "--depth", "0"], "depth must be >= 3 for mixed"),
-    (["mixed", "--depth", "1"], "depth must be >= 3 for mixed"),
-    (["mixed", "--depth", "2"], "depth must be >= 3 for mixed"),
-    (["resist", "--n", "0"], "n must be >= 1 for resist"),
-    (["penergy", "--structure", "vicsek", "--depth", "1"], "depth must be >= 3 for penergy"),
-    (["penergy", "--structure", "vicsek", "--depth", "2"], "depth must be >= 3 for penergy"),
+    (["mixed", "--depth", "0"], "depth must be in 3..5 for mixed"),
+    (["mixed", "--depth", "1"], "depth must be in 3..5 for mixed"),
+    (["mixed", "--depth", "2"], "depth must be in 3..5 for mixed"),
+    (["resist", "--n", "0"], "n must be in 1..7 for resist"),
+    (["penergy", "--structure", "vicsek", "--depth", "1"], "depth must be in 3..7 for penergy"),
+    (["penergy", "--structure", "vicsek", "--depth", "2"], "depth must be in 3..7 for penergy"),
     (["penergy", "--structure", "vicsek", "--depth", "3", "--kmax", "1"],
-     "kmax must be >= 2 for penergy"),
-    (["dims", "--structure", "vicsek", "--depth", "0"], "depth must be >= 2 for dims"),
-    (["dims", "--structure", "vicsek", "--depth", "1"], "depth must be >= 2 for dims"),
+     "kmax must be in 2..2 for penergy"),
+    (["dims", "--structure", "vicsek", "--depth", "0"], "depth must be in 2..7 for dims"),
+    (["dims", "--structure", "vicsek", "--depth", "1"], "depth must be in 2..7 for dims"),
     (["dims", "--structure", "vicsek", "--depth", "3", "--kmax", "1"],
-     "kmax must be >= 2 for dims"),
-    (["heat", "--structure", "vicsek", "--depth", "0"], "depth must be >= 1 for heat"),
+     "kmax must be in 2..6 for dims"),
+    (["heat", "--structure", "vicsek", "--depth", "0"], "depth must be in 1..7 for heat"),
 ], ids=["mixed-depth-0", "mixed-depth-1", "mixed-depth-2", "resist-n-0",
         "penergy-depth-1", "penergy-depth-2", "penergy-kmax-1", "dims-depth-0",
         "dims-depth-1", "dims-kmax-1", "heat-depth-0"])
@@ -194,6 +195,118 @@ def test_too_shallow_command_rejected(tmp_path, capsys, argv, message):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# the parameters each command reads besides seed and out; f_table may stand
+# in for structure
+READS = {"build": {"structure", "depth"}, "resist": {"structure", "n"},
+         "penergy": {"structure", "depth", "kmax", "p_grid"},
+         "dims": {"structure", "depth", "kmax"}, "heat": {"structure", "depth"},
+         "mixed": {"depth", "report"}, "validate": set()}
+# a valid value of each parameter, as a config entry and as a flag
+VALUES = {"structure": ("sc", "sc"), "f_table": ([1, 0, 1], None), "depth": (3, "3"),
+          "n": (2, "2"), "kmax": (2, "2"), "p_grid": ([2.0], "2"), "report": ("none", "none")}
+
+
+def _unread_cases():
+    for command, reads in READS.items():
+        for name, (value, flag) in VALUES.items():
+            if name in reads or (name == "f_table" and "structure" in reads):
+                continue
+            yield pytest.param([command], {name: value}, f"{command} does not read {name}",
+                               id=f"{command}-config-{name}")
+            if flag is not None:
+                opt = "--" + name.replace("_", "-")
+                yield pytest.param([command, opt, flag], None,
+                                   f"unrecognized arguments: {opt} {flag}",
+                                   id=f"{command}-flag-{name}")
+
+
+# each of these ran at the parent commit and recorded a value it never used
+REPRODUCED = {
+    "resist-depth": (["resist", "--structure", "sc", "--depth", "5"], None,
+                     "unrecognized arguments: --depth 5"),
+    "penergy-kmax-past-depth": (["penergy", "--structure", "vicsek", "--depth", "3",
+                                 "--kmax", "6"], None, "kmax must be in 2..2 for penergy"),
+    "mixed-depth-6": (["mixed", "--depth", "6", "--report", "none"], None,
+                      "depth must be in 3..5 for mixed"),
+    "mixed-structure-sc": (["mixed", "--structure", "sc"], None,
+                           "unrecognized arguments: --structure sc"),
+    "validate-structure-sc": (["validate", "--structure", "sc"], None,
+                              "unrecognized arguments: --structure sc"),
+    "build-kmax": (["build", "--kmax", "6"], None, "unrecognized arguments: --kmax 6"),
+    "heat-kmax": (["heat", "--kmax", "6"], None, "unrecognized arguments: --kmax 6"),
+    "validate-depth": (["validate", "--depth", "7"], None, "unrecognized arguments: --depth 7"),
+    "structure-and-f-table": (["resist", "--structure", "sc"], {"f_table": [1, 0, 1]},
+                              "give structure or f_table, not both"),
+}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    *_unread_cases(), *(pytest.param(*case, id=name) for name, case in REPRODUCED.items())])
+def test_unread_parameter_refused(tmp_path, capsys, argv, config, message):
+    """A flag or config key the command does not read: `main` returns 2 (it
+    raises no SystemExit) with one error line, before the output exists."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [n for n, (_, config, _) in REPRODUCED.items()
+                                  if config is None])
+def test_unread_parameter_refused_by_module(tmp_path, name):
+    argv, _, message = REPRODUCED[name]
+    proc = subprocess.run([sys.executable, "-m", "resdimlab.cli", *argv,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", READS)
+def test_manifest_config_holds_read_parameters(tmp_path, monkeypatch, command):
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, outdir: [])
+    runs = [([], READS[command])]
+    if "structure" in READS[command]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"f_table": [1, 0, 1, 1, 0, 1, 1]}))
+        runs.append((["--config", str(path)], READS[command] - {"structure"} | {"f_table"}))
+    for i, (extra, reads) in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main([command, *extra, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {"command", "seed", "out"} | reads
+
+
+def test_readme_cli_lines_parse():
+    """Every `resdimlab` line of README's CLI block names only flags its
+    command reads, with values in bounds; nothing runs."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1].replace("\\\n", " ")
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    argvs = [line[1:] for line in lines if line[:1] == ["resdimlab"]]
+    assert {argv[0] for argv in argvs} == set(READS)
+    for argv in argvs:
+        args = vars(cli._parser().parse_args(argv))
+        ExperimentConfig(**{k: v for k, v in args.items() if v is not None}).validate()
+
+
+def test_build_threads_seed(tmp_path, monkeypatch):
+    seeds = []
+    original = hierarchy.validate_framework
+
+    def recorded(h, *args, seed=0, **kwargs):
+        seeds.append(seed)
+        return original(h, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "validate_framework", recorded)
+    assert main(["build", "--structure", "vicsek", "--depth", "2", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    assert seeds == [7]
 
 
 @pytest.mark.parametrize("grid", ["nan,2", "inf,2", "2,-inf"])

@@ -9,7 +9,7 @@ import pytest
 from resdimlab.hierarchy import Schedule, adjacency, build_hierarchy
 from resdimlab.measure import (HierMeasure, PsiMeasure, doubling_check,
                                fekete_limit, hier_measure, olds_volume,
-                               psi_measure)
+                               psi_measure, _quotients)
 
 from conftest import seeded_sc_weights
 
@@ -25,14 +25,14 @@ def _walk_mass(m, n, i):
 
 def _assert_views_match_walk(m, levels):
     """Every mass view of HierMeasure m equals the address walk: the integer
-    table and `mass` exactly, `masses_float` bitwise as float(Fraction)."""
+    table and `mass` exactly, `_quotients` bitwise as float(Fraction)."""
     for n in levels:
         ref = [_walk_mass(m, n, i) for i in range(m.h.levels[n].count)]
         num, denom = m.exact_masses(n)
         assert num.dtype == np.int64 and len(num) == len(ref)
         assert [Fraction(int(v), denom) for v in num] == ref
         assert [m.mass(n, i) for i in range(len(ref))] == ref
-        assert m.masses_float(n).tobytes() == np.array([float(q) for q in ref]).tobytes()
+        assert _quotients(num, denom).tobytes() == np.array([float(q) for q in ref]).tobytes()
 
 
 def test_uniform_masses_exact(sc_h6, vs_h6, mx_h5):
@@ -332,7 +332,7 @@ def test_psi_matches_fraction_reference(schedule, depth, k, n_star):
         assert psi.interior_child[top].tolist() == kids
     for n, values in ref.items():
         assert [psi.mass(n, i) for i in range(len(values))] == values
-        assert np.array_equal(psi.masses_float(n), np.array([float(q) for q in values]))
+        assert np.array_equal(_quotients(*psi.exact_masses(n)), np.array([float(q) for q in values]))
     assert psi.neighbor_comparability() == _reference_comparability(h, ref, psi.base ** k - 1)
 
 
