@@ -120,11 +120,15 @@ class ExperimentConfig(SimpleNamespace):
                                                   for v in items):
                 raise ValueError(f"{name} must be of type {'list of ' if items is value else ''}"
                                  f"{kind.__name__}, got {value!r}")
+            if p.kind == [float]:  # a JSON integer entry is read as a float
+                setattr(self, name, [float(v) for v in value])
             if p.choices and value not in p.choices:
                 raise ValueError(f"{name} must be one of {', '.join(p.choices)}")
             lo, hi = (b(self) if callable(b) else b for b in (p.lo, p.hi))
             if lo is not None and not lo <= value <= hi:
                 raise ValueError(f"{name} must be in {lo}..{hi} for {self.command}")
+        if "p_grid" in params and not self.p_grid:
+            raise ValueError("p grid must hold at least one exponent")
         if "p_grid" in params and not all(math.isfinite(p) and p >= 1 for p in self.p_grid):
             raise ValueError("p grid entries must be finite and >= 1")
         levels = [getattr(self, k) + p.reach for k, p in params.items() if p.reach is not None]
@@ -150,7 +154,13 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
-_SCALES = ["n", "m", "TB", "Pt", "k1", "k2"]
+def _write_scales(outdir: str, cache: xmod.ScaleCache,
+                  pairs: Iterable[Tuple[int, int]]) -> List[xmod.ResistanceScales]:
+    """scales.csv: one row of `cache.scales(n, m)` per (n, m) of `pairs`."""
+    scales = [cache.scales(n, m) for n, m in pairs]
+    _write_csv(os.path.join(outdir, "scales.csv"), ["n", "m", "TB", "Pt", "k1", "k2"],
+               ([s.n, s.m, s.tb, s.pt, s.k1, s.k2] for s in scales))
+    return scales
 
 
 def _write_json(path: str, obj) -> None:
@@ -196,22 +206,17 @@ def _cmd_build(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 
 def _cmd_resist(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     sched = cfg.schedule()
-    cache = xmod.ScaleCache(sched)
-    rows = []
-    for n in range(1, cfg.n + 1):
-        s = cache.scales(n, 0)
-        rows.append({"n": n, "m": 0, "TB": s.tb, "Pt": s.pt, "k1": s.k1, "k2": s.k2})
-    _write_csv(os.path.join(outdir, "scales.csv"), _SCALES, rows)
+    scales = _write_scales(outdir, xmod.ScaleCache(sched), [(n, 0) for n in range(1, cfg.n + 1)])
     checks = [
         _check("mixed-pt-ge-tb", "(Pt) >= (TB) on every computed pair",
-               min(r["Pt"] - r["TB"] for r in rows),
-               all(r["Pt"] >= r["TB"] - 1e-9 for r in rows)),
+               min(s.pt - s.tb for s in scales),
+               all(s.pt >= s.tb - 1e-9 for s in scales)),
         _check("mixed-pt-monotone", "(Pt)_n strictly increasing",
-               rows[-1]["Pt"],
-               all(b["Pt"] > a["Pt"] for a, b in zip(rows, rows[1:]))),
+               scales[-1].pt,
+               all(b.pt > a.pt for a, b in zip(scales, scales[1:]))),
     ]
     if sched.name == "vicsek":
-        err = max(abs(r["Pt"] - 3.0 ** r["n"]) / 3.0 ** r["n"] for r in rows)
+        err = max(abs(s.pt - 3.0 ** s.n) / 3.0 ** s.n for s in scales)
         checks.append(_check("mixed-vicsek-purity", "(Pt)_k = 3^k within 1e-6", err, err <= 1e-6))
     return checks
 
@@ -248,7 +253,7 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         _check("penergy-p2-conductance", "p=2 energy equals effective conductance",
                abs(e2 - cond), abs(e2 - cond) <= 1e-9 * max(cond, 1.0)),
         _check("penergy-monotone-p", "energies nonincreasing in p",
-               vals[-1] if vals else None, mono_ok),
+               vals[-1], mono_ok),
         _check("penergy-dims-finite", "p-spectral dimensions finite",
                est.dim_upper, math.isfinite(est.dim_upper) and math.isfinite(est.dim_lower)),
     ]
@@ -261,7 +266,7 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     meas = mmod.hier_measure(h)
     cache = xmod.ScaleCache(sched)
     pt = [cache.pt(n, 0) for n in range(1, depth + 1)]
-    zeta_log = math.log(pt[-1] / pt[-2]) if len(pt) >= 2 else math.log(3.0)
+    zeta_log = math.log(pt[-1] / pt[-2])
     vol = mmod.olds_volume(meas, zeta_log, window=list(range(1, depth + 1)), seed=cfg.seed)
     d2s = pmod.p_spectral_dims(h, 2.0, cfg.kmax).dim_ls
     form = heat.build_form(h, depth, meas, pt[-1])
@@ -325,14 +330,13 @@ def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 
 
 def _cmd_mixed(cfg: ExperimentConfig, outdir: str) -> List[dict]:
-    sched = hmod.Schedule.mixed()
-    cache = xmod.ScaleCache(sched)
-    ch = xmod.chain_check(sched, cfg.depth, pair_samples=25, seed=cfg.seed, cache=cache)
-    _write_csv(os.path.join(outdir, "scales.csv"), _SCALES, ch["table"])
-    fit = xmod.evres_fit(n_max=cfg.depth, caches={"mixed": cache})
-    d4 = xmod.qs_diagnostic(sched, cfg.depth - 1, samples=250, seed=cfg.seed, cache=cache)
-    d5 = xmod.qs_diagnostic(sched, cfg.depth, samples=250, seed=cfg.seed, cache=cache,
-                            triples=d4.triples)
+    sc, vicsek, mixed = (xmod.ScaleCache(hmod.Schedule.by_name(name))
+                         for name in ("sc", "vicsek", "mixed"))
+    ch = xmod.chain_check(mixed, cfg.depth, pair_samples=25, seed=cfg.seed)
+    _write_scales(outdir, mixed, [(n, m) for n in range(1, cfg.depth + 1) for m in range(n)])
+    fit = xmod.evres_fit(sc, vicsek, mixed, n_max=cfg.depth)
+    d4 = xmod.qs_diagnostic(mixed, cfg.depth - 1, samples=250, seed=cfg.seed)
+    d5 = xmod.qs_diagnostic(mixed, cfg.depth, samples=250, seed=cfg.seed, triples=d4.triples)
     drift = xmod.qs_envelope_drift(d4, d5)
     _write_csv(os.path.join(outdir, "envelope.csv"), ["t", "ratio"], zip(d5.t_values, d5.ratios))
     checks = [
@@ -351,7 +355,7 @@ def _cmd_mixed(cfg: ExperimentConfig, outdir: str) -> List[dict]:
                fit["rho_hat"], math.isfinite(fit["rho_hat"])),
     ]
     if cfg.report == "gap":
-        rep = xmod.gap_report(seed=cfg.seed, caches={"mixed": cache})
+        rep = xmod.gap_report(sc, vicsek, fit["rho_hat"], seed=cfg.seed)
         _write_json(os.path.join(outdir, "dim_report.json"), asdict(rep))
         checks.extend(_check(c["id"], c["description"], c["value"], c["pass"])
                       for c in rep.checks)

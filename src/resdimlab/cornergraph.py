@@ -50,8 +50,6 @@ class CornerGraph:
     graph: LevelGraph
     grid: np.ndarray        # (n_vertices, 2) int64 grid coordinates
     cell_corners: np.ndarray  # (n_cells, 4) vertex ids, ccw from lower-left
-    cells_ix: np.ndarray
-    cells_iy: np.ndarray
 
     @property
     def span(self) -> int:
@@ -79,9 +77,9 @@ class CornerGraph:
 
 
 def _cells(schedule: Schedule, n: int, m: int, keep=None):
-    """Cells of the relative hierarchy driven by levels m+1..n, parent-major,
-    with the corners of each (c5, c7, c1, c3, ids by first appearance over the
-    cells) and the grid point of each id.
+    """The corners of the cells of the relative hierarchy driven by levels
+    m+1..n, parent-major (c5, c7, c1, c3 per cell, ids by first appearance
+    over the cells), and the grid point of each id.
 
     With `keep`, every level drops the cells whose closed box
     [X0, X1] x [Y0, Y1], on the grid {0..3^(n-m)}^2, fails keep(X0, X1, Y0, Y1);
@@ -115,7 +113,7 @@ def _cells(schedule: Schedule, n: int, m: int, keep=None):
     rank[by_first] = np.arange(len(keys))
     cell_corners = rank[inverse].reshape(-1, 4)
     grid = np.stack(np.divmod(keys[by_first], span + 1), axis=1)
-    return cells_ix, cells_iy, cell_corners, grid
+    return cell_corners, grid
 
 
 def _sides(cell_corners: np.ndarray) -> np.ndarray:
@@ -128,11 +126,11 @@ def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
 
     Refuses above the depth cap; the pair (n, n) is the plain 4-cycle.
     """
-    cells_ix, cells_iy, cell_corners, grid = _cells(schedule, n, m)
+    cell_corners, grid = _cells(schedule, n, m)
     # One unit-conductance edge per cell side; LevelGraph adds the shared copies.
     sides = _sides(cell_corners)
     g = LevelGraph(len(grid), np.column_stack([sides, np.ones(len(sides))]))
-    return CornerGraph(n, m, g, grid, cell_corners, cells_ix, cells_iy)
+    return CornerGraph(n, m, g, grid, cell_corners)
 
 
 def _quarter(cell_corners: np.ndarray, inside: np.ndarray, mirror: np.ndarray,
@@ -162,7 +160,7 @@ def pt_quarter(schedule: Schedule, n: int, m: int = 0) -> Tuple[LevelGraph, List
     (Pt/2) * 2 = Pt.  Exact because every rule is D4-invariant (`SubdivisionRule`).
     """
     s = 3 ** (n - m)
-    _, _, cell_corners, grid = _cells(
+    cell_corners, grid = _cells(
         schedule, n, m, lambda x0, x1, y0, y1: (y0 <= x1) & (x1 + np.minimum(y1, x1) >= s))
     x, y = grid.T
     q = y <= x
@@ -181,7 +179,7 @@ def tb_quarter(schedule: Schedule, n: int, m: int = 0) -> Tuple[LevelGraph, List
     is (TB/2) * 2 = TB.  Exact because every rule is D4-invariant (`SubdivisionRule`).
     """
     s = 3 ** (n - m)
-    _, _, cell_corners, grid = _cells(
+    cell_corners, grid = _cells(
         schedule, n, m, lambda x0, x1, y0, y1: (2 * x0 <= s - 1) & (2 * y1 >= s - 1))
     x, y = grid.T
     left = 2 * x < s

@@ -59,7 +59,9 @@ class ScaleCache:
     straight from the schedule (`cornergraph.pt_quarter`,
     `cornergraph.tb_quarter`); no full corner graph is built for them.  The
     full graphs of `graph` serve the pair batches of `chain_check`,
-    `qs_diagnostic` and `measure.h_profile`.
+    `qs_diagnostic` and `measure.h_profile`.  Every function here reads the
+    scales of a schedule from the cache it is given, so a caller that keeps
+    one cache per schedule solves each scale once.
     """
 
     def __init__(self, schedule: Schedule):
@@ -105,8 +107,8 @@ def _sample_distinct(n: int, k: int, count: int, rng: np.random.Generator) -> np
     return np.array(rows, dtype=np.int64).reshape(-1, k)
 
 
-def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
-                seed: int = 0, cache: Optional[ScaleCache] = None) -> dict:
+def chain_check(cache: ScaleCache, n_max: int, pair_samples: int = 40,
+                seed: int = 0) -> dict:
     """Fitted constants of the two-scale chaining inequalities.
 
     For every 0 <= m < n <= n_max and sampled x, y in the level-m corner set:
@@ -117,8 +119,6 @@ def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
     Constants are reported per n (using all m < n) so stability across
     levels is visible.
     """
-    cache = cache or ScaleCache(schedule)
-    rows = []
     per_n: Dict[int, Dict[str, float]] = {}
     pt_ge_tb = True
     for n in range(1, n_max + 1):
@@ -143,33 +143,27 @@ def chain_check(schedule: Schedule, n_max: int, pair_samples: int = 40,
                                             cg_n.vertex_at(*(f * cg_m.grid[vb].T)))
             c1 = max(c1, float(np.max(r_n / (r_m * sc_nm.pt), initial=0.0)))
             c1b = max(c1b, float(np.max(r_m * sc_nm.tb / r_n, initial=0.0)))
-            rows.append({"n": n, "m": m, "TB": sc_nm.tb, "Pt": sc_nm.pt,
-                         "k1": sc_nm.k1, "k2": sc_nm.k2})
         per_n[n] = {"C1": c1, "C1b": c1b, "C2": c2, "C3": c3}
     overall = {key: max(per_n[n][key] for n in per_n if per_n[n][key] > 0)
                for key in ("C1", "C1b", "C2", "C3")}
-    return {"per_n": per_n, "constants": overall, "pt_ge_tb": pt_ge_tb,
-            "table": rows}
+    return {"per_n": per_n, "constants": overall, "pt_ge_tb": pt_ge_tb}
 
 
-def evres_fit(n_max: int = 5, pure_levels: int = 5,
-              caches: Optional[Dict[str, ScaleCache]] = None) -> dict:
+# pure (Pt) levels behind rho_hat and the plus-sign factor
+PURE_LEVELS = 5
+
+
+def evres_fit(sc: ScaleCache, vicsek: ScaleCache, mixed: ScaleCache, n_max: int = 5) -> dict:
     """Isolate the per-level resistance factors and fit the product model.
 
-    rho_hat comes from the pure-carpet (Pt) ratio at the deepest computed
-    level; the plus-sign factor is checked against 3; the switch-constant
-    bracket [Ca, Cb] is fitted on the mixed pairs with k2 >= 1, and the
-    model residual is reported for every pair.
+    `sc`, `vicsek` and `mixed` hold the scales of the pure carpet, pure
+    plus-sign and mixed schedules.  rho_hat is the pure-carpet (Pt) ratio at
+    level PURE_LEVELS; the plus-sign factor is checked against 3; the
+    switch-constant bracket [Ca, Cb] is fitted on the mixed pairs with
+    k2 >= 1, n <= n_max, and the model residual is reported for every pair.
     """
-    if pure_levels < 3:
-        raise ValueError("need at least 3 pure levels for factor isolation")
-    caches = caches or {}
-    sc_cache = caches.setdefault("sc", ScaleCache(Schedule.pure_sc()))
-    vs_cache = caches.setdefault("vicsek", ScaleCache(Schedule.pure_vicsek()))
-    mx_cache = caches.setdefault("mixed", ScaleCache(Schedule.mixed()))
-
-    sc_pt = [sc_cache.pt(n) for n in range(1, pure_levels + 1)]
-    vs_pt = [vs_cache.pt(n) for n in range(1, pure_levels + 1)]
+    sc_pt = [sc.pt(n) for n in range(1, PURE_LEVELS + 1)]
+    vs_pt = [vicsek.pt(n) for n in range(1, PURE_LEVELS + 1)]
     sc_ratios = [b / a for a, b in zip(sc_pt, sc_pt[1:])]
     vs_ratios = [b / a for a, b in zip(vs_pt, vs_pt[1:])]
     rho_hat = sc_ratios[-1]
@@ -181,7 +175,7 @@ def evres_fit(n_max: int = 5, pure_levels: int = 5,
     pairs = []
     for n in range(1, n_max + 1):
         for m in range(0, n):
-            s = mx_cache.scales(n, m)
+            s = mixed.scales(n, m)
             base = s.k1 * log_rho + (n - m - s.k1) * log3
             pairs.append((s, base))
             if s.k2 >= 1:
@@ -200,7 +194,7 @@ def evres_fit(n_max: int = 5, pure_levels: int = 5,
     max_resid = max(abs(r["residual"]) for r in residuals)
 
     # doubling level: smallest M with (Pt)_{n+M} >= 2 (Pt)_n on the mixed run
-    mx_pt = [mx_cache.pt(n) for n in range(1, n_max + 1)]
+    mx_pt = [mixed.pt(n) for n in range(1, n_max + 1)]
     m_hat = None
     for M in range(1, n_max):
         if all(mx_pt[i + M - 1] >= 2.0 * mx_pt[i - 1] for i in range(1, n_max - M + 1)):
@@ -248,31 +242,32 @@ def delta_pair(h: PartitionHierarchy, x: Tuple[int, int],
 @dataclass
 class QSDiagnostic:
     n: int
-    sample_level: int
     t_values: np.ndarray
     ratios: np.ndarray
     envelope: np.ndarray
     triples: List = field(default_factory=list)
 
 
-def qs_diagnostic(schedule: Schedule, n: int, samples: int = 300, seed: int = 0,
-                  sample_level: int = 2, cache: Optional[ScaleCache] = None,
+# the level whose corner points `qs_diagnostic` samples
+SAMPLE_LEVEL = 2
+
+
+def qs_diagnostic(cache: ScaleCache, n: int, samples: int = 300, seed: int = 0,
                   triples: Optional[List] = None) -> QSDiagnostic:
     """Scatter of renormalized-resistance vs Euclidean annulus ratios.
 
-    Triples (x, y, z) are corner points of `sample_level` cells; the least
+    Triples (x, y, z) are corner points of SAMPLE_LEVEL cells; the least
     nondecreasing envelope of ratio against t = d(x,y)/d(x,z) is the
     finite-sample distortion function.
     """
-    if n < sample_level:
+    if n < SAMPLE_LEVEL:
         raise ValueError(f"qs_diagnostic needs n >= sample_level (n = {n}, "
-                         f"sample_level = {sample_level})")
-    cache = cache or ScaleCache(schedule)
+                         f"sample_level = {SAMPLE_LEVEL})")
     cg = cache.graph(n, 0)
     pt_n = cache.pt(n, 0)
     solver = cg.graph.grounded_solver()
-    coarse = cache.graph(sample_level, 0)
-    f = 3 ** (n - sample_level)
+    coarse = cache.graph(SAMPLE_LEVEL, 0)
+    f = 3 ** (n - SAMPLE_LEVEL)
     if triples is None:
         ids = _sample_distinct(coarse.graph.n, 3, samples, np.random.default_rng(seed))
         triples = [tuple(map(tuple, t)) for t in coarse.grid[ids].tolist()]
@@ -288,8 +283,7 @@ def qs_diagnostic(schedule: Schedule, n: int, samples: int = 300, seed: int = 0,
     t_arr = np.asarray(ts)[order]
     r_arr = ratios[order]
     env = np.maximum.accumulate(r_arr)
-    return QSDiagnostic(n=n, sample_level=sample_level, t_values=t_arr,
-                        ratios=r_arr, envelope=env,
+    return QSDiagnostic(n=n, t_values=t_arr, ratios=r_arr, envelope=env,
                         triples=list(triples))
 
 
@@ -322,11 +316,21 @@ class DimReport:
         return all(c["pass"] for c in self.checks)
 
 
-def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
-               kmax_vicsek: int = 5, dim_arc_kmax: int = 4, seed: int = 0,
-               caches: Optional[Dict[str, ScaleCache]] = None,
+# gap-report sizes: hierarchy depths of the volume and heat windows, the
+# p-energy levels of d2s, and the levels of the dim_ARC search
+DEPTH_SC = DEPTH_VICSEK = 4
+KMAX_SC = KMAX_VICSEK = 5
+DIM_ARC_KMAX = 4
+
+
+def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float, seed: int = 0,
                heat_estimates: Optional[Dict[str, float]] = None) -> DimReport:
     """Assemble the dimension-gap report with its ordering checks.
+
+    `sc` and `vicsek` hold the scales of the pure carpet and plus-sign
+    schedules, and rho_hat is the carpet resistance factor of `evres_fit`.
+    `heat_estimates` ({"sc": ..., "vicsek": ...}) stands in for the two heat
+    kernel estimates when given.
 
     The asymptotic pointwise dimension of the mixed space is never asserted:
     desk-scale windows cannot reach the regime where the long carpet blocks
@@ -336,35 +340,28 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
     from .measure import hier_measure, olds_volume
     from .penergy import critical_p, p_spectral_dims
 
-    caches = caches or {}
-    sc_cache = caches.setdefault("sc", ScaleCache(Schedule.pure_sc()))
-    vs_cache = caches.setdefault("vicsek", ScaleCache(Schedule.pure_vicsek()))
-
-    fit = evres_fit(n_max=min(5, depth_sc + 1), pure_levels=5, caches=caches)
-    rho_hat = fit["rho_hat"]
-
-    h_sc = build_hierarchy(Schedule.pure_sc(), max(depth_sc + 2, kmax_sc + 1))
-    h_vs = build_hierarchy(Schedule.pure_vicsek(), max(depth_vicsek + 2, kmax_vicsek + 1))
+    h_sc = build_hierarchy(sc.schedule, max(DEPTH_SC + 2, KMAX_SC + 1))
+    h_vs = build_hierarchy(vicsek.schedule, max(DEPTH_VICSEK + 2, KMAX_VICSEK + 1))
     m_sc = hier_measure(h_sc)
     m_vs = hier_measure(h_vs)
 
-    d2s_sc = p_spectral_dims(h_sc, 2.0, kmax_sc)
-    d2s_vs = p_spectral_dims(h_vs, 2.0, kmax_vicsek)
+    d2s_sc = p_spectral_dims(h_sc, 2.0, KMAX_SC)
+    d2s_vs = p_spectral_dims(h_vs, 2.0, KMAX_VICSEK)
 
-    vol_sc = olds_volume(m_sc, math.log(rho_hat), window=list(range(1, depth_sc)), seed=seed)
-    vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, depth_vicsek + 1)),
+    vol_sc = olds_volume(m_sc, math.log(rho_hat), window=list(range(1, DEPTH_SC)), seed=seed)
+    vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, DEPTH_VICSEK + 1)),
                          seed=seed)
 
     if heat_estimates is None:
-        form_sc = build_form(h_sc, depth_sc, m_sc, sc_cache.pt(depth_sc))
-        form_vs = build_form(h_vs, depth_vicsek, m_vs, vs_cache.pt(depth_vicsek))
+        form_sc = build_form(h_sc, DEPTH_SC, m_sc, sc.pt(DEPTH_SC))
+        form_vs = build_form(h_vs, DEPTH_VICSEK, m_vs, vicsek.pt(DEPTH_VICSEK))
         heat_sc = ol_ds_heat(form_sc)["estimate"]
         heat_vs = ol_ds_heat(form_vs)["estimate"]
     else:
         heat_sc = heat_estimates["sc"]
         heat_vs = heat_estimates["vicsek"]
 
-    arc = critical_p(h_sc, dim_arc_kmax, p_range=(1.0, 2.5), tol=0.05)
+    arc = critical_p(h_sc, DIM_ARC_KMAX, p_range=(1.0, 2.5), tol=0.05)
     interval = arc["interval"]
 
     vic_ref = 2.0 * math.log(5.0) / (math.log(3.0) + math.log(5.0))
@@ -406,9 +403,9 @@ def gap_report(depth_sc: int = 4, depth_vicsek: int = 4, kmax_sc: int = 5,
         vicsek_reference=vic_ref,
         checks=checks,
         provenance={
-            "depth_sc": depth_sc, "depth_vicsek": depth_vicsek,
-            "kmax_sc": kmax_sc, "kmax_vicsek": kmax_vicsek,
-            "dim_arc_kmax": dim_arc_kmax, "seed": seed,
+            "depth_sc": DEPTH_SC, "depth_vicsek": DEPTH_VICSEK,
+            "kmax_sc": KMAX_SC, "kmax_vicsek": KMAX_VICSEK,
+            "dim_arc_kmax": DIM_ARC_KMAX, "seed": seed,
             "dim_arc_flag": arc["flag"],
         },
     )

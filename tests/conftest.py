@@ -1,3 +1,4 @@
+import collections
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,40 @@ def splu_orderings(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counted)
     return calls
+
+
+@pytest.fixture
+def small_gap_report(monkeypatch):
+    """gap_report at hierarchy depth 2 and kmax 3, with a stub volume route
+    (its window needs depth 3); only the heat forms read the caches."""
+    from resdimlab import measure, mixedcarpet
+    for name, value in (("DEPTH_SC", 2), ("DEPTH_VICSEK", 2), ("KMAX_SC", 3),
+                        ("KMAX_VICSEK", 3), ("DIM_ARC_KMAX", 3)):
+        monkeypatch.setattr(mixedcarpet, name, value)
+    monkeypatch.setattr(measure, "olds_volume", lambda *args, **kwargs: {"ds_estimate": 1.0})
+
+
+@pytest.fixture
+def quarter_solves(monkeypatch):
+    """Counter of (quarter, schedule name, n, m) over the (Pt) and (TB)
+    quarters `mixedcarpet` builds, one build per solve."""
+    from resdimlab import mixedcarpet
+    solves = collections.Counter()
+    for name in ("pt_quarter", "tb_quarter"):
+        def counted(schedule, n, m=0, _name=name, _build=getattr(mixedcarpet, name)):
+            solves[_name, schedule.name, n, m] += 1
+            return _build(schedule, n, m)
+        monkeypatch.setattr(mixedcarpet, name, counted)
+    return solves
+
+
+def pipeline_quarters(n_max):
+    """The quarters behind evres_fit(n_max = n_max): (Pt) and (TB) of each
+    mixed (n, m) with m < n <= n_max, and (Pt)_1..5 of each pure schedule."""
+    return sorted([(quarter, "mixed", n, m) for n in range(1, n_max + 1) for m in range(n)
+                   for quarter in ("pt_quarter", "tb_quarter")]
+                  + [("pt_quarter", name, n, 0) for name in ("sc", "vicsek")
+                     for n in range(1, 6)])
 
 
 def random_connected_graph(rng, n_max=50):

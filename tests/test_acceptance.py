@@ -12,9 +12,8 @@ import numpy as np
 
 from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
                             ol_ds_heat, time_window)
-from resdimlab.hierarchy import Schedule
 from resdimlab.measure import hier_measure, olds_volume, psi_measure
-from resdimlab.mixedcarpet import (chain_check, gap_report, qs_diagnostic,
+from resdimlab.mixedcarpet import (chain_check, evres_fit, gap_report, qs_diagnostic,
                                    qs_envelope_drift)
 from resdimlab.penergy import critical_p, fit_rates, p_spectral_dims, sup_energy
 from resdimlab.resnet import (LevelGraph, eff_resistance, min_energy_flow,
@@ -187,17 +186,16 @@ def test_criterion_10_critical_p_behavior(sc_h6, vs_h6, sc_sup2):
 
 
 def test_criterion_11_mixed_pipeline(mx_cache, sc_cache, vs_cache, vs_form4, sc_form4):
-    ch = chain_check(Schedule.mixed(), 5, pair_samples=20, seed=1, cache=mx_cache)
+    ch = chain_check(mx_cache, 5, pair_samples=20, seed=1)
     finite = all(math.isfinite(v) for v in ch["constants"].values())
     stable = all(ch["per_n"][5][k] <= 1.25 * ch["per_n"][4][k] for k in ("C1", "C3"))
-    d4 = qs_diagnostic(Schedule.mixed(), 4, samples=200, seed=3, cache=mx_cache)
-    d5 = qs_diagnostic(Schedule.mixed(), 5, samples=200, seed=3, cache=mx_cache,
-                       triples=d4.triples)
+    d4 = qs_diagnostic(mx_cache, 4, samples=200, seed=3)
+    d5 = qs_diagnostic(mx_cache, 5, samples=200, seed=3, triples=d4.triples)
     drift = qs_envelope_drift(d4, d5)
     heat = {"sc": ol_ds_heat(sc_form4)["estimate"],
             "vicsek": ol_ds_heat(vs_form4)["estimate"]}
-    rep = gap_report(caches={"mixed": mx_cache, "sc": sc_cache, "vicsek": vs_cache},
-                     heat_estimates=heat)
+    rho_hat = evres_fit(sc_cache, vs_cache, mx_cache)["rho_hat"]
+    rep = gap_report(sc_cache, vs_cache, rho_hat, heat_estimates=heat)
     ordering = (rep.vicsek_ds_volume < 1.5 < rep.one_plus_log2_log3
                 and abs(rep.vicsek_ds_volume - VIC_REF) <= 0.1)
     below2 = max(rep.sc_ds_heat, rep.sc_ds_volume, rep.sc_d2s) < 2.0

@@ -10,6 +10,7 @@ import pytest
 from resdimlab import cli, hierarchy, mixedcarpet, penergy
 from resdimlab.cli import PARAMS, ExperimentConfig, main
 from resdimlab.hierarchy import Schedule
+from conftest import pipeline_quarters
 
 
 def test_validate_command(tmp_path):
@@ -142,9 +143,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     (["mixed", "--depth", "5", "--report", "none"], '{"structure": "vicsek"}',
      "error: mixed does not read structure"),
     (["validate"], '{"f_table": [1, 0, 1]}', "error: validate does not read f_table"),
+    (["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2"], '{"p_grid": []}',
+     "error: p grid must hold at least one exponent"),
 ], ids=["string-depth", "list-top-level", "malformed-json", "missing-file", "unknown-report",
         "unknown-structure", "f-table-entry", "f-table-horizon", "mixed-structure-f-table",
-        "mixed-structure", "validate-f-table"])
+        "mixed-structure", "validate-f-table", "empty-p-grid"])
 def test_bad_config_value_rejected(tmp_path, capsys, argv, text, message):
     path = tmp_path / "cfg.json"
     if text is not None:
@@ -318,6 +321,16 @@ def test_non_finite_p_grid_rejected(tmp_path, capsys, grid):
     assert not (tmp_path / "out").exists()
 
 
+def test_integer_p_grid_entries_read_as_floats(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"p_grid": [2, 1.5]}))
+    code = main(["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
+                 "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    grid = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["p_grid"]
+    assert grid == [2.0, 1.5] and all(type(p) is float for p in grid)
+
+
 def test_p_spectral_json_counts_uncertified(tmp_path):
     code = main(["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
                  "--p-grid", "2", "--out", str(tmp_path)])
@@ -356,6 +369,25 @@ def test_penergy_solves_each_problem_once(tmp_path, monkeypatch):
     assert calls == {"p_energy": 12, "build_separation": 6}
 
 
+def test_mixed_gap_solves_each_quarter_once(tmp_path, monkeypatch, small_gap_report,
+                                            quarter_solves):
+    # chain_check, scales.csv, evres_fit, qs_diagnostic and gap_report read one
+    # ScaleCache per schedule, and the product model is fitted once
+    fits = []
+    evres_fit = mixedcarpet.evres_fit
+
+    def counted(*args, **kwargs):
+        fits.append(kwargs.get("n_max"))
+        return evres_fit(*args, **kwargs)
+
+    monkeypatch.setattr(mixedcarpet, "evres_fit", counted)
+    main(["mixed", "--depth", "3", "--report", "gap", "--out", str(tmp_path)])
+    assert (tmp_path / "dim_report.json").exists()
+    assert fits == [3]
+    assert sorted(quarter_solves) == pipeline_quarters(3)
+    assert set(quarter_solves.values()) == {1}
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "resdimlab.cli", "resist", "--structure", "vicsek",
@@ -373,7 +405,7 @@ def test_dim_report_nan_is_valid_json(tmp_path, monkeypatch):
         n_star_vicsek=5.0, rho_hat=1.25, one_plus_log2_log3=1.63, vicsek_reference=1.19,
         checks=[{"id": "nan-check", "description": "a NaN value", "value": nan,
                  "pass": True}])
-    monkeypatch.setattr(mixedcarpet, "gap_report", lambda **kwargs: report)
+    monkeypatch.setattr(mixedcarpet, "gap_report", lambda *args, **kwargs: report)
     code = main(["mixed", "--depth", "5", "--report", "gap", "--out", str(tmp_path)])
     assert code == 0
 

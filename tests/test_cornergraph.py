@@ -69,8 +69,9 @@ def test_cells_align_with_hierarchy():
     sched = Schedule.mixed()
     h = build_hierarchy(sched, 3)
     cg = corner_graph(sched, 3, 0)
-    assert np.array_equal(cg.cells_ix, h.levels[3].ix)
-    assert np.array_equal(cg.cells_iy, h.levels[3].iy)
+    lower_left = cg.grid[cg.cell_corners[:, 0]]
+    assert np.array_equal(lower_left[:, 0], h.levels[3].ix)
+    assert np.array_equal(lower_left[:, 1], h.levels[3].iy)
 
 
 def _quarter_of_full_graph(cg, which):
@@ -116,7 +117,8 @@ def test_quarters_equal_full_graph_quarters(structure, n_max):
 def test_quarter_cap_counts_kept_cells(monkeypatch):
     sched = Schedule.pure_sc()
     cg = corner_graph(sched, 3)
-    x0, y0, s = cg.cells_ix, cg.cells_iy, cg.span
+    x0, y0 = cg.grid[cg.cell_corners[:, 0]].T  # the lower-left corner of each cell
+    s = cg.span
     x1, y1 = x0 + 1, y0 + 1
     kept = {pt_quarter: int(np.count_nonzero((y0 <= x1) & (x1 + np.minimum(y1, x1) >= s))),
             tb_quarter: int(np.count_nonzero((2 * x0 <= s - 1) & (2 * y1 >= s - 1)))}

@@ -10,7 +10,7 @@ from resdimlab.hierarchy import Schedule, mixed_indicator
 from resdimlab.mixedcarpet import (ScaleCache, chain_check, delta_pair, evres_fit, gap_report,
                                    qs_diagnostic, qs_envelope_drift)
 from resdimlab.resnet import eff_resistance
-from conftest import single_pair_resistance
+from conftest import pipeline_quarters, single_pair_resistance
 
 # corners of Q on the 243-grid of the depth-5 hierarchy mx_h5
 NE = (243, 243)
@@ -57,7 +57,7 @@ def test_k_counts(mx_cache):
 
 
 def test_chain_constants_finite_and_stable(mx_cache):
-    out = chain_check(Schedule.mixed(), 5, pair_samples=20, seed=1, cache=mx_cache)
+    out = chain_check(mx_cache, 5, pair_samples=20, seed=1)
     assert out["pt_ge_tb"]
     for key, val in out["constants"].items():
         assert math.isfinite(val) and val > 0
@@ -66,8 +66,8 @@ def test_chain_constants_finite_and_stable(mx_cache):
         assert out["per_n"][5][key] <= 1.25 * out["per_n"][4][key]
 
 
-def test_evres_fit(mx_cache):
-    fit = evres_fit(n_max=5, caches={"mixed": mx_cache})
+def test_evres_fit(sc_cache, vs_cache, mx_cache):
+    fit = evres_fit(sc_cache, vs_cache, mx_cache, n_max=5)
     assert fit["vicsek_factor_error"] <= 1e-6
     assert fit["sc_ratio_drift"][-1] <= 0.05
     assert fit["ca"] <= fit["cb"]
@@ -158,9 +158,8 @@ def test_delta_pair_scale_bound(mx_h5):
 
 
 def test_qs_envelope(mx_cache):
-    d4 = qs_diagnostic(Schedule.mixed(), 4, samples=150, seed=3, cache=mx_cache)
-    d5 = qs_diagnostic(Schedule.mixed(), 5, samples=150, seed=3, cache=mx_cache,
-                       triples=d4.triples)
+    d4 = qs_diagnostic(mx_cache, 4, samples=150, seed=3)
+    d5 = qs_diagnostic(mx_cache, 5, samples=150, seed=3, triples=d4.triples)
     assert np.isfinite(d5.envelope).all()
     assert np.all(np.diff(d5.envelope) >= 0)
     drift = qs_envelope_drift(d4, d5)
@@ -171,8 +170,8 @@ def test_qs_envelope(mx_cache):
 
 
 def test_qs_same_triples_required(mx_cache):
-    d4 = qs_diagnostic(Schedule.mixed(), 4, samples=40, seed=5, cache=mx_cache)
-    d5 = qs_diagnostic(Schedule.mixed(), 4, samples=41, seed=5, cache=mx_cache)
+    d4 = qs_diagnostic(mx_cache, 4, samples=40, seed=5)
+    d5 = qs_diagnostic(mx_cache, 4, samples=41, seed=5)
     with pytest.raises(ValueError):
         qs_envelope_drift(d4, d5)
 
@@ -214,7 +213,7 @@ def test_sample_distinct_matches_old_draws(mx_cache):
         ids = mixedcarpet._sample_distinct(coarse.graph.n, 3, 250, np.random.default_rng(seed))
         old = _old_triple_ids(coarse.graph.n, 250, seed)
         assert ids.tolist() == [list(t) for t in old]
-        diag = qs_diagnostic(Schedule.mixed(), 2, samples=250, seed=seed, cache=mx_cache)
+        diag = qs_diagnostic(mx_cache, 2, samples=250, seed=seed)
         assert diag.triples == [tuple(tuple(int(v) for v in coarse.grid[i]) for i in t)
                                 for t in old]
     # as few ids as a draw takes still works; fewer raise instead of looping forever
@@ -228,7 +227,7 @@ def test_sample_distinct_matches_old_draws(mx_cache):
 def test_qs_diagnostic_rejects_n_below_sample_level(mx_cache):
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"n >= sample_level \\(n = {n}, sample_level = 2\\)"):
-            qs_diagnostic(Schedule.mixed(), n, samples=10, cache=mx_cache)
+            qs_diagnostic(mx_cache, n, samples=10)
 
 
 def test_rstar_approximant_band(mx_h5, mx_cache):
@@ -305,7 +304,7 @@ def qs_ratios_per_pair(cache, n, triples, sample_level=2):
 
 @pytest.mark.parametrize("n_max", [4, 5])
 def test_chain_check_matches_per_pair_solves(mx_cache, n_max):
-    out = chain_check(Schedule.mixed(), n_max, pair_samples=25, seed=1, cache=mx_cache)
+    out = chain_check(mx_cache, n_max, pair_samples=25, seed=1)
     want = chain_constants_per_pair(Schedule.mixed(), n_max, 25, 1, mx_cache)
     for n in range(1, n_max + 1):
         for key in ("C1", "C1b"):
@@ -314,7 +313,7 @@ def test_chain_check_matches_per_pair_solves(mx_cache, n_max):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_qs_diagnostic_matches_per_pair_solves(mx_cache, n):
-    diag = qs_diagnostic(Schedule.mixed(), n, samples=250, seed=1, cache=mx_cache)
+    diag = qs_diagnostic(mx_cache, n, samples=250, seed=1)
     t_want, r_want = qs_ratios_per_pair(mx_cache, n, diag.triples)
     assert np.array_equal(diag.t_values, t_want)
     assert np.all(np.abs(diag.ratios - r_want) <= 1e-12 * r_want)
@@ -322,8 +321,9 @@ def test_qs_diagnostic_matches_per_pair_solves(mx_cache, n):
                   <= 1e-12 * np.maximum.accumulate(r_want))
 
 
-def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, mx_cache):
-    evres_fit(n_max=2, pure_levels=4, caches={"mixed": mx_cache})  # mixed scales cached
+def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, sc_cache, vs_cache, mx_cache):
+    monkeypatch.setattr(mixedcarpet, "PURE_LEVELS", 4)
+    evres_fit(sc_cache, vs_cache, mx_cache, n_max=2)  # mixed scales cached
     calls = []
 
     def counted(g, A, B, **kwargs):
@@ -331,12 +331,10 @@ def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, mx_cache):
         return eff_resistance(g, A, B, **kwargs)
 
     monkeypatch.setattr(mixedcarpet, "eff_resistance", counted)
-    caches = {"sc": ScaleCache(Schedule.pure_sc()), "vicsek": ScaleCache(Schedule.pure_vicsek()),
-              "mixed": mx_cache}
-    evres_fit(n_max=2, pure_levels=4, caches=caches)
+    pure = ScaleCache(Schedule.pure_sc()), ScaleCache(Schedule.pure_vicsek())
+    evres_fit(*pure, mx_cache, n_max=2)
     # one solve per pure graph, on its Pt quarter
-    want = [pt_quarter(caches[name].schedule, n) for name in ("sc", "vicsek")
-            for n in range(1, 5)]
+    want = [pt_quarter(cache.schedule, n) for cache in pure for n in range(1, 5)]
     assert len(calls) == len(want)
     for (g, A, B), (wg, wA, wB) in zip(calls, want):
         assert (g.n, A, B) == (wg.n, wA, wB)
@@ -391,7 +389,7 @@ def test_scales_factor_only_quarters(monkeypatch):
     assert max(sizes) <= cache.graph(5).graph.n / 4 + 2 * 3 ** 5
 
 
-def test_gap_report_threads_seed(monkeypatch, sc_cache, vs_cache, mx_cache):
+def test_gap_report_threads_seed(monkeypatch, small_gap_report, sc_cache, vs_cache, mx_cache):
     seeds = []
 
     def recorded(m, zeta_r_log, window, seed=0, **kwargs):
@@ -399,8 +397,20 @@ def test_gap_report_threads_seed(monkeypatch, sc_cache, vs_cache, mx_cache):
         return {"ds_estimate": 1.0}
 
     monkeypatch.setattr(measure, "olds_volume", recorded)
-    rep = gap_report(depth_sc=2, depth_vicsek=2, kmax_sc=3, kmax_vicsek=3, dim_arc_kmax=3,
-                     seed=7, caches={"sc": sc_cache, "vicsek": vs_cache, "mixed": mx_cache},
+    rho_hat = evres_fit(sc_cache, vs_cache, mx_cache, n_max=3)["rho_hat"]
+    rep = gap_report(sc_cache, vs_cache, rho_hat, seed=7,
                      heat_estimates={"sc": 1.7, "vicsek": 1.2})
     assert seeds == [7, 7]
     assert rep.provenance["seed"] == 7
+
+
+def test_pipeline_solves_each_quarter_once(small_gap_report, quarter_solves):
+    """evres_fit and gap_report on shared caches solve each (Pt) and (TB)
+    quarter once; the heat forms of gap_report reuse (Pt)_2 of the pure
+    schedules."""
+    sc, vicsek, mixed = (ScaleCache(Schedule.by_name(s)) for s in ("sc", "vicsek", "mixed"))
+    fit = evres_fit(sc, vicsek, mixed, n_max=3)
+    rep = gap_report(sc, vicsek, fit["rho_hat"])
+    assert rep.rho_hat == fit["rho_hat"]
+    assert sorted(quarter_solves) == pipeline_quarters(3)
+    assert set(quarter_solves.values()) == {1}
