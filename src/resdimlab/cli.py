@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -144,7 +144,8 @@ class ExperimentConfig(SimpleNamespace):
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     """A row is a sequence in header order or a dict keyed by the header;
-    floats are written at 17 significant digits, every other value as it is."""
+    floats are written at 17 significant digits, None as an empty cell and
+    every other value as it is."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -355,10 +356,12 @@ def _cmd_mixed(cfg: ExperimentConfig, outdir: str) -> List[dict]:
                fit["rho_hat"], math.isfinite(fit["rho_hat"])),
     ]
     if cfg.report == "gap":
-        rep = xmod.gap_report(sc, vicsek, fit["rho_hat"], seed=cfg.seed)
-        _write_json(os.path.join(outdir, "dim_report.json"), asdict(rep))
+        rows, gap_checks = xmod.gap_report(sc, vicsek, fit["rho_hat"], seed=cfg.seed)
+        _write_csv(os.path.join(outdir, "windows.csv"),
+                   ["route", "schedule", "quantity", "a", "b", "value", "lower", "upper",
+                    "flag", "uncertified"], rows)
         checks.extend(_check(c["id"], c["description"], c["value"], c["pass"])
-                      for c in rep.checks)
+                      for c in gap_checks)
     return checks
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "build_form",
     "time_window",
     "ol_ds_heat",
-    "ds_pointwise",
     "chapman_kolmogorov_error",
 ]
 
@@ -294,36 +293,6 @@ def ol_ds_heat(form: FiniteDirichletForm,
         "lattice_size": len(lattice),
         "flag": "ok",
     }
-
-
-def ds_pointwise(form: FiniteDirichletForm, x: int,
-                 times: Optional[Sequence[float]] = None) -> List[dict]:
-    """Per-scale slope table -2 dlog p(t,x,x) / dlog t on a dyadic grid.
-
-    The dyadic increment form is normalization-free (a raw quotient of
-    log p by log t would shift with the time units); slopes flatten to zero
-    in the lattice-cutoff regime (flagged unresolved) and past mixing
-    (flagged saturated).  No limit is asserted; callers compare windows.
-    """
-    form._vertices([x])
-    t_lo, t_hi, t_mix = time_window(form)
-    if times is None:
-        lo = math.floor(math.log2(t_lo / 8))
-        hi = math.ceil(math.log2(t_mix * 4))
-        times = [2.0 ** j for j in range(lo, hi + 1)]
-    times = sorted(float(t) for t in times)
-    rows = []
-    vals = form.p_diag(times, xs=[x])[0]
-    for (t0, p0), (t1, p1) in zip(zip(times, vals), zip(times[1:], vals[1:])):
-        if t1 < t_lo:
-            flag = "unresolved"
-        elif t0 > t_mix:
-            flag = "saturated"
-        else:
-            flag = "ok"
-        slope = -2.0 * (math.log(p1) - math.log(p0)) / (math.log(t1) - math.log(t0))
-        rows.append({"t": t0, "p": float(p0), "slope": slope, "flag": flag})
-    return rows
 
 
 def chapman_kolmogorov_error(form: FiniteDirichletForm, n_samples: int = 20,

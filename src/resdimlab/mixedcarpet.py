@@ -1,6 +1,6 @@
 """Mixed carpet/Vicsek pipeline: schedules, corner-graph resistances,
 chaining constants, the separation index Delta, quasisymmetry diagnostics,
-and the dimension-gap report.
+and the dimension-gap report, one row per windowed estimate.
 
 The two-scale resistance bookkeeping follows the (TB)/(Pt) quantities: per
 level pair (n, m) the top-to-bottom set resistance and the opposite-corner
@@ -28,7 +28,6 @@ __all__ = [
     "delta_pair",
     "qs_diagnostic",
     "QSDiagnostic",
-    "DimReport",
     "gap_report",
 ]
 
@@ -294,28 +293,6 @@ def qs_envelope_drift(d1: QSDiagnostic, d2: QSDiagnostic) -> float:
     return float(np.max(np.abs(d2.envelope / d1.envelope - 1.0)))
 
 
-@dataclass
-class DimReport:
-    vicsek_ds_volume: float
-    vicsek_ds_heat: float
-    vicsek_d2s: float
-    sc_ds_volume: float
-    sc_ds_heat: float
-    sc_d2s: float
-    sc_dim_arc_interval: Tuple[float, float]
-    n_star_sc: float
-    n_star_vicsek: float
-    rho_hat: float
-    one_plus_log2_log3: float
-    vicsek_reference: float
-    checks: List[dict] = field(default_factory=list)
-    mixed_pointwise_ds: str = "window-resolved only"
-    provenance: Dict[str, object] = field(default_factory=dict)
-
-    def all_pass(self) -> bool:
-        return all(c["pass"] for c in self.checks)
-
-
 # gap-report sizes: hierarchy depths of the volume and heat windows, the
 # p-energy levels of d2s, and the levels of the dim_ARC search
 DEPTH_SC = DEPTH_VICSEK = 4
@@ -323,18 +300,29 @@ KMAX_SC = KMAX_VICSEK = 5
 DIM_ARC_KMAX = 4
 
 
-def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float, seed: int = 0,
-               heat_estimates: Optional[Dict[str, float]] = None) -> DimReport:
-    """Assemble the dimension-gap report with its ordering checks.
+def _row(route: str, schedule: str, quantity: str, a: Optional[int] = None,
+         b: Optional[int] = None, value: Optional[float] = None, lower: Optional[float] = None,
+         upper: Optional[float] = None, flag: Optional[str] = None,
+         uncertified: Optional[int] = None) -> dict:
+    return {"route": route, "schedule": schedule, "quantity": quantity, "a": a, "b": b,
+            "value": value, "lower": lower, "upper": upper, "flag": flag,
+            "uncertified": uncertified}
+
+
+def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float,
+               seed: int = 0) -> Tuple[List[dict], List[dict]]:
+    """The dimension-gap estimates as rows, and the ordering checks on them.
 
     `sc` and `vicsek` hold the scales of the pure carpet and plus-sign
     schedules, and rho_hat is the carpet resistance factor of `evres_fit`.
-    `heat_estimates` ({"sc": ..., "vicsek": ...}) stands in for the two heat
-    kernel estimates when given.
+    A row holds one estimate: its route, schedule and quantity, the window
+    (a, b) of levels it reads, its value or its bracket [lower, upper], and
+    the flag and uncertified-energy count of the solve behind it; None marks
+    a missing cell.  The closed forms and N* read no window of levels.
 
     The asymptotic pointwise dimension of the mixed space is never asserted:
     desk-scale windows cannot reach the regime where the long carpet blocks
-    dominate, so the report carries window-resolved exponents only.
+    dominate, so no row has the mixed schedule.
     """
     from .heat import build_form, ol_ds_heat
     from .measure import hier_measure, olds_volume
@@ -352,14 +340,9 @@ def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float, seed: int = 0
     vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, DEPTH_VICSEK + 1)),
                          seed=seed)
 
-    if heat_estimates is None:
-        form_sc = build_form(h_sc, DEPTH_SC, m_sc, sc.pt(DEPTH_SC))
-        form_vs = build_form(h_vs, DEPTH_VICSEK, m_vs, vicsek.pt(DEPTH_VICSEK))
-        heat_sc = ol_ds_heat(form_sc)["estimate"]
-        heat_vs = ol_ds_heat(form_vs)["estimate"]
-    else:
-        heat_sc = heat_estimates["sc"]
-        heat_vs = heat_estimates["vicsek"]
+    hk_sc = ol_ds_heat(build_form(h_sc, DEPTH_SC, m_sc, sc.pt(DEPTH_SC)))
+    hk_vs = ol_ds_heat(build_form(h_vs, DEPTH_VICSEK, m_vs, vicsek.pt(DEPTH_VICSEK)))
+    heat_sc, heat_vs = hk_sc["estimate"], hk_vs["estimate"]
 
     arc = critical_p(h_sc, DIM_ARC_KMAX, p_range=(1.0, 2.5), tol=0.05)
     interval = arc["interval"]
@@ -367,6 +350,24 @@ def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float, seed: int = 0
     vic_ref = 2.0 * math.log(5.0) / (math.log(3.0) + math.log(5.0))
     tw = 1.0 + math.log(2.0) / math.log(3.0)
 
+    s, v = sc.schedule.name, vicsek.schedule.name
+    rows = [
+        _row("volume", s, "ds", 1, DEPTH_SC - 1, vol_sc["ds_estimate"]),
+        _row("volume", v, "ds", 1, DEPTH_VICSEK, vol_vs["ds_estimate"]),
+        _row("heat", s, "ds", DEPTH_SC, DEPTH_SC, heat_sc, flag=hk_sc["flag"]),
+        _row("heat", v, "ds", DEPTH_VICSEK, DEPTH_VICSEK, heat_vs, flag=hk_vs["flag"]),
+        *(_row("separation", name, "d2s", 1, kmax, est.dim_ls, est.dim_lower, est.dim_upper,
+               est.flag, est.uncertified)
+          for name, kmax, est in ((s, KMAX_SC, d2s_sc), (v, KMAX_VICSEK, d2s_vs))),
+        _row("separation", s, "dim_arc", 1, DIM_ARC_KMAX, lower=interval[0], upper=interval[1],
+             flag=arc["flag"], uncertified=sum(r["uncertified"] for r in arc["rates"])),
+        _row("branching", s, "n_star", value=d2s_sc.n_star),
+        _row("branching", v, "n_star", value=d2s_vs.n_star),
+        _row("resistance", s, "rho", PURE_LEVELS - 1, PURE_LEVELS, rho_hat),
+        # 1 + log2/log3 bounds dim_ARC(SC) below: the carpet holds (Cantor set) x [0, 1]
+        _row("closed-form", s, "dim_arc", lower=tw),
+        _row("closed-form", v, "ds", value=vic_ref),
+    ]
     checks = [
         {"id": "gap-ordering-left", "description": "Vicsek-window ds < 1.5",
          "value": vol_vs["ds_estimate"], "pass": vol_vs["ds_estimate"] < 1.5},
@@ -388,25 +389,4 @@ def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float, seed: int = 0
         {"id": "dim-arc-below-2", "description": "dim_ARC interval upper end < 2",
          "value": interval[1], "pass": interval[1] < 2.0},
     ]
-    return DimReport(
-        vicsek_ds_volume=vol_vs["ds_estimate"],
-        vicsek_ds_heat=heat_vs,
-        vicsek_d2s=d2s_vs.dim_ls,
-        sc_ds_volume=vol_sc["ds_estimate"],
-        sc_ds_heat=heat_sc,
-        sc_d2s=d2s_sc.dim_ls,
-        sc_dim_arc_interval=tuple(interval),
-        n_star_sc=d2s_sc.n_star,
-        n_star_vicsek=d2s_vs.n_star,
-        rho_hat=rho_hat,
-        one_plus_log2_log3=tw,
-        vicsek_reference=vic_ref,
-        checks=checks,
-        provenance={
-            "depth_sc": DEPTH_SC, "depth_vicsek": DEPTH_VICSEK,
-            "kmax_sc": KMAX_SC, "kmax_vicsek": KMAX_VICSEK,
-            "dim_arc_kmax": DIM_ARC_KMAX, "seed": seed,
-            "dim_arc_flag": arc["flag"],
-        },
-    )
-
+    return rows, checks

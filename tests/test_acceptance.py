@@ -185,28 +185,29 @@ def test_criterion_10_critical_p_behavior(sc_h6, vs_h6, sc_sup2):
                     f"vicsek interval {arc_vs}")
 
 
-def test_criterion_11_mixed_pipeline(mx_cache, sc_cache, vs_cache, vs_form4, sc_form4):
+def test_criterion_11_mixed_pipeline(mx_cache, sc_cache, vs_cache):
     ch = chain_check(mx_cache, 5, pair_samples=20, seed=1)
     finite = all(math.isfinite(v) for v in ch["constants"].values())
     stable = all(ch["per_n"][5][k] <= 1.25 * ch["per_n"][4][k] for k in ("C1", "C3"))
     d4 = qs_diagnostic(mx_cache, 4, samples=200, seed=3)
     d5 = qs_diagnostic(mx_cache, 5, samples=200, seed=3, triples=d4.triples)
     drift = qs_envelope_drift(d4, d5)
-    heat = {"sc": ol_ds_heat(sc_form4)["estimate"],
-            "vicsek": ol_ds_heat(vs_form4)["estimate"]}
     rho_hat = evres_fit(sc_cache, vs_cache, mx_cache)["rho_hat"]
-    rep = gap_report(sc_cache, vs_cache, rho_hat, heat_estimates=heat)
-    ordering = (rep.vicsek_ds_volume < 1.5 < rep.one_plus_log2_log3
-                and abs(rep.vicsek_ds_volume - VIC_REF) <= 0.1)
-    below2 = max(rep.sc_ds_heat, rep.sc_ds_volume, rep.sc_d2s) < 2.0
-    labeled = rep.mixed_pointwise_ds == "window-resolved only"
+    rows, checks = gap_report(sc_cache, vs_cache, rho_hat)
+    row = {(r["route"], r["schedule"], r["quantity"]): r for r in rows}
+    vicsek_volume = row["volume", "vicsek", "ds"]["value"]
+    one_plus_log2_log3 = row["closed-form", "sc", "dim_arc"]["lower"]
+    sc_max = max(row[route, "sc", q]["value"]
+                 for route, q in (("heat", "ds"), ("volume", "ds"), ("separation", "d2s")))
+    ordering = (vicsek_volume < 1.5 < one_plus_log2_log3
+                and abs(vicsek_volume - VIC_REF) <= 0.1)
+    below2 = sc_max < 2.0
+    labeled = all(r["schedule"] != "mixed" for r in rows)
     ok = (finite and stable and np.isfinite(d5.envelope).all() and drift <= 0.10
-          and ordering and below2 and labeled and rep.all_pass())
+          and ordering and below2 and labeled and all(c["pass"] for c in checks))
     _report(11, ok, f"chain constants {ch['constants']}; qs drift {drift:.4f}; "
-                    f"ordering {rep.vicsek_ds_volume:.4f} < 1.5 < "
-                    f"{rep.one_plus_log2_log3:.4f}; SC window max "
-                    f"{max(rep.sc_ds_heat, rep.sc_ds_volume, rep.sc_d2s):.4f}; "
-                    f"mixed ds: {rep.mixed_pointwise_ds}")
+                    f"ordering {vicsek_volume:.4f} < 1.5 < {one_plus_log2_log3:.4f}; "
+                    f"SC window max {sc_max:.4f}; no mixed-schedule row")
 
 
 def test_criterion_12_psi_measure(sc_h6, vs_h6):

@@ -75,22 +75,39 @@ CSV_FORMATS = {
                  {"t": float, "ratio": float}),
 }
 
+# header and cell kinds of windows.csv (`mixed --report gap`), whose rows
+# name their estimate in full and may miss any other cell
+WINDOWS_CSV = {"route": str, "schedule": str, "quantity": str, "a": (int, None),
+               "b": (int, None), "value": (float, None), "lower": (float, None),
+               "upper": (float, None), "flag": (str, None), "uncertified": (int, None)}
 
-@pytest.mark.parametrize("name", CSV_FORMATS)
-def test_csv_format(tmp_path, name):
-    argv, filename, kinds = CSV_FORMATS[name]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    with open(tmp_path / filename, newline="") as fh:
+
+def assert_csv_cells(path, kinds):
+    """The CSV at `path` has the header `kinds` and at least one row, and each
+    cell has its column's kind; a kind (kind, None) also admits an empty cell,
+    a missing value."""
+    with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == list(kinds) and rows
     for row in rows:
         for kind, cell in zip(kinds.values(), row, strict=True):
+            if isinstance(kind, tuple):
+                if cell == "":
+                    continue
+                kind = kind[0]
             if kind is float:
                 assert f"{float(cell):.17g}" == cell
             elif kind is int:
                 assert str(int(cell)) == cell
             else:
                 assert cell and cell == cell.strip()
+
+
+@pytest.mark.parametrize("name", CSV_FORMATS)
+def test_csv_format(tmp_path, name):
+    argv, filename, kinds = CSV_FORMATS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert_csv_cells(tmp_path / filename, kinds)
 
 
 def test_manifest_determinism(tmp_path):
@@ -382,7 +399,8 @@ def test_mixed_gap_solves_each_quarter_once(tmp_path, monkeypatch, small_gap_rep
 
     monkeypatch.setattr(mixedcarpet, "evres_fit", counted)
     main(["mixed", "--depth", "3", "--report", "gap", "--out", str(tmp_path)])
-    assert (tmp_path / "dim_report.json").exists()
+    assert_csv_cells(tmp_path / "windows.csv", WINDOWS_CSV)
+    assert not (tmp_path / "dim_report.json").exists()
     assert fits == [3]
     assert sorted(quarter_solves) == pipeline_quarters(3)
     assert set(quarter_solves.values()) == {1}
@@ -397,23 +415,20 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["all_pass"]
 
 
-def test_dim_report_nan_is_valid_json(tmp_path, monkeypatch):
+def test_windows_csv_nonfinite_and_missing_cells(tmp_path, monkeypatch):
     nan, inf = float("nan"), float("inf")
-    report = mixedcarpet.DimReport(
-        vicsek_ds_volume=nan, vicsek_ds_heat=1.3, vicsek_d2s=inf, sc_ds_volume=-inf,
-        sc_ds_heat=1.7, sc_d2s=1.7, sc_dim_arc_interval=(1.0, nan), n_star_sc=8.0,
-        n_star_vicsek=5.0, rho_hat=1.25, one_plus_log2_log3=1.63, vicsek_reference=1.19,
-        checks=[{"id": "nan-check", "description": "a NaN value", "value": nan,
-                 "pass": True}])
-    monkeypatch.setattr(mixedcarpet, "gap_report", lambda *args, **kwargs: report)
+    rows = [{"route": "volume", "schedule": "sc", "quantity": "ds", "a": 1, "b": 3,
+             "value": nan, "lower": inf, "upper": -inf, "flag": None, "uncertified": None}]
+    checks = [{"id": "nan-check", "description": "a NaN value", "value": nan, "pass": True}]
+    monkeypatch.setattr(mixedcarpet, "gap_report", lambda *args, **kwargs: (rows, checks))
     code = main(["mixed", "--depth", "5", "--report", "gap", "--out", str(tmp_path)])
     assert code == 0
+    with open(tmp_path / "windows.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [["volume", "sc", "ds", "1", "3", "nan", "inf",
+                                             "-inf", "", ""]]
 
     def reject(name):
         raise ValueError(f"bare {name} is not JSON")
 
-    out = json.loads((tmp_path / "dim_report.json").read_text(), parse_constant=reject)
-    assert (out["vicsek_ds_volume"], out["vicsek_d2s"], out["sc_ds_volume"]) == ("nan", "inf", "-inf")
-    assert out["sc_dim_arc_interval"] == [1.0, "nan"]
     manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=reject)
     assert [c["value"] for c in manifest["checks"] if c["id"] == "nan-check"] == ["nan"]

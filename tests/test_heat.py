@@ -7,7 +7,7 @@ import scipy.linalg
 
 from resdimlab import heat
 from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
-                            ds_pointwise, ol_ds_heat, time_window)
+                            ol_ds_heat, time_window)
 from resdimlab.cornergraph import corner_graph
 from resdimlab.hierarchy import SC_DIGITS, Schedule
 from resdimlab.measure import HierMeasure, hier_measure, psi_measure
@@ -106,25 +106,6 @@ def test_ol_ds_heat_window_guard(two_state):
     assert out["flag"] == "window-too-short"
 
 
-def test_ds_pointwise_flags(vs_form4):
-    rows = ds_pointwise(vs_form4, 0)
-    flags = {r["flag"] for r in rows}
-    assert {"unresolved", "ok", "saturated"} <= flags
-    sat = [r for r in rows if r["flag"] == "saturated"]
-    assert all(abs(r["slope"]) <= 0.2 for r in sat[-2:])
-
-
-def test_ds_pointwise_bulk_vicsek(vs_form4):
-    # center vertex: bulk-window slopes near the reference exponent
-    coords = corner_graph(Schedule.pure_vicsek(), 4).coords_float()
-    center = int(np.argmin(np.sum(coords ** 2, axis=1)))
-    rows = [r for r in ds_pointwise(vs_form4, center) if r["flag"] == "ok"]
-    mid = rows[len(rows) // 3: 2 * len(rows) // 3 + 1]
-    assert mid, "no bulk window rows"
-    avg = sum(r["slope"] for r in mid) / len(mid)
-    assert avg == pytest.approx(VIC_REF, abs=0.25)
-
-
 def test_heat_volume_cross_consistency(vs_form4, vs_h6, sc_form4, sc_h6, sc_cache):
     from resdimlab.measure import olds_volume
     heat_vs = ol_ds_heat(vs_form4)["estimate"]
@@ -155,8 +136,6 @@ def test_vertex_out_of_range(two_state, x):
         two_state.p_pair(1.0, x, 0)
     with pytest.raises(ValueError, match="vertex out of range"):
         two_state.p_row(1.0, x)
-    with pytest.raises(ValueError, match="vertex out of range"):
-        ds_pointwise(two_state, x, times=[1.0, 2.0])
 
 
 def test_vertex_ids_must_be_integers(two_state):

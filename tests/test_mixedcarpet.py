@@ -398,10 +398,17 @@ def test_gap_report_threads_seed(monkeypatch, small_gap_report, sc_cache, vs_cac
 
     monkeypatch.setattr(measure, "olds_volume", recorded)
     rho_hat = evres_fit(sc_cache, vs_cache, mx_cache, n_max=3)["rho_hat"]
-    rep = gap_report(sc_cache, vs_cache, rho_hat, seed=7,
-                     heat_estimates={"sc": 1.7, "vicsek": 1.2})
+    gap_report(sc_cache, vs_cache, rho_hat, seed=7)
     assert seeds == [7, 7]
-    assert rep.provenance["seed"] == 7
+
+
+def test_gap_report_rows_carry_certificates(small_gap_report, sc_cache, vs_cache):
+    rows, _ = gap_report(sc_cache, vs_cache, 1.25)
+    assert all(list(r) == ["route", "schedule", "quantity", "a", "b", "value", "lower",
+                           "upper", "flag", "uncertified"] for r in rows)
+    solved = [r for r in rows if r["route"] in ("heat", "separation")]
+    assert len(solved) == 5 and all(isinstance(r["flag"], str) for r in solved)
+    assert all(isinstance(r["uncertified"], int) for r in solved if r["route"] == "separation")
 
 
 def test_pipeline_solves_each_quarter_once(small_gap_report, quarter_solves):
@@ -410,7 +417,7 @@ def test_pipeline_solves_each_quarter_once(small_gap_report, quarter_solves):
     schedules."""
     sc, vicsek, mixed = (ScaleCache(Schedule.by_name(s)) for s in ("sc", "vicsek", "mixed"))
     fit = evres_fit(sc, vicsek, mixed, n_max=3)
-    rep = gap_report(sc, vicsek, fit["rho_hat"])
-    assert rep.rho_hat == fit["rho_hat"]
+    rows, _ = gap_report(sc, vicsek, fit["rho_hat"])
+    assert [r["value"] for r in rows if r["quantity"] == "rho"] == [fit["rho_hat"]]
     assert sorted(quarter_solves) == pipeline_quarters(3)
     assert set(quarter_solves.values()) == {1}
