@@ -269,7 +269,7 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     pt = [cache.pt(n, 0) for n in range(1, depth + 1)]
     zeta_log = math.log(pt[-1] / pt[-2])
     vol = mmod.olds_volume(meas, zeta_log, window=list(range(1, depth + 1)), seed=cfg.seed)
-    d2s = pmod.p_spectral_dims(h, 2.0, cfg.kmax).dim_ls
+    d2s = pmod.SupSweep(h, range(1, cfg.kmax + 1)).spectral_dims(2.0).dim_ls
     form = heat.build_form(h, depth, meas, pt[-1])
     heat_ds = heat.ol_ds_heat(form)["estimate"]
     profile_level = min(depth, 3)

@@ -539,7 +539,9 @@ def nstar_estimate(h: PartitionHierarchy, kmax: int, horizon: int = 64) -> dict:
     """Window sups (sup_w #children^k)^(1/k) for k <= kmax and their inf.
 
     For formula schedules the window start ranges over all levels up to
-    `horizon`; table schedules are clipped to their own horizon.
+    `horizon`; table schedules are clipped to their own horizon.  A sup that
+    is an exact k-th power r^k has the root r exactly; other roots are the
+    rounded float power.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -558,7 +560,8 @@ def nstar_estimate(h: PartitionHierarchy, kmax: int, horizon: int = 64) -> dict:
                 prod *= branch[j]
             best = max(best, prod)
         sups.append(best)
-        seq.append(best ** (1.0 / k))
+        root = round(best ** (1.0 / k))
+        seq.append(float(root) if root ** k == best else best ** (1.0 / k))
     return {
         "k": list(range(1, kmax + 1)),
         "sup_counts": sups,

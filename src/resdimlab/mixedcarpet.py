@@ -326,15 +326,15 @@ def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float,
     """
     from .heat import build_form, ol_ds_heat
     from .measure import hier_measure, olds_volume
-    from .penergy import critical_p, p_spectral_dims
+    from .penergy import SupSweep, critical_p
 
     h_sc = build_hierarchy(sc.schedule, max(DEPTH_SC + 2, KMAX_SC + 1))
     h_vs = build_hierarchy(vicsek.schedule, max(DEPTH_VICSEK + 2, KMAX_VICSEK + 1))
     m_sc = hier_measure(h_sc)
     m_vs = hier_measure(h_vs)
 
-    d2s_sc = p_spectral_dims(h_sc, 2.0, KMAX_SC)
-    d2s_vs = p_spectral_dims(h_vs, 2.0, KMAX_VICSEK)
+    d2s_sc = SupSweep(h_sc, range(1, KMAX_SC + 1)).spectral_dims(2.0)
+    d2s_vs = SupSweep(h_vs, range(1, KMAX_VICSEK + 1)).spectral_dims(2.0)
 
     vol_sc = olds_volume(m_sc, math.log(rho_hat), window=list(range(1, DEPTH_SC)), seed=seed)
     vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, DEPTH_VICSEK + 1)),
@@ -344,7 +344,7 @@ def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float,
     hk_vs = ol_ds_heat(build_form(h_vs, DEPTH_VICSEK, m_vs, vicsek.pt(DEPTH_VICSEK)))
     heat_sc, heat_vs = hk_sc["estimate"], hk_vs["estimate"]
 
-    arc = critical_p(h_sc, DIM_ARC_KMAX, p_range=(1.0, 2.5), tol=0.05)
+    arc = critical_p(h_sc, DIM_ARC_KMAX)
     interval = arc["interval"]
 
     vic_ref = 2.0 * math.log(5.0) / (math.log(3.0) + math.log(5.0))

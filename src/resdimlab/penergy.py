@@ -17,11 +17,14 @@ or fewer); the potential and flow are lifted back, and the bracket, flag and
 residual come from the full problem.  The solver data is built once per
 problem, on its first solve at p != 1, and kept on it: D, the p = 2
 potential, one sparsity pattern for every Newton system, and the column
-ordering of the p = 2 factorization.  Every sup energy (`penergy` command,
-`sup_energy`, `p_spectral_dims`, `critical_p`) comes from a `SupSweep`: each
-problem built once, solved once per p, each p > 1 started from its certified
-potential at the nearest p solved (the last eps rung, then the whole ladder
-from the p = 2 potential if that bracket does not close).
+ordering of the p = 2 factorization.  Every sup energy (the `penergy` and
+`dims` commands, the gap report, `critical_p`) comes from a `SupSweep(h, ks)`
+over one level-1 base cell per symmetry class: each problem built once,
+solved once per p, each p > 1 started from its certified potential at the
+nearest p solved (the last eps rung, then the whole ladder from the p = 2
+potential if that bracket does not close).  `SupSweep.spectral_dims` reads
+the p-spectral dimensions off the sups' decay, and `critical_p` bisects
+`P_RANGE` for the p where that decay starts.
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -49,23 +52,18 @@ __all__ = [
     "build_separation",
     "p_energy",
     "SupSweep",
-    "sup_energy",
     "critical_p",
-    "p_spectral_dims",
     "fit_rates",
 ]
 
 RATE_TOL = 1e-3  # see critical_p
+P_RANGE = (1.0, 2.5)  # the p bracket critical_p bisects
 EPS_LADDER = (1e-2, 1e-4, 1e-6, 1e-9, 1e-12)  # see p_energy
 BRACKET_CLOSED = 1e-12  # a descent ends once upper - lower <= this times upper
 
 
 @dataclass
 class SeparationProblem:
-    base_level: int
-    base_index: int
-    k: int
-    level: int
     edges: np.ndarray           # (m, 2) unordered cell-graph edges
     n_cells: int
     inner: np.ndarray           # indices pinned to 1
@@ -144,10 +142,8 @@ def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
     base_grid = h.levels[base_level].grid_index
     stabilizer = [e for e in D4 if base_grid.permutation(e)[base_index] == base_index]
     orbit = np.min([h.levels[n].grid_index.permutation(e) for e in stabilizer], axis=0)
-    return SeparationProblem(
-        base_level=base_level, base_index=base_index, k=k, level=n,
-        edges=g.edges, n_cells=g.count, inner=inner, outer=outer,
-        empty_outer=len(outer) == 0, orbit=orbit)
+    return SeparationProblem(edges=g.edges, n_cells=g.count, inner=inner, outer=outer,
+                             empty_outer=len(outer) == 0, orbit=orbit)
 
 
 def _quotient(problem: SeparationProblem) -> Tuple[np.ndarray, np.ndarray, SeparationProblem]:
@@ -439,25 +435,21 @@ def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int],
 
 
 class SupSweep:
-    """Sups over base cells of the level-k separation energies, k in `ks`; the
-    base cells are `cells`, or one per `symmetry_classes` class.  Each problem
-    (`problems[j][i]`: ks[j], cells[i]) is built once and solved once per p; a
-    p > 1 starts from its certified potential at the nearest p > 1 already
-    solved, the lower p on a tie, or cold when there is none."""
+    """Sups over level-1 base cells of the separation energies k levels down,
+    k in `ks`; the base cells (`cells`) are the first member of each
+    `symmetry_classes(h, 1)` class.  Each problem (`problems[j][i]`:
+    `build_separation(h, 1, cells[i], ks[j])`) is built once and solved once
+    per p; a p > 1 starts from its certified potential at the nearest p > 1
+    already solved, the lower p on a tie, or cold when there is none."""
 
-    def __init__(self, h: PartitionHierarchy, ks: Sequence[int], base_level: int = 1,
-                 m_star: int = 1, cells: Optional[Sequence[int]] = None):
+    def __init__(self, h: PartitionHierarchy, ks: Sequence[int]):
         self.h, self.ks = h, list(ks)
         if not self.ks:
             raise ValueError("no k values to sweep")
-        if base_level + max(self.ks) > h.depth:
+        if 1 + max(self.ks) > h.depth:
             raise ValueError("horizon exceeds built depth")
-        self.cells = list(cells) if cells is not None else [
-            members[0] for members in symmetry_classes(h, base_level).values()]
-        if not self.cells:
-            raise ValueError("no base cells")
-        self.problems = [[build_separation(h, base_level, w, k, m_star=m_star)
-                          for w in self.cells] for k in self.ks]
+        self.cells = [members[0] for members in symmetry_classes(h, 1).values()]
+        self.problems = [[build_separation(h, 1, w, k) for w in self.cells] for k in self.ks]
         self._solved: Dict[float, List[List[PEnergyValue]]] = {}
 
     def values(self, p: float) -> List[List[PEnergyValue]]:
@@ -483,13 +475,13 @@ class SupSweep:
         logs = [math.log(max(s.value, 1e-300)) for s in sups]
         return sups, logs, sum(s.flag == "no-convergence" for s in sups), fit_rates(self.ks, logs)
 
-    def spectral_dims(self, p: float, n_star: Optional[float] = None) -> SpectralDimEstimate:
+    def spectral_dims(self, p: float) -> SpectralDimEstimate:
         """Upper, lower and central p-spectral dimensions from the fitted decay
-        of the sups at p.  `uncertified` counts the sups behind the fit flagged
-        no-convergence; when it is positive, a flag that would read "ok" reads
+        of the sups at p, against the branching rate N* of `nstar_estimate`.
+        `uncertified` counts the sups behind the fit flagged no-convergence;
+        when it is positive, a flag that would read "ok" reads
         "uncertified-energy"."""
-        if n_star is None:
-            n_star = nstar_estimate(self.h, kmax=min(6, max(1, self.h.depth)))["n_star"]
+        n_star = nstar_estimate(self.h, kmax=min(6, self.h.depth))["n_star"]
         _, logs, uncertified, (ls, up, lo) = self.fit(p)
         logN = math.log(n_star)
         flag = "ok"
@@ -511,18 +503,6 @@ class SupSweep:
             uncertified=uncertified)
 
 
-def sup_energy(h: PartitionHierarchy, base_level: int, k: int, p: float,
-               m_star: int = 1, cells: Optional[Sequence[int]] = None) -> dict:
-    """sup over base cells of the separation energies, with the argmax cell:
-    a one-k `SupSweep` (`cells` as there; `range(count)` is the exhaustive
-    sweep)."""
-    sweep = SupSweep(h, [k], base_level, m_star, cells)
-    [(cell, val)] = sweep.sups(p)
-    word = "".join(str(d) for d in h.address(base_level, cell))
-    return {"value": val.value, "argmax_index": cell, "argmax_cell": word,
-            "flag": val.flag, "representatives": len(sweep.cells)}
-
-
 def fit_rates(ks: Sequence[int], log_vals: Sequence[float]) -> Tuple[float, float, float]:
     """(least-squares tail slope, max tail step, min tail step).
 
@@ -541,9 +521,9 @@ def fit_rates(ks: Sequence[int], log_vals: Sequence[float]) -> Tuple[float, floa
     return slope, float(steps.max()), float(steps.min())
 
 
-def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = (1.0, 2.5),
-               tol: float = 0.05, base_level: int = 1, m_star: int = 1) -> dict:
-    """Bisection on p of the fitted decay rate of k -> sup energy.
+def critical_p(h: PartitionHierarchy, kmax: int, tol: float = 0.05) -> dict:
+    """Bisection on p in `P_RANGE`, to width `tol`, of the fitted decay rate
+    of k -> sup energy.
 
     The sups come from one `SupSweep` over k = 1..kmax, so each
     (representative, k) problem is built once and each p > 1 starts from
@@ -558,9 +538,7 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
         raise ValueError("kmax must be >= 3")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    if not 1 <= p_range[0] < p_range[1] < math.inf:
-        raise ValueError("p_range must satisfy 1 <= lo < hi < inf")
-    sweep = SupSweep(h, range(1, kmax + 1), base_level, m_star)
+    sweep = SupSweep(h, range(1, kmax + 1))
     table: List[dict] = []
 
     def rate_of(p: float) -> float:
@@ -569,7 +547,7 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
                       "sup_energies": [s.value for s in sups], "uncertified": uncertified})
         return slope
 
-    lo, hi = p_range
+    lo, hi = P_RANGE
     flag = "ok"
     r_lo = rate_of(lo)
     if r_lo < -RATE_TOL:
@@ -596,13 +574,3 @@ def critical_p(h: PartitionHierarchy, kmax: int, p_range: Tuple[float, float] = 
         else:
             lo = mid
     return {"interval": (lo, hi), "flag": flag, "rates": table}
-
-
-def p_spectral_dims(h: PartitionHierarchy, p: float, kmax: int,
-                    base_level: int = 1, m_star: int = 1,
-                    n_star: Optional[float] = None) -> SpectralDimEstimate:
-    """`SupSweep.spectral_dims` over k = 1..kmax."""
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
-    return SupSweep(h, range(1, kmax + 1), base_level, m_star).spectral_dims(p, n_star)
-

@@ -60,14 +60,16 @@ def vs_form4(vs_h6, vs_cache):
 @pytest.fixture(scope="session")
 def sc_sup2(sc_h6):
     """SC p=2 sup-energy table, k = 1..5."""
-    from resdimlab.penergy import sup_energy
-    return {k: sup_energy(sc_h6, 1, k, 2.0)["value"] for k in range(1, 6)}
+    from resdimlab.penergy import SupSweep
+    sweep = SupSweep(sc_h6, range(1, 6))
+    return {k: val.value for k, (_, val) in zip(sweep.ks, sweep.sups(2.0))}
 
 
 @pytest.fixture(scope="session")
 def vs_sup2(vs_h6):
-    from resdimlab.penergy import sup_energy
-    return {k: sup_energy(vs_h6, 1, k, 2.0)["value"] for k in range(1, 6)}
+    from resdimlab.penergy import SupSweep
+    sweep = SupSweep(vs_h6, range(1, 6))
+    return {k: val.value for k, (_, val) in zip(sweep.ks, sweep.sups(2.0))}
 
 
 class SpluCalls(list):

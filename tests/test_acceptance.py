@@ -15,7 +15,7 @@ from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_
 from resdimlab.measure import hier_measure, olds_volume, psi_measure
 from resdimlab.mixedcarpet import (chain_check, evres_fit, gap_report, qs_diagnostic,
                                    qs_envelope_drift)
-from resdimlab.penergy import critical_p, fit_rates, p_spectral_dims, sup_energy
+from resdimlab.penergy import SupSweep, critical_p, fit_rates
 from resdimlab.resnet import (LevelGraph, eff_resistance, min_energy_flow,
                               pinv_resistance, trace)
 from conftest import random_connected_graph
@@ -103,7 +103,7 @@ def test_criterion_05_energy_resistance_band(sc_sup2, vs_sup2, sc_cache, vs_cach
 
 
 def test_criterion_06_vicsek_p2_dimension(vs_h6):
-    est = p_spectral_dims(vs_h6, 2.0, 5)
+    est = SupSweep(vs_h6, range(1, 6)).spectral_dims(2.0)
     d2s = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
     vol = olds_volume(hier_measure(vs_h6), math.log(3.0), window=[1, 2, 3, 4, 5])
     ds_vol = vol["ds_estimate"]
@@ -144,7 +144,7 @@ def test_criterion_07_heat_invariants(vs_form4, sc_form4, vs_h6):
 def test_criterion_08_dim_comparison(vs_form4, sc_form4, vs_h6, sc_h6):
     out = {}
     for name, form, h in (("vicsek", vs_form4, vs_h6), ("sc", sc_form4, sc_h6)):
-        est = p_spectral_dims(h, 2.0, 5)
+        est = SupSweep(h, range(1, 6)).spectral_dims(2.0)
         d2s = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
         ds_heat = ol_ds_heat(form)["estimate"]
         out[name] = (d2s, ds_heat)
@@ -164,9 +164,9 @@ def test_criterion_09_below_two_and_arc_lower(vs_form4, sc_form4, vs_h6, sc_h6,
                                  window=[1, 2, 3])["ds_estimate"],
     }
     for h in (vs_h6, sc_h6):
-        est = p_spectral_dims(h, 2.0, 5)
+        est = SupSweep(h, range(1, 6)).spectral_dims(2.0)
         ds_values[f"d2s-{h.schedule.name}"] = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
-    arc_vs = critical_p(vs_h6, 4, p_range=(1.0, 2.5), tol=0.05)["interval"]
+    arc_vs = critical_p(vs_h6, 4, tol=0.05)["interval"]
     ok = all(v < 2.0 for v in ds_values.values()) and arc_vs[0] >= 1.0
     _report(9, ok, f"max estimate {max(ds_values.values()):.4f} < 2; "
                    f"vicsek ARC lower {arc_vs[0]:.3f}")
@@ -176,10 +176,9 @@ def test_criterion_10_critical_p_behavior(sc_h6, vs_h6, sc_sup2):
     ks = [1, 2, 3, 4]
     logs2 = [math.log(sc_sup2[k]) for k in ks]
     rate2, _, _ = fit_rates(ks, logs2)
-    sups13 = {k: sup_energy(sc_h6, 1, k, 1.3)["value"] for k in ks}
-    logs13 = [math.log(sups13[k]) for k in ks]
+    logs13 = [math.log(val.value) for _, val in SupSweep(sc_h6, ks).sups(1.3)]
     rate13, _, _ = fit_rates(ks, logs13)
-    arc_vs = critical_p(vs_h6, 4, p_range=(1.0, 2.5), tol=0.05)["interval"]
+    arc_vs = critical_p(vs_h6, 4, tol=0.05)["interval"]
     ok = rate2 < 0.0 and rate13 >= 0.0 and arc_vs[1] <= 1.3
     _report(10, ok, f"SC rates: p=2 {rate2:.4f}, p=1.3 {rate13:.4f}; "
                     f"vicsek interval {arc_vs}")

@@ -37,7 +37,6 @@ UNCALLED_ON_PURPOSE = {
     "min_energy_flow": "acceptance oracle: the flow side of R = min energy",
     "pinv_resistance": "acceptance oracle: dense pseudo-inverse set resistance",
     "delta_pair": "separation index of the R*(x, y) band check (test_rstar_approximant_band)",
-    "sup_energy": "single separation sup energy (acceptance criteria 05 and 10)",
     "doubling_check": "volume doubling constant (bench spectral volume step)",
     "psi_measure": "interior-child psi-measure (acceptance criterion 12, bench psi step)",
 }

@@ -1,4 +1,6 @@
+import ast
 import csv
+import inspect
 import json
 import pathlib
 import shlex
@@ -7,6 +9,7 @@ import sys
 
 import pytest
 
+import resdimlab
 from resdimlab import cli, hierarchy, mixedcarpet, penergy
 from resdimlab.cli import PARAMS, ExperimentConfig, main
 from resdimlab.hierarchy import Schedule
@@ -313,6 +316,27 @@ def test_readme_cli_lines_parse():
     for argv in argvs:
         args = vars(cli._parser().parse_args(argv))
         ExperimentConfig(**{k: v for k, v in args.items() if v is not None}).validate()
+
+
+def test_readme_sketch_calls_bind():
+    """README's library sketch imports only names `resdimlab` has, and every
+    call of an imported function or class binds its arguments to the
+    signature; nothing runs."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    tree = ast.parse(readme.split("```python\n", 1)[1].split("```", 1)[0])
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "resdimlab"
+                for alias in node.names}
+    assert [name for name in imported.values() if not hasattr(resdimlab, name)] == []
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in imported]
+    assert calls
+    for call in calls:
+        signature = inspect.signature(getattr(resdimlab, imported[call.func.id]))
+        try:
+            signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as err:
+            pytest.fail(f"README sketch line {call.lineno}: {ast.unparse(call)}: {err}")
 
 
 def test_build_threads_seed(tmp_path, monkeypatch):

@@ -11,15 +11,13 @@ import scipy.sparse.linalg as spla
 
 from resdimlab.hierarchy import Schedule, adjacency, build_hierarchy, chain_ball
 from resdimlab import penergy
-from resdimlab.penergy import (PEnergyValue, SeparationProblem, build_separation,
-                               critical_p, fit_rates, p_energy, p_spectral_dims,
-                               sup_energy, symmetry_classes)
+from resdimlab.penergy import (PEnergyValue, SeparationProblem, SupSweep, build_separation,
+                               critical_p, fit_rates, p_energy, symmetry_classes)
 from resdimlab.resnet import LevelGraph, eff_resistance
 
 
 def path_problem():
-    return SeparationProblem(base_level=0, base_index=0, k=0, level=0,
-                             edges=np.array([[0, 1], [1, 2]]), n_cells=3,
+    return SeparationProblem(edges=np.array([[0, 1], [1, 2]]), n_cells=3,
                              inner=np.array([0]), outer=np.array([2]))
 
 
@@ -42,8 +40,7 @@ def random_problem(rng, n_free):
     pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
     keep = rng.random(len(pairs)) < rng.uniform(0.15, 0.6)
     cells = rng.permutation(n)
-    return SeparationProblem(base_level=0, base_index=0, k=0, level=0,
-                             edges=pairs[keep], n_cells=n,
+    return SeparationProblem(edges=pairs[keep], n_cells=n,
                              inner=np.sort(cells[:n_in]),
                              outer=np.sort(cells[n_in:n_in + n_out]))
 
@@ -92,8 +89,7 @@ def test_path_matches_brute_force(p):
 
 
 def test_single_edge_all_p():
-    prob = SeparationProblem(base_level=0, base_index=0, k=0, level=0,
-                             edges=np.array([[0, 1]]), n_cells=2,
+    prob = SeparationProblem(edges=np.array([[0, 1]]), n_cells=2,
                              inner=np.array([0]), outer=np.array([1]))
     for p in (1.0, 1.3, 2.0, 4.0):
         assert p_energy(prob, p).value == pytest.approx(1.0, abs=1e-12)
@@ -132,7 +128,7 @@ def test_build_separation_bad_arguments(base_level, base_index, k, m_star):
 def test_build_separation_edge_arguments():
     h = build_hierarchy(Schedule.pure_sc(), 3)
     assert len(build_separation(h, 0, 0, 3).inner) == 8 ** 3
-    assert build_separation(h, 3, 8 ** 3 - 1, 0).level == 3
+    assert build_separation(h, 3, 8 ** 3 - 1, 0).n_cells == 8 ** 3
 
 
 def shortest_path_separation(h, base_level, base_index, k, m_star):
@@ -161,12 +157,6 @@ def test_build_separation_matches_shortest_path(schedule):
                     inner, outer = shortest_path_separation(h, base_level, base_index, k, m_star)
                     assert prob.inner.tolist() == inner.tolist()
                     assert prob.outer.tolist() == outer.tolist()
-
-
-def test_sup_energy_no_cells():
-    h = build_hierarchy(Schedule.pure_sc(), 3)
-    with pytest.raises(ValueError, match="no base cells"):
-        sup_energy(h, 1, 1, 2.0, cells=[])
 
 
 def test_empty_outer_flagged(vs_h6):
@@ -211,9 +201,10 @@ def test_p2_equals_effective_conductance(sc_h6):
 
 def test_symmetry_reduction_matches_exhaustive(sc_h6, vs_h6):
     for h, k in ((sc_h6, 2), (vs_h6, 2)):
-        fast = sup_energy(h, 1, k, 2.0)
-        slow = sup_energy(h, 1, k, 2.0, cells=range(h.levels[1].count))
-        assert fast["value"] == pytest.approx(slow["value"], rel=1e-9)
+        [(_, fast)] = SupSweep(h, [k]).sups(2.0)
+        slow = max(p_energy(build_separation(h, 1, w, k), 2.0).value
+                   for w in range(h.levels[1].count))
+        assert fast.value == pytest.approx(slow, rel=1e-9)
 
 
 def test_symmetry_classes_level1(sc_h6, vs_h6):
@@ -248,14 +239,14 @@ def test_symmetry_classes_match_cell_loop(schedule):
 
 
 def test_sup_energy_argmax_deterministic(sc_h6):
-    a = sup_energy(sc_h6, 1, 2, 2.0)
-    b = sup_energy(sc_h6, 1, 2, 2.0)
-    assert a["argmax_cell"] == b["argmax_cell"]
+    [(a, _)] = SupSweep(sc_h6, [2]).sups(2.0)
+    [(b, _)] = SupSweep(sc_h6, [2]).sups(2.0)
+    assert a == b
 
 
 def test_horizon_error(sc_h6):
     with pytest.raises(ValueError, match="horizon"):
-        sup_energy(sc_h6, 1, sc_h6.depth, 2.0)
+        SupSweep(sc_h6, [sc_h6.depth])
 
 
 def test_fit_rates_tail():
@@ -274,7 +265,7 @@ def test_vicsek_rate_is_log3(vs_sup2):
 
 
 def test_p_spectral_dims_vicsek(vs_h6):
-    est = p_spectral_dims(vs_h6, 2.0, 5)
+    est = SupSweep(vs_h6, range(1, 6)).spectral_dims(2.0)
     ref = 2 * math.log(5) / math.log(15)
     central = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
     assert est.dim_ls == central
@@ -283,13 +274,13 @@ def test_p_spectral_dims_vicsek(vs_h6):
 
 
 def test_p_spectral_dims_single_tail(vs_h6):
-    est = p_spectral_dims(vs_h6, 2.0, 2)
+    est = SupSweep(vs_h6, [1, 2]).spectral_dims(2.0)
     # two k values: tail slopes collapse to the single step
     assert est.rate_limsup == pytest.approx(est.rate_liminf)
 
 
 def test_critical_p_vicsek(vs_h6):
-    out = critical_p(vs_h6, 4, p_range=(1.0, 2.5), tol=0.05)
+    out = critical_p(vs_h6, 4, tol=0.05)
     lo, hi = out["interval"]
     assert lo >= 1.0
     assert hi <= 1.3
@@ -300,11 +291,7 @@ def test_critical_p_kmax_error(vs_h6):
         critical_p(vs_h6, 2)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"tol": 0.0}, {"tol": -0.05}, {"tol": math.nan},
-    {"p_range": (2.5, 1.0)}, {"p_range": (2.0, 2.0)},
-    {"p_range": (0.5, 2.5)}, {"p_range": (1.0, math.inf)},
-])
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -0.05}, {"tol": math.nan}])
 def test_critical_p_bad_arguments(vs_h6, kwargs):
     # rejected before any energy is computed, so tol = 0 cannot loop
     with pytest.raises(ValueError):
@@ -404,13 +391,14 @@ SCHEDULES = pytest.mark.parametrize(
 
 
 def separation_problems(schedule):
-    """Every level-1 class representative at k = 1, 2, 3 on depth 4, outer nonempty."""
+    """(base cell, k, problem) for every level-1 class representative at
+    k = 1, 2, 3 on depth 4, outer nonempty."""
     h = build_hierarchy(schedule, 4)
     for members in symmetry_classes(h, 1).values():
         for k in (1, 2, 3):
             prob = build_separation(h, 1, members[0], k)
             if not prob.empty_outer:
-                yield prob
+                yield members[0], k, prob
 
 
 @SCHEDULES
@@ -418,14 +406,14 @@ def test_p_energy_matches_coo_assembly(schedule):
     # the Newton solve against the IRLS + L-BFGS-B oracle: equal energies
     # where both are certified, and no certificate lost
     compared = 0
-    for prob in separation_problems(schedule):
+    for cell, k, prob in separation_problems(schedule):
         for p in (1.3, 1.5, 1.75, 2.0, 2.125, 2.5):
             want, want_flag = coo_p_energy(prob, p)
             got = p_energy(prob, p)
             f = got.potential
             assert np.all(f[prob.inner] == 1.0) and np.all(f[prob.outer] == 0.0)
             assert f.min() >= 0.0 and f.max() <= 1.0
-            assert not (want_flag == "ok" and got.flag == "no-convergence"), (prob.k, p)
+            assert not (want_flag == "ok" and got.flag == "no-convergence"), (cell, k, p)
             if want_flag == "ok" and got.flag == "ok":
                 assert abs(got.value - want) <= 1e-9 * want
                 compared += 1
@@ -434,7 +422,7 @@ def test_p_energy_matches_coo_assembly(schedule):
 
 @SCHEDULES
 def test_p1_min_cut_matches_oracle(schedule):
-    for prob in separation_problems(schedule):
+    for *_, prob in separation_problems(schedule):
         want, _ = coo_p_energy(prob, 1.0)
         got = p_energy(prob, 1.0)
         assert got.flag == "ok" and got.value == round(got.value)
@@ -706,9 +694,8 @@ def test_sweep_starts_from_nearest_certified_p(monkeypatch):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"ks": []}, "no k values"),
-    ({"ks": [1, 2], "cells": []}, "no base cells"),
     ({"ks": [1, 3]}, "horizon exceeds built depth"),
-], ids=["no-k", "no-cells", "horizon"])
+], ids=["no-k", "horizon"])
 def test_sweep_bad_arguments(kwargs, message):
     with pytest.raises(ValueError, match=message):
         penergy.SupSweep(build_hierarchy(Schedule.pure_sc(), 3), **kwargs)
@@ -751,11 +738,12 @@ QUOTIENT_CASES = pytest.mark.parametrize(
 
 
 def level1_problems(schedule, depth):
-    """Every level-1 class representative's problem at k = 1..depth-1."""
+    """(base cell, k, problem) for every level-1 class representative at
+    k = 1..depth-1."""
     h = build_hierarchy(schedule, depth)
     for members in symmetry_classes(h, 1).values():
         for k in range(1, depth):
-            yield build_separation(h, 1, members[0], k)
+            yield members[0], k, build_separation(h, 1, members[0], k)
 
 
 @QUOTIENT_CASES
@@ -764,11 +752,11 @@ def test_quotient_matches_unreduced(schedule, depth):
     # identity orbit map: the same flags, certified energies to 1e-12, and
     # p = 1 cuts equal exactly (the smallest minimum cut is invariant)
     compared = 0
-    for prob in level1_problems(schedule, depth):
+    for cell, k, prob in level1_problems(schedule, depth):
         full = dataclasses.replace(prob, orbit=np.arange(prob.n_cells))
         for p in (1.0, 1.3, 1.8, 2.0):
             got, want = p_energy(prob, p), p_energy(full, p)
-            where = (prob.base_index, prob.k, p)
+            where = (cell, k, p)
             assert got.flag == want.flag, where
             if p == 1:
                 assert got.value == want.value and got.residual == want.residual == 0.0, where
@@ -785,17 +773,17 @@ def test_quotient_halves_newton_systems(schedule, depth, splu_orderings):
     # of its problems has more than ceil(n_free / 2) + 3^level unknowns (cells
     # on the mirror line are their own orbits); full-size systems fail here
     biting = 0
-    for prob in level1_problems(schedule, depth):
+    for cell, k, prob in level1_problems(schedule, depth):
         assert len(np.unique(prob.orbit)) < prob.n_cells
         if prob.empty_outer:
             continue
         n_free = prob.n_cells - len(prob.inner) - len(prob.outer)
-        bound = math.ceil(n_free / 2) + 3 ** prob.level
+        bound = math.ceil(n_free / 2) + 3 ** (1 + k)
         del splu_orderings.shapes[:]
         for p in (2.0, 1.5):
             p_energy(prob, p)
         assert splu_orderings.shapes
-        where = (prob.base_index, prob.k)
+        where = (cell, k)
         assert all(max(shape) <= bound for shape in splu_orderings.shapes), where
         biting += bound < n_free
     assert biting >= 1
@@ -807,7 +795,7 @@ def test_lifted_potential_is_invariant(schedule):
     # has d == 0 bitwise; a rounding residue on such an edge once tripped the
     # p < 2 certificate of SC depth 4, base cell 0, k = 1, p = 1.5
     inside_edges = 0
-    for prob in separation_problems(schedule):
+    for *_, prob in separation_problems(schedule):
         eu, ev = prob.edges[:, 0], prob.edges[:, 1]
         inside = prob.orbit[eu] == prob.orbit[ev]
         inside_edges += int(inside.sum())
@@ -826,11 +814,30 @@ def test_p_spectral_dims_counts_uncertified(monkeypatch):
     # already fails; the count is kept either way
     h = build_hierarchy(Schedule.pure_sc(), 4)
     for rate, flag in ((-1.0, "uncertified-energy"), (3.0, "rate-at-or-above-logN")):
+        sweep = SupSweep(h, [1, 2, 3])
+        k_of = {id(prob): k for k, row in zip(sweep.ks, sweep.problems) for prob in row}
         monkeypatch.setattr(penergy, "p_energy", lambda problem, p, tol=1e-7, start=None: (
-            PEnergyValue(p, math.exp(rate * problem.k),
-                         flag="no-convergence" if problem.k == 2 else "ok")))
-        est = p_spectral_dims(h, 2.0, 3, n_star=8.0)
-        assert est.uncertified == 1 and est.flag == flag
+            PEnergyValue(p, math.exp(rate * k_of[id(problem)]),
+                         flag="no-convergence" if k_of[id(problem)] == 2 else "ok")))
+        est = sweep.spectral_dims(2.0)
+        assert est.n_star == 8.0 and est.uncertified == 1 and est.flag == flag
+
+
+@pytest.mark.parametrize("rate, flag, ps", [
+    (-1.0, "critical-below-range", [1.0]),
+    (1.0, "critical-above-range", [1.0, 2.5]),
+], ids=["below", "above"])
+def test_critical_p_range_flags(monkeypatch, rate, flag, ps):
+    # sup energies exp(rate * k) at every p: a rate already negative at
+    # p = 1, or still positive at p = 2.5, puts the critical p outside P_RANGE,
+    # reported at the end of the range that showed it
+    h = build_hierarchy(Schedule.pure_sc(), 4)
+    k_of = {h.levels[1 + k].count: k for k in (1, 2, 3)}  # a problem's level fixes its k
+    monkeypatch.setattr(penergy, "p_energy", lambda problem, p, tol=1e-7, start=None: (
+        PEnergyValue(p, math.exp(rate * k_of[problem.n_cells]))))
+    out = critical_p(h, 3)
+    assert (out["interval"], out["flag"]) == ((ps[-1], ps[-1]), flag)
+    assert [row["p"] for row in out["rates"]] == ps
 
 
 # -- the Hölder bracket -----------------------------------------------------------
