@@ -84,7 +84,7 @@ PARAMS: Dict[str, Dict[str, Param]] = {
     "dims": {**_SCHEDULE, "depth": Param(int, 3, 2, 7, reach=1),
              "kmax": Param(int, 4, 2, 6, reach=1), **_RUN},
     "heat": {**_SCHEDULE, "depth": Param(int, 3, 1, 7, reach=0), **_RUN},
-    "mixed": {"depth": Param(int, 3, 3, 5),
+    "mixed": {"depth": Param(int, 5, 3, 5),
               "report": Param(str, "gap", choices=("gap", "none")), **_RUN},
     "validate": _RUN,
 }

@@ -6,17 +6,24 @@ resistance profiles, Schur-complement traces and minimum energy unit flows.
 Solver policy: one Dirichlet solve.  `_Grounded` pins a vertex set (holding
 a vertex of every component) and factors the Laplacian block of the free
 vertices with one sparse LU (COLAMD ordering), at every size the corner-graph
-caps admit.  That one factorization serves pair resistances (one grounded
-vertex), set resistances (A pinned at 1, B and other components at 0) and
-traces (the set pinned to unit potentials, 256 right sides per solve).  A
-batch of pair resistances is one Green's-function block: one unit right
-side per distinct endpoint, R(x, y) = G_xx + G_yy - 2 G_xy, in column blocks
-of at most PAIR_BLOCK_BYTES.  The resistance profile R(x, .) behind h
-profiles is such a batch grounded at x, where R(x, z) = G_zz; it makes one
-right side per vertex, so it refuses graphs above VECTOR_CAP vertices.
-Every solve is checked against a relative-residual bound of 1e-10 per right
-side; a right side above it gets one step of iterative refinement with the
-same factors, and the solve fails if it is still above.
+caps admit.  Its `solve` works on the free rows alone: right sides and
+solutions hold one row per free vertex and one column per right side, in
+Fortran order so that every column is contiguous; `extend` gathers and
+scatters full vectors itself.  That one factorization serves pair
+resistances (one grounded vertex), set resistances (A pinned at 1, B and
+other components at 0) and traces (the set pinned to unit potentials, 256
+right sides per solve).  A batch of pair resistances is one Green's-function
+block: one unit right side per distinct free endpoint, built on the free
+rows, R(x, y) = G_xx + G_yy - 2 G_xy read at the endpoints' free rows, in
+column blocks of at most PAIR_BLOCK_BYTES; the ground vertex's row and
+column of G are 0 and are not solved.  `green` returns the entries G[rows,
+cols] themselves, for a caller that keeps a block between queries
+(`mixedcarpet.ScaleCache`).  The resistance profile R(x, .) behind h profiles
+is a pair batch grounded at x, where R(x, z) = G_zz; it makes one right side
+per vertex, so it refuses graphs above VECTOR_CAP vertices.  Every solve is
+checked against a relative-residual bound of 1e-10 per right side, one
+column at a time; a right side above it gets one step of iterative
+refinement with the same factors, and the solve fails if it is still above.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-PAIR_BLOCK_BYTES = 8 * 2 ** 20  # one dense n x block array of Green's-function columns
+PAIR_BLOCK_BYTES = 8 * 2 ** 20  # one dense free-rows x block array of Green's columns
 VECTOR_CAP = 4000  # a profile takes one unit right side per vertex on one factorization
 
 
@@ -146,6 +153,8 @@ class _Grounded:
         if not np.isin(comp, comp[grounded]).all():
             raise SolverError("a connected component holds no grounded vertex")
         self.free = np.flatnonzero(~grounded)
+        self.pos = np.full(g.n, -1, dtype=np.int64)  # vertex -> free row, -1 on the ground set
+        self.pos[self.free] = np.arange(len(self.free))
         lap = g.laplacian()
         self.lap_ff = lap[self.free][:, self.free].tocsc()
         try:
@@ -153,31 +162,29 @@ class _Grounded:
         except RuntimeError as exc:  # singular pivot
             raise SolverError(f"sparse factorization failed: {exc}") from exc
 
-    def solve(self, rhs_full: np.ndarray) -> np.ndarray:
-        """Solve L u = rhs on the free vertices with u = 0 on the ground set.
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve L x = b on the free vertices, with u = 0 on the ground set.
 
-        rhs is indexed on all vertices (one column per right side); its
-        ground rows are ignored.  Each column must meet the residual bound.
+        b and x hold the free rows only (row i is vertex free[i]), one column
+        per right side; in Fortran order every column is contiguous.  Each
+        column must meet the residual bound, checked one column at a time,
+        so a column gets the same residual in any batch.
         """
-        b = rhs_full[self.free]
-        if b.ndim == 1:
-            b = b[:, None]
-
-        def norms(a):  # per column, summed in the same order for any batch width
-            return np.linalg.norm(np.ascontiguousarray(a.T), axis=1)
-
-        nb = norms(b)
-        nb[nb == 0] = 1.0
         x = self._lu.solve(b)
-        redo = np.flatnonzero(norms(self.lap_ff @ x - b) / nb > RESIDUAL_TOL)
+        b2, x2 = (b[:, None], x[:, None]) if b.ndim == 1 else (b, x)
+        nb = _norms(b2.T)
+        nb[nb == 0] = 1.0
+        redo = np.flatnonzero(_norms(self._residuals(x2, b2)) / nb > RESIDUAL_TOL)
         if len(redo):  # refine only the columns above the bound
-            x[:, redo] += self._lu.solve(b[:, redo] - self.lap_ff @ x[:, redo])
-            res = float(np.max(norms(self.lap_ff @ x[:, redo] - b[:, redo]) / nb[redo]))
+            x2[:, redo] += self._lu.solve(np.array(self._residuals(x2[:, redo], b2[:, redo])).T)
+            res = float(np.max(_norms(self._residuals(x2[:, redo], b2[:, redo])) / nb[redo]))
             if res > RESIDUAL_TOL:
                 raise SolverError(f"solve residual {res:.3e} above {RESIDUAL_TOL}")
-        u = np.zeros(rhs_full.shape)
-        u[self.free] = x if rhs_full.ndim == 2 else x[:, 0]
-        return u
+        return x
+
+    def _residuals(self, x: np.ndarray, b: np.ndarray) -> List[np.ndarray]:
+        """b - L x, column by column."""
+        return [bj - self.lap_ff @ xj for xj, bj in zip(x.T, b.T)]
 
     def extend(self, pinned: np.ndarray) -> np.ndarray:
         """Harmonic extension: u = pinned on the ground set, L u = 0 off it.
@@ -185,26 +192,61 @@ class _Grounded:
         `pinned` holds the ground-set values and 0 on the free vertices, one
         column per right side.
         """
-        return self.solve(-(self.g.laplacian() @ pinned)) + pinned
+        u = np.array(pinned, dtype=np.float64)
+        u[self.free] = self.solve(-(self.g.laplacian() @ pinned)[self.free])
+        return u
+
+    def _unit_solves(self, cols: np.ndarray):
+        """Free-row Green's columns G[:, v] for the free vertices v of cols:
+        yields (k, x) with x[:, i] the column of cols[k[i]], one unit right
+        side per column, in blocks of at most PAIR_BLOCK_BYTES.  The columns
+        of ground vertices are 0 and are not solved."""
+        fcols = self.pos[cols]
+        k_free = np.flatnonzero(fcols >= 0)
+        block = max(1, PAIR_BLOCK_BYTES // (8 * max(1, len(self.free))))
+        for lo in range(0, len(k_free), block):
+            k = k_free[lo:lo + block]
+            b = np.zeros((len(self.free), len(k)), order="F")
+            b[fcols[k], np.arange(len(k))] = 1.0
+            yield k, self.solve(b)
+
+    def green(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """G[rows][:, cols] of the grounded Green's function, solving one
+        column per free vertex of cols; ground rows and columns are 0."""
+        frows = self.pos[rows]
+        r = np.flatnonzero(frows >= 0)
+        out = np.zeros((len(rows), len(cols)))
+        for k, x in self._unit_solves(cols):
+            out[np.ix_(r, k)] = x[frows[r]]
+        return out
 
     def pair_resistances(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
         """R(x, y) = G_xx + G_yy - 2 G_xy for every pair (xs[i], ys[i]), with G
-        the grounded Green's function: one unit right side per distinct endpoint."""
+        the grounded Green's function: one unit right side per distinct free
+        endpoint, streamed in column blocks; ground endpoints read 0."""
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
         ys = np.asarray(ys, dtype=np.int64).reshape(-1)
         ends, inverse = np.unique(np.concatenate([xs, ys]), return_inverse=True)
         ix, iy = inverse[:len(xs)], inverse[len(xs):]
-        g = np.empty((3, len(xs)))  # G_xx, G_yy, G_xy
-        block = max(1, PAIR_BLOCK_BYTES // (8 * self.g.n))
-        for lo in range(0, len(ends), block):
-            cols = ends[lo:lo + block]
-            rhs = np.zeros((self.g.n, len(cols)))
-            rhs[cols, np.arange(len(cols))] = 1.0
-            u = self.solve(rhs)
-            sx, sy = (lo <= ix) & (ix < lo + block), (lo <= iy) & (iy < lo + block)
-            g[0, sx] = u[xs[sx], ix[sx] - lo]
-            g[1:, sy] = u[ys[sy], iy[sy] - lo], u[xs[sy], iy[sy] - lo]
+        fx, fy = self.pos[xs], self.pos[ys]
+        g = np.zeros((3, len(xs)))  # G_xx, G_yy, G_xy
+        at = np.empty(len(ends), dtype=np.int64)
+        for k, x in self._unit_solves(ends):
+            at.fill(-1)
+            at[k] = np.arange(len(k))  # column of each endpoint in this block
+            cx, cy = at[ix], at[iy]
+            sx, sy = cx >= 0, cy >= 0
+            sxy = sy & (fx >= 0)
+            g[0, sx] = x[fx[sx], cx[sx]]
+            g[1, sy] = x[fy[sy], cy[sy]]
+            g[2, sxy] = x[fx[sxy], cy[sxy]]
         return g[0] + g[1] - 2.0 * g[2]  # exactly 0 where x == y: a + a - 2a is exact
+
+
+def _norms(columns) -> np.ndarray:
+    """The 2-norm of each column, one column at a time, so that a column gets
+    the same norm in any batch."""
+    return np.array([np.linalg.norm(c) for c in columns])
 
 
 @dataclass

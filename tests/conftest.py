@@ -150,10 +150,12 @@ def single_pair_resistance(solver, x, y):
     before they were batched into Green's-function blocks."""
     if x == y:
         return 0.0
-    rhs = np.zeros(solver.g.n)
-    rhs[x] += 1.0
-    rhs[y] -= 1.0
-    u = solver.solve(rhs)
+    u = np.zeros(solver.g.n)
+    b = np.zeros(len(solver.free))
+    for v, s in ((x, 1.0), (y, -1.0)):
+        if solver.pos[v] >= 0:  # the ground rows of e_x - e_y are dropped
+            b[solver.pos[v]] = s
+    u[solver.free] = solver.solve(b)
     return float(u[x] - u[y])
 
 

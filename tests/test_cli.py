@@ -193,7 +193,22 @@ def test_config_validation():
     ExperimentConfig(command="build", depth=0).validate()
     ExperimentConfig(command="mixed", depth=3).validate()
     for command in PARAMS:
-        ExperimentConfig(command=command).validate()  # every default runs
+        cfg = ExperimentConfig(command=command)
+        cfg.validate()  # every default runs
+        settled = {k: v for k, v in vars(cfg).items() if k not in ("command", "seed", "out")}
+        assert settled == DEFAULTS[command]
+
+
+# the settled defaults of each command besides seed and out, as README's
+# parameter table writes them; `mixed` defaults to the depth whose checks pass
+DEFAULTS = {"build": {"f_table": None, "structure": "sc", "depth": 3},
+            "resist": {"f_table": None, "structure": "sc", "n": 2},
+            "penergy": {"f_table": None, "structure": "sc", "depth": 3, "kmax": 2,
+                        "p_grid": [1.5, 2.0]},
+            "dims": {"f_table": None, "structure": "sc", "depth": 3, "kmax": 4},
+            "heat": {"f_table": None, "structure": "sc", "depth": 3},
+            "mixed": {"depth": 5, "report": "gap"},
+            "validate": {}}
 
 
 @pytest.mark.parametrize("argv, message", [

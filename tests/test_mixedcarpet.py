@@ -321,6 +321,72 @@ def test_qs_diagnostic_matches_per_pair_solves(mx_cache, n):
                   <= 1e-12 * np.maximum.accumulate(r_want))
 
 
+def _pair_pipeline(cache, order):
+    """chain_check(cache, 5) and the two qs_diagnostic calls of `mixed
+    --depth 5`, in the given order ("chain" or "qs" first)."""
+    def chain():
+        return chain_check(cache, 5, pair_samples=25, seed=1)
+
+    def qs():
+        d4 = qs_diagnostic(cache, 4, samples=250, seed=1)
+        return d4, qs_diagnostic(cache, 5, samples=250, seed=1, triples=d4.triples)
+
+    if order == "chain":
+        ch = chain()
+        return ch, qs()
+    d4_d5 = qs()
+    return chain(), d4_d5
+
+
+def test_pipeline_solves_each_green_column_once(monkeypatch):
+    """One cache serves chain_check and both qs_diagnostic calls: each graph
+    solves exactly one column per distinct non-ground endpoint (one column
+    per endpoint of each batch would be 253 on level 5 and 257 on level 4)."""
+    widths = {}  # keyed by graph
+    solve = resnet._Grounded.solve
+
+    def counted_solve(self, b):
+        widths[self.g] = widths.get(self.g, 0) + (1 if b.ndim == 1 else b.shape[1])
+        return solve(self, b)
+
+    monkeypatch.setattr(resnet._Grounded, "solve", counted_solve)
+    cache = ScaleCache(Schedule.mixed())
+    _pair_pipeline(cache, "chain")
+    g4, g5 = cache.graph(4).graph, cache.graph(5).graph
+    assert (g4.n, g5.n) == (2880, 14752)
+    assert (widths[g4], widths[g5]) == (182, 181)
+    # the endpoints asked of each level graph, less its ground vertex 0
+    for n, (ends, _) in cache._green.items():
+        assert len(ends) == len(set(ends.tolist()))
+        assert widths.get(cache.graph(n).graph, 0) == len(set(ends.tolist()) - {0})
+
+
+def test_warm_green_block_matches_a_fresh_one():
+    """C1/C1b and the qs ratios read from a block warmed by the other step
+    equal those from a fresh cache to 1e-12; a pair x == y reads exactly 0."""
+    a, b = ScaleCache(Schedule.mixed()), ScaleCache(Schedule.mixed())
+    ch_cold, (_, qs_warm) = _pair_pipeline(a, "chain")
+    ch_warm, (_, qs_cold) = _pair_pipeline(b, "qs")
+    for n in range(1, 6):
+        for key in ("C1", "C1b"):
+            assert ch_warm["per_n"][n][key] == pytest.approx(ch_cold["per_n"][n][key],
+                                                             rel=1e-12, abs=0)
+    assert qs_warm.triples == qs_cold.triples
+    assert np.array_equal(qs_warm.t_values, qs_cold.t_values)
+    assert np.all(np.abs(qs_warm.ratios - qs_cold.ratios) <= 1e-12 * qs_cold.ratios)
+    # old endpoints, one new endpoint and the ground vertex, against themselves
+    # and against each other
+    old = a._green[5][0][:3]
+    v = np.setdiff1d(np.arange(1, 50), a._green[5][0])[0]
+    vs = np.array([0, v, *old])
+    assert np.all(a.pair_resistances(5, vs, vs) == 0.0)
+    solver = a.graph(5).graph.grounded_solver()
+    xs, ys = np.repeat(vs, len(vs)), np.tile(vs, len(vs))
+    got = a.pair_resistances(5, xs, ys)
+    want = np.array([single_pair_resistance(solver, int(x), int(y)) for x, y in zip(xs, ys)])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
 def test_evres_fit_pure_caches_solve_pt_only(monkeypatch, sc_cache, vs_cache, mx_cache):
     monkeypatch.setattr(mixedcarpet, "PURE_LEVELS", 4)
     evres_fit(sc_cache, vs_cache, mx_cache, n_max=2)  # mixed scales cached

@@ -309,8 +309,8 @@ def test_solve_refines_only_the_columns_above_the_bound(monkeypatch):
     for _ in range(50):
         g = random_connected_graph(rng, n_max=40)
         solver = g.grounded_solver()
-        rhs = rng.standard_normal((g.n, 6))
-        b = rhs[solver.free]
+        # free rows only, one contiguous column per right side
+        b = np.asfortranarray(rng.standard_normal((len(solver.free), 6)))
         x = solver._lu.solve(b)
         res = np.linalg.norm(solver.lap_ff @ x - b, axis=0) / np.linalg.norm(b, axis=0)
         worst = int(np.argmax(res))
@@ -322,12 +322,12 @@ def test_solve_refines_only_the_columns_above_the_bound(monkeypatch):
         found += 1
         # exactly one column is above the bound
         monkeypatch.setattr(resnet, "RESIDUAL_TOL", bound)
-        batch = solver.solve(rhs)
-        for k in range(rhs.shape[1]):
-            assert np.array_equal(batch[:, k], solver.solve(rhs[:, k]))
-        assert np.array_equal(batch[solver.free][:, worst], refined)
-        assert np.array_equal(np.delete(batch[solver.free], worst, axis=1),
-                              np.delete(x, worst, axis=1))
+        batch = solver.solve(b)
+        assert batch.shape == b.shape and batch.flags.f_contiguous
+        for k in range(b.shape[1]):
+            assert np.array_equal(batch[:, k], solver.solve(b[:, k]))
+        assert np.array_equal(batch[:, worst], refined)
+        assert np.array_equal(np.delete(batch, worst, axis=1), np.delete(x, worst, axis=1))
     assert found >= 5
 
 
