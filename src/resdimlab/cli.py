@@ -273,7 +273,7 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     form = heat.build_form(h, depth, meas, pt[-1])
     heat_ds = heat.ol_ds_heat(form)["estimate"]
     profile_level = min(depth, 3)
-    prof = mmod.h_profile(meas, cache.graph(profile_level, 0),
+    prof = mmod.h_profile(meas, cache.graph(profile_level),
                           cache.pt(profile_level, 0))
     _write_csv(os.path.join(outdir, "profiles.csv"),
                ["x_id", "r", "V_lo", "V_hi", "olR", "h_lo", "h_hi"], prof["rows"])

@@ -495,12 +495,13 @@ def h_profile(m: HierMeasure, cg, renormalizer: float,
     """Profiles h(x, r) = V(x, r) * sup-resistance over the Euclidean ball.
 
     `cg` is a corner graph whose resistances, divided by `renormalizer`,
-    stand in for the limit metric.  Returns the rows (x_id, r, V brackets,
-    olR, h brackets) plus the fitted halving factor gamma2 with
-    h(x, r/gamma2) <= h(x, r)/2 and the doubling constant of h.
+    stand in for the limit metric.  R(x, .) is one pair query on the graph's
+    grounded solver, with every vertex an endpoint, so the first centre
+    solves the Green's block on all of the graph and the others read it;
+    graphs above `resnet.VECTOR_CAP` vertices are refused.  Returns the rows
+    (x_id, r, V brackets, olR, h brackets) plus the fitted halving factor
+    gamma2 with h(x, r/gamma2) <= h(x, r)/2 and the doubling constant of h.
     """
-    from .resnet import resistance_vector
-
     g = cg.graph
     coords = cg.coords_float()
     if centers is None:
@@ -508,10 +509,11 @@ def h_profile(m: HierMeasure, cg, renormalizer: float,
     if radii is None:
         radii = [2.0 * 3.0 ** (-j) for j in range(0, cg.n - cg.m + 1)]
     radii = sorted(float(r) for r in radii)
+    solver = g.grounded_solver()
     rows: List[dict] = []
     per_center: Dict[int, List[dict]] = {}
     for x in centers:
-        rvec = resistance_vector(g, int(x)) / renormalizer
+        rvec = solver.pair_resistances(np.full(g.n, x), np.arange(g.n)) / renormalizer
         dist = np.hypot(coords[:, 0] - coords[x, 0], coords[:, 1] - coords[x, 1])
         series = []
         for r in radii:

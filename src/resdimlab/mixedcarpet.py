@@ -52,33 +52,30 @@ class ResistanceScales:
 
 
 class ScaleCache:
-    """Corner graphs, their resistance scales and their Green's blocks for
-    one schedule.
+    """Corner graphs and their resistance scales for one schedule.
 
     (Pt) and (TB) are each one eff_resistance on a reflection quarter built
     straight from the schedule (`cornergraph.pt_quarter`,
     `cornergraph.tb_quarter`); no full corner graph is built for them.  The
-    full graphs of `graph` serve the pair resistances of `chain_check` and
-    `qs_diagnostic` (`pair_resistances`) and `measure.h_profile`.  Per level
-    graph the cache keeps one Green's block: G, grounded at vertex 0,
-    restricted to the endpoints asked so far, so each column is solved once
-    per graph however many queries read it.  Every function here reads the
-    scales of a schedule from the cache it is given, so a caller that keeps
-    one cache per schedule solves each scale and each Green's column once.
+    full level-n graphs of `graph` serve the pair resistances of
+    `chain_check` and `qs_diagnostic` and the profiles of
+    `measure.h_profile`, all read from the Green's block that each graph's
+    grounded solver keeps, so each column is solved once per graph however
+    many queries read it.  Every function here reads the scales of a
+    schedule from the cache it is given, so a caller that keeps one cache
+    per schedule solves each scale and each Green's column once.
     """
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
-        self._graphs: Dict[Tuple[int, int], CornerGraph] = {}
+        self._graphs: Dict[int, CornerGraph] = {}
         self._pt: Dict[Tuple[int, int], float] = {}
         self._scales: Dict[Tuple[int, int], ResistanceScales] = {}
-        self._green: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def graph(self, n: int, m: int = 0) -> CornerGraph:
-        key = (n, m)
-        if key not in self._graphs:
-            self._graphs[key] = corner_graph(self.schedule, n, m)
-        return self._graphs[key]
+    def graph(self, n: int) -> CornerGraph:
+        if n not in self._graphs:
+            self._graphs[n] = corner_graph(self.schedule, n, 0)
+        return self._graphs[n]
 
     def pt(self, n: int, m: int = 0) -> float:
         """(Pt)_{n,m} alone: the opposite-corner resistance p1 to p5."""
@@ -86,25 +83,6 @@ class ScaleCache:
         if key not in self._pt:
             self._pt[key] = eff_resistance(*pt_quarter(self.schedule, n, m)).value
         return self._pt[key]
-
-    def pair_resistances(self, n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """R(xs[i], ys[i]) on graph(n): G_xx + G_yy - 2 G_xy read from the
-        level's Green's block, after solving the columns of the endpoints it
-        lacks.  Their entries against the earlier endpoints are read off the
-        new columns and mirrored, since G is symmetric."""
-        solver = self.graph(n).graph.grounded_solver()
-        ends, block = self._green.get(n, (np.zeros(0, dtype=np.int64), np.zeros((0, 0))))
-        new = np.setdiff1d(np.concatenate([xs, ys]), ends)
-        if len(new):
-            k = len(ends)
-            ends = np.concatenate([ends, new])
-            cols = solver.green(ends, new)
-            block = np.block([[block, cols[:k]], [cols[:k].T, cols[k:]]])
-            self._green[n] = ends, block
-        order = np.argsort(ends)
-        ix, iy = (order[np.searchsorted(ends, v, sorter=order)] for v in (xs, ys))
-        d = np.diagonal(block)
-        return d[ix] + d[iy] - 2.0 * block[ix, iy]  # exactly 0 where x == y
 
     def scales(self, n: int, m: int = 0) -> ResistanceScales:
         key = (n, m)
@@ -142,10 +120,12 @@ def chain_check(cache: ScaleCache, n_max: int, pair_samples: int = 40,
     Constants are reported per n (using all m < n) so stability across
     levels is visible.
     """
+    if n_max < 1:
+        raise ValueError(f"chain_check needs n_max >= 1 (n_max = {n_max})")
     per_n: Dict[int, Dict[str, float]] = {}
     pt_ge_tb = True
     for n in range(1, n_max + 1):
-        cg_n = cache.graph(n, 0)
+        cg_n = cache.graph(n)
         c1 = c1b = c2 = c3 = 0.0
         for m in range(0, n):
             sc_nm = cache.scales(n, m)
@@ -155,13 +135,13 @@ def chain_check(cache: ScaleCache, n_max: int, pair_samples: int = 40,
                 pt_ge_tb = False
             c2 = max(c2, sc_nm.pt / sc_nm.tb)
             c3 = max(c3, sc_n.pt / (sc_m.pt * sc_nm.pt))
-            cg_m = cache.graph(m, 0)
+            cg_m = cache.graph(m)
             f = 3 ** (n - m)
             va, vb = _sample_distinct(cg_m.graph.n, 2, pair_samples,
                                       np.random.default_rng(seed + 97 * n + m)).T
-            r_m = cache.pair_resistances(m, va, vb)
-            r_n = cache.pair_resistances(n, cg_n.vertex_at(*(f * cg_m.grid[va].T)),
-                                         cg_n.vertex_at(*(f * cg_m.grid[vb].T)))
+            r_m = cg_m.graph.grounded_solver().pair_resistances(va, vb)
+            r_n = cg_n.graph.grounded_solver().pair_resistances(
+                cg_n.vertex_at(*(f * cg_m.grid[va].T)), cg_n.vertex_at(*(f * cg_m.grid[vb].T)))
             c1 = max(c1, float(np.max(r_n / (r_m * sc_nm.pt), initial=0.0)))
             c1b = max(c1b, float(np.max(r_m * sc_nm.tb / r_n, initial=0.0)))
         per_n[n] = {"C1": c1, "C1b": c1b, "C2": c2, "C3": c3}
@@ -284,9 +264,9 @@ def qs_diagnostic(cache: ScaleCache, n: int, samples: int = 300, seed: int = 0,
     if n < SAMPLE_LEVEL:
         raise ValueError(f"qs_diagnostic needs n >= sample_level (n = {n}, "
                          f"sample_level = {SAMPLE_LEVEL})")
-    cg = cache.graph(n, 0)
+    cg = cache.graph(n)
     pt_n = cache.pt(n, 0)
-    coarse = cache.graph(SAMPLE_LEVEL, 0)
+    coarse = cache.graph(SAMPLE_LEVEL)
     f = 3 ** (n - SAMPLE_LEVEL)
     if triples is None:
         ids = _sample_distinct(coarse.graph.n, 3, samples, np.random.default_rng(seed))
@@ -297,7 +277,8 @@ def qs_diagnostic(cache: ScaleCache, n: int, samples: int = 300, seed: int = 0,
           for (ax, ay), (bx, by), (cx, cy) in triples]
     corners = f * np.array(triples, dtype=np.int64).reshape(-1, 3, 2)
     va, vb, vc = (cg.vertex_at(*corners[:, k].T) for k in range(3))
-    r = cache.pair_resistances(n, np.concatenate([va, va]), np.concatenate([vb, vc])) / pt_n
+    r = cg.graph.grounded_solver().pair_resistances(np.concatenate([va, va]),
+                                                    np.concatenate([vb, vc])) / pt_n
     ratios = r[:len(va)] / r[len(va):]
     order = np.argsort(ts)
     t_arr = np.asarray(ts)[order]

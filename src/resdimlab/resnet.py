@@ -12,24 +12,24 @@ Fortran order so that every column is contiguous; `extend` gathers and
 scatters full vectors itself.  That one factorization serves pair
 resistances (one grounded vertex), set resistances (A pinned at 1, B and
 other components at 0) and traces (the set pinned to unit potentials, 256
-right sides per solve).  A batch of pair resistances is one Green's-function
-block: one unit right side per distinct free endpoint, built on the free
-rows, R(x, y) = G_xx + G_yy - 2 G_xy read at the endpoints' free rows, in
-column blocks of at most PAIR_BLOCK_BYTES; the ground vertex's row and
-column of G are 0 and are not solved.  `green` returns the entries G[rows,
-cols] themselves, for a caller that keeps a block between queries
-(`mixedcarpet.ScaleCache`).  The resistance profile R(x, .) behind h profiles
-is a pair batch grounded at x, where R(x, z) = G_zz; it makes one right side
-per vertex, so it refuses graphs above VECTOR_CAP vertices.  Every solve is
-checked against a relative-residual bound of 1e-10 per right side, one
-column at a time; a right side above it gets one step of iterative
-refinement with the same factors, and the solve fails if it is still above.
+right sides per solve).  Pair resistances have one path: each graph's
+cached solver, grounded at vertex 0, keeps its Green's function G on the
+endpoints asked so far, and R(x, y) = G_xx + G_yy - 2 G_xy is read from
+that block.  A query solves one unit right side per new free endpoint, built
+on the free rows, in column blocks of at most PAIR_BLOCK_BYTES, and mirrors
+the new columns against the old endpoints; the ground vertex's row and
+column of G are 0 and are not solved.  A resistance profile R(x, .) is one
+such query, with every vertex an endpoint, so the block refuses to keep
+more than VECTOR_CAP endpoints.  Every solve is checked against a
+relative-residual bound of 1e-10 per right side, one column at a time; a
+right side above it gets one step of iterative refinement with the same
+factors, and the solve fails if it is still above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +49,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 PAIR_BLOCK_BYTES = 8 * 2 ** 20  # one dense free-rows x block array of Green's columns
-VECTOR_CAP = 4000  # a profile takes one unit right side per vertex on one factorization
+VECTOR_CAP = 4000  # endpoints of one kept Green's block: a profile asks every vertex
 
 
 class SolverError(RuntimeError):
@@ -87,7 +87,7 @@ class LevelGraph:
         self.conductance = np.bincount(inverse, weights=c, minlength=len(keys))
         self.labels = list(labels) if labels is not None else None
         self._lap: Optional[sp.csr_matrix] = None
-        self._grounded: Dict[int, object] = {}
+        self._grounded: Optional[_Grounded] = None
         self._components: Optional[np.ndarray] = None
 
     @property
@@ -112,10 +112,12 @@ class LevelGraph:
     def is_connected(self) -> bool:
         return self.n <= 1 or int(self.components().max()) == 0
 
-    def grounded_solver(self, ground: int = 0) -> "_Grounded":
-        if ground not in self._grounded:
-            self._grounded[ground] = _Grounded(self, [ground])
-        return self._grounded[ground]
+    def grounded_solver(self) -> "_Grounded":
+        """The factorization grounded at vertex 0, built once and kept with
+        its Green's block."""
+        if self._grounded is None:
+            self._grounded = _Grounded(self, [0])
+        return self._grounded
 
     def merged(self, groups: Sequence[Sequence[int]]) -> Tuple["LevelGraph", np.ndarray]:
         """Identify each vertex group to a single vertex (exact set queries).
@@ -161,6 +163,8 @@ class _Grounded:
             self._lu = spla.splu(self.lap_ff)
         except RuntimeError as exc:  # singular pivot
             raise SolverError(f"sparse factorization failed: {exc}") from exc
+        self._ends = np.zeros(0, dtype=np.int64)  # endpoints of the kept Green's block
+        self._block = np.zeros((0, 0))  # G[_ends][:, _ends]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve L x = b on the free vertices, with u = 0 on the ground set.
@@ -196,51 +200,40 @@ class _Grounded:
         u[self.free] = self.solve(-(self.g.laplacian() @ pinned)[self.free])
         return u
 
-    def _unit_solves(self, cols: np.ndarray):
-        """Free-row Green's columns G[:, v] for the free vertices v of cols:
-        yields (k, x) with x[:, i] the column of cols[k[i]], one unit right
-        side per column, in blocks of at most PAIR_BLOCK_BYTES.  The columns
-        of ground vertices are 0 and are not solved."""
-        fcols = self.pos[cols]
-        k_free = np.flatnonzero(fcols >= 0)
-        block = max(1, PAIR_BLOCK_BYTES // (8 * max(1, len(self.free))))
-        for lo in range(0, len(k_free), block):
-            k = k_free[lo:lo + block]
-            b = np.zeros((len(self.free), len(k)), order="F")
-            b[fcols[k], np.arange(len(k))] = 1.0
-            yield k, self.solve(b)
-
-    def green(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """G[rows][:, cols] of the grounded Green's function, solving one
-        column per free vertex of cols; ground rows and columns are 0."""
-        frows = self.pos[rows]
-        r = np.flatnonzero(frows >= 0)
-        out = np.zeros((len(rows), len(cols)))
-        for k, x in self._unit_solves(cols):
-            out[np.ix_(r, k)] = x[frows[r]]
-        return out
-
     def pair_resistances(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
-        """R(x, y) = G_xx + G_yy - 2 G_xy for every pair (xs[i], ys[i]), with G
-        the grounded Green's function: one unit right side per distinct free
-        endpoint, streamed in column blocks; ground endpoints read 0."""
+        """R(x, y) = G_xx + G_yy - 2 G_xy for every pair (xs[i], ys[i]), read
+        from the Green's block G[_ends][:, _ends] kept between calls.  The
+        columns of the endpoints it lacks are solved first, one unit right
+        side per free endpoint in blocks of at most PAIR_BLOCK_BYTES; their
+        entries against the earlier endpoints are mirrored, since G is
+        symmetric.  Rows and columns of ground endpoints are 0."""
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
         ys = np.asarray(ys, dtype=np.int64).reshape(-1)
-        ends, inverse = np.unique(np.concatenate([xs, ys]), return_inverse=True)
-        ix, iy = inverse[:len(xs)], inverse[len(xs):]
-        fx, fy = self.pos[xs], self.pos[ys]
-        g = np.zeros((3, len(xs)))  # G_xx, G_yy, G_xy
-        at = np.empty(len(ends), dtype=np.int64)
-        for k, x in self._unit_solves(ends):
-            at.fill(-1)
-            at[k] = np.arange(len(k))  # column of each endpoint in this block
-            cx, cy = at[ix], at[iy]
-            sx, sy = cx >= 0, cy >= 0
-            sxy = sy & (fx >= 0)
-            g[0, sx] = x[fx[sx], cx[sx]]
-            g[1, sy] = x[fy[sy], cy[sy]]
-            g[2, sxy] = x[fx[sxy], cy[sxy]]
-        return g[0] + g[1] - 2.0 * g[2]  # exactly 0 where x == y: a + a - 2a is exact
+        new = np.setdiff1d(np.concatenate([xs, ys]), self._ends)
+        if len(new):
+            if new[0] < 0 or new[-1] >= self.g.n:  # new is sorted
+                raise ValueError("vertex out of range")
+            k = len(self._ends)
+            ends = np.concatenate([self._ends, new])
+            if len(ends) > VECTOR_CAP:
+                raise ValueError(f"a Green's block keeps at most {VECTOR_CAP} endpoints "
+                                 f"({len(ends)} asked)")
+            frows, fnew = self.pos[ends], self.pos[new]
+            r = np.flatnonzero(frows >= 0)
+            j_free = np.flatnonzero(fnew >= 0)
+            cols = np.zeros((len(ends), len(new)))
+            width = max(1, PAIR_BLOCK_BYTES // (8 * max(1, len(self.free))))
+            for lo in range(0, len(j_free), width):
+                j = j_free[lo:lo + width]
+                b = np.zeros((len(self.free), len(j)), order="F")
+                b[fnew[j], np.arange(len(j))] = 1.0
+                cols[np.ix_(r, j)] = self.solve(b)[frows[r]]
+            self._block = np.block([[self._block, cols[:k]], [cols[:k].T, cols[k:]]])
+            self._ends = ends
+        order = np.argsort(self._ends)
+        ix, iy = (order[np.searchsorted(self._ends, v, sorter=order)] for v in (xs, ys))
+        d = np.diagonal(self._block)
+        return d[ix] + d[iy] - 2.0 * self._block[ix, iy]  # exactly 0 where x == y
 
 
 def _norms(columns) -> np.ndarray:
@@ -350,16 +343,6 @@ def min_energy_flow(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[
     energy = float(np.sum(flow * flow / g.conductance))
     uf = UnitFlow(g.edge_u.copy(), g.edge_v.copy(), flow, tuple(A), tuple(B), energy)
     return uf, energy
-
-
-def resistance_vector(g: LevelGraph, x: int) -> np.ndarray:
-    """R(x, z) for every z: the Green's-function diagonal G_zz grounded at x."""
-    if g.n > VECTOR_CAP:
-        raise ValueError(f"resistance_vector makes one solve per vertex (n={g.n} > {VECTOR_CAP})")
-    if not 0 <= x < g.n:
-        raise ValueError("vertex out of range")
-    # uncached, so its factors are freed on return
-    return _Grounded(g, [x]).pair_resistances(np.full(g.n, x), np.arange(g.n))
 
 
 # -- oracles ---------------------------------------------------------------

@@ -407,13 +407,45 @@ def test_fekete_violation_reported():
 
 def test_h_profile_vicsek(vs_h6, vs_cache):
     from resdimlab.measure import h_profile
-    cg = vs_cache.graph(3, 0)
+    cg = vs_cache.graph(3)
     out = h_profile(hier_measure(vs_h6), cg, vs_cache.pt(3))
     assert out["monotone"]
     assert out["gamma2"] is not None
     assert out["h_doubling"] > 0 and math.isfinite(out["h_doubling"])
     rows = out["rows"]
     assert all(r["h_lo"] <= r["h_hi"] + 1e-15 for r in rows)
+
+
+def test_h_profile_solves_one_block(monkeypatch, vs_h6):
+    """Both default centres read one Green's block: one factorization and one
+    column per non-ground vertex, not one grounded factorization per centre."""
+    from resdimlab import resnet
+    from resdimlab.cornergraph import corner_graph
+    from resdimlab.measure import h_profile
+    factors, widths = [], []
+    splu, solve = resnet.spla.splu, resnet._Grounded.solve
+
+    def counted_splu(a, *args, **kwargs):
+        factors.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    def counted_solve(self, b):
+        widths.append(1 if b.ndim == 1 else b.shape[1])
+        return solve(self, b)
+
+    monkeypatch.setattr(resnet.spla, "splu", counted_splu)
+    monkeypatch.setattr(resnet._Grounded, "solve", counted_solve)
+    cg = corner_graph(Schedule.pure_vicsek(), 3)
+    out = h_profile(hier_measure(vs_h6), cg, 1.0)
+    assert cg.graph.n == 376 and len({r["x_id"] for r in out["rows"]}) == 2
+    assert (len(factors), sum(widths)) == (1, 375)
+
+
+@pytest.mark.parametrize("centre", [-1, 376])
+def test_h_profile_rejects_bad_centre(vs_h6, vs_cache, centre):
+    from resdimlab.measure import h_profile
+    with pytest.raises(ValueError, match="vertex out of range"):
+        h_profile(hier_measure(vs_h6), vs_cache.graph(3), 1.0, centers=[centre])
 
 
 def test_nstar_volume_lower_bound(vs_h6, sc_h6):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from resdimlab import measure, mixedcarpet, resnet
-from resdimlab.cornergraph import pt_quarter
+from resdimlab.cornergraph import corner_graph, pt_quarter
 from resdimlab.hierarchy import Schedule, mixed_indicator
 from resdimlab.mixedcarpet import (ScaleCache, chain_check, delta_pair, evres_fit, gap_report,
                                    qs_diagnostic, qs_envelope_drift)
@@ -64,6 +64,12 @@ def test_chain_constants_finite_and_stable(mx_cache):
     # stability: the last level adds little to the fitted constants
     for key in ("C1", "C3"):
         assert out["per_n"][5][key] <= 1.25 * out["per_n"][4][key]
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_chain_check_rejects_n_max_below_1(mx_cache, n_max):
+    with pytest.raises(ValueError, match=f"n_max >= 1 \\(n_max = {n_max}\\)"):
+        chain_check(mx_cache, n_max)
 
 
 def test_evres_fit(sc_cache, vs_cache, mx_cache):
@@ -203,12 +209,12 @@ def _old_triple_ids(n_c, samples, seed):
 
 def test_sample_distinct_matches_old_draws(mx_cache):
     for n in range(4):
-        nv = mx_cache.graph(n, 0).graph.n
+        nv = mx_cache.graph(n).graph.n
         for seed in (0, 1, 2):
             pairs = mixedcarpet._sample_distinct(nv, 2, 25, np.random.default_rng(seed))
             assert pairs.dtype == np.int64
             assert np.array_equal(pairs.T, _old_vertex_pairs(nv, 25, seed))
-    coarse = mx_cache.graph(2, 0)
+    coarse = mx_cache.graph(2)
     for seed in range(5):
         ids = mixedcarpet._sample_distinct(coarse.graph.n, 3, 250, np.random.default_rng(seed))
         old = _old_triple_ids(coarse.graph.n, 250, seed)
@@ -231,7 +237,7 @@ def test_qs_diagnostic_rejects_n_below_sample_level(mx_cache):
 
 
 def test_rstar_approximant_band(mx_h5, mx_cache):
-    cg5 = mx_cache.graph(5, 0)
+    cg5 = mx_cache.graph(5)
     solver = cg5.graph.grounded_solver()
     pt5 = mx_cache.pt(5, 0)
     rng = np.random.default_rng(7)
@@ -256,12 +262,12 @@ def chain_constants_per_pair(schedule, n_max, pair_samples, seed, cache):
     """C1 and C1b per n, one e_x - e_y solve per sampled pair."""
     per_n = {}
     for n in range(1, n_max + 1):
-        cg_n = cache.graph(n, 0)
+        cg_n = cache.graph(n)
         solver_n = cg_n.graph.grounded_solver()
         c1 = c1b = 0.0
         for m in range(0, n):
             sc_nm = cache.scales(n, m)
-            cg_m = cache.graph(m, 0)
+            cg_m = cache.graph(m)
             solver_m = cg_m.graph.grounded_solver()
             f = 3 ** (n - m)
             rng = np.random.default_rng(seed + 97 * n + m)
@@ -283,11 +289,11 @@ def chain_constants_per_pair(schedule, n_max, pair_samples, seed, cache):
 
 def qs_ratios_per_pair(cache, n, triples, sample_level=2):
     """(t, ratio) per triple, two e_x - e_y solves per triple."""
-    cg = cache.graph(n, 0)
+    cg = cache.graph(n)
     solver = cg.graph.grounded_solver()
     pt_n = cache.pt(n, 0)
     f = 3 ** (n - sample_level)
-    span = float(cache.graph(sample_level, 0).span)
+    span = float(cache.graph(sample_level).span)
     ts, ratios = [], []
     for (ax, ay), (bx, by), (cx, cy) in triples:
         va = cg.vertex_at(ax * f, ay * f)
@@ -356,9 +362,11 @@ def test_pipeline_solves_each_green_column_once(monkeypatch):
     assert (g4.n, g5.n) == (2880, 14752)
     assert (widths[g4], widths[g5]) == (182, 181)
     # the endpoints asked of each level graph, less its ground vertex 0
-    for n, (ends, _) in cache._green.items():
+    for n in range(6):
+        g = cache.graph(n).graph
+        ends = g.grounded_solver()._ends
         assert len(ends) == len(set(ends.tolist()))
-        assert widths.get(cache.graph(n).graph, 0) == len(set(ends.tolist()) - {0})
+        assert widths.get(g, 0) == len(set(ends.tolist()) - {0})
 
 
 def test_warm_green_block_matches_a_fresh_one():
@@ -376,13 +384,13 @@ def test_warm_green_block_matches_a_fresh_one():
     assert np.all(np.abs(qs_warm.ratios - qs_cold.ratios) <= 1e-12 * qs_cold.ratios)
     # old endpoints, one new endpoint and the ground vertex, against themselves
     # and against each other
-    old = a._green[5][0][:3]
-    v = np.setdiff1d(np.arange(1, 50), a._green[5][0])[0]
-    vs = np.array([0, v, *old])
-    assert np.all(a.pair_resistances(5, vs, vs) == 0.0)
     solver = a.graph(5).graph.grounded_solver()
+    old = solver._ends[:3]
+    v = np.setdiff1d(np.arange(1, 50), solver._ends)[0]
+    vs = np.array([0, v, *old])
+    assert np.all(solver.pair_resistances(vs, vs) == 0.0)
     xs, ys = np.repeat(vs, len(vs)), np.tile(vs, len(vs))
-    got = a.pair_resistances(5, xs, ys)
+    got = solver.pair_resistances(xs, ys)
     want = np.array([single_pair_resistance(solver, int(x), int(y)) for x, y in zip(xs, ys)])
     assert np.all(np.abs(got - want) <= 1e-12 * want)
 
@@ -419,7 +427,7 @@ def test_scales_equal_direct_resistances(schedule, deep):
     cache = ScaleCache(schedule)
     pairs = [(n, m) for n in range(1, 6) for m in range(n + 1)] + [(6, 0)] * deep
     for n, m in pairs:
-        cg = cache.graph(n, m)
+        cg = corner_graph(schedule, n, m)
         p1, _, p5, _ = cg.corner_vertices()
         s = cache.scales(n, m)
         assert (s.n, s.m) == (n, m)

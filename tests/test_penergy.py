@@ -442,7 +442,7 @@ def test_annulus_resistance_scale_band(sc_h6, sc_cache):
     band = []
     for base in (1, 2):
         n = base + 2
-        cg = sc_cache.graph(n, 0)
+        cg = sc_cache.graph(n)
         h = sc_h6
         w = h.levels[base].count // 2
         near = chain_ball(adjacency(h, base), [w], 1)

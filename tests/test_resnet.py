@@ -331,13 +331,13 @@ def test_solve_refines_only_the_columns_above_the_bound(monkeypatch):
     assert found >= 5
 
 
-def pair_batch(rng, n, ground):
-    """Pairs with repeated endpoints, x == y and the ground vertex."""
+def pair_batch(rng, n):
+    """Pairs with repeated endpoints, x == y and the ground vertex 0."""
     xs = rng.integers(0, n, size=30)
     ys = rng.integers(0, n, size=30)
     ys[:5] = xs[:5]
-    xs[5:8] = ground
-    ys[8:11] = ground
+    xs[5:8] = 0
+    ys[8:11] = 0
     xs[11:14] = xs[14]
     return xs, ys
 
@@ -346,9 +346,8 @@ def test_pair_resistances_match_single_solves(monkeypatch):
     rng = np.random.default_rng(12)
     for trial in range(30):
         g = random_connected_graph(rng, n_max=60)
-        ground = int(rng.integers(0, g.n)) if trial % 2 else 0
-        solver = g.grounded_solver(ground)
-        xs, ys = pair_batch(rng, g.n, ground)
+        solver = g.grounded_solver()
+        xs, ys = pair_batch(rng, g.n)
         # two columns per block, so each batch spans several blocks
         monkeypatch.setattr(resnet, "PAIR_BLOCK_BYTES", 8 * g.n * 2)
         got = solver.pair_resistances(xs, ys)
@@ -357,6 +356,26 @@ def test_pair_resistances_match_single_solves(monkeypatch):
         assert np.all(got[xs == ys] == 0.0)
         assert np.all(np.abs(got - want) <= 1e-12 * want)
         assert solver.pair_resistances(xs[5:6], ys[5:6])[0] == got[5]
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_pair_resistances_vertex_out_of_range(v):
+    solver = LevelGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]).grounded_solver()
+    for xs, ys in (([v], [0]), ([1], [v])):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            solver.pair_resistances(xs, ys)
+    assert len(solver._ends) == 0
+
+
+def test_green_block_cap(monkeypatch):
+    """The kept block refuses a query that would hold more than VECTOR_CAP
+    endpoints, and keeps what it held."""
+    monkeypatch.setattr(resnet, "VECTOR_CAP", 4)
+    solver = LevelGraph(5, [(i, i + 1, 1.0) for i in range(4)]).grounded_solver()
+    assert solver.pair_resistances([1, 2], [3, 4]).tolist() == pytest.approx([2.0, 2.0])
+    with pytest.raises(ValueError, match="at most 4 endpoints \\(5 asked\\)"):
+        solver.pair_resistances(np.zeros(5, dtype=int), np.arange(5))
+    assert solver._ends.tolist() == [1, 2, 3, 4]
 
 
 # -- oracle: R(x, .) from the dense inverse ----------------------------------
@@ -371,7 +390,9 @@ def dense_resistance_vector(g, x):
     return out
 
 
-def test_resistance_vector_matches_dense_inverse():
+def test_profile_block_matches_dense_inverse():
+    """R(x, .) read from the Green's block grounded at 0 against the dense
+    inverse grounded at x."""
     rng = np.random.default_rng(13)
     graphs = [(g, int(rng.integers(0, g.n)))
               for g in (random_connected_graph(rng, n_max=60) for _ in range(30))]
@@ -381,21 +402,10 @@ def test_resistance_vector_matches_dense_inverse():
         centre = int(np.argmin(np.sum(cg.coords_float() ** 2, axis=1)))
         graphs.append((cg.graph, cg.corner_vertices()[2] if corner else centre))
     for g, x in graphs:
-        got = resnet.resistance_vector(g, x)
+        got = g.grounded_solver().pair_resistances(np.full(g.n, x), np.arange(g.n))
         want = dense_resistance_vector(g, x)
         assert got[x] == 0.0
         assert np.all(np.abs(got - want) <= 1e-10 * want)
-
-
-def test_resistance_vector_cap(monkeypatch):
-    monkeypatch.setattr(resnet, "VECTOR_CAP", 4)
-    with pytest.raises(ValueError, match="one solve per vertex"):
-        resnet.resistance_vector(LevelGraph(5, [(i, i + 1, 1.0) for i in range(4)]), 0)
-
-
-def test_resistance_vector_vertex_out_of_range():
-    with pytest.raises(ValueError, match="vertex out of range"):
-        resnet.resistance_vector(LevelGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]), -1)
 
 
 # -- oracle: Laplacians and components by edge loops -------------------------
@@ -426,8 +436,8 @@ def test_weights_and_components_match_edge_loops(sc_cache):
     for trial in range(30):
         g = random_connected_graph(rng)
         graphs.append(with_other_component(g, rng) if trial % 3 == 0 else g)
-    graphs += [LevelGraph(4, [(0, 1, 1.0)]), trace(sc_cache.graph(2, 0).graph, range(0, 40, 3)),
-               sc_cache.graph(3, 0).graph]
+    graphs += [LevelGraph(4, [(0, 1, 1.0)]), trace(sc_cache.graph(2).graph, range(0, 40, 3)),
+               sc_cache.graph(3).graph]
     for g in graphs:
         assert g.components().tolist() == adjacency_components(g).tolist()
         got, want = g.laplacian().toarray(), loop_laplacian(g)
