@@ -269,9 +269,9 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     pt = [cache.pt(n, 0) for n in range(1, depth + 1)]
     zeta_log = math.log(pt[-1] / pt[-2])
     vol = mmod.olds_volume(meas, zeta_log, window=list(range(1, depth + 1)), seed=cfg.seed)
-    d2s = pmod.SupSweep(h, range(1, cfg.kmax + 1)).spectral_dims(2.0).dim_ls
-    form = heat.build_form(h, depth, meas, pt[-1])
-    heat_ds = heat.ol_ds_heat(form)["estimate"]
+    est = pmod.SupSweep(h, range(1, cfg.kmax + 1)).spectral_dims(2.0)
+    hk = heat.ol_ds_heat(heat.build_form(h, depth, meas, pt[-1]))
+    d2s, heat_ds = est.dim_ls, hk["estimate"]
     profile_level = min(depth, 3)
     prof = mmod.h_profile(meas, cache.graph(profile_level),
                           cache.pt(profile_level, 0))
@@ -280,7 +280,8 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     _write_json(os.path.join(outdir, "dims.json"), {
         "structure": sched.name, "depth": depth,
         "volume_ds": vol["ds_estimate"], "volume_ds_sup_window": vol["ds_sup_window"],
-        "heat_ds": heat_ds, "d2s": d2s,
+        "heat_ds": heat_ds, "heat_flag": hk["flag"], "d2s": d2s,
+        "d2s_flag": est.flag, "d2s_uncertified": est.uncertified,
         "zeta_r_log": zeta_log, "pt_table": pt,
     })
     vals = [vol["ds_estimate"], heat_ds, d2s]
@@ -311,7 +312,7 @@ def _cmd_heat(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     _write_csv(os.path.join(outdir, "heat_curves.csv"), ["level", "x_id", "t", "p"],
                ((cfg.depth, int(x), t, p) for x in xs for t, p in zip(times, P[int(x)])))
     floor = 1.0 / form.total_mass
-    ck = heat.chapman_kolmogorov_error(form, n_samples=10, seed=cfg.seed)
+    ck = heat.chapman_kolmogorov_error(form, cfg.seed)
     est = heat.ol_ds_heat(form)
     _write_json(os.path.join(outdir, "heat_estimate.json"), {
         "structure": sched.name, "level": cfg.depth, "estimate": est["estimate"],

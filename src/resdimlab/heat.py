@@ -50,6 +50,7 @@ __all__ = [
 
 DENSE_EIG_CAP = 6000
 MIX_BATCH = 16  # times of the mixing grid evaluated per p_diag call
+CK_SAMPLES = 10  # triples chapman_kolmogorov_error samples
 
 
 @dataclass
@@ -252,23 +253,18 @@ def time_window(form: FiniteDirichletForm) -> Tuple[float, float, float]:
     return form._window
 
 
-def ol_ds_heat(form: FiniteDirichletForm,
-               window: Optional[Tuple[float, float]] = None) -> dict:
+def ol_ds_heat(form: FiniteDirichletForm) -> dict:
     """Windowed uniform spectral-dimension estimate from on-diagonal ratios.
 
-    On the dyadic lattice t_j = t_lo 2^j inside the resolved window, the
-    estimate at scale ratio 2^j is
+    On the dyadic lattice t_j = t_lo 2^j inside the resolved window
+    [t_lo, t_hi] of `time_window`, the estimate at scale ratio 2^j is
 
         sup over x and lattice s of 2 log(p(s / 2^j, x, x) / p(s, x, x)) / log 2^j,
 
     and the reported value is the inf over j (the subadditive limit
     surrogate); the largest-ratio value is kept alongside.
     """
-    if window is None:
-        t_lo, t_hi, t_mix = time_window(form)
-    else:
-        t_lo, t_hi = window
-        t_mix = float("nan")
+    t_lo, t_hi, t_mix = time_window(form)
     if not (t_hi > t_lo > 0):
         raise ValueError("window empty after range clipping")
     n_oct = int(math.floor(math.log(t_hi / t_lo, 2)))
@@ -295,10 +291,9 @@ def ol_ds_heat(form: FiniteDirichletForm,
     }
 
 
-def chapman_kolmogorov_error(form: FiniteDirichletForm, n_samples: int = 20,
-                             seed: int = 0) -> float:
-    """Max error of p(t+s, x, y) = sum_z p(t,x,z) p(s,z,y) m(z) on sampled
-    triples, relative to the diagonal scale sqrt(p(t+s,x,x) p(t+s,y,y)).
+def chapman_kolmogorov_error(form: FiniteDirichletForm, seed: int) -> float:
+    """Max error of p(t+s, x, y) = sum_z p(t,x,z) p(s,z,y) m(z) on CK_SAMPLES
+    sampled triples, relative to the diagonal scale sqrt(p(t+s,x,x) p(t+s,y,y)).
 
     Off-diagonal kernel values between far points underflow to the noise of
     the eigen expansion; the Cauchy-Schwarz bound is the honest yardstick.
@@ -306,7 +301,7 @@ def chapman_kolmogorov_error(form: FiniteDirichletForm, n_samples: int = 20,
     rng = np.random.default_rng(seed)
     t_lo, t_hi, _ = time_window(form)
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(CK_SAMPLES):
         x = int(rng.integers(0, form.graph.n))
         y = int(rng.integers(0, form.graph.n))
         t = float(t_lo * (t_hi / t_lo) ** rng.random())

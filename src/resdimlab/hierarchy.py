@@ -76,6 +76,15 @@ MARKER_TAIL = 40
 # Most cells a hierarchy may hold on its deepest level.
 CELL_CAP = 5_000_000
 
+# The partition framework's constants: the chain radius M_* of the separation
+# problems, the window lengths k <= NSTAR_KMAX and the levels (up to
+# NSTAR_HORIZON) behind the branching rate N*, and the corner pairs sampled
+# for the (B3) chain comparison.
+M_STAR = 1
+NSTAR_KMAX = 6
+NSTAR_HORIZON = 64
+B3_PAIRS = 1200
+
 
 @dataclass(frozen=True)
 class SubdivisionRule:
@@ -143,7 +152,7 @@ class Schedule:
         return cls(mixed_indicator, "mixed")
 
     @classmethod
-    def from_table(cls, bits: Sequence[int], name: str = "custom") -> "Schedule":
+    def from_table(cls, bits: Sequence[int]) -> "Schedule":
         bits = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("schedule table entries must be 0 or 1")
@@ -153,7 +162,7 @@ class Schedule:
                 raise ValueError(f"custom schedule defined only for 1..{len(bits)}")
             return bits[n - 1]
 
-        return cls(indicator, name, horizon=len(bits))
+        return cls(indicator, "custom", horizon=len(bits))
 
     @classmethod
     def by_name(cls, name: str) -> "Schedule":
@@ -535,20 +544,20 @@ def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
     return best, best == h.depth
 
 
-def nstar_estimate(h: PartitionHierarchy, kmax: int, horizon: int = 64) -> dict:
-    """Window sups (sup_w #children^k)^(1/k) for k <= kmax and their inf.
+def nstar_estimate(h: PartitionHierarchy) -> dict:
+    """Window sups (sup_w #children^k)^(1/k) for k <= min(NSTAR_KMAX, depth)
+    and their inf, N*: the one estimate of the branching rate.
 
-    For formula schedules the window start ranges over all levels up to
-    `horizon`; table schedules are clipped to their own horizon.  A sup that
-    is an exact k-th power r^k has the root r exactly; other roots are the
-    rounded float power.
+    The window start ranges over the levels up to NSTAR_HORIZON, clipped to
+    a table schedule's own horizon, which is at least the built depth.  A
+    sup that is an exact k-th power r^k has the root r exactly; other roots
+    are the rounded float power.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
+    if h.depth < 1:
+        raise ValueError("nstar_estimate needs depth >= 1")
+    kmax = min(NSTAR_KMAX, h.depth)
     sched = h.schedule
-    top = horizon if sched.horizon is None else min(horizon, sched.horizon)
-    if top < kmax:
-        raise ValueError("horizon shorter than kmax")
+    top = NSTAR_HORIZON if sched.horizon is None else min(NSTAR_HORIZON, sched.horizon)
     branch = [sched.branching(j) for j in range(1, top + 1)]
     sups: List[int] = []
     seq: List[float] = []
@@ -571,22 +580,18 @@ def nstar_estimate(h: PartitionHierarchy, kmax: int, horizon: int = 64) -> dict:
     }
 
 
-def validate_framework(h: PartitionHierarchy, depth: Optional[int] = None,
-                       m_star: int = 1, pair_samples: int = 1200,
-                       seed: int = 0) -> FrameworkParams:
-    """Check the per-level framework constants and the chain comparison.
+def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:
+    """Check the per-level framework constants and the chain comparison on
+    every built level, with the chain radius M_STAR.
 
     diam ratio is exact (every cell is a square of side 3^-n); the inner
     ball witness is the nested marker with xi = 1/6; the chain comparison
-    band is sampled over corner-point pairs at the finest level.
+    band is sampled over B3_PAIRS corner-point pairs at the built depth; N*
+    is `nstar_estimate`'s (0 at depth 0).
     """
-    if depth is None:
-        depth = h.depth
-    depth = min(depth, h.depth)
     violations: List[str] = []
-    if depth == 0:
-        return FrameworkParams(Fraction(1, 3), Fraction(1, 6), m_star, 0,
-                               float(h.schedule.branching(1)) if h.depth else 0.0,
+    if h.depth == 0:
+        return FrameworkParams(Fraction(1, 3), Fraction(1, 6), M_STAR, 0, 0.0,
                                float(np.sqrt(2.0)), (0.0, 0.0), 0.0, 0,
                                violations)
 
@@ -595,7 +600,7 @@ def validate_framework(h: PartitionHierarchy, depth: Optional[int] = None,
 
     # (B2) with xi = 1/6: the marker's L-inf depth inside its own square.
     xi = Fraction(1, 6)
-    for n in range(depth + 1):
+    for n in range(h.depth + 1):
         rel = h._marker_rel_y(n)
         depth_rel = Fraction(1, 2) - abs(rel)
         if depth_rel < xi:
@@ -603,7 +608,7 @@ def validate_framework(h: PartitionHierarchy, depth: Optional[int] = None,
 
     # Marker nesting across built levels: every level-n cell has the level
     # n+1 descent child, and that child's marker is its parent's marker.
-    for n in range(depth):
+    for n in range(h.depth):
         d = h._descent_digit(n + 1)
         dx, dy = CHILD_OFFSET[d]
         if (d not in h.schedule.rule_at(n + 1).digits or dx != 1
@@ -613,23 +618,23 @@ def validate_framework(h: PartitionHierarchy, depth: Optional[int] = None,
 
     # (B4) degree bound.
     l_star = 0
-    for n in range(1, depth + 1):
+    for n in range(1, h.depth + 1):
         g = adjacency(h, n)
         if g.count > 1:
             l_star = max(l_star, int(g.degrees.max()))
 
     # (B3) band over sampled corner pairs at the finest level.
     rng = np.random.default_rng(seed)
-    s, f = 3 ** depth, 3 ** (h.depth - depth)
+    s = 3 ** h.depth
     ratios: List[float] = []
     used = 0
     attempts = 0
-    while used < pair_samples and attempts < 20 * pair_samples:
+    while used < B3_PAIRS and attempts < 20 * B3_PAIRS:
         attempts += 1
-        p, q = sample_corners(h, depth, 2, rng)
+        p, q = sample_corners(h, h.depth, 2, rng)
         if (p == q).all():
             continue
-        delta, clipped = delta_level(h, tuple(f * p), tuple(f * q), m_star)
+        delta, clipped = delta_level(h, tuple(p), tuple(q), M_STAR)
         if clipped:
             continue  # same finest cell: the ratio is a one-sided bound only
         dist = float(np.hypot(*((p - q) / s)))
@@ -643,14 +648,12 @@ def validate_framework(h: PartitionHierarchy, depth: Optional[int] = None,
         band_ratio = float("inf")
         violations.append("no unclipped pairs sampled for the chain comparison")
 
-    n_star = nstar_estimate(h, kmax=min(6, max(1, depth)))["n_star"] if depth >= 1 else 0.0
-
     return FrameworkParams(
         zeta=Fraction(1, 3),
         xi=xi,
-        m_star=m_star,
+        m_star=M_STAR,
         l_star=l_star,
-        n_star=float(n_star),
+        n_star=float(nstar_estimate(h)["n_star"]),
         diam_ratio=diam_ratio,
         b3_band=band,
         b3_band_ratio=band_ratio,

@@ -217,19 +217,15 @@ def _sample_centers(h: PartitionHierarchy, level: int, samples: int, seed: int) 
             - 0.5).tolist()
 
 
-def doubling_check(m: HierMeasure, centers: Optional[Sequence[Tuple[float, float]]] = None,
-                   levels: Optional[Sequence[int]] = None, samples: int = 40,
-                   seed: int = 0) -> dict:
+def doubling_check(m: HierMeasure, samples: int = 40, seed: int = 0) -> dict:
     """Empirical doubling constant sup V(x, 2r)/V(x, r) with its witness,
-    plus a fitted reverse-doubling factor gamma1 with V(x, r/gamma1) <= V(x, r)/2.
+    plus a fitted reverse-doubling factor gamma1 with V(x, r/gamma1) <= V(x, r)/2,
+    over `samples` level-2 cell corners x and r = 3^-j, 1 <= j < max(2, depth - 1).
 
     Brackets are used conservatively: outer cover on top, inner below.
     """
-    h = m.h
-    if levels is None:
-        levels = list(range(1, max(2, h.depth - 1)))
-    if centers is None:
-        centers = _sample_centers(h, 2, samples, seed)
+    levels = range(1, max(2, m.h.depth - 1))
+    centers = _sample_centers(m.h, 2, samples, seed)
     balls: Dict[Tuple[int, float], Tuple[float, float]] = {}
 
     def vol(ci: int, r: float) -> Tuple[float, float]:
@@ -392,14 +388,15 @@ def psi_measure(h: PartitionHierarchy, eps: Fraction, k: int) -> PsiMeasure:
         raise ValueError("k must be >= 1")
     if h.depth < k:
         raise ValueError("depth too shallow for the requested offset")
-    root = nstar_estimate(h, kmax=min(6, h.depth))["roots"][-1]
+    root = nstar_estimate(h)["roots"][-1]
     if not root.is_integer():
         raise ValueError(f"branching rate {root} is not an integer")
     return PsiMeasure(h, k, Fraction(eps), int(root))
 
 
-def fekete_limit(ts: Sequence[float], fs: Sequence[float], tol: float = 1e-12) -> dict:
-    """inf f(t)/t over the grid, with subadditivity violations reported."""
+def fekete_limit(ts: Sequence[float], fs: Sequence[float]) -> dict:
+    """inf f(t)/t over the grid, with subadditivity violations (beyond
+    1e-12) reported."""
     if len(ts) != len(fs) or len(ts) < 1:
         raise ValueError("need matching nonempty grids")
     order = np.argsort(ts)
@@ -412,7 +409,7 @@ def fekete_limit(ts: Sequence[float], fs: Sequence[float], tol: float = 1e-12) -
     for i, t in enumerate(ts):
         for s in ts[i:]:
             key = round(t + s, 12)
-            if key in lookup and lookup[key] > lookup[round(t, 12)] + lookup[round(s, 12)] + tol:
+            if key in lookup and lookup[key] > lookup[round(t, 12)] + lookup[round(s, 12)] + 1e-12:
                 violations.append((t, s))
     ratios = [f / t for t, f in zip(ts, fs)]
     return {"limit": min(ratios), "argmin_t": ts[int(np.argmin(ratios))],
@@ -420,7 +417,6 @@ def fekete_limit(ts: Sequence[float], fs: Sequence[float], tol: float = 1e-12) -
 
 
 def olds_volume(m, zeta_r_log: float, window: Sequence[int],
-                centers: Optional[Sequence[Tuple[float, float]]] = None,
                 samples: int = 40, seed: int = 0) -> dict:
     """Volume-route spectral dimension on a window of levels.
 
@@ -433,8 +429,7 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
     window = sorted(set(int(j) for j in window))
     if len(window) < 2:
         raise ValueError("window must span at least two scales")
-    if centers is None:
-        centers = _sample_centers(m.h, 2, samples, seed)
+    centers = _sample_centers(m.h, 2, samples, seed)
 
     # V(x, c*3^-j) midpoints of the cover bracket, per center and factor c
     logs: Dict[Tuple[int, int], List[float]] = {}
@@ -489,26 +484,23 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
     }
 
 
-def h_profile(m: HierMeasure, cg, renormalizer: float,
-              centers: Optional[Sequence[int]] = None,
-              radii: Optional[Sequence[float]] = None) -> dict:
-    """Profiles h(x, r) = V(x, r) * sup-resistance over the Euclidean ball.
+def h_profile(m: HierMeasure, cg, renormalizer: float) -> dict:
+    """Profiles h(x, r) = V(x, r) * sup-resistance over the Euclidean ball,
+    at two centres x (the corner p5 = (-1/2, -1/2) and the vertex nearest
+    the middle of the square) and the radii r = 2 * 3^-j, 0 <= j <= n - m.
 
     `cg` is a corner graph whose resistances, divided by `renormalizer`,
     stand in for the limit metric.  R(x, .) is one pair query on the graph's
     grounded solver, with every vertex an endpoint, so the first centre
-    solves the Green's block on all of the graph and the others read it;
+    solves the Green's block on all of the graph and the other reads it;
     graphs above `resnet.VECTOR_CAP` vertices are refused.  Returns the rows
     (x_id, r, V brackets, olR, h brackets) plus the fitted halving factor
     gamma2 with h(x, r/gamma2) <= h(x, r)/2 and the doubling constant of h.
     """
     g = cg.graph
     coords = cg.coords_float()
-    if centers is None:
-        centers = [int(cg.corner_vertices()[2]), int(np.argmin(np.sum(coords ** 2, axis=1)))]
-    if radii is None:
-        radii = [2.0 * 3.0 ** (-j) for j in range(0, cg.n - cg.m + 1)]
-    radii = sorted(float(r) for r in radii)
+    centers = [int(cg.corner_vertices()[2]), int(np.argmin(np.sum(coords ** 2, axis=1)))]
+    radii = [2.0 * 3.0 ** (-j) for j in range(cg.n - cg.m, -1, -1)]
     solver = g.grounded_solver()
     rows: List[dict] = []
     per_center: Dict[int, List[dict]] = {}

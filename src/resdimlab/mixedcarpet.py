@@ -122,6 +122,8 @@ def chain_check(cache: ScaleCache, n_max: int, pair_samples: int = 40,
     """
     if n_max < 1:
         raise ValueError(f"chain_check needs n_max >= 1 (n_max = {n_max})")
+    if pair_samples < 1:
+        raise ValueError(f"chain_check needs pair_samples >= 1 (pair_samples = {pair_samples})")
     per_n: Dict[int, Dict[str, float]] = {}
     pt_ge_tb = True
     for n in range(1, n_max + 1):
@@ -264,6 +266,8 @@ def qs_diagnostic(cache: ScaleCache, n: int, samples: int = 300, seed: int = 0,
     if n < SAMPLE_LEVEL:
         raise ValueError(f"qs_diagnostic needs n >= sample_level (n = {n}, "
                          f"sample_level = {SAMPLE_LEVEL})")
+    if samples < 1:
+        raise ValueError(f"qs_diagnostic needs samples >= 1 (samples = {samples})")
     cg = cache.graph(n)
     pt_n = cache.pt(n, 0)
     coarse = cache.graph(SAMPLE_LEVEL)

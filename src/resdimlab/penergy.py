@@ -2,18 +2,19 @@
 
 The separation problem for a base cell w and depth offset k pins the value 1
 on the k-th generation inside w and 0 on every cell whose level-[w] ancestor
-sits at chain distance > M_* from w, then finds the least p-power edge energy
-over the level-([w]+k) cell graph.  p = 1 is an exact minimum cut; p = 2 is
-one sparse solve; other p take projected Newton steps on an eps-smoothed
-energy under the box [0, 1], with energies, gradients and the Newton
-systems all from one signed edge-cell incidence matrix D per problem.  Every
-value is bracketed: above by the energy of its potential, below by the
-maximum flow at p = 1 and otherwise by Hölder's bound for a flow made
-conservative with the last Newton factorization; a Newton descent ends as
-soon as that bracket closes.  The reflections of the square
-that fix w fix the problem, and its energy is convex, so every flow and
-Newton system is solved on the quotient by that stabilizer (half the cells
-or fewer); the potential and flow are lifted back, and the bracket, flag and
+sits at chain distance > M_* = `hierarchy.M_STAR` from w, then finds the
+least p-power edge energy over the level-([w]+k) cell graph.  p = 1 is an
+exact minimum cut; p = 2 is one sparse solve; other p take projected Newton
+steps on an eps-smoothed energy under the box [0, 1], with energies,
+gradients and the Newton systems all from one signed edge-cell incidence
+matrix D per problem.  Every value is bracketed: above by the energy of its
+potential, below by the maximum flow at p = 1 and otherwise by Hölder's
+bound for a flow made conservative with the last Newton factorization; a
+Newton descent ends as soon as that bracket closes, and a value is certified
+when its gap is within CERT_TOL of it.  The reflections of the square that
+fix w fix the problem, and its energy is convex, so every flow and Newton
+system is solved on the quotient by that stabilizer (half the cells or
+fewer); the potential and flow are lifted back, and the bracket, flag and
 residual come from the full problem.  The solver data is built once per
 problem, on its first solve at p != 1, and kept on it: D, the p = 2
 potential, one sparsity pattern for every Newton system, and the column
@@ -23,8 +24,9 @@ over one level-1 base cell per symmetry class: each problem built once,
 solved once per p, each p > 1 started from its certified potential at the
 nearest p solved (the last eps rung, then the whole ladder from the p = 2
 potential if that bracket does not close).  `SupSweep.spectral_dims` reads
-the p-spectral dimensions off the sups' decay, and `critical_p` bisects
-`P_RANGE` for the p where that decay starts.
+the p-spectral dimensions off the sups' decay against N* (`hierarchy`'s
+`nstar_estimate`), and `critical_p` bisects `P_RANGE` for the p where that
+decay starts.
 
 Energy convention: sum of |f(x) - f(y)|^p over unordered adjacency edges
 (half the symmetric double sum), so the p = 2 value is the effective
@@ -43,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .hierarchy import D4, PartitionHierarchy, adjacency, chain_ball, nstar_estimate
+from .hierarchy import D4, M_STAR, PartitionHierarchy, adjacency, chain_ball, nstar_estimate
 
 __all__ = [
     "SeparationProblem",
@@ -60,6 +62,7 @@ RATE_TOL = 1e-3  # see critical_p
 P_RANGE = (1.0, 2.5)  # the p bracket critical_p bisects
 EPS_LADDER = (1e-2, 1e-4, 1e-6, 1e-9, 1e-12)  # see p_energy
 BRACKET_CLOSED = 1e-12  # a descent ends once upper - lower <= this times upper
+CERT_TOL = 1e-7  # see p_energy
 
 
 @dataclass
@@ -121,7 +124,7 @@ def _ancestor_map(h: PartitionHierarchy, n: int, base: int) -> np.ndarray:
 
 
 def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
-                     k: int, m_star: int = 1) -> SeparationProblem:
+                     k: int) -> SeparationProblem:
     """Assemble the neighborhood-separation problem for one base cell; its
     `orbit` labels each cell by the least cell of its orbit under the
     stabilizer of the base cell in D4, which fixes the graph and the pins."""
@@ -136,7 +139,7 @@ def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
         raise ValueError(f"level {n} not built (depth {h.depth})")
     g = adjacency(h, n)
     anc = _ancestor_map(h, n, base_level)
-    near = chain_ball(adjacency(h, base_level), [base_index], m_star)
+    near = chain_ball(adjacency(h, base_level), [base_index], M_STAR)
     inner = np.where(anc == base_index)[0]
     outer = np.where(~np.isin(anc, near))[0]
     base_grid = h.levels[base_level].grid_index
@@ -184,7 +187,7 @@ def _min_cut(problem: SeparationProblem) -> PEnergyValue:
                         float(flow.flow_value))
 
 
-def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
+def p_energy(problem: SeparationProblem, p: float,
              start: Optional[np.ndarray] = None) -> PEnergyValue:
     """The least p-power energy with the problem's 0/1 pins.
 
@@ -199,7 +202,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
     sum |D f|^p.  p = 2 is one solve of D_F^T D_F f_F = -D_F^T D f_pinned
     (D_F: the free columns; f_pinned: the pins, 0 on free cells), flagged
     no-convergence when its first-order gap sum(|grad|) over free cells is
-    above `tol` times the energy.  Other p start there and take Newton steps
+    above CERT_TOL times the energy.  Other p start there and take Newton steps
     on E_eps = sum (d^2 + eps^2)^(p/2), d = D f, for eps = 1e-2 ... 1e-12,
     with Hessian H = D_F^T W D_F, W = diag(p (d^2+eps^2)^(p/2-2) ((p-1) d^2 +
     eps^2)), and Armijo backtracking on f_F <- clip(f_F + t s, 0, 1).  A rung
@@ -208,7 +211,7 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
     is below 1e-8 E_eps, the Hölder bracket (`_NewtonSystem.bracket`) is
     taken at the new iterate with the factorization just used, and the
     whole ladder ends as soon as upper - lower <= BRACKET_CLOSED * upper.
-    A gap above `tol` times upper flags the value no-convergence; the
+    A gap above CERT_TOL times upper flags the value no-convergence; the
     first-order gap is kept as `residual`.
 
     `start` is the potential of a certified solve of the same problem at
@@ -230,8 +233,6 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (problem.n_cells,):
@@ -246,10 +247,10 @@ def p_energy(problem: SeparationProblem, p: float, tol: float = 1e-7,
     if start is not None and p != 2:
         f = system.f2.copy()
         f[system.free] = np.clip(start[system.first[system.free]], 0.0, 1.0)
-        val = _descend(system, p, tol, f, EPS_LADDER[-1:])
+        val = _descend(system, p, f, EPS_LADDER[-1:])
         if val.flag == "ok" and _closed(val.upper, val.lower):
             return val
-    return _descend(system, p, tol, system.f2.copy(), () if p == 2 else EPS_LADDER)
+    return _descend(system, p, system.f2.copy(), () if p == 2 else EPS_LADDER)
 
 
 def _incidence(problem: SeparationProblem) -> Tuple[sp.csr_matrix, np.ndarray]:
@@ -362,13 +363,13 @@ class _NewtonSystem:
         return upper, lower, res
 
 
-def _descend(system: _NewtonSystem, p: float, tol: float, f: np.ndarray,
+def _descend(system: _NewtonSystem, p: float, f: np.ndarray,
              rungs: Sequence[float]) -> PEnergyValue:
     """Newton from the quotient potential f (updated in place) down the given
     eps rungs (`_newton`); the value at the end, lifted, with its bracket and
     flag: at p = 2 from the first-order gap, otherwise from the bracket."""
     upper, lower, res = _newton(system, p, f, rungs)
-    ok = res <= tol * max(upper, 1e-30) if p == 2 else upper - lower <= tol * upper
+    ok = res <= CERT_TOL * max(upper, 1e-30) if p == 2 else upper - lower <= CERT_TOL * upper
     return PEnergyValue(p, upper, f[system.lift], res, "ok" if ok else "no-convergence", lower)
 
 
@@ -481,7 +482,7 @@ class SupSweep:
         `uncertified` counts the sups behind the fit flagged no-convergence;
         when it is positive, a flag that would read "ok" reads
         "uncertified-energy"."""
-        n_star = nstar_estimate(self.h, kmax=min(6, self.h.depth))["n_star"]
+        n_star = nstar_estimate(self.h)["n_star"]
         _, logs, uncertified, (ls, up, lo) = self.fit(p)
         logN = math.log(n_star)
         flag = "ok"

@@ -72,3 +72,81 @@ def test_public_functions_are_called():
                        for tree in trees.values() for node in ast.walk(tree)):
                 uncalled.append(f"{name}.{fn}")
     assert uncalled == []
+
+
+# optional parameters kept with no caller in src/ or bench/ setting them, each
+# for a named reason
+UNSET_ON_PURPOSE = {
+    "penergy.critical_p(tol)": "ROADMAP item 5 runs the bisection at tol 0.001 and 0.002",
+}
+
+
+def _optional_parameters():
+    """(module.qualname(param), the name a call uses, the positional
+    parameters in order, the optional ones) for every public function and
+    every public method, or constructor, of a public class; a constructor is
+    called by its class's name."""
+    pkg = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
+    for name in MODULES:
+        tree = ast.parse((pkg / f"{name}.py").read_text())
+        public = set(importlib.import_module(f"resdimlab.{name}").__all__)
+        defs = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for cls, fn in defs:
+            owner = fn.name if cls is None else cls.name
+            if owner not in public or (fn.name.startswith("_") and fn.name != "__init__"):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            if cls is not None and not any(_named(d) == {"staticmethod"}
+                                           for d in fn.decorator_list):
+                args = args[1:]  # self or cls
+            positional = [a.arg for a in args]
+            optional = positional[len(positional) - len(fn.args.defaults):]
+            optional += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                         if d is not None]
+            called = cls.name if fn.name == "__init__" else fn.name
+            qualname = fn.name if cls is None else f"{cls.name}.{fn.name}"
+            for param in optional:
+                yield f"{name}.{qualname}({param})", called, positional, param
+
+
+def _set_parameters():
+    """name -> (most positional arguments of a call, keywords set) over every
+    call in src/ and bench/; `cls(...)` inside a class calls that class.
+    Starred arguments set nothing, and no position after them."""
+    root = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
+    files = [p for p in sorted(root.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((pathlib.Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    seen = {}
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            for called in _named(node.func):
+                called = owner if called == "cls" and owner else called
+                count = next((i for i, a in enumerate(node.args)
+                              if isinstance(a, ast.Starred)), len(node.args))
+                most, keys = seen.get(called, (0, set()))
+                seen[called] = (max(most, count),
+                                keys | {k.arg for k in node.keywords if k.arg is not None})
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in files:
+        visit(ast.parse(path.read_text()), None)
+    return seen
+
+
+def test_optional_parameters_are_set():
+    """Every optional parameter of a public function or method is set, by
+    keyword or by position, by some call in src/ or bench/: a default that no
+    caller changes is a constant."""
+    seen = _set_parameters()
+    unset = []
+    for label, called, positional, param in _optional_parameters():
+        most, keys = seen.get(called, (0, set()))
+        if param not in keys and param not in positional[:most] and label not in UNSET_ON_PURPOSE:
+            unset.append(label)
+    assert unset == []

@@ -395,9 +395,22 @@ def test_p_spectral_json_counts_uncertified(tmp_path):
     assert est["uncertified"] == 0 and est["flag"] == "ok"
 
 
+def test_dims_json_carries_certificates(tmp_path, monkeypatch):
+    # d2s is written with its fit's flag and uncertified count, heat_ds with
+    # its flag; the stubbed sweep flags the sup energies of k = 2 and 3
+    k_of = {5 ** (1 + k): k for k in (1, 2, 3)}  # a problem's level fixes its k
+    monkeypatch.setattr(penergy, "p_energy", lambda problem, p, start=None: (
+        penergy.PEnergyValue(p, 5.0 ** -k_of[problem.n_cells],
+                             flag="no-convergence" if k_of[problem.n_cells] > 1 else "ok")))
+    main(["dims", "--structure", "vicsek", "--depth", "2", "--kmax", "3", "--out", str(tmp_path)])
+    dims = json.loads((tmp_path / "dims.json").read_text())
+    assert (dims["d2s_flag"], dims["d2s_uncertified"], dims["heat_flag"]) == (
+        "uncertified-energy", 2, "ok")
+
+
 def test_rates_csv_carries_bracket(tmp_path):
     # each sup energy is the upper end of its bracket; a certified one has a
-    # gap of at most tol = 1e-7 times it
+    # gap of at most CERT_TOL = 1e-7 times it
     code = main(["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
                  "--p-grid", "1.3,2", "--out", str(tmp_path)])
     assert code == 0

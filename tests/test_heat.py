@@ -85,8 +85,9 @@ def test_symmetry(vs_form4):
             vs_form4.p_pair(t, int(y), int(x)), abs=1e-12)
 
 
-def test_chapman_kolmogorov(vs_form4):
-    assert chapman_kolmogorov_error(vs_form4, n_samples=15) <= 1e-8
+def test_chapman_kolmogorov(monkeypatch, vs_form4):
+    monkeypatch.setattr(heat, "CK_SAMPLES", 15)
+    assert chapman_kolmogorov_error(vs_form4, 0) <= 1e-8
 
 
 def test_ol_ds_heat_vicsek(vs_form4):
@@ -95,14 +96,16 @@ def test_ol_ds_heat_vicsek(vs_form4):
     assert out["estimate"] == pytest.approx(VIC_REF, abs=0.1)
 
 
-def test_ol_ds_heat_two_state(two_state):
-    out = ol_ds_heat(two_state, window=(0.1, 400.0))
+def test_ol_ds_heat_two_state(monkeypatch, two_state):
+    monkeypatch.setattr(heat, "time_window", lambda form: (0.1, 400.0, math.nan))
+    out = ol_ds_heat(two_state)
     # bounded kernel: the estimate collapses toward zero as the window grows
     assert out["estimate"] <= 0.6
 
 
-def test_ol_ds_heat_window_guard(two_state):
-    out = ol_ds_heat(two_state, window=(1.0, 1.5))
+def test_ol_ds_heat_window_guard(monkeypatch, two_state):
+    monkeypatch.setattr(heat, "time_window", lambda form: (1.0, 1.5, math.nan))
+    out = ol_ds_heat(two_state)
     assert out["flag"] == "window-too-short"
 
 

@@ -258,16 +258,20 @@ def test_sample_corners_match_old_draws(schedule):
             assert new == _old_b3_points(h, level, 30, seed)
 
 
-def test_nstar_values(sc_h6, vs_h6, mx_h5):
-    assert nstar_estimate(sc_h6, 4)["n_star"] == 8.0
-    assert nstar_estimate(vs_h6, 4)["n_star"] == 5.0
-    out = nstar_estimate(mx_h5, 6, horizon=30)
+def test_nstar_values(monkeypatch, sc_h6, vs_h6):
+    monkeypatch.setattr(hierarchy, "NSTAR_KMAX", 4)
+    assert nstar_estimate(sc_h6)["n_star"] == 8.0
+    assert nstar_estimate(vs_h6)["n_star"] == 5.0
+    monkeypatch.setattr(hierarchy, "NSTAR_KMAX", 6)
+    monkeypatch.setattr(hierarchy, "NSTAR_HORIZON", 30)
+    out = nstar_estimate(build_hierarchy(Schedule.mixed(), 6))
     assert out["n_star"] == 8.0
     assert all(abs(r - 8.0) < 1e-9 for r in out["roots"])
 
 
-def test_nstar_submultiplicative(mx_h5):
-    out = nstar_estimate(mx_h5, 6, horizon=40)
+def test_nstar_submultiplicative(monkeypatch):
+    monkeypatch.setattr(hierarchy, "NSTAR_HORIZON", 40)
+    out = nstar_estimate(build_hierarchy(Schedule.mixed(), 6))
     sups = dict(zip(out["k"], out["sup_counts"]))
     for j in sups:
         for k in sups:
@@ -275,9 +279,10 @@ def test_nstar_submultiplicative(mx_h5):
                 assert sups[j + k] <= sups[j] * sups[k]
 
 
-def test_nstar_kmax_error(sc_h6):
-    with pytest.raises(ValueError):
-        nstar_estimate(sc_h6, 0)
+def test_nstar_kmax_error():
+    """At depth 0 no window length k >= 1 is built."""
+    with pytest.raises(ValueError, match="depth >= 1"):
+        nstar_estimate(build_hierarchy(Schedule.pure_sc(), 0))
 
 
 def test_validate_framework_sc():
@@ -324,18 +329,18 @@ def _set_marker_nesting(h, depth):
     return []
 
 
-def _nesting_violations(h, depth):
-    params = validate_framework(h, depth, pair_samples=20)
-    return [v for v in params.violations if v.startswith("marker nesting")]
+def _nesting_violations(h, monkeypatch):
+    monkeypatch.setattr(hierarchy, "B3_PAIRS", 20)
+    return [v for v in validate_framework(h).violations if v.startswith("marker nesting")]
 
 
 @pytest.mark.parametrize("schedule, depth", [
     (Schedule.pure_sc(), 5), (Schedule.pure_vicsek(), 5), (Schedule.mixed(), 5),
     (Schedule.from_table([1, 0, 0, 1, 1, 0]), 5)], ids=["sc", "vicsek", "mixed", "table"])
-def test_marker_nesting_matches_marker_sets(schedule, depth):
-    h = build_hierarchy(schedule, depth)
+def test_marker_nesting_matches_marker_sets(monkeypatch, schedule, depth):
     for d in range(depth + 1):
-        assert _nesting_violations(h, d) == _set_marker_nesting(h, d) == []
+        h = build_hierarchy(schedule, d)
+        assert _nesting_violations(h, monkeypatch) == _set_marker_nesting(h, d) == []
 
 
 @pytest.mark.parametrize("schedule, level, digit", [
@@ -346,7 +351,7 @@ def test_marker_nesting_detects_bad_descent(monkeypatch, schedule, level, digit)
     monkeypatch.setattr(h, "_descent_digit", lambda j: digit if j == level else descent(j))
     expect = [f"marker nesting fails {level - 1} -> {level}"]
     assert _set_marker_nesting(h, 4) == expect
-    assert _nesting_violations(h, 4) == expect
+    assert _nesting_violations(h, monkeypatch) == expect
 
 
 def test_grid_index_box_matches_mask():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from resdimlab import measure
 from resdimlab.hierarchy import Schedule, adjacency, build_hierarchy
 from resdimlab.measure import (HierMeasure, PsiMeasure, doubling_check,
                                fekete_limit, hier_measure, olds_volume,
@@ -211,16 +212,17 @@ def test_ball_mass_rejects_bad_balls(vs_h6):
 
 def test_doubling_sc():
     h = build_hierarchy(Schedule.pure_sc(), 4)
-    out = doubling_check(hier_measure(h), levels=[1, 2])
+    out = doubling_check(hier_measure(h))
     assert out["doubling_constant"] <= 64.0
     assert out["gamma1"] is not None
 
 
-def test_doubling_check_queries_each_ball_once():
+def test_doubling_check_queries_each_ball_once(monkeypatch):
     """Each V(x, r) is queried once, with the results of re-querying them."""
     m = hier_measure(build_hierarchy(Schedule.pure_sc(), 5))
     centers = [(0.0, 0.0), (-0.5, -0.5), (0.1, 0.3), (0.7, 0.7)]
-    levels = [1, 2, 3]
+    monkeypatch.setattr(measure, "_sample_centers", lambda h, level, samples, seed: centers)
+    levels = [1, 2, 3]  # the default r = 3^-j, 1 <= j < depth - 1
     calls = []
 
     def ball_mass(x, r):
@@ -228,7 +230,7 @@ def test_doubling_check_queries_each_ball_once():
         return HierMeasure.ball_mass(m, x, r)
 
     m.ball_mass = ball_mass
-    out = doubling_check(m, centers=centers, levels=levels)
+    out = doubling_check(m)
     assert len(calls) == len(set(calls))
 
     # the reference queries V(x, 3^-j) again for every factor it tries
@@ -250,7 +252,7 @@ def test_doubling_check_queries_each_ball_once():
 
 
 def test_doubling_mixed(mx_h5):
-    out = doubling_check(hier_measure(mx_h5), levels=[1, 2, 3])
+    out = doubling_check(hier_measure(mx_h5))
     assert math.isfinite(out["doubling_constant"])
 
 
@@ -439,13 +441,6 @@ def test_h_profile_solves_one_block(monkeypatch, vs_h6):
     out = h_profile(hier_measure(vs_h6), cg, 1.0)
     assert cg.graph.n == 376 and len({r["x_id"] for r in out["rows"]}) == 2
     assert (len(factors), sum(widths)) == (1, 375)
-
-
-@pytest.mark.parametrize("centre", [-1, 376])
-def test_h_profile_rejects_bad_centre(vs_h6, vs_cache, centre):
-    from resdimlab.measure import h_profile
-    with pytest.raises(ValueError, match="vertex out of range"):
-        h_profile(hier_measure(vs_h6), vs_cache.graph(3), 1.0, centers=[centre])
 
 
 def test_nstar_volume_lower_bound(vs_h6, sc_h6):

@@ -72,6 +72,13 @@ def test_chain_check_rejects_n_max_below_1(mx_cache, n_max):
         chain_check(mx_cache, n_max)
 
 
+@pytest.mark.parametrize("pair_samples", [0, -1])
+def test_chain_check_rejects_pair_samples_below_1(mx_cache, pair_samples):
+    # with no pairs every C1 and C1b would read 0 and leave no level to take the max over
+    with pytest.raises(ValueError, match=f"pair_samples >= 1 \\(pair_samples = {pair_samples}\\)"):
+        chain_check(mx_cache, 2, pair_samples=pair_samples)
+
+
 def test_evres_fit(sc_cache, vs_cache, mx_cache):
     fit = evres_fit(sc_cache, vs_cache, mx_cache, n_max=5)
     assert fit["vicsek_factor_error"] <= 1e-6
@@ -234,6 +241,13 @@ def test_qs_diagnostic_rejects_n_below_sample_level(mx_cache):
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"n >= sample_level \\(n = {n}, sample_level = 2\\)"):
             qs_diagnostic(mx_cache, n, samples=10)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_qs_diagnostic_rejects_samples_below_1(mx_cache, samples):
+    # an empty envelope would leave qs_envelope_drift a zero-size maximum
+    with pytest.raises(ValueError, match=f"samples >= 1 \\(samples = {samples}\\)"):
+        qs_diagnostic(mx_cache, 2, samples=samples)
 
 
 def test_rstar_approximant_band(mx_h5, mx_cache):

@@ -100,29 +100,23 @@ def test_p_below_one_rejected():
         p_energy(path_problem(), 0.9)
 
 
-@pytest.mark.parametrize("p, tol", [
-    (math.nan, 1e-7), (math.inf, 1e-7), (-math.inf, 1e-7),
-    (1.5, math.nan), (1.5, math.inf), (1.5, 0.0), (1.5, -1e-7), (2.0, math.nan),
-])
-def test_non_finite_p_and_bad_tol_rejected(monkeypatch, p, tol):
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_non_finite_p_rejected(monkeypatch, p):
     def no_solve(*args, **kwargs):
         raise AssertionError("factorized before the arguments were checked")
 
     monkeypatch.setattr(spla, "splu", no_solve)
-    message = "tol must be finite and positive" if math.isfinite(p) else "p must be finite and >= 1"
-    with pytest.raises(ValueError, match=message):
-        p_energy(path_problem(), p, tol=tol)
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        p_energy(path_problem(), p)
 
 
-@pytest.mark.parametrize("base_level, base_index, k, m_star", [
-    (1, 0, -1, 1), (-1, 0, 1, 1), (4, 0, 0, 1), (1, -1, 1, 1), (1, 8, 1, 1), (1, 99, 1, 1),
-    (1, 0, 1, -1),
-], ids=["k=-1", "level=-1", "level>depth", "index=-1", "index=count", "index=99",
-        "m_star=-1"])
-def test_build_separation_bad_arguments(base_level, base_index, k, m_star):
+@pytest.mark.parametrize("base_level, base_index, k", [
+    (1, 0, -1), (-1, 0, 1), (4, 0, 0), (1, -1, 1), (1, 8, 1), (1, 99, 1),
+], ids=["k=-1", "level=-1", "level>depth", "index=-1", "index=count", "index=99"])
+def test_build_separation_bad_arguments(base_level, base_index, k):
     h = build_hierarchy(Schedule.pure_sc(), 3)
     with pytest.raises(ValueError):
-        build_separation(h, base_level, base_index, k, m_star=m_star)
+        build_separation(h, base_level, base_index, k)
 
 
 def test_build_separation_edge_arguments():
@@ -147,13 +141,14 @@ def shortest_path_separation(h, base_level, base_index, k, m_star):
 
 @pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
                                       Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
-def test_build_separation_matches_shortest_path(schedule):
+def test_build_separation_matches_shortest_path(monkeypatch, schedule):
     h = build_hierarchy(schedule, 4)
     for base_level in (0, 1, 2):
         for base_index in range(h.levels[base_level].count):
             for k in (0, 1, 2):
                 for m_star in (1, 2):
-                    prob = build_separation(h, base_level, base_index, k, m_star=m_star)
+                    monkeypatch.setattr(penergy, "M_STAR", m_star)
+                    prob = build_separation(h, base_level, base_index, k)
                     inner, outer = shortest_path_separation(h, base_level, base_index, k, m_star)
                     assert prob.inner.tolist() == inner.tolist()
                     assert prob.outer.tolist() == outer.tolist()
@@ -298,10 +293,11 @@ def test_critical_p_bad_arguments(vs_h6, kwargs):
         critical_p(vs_h6, 4, **kwargs)
 
 
-def test_p2_flag_follows_residual():
+def test_p2_flag_follows_residual(monkeypatch):
     prob = build_separation(build_hierarchy(Schedule.pure_sc(), 3), 1, 0, 2)
     assert p_energy(prob, 2.0).flag == "ok"
-    val = p_energy(prob, 2.0, tol=1e-30)
+    monkeypatch.setattr(penergy, "CERT_TOL", 1e-30)
+    val = p_energy(prob, 2.0)
     assert val.residual > 0 and val.flag == "no-convergence"
 
 
@@ -564,7 +560,7 @@ def test_critical_p_factorizations_match_product_assembly(monkeypatch, splu_orde
     n_got = len(splu_orderings)
     del splu_orderings[:]
     monkeypatch.setattr(penergy, "p_energy",
-                        lambda problem, p, tol=1e-7, start=None: product_p_energy(problem, p, tol))
+                        lambda problem, p, start=None: product_p_energy(problem, p))
     want = critical_p(h, 3)
     assert 2 * n_got <= len(splu_orderings)
     assert got["interval"] == want["interval"] and got["flag"] == want["flag"]
@@ -589,14 +585,14 @@ def test_warm_start_matches_cold(monkeypatch, splu_orderings):
     ladders, calls = [], []
     descend = penergy._descend
 
-    def counted(system, p, tol, f, rungs):
+    def counted(system, p, f, rungs):
         ladders.append(len(rungs))
-        return descend(system, p, tol, f, rungs)
+        return descend(system, p, f, rungs)
 
-    def recorded(problem, p, tol=1e-7, start=None):
+    def recorded(problem, p, start=None):
         # the ladders and factorizations of each of the sweep's solves
         del ladders[:], splu_orderings[:]
-        val = p_energy(problem, p, tol, start)
+        val = p_energy(problem, p, start)
         calls.append((list(ladders), len(splu_orderings)))
         return val
 
@@ -670,9 +666,9 @@ def test_sweep_starts_from_nearest_certified_p(monkeypatch):
     # cold solve of this sweep certifies.
     starts = []
 
-    def recorded(problem, p, tol=1e-7, start=None):
+    def recorded(problem, p, start=None):
         starts.append(start)
-        val = p_energy(problem, p, tol, start)
+        val = p_energy(problem, p, start)
         if p == 1.25 and problem is sweep.problems[1][0]:
             val = dataclasses.replace(val, flag="no-convergence")
         return val
@@ -816,7 +812,7 @@ def test_p_spectral_dims_counts_uncertified(monkeypatch):
     for rate, flag in ((-1.0, "uncertified-energy"), (3.0, "rate-at-or-above-logN")):
         sweep = SupSweep(h, [1, 2, 3])
         k_of = {id(prob): k for k, row in zip(sweep.ks, sweep.problems) for prob in row}
-        monkeypatch.setattr(penergy, "p_energy", lambda problem, p, tol=1e-7, start=None: (
+        monkeypatch.setattr(penergy, "p_energy", lambda problem, p, start=None: (
             PEnergyValue(p, math.exp(rate * k_of[id(problem)]),
                          flag="no-convergence" if k_of[id(problem)] == 2 else "ok")))
         est = sweep.spectral_dims(2.0)
@@ -833,7 +829,7 @@ def test_critical_p_range_flags(monkeypatch, rate, flag, ps):
     # reported at the end of the range that showed it
     h = build_hierarchy(Schedule.pure_sc(), 4)
     k_of = {h.levels[1 + k].count: k for k in (1, 2, 3)}  # a problem's level fixes its k
-    monkeypatch.setattr(penergy, "p_energy", lambda problem, p, tol=1e-7, start=None: (
+    monkeypatch.setattr(penergy, "p_energy", lambda problem, p, start=None: (
         PEnergyValue(p, math.exp(rate * k_of[problem.n_cells]))))
     out = critical_p(h, 3)
     assert (out["interval"], out["flag"]) == ((ps[-1], ps[-1]), flag)
