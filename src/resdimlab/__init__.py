@@ -3,7 +3,7 @@ estimators on square-based self-similar hierarchies."""
 
 from .hierarchy import (Schedule, PartitionHierarchy, build_hierarchy, adjacency,
                         delta_level, validate_framework, nstar_estimate)
-from .resnet import LevelGraph, eff_resistance, trace, pinv_resistance
+from .resnet import LevelGraph, eff_resistance, trace
 from .cornergraph import CornerGraph, corner_graph
 from .penergy import build_separation, p_energy, SupSweep, critical_p
 from .measure import hier_measure, doubling_check, psi_measure, olds_volume, fekete_limit

@@ -374,11 +374,6 @@ class PartitionHierarchy:
             words = np.char.add(words[lvl.parent], lvl.digit.astype("U1"))
         return words.tolist()
 
-    def cell_box(self, n: int, i: int) -> Tuple[int, int, int]:
-        """(ix, iy, scale) with scale = 3**n; cell = box/scale shifted to Q."""
-        lvl = self.levels[n]
-        return int(lvl.ix[i]), int(lvl.iy[i]), 3 ** n
-
     # -- markers -----------------------------------------------------------
 
     def _descent_digit(self, level: int) -> int:
@@ -410,14 +405,6 @@ class PartitionHierarchy:
             scale /= 3
         self._marker_rel_cache[n] = acc
         return acc
-
-    def marker(self, n: int, i: int) -> Tuple[Fraction, Fraction]:
-        """Nested interior point x_w of cell i at level n (exact)."""
-        ix, iy, s = self.cell_box(n, i)
-        rel_y = self._marker_rel_y(n)
-        mx = Fraction(2 * ix + 1, 2 * s) - Fraction(1, 2)
-        my = Fraction(iy, s) + (Fraction(1, 2) + rel_y) / s - Fraction(1, 2)
-        return (mx, my)
 
     # -- point location ----------------------------------------------------
 
@@ -506,21 +493,6 @@ def sample_corners(h: PartitionHierarchy, level: int, count: int,
     return np.column_stack([lvl.ix[picks], lvl.iy[picks]]) + rng.integers(0, 2, (count, 2))
 
 
-def _point_pair(h: PartitionHierarchy, x: Tuple[int, int], y: Tuple[int, int],
-                caller: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """x and y as integer points of the depth grid; two distinct points of
-    the closed root cell."""
-    x = (operator.index(x[0]), operator.index(x[1]))
-    y = (operator.index(y[0]), operator.index(y[1]))
-    if x == y:
-        raise ValueError(f"{caller} needs two distinct points")
-    side = 3 ** h.depth
-    for p in (x, y):
-        if not (0 <= p[0] <= side and 0 <= p[1] <= side):
-            raise ValueError("point outside the root cell")
-    return x, y
-
-
 def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
                 y: Tuple[int, int], m: int) -> Tuple[int, bool]:
     """Largest built n admitting cells w ∋ x, v ∋ y with l_n(w, v) <= m.
@@ -530,7 +502,14 @@ def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
     means the condition still held at the built depth, so the true value
     may exceed it.
     """
-    x, y = _point_pair(h, x, y, "delta_level")
+    x = (operator.index(x[0]), operator.index(x[1]))
+    y = (operator.index(y[0]), operator.index(y[1]))
+    if x == y:
+        raise ValueError("delta_level needs two distinct points")
+    side = 3 ** h.depth
+    for p in (x, y):
+        if not (0 <= p[0] <= side and 0 <= p[1] <= side):
+            raise ValueError("point outside the root cell")
     best: Optional[int] = None
     for n in range(h.depth + 1):
         wx = h.cells_containing(n, *x)

@@ -224,6 +224,8 @@ def doubling_check(m: HierMeasure, samples: int = 40, seed: int = 0) -> dict:
 
     Brackets are used conservatively: outer cover on top, inner below.
     """
+    if samples < 1:
+        raise ValueError(f"doubling_check needs samples >= 1 (samples = {samples})")
     levels = range(1, max(2, m.h.depth - 1))
     centers = _sample_centers(m.h, 2, samples, seed)
     balls: Dict[Tuple[int, float], Tuple[float, float]] = {}
@@ -429,6 +431,8 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
     window = sorted(set(int(j) for j in window))
     if len(window) < 2:
         raise ValueError("window must span at least two scales")
+    if samples < 1:
+        raise ValueError(f"olds_volume needs samples >= 1 (samples = {samples})")
     centers = _sample_centers(m.h, 2, samples, seed)
 
     # V(x, c*3^-j) midpoints of the cover bracket, per center and factor c

@@ -1,6 +1,6 @@
 """Mixed carpet/Vicsek pipeline: schedules, corner-graph resistances,
-chaining constants, the separation index Delta, quasisymmetry diagnostics,
-and the dimension-gap report, one row per windowed estimate.
+chaining constants, quasisymmetry diagnostics, and the dimension-gap
+report, one row per windowed estimate.
 
 The two-scale resistance bookkeeping follows the (TB)/(Pt) quantities: per
 level pair (n, m) the top-to-bottom set resistance and the opposite-corner
@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .cornergraph import CornerGraph, corner_graph, pt_quarter, tb_quarter
-from .hierarchy import PartitionHierarchy, Schedule, _point_pair, build_hierarchy
+from .hierarchy import Schedule, build_hierarchy
 from .resnet import eff_resistance
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ScaleCache",
     "chain_check",
     "evres_fit",
-    "delta_pair",
     "qs_diagnostic",
     "QSDiagnostic",
     "gap_report",
@@ -219,27 +218,6 @@ def evres_fit(sc: ScaleCache, vicsek: ScaleCache, mixed: ScaleCache, n_max: int 
         "max_abs_residual": max_resid,
         "band_log_width": log_cb - log_ca,
     }
-
-
-def delta_pair(h: PartitionHierarchy, x: Tuple[int, int],
-               y: Tuple[int, int]) -> Tuple[int, bool]:
-    """Least n with a level-n cell whose closed square holds x while y lies
-    in the image of the far region {|Re| v |Im| >= 3/2}.
-
-    x and y are points (gx, gy) of the grid of h.depth, standing for
-    (gx/3^depth - 1/2, gy/3^depth - 1/2); the level-n cell (i, j) has its
-    centre at ((2i + 1) f/2, (2j + 1) f/2), f = 3^(depth - n), on that grid.
-    Returns (delta, clipped); clipped marks that no level up to the built
-    depth worked.
-    """
-    x, y = _point_pair(h, x, y, "delta_pair")
-    for n in range(h.depth + 1):
-        f = 3 ** (h.depth - n)
-        for i in h.cells_containing(n, *x):
-            ix, iy, _ = h.cell_box(n, i)
-            if max(abs(2 * y[0] - (2 * ix + 1) * f), abs(2 * y[1] - (2 * iy + 1) * f)) >= 3 * f:
-                return n, False
-    return h.depth, True
 
 
 @dataclass

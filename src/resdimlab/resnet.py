@@ -1,7 +1,7 @@
 """Weighted-graph electrical machinery.
 
 Laplacian solves for effective resistances (point and set queries),
-resistance profiles, Schur-complement traces and minimum energy unit flows.
+resistance profiles and Schur-complement traces.
 
 Solver policy: one Dirichlet solve.  `_Grounded` pins a vertex set (holding
 a vertex of every component) and factors the Laplacian block of the free
@@ -39,12 +39,9 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "LevelGraph",
     "ResistanceValue",
-    "UnitFlow",
     "SolverError",
     "eff_resistance",
     "trace",
-    "min_energy_flow",
-    "pinv_resistance",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -118,26 +115,6 @@ class LevelGraph:
         if self._grounded is None:
             self._grounded = _Grounded(self, [0])
         return self._grounded
-
-    def merged(self, groups: Sequence[Sequence[int]]) -> Tuple["LevelGraph", np.ndarray]:
-        """Identify each vertex group to a single vertex (exact set queries).
-
-        Returns the quotient graph and the vertex -> quotient-vertex map.
-        Edges interior to a group vanish; parallel edges add.  The remaining
-        vertices follow the groups, in increasing order.
-        """
-        members = [np.asarray(grp, dtype=np.int64).reshape(-1) for grp in groups]
-        grouped = np.concatenate(members + [np.zeros(0, dtype=np.int64)])
-        if len(np.unique(grouped)) < len(grouped):
-            raise ValueError("merge groups overlap")
-        mapping = np.full(self.n, -1, dtype=np.int64)
-        mapping[grouped] = np.repeat(np.arange(len(groups)), [len(m) for m in members])
-        free = np.flatnonzero(mapping == -1)
-        mapping[free] = len(groups) + np.arange(len(free))
-        mu, mv = mapping[self.edge_u], mapping[self.edge_v]
-        cross = mu != mv
-        edges = np.column_stack([mu[cross], mv[cross], self.conductance[cross]])
-        return LevelGraph(len(groups) + len(free), edges), mapping
 
 
 class _Grounded:
@@ -246,21 +223,6 @@ def _norms(columns) -> np.ndarray:
 class ResistanceValue:
     value: float
     flag: str = "ok"          # "ok" | "infinite"
-    potential: Optional[np.ndarray] = None
-
-    @property
-    def finite(self) -> bool:
-        return self.flag == "ok"
-
-
-@dataclass
-class UnitFlow:
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    flow: np.ndarray          # flow from edge_u to edge_v
-    source: Tuple[int, ...]
-    sink: Tuple[int, ...]
-    energy: float
 
 
 def _check_sets(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -276,14 +238,12 @@ def _check_sets(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[List
     return A, B
 
 
-def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int],
-                   return_potential: bool = False) -> ResistanceValue:
+def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> ResistanceValue:
     """Resistance between vertex sets: pin A at 1, and B and every other
     component at 0, solve for the free vertices, and return 1 / (current out
     of A).
 
     Disconnected queries return a tagged infinite value rather than raising.
-    The potential is 1 on A, 0 on B and 0 off the component that holds them.
     """
     A, B = _check_sets(g, A, B)
     comp = g.components()
@@ -295,7 +255,7 @@ def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int],
     pinned[A] = 1.0
     u = solver.extend(pinned)
     current = float((g.laplacian()[A] @ u).sum())
-    return ResistanceValue(1.0 / current, "ok", potential=u if return_potential else None)
+    return ResistanceValue(1.0 / current)
 
 
 def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
@@ -308,6 +268,8 @@ def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
     S = sorted(set(int(s) for s in S))
     if not S:
         raise ValueError("trace onto the empty set")
+    if S[0] < 0 or S[-1] >= g.n:
+        raise ValueError("terminal vertex out of range")
     if not g.is_connected():
         raise ValueError("trace requires a connected graph")
     Sarr = np.array(S, dtype=np.int64)
@@ -319,7 +281,7 @@ def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
         pinned = np.zeros((g.n, hi - lo))
         pinned[Sarr[lo:hi], np.arange(hi - lo)] = 1.0
         schur[:, lo:hi] = lap_s @ solver.extend(pinned)
-    scale = float(np.abs(np.diag(schur)).max()) if len(S) else 1.0
+    scale = float(np.abs(np.diag(schur)).max())
     cond = -np.triu(schur, 1)  # traced conductances above the diagonal
     positive = cond < -1e-10 * scale
     if positive.any():
@@ -327,31 +289,3 @@ def trace(g: LevelGraph, S: Sequence[int]) -> LevelGraph:
                           f"{float(-cond[positive].min()):.3e} (scale {scale:.3e})")
     i, j = np.nonzero(cond > 1e-13 * scale)
     return LevelGraph(len(S), np.column_stack([i, j, cond[i, j]]), labels=[int(s) for s in S])
-
-
-def min_energy_flow(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[UnitFlow, float]:
-    """Optimal unit flow from A to B and its energy (= effective resistance)."""
-    A, B = _check_sets(g, A, B)
-    res = eff_resistance(g, A, B, return_potential=True)
-    if not res.finite:
-        raise ValueError("terminals are disconnected; no unit flow exists")
-    u = res.potential  # 1 on A, 0 on B
-    du = u[g.edge_u] - u[g.edge_v]
-    raw = g.conductance * du
-    # unit potential drop drives total current 1/R; rescale to unit flux
-    flow = raw * res.value
-    energy = float(np.sum(flow * flow / g.conductance))
-    uf = UnitFlow(g.edge_u.copy(), g.edge_v.copy(), flow, tuple(A), tuple(B), energy)
-    return uf, energy
-
-
-# -- oracles ---------------------------------------------------------------
-
-def pinv_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> float:
-    """Dense pseudo-inverse oracle for the set resistance (merge, then pinv)."""
-    A, B = _check_sets(g, A, B)
-    merged, _ = g.merged([A, B])
-    lap = merged.laplacian().toarray()
-    plus = np.linalg.pinv(lap)
-    return float(plus[0, 0] - 2 * plus[0, 1] + plus[1, 1])
-

@@ -145,6 +145,73 @@ def random_connected_graph(rng, n_max=50):
     return LevelGraph(n, edges)
 
 
+# -- resistance oracles: merge each terminal set to one vertex ---------------
+
+def merged(g, groups):
+    """Identify each vertex group of g to a single vertex (exact set queries).
+
+    Returns the quotient graph and the vertex -> quotient-vertex map.  Edges
+    interior to a group vanish; parallel edges add.  The remaining vertices
+    follow the groups, in increasing order.
+    """
+    from resdimlab.resnet import LevelGraph
+    members = [np.asarray(grp, dtype=np.int64).reshape(-1) for grp in groups]
+    grouped = np.concatenate(members + [np.zeros(0, dtype=np.int64)])
+    if len(np.unique(grouped)) < len(grouped):
+        raise ValueError("merge groups overlap")
+    mapping = np.full(g.n, -1, dtype=np.int64)
+    mapping[grouped] = np.repeat(np.arange(len(groups)), [len(m) for m in members])
+    free = np.flatnonzero(mapping == -1)
+    mapping[free] = len(groups) + np.arange(len(free))
+    mu, mv = mapping[g.edge_u], mapping[g.edge_v]
+    cross = mu != mv
+    edges = np.column_stack([mu[cross], mv[cross], g.conductance[cross]])
+    return LevelGraph(len(groups) + len(free), edges), mapping
+
+
+def merged_eff_resistance(g, A, B):
+    """Reference set resistance by identification: restrict to the component
+    of A and B, identify A and B to single vertices, ground the B vertex and
+    solve for a unit current.  Returns (R, potential with A at 1, B at 0,
+    0 elsewhere)."""
+    from resdimlab.resnet import LevelGraph
+    A, B = sorted(set(A)), sorted(set(B))
+    comp = g.components()
+    ids = np.flatnonzero(comp == comp[A[0]])
+    pos = np.full(g.n, -1)
+    pos[ids] = np.arange(len(ids))
+    inside = pos[g.edge_u] >= 0  # an edge lies in one component
+    sub = LevelGraph(len(ids), np.column_stack([pos[g.edge_u[inside]], pos[g.edge_v[inside]],
+                                                g.conductance[inside]]))
+    quotient, mapping = merged(sub, [np.searchsorted(ids, A), np.searchsorted(ids, B)])
+    keep = np.array([v for v in range(quotient.n) if v != 1])
+    lap = quotient.laplacian().tocsc()
+    rhs = np.zeros(quotient.n)
+    rhs[0], rhs[1] = 1.0, -1.0
+    u = np.zeros(quotient.n)
+    u[keep] = spla.splu(lap[keep][:, keep].tocsc()).solve(rhs[keep])
+    pot = np.zeros(g.n)
+    pot[ids] = u[mapping] / u[0]
+    return float(u[0]), pot
+
+
+def min_energy_flow(g, A, B):
+    """Thomson oracle: the unit flow from A to B driven by the potential of
+    `merged_eff_resistance`, one value per edge of g (from edge_u to
+    edge_v), and its energy sum flow^2 / c, which equals R."""
+    r, pot = merged_eff_resistance(g, A, B)
+    # a unit potential drop drives the current 1/R; rescale to a unit flux
+    flow = g.conductance * (pot[g.edge_u] - pot[g.edge_v]) * r
+    return flow, float(np.sum(flow * flow / g.conductance))
+
+
+def pinv_resistance(g, A, B):
+    """Dense pseudo-inverse oracle for the set resistance (merge, then pinv)."""
+    quotient, _ = merged(g, [sorted(set(A)), sorted(set(B))])
+    plus = np.linalg.pinv(quotient.laplacian().toarray())
+    return float(plus[0, 0] - 2 * plus[0, 1] + plus[1, 1])
+
+
 def single_pair_resistance(solver, x, y):
     """Oracle: the one e_x - e_y solve per pair that pair resistances made
     before they were batched into Green's-function blocks."""

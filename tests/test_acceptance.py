@@ -16,9 +16,8 @@ from resdimlab.measure import hier_measure, olds_volume, psi_measure
 from resdimlab.mixedcarpet import (chain_check, evres_fit, gap_report, qs_diagnostic,
                                    qs_envelope_drift)
 from resdimlab.penergy import SupSweep, critical_p, fit_rates
-from resdimlab.resnet import (LevelGraph, eff_resistance, min_energy_flow,
-                              pinv_resistance, trace)
-from conftest import random_connected_graph
+from resdimlab.resnet import LevelGraph, eff_resistance, trace
+from conftest import min_energy_flow, pinv_resistance, random_connected_graph
 
 VIC_REF = 2 * math.log(5.0) / (math.log(3.0) + math.log(5.0))
 TW_BOUND = 1.0 + math.log(2.0) / math.log(3.0)

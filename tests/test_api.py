@@ -1,6 +1,5 @@
 import ast
 import importlib
-import inspect
 import pathlib
 
 import pytest
@@ -32,13 +31,13 @@ def test_imports_are_used(name):
     assert sorted(imported - used - exported) == []
 
 
-# public functions kept without a caller in src/, each for a named reason
+# public names kept without a caller in src/, each for a named reason; a
+# method or property is listed as Class.name
 UNCALLED_ON_PURPOSE = {
-    "min_energy_flow": "acceptance oracle: the flow side of R = min energy",
-    "pinv_resistance": "acceptance oracle: dense pseudo-inverse set resistance",
-    "delta_pair": "separation index of the R*(x, y) band check (test_rstar_approximant_band)",
     "doubling_check": "volume doubling constant (bench spectral volume step)",
-    "psi_measure": "interior-child psi-measure (acceptance criterion 12, bench psi step)",
+    "psi_measure": "interior-child psi-measure (bench spectral psi step)",
+    "PsiMeasure.neighbor_comparability": "psi neighbour comparability (bench spectral psi step)",
+    "PsiMeasure.growth_exponent": "psi volume growth exponent (bench spectral psi step)",
 }
 
 
@@ -52,8 +51,22 @@ def _named(node):
     return set()
 
 
+def _public_definitions(tree, public):
+    """(label, definition) for every function and class of the module that
+    its __all__ names, and every public method or property of such a class,
+    labelled Class.name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in public:
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
 def test_public_functions_are_called():
-    """Every function in a module's __all__ is named somewhere in the package
+    """Every function and class in a module's __all__, and every public
+    method or property of such a class, is named somewhere in the package
     (a name, an attribute or a from-import) outside its own definition; the
     package's __init__ re-exports are not callers."""
     pkg = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
@@ -61,16 +74,14 @@ def test_public_functions_are_called():
              if path.name != "__init__.py"}
     uncalled = []
     for name in MODULES:
-        mod = importlib.import_module(f"resdimlab.{name}")
-        for fn in mod.__all__:
-            if not inspect.isfunction(getattr(mod, fn)) or fn in UNCALLED_ON_PURPOSE:
+        public = set(importlib.import_module(f"resdimlab.{name}").__all__)
+        for label, own in _public_definitions(trees[name], public):
+            if label in UNCALLED_ON_PURPOSE:
                 continue
-            own = next(node for node in trees[name].body
-                       if isinstance(node, ast.FunctionDef) and node.name == fn)
             inside = {id(node) for node in ast.walk(own)}
-            if not any(id(node) not in inside and fn in _named(node)
+            if not any(id(node) not in inside and own.name in _named(node)
                        for tree in trees.values() for node in ast.walk(tree)):
-                uncalled.append(f"{name}.{fn}")
+                uncalled.append(f"{name}.{label}")
     assert uncalled == []
 
 

@@ -308,10 +308,19 @@ def test_validate_framework_depth0():
     assert params.violations == []
 
 
+def _marker(h, n, i):
+    """Nested interior point x_w of cell i at level n (exact): x at the
+    cell's centre, y at the descent chain's limit inside the cell."""
+    ix, iy, s = int(h.levels[n].ix[i]), int(h.levels[n].iy[i]), 3 ** n
+    mx = Fraction(2 * ix + 1, 2 * s) - Fraction(1, 2)
+    my = Fraction(iy, s) + (Fraction(1, 2) + h._marker_rel_y(n)) / s - Fraction(1, 2)
+    return (mx, my)
+
+
 def test_marker_nesting_and_inner_ball(mx_h5):
     for n in range(mx_h5.depth):
-        coarse = {mx_h5.marker(n, i) for i in range(mx_h5.levels[n].count)}
-        fine = {mx_h5.marker(n + 1, i) for i in range(mx_h5.levels[n + 1].count)}
+        coarse = {_marker(mx_h5, n, i) for i in range(mx_h5.levels[n].count)}
+        fine = {_marker(mx_h5, n + 1, i) for i in range(mx_h5.levels[n + 1].count)}
         assert coarse <= fine
     xi = Fraction(1, 6)
     for n in range(mx_h5.depth + 1):
@@ -322,8 +331,8 @@ def test_marker_nesting_and_inner_ball(mx_h5):
 def _set_marker_nesting(h, depth):
     """Marker-nesting violations from exact marker sets of every cell."""
     for n in range(depth):
-        coarse = {h.marker(n, i) for i in range(h.levels[n].count)}
-        fine = {h.marker(n + 1, i) for i in range(h.levels[n + 1].count)}
+        coarse = {_marker(h, n, i) for i in range(h.levels[n].count)}
+        fine = {_marker(h, n + 1, i) for i in range(h.levels[n + 1].count)}
         if not coarse.issubset(fine):
             return [f"marker nesting fails {n} -> {n + 1}"]
     return []
@@ -374,8 +383,8 @@ def test_address_words_match_address(mx_h5):
 
 
 def test_marker_is_center_for_vicsek(vs_h6):
-    mx, my = vs_h6.marker(2, 7)
-    ix, iy, s = vs_h6.cell_box(2, 7)
+    mx, my = _marker(vs_h6, 2, 7)
+    ix, iy, s = int(vs_h6.levels[2].ix[7]), int(vs_h6.levels[2].iy[7]), 3 ** 2
     assert mx == Fraction(2 * ix + 1, 2 * s) - Fraction(1, 2)
     assert my == Fraction(2 * iy + 1, 2 * s) - Fraction(1, 2)
 

@@ -267,7 +267,7 @@ def test_psi_vicsek_center_child(vs_h6):
 def test_psi_sc_interior_grandchild(sc_h6):
     psi = psi_measure(sc_h6, Fraction(1, 2), 2)
     v = psi.interior_child[0][0]
-    ix, iy, s = sc_h6.cell_box(2, v)
+    ix, iy = int(sc_h6.levels[2].ix[v]), int(sc_h6.levels[2].iy[v])
     assert 1 <= ix <= 7 and 1 <= iy <= 7
     assert sum(psi.mass(2, i) for i in range(sc_h6.levels[2].count)) == 1
 
@@ -375,6 +375,16 @@ def test_olds_volume_vicsek(vs_h6):
 def test_olds_volume_window_guard(vs_h6):
     with pytest.raises(ValueError, match="window"):
         olds_volume(hier_measure(vs_h6), math.log(3.0), window=[2])
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_volume_routes_reject_samples_below_1(vs_h6, samples):
+    # no centers would leave doubling_check no ball and olds_volume no log-ratio
+    m = hier_measure(vs_h6)
+    with pytest.raises(ValueError, match=f"doubling_check needs samples >= 1 \\(samples = {samples}\\)"):
+        doubling_check(m, samples=samples)
+    with pytest.raises(ValueError, match=f"olds_volume needs samples >= 1 \\(samples = {samples}\\)"):
+        olds_volume(m, math.log(3.0), window=[1, 2], samples=samples)
 
 
 def test_fekete_linear():

@@ -7,14 +7,10 @@ import pytest
 from resdimlab import measure, mixedcarpet, resnet
 from resdimlab.cornergraph import corner_graph, pt_quarter
 from resdimlab.hierarchy import Schedule, mixed_indicator
-from resdimlab.mixedcarpet import (ScaleCache, chain_check, delta_pair, evres_fit, gap_report,
-                                   qs_diagnostic, qs_envelope_drift)
+from resdimlab.mixedcarpet import (ScaleCache, chain_check, evres_fit, gap_report, qs_diagnostic,
+                                   qs_envelope_drift)
 from resdimlab.resnet import eff_resistance
 from conftest import pipeline_quarters, single_pair_resistance
-
-# corners of Q on the 243-grid of the depth-5 hierarchy mx_h5
-NE = (243, 243)
-SW = (0, 0)
 
 
 def test_schedule_f_blocks():
@@ -90,35 +86,16 @@ def test_evres_fit(sc_cache, vs_cache, mx_cache):
     assert all(b > a for a, b in zip(fit["mixed_pt"], fit["mixed_pt"][1:]))
 
 
-def test_delta_pair_examples(mx_h5):
-    d, clipped = delta_pair(mx_h5, NE, SW)
-    assert (d, clipped) == (1, False)
-    # nearby pair (1/2 - 3^-5, 1/2): separation only beyond the built depth
-    d, clipped = delta_pair(mx_h5, NE, (242, 243))
-    assert clipped and d == mx_h5.depth
-    with pytest.raises(ValueError):
-        delta_pair(mx_h5, NE, NE)
-
-
-def test_delta_pair_rejects_points_outside_q(mx_h5):
-    # (2, 0) and (5, 5) of the plane lie off the grid; these grid points lie
-    # outside Q on either side
-    with pytest.raises(ValueError, match="outside the root cell"):
-        delta_pair(mx_h5, (244, 121), (121, 121))
-    with pytest.raises(ValueError, match="outside the root cell"):
-        delta_pair(mx_h5, (121, 121), (-1, 5))
-    # a Fraction point of Q is not a grid point
-    with pytest.raises(TypeError):
-        delta_pair(mx_h5, (Fraction(1, 2), Fraction(1, 2)), SW)
-
-
 def _q_point(g, s):
     """The exact point of Q that the point g of the s-grid stands for."""
     return tuple(Fraction(int(v), s) - Fraction(1, 2) for v in g)
 
 
 def _brute_delta_pair(h, x, y):
-    """delta_pair straight from the definition, on exact Fraction points of Q."""
+    """The separation index of x and y, straight from its definition on
+    exact Fraction points of Q: the least n with a level-n cell whose closed
+    square holds x while y lies in the image of the far region
+    {|Re| v |Im| >= 3/2}; None if no built level works."""
     for n in range(h.depth + 1):
         scale = Fraction(3) ** (-n)
         lvl = h.levels[n]
@@ -132,42 +109,6 @@ def _brute_delta_pair(h, x, y):
             if max(abs(y[0] - cx), abs(y[1] - cy)) >= Fraction(3, 2) * scale:
                 return n
     return None
-
-
-def test_delta_pair_brute_force_oracle(mx_h5):
-    rng = np.random.default_rng(4)
-    s = 3 ** mx_h5.depth
-    # points anywhere on the grid (holes included), then near pairs, half of
-    # them with x on the boundary of Q, which separate only at deep levels
-    pairs = [tuple(map(tuple, rng.integers(0, s + 1, (2, 2)).tolist())) for _ in range(90)]
-    for _ in range(30):
-        x = rng.integers(0, s + 1, 2)
-        if rng.integers(0, 2):
-            x[rng.integers(0, 2)] = s * rng.integers(0, 2)
-        y = np.clip(x + rng.integers(-4, 5, 2), 0, s)
-        pairs.append((tuple(x.tolist()), tuple(y.tolist())))
-    checked = 0
-    for x, y in pairs:
-        if x == y:
-            continue
-        got, clipped = delta_pair(mx_h5, x, y)
-        expect = _brute_delta_pair(mx_h5, _q_point(x, s), _q_point(y, s))
-        if expect is None:
-            assert clipped
-        else:
-            assert got == expect and not clipped
-        checked += 1
-    assert checked >= 100
-
-
-def test_delta_pair_scale_bound(mx_h5):
-    # y within 3*3^-n of x admits separation only below level n - O(1)
-    x = NE
-    for n in (2, 3, 4):
-        y = (243 - 3 ** (5 - n), 243)  # (1/2 - 3^-n, 1/2)
-        d, clipped = delta_pair(mx_h5, x, y)
-        if not clipped:
-            assert d >= n - 2
 
 
 def test_qs_envelope(mx_cache):
@@ -254,6 +195,7 @@ def test_rstar_approximant_band(mx_h5, mx_cache):
     cg5 = mx_cache.graph(5)
     solver = cg5.graph.grounded_solver()
     pt5 = mx_cache.pt(5, 0)
+    s = 3 ** mx_h5.depth
     rng = np.random.default_rng(7)
     band = []
     while len(band) < 40:
@@ -261,8 +203,8 @@ def test_rstar_approximant_band(mx_h5, mx_cache):
         if i == j:
             continue
         # the corner grid of level 5 is the 243-grid of mx_h5
-        d, clipped = delta_pair(mx_h5, tuple(cg5.grid[int(i)]), tuple(cg5.grid[int(j)]))
-        if clipped:
+        d = _brute_delta_pair(mx_h5, _q_point(cg5.grid[int(i)], s), _q_point(cg5.grid[int(j)], s))
+        if d is None:
             continue
         rstar = solver.pair_resistances([i], [j])[0] / pt5
         approx = 1.0 / mx_cache.pt(d, 0) if d > 0 else 1.0

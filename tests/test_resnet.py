@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from resdimlab.cornergraph import corner_graph
 from resdimlab import resnet
 from resdimlab.hierarchy import Schedule
-from resdimlab.resnet import LevelGraph, eff_resistance, min_energy_flow, pinv_resistance, trace
-from conftest import random_connected_graph, single_pair_resistance
+from resdimlab.resnet import LevelGraph, eff_resistance, trace
+from conftest import (merged_eff_resistance, min_energy_flow, pinv_resistance,
+                      random_connected_graph, single_pair_resistance)
 
 UNIT_CYCLE = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]
 
@@ -43,25 +43,23 @@ def test_eff_resistance_errors():
 def test_disconnected_tagged_infinite():
     g = LevelGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     res = eff_resistance(g, [0], [2])
-    assert not res.finite and math.isinf(res.value)
+    assert res.flag == "infinite" and math.isinf(res.value)
 
 
 def test_other_component_ignored():
     g = LevelGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
-    res = eff_resistance(g, [0], [2], return_potential=True)
-    assert res.finite
+    res = eff_resistance(g, [0], [2])
+    assert res.flag == "ok"
     assert res.value == pytest.approx(2.0, abs=1e-12)
-    assert res.potential.tolist() == pytest.approx([1.0, 0.5, 0.0, 0.0, 0.0])
     _, energy = min_energy_flow(g, [0], [2])
     assert energy == pytest.approx(2.0, abs=1e-12)
 
 
 def test_potential_normalization():
+    # the potential behind the Thomson oracle: 1 on A, 0 on B, harmonic between
     g = LevelGraph(4, UNIT_CYCLE)
-    res = eff_resistance(g, [0], [2], return_potential=True)
-    assert res.potential[0] == pytest.approx(1.0)
-    assert res.potential[2] == pytest.approx(0.0)
-    assert res.potential[1] == pytest.approx(0.5)
+    _, pot = merged_eff_resistance(g, [0], [2])
+    assert pot.tolist() == pytest.approx([1.0, 0.5, 0.0, 0.5])
 
 
 def test_trace_series():
@@ -91,6 +89,14 @@ def test_trace_empty_set_error():
     g = LevelGraph(4, UNIT_CYCLE)
     with pytest.raises(ValueError):
         trace(g, [])
+
+
+@pytest.mark.parametrize("S", [[-1, 0], [0, 5]])
+def test_trace_vertex_out_of_range(S):
+    # -1 would index the last vertex, and 5 the Laplacian past its end
+    g = LevelGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="terminal vertex out of range"):
+        trace(g, S)
 
 
 def test_nested_trace_consistency():
@@ -163,10 +169,10 @@ def test_min_energy_flow_cycle():
     g = LevelGraph(4, UNIT_CYCLE)
     flow, energy = min_energy_flow(g, [0], [2])
     assert energy == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(np.abs(flow.flow), 0.5)
+    assert np.allclose(np.abs(flow), 0.5)
     bal = np.zeros(4)
-    np.add.at(bal, flow.edge_u, flow.flow)
-    np.add.at(bal, flow.edge_v, -flow.flow)
+    np.add.at(bal, g.edge_u, flow)
+    np.add.at(bal, g.edge_v, -flow)
     assert bal[0] == pytest.approx(1.0)
     assert bal[2] == pytest.approx(-1.0)
     assert abs(bal[1]) < 1e-12 and abs(bal[3]) < 1e-12
@@ -176,7 +182,7 @@ def test_min_energy_flow_single_edge():
     g = LevelGraph(2, [(0, 1, 4.0)])
     flow, energy = min_energy_flow(g, [0], [1])
     assert energy == pytest.approx(0.25, abs=1e-14)
-    assert flow.flow[0] == pytest.approx(1.0)
+    assert flow[0] == pytest.approx(1.0)
 
 
 def test_oracle_agreement_random_graphs():
@@ -234,31 +240,6 @@ def test_invalid_edges():
 
 # -- oracles for the grounded-set solves -------------------------------------
 
-def merged_eff_resistance(g, A, B):
-    """Reference set resistance by identification: restrict to the component
-    of A and B, identify A and B to single vertices, ground the B vertex and
-    solve for a unit current.  Returns (R, potential with A at 1, B at 0,
-    0 elsewhere)."""
-    A, B = sorted(set(A)), sorted(set(B))
-    comp = g.components()
-    ids = np.flatnonzero(comp == comp[A[0]])
-    pos = np.full(g.n, -1)
-    pos[ids] = np.arange(len(ids))
-    inside = pos[g.edge_u] >= 0  # an edge lies in one component
-    sub = LevelGraph(len(ids), np.column_stack([pos[g.edge_u[inside]], pos[g.edge_v[inside]],
-                                                g.conductance[inside]]))
-    merged, mapping = sub.merged([np.searchsorted(ids, A), np.searchsorted(ids, B)])
-    keep = np.array([v for v in range(merged.n) if v != 1])
-    lap = merged.laplacian().tocsc()
-    rhs = np.zeros(merged.n)
-    rhs[0], rhs[1] = 1.0, -1.0
-    u = np.zeros(merged.n)
-    u[keep] = spla.splu(lap[keep][:, keep].tocsc()).solve(rhs[keep])
-    pot = np.zeros(g.n)
-    pot[ids] = u[mapping] / u[0]
-    return float(u[0]), pot
-
-
 def dense_schur(g, S):
     """Dense Schur complement of the Laplacian onto the sorted set S."""
     S = np.array(sorted(set(S)))
@@ -284,10 +265,8 @@ def test_eff_resistance_matches_merged_graph():
         A, B = verts[:min(na, g.n - 1)], verts[min(na, g.n - 1):][:nb]
         if trial % 3 == 0:
             g = with_other_component(g, rng)
-        want, want_pot = merged_eff_resistance(g, A, B)
-        res = eff_resistance(g, A, B, return_potential=True)
-        assert abs(res.value - want) <= 1e-10 * want
-        assert np.abs(res.potential - want_pot).max() <= 1e-10
+        want, _ = merged_eff_resistance(g, A, B)
+        assert abs(eff_resistance(g, A, B).value - want) <= 1e-10 * want
 
 
 def test_trace_matches_dense_schur():
