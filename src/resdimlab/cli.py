@@ -188,7 +188,8 @@ def _cmd_build(cfg: ExperimentConfig, outdir: str) -> List[dict]:
         "zeta": str(params.zeta), "xi": str(params.xi), "m_star": params.m_star,
         "l_star": params.l_star, "n_star": params.n_star,
         "diam_ratio": params.diam_ratio, "b3_band": list(params.b3_band),
-        "b3_band_ratio": params.b3_band_ratio, "violations": params.violations,
+        "b3_band_ratio": params.b3_band_ratio, "b3_samples": params.b3_samples,
+        "violations": params.violations,
     })
     expected = 1
     for n in range(1, cfg.depth + 1):
@@ -225,14 +226,16 @@ def _cmd_resist(cfg: ExperimentConfig, outdir: str) -> List[dict]:
 def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     h = hmod.build_hierarchy(cfg.schedule(), cfg.depth)
     sweep = pmod.SupSweep(h, range(1, cfg.kmax + 1))
+    words = h.address_words(1)
     rows = []
     for p in cfg.p_grid:
         for k, (cell, val) in zip(sweep.ks, sweep.sups(p)):
-            rows.append({"p": p, "k": k, "sup_energy": val.value,
-                         "argmax_cell": "".join(str(d) for d in h.address(1, cell)),
-                         "flag": val.flag, "lower": val.lower, "upper": val.upper})
+            rows.append({"p": p, "k": k, "sup_energy": val.value, "argmax_cell": words[cell],
+                         "flag": val.flag, "lower": val.lower, "upper": val.upper,
+                         "residual": val.residual})
     _write_csv(os.path.join(outdir, "rates.csv"),
-               ["p", "k", "sup_energy", "argmax_cell", "flag", "lower", "upper"], rows)
+               ["p", "k", "sup_energy", "argmax_cell", "flag", "lower", "upper", "residual"],
+               rows)
     est = sweep.spectral_dims(2.0)
     _write_json(os.path.join(outdir, "p_spectral.json"), {
         "p": est.p, "rate_ls": est.rate_ls, "rate_limsup": est.rate_limsup,
@@ -280,6 +283,7 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     _write_json(os.path.join(outdir, "dims.json"), {
         "structure": sched.name, "depth": depth,
         "volume_ds": vol["ds_estimate"], "volume_ds_sup_window": vol["ds_sup_window"],
+        "volume_sup_window_violations": vol["sup_window_violations"],
         "heat_ds": heat_ds, "heat_flag": hk["flag"], "d2s": d2s,
         "d2s_flag": est.flag, "d2s_uncertified": est.uncertified,
         "zeta_r_log": zeta_log, "pt_table": pt,

@@ -19,6 +19,7 @@ mixed schedule switches rule by the predicate k^2(k-1) < n <= k^3.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +37,6 @@ __all__ = [
     "RULE_SC",
     "RULE_VICSEK",
     "Schedule",
-    "Address",
     "child_boxes",
     "D4",
     "GridIndex",
@@ -192,9 +192,6 @@ class Schedule:
         return self.rule_at(n).branching
 
 
-Address = Tuple[int, ...]
-
-
 def child_boxes(ix: np.ndarray, iy: np.ndarray,
                 digits: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Grid boxes of the children of every box (ix, iy), one level down:
@@ -293,7 +290,6 @@ class _Level:
 class AdjacencyGraph:
     """Same-level cell adjacency: edge iff closed cells intersect."""
 
-    level: int
     count: int
     edges: np.ndarray  # (m, 2) int64, i < j
 
@@ -358,16 +354,9 @@ class PartitionHierarchy:
 
     # -- addresses ---------------------------------------------------------
 
-    def address(self, n: int, i: int) -> Address:
-        """Digit word of cell i at level n (empty word at the root)."""
-        digits: List[int] = []
-        for m in range(n, 0, -1):
-            digits.append(int(self.levels[m].digit[i]))
-            i = int(self.levels[m].parent[i])
-        return tuple(reversed(digits))
-
     def address_words(self, n: int) -> List[str]:
-        """address() of every level-n cell as a digit string, one level at a time."""
+        """The digit word of every level-n cell, its child digits from level 1
+        down (the empty word at the root), built one level at a time."""
         words = np.array([""])
         for m in range(1, n + 1):
             lvl = self.levels[m]
@@ -459,7 +448,7 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
         a, b = i[j >= 0], j[j >= 0]
         pairs.append(np.minimum(a, b) * lvl.count + np.maximum(a, b))
     edges = np.stack(np.divmod(np.sort(np.concatenate(pairs)), lvl.count), axis=1)
-    g = AdjacencyGraph(n, lvl.count, edges)
+    g = AdjacencyGraph(lvl.count, edges)
     h._adjacency_cache[n] = g
     return g
 
@@ -470,8 +459,11 @@ def chain_ball(g: AdjacencyGraph, sources: Sequence[int], radius: int) -> np.nda
     Breadth-first over CSR rows, so a query touches only the cells of the ball."""
     if radius < 0:
         raise ValueError("chain radius must be >= 0")
-    indptr, indices = g.csr.indptr, g.csr.indices
     seen = set(int(s) for s in sources)
+    bad = sorted(s for s in seen if not 0 <= s < g.count)
+    if bad:
+        raise ValueError(f"source cell {bad[0]} outside 0..{g.count - 1}")
+    indptr, indices = g.csr.indptr, g.csr.indices
     frontier = list(seen)
     for _ in range(radius):
         nxt = []
@@ -538,25 +530,12 @@ def nstar_estimate(h: PartitionHierarchy) -> dict:
     sched = h.schedule
     top = NSTAR_HORIZON if sched.horizon is None else min(NSTAR_HORIZON, sched.horizon)
     branch = [sched.branching(j) for j in range(1, top + 1)]
-    sups: List[int] = []
     seq: List[float] = []
     for k in range(1, kmax + 1):
-        best = 0
-        for start in range(0, top - k + 1):
-            prod = 1
-            for j in range(start, start + k):
-                prod *= branch[j]
-            best = max(best, prod)
-        sups.append(best)
+        best = max(math.prod(branch[start:start + k]) for start in range(top - k + 1))
         root = round(best ** (1.0 / k))
         seq.append(float(root) if root ** k == best else best ** (1.0 / k))
-    return {
-        "k": list(range(1, kmax + 1)),
-        "sup_counts": sups,
-        "roots": seq,
-        "n_star": min(seq),
-        "horizon": top,
-    }
+    return {"k": list(range(1, kmax + 1)), "roots": seq, "n_star": min(seq)}
 
 
 def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:

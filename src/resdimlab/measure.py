@@ -1,14 +1,13 @@
 """Hierarchical measures, volume profiles, and the volume-route dimension.
 
 A measure's cell masses have one representation, `exact_masses`: per level,
-int64 numerators in cell order over one common denominator.  `mass` reads
-it as a Fraction, `heat.build_form` sums it into corner shares rounded once
-by `_quotients`, and ball masses are bracketed between inner and outer cell
-covers at the resolution level: a ball query adds, per grid column, the
-prefix-sum difference of the table (in GridIndex key order) over its run of
-covered rows, so both brackets are exact sums, rounded once.  The psi-measure
-implements the interior-child weighting that realizes controlled volume
-growth (N_* + eps)^k.
+int64 numerators in cell order over one common denominator.  `heat.build_form`
+sums it into corner shares rounded once by `_quotients`, and ball masses are
+bracketed between inner and outer cell covers at the resolution level: a ball
+query adds, per grid column, the prefix-sum difference of the table (in
+GridIndex key order) over its run of covered rows, so both brackets are exact
+sums, rounded once.  The psi-measure implements the interior-child weighting
+that realizes controlled volume growth (N_* + eps)^k.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ class _MassTable:
         if n not in self._exact:
             self._exact[n] = self._numerators(n)
         return self._exact[n]
-
-    def mass(self, n: int, i: int) -> Fraction:
-        num, denom = self.exact_masses(n)
-        return Fraction(int(num[i]), denom)
 
     def _ball_table(self) -> Tuple[np.ndarray, int]:
         """The resolution level's table as key-order prefix sums, all a ball query keeps."""
@@ -218,9 +213,9 @@ def _sample_centers(h: PartitionHierarchy, level: int, samples: int, seed: int) 
 
 
 def doubling_check(m: HierMeasure, samples: int = 40, seed: int = 0) -> dict:
-    """Empirical doubling constant sup V(x, 2r)/V(x, r) with its witness,
-    plus a fitted reverse-doubling factor gamma1 with V(x, r/gamma1) <= V(x, r)/2,
-    over `samples` level-2 cell corners x and r = 3^-j, 1 <= j < max(2, depth - 1).
+    """Empirical doubling constant sup V(x, 2r)/V(x, r), plus a fitted
+    reverse-doubling factor gamma1 with V(x, r/gamma1) <= V(x, r)/2, over
+    `samples` level-2 cell corners x and r = 3^-j, 1 <= j < max(2, depth - 1).
 
     Brackets are used conservatively: outer cover on top, inner below.
     """
@@ -237,19 +232,13 @@ def doubling_check(m: HierMeasure, samples: int = 40, seed: int = 0) -> dict:
         return balls[ci, r]
 
     worst = 0.0
-    witness = None
-    ratios = []
-    for ci, x in enumerate(centers):
+    for ci in range(len(centers)):
         for j in levels:
             r = 3.0 ** (-j)
             lo_r, _ = vol(ci, r)
             _, hi_2r = vol(ci, 2 * r)
-            if lo_r <= 0:
-                continue
-            q = hi_2r / lo_r
-            ratios.append(q)
-            if q > worst:
-                worst, witness = q, (tuple(x), r)
+            if lo_r > 0:
+                worst = max(worst, hi_2r / lo_r)
 
     def halves(g: float) -> bool:
         """Whether V(x, r/g) <= V(x, r)/2 for every sampled x and r = 3^-j."""
@@ -257,8 +246,7 @@ def doubling_check(m: HierMeasure, samples: int = 40, seed: int = 0) -> dict:
                    for ci in range(len(centers)) for j in levels)
 
     gamma1 = next((3.0 ** j for j in (1, 2, 3) if halves(3.0 ** j)), None)
-    return {"doubling_constant": worst, "witness": witness,
-            "gamma1": gamma1, "n_ratios": len(ratios)}
+    return {"doubling_constant": worst, "gamma1": gamma1}
 
 
 class PsiMeasure(_MassTable):
@@ -329,25 +317,18 @@ class PsiMeasure(_MassTable):
         """Exact check of ((N*+eps)^k - 1) psi(w) >= psi(u) on adjacent pairs,
         once per distinct ordered pair of codes, weighted by its count."""
         bound = self.base ** self.k - 1
-        worst: Optional[Fraction] = None
         violations = 0
-        checked = 0
         for n in self.coarse_levels[1:]:
             edges = adjacency(self.h, n).edges
             value = self.value[n]
             cu, cv = self.code[n][edges[:, 0]], self.code[n][edges[:, 1]]
             keys = np.concatenate([cu * len(value) + cv, cv * len(value) + cu])
             pairs, counts = np.unique(keys, return_counts=True)
-            checked += len(keys)
             for key, cnt in zip(pairs.tolist(), counts.tolist()):
                 a, b = divmod(key, len(value))
                 if bound * value[a] < value[b]:
                     violations += cnt
-                q = value[b] / value[a]
-                if worst is None or q > worst:
-                    worst = q
-        return {"checked": checked, "violations": violations,
-                "max_neighbor_ratio": worst, "bound": bound}
+        return {"violations": violations, "bound": bound}
 
     def growth_exponent(self, samples: int = 30, seed: int = 0) -> dict:
         """Per-original-level volume growth exponent, sup over sampled centers.
@@ -355,12 +336,10 @@ class PsiMeasure(_MassTable):
         Per center, the exponent is the least-squares slope of log V against
         the level across every coarse scale (midpoint ball masses); the
         longest window suppresses the O(1) cover constants that a single-lag
-        ratio would inherit.  The conservative single-lag constant is also
-        reported (the `lesssim` form with its fitted prefactor).
+        ratio would inherit.
         """
         centers = _sample_centers(self.h, self.k, samples, seed)
         slopes = []
-        worst_single = 0.0
         for x in centers:
             js, vs = [], []
             for lvl in self.coarse_levels:
@@ -372,12 +351,9 @@ class PsiMeasure(_MassTable):
             if len(js) >= 2:
                 slope = float(np.polyfit(np.array(js, dtype=float), np.array(vs), 1)[0])
                 slopes.append(-slope)
-            for a in range(len(js) - 1):
-                worst_single = max(worst_single, (vs[a] - vs[a + 1]) / (js[a + 1] - js[a]))
         if not slopes:
             raise ValueError("no usable centers for the growth exponent")
-        return {"growth_exponent": max(slopes), "bound": math.log(float(self.base)),
-                "single_lag_max": worst_single}
+        return {"growth_exponent": max(slopes), "bound": math.log(float(self.base))}
 
 
 def _lcm_denominator(values: Sequence[Fraction]) -> int:
@@ -413,20 +389,20 @@ def fekete_limit(ts: Sequence[float], fs: Sequence[float]) -> dict:
             key = round(t + s, 12)
             if key in lookup and lookup[key] > lookup[round(t, 12)] + lookup[round(s, 12)] + 1e-12:
                 violations.append((t, s))
-    ratios = [f / t for t, f in zip(ts, fs)]
-    return {"limit": min(ratios), "argmin_t": ts[int(np.argmin(ratios))],
-            "violations": violations}
+    return {"limit": min(f / t for t, f in zip(ts, fs)), "violations": violations}
 
 
 def olds_volume(m, zeta_r_log: float, window: Sequence[int],
                 samples: int = 40, seed: int = 0) -> dict:
     """Volume-route spectral dimension on a window of levels.
 
-    rate = Fekete inf over lags of the sup (over centers and scales) of the
-    per-level volume log-ratio; the dimension is 2*rate/(rate + zeta_r_log)
-    with zeta_r_log = log(1/zeta_R) the per-level resistance log-scale.
-    Returns the sup-window estimate and the pointwise (per-center least
-    squares) variant.
+    The dimension of a volume rate is 2*rate/(rate + zeta_r_log), with
+    zeta_r_log = log(1/zeta_R) the per-level resistance log-scale.  The
+    headline `ds_estimate` takes the median over centers of the per-center
+    least-squares rate; `ds_sup_window` takes the Fekete inf over lags of
+    the sup (over centers and scales) of the per-level volume log-ratio,
+    and `sup_window_violations` counts the lag pairs where that sup breaks
+    subadditivity, so the Fekete inf is no limit there.
     """
     window = sorted(set(int(j) for j in window))
     if len(window) < 2:
@@ -457,7 +433,6 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
         sup_ratio.append(best)
     fk = fekete_limit([float(window[lag] - window[0]) for lag in lags],
                       [s * (window[lag] - window[0]) for lag, s in zip(lags, sup_ratio)])
-    rate = fk["limit"]
 
     def dim(rt: float) -> float:
         if rt <= 0 or rt + zeta_r_log <= 0:
@@ -477,14 +452,9 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
         # headline: the per-point limit, the quantity the pointwise spectral
         # dimension computation actually takes at a fixed center
         "ds_estimate": dim(pw_rate),
-        "pointwise_rate": pw_rate,
         # sup-window variant: upper bracket with the O(1)/lag transient
-        "rate": rate,
-        "rate_by_lag": dict(zip(lags, sup_ratio)),
-        "ds_sup_window": dim(rate),
-        "zeta_r_log": zeta_r_log,
-        "window": window,
-        "fekete": fk,
+        "ds_sup_window": dim(fk["limit"]),
+        "sup_window_violations": len(fk["violations"]),
     }
 
 
@@ -498,8 +468,9 @@ def h_profile(m: HierMeasure, cg, renormalizer: float) -> dict:
     grounded solver, with every vertex an endpoint, so the first centre
     solves the Green's block on all of the graph and the other reads it;
     graphs above `resnet.VECTOR_CAP` vertices are refused.  Returns the rows
-    (x_id, r, V brackets, olR, h brackets) plus the fitted halving factor
-    gamma2 with h(x, r/gamma2) <= h(x, r)/2 and the doubling constant of h.
+    (x_id, r, V brackets, olR, h brackets), whether h is nondecreasing in r
+    at both centres, and the fitted halving factor gamma2 with
+    h(x, r/gamma2) <= h(x, r)/2.
     """
     g = cg.graph
     coords = cg.coords_float()
@@ -507,44 +478,22 @@ def h_profile(m: HierMeasure, cg, renormalizer: float) -> dict:
     radii = [2.0 * 3.0 ** (-j) for j in range(cg.n - cg.m, -1, -1)]
     solver = g.grounded_solver()
     rows: List[dict] = []
-    per_center: Dict[int, List[dict]] = {}
+    mids: List[List[float]] = []  # per centre, the h bracket midpoints by radius
     for x in centers:
         rvec = solver.pair_resistances(np.full(g.n, x), np.arange(g.n)) / renormalizer
         dist = np.hypot(coords[:, 0] - coords[x, 0], coords[:, 1] - coords[x, 1])
-        series = []
         for r in radii:
             inside = dist < r
             ol_r = float(rvec[inside].max()) if inside.any() else 0.0
             v_lo, v_hi = m.ball_mass((float(coords[x, 0]), float(coords[x, 1])), r)
-            row = {"x_id": int(x), "r": r, "V_lo": v_lo, "V_hi": v_hi,
-                   "olR": ol_r, "h_lo": v_lo * ol_r, "h_hi": v_hi * ol_r}
-            series.append(row)
-            rows.append(row)
-        per_center[int(x)] = series
-    # monotonicity and the halving/doubling bands on the bracket midpoints
-    monotone = True
-    doubling = 0.0
-    gamma2 = None
-    for series in per_center.values():
-        mids = [0.5 * (s["h_lo"] + s["h_hi"]) for s in series]
-        for a, b in zip(mids, mids[1:]):
-            if b < a - 1e-12:
-                monotone = False
-            # one grid step triples r, so this dominates the 2r band
-            if a > 0:
-                doubling = max(doubling, b / a)
+            rows.append({"x_id": int(x), "r": r, "V_lo": v_lo, "V_hi": v_hi,
+                         "olR": ol_r, "h_lo": v_lo * ol_r, "h_hi": v_hi * ol_r})
+        mids.append([0.5 * (row["h_lo"] + row["h_hi"]) for row in rows[-len(radii):]])
+    monotone = not any(b < a - 1e-12 for ms in mids for a, b in zip(ms, ms[1:]))
     # the radius grid is geometric with ratio 3, so gamma2 = 3^exp compares
     # grid indices exactly (no float key lookups)
-    for exp in (1, 2, 3):
-        ok = True
-        for series in per_center.values():
-            mids = [0.5 * (s["h_lo"] + s["h_hi"]) for s in series]
-            for lo_idx in range(len(mids) - exp):
-                if mids[lo_idx] > mids[lo_idx + exp] / 2 + 1e-12:
-                    ok = False
-        if ok:
-            gamma2 = 3.0 ** exp
-            break
-    return {"rows": rows, "monotone": monotone, "gamma2": gamma2,
-            "h_doubling": doubling}
+    gamma2 = next((3.0 ** exp for exp in (1, 2, 3)
+                   if not any(ms[i] > ms[i + exp] / 2 + 1e-12
+                              for ms in mids for i in range(len(ms) - exp))), None)
+    return {"rows": rows, "monotone": monotone, "gamma2": gamma2}
 

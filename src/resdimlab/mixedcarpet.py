@@ -5,7 +5,10 @@ report, one row per windowed estimate.
 The two-scale resistance bookkeeping follows the (TB)/(Pt) quantities: per
 level pair (n, m) the top-to-bottom set resistance and the opposite-corner
 two-point resistance of the corner graph, with k1 counting carpet levels in
-(m, n] and k2 the carpet-to-plus-sign switches.
+(m, n] and k2 the carpet-to-plus-sign switches.  `evres_fit` reads the
+carpet factor rho_hat = (Pt)_5 / (Pt)_4 and the plus-sign factors off the
+pure schedules and fits the product model of the mixed (Pt) on them; it
+returns only the four numbers the `mixed` command checks and reports.
 """
 
 from __future__ import annotations
@@ -159,18 +162,16 @@ def evres_fit(sc: ScaleCache, vicsek: ScaleCache, mixed: ScaleCache, n_max: int 
     """Isolate the per-level resistance factors and fit the product model.
 
     `sc`, `vicsek` and `mixed` hold the scales of the pure carpet, pure
-    plus-sign and mixed schedules.  rho_hat is the pure-carpet (Pt) ratio at
-    level PURE_LEVELS; the plus-sign factor is checked against 3; the
+    plus-sign and mixed schedules.  rho_hat is the pure-carpet ratio
+    (Pt)_PURE_LEVELS / (Pt)_{PURE_LEVELS - 1}; the plus-sign factor
+    (Pt)_{n+1} / (Pt)_n, n < PURE_LEVELS, is checked against 3; the
     switch-constant bracket [Ca, Cb] is fitted on the mixed pairs with
-    k2 >= 1, n <= n_max, and the model residual is reported for every pair.
+    k2 >= 1, n <= n_max, and the model log (Pt) = k1 log rho_hat +
+    (n - m - k1) log 3 + k2 log sqrt(Ca Cb) is compared with every pair:
+    its largest residual against the band width log(Cb / Ca).
     """
-    sc_pt = [sc.pt(n) for n in range(1, PURE_LEVELS + 1)]
+    rho_hat = sc.pt(PURE_LEVELS) / sc.pt(PURE_LEVELS - 1)
     vs_pt = [vicsek.pt(n) for n in range(1, PURE_LEVELS + 1)]
-    sc_ratios = [b / a for a, b in zip(sc_pt, sc_pt[1:])]
-    vs_ratios = [b / a for a, b in zip(vs_pt, vs_pt[1:])]
-    rho_hat = sc_ratios[-1]
-    ratio_drift = [abs(b / a - 1.0) for a, b in zip(sc_ratios, sc_ratios[1:])]
-
     log_rho = math.log(rho_hat)
     log3 = math.log(3.0)
     switch_logs = []
@@ -182,40 +183,12 @@ def evres_fit(sc: ScaleCache, vicsek: ScaleCache, mixed: ScaleCache, n_max: int 
             pairs.append((s, base))
             if s.k2 >= 1:
                 switch_logs.append((math.log(s.pt) - base) / s.k2)
-    if switch_logs:
-        log_ca, log_cb = min(switch_logs), max(switch_logs)
-    else:
-        log_ca = log_cb = 0.0
+    log_ca, log_cb = (min(switch_logs), max(switch_logs)) if switch_logs else (0.0, 0.0)
     log_mid = 0.5 * (log_ca + log_cb)
-    residuals = []
-    for s, base in pairs:
-        model = base + s.k2 * log_mid
-        residuals.append({"n": s.n, "m": s.m, "k1": s.k1, "k2": s.k2,
-                          "log_pt": math.log(s.pt), "model": model,
-                          "residual": math.log(s.pt) - model})
-    max_resid = max(abs(r["residual"]) for r in residuals)
-
-    # doubling level: smallest M with (Pt)_{n+M} >= 2 (Pt)_n on the mixed run
-    mx_pt = [mixed.pt(n) for n in range(1, n_max + 1)]
-    m_hat = None
-    for M in range(1, n_max):
-        if all(mx_pt[i + M - 1] >= 2.0 * mx_pt[i - 1] for i in range(1, n_max - M + 1)):
-            m_hat = M
-            break
     return {
         "rho_hat": rho_hat,
-        "sc_pt": sc_pt,
-        "sc_ratios": sc_ratios,
-        "sc_ratio_drift": ratio_drift,
-        "vicsek_pt": vs_pt,
-        "vicsek_ratios": vs_ratios,
-        "vicsek_factor_error": max(abs(r - 3.0) / 3.0 for r in vs_ratios),
-        "ca": math.exp(log_ca),
-        "cb": math.exp(log_cb),
-        "mixed_pt": mx_pt,
-        "m_hat": m_hat,
-        "residuals": residuals,
-        "max_abs_residual": max_resid,
+        "vicsek_factor_error": max(abs(b / a - 3.0) / 3.0 for a, b in zip(vs_pt, vs_pt[1:])),
+        "max_abs_residual": max(abs(math.log(s.pt) - (base + s.k2 * log_mid)) for s, base in pairs),
         "band_log_width": log_cb - log_ca,
     }
 

@@ -20,7 +20,9 @@ problem, on its first solve at p != 1, and kept on it: D, the p = 2
 potential, one sparsity pattern for every Newton system, and the column
 ordering of the p = 2 factorization.  Every sup energy (the `penergy` and
 `dims` commands, the gap report, `critical_p`) comes from a `SupSweep(h, ks)`
-over one level-1 base cell per symmetry class: each problem built once,
+over its base cells, the least level-1 cell of each orbit under the
+symmetries of the square (one label array, the least image of each cell
+under the D4 permutations, and its distinct values): each problem built once,
 solved once per p, each p > 1 started from its certified potential at the
 nearest p solved (the last eps rung, then the whole ladder from the p = 2
 potential if that bracket does not close).  `SupSweep.spectral_dims` reads
@@ -104,7 +106,6 @@ class PEnergyValue:
 class SpectralDimEstimate:
     p: float
     ks: List[int]
-    log_sup: List[float]
     rate_ls: float
     rate_limsup: float
     rate_liminf: float
@@ -413,32 +414,15 @@ def _closed(upper: float, lower: float) -> bool:
     return upper - lower <= BRACKET_CLOSED * upper
 
 
-def symmetry_classes(h: PartitionHierarchy, level: int) -> Dict[Tuple[int, int], List[int]]:
-    """Cells grouped by their orbit under the symmetries of Q, the same D4
-    permutations (`GridIndex.permutation`) whose stabilizers give each
-    separation problem its orbits.
-
-    The images of a cell are cells because every rule is D4-invariant, which
-    `SubdivisionRule` checks when it is built.  The key is the
-    lexicographically least (ix, iy) in the orbit, the least of the 8 images
-    of any member's box.  Classes appear in the order of their first member;
-    members ascend.
-    """
-    lvl = h.levels[level]
-    s = 3 ** level
-    # each cell labelled by its orbit's least cell, so labels sort like first members
-    _, inverse = np.unique(np.min([lvl.grid_index.permutation(e) for e in D4], axis=0),
-                           return_inverse=True)
-    keys = np.full(inverse.max() + 1, s * s)
-    np.minimum.at(keys, inverse, lvl.ix * s + lvl.iy)
-    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    return {divmod(int(key), s): group.tolist() for key, group in zip(keys, members)}
-
-
 class SupSweep:
     """Sups over level-1 base cells of the separation energies k levels down,
-    k in `ks`; the base cells (`cells`) are the first member of each
-    `symmetry_classes(h, 1)` class.  Each problem (`problems[j][i]`:
+    k in `ks`.  The base cells (`cells`, ascending) are the least cell of
+    each orbit of the level-1 cells under the symmetries of Q, the D4
+    permutations (`GridIndex.permutation`) whose stabilizers also give each
+    separation problem its orbits.  The images of a cell are cells because
+    every rule is D4-invariant, which `SubdivisionRule` checks when it is
+    built; the separation energy is D4-invariant too, so one cell per orbit
+    gives the sup.  Each problem (`problems[j][i]`:
     `build_separation(h, 1, cells[i], ks[j])`) is built once and solved once
     per p; a p > 1 starts from its certified potential at the nearest p > 1
     already solved, the lower p on a tie, or cold when there is none."""
@@ -449,7 +433,8 @@ class SupSweep:
             raise ValueError("no k values to sweep")
         if 1 + max(self.ks) > h.depth:
             raise ValueError("horizon exceeds built depth")
-        self.cells = [members[0] for members in symmetry_classes(h, 1).values()]
+        grid = h.levels[1].grid_index
+        self.cells = np.unique(np.min([grid.permutation(e) for e in D4], axis=0)).tolist()
         self.problems = [[build_separation(h, 1, w, k) for w in self.cells] for k in self.ks]
         self._solved: Dict[float, List[List[PEnergyValue]]] = {}
 
@@ -470,11 +455,12 @@ class SupSweep:
         """Per k, (argmax base cell, its energy) at p; the first of equal values wins."""
         return [max(zip(self.cells, row), key=lambda cv: cv[1].value) for row in self.values(p)]
 
-    def fit(self, p: float) -> Tuple[List[PEnergyValue], List[float], int, Tuple[float, ...]]:
-        """At p: the sups per k, their logs, the no-convergence count and their fit_rates."""
+    def fit(self, p: float) -> Tuple[List[PEnergyValue], int, Tuple[float, ...]]:
+        """At p: the sups per k, their no-convergence count and the fit_rates
+        of their logs."""
         sups = [val for _, val in self.sups(p)]
         logs = [math.log(max(s.value, 1e-300)) for s in sups]
-        return sups, logs, sum(s.flag == "no-convergence" for s in sups), fit_rates(self.ks, logs)
+        return sups, sum(s.flag == "no-convergence" for s in sups), fit_rates(self.ks, logs)
 
     def spectral_dims(self, p: float) -> SpectralDimEstimate:
         """Upper, lower and central p-spectral dimensions from the fitted decay
@@ -483,7 +469,7 @@ class SupSweep:
         when it is positive, a flag that would read "ok" reads
         "uncertified-energy"."""
         n_star = nstar_estimate(self.h)["n_star"]
-        _, logs, uncertified, (ls, up, lo) = self.fit(p)
+        _, uncertified, (ls, up, lo) = self.fit(p)
         logN = math.log(n_star)
         flag = "ok"
 
@@ -499,7 +485,7 @@ class SupSweep:
         elif uncertified:
             flag = "uncertified-energy"
         return SpectralDimEstimate(
-            p=p, ks=list(self.ks), log_sup=logs, rate_ls=ls, rate_limsup=up, rate_liminf=lo,
+            p=p, ks=list(self.ks), rate_ls=ls, rate_limsup=up, rate_liminf=lo,
             n_star=float(n_star), dim_upper=d_up, dim_lower=d_lo, dim_ls=dim(ls), flag=flag,
             uncertified=uncertified)
 
@@ -543,7 +529,7 @@ def critical_p(h: PartitionHierarchy, kmax: int, tol: float = 0.05) -> dict:
     table: List[dict] = []
 
     def rate_of(p: float) -> float:
-        sups, _, uncertified, (slope, up, lo) = sweep.fit(p)
+        sups, uncertified, (slope, up, lo) = sweep.fit(p)
         table.append({"p": p, "rate": slope, "rate_limsup": up, "rate_liminf": lo,
                       "sup_energies": [s.value for s in sups], "uncertified": uncertified})
         return slope

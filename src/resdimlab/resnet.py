@@ -87,10 +87,6 @@ class LevelGraph:
         self._grounded: Optional[_Grounded] = None
         self._components: Optional[np.ndarray] = None
 
-    @property
-    def m(self) -> int:
-        return len(self.edge_u)
-
     def laplacian(self) -> sp.csr_matrix:
         if self._lap is None:
             u, v, c = self.edge_u, self.edge_v, self.conductance

@@ -54,24 +54,51 @@ def _named(node):
 def _public_definitions(tree, public):
     """(label, definition) for every function and class of the module that
     its __all__ names, and every public method or property of such a class,
-    labelled Class.name."""
+    labelled Class.name; the methods a public class inherits from a private
+    base class of the same module are labelled with the public class."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in public:
             yield node.name, node
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item
+                bases = [classes[b.id] for b in node.bases if isinstance(b, ast.Name)
+                         and b.id.startswith("_") and b.id in classes]
+                for owner in [node] + bases:
+                    for item in owner.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            yield f"{node.name}.{item.name}", item
+
+
+def _is_property(fn):
+    return any(_named(d) & {"property", "cached_property"} for d in fn.decorator_list)
+
+
+def _names_definition(node, label, own, classes):
+    """Whether `node` names the definition `own` labelled `label`.  A function
+    or class is named by a name, an attribute or a from-import, a property by
+    an attribute, and a method only by a call x.method(...) or by Cls.method
+    for a class Cls of the package, so that neither a local variable nor a
+    data attribute of the same name counts for a method."""
+    if "." not in label:
+        return own.name in _named(node)
+    if _is_property(own):
+        return isinstance(node, ast.Attribute) and node.attr == own.name
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == own.name
+    return (isinstance(node, ast.Attribute) and node.attr == own.name
+            and isinstance(node.value, ast.Name) and node.value.id in classes)
 
 
 def test_public_functions_are_called():
     """Every function and class in a module's __all__, and every public
     method or property of such a class, is named somewhere in the package
-    (a name, an attribute or a from-import) outside its own definition; the
-    package's __init__ re-exports are not callers."""
+    outside its own definition (`_names_definition`); the package's __init__
+    re-exports are not callers."""
     pkg = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(pkg.glob("*.py"))
              if path.name != "__init__.py"}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    classes = {node.name for node in nodes if isinstance(node, ast.ClassDef)}
     uncalled = []
     for name in MODULES:
         public = set(importlib.import_module(f"resdimlab.{name}").__all__)
@@ -79,8 +106,8 @@ def test_public_functions_are_called():
             if label in UNCALLED_ON_PURPOSE:
                 continue
             inside = {id(node) for node in ast.walk(own)}
-            if not any(id(node) not in inside and own.name in _named(node)
-                       for tree in trees.values() for node in ast.walk(tree)):
+            if not any(id(node) not in inside and _names_definition(node, label, own, classes)
+                       for node in nodes):
                 uncalled.append(f"{name}.{label}")
     assert uncalled == []
 
@@ -161,3 +188,77 @@ def test_optional_parameters_are_set():
         if param not in keys and param not in positional[:most] and label not in UNSET_ON_PURPOSE:
             unset.append(label)
     assert unset == []
+
+
+# functions whose returned dict is written whole, so that no key has a reader
+# of its own, each for a named reason, as module.function
+UNREAD_ON_PURPOSE = {
+    "hierarchy.PartitionHierarchy.cells_json": "cli._write_json writes the whole dict",
+}
+
+
+def _returned_keys(fn):
+    """The string keys of the dict literals that `fn` returns, not counting
+    the functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
+            yield from (k.value for k in node.value.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _returned_values(tree, public):
+    """(label, key, definition) for every string key of a dict literal that a
+    public function or method returns, and every field of a public dataclass."""
+    for label, own in _public_definitions(tree, public):
+        if isinstance(own, ast.FunctionDef):
+            yield from ((label, key, own) for key in dict.fromkeys(_returned_keys(own)))
+        elif any(_named(d.func if isinstance(d, ast.Call) else d) == {"dataclass"}
+                 for d in own.decorator_list):
+            yield from ((label, item.target.id, own) for item in own.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+
+
+def _read(node, field):
+    """The name that `node` reads: a dataclass field (`field` true) by an
+    attribute load, a dict key by a constant-string subscript load or by the
+    constant key of a .get call."""
+    if field:
+        is_load = isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        return node.attr if is_load else None
+    if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)):
+        return node.slice.value
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and node.args and isinstance(node.args[0], ast.Constant)):
+        return node.args[0].value
+    return None
+
+
+def test_returned_values_are_read():
+    """Every string key of a dict literal returned by a public function or
+    method, and every field of a public dataclass, is read (`_read`) in src/,
+    bench/ or tests/test_acceptance.py, outside its own definition: a value
+    that no command, report, bench step or acceptance criterion reads is not
+    returned."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pkg = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
+    files = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    nodes = [node for path in files for node in ast.walk(ast.parse(path.read_text()))]
+    unread = []
+    for name in MODULES:
+        public = set(importlib.import_module(f"resdimlab.{name}").__all__)
+        tree = ast.parse((pkg / f"{name}.py").read_text())
+        for label, key, own in _returned_values(tree, public):
+            if f"{name}.{label}" in UNREAD_ON_PURPOSE:
+                continue
+            field = isinstance(own, ast.ClassDef)
+            inside = {id(node) for node in ast.walk(own)}
+            if not any(id(node) not in inside and _read(node, field) == key for node in nodes):
+                unread.append(f"{name}.{label}.{key}" if field else f"{name}.{label}[{key}]")
+    assert unread == []

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import resdimlab
-from resdimlab import cli, hierarchy, mixedcarpet, penergy
+from resdimlab import cli, hierarchy, measure, mixedcarpet, penergy
 from resdimlab.cli import PARAMS, ExperimentConfig, main
 from resdimlab.hierarchy import Schedule
 from conftest import pipeline_quarters
@@ -68,7 +68,7 @@ CSV_FORMATS = {
     "rates": (["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
                "--p-grid", "1.3,2"], "rates.csv",
               {"p": float, "k": int, "sup_energy": float, "argmax_cell": str, "flag": str,
-               "lower": float, "upper": float}),
+               "lower": float, "upper": float, "residual": float}),
     "profiles": (["dims", "--structure", "vicsek", "--depth", "2", "--kmax", "3"],
                  "profiles.csv", {"x_id": int, "r": float, "V_lo": float, "V_hi": float,
                                   "olR": float, "h_lo": float, "h_hi": float}),
@@ -406,6 +406,18 @@ def test_dims_json_carries_certificates(tmp_path, monkeypatch):
     dims = json.loads((tmp_path / "dims.json").read_text())
     assert (dims["d2s_flag"], dims["d2s_uncertified"], dims["heat_flag"]) == (
         "uncertified-energy", 2, "ok")
+    assert dims["volume_sup_window_violations"] == 0
+
+
+def test_dims_json_counts_sup_window_violations(tmp_path, monkeypatch):
+    # volume_ds_sup_window is written with the subadditivity violations of
+    # the Fekete inf behind it; the stub reports three
+    fekete_limit = measure.fekete_limit
+    monkeypatch.setattr(measure, "fekete_limit", lambda ts, fs: {
+        **fekete_limit(ts, fs), "violations": [(1.0, 1.0)] * 3})
+    main(["dims", "--structure", "vicsek", "--depth", "2", "--kmax", "3", "--out", str(tmp_path)])
+    dims = json.loads((tmp_path / "dims.json").read_text())
+    assert dims["volume_sup_window_violations"] == 3
 
 
 def test_rates_csv_carries_bracket(tmp_path):
@@ -421,6 +433,21 @@ def test_rates_csv_carries_bracket(tmp_path):
         lower, upper = float(row["lower"]), float(row["upper"])
         assert row["flag"] == "ok" and upper == float(row["sup_energy"])
         assert 0 < upper - 1e-7 * upper <= lower <= upper * (1 + 1e-14)
+    # each row carries its energy's first-order gap, the p = 2 certificate
+    sweep = penergy.SupSweep(hierarchy.build_hierarchy(Schedule.pure_sc(), 3), [1, 2])
+    want = [val.residual for p in (1.3, 2.0) for _, val in sweep.sups(p)]
+    assert [float(row["residual"]) for row in rows] == want
+    assert all(float(row["residual"]) <= 1e-7 * float(row["upper"])
+               for row in rows if float(row["p"]) == 2.0)
+
+
+def test_framework_json_carries_b3_samples(tmp_path):
+    # the (B3) band is written with the count of unclipped pairs behind it
+    assert main(["build", "--structure", "vicsek", "--depth", "2", "--out", str(tmp_path)]) == 0
+    framework = json.loads((tmp_path / "framework.json").read_text())
+    params = hierarchy.validate_framework(hierarchy.build_hierarchy(Schedule.pure_vicsek(), 2))
+    assert framework["b3_samples"] == params.b3_samples == hierarchy.B3_PAIRS
+    assert framework["b3_band"] == list(params.b3_band)
 
 
 def test_penergy_solves_each_problem_once(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from resdimlab.hierarchy import Schedule, adjacency, build_hierarchy, chain_ball
 from resdimlab import penergy
 from resdimlab.penergy import (PEnergyValue, SeparationProblem, SupSweep, build_separation,
-                               critical_p, fit_rates, p_energy, symmetry_classes)
+                               critical_p, fit_rates, p_energy)
 from resdimlab.resnet import LevelGraph, eff_resistance
 
 
@@ -203,8 +203,8 @@ def test_symmetry_reduction_matches_exhaustive(sc_h6, vs_h6):
 
 
 def test_symmetry_classes_level1(sc_h6, vs_h6):
-    assert len(symmetry_classes(sc_h6, 1)) == 2   # corner and edge cells
-    assert len(symmetry_classes(vs_h6, 1)) == 2   # corner and center cells
+    assert SupSweep(sc_h6, [1]).cells == [0, 1]   # a corner and an edge cell
+    assert SupSweep(vs_h6, [1]).cells == [0, 1]   # the center and a corner cell
 
 
 def _loop_symmetry_classes(h, level):
@@ -224,13 +224,18 @@ def _loop_symmetry_classes(h, level):
     return classes
 
 
-@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(), Schedule.mixed()],
-                         ids=["sc", "vicsek", "mixed"])
+def _class_firsts(h):
+    """The first member of each level-1 class of the cell loop, class by class."""
+    return [members[0] for members in _loop_symmetry_classes(h, 1).values()]
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(), Schedule.mixed(),
+                                      Schedule.from_table([0, 1, 1, 0])],
+                         ids=["sc", "vicsek", "mixed", "table"])
 def test_symmetry_classes_match_cell_loop(schedule):
-    h = build_hierarchy(schedule, 4)
-    for level in range(5):
-        got, expect = symmetry_classes(h, level), _loop_symmetry_classes(h, level)
-        assert list(got.items()) == list(expect.items())
+    # the base cells are the first members of the loop's classes, in order
+    h = build_hierarchy(schedule, 2)
+    assert SupSweep(h, [1]).cells == _class_firsts(h)
 
 
 def test_sup_energy_argmax_deterministic(sc_h6):
@@ -390,11 +395,11 @@ def separation_problems(schedule):
     """(base cell, k, problem) for every level-1 class representative at
     k = 1, 2, 3 on depth 4, outer nonempty."""
     h = build_hierarchy(schedule, 4)
-    for members in symmetry_classes(h, 1).values():
+    for cell in _class_firsts(h):
         for k in (1, 2, 3):
-            prob = build_separation(h, 1, members[0], k)
+            prob = build_separation(h, 1, cell, k)
             if not prob.empty_outer:
-                yield members[0], k, prob
+                yield cell, k, prob
 
 
 @SCHEDULES
@@ -534,18 +539,18 @@ def test_p_energy_matches_product_assembly(schedule, depth, splu_orderings):
     # (the p = 2 start's) per problem across all p
     h = build_hierarchy(schedule, depth)
     compared = 0
-    for members in symmetry_classes(h, 1).values():
+    for cell in _class_firsts(h):
         for k in range(1, depth):
-            prob = build_separation(h, 1, members[0], k)
+            prob = build_separation(h, 1, cell, k)
             orderings = []
             for p in P_GRID:
                 want = product_p_energy(prob, p)
                 del splu_orderings[:]
                 got = p_energy(prob, p)
                 orderings += [spec for spec in splu_orderings if spec != "NATURAL"]
-                assert not (want.flag == "ok" and got.flag != "ok"), (members[0], k, p)
+                assert not (want.flag == "ok" and got.flag != "ok"), (cell, k, p)
                 if got.flag == "ok":
-                    assert abs(got.value - want.value) <= 1e-12 * want.value, (members[0], k, p)
+                    assert abs(got.value - want.value) <= 1e-12 * want.value, (cell, k, p)
                     compared += 1
             if not prob.empty_outer:
                 assert orderings == [None]
@@ -737,9 +742,9 @@ def level1_problems(schedule, depth):
     """(base cell, k, problem) for every level-1 class representative at
     k = 1..depth-1."""
     h = build_hierarchy(schedule, depth)
-    for members in symmetry_classes(h, 1).values():
+    for cell in _class_firsts(h):
         for k in range(1, depth):
-            yield members[0], k, build_separation(h, 1, members[0], k)
+            yield cell, k, build_separation(h, 1, cell, k)
 
 
 @QUOTIENT_CASES
