@@ -236,9 +236,9 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     _write_csv(os.path.join(outdir, "rates.csv"),
                ["p", "k", "sup_energy", "argmax_cell", "flag", "lower", "upper", "residual"],
                rows)
-    est = sweep.spectral_dims(2.0)
+    est = sweep.spectral_dims()
     _write_json(os.path.join(outdir, "p_spectral.json"), {
-        "p": est.p, "rate_ls": est.rate_ls, "rate_limsup": est.rate_limsup,
+        "p": 2.0, "rate_ls": est.rate_ls, "rate_limsup": est.rate_limsup,
         "rate_liminf": est.rate_liminf, "n_star": est.n_star,
         "dim_upper": est.dim_upper, "dim_lower": est.dim_lower, "flag": est.flag,
         "uncertified": est.uncertified,
@@ -272,7 +272,7 @@ def _cmd_dims(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     pt = [cache.pt(n, 0) for n in range(1, depth + 1)]
     zeta_log = math.log(pt[-1] / pt[-2])
     vol = mmod.olds_volume(meas, zeta_log, window=list(range(1, depth + 1)), seed=cfg.seed)
-    est = pmod.SupSweep(h, range(1, cfg.kmax + 1)).spectral_dims(2.0)
+    est = pmod.SupSweep(h, range(1, cfg.kmax + 1)).spectral_dims()
     hk = heat.ol_ds_heat(heat.build_form(h, depth, meas, pt[-1]))
     d2s, heat_ds = est.dim_ls, hk["estimate"]
     profile_level = min(depth, 3)

@@ -5,6 +5,7 @@ square with the rules of levels m+1..n and wiring, for every cell, the
 4-cycle on its corner points.  Corners shared between cells are identified
 by their exact grid coordinates; a side shared by two cells contributes its
 edge twice, and the parallel copies are merged into one conductance-2 edge.
+`corner_graph` builds the pairs (n, 0); the quarters below take any pair.
 
 Vertices sit on the integer grid {0..3^(n-m)}^2 (coordinate p/3^(n-m) - 1/2)
 and are numbered by first appearance over the cells, each cell listing its
@@ -43,17 +44,16 @@ DEPTH_CAP = 7
 
 @dataclass
 class CornerGraph:
-    """Levels (n, m), the identified corner vertices, and the cell incidence."""
+    """Level n, the identified corner vertices, and the cell incidence."""
 
     n: int
-    m: int
     graph: LevelGraph
     grid: np.ndarray        # (n_vertices, 2) int64 grid coordinates
     cell_corners: np.ndarray  # (n_cells, 4) vertex ids, ccw from lower-left
 
     @property
     def span(self) -> int:
-        return 3 ** (self.n - self.m)
+        return 3 ** self.n
 
     @cached_property
     def grid_index(self) -> GridIndex:
@@ -121,16 +121,16 @@ def _sides(cell_corners: np.ndarray) -> np.ndarray:
     return np.stack([cell_corners, np.roll(cell_corners, -1, axis=1)], axis=2).reshape(-1, 2)
 
 
-def corner_graph(schedule: Schedule, n: int, m: int = 0) -> CornerGraph:
-    """Build the (n, m) corner graph of `schedule`.
+def corner_graph(schedule: Schedule, n: int) -> CornerGraph:
+    """Build the level-n corner graph of `schedule`, the (n, 0) pair.
 
-    Refuses above the depth cap; the pair (n, n) is the plain 4-cycle.
+    Refuses above the depth cap; level 0 is the plain 4-cycle.
     """
-    cell_corners, grid = _cells(schedule, n, m)
+    cell_corners, grid = _cells(schedule, n, 0)
     # One unit-conductance edge per cell side; LevelGraph adds the shared copies.
     sides = _sides(cell_corners)
     g = LevelGraph(len(grid), np.column_stack([sides, np.ones(len(sides))]))
-    return CornerGraph(n, m, g, grid, cell_corners)
+    return CornerGraph(n, g, grid, cell_corners)
 
 
 def _quarter(cell_corners: np.ndarray, inside: np.ndarray, mirror: np.ndarray,

@@ -209,7 +209,7 @@ def build_form(h: PartitionHierarchy, level: int, measure: HierMeasure,
         raise ValueError("level not built")
     if renormalizer <= 0:
         raise ValueError("renormalizer must be positive")
-    cg = corner_graph(h.schedule, level, 0)
+    cg = corner_graph(h.schedule, level)
     num, denom = measure.exact_masses(level)
     if len(num) != len(cg.cell_corners):
         raise ValueError("measure resolution does not match the level")

@@ -169,7 +169,7 @@ class Schedule:
         key = name.lower()
         if key == "sc":
             return cls.pure_sc()
-        if key in ("vicsek", "vs"):
+        if key == "vicsek":
             return cls.pure_vicsek()
         if key == "mixed":
             return cls.mixed()
@@ -453,19 +453,17 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
     return g
 
 
-def chain_ball(g: AdjacencyGraph, sources: Sequence[int], radius: int) -> np.ndarray:
-    """Sorted ids of the cells within `radius` chain steps of `sources`.
+def chain_ball(g: AdjacencyGraph, sources: Sequence[int]) -> np.ndarray:
+    """Sorted ids of the cells within the chain radius M_STAR of `sources`.
 
     Breadth-first over CSR rows, so a query touches only the cells of the ball."""
-    if radius < 0:
-        raise ValueError("chain radius must be >= 0")
     seen = set(int(s) for s in sources)
     bad = sorted(s for s in seen if not 0 <= s < g.count)
     if bad:
         raise ValueError(f"source cell {bad[0]} outside 0..{g.count - 1}")
     indptr, indices = g.csr.indptr, g.csr.indices
     frontier = list(seen)
-    for _ in range(radius):
+    for _ in range(M_STAR):
         nxt = []
         for v in frontier:
             for u in indices[indptr[v]:indptr[v + 1]].tolist():
@@ -486,8 +484,8 @@ def sample_corners(h: PartitionHierarchy, level: int, count: int,
 
 
 def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
-                y: Tuple[int, int], m: int) -> Tuple[int, bool]:
-    """Largest built n admitting cells w ∋ x, v ∋ y with l_n(w, v) <= m.
+                y: Tuple[int, int]) -> Tuple[int, bool]:
+    """Largest built n admitting cells w ∋ x, v ∋ y with l_n(w, v) <= M_STAR.
 
     x and y are points (gx, gy) of the grid of h.depth, standing for
     (gx/3^depth - 1/2, gy/3^depth - 1/2).  Returns (delta, clipped); clipped
@@ -508,7 +506,7 @@ def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
         wy = h.cells_containing(n, *y)
         if not wx or not wy:
             continue
-        if not set(wy).isdisjoint(chain_ball(adjacency(h, n), wx, m).tolist()):
+        if not set(wy).isdisjoint(chain_ball(adjacency(h, n), wx).tolist()):
             best = n
     if best is None:
         raise ValueError("no level satisfies the chain condition (points separated at level 0?)")
@@ -522,7 +520,7 @@ def nstar_estimate(h: PartitionHierarchy) -> dict:
     The window start ranges over the levels up to NSTAR_HORIZON, clipped to
     a table schedule's own horizon, which is at least the built depth.  A
     sup that is an exact k-th power r^k has the root r exactly; other roots
-    are the rounded float power.
+    are the rounded float power.  "roots" lists them by k, from k = 1.
     """
     if h.depth < 1:
         raise ValueError("nstar_estimate needs depth >= 1")
@@ -535,7 +533,7 @@ def nstar_estimate(h: PartitionHierarchy) -> dict:
         best = max(math.prod(branch[start:start + k]) for start in range(top - k + 1))
         root = round(best ** (1.0 / k))
         seq.append(float(root) if root ** k == best else best ** (1.0 / k))
-    return {"k": list(range(1, kmax + 1)), "roots": seq, "n_star": min(seq)}
+    return {"roots": seq, "n_star": min(seq)}
 
 
 def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:
@@ -592,7 +590,7 @@ def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:
         p, q = sample_corners(h, h.depth, 2, rng)
         if (p == q).all():
             continue
-        delta, clipped = delta_level(h, tuple(p), tuple(q), M_STAR)
+        delta, clipped = delta_level(h, tuple(p), tuple(q))
         if clipped:
             continue  # same finest cell: the ratio is a one-sided bound only
         dist = float(np.hypot(*((p - q) / s)))

@@ -6,13 +6,15 @@ sums it into corner shares rounded once by `_quotients`, and ball masses are
 bracketed between inner and outer cell covers at the resolution level: a ball
 query adds, per grid column, the prefix-sum difference of the table (in
 GridIndex key order) over its run of covered rows, so both brackets are exact
-sums, rounded once.  The psi-measure implements the interior-child weighting
-that realizes controlled volume growth (N_* + eps)^k.
+sums, rounded once.  `HierMeasure` is the uniform measure, the one every
+dimension estimate reads; the psi-measure implements the interior-child
+weighting that realizes controlled volume growth (N_* + eps)^k.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,35 +63,12 @@ class _MassTable:
 
 
 class HierMeasure(_MassTable):
-    """Per-level child-weight tables; mu(cell) multiplies along the address."""
-
-    def __init__(self, h: PartitionHierarchy, weights: Dict[int, Dict[int, Fraction]]):
-        super().__init__(h)
-        self.weights = weights
-        for n in range(1, h.depth + 1):
-            table = weights.get(n, {})
-            digits = h.schedule.rule_at(n).digits
-            if set(table) != set(digits):
-                raise ValueError(f"level {n} weight table does not match the alphabet")
-            if any(w <= 0 for w in table.values()):
-                raise ValueError("weights must be positive")
-            if sum(table.values()) != 1:
-                raise ValueError(f"level {n} weights sum to {sum(table.values())}, not 1")
-        # level n's masses are integers over prod_{m <= n} lcm[m]
-        self._lcm = {n: math.lcm(*(w.denominator for w in weights[n].values()))
-                     for n in range(1, h.depth + 1)}
-        _check_denominator(math.prod(self._lcm.values()))
+    """The uniform measure: each cell's mass splits equally among its children, so
+    a level-n cell has mass 1/count_n (8^-k1 5^-(n-k1) on the mixed schedule)."""
 
     def _numerators(self, n: int) -> Tuple[np.ndarray, int]:
-        num, denom = np.ones(1, dtype=np.int64), 1
-        for m in range(1, n + 1):
-            lvl = self.h.levels[m]
-            by_digit = np.zeros(9, dtype=np.int64)  # digits 0..8
-            for d, w in self.weights[m].items():
-                by_digit[d] = int(w * self._lcm[m])
-            num = num[lvl.parent] * by_digit[lvl.digit]
-            denom *= self._lcm[m]
-        return num, denom
+        count = self.h.levels[n].count
+        return np.ones(count, dtype=np.int64), count
 
     def resolution(self) -> int:
         return self.h.depth
@@ -193,16 +172,8 @@ def _window(lo: float, hi: float, s: int) -> Tuple[int, int]:
 
 
 def hier_measure(h: PartitionHierarchy) -> HierMeasure:
-    """The uniform measure: each cell's mass splits equally among its children.
-
-    For the mixed schedule this is the additive measure 8^-k1 5^-(n-k1);
-    other per-level weight tables go to HierMeasure directly.
-    """
-    weights = {}
-    for n in range(1, h.depth + 1):
-        digits = h.schedule.rule_at(n).digits
-        weights[n] = {d: Fraction(1, len(digits)) for d in digits}
-    return HierMeasure(h, weights)
+    """The uniform measure of `h`."""
+    return HierMeasure(h)
 
 
 def _sample_centers(h: PartitionHierarchy, level: int, samples: int, seed: int) -> list:
@@ -372,24 +343,18 @@ def psi_measure(h: PartitionHierarchy, eps: Fraction, k: int) -> PsiMeasure:
     return PsiMeasure(h, k, Fraction(eps), int(root))
 
 
-def fekete_limit(ts: Sequence[float], fs: Sequence[float]) -> dict:
-    """inf f(t)/t over the grid, with subadditivity violations (beyond
-    1e-12) reported."""
+def fekete_limit(ts: Sequence[int], fs: Sequence[float]) -> dict:
+    """inf f(t)/t over a grid of distinct positive integer lags t, with the pairs
+    t <= s where f(t + s) > f(t) + f(s) + 1e-12 reported as violations."""
     if len(ts) != len(fs) or len(ts) < 1:
         raise ValueError("need matching nonempty grids")
-    order = np.argsort(ts)
-    ts = list(np.asarray(ts, dtype=float)[order])
-    fs = list(np.asarray(fs, dtype=float)[order])
-    if any(t <= 0 for t in ts):
-        raise ValueError("grid must be positive")
-    lookup = {round(t, 12): f for t, f in zip(ts, fs)}
-    violations = []
-    for i, t in enumerate(ts):
-        for s in ts[i:]:
-            key = round(t + s, 12)
-            if key in lookup and lookup[key] > lookup[round(t, 12)] + lookup[round(s, 12)] + 1e-12:
-                violations.append((t, s))
-    return {"limit": min(f / t for t, f in zip(ts, fs)), "violations": violations}
+    if not all(isinstance(t, numbers.Integral) and t > 0 for t in ts) or len(set(ts)) < len(ts):
+        raise ValueError(f"lags must be distinct positive integers, got {list(ts)}")
+    f = {int(t): float(v) for t, v in zip(ts, fs)}
+    lags = sorted(f)
+    violations = [(t, s) for i, t in enumerate(lags) for s in lags[i:]
+                  if t + s in f and f[t + s] > f[t] + f[s] + 1e-12]
+    return {"limit": min(f[t] / t for t in lags), "violations": violations}
 
 
 def olds_volume(m, zeta_r_log: float, window: Sequence[int],
@@ -431,7 +396,7 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
                 if math.isfinite(series[a]) and math.isfinite(series[a + lag]):
                     best = max(best, (series[a] - series[a + lag]) / dj)
         sup_ratio.append(best)
-    fk = fekete_limit([float(window[lag] - window[0]) for lag in lags],
+    fk = fekete_limit([window[lag] - window[0] for lag in lags],
                       [s * (window[lag] - window[0]) for lag, s in zip(lags, sup_ratio)])
 
     def dim(rt: float) -> float:
@@ -461,7 +426,7 @@ def olds_volume(m, zeta_r_log: float, window: Sequence[int],
 def h_profile(m: HierMeasure, cg, renormalizer: float) -> dict:
     """Profiles h(x, r) = V(x, r) * sup-resistance over the Euclidean ball,
     at two centres x (the corner p5 = (-1/2, -1/2) and the vertex nearest
-    the middle of the square) and the radii r = 2 * 3^-j, 0 <= j <= n - m.
+    the middle of the square) and the radii r = 2 * 3^-j, 0 <= j <= n.
 
     `cg` is a corner graph whose resistances, divided by `renormalizer`,
     stand in for the limit metric.  R(x, .) is one pair query on the graph's
@@ -475,7 +440,7 @@ def h_profile(m: HierMeasure, cg, renormalizer: float) -> dict:
     g = cg.graph
     coords = cg.coords_float()
     centers = [int(cg.corner_vertices()[2]), int(np.argmin(np.sum(coords ** 2, axis=1)))]
-    radii = [2.0 * 3.0 ** (-j) for j in range(cg.n - cg.m, -1, -1)]
+    radii = [2.0 * 3.0 ** (-j) for j in range(cg.n, -1, -1)]
     solver = g.grounded_solver()
     rows: List[dict] = []
     mids: List[List[float]] = []  # per centre, the h bracket midpoints by radius

@@ -76,7 +76,7 @@ class ScaleCache:
 
     def graph(self, n: int) -> CornerGraph:
         if n not in self._graphs:
-            self._graphs[n] = corner_graph(self.schedule, n, 0)
+            self._graphs[n] = corner_graph(self.schedule, n)
         return self._graphs[n]
 
     def pt(self, n: int, m: int = 0) -> float:
@@ -195,7 +195,6 @@ def evres_fit(sc: ScaleCache, vicsek: ScaleCache, mixed: ScaleCache, n_max: int 
 
 @dataclass
 class QSDiagnostic:
-    n: int
     t_values: np.ndarray
     ratios: np.ndarray
     envelope: np.ndarray
@@ -239,7 +238,7 @@ def qs_diagnostic(cache: ScaleCache, n: int, samples: int = 300, seed: int = 0,
     t_arr = np.asarray(ts)[order]
     r_arr = ratios[order]
     env = np.maximum.accumulate(r_arr)
-    return QSDiagnostic(n=n, t_values=t_arr, ratios=r_arr, envelope=env,
+    return QSDiagnostic(t_values=t_arr, ratios=r_arr, envelope=env,
                         triples=list(triples))
 
 
@@ -290,8 +289,8 @@ def gap_report(sc: ScaleCache, vicsek: ScaleCache, rho_hat: float,
     m_sc = hier_measure(h_sc)
     m_vs = hier_measure(h_vs)
 
-    d2s_sc = SupSweep(h_sc, range(1, KMAX_SC + 1)).spectral_dims(2.0)
-    d2s_vs = SupSweep(h_vs, range(1, KMAX_VICSEK + 1)).spectral_dims(2.0)
+    d2s_sc = SupSweep(h_sc, range(1, KMAX_SC + 1)).spectral_dims()
+    d2s_vs = SupSweep(h_vs, range(1, KMAX_VICSEK + 1)).spectral_dims()
 
     vol_sc = olds_volume(m_sc, math.log(rho_hat), window=list(range(1, DEPTH_SC)), seed=seed)
     vol_vs = olds_volume(m_vs, math.log(3.0), window=list(range(1, DEPTH_VICSEK + 1)),

@@ -1,9 +1,9 @@
 """Discrete p-energies on level cell graphs and the critical-exponent search.
 
-The separation problem for a base cell w and depth offset k pins the value 1
-on the k-th generation inside w and 0 on every cell whose level-[w] ancestor
-sits at chain distance > M_* = `hierarchy.M_STAR` from w, then finds the
-least p-power edge energy over the level-([w]+k) cell graph.  p = 1 is an
+The separation problem for a level-1 base cell w and depth offset k pins the
+value 1 on the k-th generation inside w and 0 on every cell whose level-1
+ancestor sits at chain distance > M_* = `hierarchy.M_STAR` from w, then finds
+the least p-power edge energy over the level-(1+k) cell graph.  p = 1 is an
 exact minimum cut; p = 2 is one sparse solve; other p take projected Newton
 steps on an eps-smoothed energy under the box [0, 1], with energies,
 gradients and the Newton systems all from one signed edge-cell incidence
@@ -26,7 +26,7 @@ under the D4 permutations, and its distinct values): each problem built once,
 solved once per p, each p > 1 started from its certified potential at the
 nearest p solved (the last eps rung, then the whole ladder from the p = 2
 potential if that bracket does not close).  `SupSweep.spectral_dims` reads
-the p-spectral dimensions off the sups' decay against N* (`hierarchy`'s
+the p = 2 spectral dimensions off the sups' decay against N* (`hierarchy`'s
 `nstar_estimate`), and `critical_p` bisects `P_RANGE` for the p where that
 decay starts.
 
@@ -47,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .hierarchy import D4, M_STAR, PartitionHierarchy, adjacency, chain_ball, nstar_estimate
+from .hierarchy import D4, PartitionHierarchy, adjacency, chain_ball, nstar_estimate
 
 __all__ = [
     "SeparationProblem",
@@ -90,7 +90,6 @@ class SeparationProblem:
 
 @dataclass
 class PEnergyValue:
-    p: float
     value: float                # the upper end of the bracket: the energy of `potential`
     potential: Optional[np.ndarray] = None
     residual: float = 0.0       # first-order gap, recorded (the gate only at p = 2)
@@ -104,8 +103,6 @@ class PEnergyValue:
 
 @dataclass
 class SpectralDimEstimate:
-    p: float
-    ks: List[int]
     rate_ls: float
     rate_limsup: float
     rate_liminf: float
@@ -117,33 +114,24 @@ class SpectralDimEstimate:
     uncertified: int = 0        # sup energies behind the fit flagged no-convergence
 
 
-def _ancestor_map(h: PartitionHierarchy, n: int, base: int) -> np.ndarray:
-    anc = np.arange(h.levels[n].count, dtype=np.int64)
-    for m in range(n, base, -1):
-        anc = h.levels[m].parent[anc]
-    return anc
-
-
-def build_separation(h: PartitionHierarchy, base_level: int, base_index: int,
-                     k: int) -> SeparationProblem:
-    """Assemble the neighborhood-separation problem for one base cell; its
-    `orbit` labels each cell by the least cell of its orbit under the
+def build_separation(h: PartitionHierarchy, base_index: int, k: int) -> SeparationProblem:
+    """Assemble the neighborhood-separation problem for level-1 base cell `base_index`, k levels
+    down; its `orbit` labels each cell by the least cell of its orbit under the
     stabilizer of the base cell in D4, which fixes the graph and the pins."""
-    if not 0 <= base_level <= h.depth:
-        raise ValueError(f"base level {base_level} outside 0..{h.depth}")
-    if not 0 <= base_index < h.levels[base_level].count:
-        raise ValueError(f"base index {base_index} outside 0..{h.levels[base_level].count - 1}")
+    if not 0 <= base_index < h.levels[1].count:
+        raise ValueError(f"base index {base_index} outside 0..{h.levels[1].count - 1}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = base_level + k
+    n = 1 + k
     if n > h.depth:
         raise ValueError(f"level {n} not built (depth {h.depth})")
     g = adjacency(h, n)
-    anc = _ancestor_map(h, n, base_level)
-    near = chain_ball(adjacency(h, base_level), [base_index], M_STAR)
+    # level-1 ancestors: cells are parent-major, as many below each level-1 cell
+    anc = np.arange(g.count, dtype=np.int64) // (g.count // h.levels[1].count)
+    near = chain_ball(adjacency(h, 1), [base_index])
     inner = np.where(anc == base_index)[0]
     outer = np.where(~np.isin(anc, near))[0]
-    base_grid = h.levels[base_level].grid_index
+    base_grid = h.levels[1].grid_index
     stabilizer = [e for e in D4 if base_grid.permutation(e)[base_index] == base_index]
     orbit = np.min([h.levels[n].grid_index.permutation(e) for e in stabilizer], axis=0)
     return SeparationProblem(edges=g.edges, n_cells=g.count, inner=inner, outer=outer,
@@ -184,7 +172,7 @@ def _min_cut(problem: SeparationProblem) -> PEnergyValue:
     f = g[lift]
     e = float(np.abs(f[problem.edges[:, 0]] - f[problem.edges[:, 1]]).sum())
     gap = abs(e - flow.flow_value)
-    return PEnergyValue(1.0, e, f, gap, "ok" if gap == 0 else "no-convergence",
+    return PEnergyValue(e, f, gap, "ok" if gap == 0 else "no-convergence",
                         float(flow.flow_value))
 
 
@@ -241,7 +229,7 @@ def p_energy(problem: SeparationProblem, p: float,
         if not np.all(np.isfinite(start)):
             raise ValueError("start must be finite")
     if problem.empty_outer:
-        return PEnergyValue(p, 0.0, flag="empty-outer")
+        return PEnergyValue(0.0, flag="empty-outer")
     if p == 1:
         return _min_cut(problem)
     system = problem._newton
@@ -371,7 +359,7 @@ def _descend(system: _NewtonSystem, p: float, f: np.ndarray,
     flag: at p = 2 from the first-order gap, otherwise from the bracket."""
     upper, lower, res = _newton(system, p, f, rungs)
     ok = res <= CERT_TOL * max(upper, 1e-30) if p == 2 else upper - lower <= CERT_TOL * upper
-    return PEnergyValue(p, upper, f[system.lift], res, "ok" if ok else "no-convergence", lower)
+    return PEnergyValue(upper, f[system.lift], res, "ok" if ok else "no-convergence", lower)
 
 
 def _newton(system: _NewtonSystem, p: float, f: np.ndarray,
@@ -423,7 +411,7 @@ class SupSweep:
     every rule is D4-invariant, which `SubdivisionRule` checks when it is
     built; the separation energy is D4-invariant too, so one cell per orbit
     gives the sup.  Each problem (`problems[j][i]`:
-    `build_separation(h, 1, cells[i], ks[j])`) is built once and solved once
+    `build_separation(h, cells[i], ks[j])`) is built once and solved once
     per p; a p > 1 starts from its certified potential at the nearest p > 1
     already solved, the lower p on a tie, or cold when there is none."""
 
@@ -435,7 +423,7 @@ class SupSweep:
             raise ValueError("horizon exceeds built depth")
         grid = h.levels[1].grid_index
         self.cells = np.unique(np.min([grid.permutation(e) for e in D4], axis=0)).tolist()
-        self.problems = [[build_separation(h, 1, w, k) for w in self.cells] for k in self.ks]
+        self.problems = [[build_separation(h, w, k) for w in self.cells] for k in self.ks]
         self._solved: Dict[float, List[List[PEnergyValue]]] = {}
 
     def values(self, p: float) -> List[List[PEnergyValue]]:
@@ -462,21 +450,21 @@ class SupSweep:
         logs = [math.log(max(s.value, 1e-300)) for s in sups]
         return sups, sum(s.flag == "no-convergence" for s in sups), fit_rates(self.ks, logs)
 
-    def spectral_dims(self, p: float) -> SpectralDimEstimate:
-        """Upper, lower and central p-spectral dimensions from the fitted decay
-        of the sups at p, against the branching rate N* of `nstar_estimate`.
-        `uncertified` counts the sups behind the fit flagged no-convergence;
-        when it is positive, a flag that would read "ok" reads
-        "uncertified-energy"."""
+    def spectral_dims(self) -> SpectralDimEstimate:
+        """Upper, lower and central p-spectral dimensions at p = 2, from the
+        fitted decay of the p = 2 sups against the branching rate N* of
+        `nstar_estimate`.  `uncertified` counts the sups behind the fit
+        flagged no-convergence; when it is positive, a flag that would read
+        "ok" reads "uncertified-energy"."""
         n_star = nstar_estimate(self.h)["n_star"]
-        _, uncertified, (ls, up, lo) = self.fit(p)
+        _, uncertified, (ls, up, lo) = self.fit(2.0)
         logN = math.log(n_star)
         flag = "ok"
 
         def dim(rate: float) -> float:
             if rate >= logN:
                 return float("nan")
-            return p / (1.0 - rate / logN)
+            return 2.0 / (1.0 - rate / logN)
 
         d_up = dim(up)
         d_lo = dim(lo)
@@ -485,7 +473,7 @@ class SupSweep:
         elif uncertified:
             flag = "uncertified-energy"
         return SpectralDimEstimate(
-            p=p, ks=list(self.ks), rate_ls=ls, rate_limsup=up, rate_liminf=lo,
+            rate_ls=ls, rate_limsup=up, rate_liminf=lo,
             n_star=float(n_star), dim_upper=d_up, dim_lower=d_lo, dim_ls=dim(ls), flag=flag,
             uncertified=uncertified)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from resdimlab.hierarchy import SC_DIGITS, Schedule, build_hierarchy
+from resdimlab.hierarchy import Schedule, build_hierarchy
 from resdimlab.measure import hier_measure
 from resdimlab.mixedcarpet import ScaleCache
 
@@ -235,12 +235,13 @@ def exact_mass(m, n, i):
     return Fraction(int(num[i]), denom)
 
 
-def seeded_sc_weights(depth):
-    """Seeded non-uniform carpet weights: per level, random positive parts
-    over their sum on the SC digits."""
-    rng = np.random.default_rng(5)
-    weights = {}
-    for n in range(1, depth + 1):
-        parts = rng.integers(1, 10, size=len(SC_DIGITS)).tolist()
-        weights[n] = {d: Fraction(p, sum(parts)) for d, p in zip(SC_DIGITS, parts)}
-    return weights
+def relative_corner_graph(schedule, n, m):
+    """The corner graph of the relative pair (n, m): the rules of levels
+    m+1..n on the unit square, built as `corner_graph` builds (n, 0), as a
+    CornerGraph of level n - m, whose span is 3^(n-m)."""
+    from resdimlab.cornergraph import CornerGraph, _cells, _sides
+    from resdimlab.resnet import LevelGraph
+    cell_corners, grid = _cells(schedule, n, m)
+    sides = _sides(cell_corners)
+    return CornerGraph(n - m, LevelGraph(len(grid), np.column_stack([sides, np.ones(len(sides))])),
+                       grid, cell_corners)

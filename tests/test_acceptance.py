@@ -102,7 +102,7 @@ def test_criterion_05_energy_resistance_band(sc_sup2, vs_sup2, sc_cache, vs_cach
 
 
 def test_criterion_06_vicsek_p2_dimension(vs_h6):
-    est = SupSweep(vs_h6, range(1, 6)).spectral_dims(2.0)
+    est = SupSweep(vs_h6, range(1, 6)).spectral_dims()
     d2s = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
     vol = olds_volume(hier_measure(vs_h6), math.log(3.0), window=[1, 2, 3, 4, 5])
     ds_vol = vol["ds_estimate"]
@@ -143,7 +143,7 @@ def test_criterion_07_heat_invariants(vs_form4, sc_form4, vs_h6):
 def test_criterion_08_dim_comparison(vs_form4, sc_form4, vs_h6, sc_h6):
     out = {}
     for name, form, h in (("vicsek", vs_form4, vs_h6), ("sc", sc_form4, sc_h6)):
-        est = SupSweep(h, range(1, 6)).spectral_dims(2.0)
+        est = SupSweep(h, range(1, 6)).spectral_dims()
         d2s = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
         ds_heat = ol_ds_heat(form)["estimate"]
         out[name] = (d2s, ds_heat)
@@ -163,7 +163,7 @@ def test_criterion_09_below_two_and_arc_lower(vs_form4, sc_form4, vs_h6, sc_h6,
                                  window=[1, 2, 3])["ds_estimate"],
     }
     for h in (vs_h6, sc_h6):
-        est = SupSweep(h, range(1, 6)).spectral_dims(2.0)
+        est = SupSweep(h, range(1, 6)).spectral_dims()
         ds_values[f"d2s-{h.schedule.name}"] = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
     arc_vs = critical_p(vs_h6, 4, tol=0.05)["interval"]
     ok = all(v < 2.0 for v in ds_values.values()) and arc_vs[0] >= 1.0

@@ -119,11 +119,12 @@ UNSET_ON_PURPOSE = {
 }
 
 
-def _optional_parameters():
+def _parameters():
     """(module.qualname(param), the name a call uses, the positional
-    parameters in order, the optional ones) for every public function and
-    every public method, or constructor, of a public class; a constructor is
-    called by its class's name."""
+    parameters in order, the parameter, its default or None) for every
+    parameter of every public function and every public method, or
+    constructor, of a public class; a constructor is called by its class's
+    name."""
     pkg = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
     for name in MODULES:
         tree = ast.parse((pkg / f"{name}.py").read_text())
@@ -140,40 +141,54 @@ def _optional_parameters():
                                            for d in fn.decorator_list):
                 args = args[1:]  # self or cls
             positional = [a.arg for a in args]
-            optional = positional[len(positional) - len(fn.args.defaults):]
-            optional += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                         if d is not None]
+            defaults = [None] * (len(args) - len(fn.args.defaults)) + list(fn.args.defaults)
             called = cls.name if fn.name == "__init__" else fn.name
             qualname = fn.name if cls is None else f"{cls.name}.{fn.name}"
-            for param in optional:
-                yield f"{name}.{qualname}({param})", called, positional, param
+            for param, default in (list(zip(positional, defaults))
+                                   + [(a.arg, d) for a, d in zip(fn.args.kwonlyargs,
+                                                                 fn.args.kw_defaults)]):
+                yield f"{name}.{qualname}({param})", called, positional, param, default
 
 
-def _set_parameters():
-    """name -> (most positional arguments of a call, keywords set) over every
-    call in src/ and bench/; `cls(...)` inside a class calls that class.
-    Starred arguments set nothing, and no position after them."""
-    root = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
-    files = [p for p in sorted(root.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((pathlib.Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
-    seen = {}
+def _optional_parameters():
+    """(module.qualname(param), the name a call uses, the positional
+    parameters in order, the optional ones) for every optional parameter of
+    `_parameters`."""
+    for label, called, positional, param, default in _parameters():
+        if default is not None:
+            yield label, called, positional, param
 
+
+def _calls(files):
+    """(name called, call, its positional arguments before any starred one)
+    for every call in `files`; `cls(...)` inside a class calls that class."""
     def visit(node, owner):
         if isinstance(node, ast.ClassDef):
             owner = node.name
         if isinstance(node, ast.Call):
+            count = next((i for i, a in enumerate(node.args)
+                          if isinstance(a, ast.Starred)), len(node.args))
             for called in _named(node.func):
-                called = owner if called == "cls" and owner else called
-                count = next((i for i, a in enumerate(node.args)
-                              if isinstance(a, ast.Starred)), len(node.args))
-                most, keys = seen.get(called, (0, set()))
-                seen[called] = (max(most, count),
-                                keys | {k.arg for k in node.keywords if k.arg is not None})
+                yield owner if called == "cls" and owner else called, node, node.args[:count]
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            yield from visit(child, owner)
 
     for path in files:
-        visit(ast.parse(path.read_text()), None)
+        yield from visit(ast.parse(path.read_text()), None)
+
+
+def _set_parameters():
+    """name -> (most positional arguments of a call, keywords set) over every
+    call in src/ and bench/.  Starred arguments set nothing, and no position
+    after them."""
+    root = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
+    files = [p for p in sorted(root.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((pathlib.Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    seen = {}
+    for called, node, args in _calls(files):
+        most, keys = seen.get(called, (0, set()))
+        seen[called] = (max(most, len(args)),
+                        keys | {k.arg for k in node.keywords if k.arg is not None})
     return seen
 
 
@@ -188,6 +203,72 @@ def test_optional_parameters_are_set():
         if param not in keys and param not in positional[:most] and label not in UNSET_ON_PURPOSE:
             unset.append(label)
     assert unset == []
+
+
+# parameters that every call sets to one constant, kept for a named reason
+ONE_VALUE_ON_PURPOSE = {
+    "penergy.critical_p(tol)": "ROADMAP item 5 runs the bisection at tol 0.001 and 0.002",
+    "measure.doubling_check(samples)":
+        "the bench spectral volume step, dropped with it (ROADMAP item 7)",
+    "measure.psi_measure(eps)": "criterion 12 and the bench spectral psi step (ROADMAP item 7)",
+}
+
+
+def _is_constant(node):
+    """Whether `node` is a literal, an upper-case module constant, or a call
+    on such constants."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.UnaryOp):
+        return _is_constant(node.operand)
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return all(map(_is_constant, node.elts))
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return next(iter(_named(node))).isupper()
+    if isinstance(node, ast.Call):
+        return all(_is_constant(a) for a in node.args + [k.value for k in node.keywords])
+    return False
+
+
+def _arguments():
+    """name -> [(the positional arguments before any starred one, the keyword
+    arguments by name, whether a starred or ** argument may set more)] over
+    every call in src/, bench/ and tests/test_acceptance.py."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pkg = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
+    files = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    calls = {}
+    for called, node, args in _calls(files):
+        keys = {k.arg: k.value for k in node.keywords if k.arg is not None}
+        more = len(args) < len(node.args) or len(keys) < len(node.keywords)
+        calls.setdefault(called, []).append((args, keys, more))
+    return calls
+
+
+def test_parameters_take_two_values():
+    """No parameter of a public function, method or constructor takes the
+    same constant (`_is_constant`) at every call in src/, bench/ and
+    tests/test_acceptance.py, an omitted optional parameter taking its
+    default: an input that no command, report, bench step or acceptance
+    criterion varies is a constant of the code."""
+    calls = _arguments()
+    constant = []
+    for label, called, positional, param, default in _parameters():
+        values = []
+        for args, keys, more in calls.get(called, []):
+            index = positional.index(param) if param in positional else len(args)
+            if param in keys:
+                values.append(keys[param])
+            elif index < len(args):
+                values.append(args[index])
+            else:
+                values.append(None if more else default)
+        if (values and all(v is not None and _is_constant(v) for v in values)
+                and len({ast.dump(v) for v in values}) == 1
+                and label not in ONE_VALUE_ON_PURPOSE):
+            constant.append(label)
+    assert constant == []
 
 
 # functions whose returned dict is written whole, so that no key has a reader

@@ -400,7 +400,7 @@ def test_dims_json_carries_certificates(tmp_path, monkeypatch):
     # its flag; the stubbed sweep flags the sup energies of k = 2 and 3
     k_of = {5 ** (1 + k): k for k in (1, 2, 3)}  # a problem's level fixes its k
     monkeypatch.setattr(penergy, "p_energy", lambda problem, p, start=None: (
-        penergy.PEnergyValue(p, 5.0 ** -k_of[problem.n_cells],
+        penergy.PEnergyValue(5.0 ** -k_of[problem.n_cells],
                              flag="no-convergence" if k_of[problem.n_cells] > 1 else "ok")))
     main(["dims", "--structure", "vicsek", "--depth", "2", "--kmax", "3", "--out", str(tmp_path)])
     dims = json.loads((tmp_path / "dims.json").read_text())

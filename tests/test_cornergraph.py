@@ -7,6 +7,8 @@ from resdimlab.hierarchy import (CHILD_OFFSET, SC_DIGITS, VICSEK_DIGITS, Schedul
                                  SubdivisionRule, build_hierarchy)
 from resdimlab.resnet import LevelGraph, eff_resistance
 
+from conftest import relative_corner_graph
+
 
 def _dict_corner_graph(schedule, n, m):
     """Reference builder: tuple-keyed dicts, vertex ids by first appearance."""
@@ -31,7 +33,7 @@ def _dict_corner_graph(schedule, n, m):
 def test_matches_dict_builder(structure, n, m):
     sched = Schedule.by_name(structure)
     grid, corners, edges, cond = _dict_corner_graph(sched, n, m)
-    cg = corner_graph(sched, n, m)
+    cg = corner_graph(sched, n) if m == 0 else relative_corner_graph(sched, n, m)
     assert np.array_equal(cg.grid, grid)
     assert np.array_equal(cg.cell_corners, corners)
     assert list(zip(cg.graph.edge_u.tolist(), cg.graph.edge_v.tolist())) == edges
@@ -39,7 +41,7 @@ def test_matches_dict_builder(structure, n, m):
 
 
 def test_level_pair_nn_is_unit_cycle():
-    cg = corner_graph(Schedule.mixed(), 1, 1)
+    cg = corner_graph(Schedule.mixed(), 0)
     assert cg.graph.n == 4
     assert len(cg.graph.conductance) == 4
     assert np.all(cg.graph.conductance == 1.0)
@@ -48,7 +50,7 @@ def test_level_pair_nn_is_unit_cycle():
 
 
 def test_sc_one_level_vertex_count():
-    cg = corner_graph(Schedule.pure_sc(), 1, 0)
+    cg = corner_graph(Schedule.pure_sc(), 1)
     assert cg.graph.n == 16
     assert len(cg.graph.conductance) == 24
     # shared sides carry the doubled conductance
@@ -56,7 +58,7 @@ def test_sc_one_level_vertex_count():
 
 
 def test_vicsek_one_level():
-    cg = corner_graph(Schedule.pure_vicsek(), 1, 0)
+    cg = corner_graph(Schedule.pure_vicsek(), 1)
     assert cg.graph.n == 16
     # junction points (+-1/6, +-1/6) exist and are identified
     for gx in (1, 2):
@@ -68,7 +70,7 @@ def test_vicsek_one_level():
 def test_cells_align_with_hierarchy():
     sched = Schedule.mixed()
     h = build_hierarchy(sched, 3)
-    cg = corner_graph(sched, 3, 0)
+    cg = corner_graph(sched, 3)
     lower_left = cg.grid[cg.cell_corners[:, 0]]
     assert np.array_equal(lower_left[:, 0], h.levels[3].ix)
     assert np.array_equal(lower_left[:, 1], h.levels[3].iy)
@@ -104,7 +106,7 @@ def test_quarters_equal_full_graph_quarters(structure, n_max):
     sched = Schedule.by_name(structure)
     for n in range(n_max + 1):
         for m in range(n + 1):
-            cg = corner_graph(sched, n, m)
+            cg = relative_corner_graph(sched, n, m)
             for which, build in (("pt", pt_quarter), ("tb", tb_quarter)):
                 g, A, B = build(sched, n, m)
                 want, wA, wB = _quarter_of_full_graph(cg, which)
@@ -136,7 +138,7 @@ def test_quarter_cap_counts_kept_cells(monkeypatch):
 
 def test_depth_cap():
     with pytest.raises(ValueError, match="cap"):
-        corner_graph(Schedule.pure_sc(), 8, 0)
+        corner_graph(Schedule.pure_sc(), 8)
 
 
 @pytest.mark.parametrize("digits", [(1, 2, 3), (2, 6), (1, 2, 3, 4, 5, 6, 7), (0, 1, 1, 3, 5, 7),

@@ -9,10 +9,9 @@ from resdimlab import heat
 from resdimlab.heat import (FiniteDirichletForm, build_form, chapman_kolmogorov_error,
                             ol_ds_heat, time_window)
 from resdimlab.cornergraph import corner_graph
-from resdimlab.hierarchy import SC_DIGITS, Schedule
-from resdimlab.measure import HierMeasure, hier_measure, psi_measure
+from resdimlab.hierarchy import Schedule
+from resdimlab.measure import hier_measure, psi_measure
 from resdimlab.resnet import LevelGraph
-from conftest import seeded_sc_weights
 
 VIC_REF = 2 * math.log(5) / math.log(15)
 
@@ -170,16 +169,22 @@ def broken_form(sc_h6, sc_cache):
 
 
 def weighted_form(sc_h6, sc_cache):
-    """The SC level-2 form under a seeded measure with non-uniform weights."""
-    return build_form(sc_h6, 2, HierMeasure(sc_h6, seeded_sc_weights(sc_h6.depth)), sc_cache.pt(2))
+    """The SC level-2 form with seeded non-uniform vertex masses, which no
+    mirror keeps."""
+    form = build_form(sc_h6, 2, hier_measure(sc_h6), sc_cache.pt(2))
+    weights = np.random.default_rng(5).integers(1, 10, size=form.graph.n)
+    return FiniteDirichletForm(form.graph, form.mass * weights, form.mirrors)
 
 
-def d4_measure(h):
-    """A non-uniform measure on the carpet hierarchy h, invariant under the
-    symmetries of the square: weight 1/10 on the corner digits 1, 3, 5, 7 and
-    3/20 on the edge digits at every level."""
-    table = {d: Fraction(1, 10) if d % 2 else Fraction(3, 20) for d in SC_DIGITS}
-    return HierMeasure(h, {n: table for n in range(1, h.depth + 1)})
+def d4_form(h, cache, level):
+    """The SC form at `level` with non-uniform vertex masses that both
+    mirrors keep: each uniform mass times an integer weight that grows with
+    the squared grid distance from the centre."""
+    form = build_form(h, level, hier_measure(h), cache.pt(level))
+    cg = corner_graph(h.schedule, level)
+    x, y = cg.grid.T
+    weights = 1 + ((2 * x - cg.span) ** 2 + (2 * y - cg.span) ** 2) // cg.span
+    return FiniteDirichletForm(form.graph, form.mass * weights, form.mirrors)
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +195,7 @@ def oracle_forms(vs_form4, sc_h6, sc_cache, mx_h5, mx_cache, two_state):
         "mixed-3": build_form(mx_h5, 3, hier_measure(mx_h5), mx_cache.pt(3)),
         "broken-sc-2": broken_form(sc_h6, sc_cache),
         "weighted-sc-2": weighted_form(sc_h6, sc_cache),
-        "d4-sc-3": build_form(sc_h6, 3, d4_measure(sc_h6), sc_cache.pt(3)),
+        "d4-sc-3": d4_form(sc_h6, sc_cache, 3),
         "two-state": two_state,
     }
 
@@ -231,8 +236,8 @@ def test_build_form_finds_klein_group(sc_h6, vs_h6, mx_h5, sc_cache, vs_cache, m
                                       schedule, level):
     h, cache = {"sc": (sc_h6, sc_cache), "vicsek": (vs_h6, vs_cache),
                 "mixed": (mx_h5, mx_cache), "sc-d4": (sc_h6, sc_cache)}[schedule]
-    measure = d4_measure(h) if schedule == "sc-d4" else hier_measure(h)
-    form = build_form(h, level, measure, cache.pt(level))
+    form = (d4_form(h, cache, level) if schedule == "sc-d4"
+            else build_form(h, level, hier_measure(h), cache.pt(level)))
     _, blocks = form.eig()
     assert len(blocks) == 4  # one block per sign character of the group
     assert sum(len(b.w) for b in blocks) == form.graph.n

@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from resdimlab import hierarchy
-from resdimlab.hierarchy import (D4, GridIndex, Schedule, adjacency, build_hierarchy,
+from resdimlab.hierarchy import (D4, M_STAR, GridIndex, Schedule, adjacency, build_hierarchy,
                                  chain_ball, delta_level, nstar_estimate, sample_corners,
                                  validate_framework)
 
@@ -57,6 +57,8 @@ def test_depth_cap_rejected(monkeypatch):
 def test_unknown_rule_tag():
     with pytest.raises(ValueError, match="unknown structure"):
         Schedule.by_name("menger")
+    with pytest.raises(ValueError, match="unknown structure"):
+        Schedule.by_name("vs")
 
 
 def test_adjacency_level1_counts():
@@ -102,14 +104,11 @@ def test_delta_level_examples():
     # points are integers on the 27-grid of depth 3: (0, 0) is the SW corner
     # (-1/2, -1/2), (27, 27) the NE corner (1/2, 1/2)
     sc = build_hierarchy(Schedule.pure_sc(), 3)
-    d, clipped = delta_level(sc, (0, 0), (27, 27), 1)
+    d, clipped = delta_level(sc, (0, 0), (27, 27))
     assert d == 0 and not clipped
-    vs = build_hierarchy(Schedule.pure_vicsek(), 3)
-    d, clipped = delta_level(vs, (0, 0), (27, 27), 2)
-    assert d >= 1
     # two corners of the SW finest cell, (-1/2, -1/2) and (-1/2 + 1/27, -1/2):
     # clipped at depth
-    d, clipped = delta_level(sc, (0, 0), (1, 0), 1)
+    d, clipped = delta_level(sc, (0, 0), (1, 0))
     assert d == 3 and clipped
 
 
@@ -139,14 +138,14 @@ def _fraction_cells_containing(h, n, x, y):
                                       math.ceil(v) - 1, math.floor(v)).tolist()
 
 
-def _plain_delta_level(h, x, y, m):
+def _plain_delta_level(h, x, y):
     """delta_level from exact Fraction points and full shortest-path distances."""
     best = None
     for n in range(h.depth + 1):
         wx, wy = _fraction_cells_containing(h, n, *x), _fraction_cells_containing(h, n, *y)
         if wx and wy:
             dist = dijkstra(adjacency(h, n).csr, unweighted=True, indices=wx, min_only=True)
-            if dist[wy].min() <= m:
+            if dist[wy].min() <= M_STAR:
                 best = n
     return best, best == h.depth
 
@@ -178,9 +177,8 @@ def test_chain_distances_match_plain_bfs(schedule):
         count = h.levels[level].count
         for sources in ([0], [count // 2], [count - 1], [0, count // 2]):
             dist = _plain_bfs(h, level, sources)
-            for radius in range(4):
-                expected = [v for v, d in enumerate(dist) if d is not None and d <= radius]
-                assert chain_ball(adjacency(h, level), sources, radius).tolist() == expected
+            expected = [v for v, d in enumerate(dist) if d is not None and d <= M_STAR]
+            assert chain_ball(adjacency(h, level), sources).tolist() == expected
     rng = np.random.default_rng(0)
     for depth in (3, 5):
         h = build_hierarchy(schedule, depth)
@@ -193,8 +191,7 @@ def test_chain_distances_match_plain_bfs(schedule):
         assert len(pairs) >= 200
         for x, y in pairs:
             fx, fy = (tuple(Fraction(g, side) - Fraction(1, 2) for g in p) for p in (x, y))
-            for m in (1, 2):
-                assert delta_level(h, x, y, m) == _plain_delta_level(h, fx, fy, m)
+            assert delta_level(h, x, y) == _plain_delta_level(h, fx, fy)
 
 
 @pytest.mark.parametrize("sources, bad", [([-1], -1), ([8], 8), ([0, 8], 8), ([-1, 8], -1)],
@@ -204,22 +201,20 @@ def test_chain_ball_source_out_of_range(sources, bad):
     # 8 would read the CSR row pointers past their end
     g = adjacency(build_hierarchy(Schedule.pure_sc(), 1), 1)
     with pytest.raises(ValueError, match=f"source cell {bad} outside 0..7"):
-        chain_ball(g, sources, 1)
+        chain_ball(g, sources)
 
 
 def test_delta_level_errors():
     sc = build_hierarchy(Schedule.pure_sc(), 2)  # points on the 9-grid
     with pytest.raises(ValueError, match="distinct"):
-        delta_level(sc, (0, 0), (0, 0), 1)
+        delta_level(sc, (0, 0), (0, 0))
     # (10, 4) and (4, -1) lie just right of and just below Q
     for outside in ((10, 4), (4, -1)):
         with pytest.raises(ValueError, match="outside"):
-            delta_level(sc, outside, (0, 0), 1)
-    with pytest.raises(ValueError, match="chain radius must be >= 0"):
-        delta_level(sc, (0, 0), (9, 9), -1)
+            delta_level(sc, outside, (0, 0))
     # a Fraction point of Q is not a grid point
     with pytest.raises(TypeError):
-        delta_level(sc, (Fraction(-1, 2), Fraction(-1, 2)), (9, 9), 1)
+        delta_level(sc, (Fraction(-1, 2), Fraction(-1, 2)), (9, 9))
 
 
 def _old_sample_centers(h, level, count, seed):
@@ -283,7 +278,7 @@ def test_nstar_submultiplicative(monkeypatch):
     monkeypatch.setattr(hierarchy, "NSTAR_HORIZON", 40)
     out = nstar_estimate(build_hierarchy(Schedule.mixed(), 6))
     # each window sup is an integer count, the k-th power of its root
-    sups = {k: round(r ** k) for k, r in zip(out["k"], out["roots"])}
+    sups = {k: round(r ** k) for k, r in enumerate(out["roots"], 1)}
     for j in sups:
         for k in sups:
             if j + k in sups:

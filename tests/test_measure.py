@@ -12,21 +12,23 @@ from resdimlab.measure import (HierMeasure, PsiMeasure, doubling_check,
                                fekete_limit, hier_measure, olds_volume,
                                psi_measure, _quotients, _sample_centers)
 
-from conftest import exact_mass, seeded_sc_weights
+from conftest import exact_mass
 
 
 def _walk_mass(m, n, i):
-    """Reference: the product of the Fraction weights along cell i's address."""
+    """Reference: the product of the equal child shares along cell i's address."""
     out = Fraction(1)
     for level in range(n, 0, -1):
-        out *= m.weights[level][int(m.h.levels[level].digit[i])]
+        out /= m.h.schedule.branching(level)
         i = int(m.h.levels[level].parent[i])
+    assert i == 0
     return out
 
 
 def _assert_views_match_walk(m, levels):
-    """Every mass view of HierMeasure m equals the address walk: the integer
-    table and `mass` exactly, `_quotients` bitwise as float(Fraction)."""
+    """Every mass view of the uniform measure m equals the address walk: the
+    integer table and `exact_mass` exactly, `_quotients` bitwise as
+    float(Fraction)."""
     for n in levels:
         ref = [_walk_mass(m, n, i) for i in range(m.h.levels[n].count)]
         num, denom = m.exact_masses(n)
@@ -47,10 +49,8 @@ def test_uniform_masses_exact(sc_h6, vs_h6, mx_h5):
         _assert_views_match_walk(hier_measure(h), range(5))
 
 
-def test_additivity_exact(mx_h5, sc_h6):
-    seeded = HierMeasure(sc_h6, seeded_sc_weights(sc_h6.depth))
-    _assert_views_match_walk(seeded, range(5))
-    for m in (hier_measure(mx_h5), seeded):
+def test_additivity_exact(mx_h5, vs_h6):
+    for m in (hier_measure(mx_h5), psi_measure(vs_h6, Fraction(1, 2), 1)):
         for n in (1, 2, 3):
             lvl = m.h.levels[n]
             by_parent = {}
@@ -60,32 +60,14 @@ def test_additivity_exact(mx_h5, sc_h6):
                 assert sum(exact_mass(m, n, i) for i in kids) == exact_mass(m, n - 1, parent)
 
 
-def test_weight_validation(sc_h6):
-    bad = {n: {d: Fraction(1, 9) for d in sc_h6.schedule.rule_at(n).digits}
-           for n in range(1, sc_h6.depth + 1)}
-    with pytest.raises(ValueError, match="sum"):
-        HierMeasure(sc_h6, bad)
-    zero = {n: {d: Fraction(0) if d == 1 else Fraction(1, 7)
-                for d in sc_h6.schedule.rule_at(n).digits}
-            for n in range(1, sc_h6.depth + 1)}
-    with pytest.raises(ValueError, match="positive"):
-        HierMeasure(sc_h6, zero)
-    missing = {n: table for n, table in hier_measure(sc_h6).weights.items() if n != 2}
-    with pytest.raises(ValueError, match="level 2 weight table"):
-        HierMeasure(sc_h6, missing)
-
-    # ball masses are int64 numerators over one common denominator
-    def one_heavy(den):
-        """Weights over den per level: 1 for each digit but the first."""
-        out = {}
-        for n in range(1, sc_h6.depth + 1):
-            digits = sc_h6.schedule.rule_at(n).digits
-            out[n] = {d: Fraction(1, den) for d in digits}
-            out[n][digits[0]] = Fraction(den - len(digits) + 1, den)
-        return out
-    assert HierMeasure(sc_h6, one_heavy(1009)).ball_mass((0.0, 0.0), 10.0) == (1.0, 1.0)
+def test_mass_denominator_must_fit_int64():
+    # ball masses are int64 numerators over one common denominator: the
+    # psi-measure's values over 5046 = 5 * 1009 + 1 fit at depth 5, those
+    # over 50036 = 5 * 10007 + 1 do not
+    h = build_hierarchy(Schedule.pure_vicsek(), 5)
+    assert PsiMeasure(h, 1, Fraction(1, 1009), 5).ball_mass((0.0, 0.0), 10.0) == (1.0, 1.0)
     with pytest.raises(ValueError, match="int64"):
-        HierMeasure(sc_h6, one_heavy(10007))  # 10007^6 > 2^63
+        PsiMeasure(h, 1, Fraction(1, 10007), 5)
 
 
 def test_ball_mass_brackets(vs_h6, sc_h6):
@@ -139,16 +121,6 @@ def _exact_mass_of(m, n):
     return lambda selected: Fraction(int(nums[selected].sum()), denom)
 
 
-def _random_measure(h, rng):
-    """A HierMeasure with random positive weights per level and digit."""
-    weights = {}
-    for n in range(1, h.depth + 1):
-        digits = h.schedule.rule_at(n).digits
-        parts = rng.integers(1, 10, size=len(digits)).tolist()
-        weights[n] = {d: Fraction(p, sum(parts)) for d, p in zip(digits, parts)}
-    return HierMeasure(h, weights)
-
-
 def _bracket_cases(h, n, seed):
     """Centres on grid lines, on corners, at random and outside Q; radii on
     exact multiples of 3^-m and of the cell side, at random and at least sqrt(2)."""
@@ -169,16 +141,16 @@ def _bracket_cases(h, n, seed):
     return centers, radii
 
 
-@pytest.mark.parametrize("schedule, depth", [
-    (Schedule.pure_sc(), 6), (Schedule.pure_vicsek(), 6), (Schedule.mixed(), 6)],
+@pytest.mark.parametrize("schedule, depth, n_star", [
+    (Schedule.pure_sc(), 6, 8), (Schedule.pure_vicsek(), 6, 5), (Schedule.mixed(), 6, 8)],
     ids=["sc", "vicsek", "mixed"])
-def test_cover_bracket_matches_full_scan(schedule, depth):
-    rng = np.random.default_rng(7)
+def test_cover_bracket_matches_full_scan(schedule, depth, n_star):
     for n in range(3, depth + 1):
         h = build_hierarchy(schedule, n)  # ball masses at level n
         measures = [(hier_measure(h), _uniform_mass_of)]
         if n <= 4:  # per-cell Fractions are slow beyond
-            measures.append((_random_measure(h, rng), _exact_mass_of))
+            # non-uniform: one coarse step of n levels, its interior cell heavier
+            measures.append((PsiMeasure(h, n, Fraction(1, 2), n_star), _exact_mass_of))
         centers, radii = _bracket_cases(h, n, seed=n)
         for m, mass_of in measures:
             total = mass_of(m, n)
@@ -376,14 +348,14 @@ def test_volume_routes_reject_samples_below_1(vs_h6, samples):
 
 
 def test_fekete_linear():
-    out = fekete_limit([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
+    out = fekete_limit([1, 2, 3, 4], [2.0, 4.0, 6.0, 8.0])
     assert out["limit"] == pytest.approx(2.0)
     assert out["violations"] == []
 
 
 def test_fekete_affine_from_above():
-    ts = [1.0, 2.0, 4.0, 8.0]
-    fs = [2 * t + 1 for t in ts]
+    ts = [1, 2, 4, 8]
+    fs = [2.0 * t + 1 for t in ts]
     out = fekete_limit(ts, fs)
     assert out["limit"] == pytest.approx(2.0 + 1.0 / 8.0)
 
@@ -403,16 +375,23 @@ def test_fekete_matches_volume_rate(vs_h6):
     lags = range(1, len(window))
     sups = [max(s[a] - s[a + lag] for s in series for a in range(len(window) - lag)) / lag
             for lag in lags]
-    check = fekete_limit([float(lag) for lag in lags], [r * lag for r, lag in zip(sups, lags)])
+    check = fekete_limit(list(lags), [r * lag for r, lag in zip(sups, lags)])
     rate = check["limit"]
     assert out["ds_sup_window"] == pytest.approx(2 * rate / (rate + zeta_r_log), rel=1e-12)
     assert out["sup_window_violations"] == len(check["violations"])
 
 
 def test_fekete_violation_reported():
-    out = fekete_limit([1.0, 2.0], [1.0, 3.0])
-    assert out["violations"] == [(1.0, 1.0)]
+    out = fekete_limit([1, 2], [1.0, 3.0])
+    assert out["violations"] == [(1, 1)]
     assert out["limit"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("ts", [[1.0, 2.0], [1, 1], [0, 1], [-1, 2], [1, 2.5]],
+                         ids=["floats", "repeated", "zero", "negative", "fraction"])
+def test_fekete_refuses_bad_lags(ts):
+    with pytest.raises(ValueError, match="lags must be distinct positive integers"):
+        fekete_limit(ts, [1.0] * len(ts))
 
 
 def test_h_profile_vicsek(vs_h6, vs_cache):

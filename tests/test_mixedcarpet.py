@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from resdimlab import measure, mixedcarpet, resnet
-from resdimlab.cornergraph import corner_graph, pt_quarter
+from resdimlab.cornergraph import pt_quarter
 from resdimlab.hierarchy import Schedule, mixed_indicator
 from resdimlab.mixedcarpet import (ScaleCache, chain_check, evres_fit, gap_report, qs_diagnostic,
                                    qs_envelope_drift)
 from resdimlab.resnet import eff_resistance
-from conftest import pipeline_quarters, single_pair_resistance
+from conftest import pipeline_quarters, relative_corner_graph, single_pair_resistance
 
 
 def test_schedule_f_blocks():
@@ -386,7 +386,7 @@ def test_scales_equal_direct_resistances(schedule, deep):
     cache = ScaleCache(schedule)
     pairs = [(n, m) for n in range(1, 6) for m in range(n + 1)] + [(6, 0)] * deep
     for n, m in pairs:
-        cg = corner_graph(schedule, n, m)
+        cg = relative_corner_graph(schedule, n, m)
         p1, _, p5, _ = cg.corner_vertices()
         s = cache.scales(n, m)
         assert (s.n, s.m) == (n, m)

@@ -10,7 +10,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from resdimlab.hierarchy import Schedule, adjacency, build_hierarchy, chain_ball
-from resdimlab import penergy
+from resdimlab import hierarchy, penergy
 from resdimlab.penergy import (PEnergyValue, SeparationProblem, SupSweep, build_separation,
                                critical_p, fit_rates, p_energy)
 from resdimlab.resnet import LevelGraph, eff_resistance
@@ -110,29 +110,30 @@ def test_non_finite_p_rejected(monkeypatch, p):
         p_energy(path_problem(), p)
 
 
-@pytest.mark.parametrize("base_level, base_index, k", [
-    (1, 0, -1), (-1, 0, 1), (4, 0, 0), (1, -1, 1), (1, 8, 1), (1, 99, 1),
-], ids=["k=-1", "level=-1", "level>depth", "index=-1", "index=count", "index=99"])
-def test_build_separation_bad_arguments(base_level, base_index, k):
+@pytest.mark.parametrize("base_index, k", [
+    (0, -1), (0, 3), (-1, 1), (8, 1), (99, 1),
+], ids=["k=-1", "level>depth", "index=-1", "index=count", "index=99"])
+def test_build_separation_bad_arguments(base_index, k):
     h = build_hierarchy(Schedule.pure_sc(), 3)
     with pytest.raises(ValueError):
-        build_separation(h, base_level, base_index, k)
+        build_separation(h, base_index, k)
 
 
 def test_build_separation_edge_arguments():
     h = build_hierarchy(Schedule.pure_sc(), 3)
-    assert len(build_separation(h, 0, 0, 3).inner) == 8 ** 3
-    assert build_separation(h, 3, 8 ** 3 - 1, 0).n_cells == 8 ** 3
+    assert build_separation(h, 0, 0).inner.tolist() == [0]
+    prob = build_separation(h, 7, 2)
+    assert (prob.n_cells, prob.inner.tolist()) == (8 ** 3, list(range(7 * 64, 8 * 64)))
 
 
-def shortest_path_separation(h, base_level, base_index, k, m_star):
+def shortest_path_separation(h, base_index, k, m_star):
     """(inner, outer) as build_separation found them from csgraph.shortest_path
-    chain distances over the whole base level."""
-    n = base_level + k
+    chain distances over the whole of level 1."""
+    n = 1 + k
     anc = np.arange(h.levels[n].count)
-    for m in range(n, base_level, -1):
+    for m in range(n, 1, -1):
         anc = h.levels[m].parent[anc]
-    dist = csgraph.shortest_path(adjacency(h, base_level).csr, unweighted=True,
+    dist = csgraph.shortest_path(adjacency(h, 1).csr, unweighted=True,
                                  indices=base_index)
     far = np.full(len(dist), np.iinfo(np.int64).max, dtype=np.int64)
     far[np.isfinite(dist)] = dist[np.isfinite(dist)]
@@ -143,36 +144,35 @@ def shortest_path_separation(h, base_level, base_index, k, m_star):
                                       Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
 def test_build_separation_matches_shortest_path(monkeypatch, schedule):
     h = build_hierarchy(schedule, 4)
-    for base_level in (0, 1, 2):
-        for base_index in range(h.levels[base_level].count):
-            for k in (0, 1, 2):
-                for m_star in (1, 2):
-                    monkeypatch.setattr(penergy, "M_STAR", m_star)
-                    prob = build_separation(h, base_level, base_index, k)
-                    inner, outer = shortest_path_separation(h, base_level, base_index, k, m_star)
-                    assert prob.inner.tolist() == inner.tolist()
-                    assert prob.outer.tolist() == outer.tolist()
+    for base_index in range(h.levels[1].count):
+        for k in (0, 1, 2, 3):
+            for m_star in (1, 2):
+                monkeypatch.setattr(hierarchy, "M_STAR", m_star)
+                prob = build_separation(h, base_index, k)
+                inner, outer = shortest_path_separation(h, base_index, k, m_star)
+                assert prob.inner.tolist() == inner.tolist()
+                assert prob.outer.tolist() == outer.tolist()
 
 
 def test_empty_outer_flagged(vs_h6):
     # the center cell of the plus-sign level-1 graph is adjacent to all
-    prob = build_separation(vs_h6, 1, 0, 1)
+    prob = build_separation(vs_h6, 0, 1)
     assert prob.empty_outer
     val = p_energy(prob, 2.0)
     assert val.value == 0.0 and val.flag == "empty-outer"
 
 
 def test_monotone_in_p(sc_h6):
-    prob = build_separation(sc_h6, 1, 0, 2)
+    prob = build_separation(sc_h6, 0, 2)
     if prob.empty_outer:
-        prob = build_separation(sc_h6, 1, 1, 2)
+        prob = build_separation(sc_h6, 1, 2)
     vals = [p_energy(prob, p).value for p in (1.0, 1.3, 1.7, 2.0, 2.5, 3.0)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-8
 
 
 def test_markov_truncation(sc_h6):
-    prob = build_separation(sc_h6, 1, 1, 1)
+    prob = build_separation(sc_h6, 1, 1)
     rng = np.random.default_rng(0)
     eu, ev = prob.edges[:, 0], prob.edges[:, 1]
     for p in (1.5, 2.0):
@@ -187,7 +187,7 @@ def test_markov_truncation(sc_h6):
 
 
 def test_p2_equals_effective_conductance(sc_h6):
-    prob = build_separation(sc_h6, 1, 1, 2)
+    prob = build_separation(sc_h6, 1, 2)
     e2 = p_energy(prob, 2.0).value
     g = LevelGraph(prob.n_cells, [(int(u), int(v), 1.0) for u, v in prob.edges])
     cond = 1.0 / eff_resistance(g, list(prob.inner), list(prob.outer)).value
@@ -197,7 +197,7 @@ def test_p2_equals_effective_conductance(sc_h6):
 def test_symmetry_reduction_matches_exhaustive(sc_h6, vs_h6):
     for h, k in ((sc_h6, 2), (vs_h6, 2)):
         [(_, fast)] = SupSweep(h, [k]).sups(2.0)
-        slow = max(p_energy(build_separation(h, 1, w, k), 2.0).value
+        slow = max(p_energy(build_separation(h, w, k), 2.0).value
                    for w in range(h.levels[1].count))
         assert fast.value == pytest.approx(slow, rel=1e-9)
 
@@ -265,7 +265,7 @@ def test_vicsek_rate_is_log3(vs_sup2):
 
 
 def test_p_spectral_dims_vicsek(vs_h6):
-    est = SupSweep(vs_h6, range(1, 6)).spectral_dims(2.0)
+    est = SupSweep(vs_h6, range(1, 6)).spectral_dims()
     ref = 2 * math.log(5) / math.log(15)
     central = 2.0 / (1.0 - est.rate_ls / math.log(est.n_star))
     assert est.dim_ls == central
@@ -274,7 +274,7 @@ def test_p_spectral_dims_vicsek(vs_h6):
 
 
 def test_p_spectral_dims_single_tail(vs_h6):
-    est = SupSweep(vs_h6, [1, 2]).spectral_dims(2.0)
+    est = SupSweep(vs_h6, [1, 2]).spectral_dims()
     # two k values: tail slopes collapse to the single step
     assert est.rate_limsup == pytest.approx(est.rate_liminf)
 
@@ -299,7 +299,7 @@ def test_critical_p_bad_arguments(vs_h6, kwargs):
 
 
 def test_p2_flag_follows_residual(monkeypatch):
-    prob = build_separation(build_hierarchy(Schedule.pure_sc(), 3), 1, 0, 2)
+    prob = build_separation(build_hierarchy(Schedule.pure_sc(), 3), 0, 2)
     assert p_energy(prob, 2.0).flag == "ok"
     monkeypatch.setattr(penergy, "CERT_TOL", 1e-30)
     val = p_energy(prob, 2.0)
@@ -397,7 +397,7 @@ def separation_problems(schedule):
     h = build_hierarchy(schedule, 4)
     for cell in _class_firsts(h):
         for k in (1, 2, 3):
-            prob = build_separation(h, 1, cell, k)
+            prob = build_separation(h, cell, k)
             if not prob.empty_outer:
                 yield cell, k, prob
 
@@ -446,7 +446,7 @@ def test_annulus_resistance_scale_band(sc_h6, sc_cache):
         cg = sc_cache.graph(n)
         h = sc_h6
         w = h.levels[base].count // 2
-        near = chain_ball(adjacency(h, base), [w], 1)
+        near = chain_ball(adjacency(h, base), [w])
         f = 3 ** (n - base)
         wx, wy = int(h.levels[base].ix[w]), int(h.levels[base].iy[w])
         inner, outer = [], []
@@ -475,7 +475,7 @@ def product_p_energy(problem, p, tol=1e-7):
     otherwise, with each system assembled as D_F^T diag(w) D_F by sparse
     products and factored by splu with its default ordering."""
     if problem.empty_outer:
-        return PEnergyValue(p, 0.0, flag="empty-outer")
+        return PEnergyValue(0.0, flag="empty-outer")
     if p == 1:
         return penergy._min_cut(problem)
     n, m = problem.n_cells, len(problem.edges)
@@ -524,7 +524,7 @@ def product_p_energy(problem, p, tol=1e-7):
             else:
                 break
     e, res, ok = certificate()
-    return PEnergyValue(p, e, f, res, "ok" if ok else "no-convergence")
+    return PEnergyValue(e, f, res, "ok" if ok else "no-convergence")
 
 
 P_GRID = (1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.2, 2.5)
@@ -541,7 +541,7 @@ def test_p_energy_matches_product_assembly(schedule, depth, splu_orderings):
     compared = 0
     for cell in _class_firsts(h):
         for k in range(1, depth):
-            prob = build_separation(h, 1, cell, k)
+            prob = build_separation(h, cell, k)
             orderings = []
             for p in P_GRID:
                 want = product_p_energy(prob, p)
@@ -649,7 +649,7 @@ def test_sweep_matches_cold_solves(schedule, monkeypatch):
         got = sweep.values(p)
         for j, k in enumerate(sweep.ks):
             for i, cell in enumerate(sweep.cells):
-                want = p_energy(build_separation(h, 1, cell, k), p)
+                want = p_energy(build_separation(h, cell, k), p)
                 where = (cell, k, p)
                 assert (got[j][i].value, got[j][i].residual, got[j][i].flag) == (
                     want.value, want.residual, want.flag), where
@@ -706,11 +706,11 @@ def test_newton_cache_carries_no_state():
     # the solver data kept on a problem changes no value: a repeated call, a
     # call after a warm start at another p, and a fresh problem agree bit for bit
     h = build_hierarchy(Schedule.pure_sc(), 4)
-    prob = build_separation(h, 1, 0, 2)
+    prob = build_separation(h, 0, 2)
     for p in (2.0, 1.5, 2.5):
         first = p_energy(prob, p)
         p_energy(prob, 1.7, start=first.potential)
-        for again in (p_energy(prob, p), p_energy(build_separation(h, 1, 0, 2), p)):
+        for again in (p_energy(prob, p), p_energy(build_separation(h, 0, 2), p)):
             assert again.value == first.value and again.residual == first.residual
             assert again.flag == first.flag
             assert np.array_equal(again.potential, first.potential)
@@ -744,7 +744,7 @@ def level1_problems(schedule, depth):
     h = build_hierarchy(schedule, depth)
     for cell in _class_firsts(h):
         for k in range(1, depth):
-            yield cell, k, build_separation(h, 1, cell, k)
+            yield cell, k, build_separation(h, cell, k)
 
 
 @QUOTIENT_CASES
@@ -807,7 +807,7 @@ def test_lifted_potential_is_invariant(schedule):
     # Vicsek has no edge between two cells of one orbit (mirror cells never touch)
     assert (inside_edges > 0) == (schedule.name != "vicsek")
     if schedule.name == "sc":
-        assert p_energy(build_separation(build_hierarchy(schedule, 4), 1, 0, 1), 1.5).flag == "ok"
+        assert p_energy(build_separation(build_hierarchy(schedule, 4), 0, 1), 1.5).flag == "ok"
 
 
 def test_p_spectral_dims_counts_uncertified(monkeypatch):
@@ -818,9 +818,9 @@ def test_p_spectral_dims_counts_uncertified(monkeypatch):
         sweep = SupSweep(h, [1, 2, 3])
         k_of = {id(prob): k for k, row in zip(sweep.ks, sweep.problems) for prob in row}
         monkeypatch.setattr(penergy, "p_energy", lambda problem, p, start=None: (
-            PEnergyValue(p, math.exp(rate * k_of[id(problem)]),
+            PEnergyValue(math.exp(rate * k_of[id(problem)]),
                          flag="no-convergence" if k_of[id(problem)] == 2 else "ok")))
-        est = sweep.spectral_dims(2.0)
+        est = sweep.spectral_dims()
         assert est.n_star == 8.0 and est.uncertified == 1 and est.flag == flag
 
 
@@ -835,7 +835,7 @@ def test_critical_p_range_flags(monkeypatch, rate, flag, ps):
     h = build_hierarchy(Schedule.pure_sc(), 4)
     k_of = {h.levels[1 + k].count: k for k in (1, 2, 3)}  # a problem's level fixes its k
     monkeypatch.setattr(penergy, "p_energy", lambda problem, p, start=None: (
-        PEnergyValue(p, math.exp(rate * k_of[problem.n_cells]))))
+        PEnergyValue(math.exp(rate * k_of[problem.n_cells]))))
     out = critical_p(h, 3)
     assert (out["interval"], out["flag"]) == ((ps[-1], ps[-1]), flag)
     assert [row["p"] for row in out["rates"]] == ps

@@ -157,7 +157,7 @@ def test_monotone_traced_set_resistance():
 
 
 def test_resistance_weights_sc_trace_nonnegative():
-    cg2 = corner_graph(Schedule.pure_sc(), 2, 0)
+    cg2 = corner_graph(Schedule.pure_sc(), 2)
     coarse = np.flatnonzero((cg2.grid % 3 == 0).all(axis=1))  # the level-1 corners
     t = trace(cg2.graph, coarse)
     mu = -t.laplacian().toarray()
@@ -377,7 +377,7 @@ def test_profile_block_matches_dense_inverse():
               for g in (random_connected_graph(rng, n_max=60) for _ in range(30))]
     for schedule, n, corner in ((Schedule.pure_sc(), 3, True), (Schedule.pure_vicsek(), 3, False),
                                 (Schedule.mixed(), 4, False)):
-        cg = corner_graph(schedule, n, 0)
+        cg = corner_graph(schedule, n)
         centre = int(np.argmin(np.sum(cg.coords_float() ** 2, axis=1)))
         graphs.append((cg.graph, cg.corner_vertices()[2] if corner else centre))
     for g, x in graphs:
