@@ -2,8 +2,8 @@
 
 Each subcommand materializes its artifacts (CSV/JSON) in the output
 directory together with a manifest that lists every executed check with a
-stable id and a pass flag.  Exit code 0 means every executed check passed.
-Every file is written here, by `_write_csv` or `_write_json`; the library
+stable id and a pass flag, and records the config and the environment.
+Exit code 0 means every executed check passed.  Every file is written here, by `_write_csv` or `_write_json`; the library
 modules only return rows and dicts.  Floats are formatted with 17
 significant digits so identical configs give identical files.
 """
@@ -15,14 +15,16 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
-from . import heat
+from . import __version__, heat
 from . import hierarchy as hmod
 from . import measure as mmod
 from . import mixedcarpet as xmod
@@ -405,6 +407,15 @@ _COMMANDS = {
 }
 
 
+def _env() -> dict:
+    """The versions, LAPACK and usable cores behind a run's numbers."""
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "resdimlab": __version__,
+            "lapack": {"name": lapack["name"], "version": lapack["version"]},
+            "cores": len(os.sched_getaffinity(0))}
+
+
 def run(cfg: ExperimentConfig) -> dict:
     """Execute one command; returns the manifest (also written to disk)."""
     cfg.validate()
@@ -414,6 +425,7 @@ def run(cfg: ExperimentConfig) -> dict:
     manifest = {
         "command": cfg.command,
         "config": {k: _fmt(v) for k, v in vars(cfg).items() if v is not None},
+        "env": _env(),
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }

@@ -15,7 +15,11 @@ when its gap is within CERT_TOL of it.  The reflections of the square that
 fix w fix the problem, and its energy is convex, so every flow and Newton
 system is solved on the quotient by that stabilizer (half the cells or
 fewer); the potential and flow are lifted back, and the bracket, flag and
-residual come from the full problem.  The solver data is built once per
+residual are taken on the cells.  Every solve reads only the problem's live
+edges, those with a free end or with ends pinned to different values (a
+quarter to a half of them): an edge inside `inner` or inside `outer` carries
+no energy at any p.  The bracket's upper end is still summed over every
+edge, the dead ones exactly 0.  The solver data is built once per
 problem, on its first solve at p != 1, and kept on it: D, the p = 2
 potential, one sparsity pattern for every Newton system, and the column
 ordering of the p = 2 factorization.  Every sup energy (the `penergy` and
@@ -81,6 +85,18 @@ class SeparationProblem:
     def __post_init__(self):
         if self.orbit is None:
             self.orbit = np.arange(self.n_cells)
+
+    @cached_property
+    def _live(self) -> np.ndarray:
+        """Mask of the live edges: those with a free end or with ends pinned
+        to different values.  An edge inside `inner` or inside `outer` has
+        d = 0 under every admissible potential, so it adds nothing to the
+        energy, its gradient, H(w), a flow or a cut at any p."""
+        pin = np.zeros(self.n_cells, dtype=np.int8)
+        pin[self.inner] = 1
+        pin[self.outer] = 2
+        a, b = pin[self.edges.T]
+        return (a != b) | (a == 0)
 
     @cached_property
     def _newton(self) -> "_NewtonSystem":
@@ -152,11 +168,15 @@ def _quotient(problem: SeparationProblem) -> Tuple[np.ndarray, np.ndarray, Separ
 
 def _min_cut(problem: SeparationProblem) -> PEnergyValue:
     """p = 1: the smallest minimum cut, from a maximum flow on the orbit
-    quotient with unit capacity both ways on each edge (repeats add up) and
-    m + 1 on the hubs into `inner` and out of `outer`.  That cut is invariant,
-    so lifted it is the cells' own; its energy equals the flow value, which
-    certifies it."""
-    lift, _, quotient = _quotient(problem)
+    quotient of the live edges with unit capacity both ways on each edge
+    (repeats add up) and m + 1, m the number of those edges, on the hubs into
+    `inner` and out of `outer`.  A dead edge lies on no residual path that can
+    matter (every inner cell is reached through its hub, and no outer cell is
+    reached once the flow is maximal), so the source side is the one the
+    whole problem gives.  That cut is invariant, so lifted it is the cells'
+    own; its energy equals the flow value, which certifies it."""
+    live = replace(problem, edges=problem.edges[problem._live])
+    lift, _, quotient = _quotient(live)
     n, m = quotient.n_cells, len(quotient.edges)
     eu, ev = quotient.edges.T
     rows = np.concatenate([eu, ev, np.full(len(quotient.inner), n), quotient.outer])
@@ -170,7 +190,7 @@ def _min_cut(problem: SeparationProblem) -> PEnergyValue:
     g = np.zeros(n)
     g[reach[reach < n]] = 1.0
     f = g[lift]
-    e = float(np.abs(f[problem.edges[:, 0]] - f[problem.edges[:, 1]]).sum())
+    e = float(np.abs(f[live.edges[:, 0]] - f[live.edges[:, 1]]).sum())
     gap = abs(e - flow.flow_value)
     return PEnergyValue(e, f, gap, "ok" if gap == 0 else "no-convergence",
                         float(flow.flow_value))
@@ -182,8 +202,13 @@ def p_energy(problem: SeparationProblem, p: float,
 
     Every solve runs on the quotient by the problem's orbits (`_quotient`)
     and returns the potential lifted to the cells, with the bracket, flag and
-    residual of the full problem; single-cell orbits leave the problem as it
-    is.  Every value carries a bracket lower <= least energy <= upper = value.
+    residual taken on the cells; single-cell orbits leave the problem as it
+    is.  Every solve reads only the live edges (`SeparationProblem._live`),
+    so p = 1 values and the p = 2 potential are those of the whole problem
+    bit for bit, and so is `upper`, which is summed over every edge; at
+    other p the smoothed energy E_eps below lacks eps^p per dead edge, so the
+    iterates may move in the last digits.  Every value carries a bracket
+    lower <= least energy <= upper = value.
 
     p = 1 is an exact minimum cut (`_min_cut`), bracketed by its flow value.
     Other p read everything from the signed edge-cell incidence matrix D (+1
@@ -251,14 +276,17 @@ def _incidence(problem: SeparationProblem) -> Tuple[sp.csr_matrix, np.ndarray]:
 
 
 class _NewtonSystem:
-    """What every p != 1 solve of one problem shares: on the orbit quotient,
-    D, the free orbits, D_F, D_F^T, D f_pinned, the p = 2 potential and column
+    """What every p != 1 solve of one problem shares, all on the problem's
+    live edges (`live`, the mask over its edges): on the orbit quotient, D,
+    the free orbits, D_F, D_F^T, D f_pinned, the p = 2 potential and column
     ordering, and the Newton pattern in that ordering (built on first use);
     on the cells, the lift and the bracket's D, D_F^T and D f_pinned.  It
     depends only on the problem, so no value depends on the order of the
     solves."""
 
     def __init__(self, problem: SeparationProblem):
+        self.live = problem._live
+        problem = replace(problem, edges=problem.edges[self.live])
         self.cells_D, self.cells_free = _incidence(problem)
         self.cells_D_Ft = self.cells_D[:, self.cells_free].T.tocsr()
         pins = np.zeros(problem.n_cells)
@@ -322,10 +350,15 @@ class _NewtonSystem:
 
     def bracket(self, g: np.ndarray, p: float, project=None) -> Tuple[float, float, float]:
         """(upper, lower, first-order gap) for the cells at the quotient
-        potential g lifted; upper is its energy sum |d|^p, d = D f.
+        potential g lifted; upper is its energy sum |d|^p, d = D f, summed
+        over every edge of the problem with the dead ones exactly 0, so that
+        it is bit for bit the energy of f on the problem's own edge array (a
+        sum over the live edges alone can differ in the last bit).  The rest
+        reads the live edges only; a dead edge has d = 0, so it adds nothing
+        to j, F, the leak or ||j||_q.
 
         lower is Hölder's bound ((F - sum |l|)_+ / ||j||_q)^p, q = p/(p-1),
-        for a flow j on the cell edges with F = <j, D f_pinned> and leak
+        for a flow j on the live cell edges with F = <j, D f_pinned> and leak
         l = D_F^T j.  It holds for any j: a minimizer f* lies in the box
         [0, 1], so F - sum |l| <= F + <l, f*_F> = <j, D f*> <= ||j||_q E(f*)^(1/p).
         j is |d|^(p-2) d, made conservative on the quotient, when `project` is
@@ -335,7 +368,9 @@ class _NewtonSystem:
         f = g[self.lift]
         d = self.cells_D @ f
         a = np.abs(d)
-        upper = float(np.sum(a ** p))
+        energies = np.zeros(len(self.live))
+        energies[self.live] = a ** p
+        upper = float(energies.sum())
         j = np.sign(d) * a ** (p - 1)
         gf = self.cells_D_Ft @ (p * j)
         x = f[self.cells_free]

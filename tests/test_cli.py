@@ -34,6 +34,13 @@ def test_build_command(tmp_path):
     assert (tmp_path / "edges.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["all_pass"]
+    # the environment behind the numbers: versions, LAPACK and usable cores
+    env = manifest["env"]
+    assert set(env) == {"python", "numpy", "scipy", "resdimlab", "lapack", "cores"}
+    assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+    assert env["resdimlab"] == resdimlab.__version__
+    assert set(env["lapack"]) == {"name", "version"} and all(env["lapack"].values())
+    assert isinstance(env["cores"], int) and env["cores"] >= 1
 
 
 def test_resist_command_vicsek(tmp_path):

@@ -790,6 +790,103 @@ def test_quotient_halves_newton_systems(schedule, depth, splu_orderings):
     assert biting >= 1
 
 
+# -- live edges -------------------------------------------------------------------
+
+def live_edges(prob):
+    """The edges with a free end or with ends pinned to different values, in
+    edge order, edge by edge."""
+    pin = {int(c): 1 for c in prob.inner} | {int(c): 0 for c in prob.outer}
+    return [(int(u), int(v)) for u, v in prob.edges
+            if int(u) not in pin or int(v) not in pin or pin[int(u)] != pin[int(v)]]
+
+
+def incidence_edges(D):
+    """(first, second) cell of each row of a signed incidence matrix, row by row."""
+    D = D.tocsr()
+    out = []
+    for r in range(D.shape[0]):
+        row = dict(zip(D.data[D.indptr[r]:D.indptr[r + 1]], D.indices[D.indptr[r]:D.indptr[r + 1]]))
+        out.append((int(row[1.0]), int(row[-1.0])))
+    return out
+
+
+@QUOTIENT_CASES
+def test_solvers_read_live_edges_only(schedule, depth, monkeypatch):
+    # the Newton system's cell edges are exactly the live edges, in edge
+    # order, and the min cut's flow graph holds the live quotient edges only:
+    # unit capacities summing to twice their number, m + 1 on the hubs
+    caps = []
+    maximum_flow = csgraph.maximum_flow
+
+    def recorded(cap, s, t):
+        caps.append(cap)
+        return maximum_flow(cap, s, t)
+
+    monkeypatch.setattr(csgraph, "maximum_flow", recorded)
+    counts = {}
+    for cell, k, prob in level1_problems(schedule, depth):
+        if prob.empty_outer:
+            continue
+        where = (cell, k)
+        live = live_edges(prob)
+        system = prob._newton
+        assert incidence_edges(system.cells_D) == live, where
+        assert len(system.kept) == system.D_F.shape[0] <= len(live), where
+        del caps[:]
+        p_energy(prob, 1.0)
+        [cap] = caps
+        m = len(system.kept)  # the live edges that join two orbits
+        assert cap.data.max() == m + 1, where
+        assert cap.data[cap.data <= m].sum() == 2 * m, where
+        counts[cell, k] = (len(live), len(prob.edges))
+    if schedule.name == "sc":
+        assert counts[0, 3] == (3223, 12252) and counts[1, 3] == (6286, 12252)
+    assert all(n_live < n for n_live, n in counts.values())
+
+
+def padded(prob, rng):
+    """`prob` with dead edges (inner-inner and outer-outer pairs, repeats
+    allowed) inserted at random positions, the problem's own edges kept in
+    order."""
+    pads = [rng.choice(side, size=(len(prob.edges) // 4, 2)) for side in (prob.inner, prob.outer)
+            if len(side) > 1]
+    pads = np.concatenate(pads)
+    pads = pads[pads[:, 0] != pads[:, 1]]
+    m = len(prob.edges) + len(pads)
+    at = np.zeros(m, dtype=bool)
+    at[rng.choice(m, len(pads), replace=False)] = True
+    edges = np.empty((m, 2), dtype=prob.edges.dtype)
+    edges[at], edges[~at] = pads, prob.edges
+    return dataclasses.replace(prob, edges=edges)
+
+
+@QUOTIENT_CASES
+def test_dead_edges_change_nothing(schedule, depth):
+    # a problem padded with dead edges against the problem itself: the same
+    # flags, p = 1 cuts and flow values bit for bit, p = 2 potentials bit for
+    # bit, and certified energies within 1e-12
+    rng = np.random.default_rng(5)
+    compared = 0
+    for cell, k, prob in level1_problems(schedule, depth):
+        if prob.empty_outer:
+            continue
+        pad = padded(prob, rng)
+        assert len(pad.edges) > len(prob.edges)
+        for p in (1.0, 1.3, 2.0, 2.5):
+            got, want = p_energy(pad, p), p_energy(prob, p)
+            where = (cell, k, p)
+            assert got.flag == want.flag, where
+            if p == 1:
+                assert (got.value, got.lower) == (want.value, want.lower), where
+                assert np.array_equal(got.potential, want.potential), where
+            if p == 2:
+                assert np.array_equal(got.potential, want.potential), where
+            if got.flag == "ok":
+                assert abs(got.value - want.value) <= 1e-12 * want.value, where
+                compared += 1
+    assert compared >= 16
+
+
 @SCHEDULES
 def test_lifted_potential_is_invariant(schedule):
     # the potential is lifted from the orbits, so every edge inside one orbit
