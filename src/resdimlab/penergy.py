@@ -19,11 +19,13 @@ residual are taken on the cells.  Every solve reads only the problem's live
 edges, those with a free end or with ends pinned to different values (a
 quarter to a half of them): an edge inside `inner` or inside `outer` carries
 no energy at any p.  The bracket's upper end is still summed over every
-edge, the dead ones exactly 0.  The solver data is built once per
-problem, on its first solve at p != 1, and kept on it: D, the p = 2
-potential, one sparsity pattern for every Newton system, and the column
-ordering of the p = 2 factorization.  Every sup energy (the `penergy` and
-`dims` commands, the gap report, `critical_p`) comes from a `SupSweep(h, ks)`
+edge, the dead ones exactly 0.  Each problem is reduced once, on its first
+solve, and the min cut and the Newton system read that one reduction: the
+live edges and their quotient.  The Newton data is built once, on the first
+solve at p != 1, and kept on the problem: D, the p = 2 potential from one
+factorization of D_F^T D_F, its column ordering, and one sparsity pattern,
+in that ordering, for every Newton system.  Every sup energy (the `penergy`
+and `dims` commands, the gap report, `critical_p`) comes from a `SupSweep(h, ks)`
 over its base cells, the least level-1 cell of each orbit under the
 symmetries of the square (one label array, the least image of each cell
 under the D4 permutations, and its distinct values): each problem built once,
@@ -42,7 +44,7 @@ conductance between the pinned sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,7 +79,6 @@ class SeparationProblem:
     n_cells: int
     inner: np.ndarray           # indices pinned to 1
     outer: np.ndarray           # indices pinned to 0
-    empty_outer: bool = False
     # cell -> label of its orbit under the symmetries of the problem (equal
     # labels, one orbit); None: every cell its own orbit
     orbit: Optional[np.ndarray] = None
@@ -86,17 +87,31 @@ class SeparationProblem:
         if self.orbit is None:
             self.orbit = np.arange(self.n_cells)
 
+    @property
+    def empty_outer(self) -> bool:
+        return len(self.outer) == 0
+
     @cached_property
-    def _live(self) -> np.ndarray:
-        """Mask of the live edges: those with a free end or with ends pinned
-        to different values.  An edge inside `inner` or inside `outer` has
-        d = 0 under every admissible potential, so it adds nothing to the
-        energy, its gradient, H(w), a flow or a cut at any p."""
+    def _reduced(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, "SeparationProblem"]:
+        """What every solve reads, built once: (the live-edge mask, each
+        cell's orbit as 0..r-1, the least cell of each orbit, the live edges
+        that join two orbits, the problem on the r orbits, whose edges are
+        those edges' orbit pairs, repeats kept).  An edge is live when it has
+        a free end or ends pinned to different values; any other has d = 0
+        under every admissible potential, so it adds nothing to the energy,
+        its gradient, H(w), a flow or a cut at any p."""
         pin = np.zeros(self.n_cells, dtype=np.int8)
         pin[self.inner] = 1
         pin[self.outer] = 2
         a, b = pin[self.edges.T]
-        return (a != b) | (a == 0)
+        live = (a != b) | (a == 0)
+        _, first, lift = np.unique(self.orbit, return_index=True, return_inverse=True)
+        ends = lift[self.edges[live]]
+        kept = np.flatnonzero(ends[:, 0] != ends[:, 1])
+        quotient = SeparationProblem(edges=ends[kept], n_cells=len(first),
+                                     inner=np.unique(lift[self.inner]),
+                                     outer=np.unique(lift[self.outer]))
+        return live, lift, first, kept, quotient
 
     @cached_property
     def _newton(self) -> "_NewtonSystem":
@@ -150,33 +165,20 @@ def build_separation(h: PartitionHierarchy, base_index: int, k: int) -> Separati
     base_grid = h.levels[1].grid_index
     stabilizer = [e for e in D4 if base_grid.permutation(e)[base_index] == base_index]
     orbit = np.min([h.levels[n].grid_index.permutation(e) for e in stabilizer], axis=0)
-    return SeparationProblem(edges=g.edges, n_cells=g.count, inner=inner, outer=outer,
-                             empty_outer=len(outer) == 0, orbit=orbit)
-
-
-def _quotient(problem: SeparationProblem) -> Tuple[np.ndarray, np.ndarray, SeparationProblem]:
-    """(each cell's orbit as 0..r-1, the least cell of each orbit, the problem
-    on the r orbits).  Each edge maps to its pair of orbits; edges inside one
-    orbit are dropped and repeated pairs kept, so a potential constant on the
-    orbits has the same energy on the quotient as on the cells."""
-    _, first, lift = np.unique(problem.orbit, return_index=True, return_inverse=True)
-    edges = lift[problem.edges]
-    return lift, first, replace(
-        problem, edges=edges[edges[:, 0] != edges[:, 1]], n_cells=len(first),
-        inner=np.unique(lift[problem.inner]), outer=np.unique(lift[problem.outer]), orbit=None)
+    return SeparationProblem(edges=g.edges, n_cells=g.count, inner=inner, outer=outer, orbit=orbit)
 
 
 def _min_cut(problem: SeparationProblem) -> PEnergyValue:
-    """p = 1: the smallest minimum cut, from a maximum flow on the orbit
-    quotient of the live edges with unit capacity both ways on each edge
-    (repeats add up) and m + 1, m the number of those edges, on the hubs into
-    `inner` and out of `outer`.  A dead edge lies on no residual path that can
-    matter (every inner cell is reached through its hub, and no outer cell is
-    reached once the flow is maximal), so the source side is the one the
-    whole problem gives.  That cut is invariant, so lifted it is the cells'
-    own; its energy equals the flow value, which certifies it."""
-    live = replace(problem, edges=problem.edges[problem._live])
-    lift, _, quotient = _quotient(live)
+    """p = 1: the smallest minimum cut, from a maximum flow on the problem's
+    quotient (`SeparationProblem._reduced`) with unit capacity both ways on
+    each of its edges (repeats add up) and m + 1, m the number of those
+    edges, on the hubs into `inner` and out of `outer`.  A dead edge lies on
+    no residual path that can matter (every inner cell is reached through
+    its hub, and no outer cell is reached once the flow is maximal), so the
+    source side is the one the whole problem gives.  That cut is invariant,
+    so lifted it is the cells' own; its energy, summed over the quotient
+    edges in whole numbers, equals the flow value, which certifies it."""
+    _, lift, _, _, quotient = problem._reduced
     n, m = quotient.n_cells, len(quotient.edges)
     eu, ev = quotient.edges.T
     rows = np.concatenate([eu, ev, np.full(len(quotient.inner), n), quotient.outer])
@@ -189,10 +191,9 @@ def _min_cut(problem: SeparationProblem) -> PEnergyValue:
     reach = csgraph.breadth_first_order(cap - flow.flow, n, return_predecessors=False)
     g = np.zeros(n)
     g[reach[reach < n]] = 1.0
-    f = g[lift]
-    e = float(np.abs(f[live.edges[:, 0]] - f[live.edges[:, 1]]).sum())
+    e = float(np.abs(g[eu] - g[ev]).sum())
     gap = abs(e - flow.flow_value)
-    return PEnergyValue(e, f, gap, "ok" if gap == 0 else "no-convergence",
+    return PEnergyValue(e, g[lift], gap, "ok" if gap == 0 else "no-convergence",
                         float(flow.flow_value))
 
 
@@ -200,14 +201,14 @@ def p_energy(problem: SeparationProblem, p: float,
              start: Optional[np.ndarray] = None) -> PEnergyValue:
     """The least p-power energy with the problem's 0/1 pins.
 
-    Every solve runs on the quotient by the problem's orbits (`_quotient`)
-    and returns the potential lifted to the cells, with the bracket, flag and
-    residual taken on the cells; single-cell orbits leave the problem as it
-    is.  Every solve reads only the live edges (`SeparationProblem._live`),
-    so p = 1 values and the p = 2 potential are those of the whole problem
-    bit for bit, and so is `upper`, which is summed over every edge; at
-    other p the smoothed energy E_eps below lacks eps^p per dead edge, so the
-    iterates may move in the last digits.  Every value carries a bracket
+    Every solve runs on the quotient by the problem's orbits and returns the
+    potential lifted to the cells, with the bracket, flag and residual taken
+    on the cells; single-cell orbits leave the problem as it is.  Every solve
+    reads only the live edges; both come from the problem's one reduction
+    (`SeparationProblem._reduced`).  So p = 1 values and the p = 2 potential
+    are those of the whole problem bit for bit, and so is `upper`, which is
+    summed over every edge; at other p the smoothed energy E_eps below lacks
+    eps^p per dead edge, so the iterates may move in the last digits.  Every value carries a bracket
     lower <= least energy <= upper = value.
 
     p = 1 is an exact minimum cut (`_min_cut`), bracketed by its flow value.
@@ -238,12 +239,13 @@ def p_energy(problem: SeparationProblem, p: float,
     of the least energy.
 
     The solver data (`_NewtonSystem`) is built on the problem's first solve
-    at p != 1 and kept on it.  Its one Newton pattern is built with a scatter
-    matrix S so that S @ w is the data of D_F^T diag(w) D_F, and stored in the
-    column ordering the p = 2 factorization picked (COLAMD); each Newton
-    system is factored in that order on its diagonal pivots (the weights are
-    floored above 0, so the system is symmetric positive definite).  A
-    singular system raises.
+    at p != 1 and kept on it.  The p = 2 start factors H(1) = D_F^T D_F, the
+    sparse product, once (its entries are small integers).  The one Newton
+    pattern is built on first use with a scatter matrix S so that S @ w is
+    the data of D_F^T diag(w) D_F, stored in the column ordering the p = 2
+    factorization picked (COLAMD); each Newton system is factored in that
+    order on its diagonal pivots (the weights are floored above 0, so the
+    system is symmetric positive definite).  A singular system raises.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
@@ -267,78 +269,67 @@ def p_energy(problem: SeparationProblem, p: float,
     return _descend(system, p, system.f2.copy(), () if p == 2 else EPS_LADDER)
 
 
-def _incidence(problem: SeparationProblem) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """(D: +1 at the first cell of each edge and -1 at the second, the free cells)."""
-    n, m = problem.n_cells, len(problem.edges)
-    return (sp.csr_matrix((np.tile([1.0, -1.0], m),
-                           (np.repeat(np.arange(m), 2), problem.edges.reshape(-1))), shape=(m, n)),
+def _incidence(problem: SeparationProblem, edges: np.ndarray) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """(D: +1 at the first cell of each of `edges` and -1 at the second, the
+    problem's free cells)."""
+    n, m = problem.n_cells, len(edges)
+    return (sp.csr_matrix((np.tile([1.0, -1.0], m), (np.repeat(np.arange(m), 2), edges.reshape(-1))),
+                          shape=(m, n)),
             np.setdiff1d(np.arange(n), np.concatenate([problem.inner, problem.outer])))
 
 
 class _NewtonSystem:
-    """What every p != 1 solve of one problem shares, all on the problem's
-    live edges (`live`, the mask over its edges): on the orbit quotient, D,
-    the free orbits, D_F, D_F^T, D f_pinned, the p = 2 potential and column
-    ordering, and the Newton pattern in that ordering (built on first use);
-    on the cells, the lift and the bracket's D, D_F^T and D f_pinned.  It
-    depends only on the problem, so no value depends on the order of the
-    solves."""
+    """What every p != 1 solve of one problem shares, all read from its
+    reduction (`SeparationProblem._reduced`): on the quotient, D, the free
+    orbits, D_F, D_F^T, D f_pinned, the p = 2 potential and column ordering,
+    and the Newton pattern in that ordering (built on first use); on the
+    cells, the live mask, the lift, the kept edges and the bracket's D, D_F^T
+    and D f_pinned on the live edges.  It depends only on the problem, so no
+    value depends on the order of the solves."""
 
     def __init__(self, problem: SeparationProblem):
-        self.live = problem._live
-        problem = replace(problem, edges=problem.edges[self.live])
-        self.cells_D, self.cells_free = _incidence(problem)
+        self.live, self.lift, self.first, self.kept, quotient = problem._reduced
+        self.cells_D, self.cells_free = _incidence(problem, problem.edges[self.live])
         self.cells_D_Ft = self.cells_D[:, self.cells_free].T.tocsr()
         pins = np.zeros(problem.n_cells)
         pins[problem.inner] = 1.0
         self.cells_drive = self.cells_D @ pins
-        self.lift, self.first, quotient = _quotient(problem)
-        ends = self.lift[problem.edges]
-        self.kept = np.flatnonzero(ends[:, 0] != ends[:, 1])  # the cell edge of each quotient edge
-        n, m = quotient.n_cells, len(quotient.edges)
-        D, self.free = _incidence(quotient)
-        f = np.zeros(n)
+        self.edges = quotient.edges
+        D, self.free = _incidence(quotient, quotient.edges)
+        f = np.zeros(quotient.n_cells)
         f[quotient.inner] = 1.0
-        nf = self.nf = len(self.free)
+        self.nf = len(self.free)
         self.D_F = D[:, self.free]
         self.D_Ft = self.D_F.T.tocsr()
         self.drive = D @ f  # D f_pinned: f holds only the pins here
-
-        # H(w) = D_F^T diag(w) D_F: edge e adds w_e at (i, i) for each free end
-        # i, and -w_e at (i, j) and (j, i) when both ends are free
-        pos = np.full(n, -1)
-        pos[self.free] = np.arange(nf)
-        ends = pos[quotient.edges.reshape(-1)]
-        a, b = ends[0::2], ends[1::2]
-        diag = np.flatnonzero(ends >= 0)
-        both = np.flatnonzero((a >= 0) & (b >= 0))
-        self._entries = (np.concatenate([ends[diag], a[both], b[both]]),
-                         np.concatenate([ends[diag], b[both], a[both]]),
-                         np.concatenate([diag // 2, both, both]),
-                         np.repeat([1.0, -1.0], [len(diag), 2 * len(both)]))
-
-        S, indices, indptr = self._pattern(np.arange(nf))
-        lu = spla.splu(sp.csc_matrix((S @ np.ones(m), indices, indptr), shape=(nf, nf)))
+        # H(1) = D_F^T D_F, factored once: its entries are small integers
+        lu = spla.splu((self.D_Ft @ self.D_F).tocsc())
         f[self.free] = np.clip(lu.solve(-(self.D_Ft @ self.drive)), 0.0, 1.0)
         self.f2 = f
         self.perm = lu.perm_c
         self.order = np.argsort(self.perm)
 
-    def _pattern(self, label: np.ndarray):
-        """H's CSC index arrays with free cell i relabelled label[i], and the
-        scatter matrix S (nnz(H) x m) whose product S @ w is H(w)'s data."""
-        rows, cols, eids, sign = self._entries
-        nf = self.nf
-        key, slot = np.unique(label[cols] * np.int64(nf) + label[rows], return_inverse=True)
-        scatter = sp.csr_matrix((sign, (slot, eids)), shape=(len(key), self.D_F.shape[0]))
-        return scatter, key % nf, np.searchsorted(key, np.arange(nf + 1) * nf)
-
     @cached_property
-    def newton_pattern(self):
-        """The Newton systems' pattern, stored in the p = 2 column ordering."""
-        pattern = self._pattern(self.perm)
-        del self._entries  # no other pattern is built from them
-        return pattern
+    def newton_pattern(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """The Newton systems' pattern, stored in the p = 2 column ordering:
+        (the scatter matrix S, nnz(H) x m, whose product S @ w is H(w)'s data,
+        H's CSC indices, its indptr).  H(w) = D_F^T diag(w) D_F: edge e adds
+        w_e at (i, i) for each free end i, and -w_e at (i, j) and (j, i) when
+        both ends are free."""
+        nf = self.nf
+        label = np.full(len(self.f2), -1)  # orbit -> its column in that ordering (free ones only)
+        label[self.free] = self.perm
+        ends = label[self.edges.reshape(-1)]
+        a, b = ends[0::2], ends[1::2]
+        diag = np.flatnonzero(ends >= 0)
+        both = np.flatnonzero((a >= 0) & (b >= 0))
+        rows = np.concatenate([ends[diag], a[both], b[both]])
+        cols = np.concatenate([ends[diag], b[both], a[both]])
+        key, slot = np.unique(cols * np.int64(nf) + rows, return_inverse=True)
+        scatter = sp.csr_matrix((np.repeat([1.0, -1.0], [len(diag), 2 * len(both)]),
+                                 (slot, np.concatenate([diag // 2, both, both]))),
+                                shape=(len(key), len(self.edges)))
+        return scatter, key % nf, np.searchsorted(key, np.arange(nf + 1) * nf)
 
     def factor(self, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Solves with H(w), from one factorization."""

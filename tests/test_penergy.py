@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -160,6 +161,19 @@ def test_empty_outer_flagged(vs_h6):
     assert prob.empty_outer
     val = p_energy(prob, 2.0)
     assert val.value == 0.0 and val.flag == "empty-outer"
+
+
+@pytest.mark.parametrize("edges", [[[0, 1], [1, 2]], [[0, 1]]], ids=["path", "free-cell-off-inner"])
+def test_hand_built_empty_outer_flagged(edges):
+    # `empty_outer` is read off `outer`, so a problem built by hand with no
+    # outer cell is flagged too, whether or not every free cell touches the
+    # inner set (cell 2 of the second problem has no edge)
+    prob = SeparationProblem(edges=np.array(edges), n_cells=3, inner=np.array([0]),
+                             outer=np.array([], dtype=int))
+    assert prob.empty_outer
+    for p in (1.0, 1.5, 2.0):
+        val = p_energy(prob, p)
+        assert (val.value, val.flag) == (0.0, "empty-outer"), p
 
 
 def test_monotone_in_p(sc_h6):
@@ -885,6 +899,114 @@ def test_dead_edges_change_nothing(schedule, depth):
                 assert abs(got.value - want.value) <= 1e-12 * want.value, where
                 compared += 1
     assert compared >= 16
+
+
+# -- one reduction and one Newton pattern per problem -----------------------------
+
+def natural_order_start(prob):
+    """The p = 2 start as built before H(1) was a sparse product: the live
+    quotient, H(1) = S @ 1 on the scatter pattern in natural order, its
+    factorization and the p = 2 potential, and `pattern(label)`, the scatter
+    pattern with free orbit i relabelled label[i]: (S, H's CSC indices, its
+    indptr), S @ w being H(w)'s data."""
+    pin = np.zeros(prob.n_cells, dtype=np.int8)
+    pin[prob.inner], pin[prob.outer] = 1, 2
+    a, b = pin[prob.edges.T]
+    _, first, lift = np.unique(prob.orbit, return_index=True, return_inverse=True)
+    edges = lift[prob.edges[(a != b) | (a == 0)]]
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    n, m = len(first), len(edges)
+    inner = np.unique(lift[prob.inner])
+    free = np.setdiff1d(np.arange(n), np.concatenate([inner, np.unique(lift[prob.outer])]))
+    nf = len(free)
+    pos = np.full(n, -1)
+    pos[free] = np.arange(nf)
+    ends = pos[edges.reshape(-1)]
+    a, b = ends[0::2], ends[1::2]
+    diag = np.flatnonzero(ends >= 0)
+    both = np.flatnonzero((a >= 0) & (b >= 0))
+    rows = np.concatenate([ends[diag], a[both], b[both]])
+    cols = np.concatenate([ends[diag], b[both], a[both]])
+    eids = np.concatenate([diag // 2, both, both])
+    sign = np.repeat([1.0, -1.0], [len(diag), 2 * len(both)])
+
+    def pattern(label):
+        key, slot = np.unique(label[cols] * np.int64(nf) + label[rows], return_inverse=True)
+        scatter = sp.csr_matrix((sign, (slot, eids)), shape=(len(key), m))
+        return scatter, key % nf, np.searchsorted(key, np.arange(nf + 1) * nf)
+
+    S, indices, indptr = pattern(np.arange(nf))
+    H = sp.csc_matrix((S @ np.ones(m), indices, indptr), shape=(nf, nf))
+    lu = spla.splu(H)
+    D = sp.csr_matrix((np.tile([1.0, -1.0], m), (np.repeat(np.arange(m), 2), edges.reshape(-1))),
+                      shape=(m, n))
+    f = np.zeros(n)
+    f[inner] = 1.0
+    D_F = D[:, free]
+    f[free] = np.clip(lu.solve(-(D_F.T.tocsr() @ (D @ f))), 0.0, 1.0)
+    return H, lu, f, pattern
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got, want) and (
+        got.dtype.kind != "f" or got.tobytes() == want.tobytes())
+
+
+@QUOTIENT_CASES
+def test_newton_system_matches_natural_order_pattern(schedule, depth, monkeypatch):
+    # H(1) from the sparse product against S @ 1 on the natural-order scatter
+    # pattern: the same CSC arrays bit for bit, so the same COLAMD ordering and
+    # p = 2 potential; and the Newton pattern, built once in that ordering,
+    # equals the natural-order builder's pattern relabelled by it
+    factored = []
+    splu = spla.splu
+
+    def recorded(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    checked = 0
+    for cell, k, prob in level1_problems(schedule, depth):
+        if prob.empty_outer:
+            continue
+        where = (cell, k)
+        del factored[:]
+        system = prob._newton
+        [H] = factored
+        want_H, lu, f2, pattern = natural_order_start(prob)
+        for attr in ("indptr", "indices", "data"):
+            assert same_bits(getattr(H, attr), getattr(want_H, attr)), (where, attr)
+        assert same_bits(system.perm, lu.perm_c), where
+        assert same_bits(system.f2, f2), where
+        S, indices, indptr = system.newton_pattern
+        want_S, want_indices, want_indptr = pattern(lu.perm_c)
+        for got, want in ((S.indptr, want_S.indptr), (S.indices, want_S.indices),
+                          (S.data, want_S.data), (indices, want_indices), (indptr, want_indptr)):
+            assert same_bits(got, want), where
+        checked += 1
+    assert checked >= 4
+
+
+def test_one_reduction_per_problem(monkeypatch):
+    # solves at p = 1, 1.3 and 2 build the problem's reduction once, on the
+    # min cut, and the Newton system reads that same lift
+    reduced = SeparationProblem.__dict__["_reduced"].func
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return reduced(problem)
+
+    wrapped = functools.cached_property(counted)
+    wrapped.__set_name__(SeparationProblem, "_reduced")
+    monkeypatch.setattr(SeparationProblem, "_reduced", wrapped)
+    prob = build_separation(build_hierarchy(Schedule.pure_sc(), 4), 1, 2)
+    for p in (1.0, 1.3, 2.0):
+        p_energy(prob, p)
+        assert len(calls) == 1 and calls[0] is prob, p
+    assert prob._newton.lift is prob._reduced[1]
 
 
 @SCHEDULES
