@@ -3,9 +3,11 @@
 Each subcommand materializes its artifacts (CSV/JSON) in the output
 directory together with a manifest that lists every executed check with a
 stable id and a pass flag, and records the config and the environment.
-Exit code 0 means every executed check passed.  Every file is written here, by `_write_csv` or `_write_json`; the library
-modules only return rows and dicts.  Floats are formatted with 17
-significant digits so identical configs give identical files.
+Exit code 0 means every executed check passed.  Every file is written here,
+by `_write_csv` or `_write_json`; the library modules only return rows and
+dicts.  JSON files write a float as its shortest repr that reads back to the
+same double, CSV files at 17 significant digits, so identical configs give
+identical files.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ __all__ = ["ExperimentConfig", "run", "main"]
 
 
 def _fmt(x) -> object:
-    """17 significant digits; NaN and inf as the strings "nan", "inf", "-inf",
-    so they stay valid JSON and apart from a missing value (null)."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return str(float(x))
-        return float(f"{x:.17g}")
+    """NaN and inf as the strings "nan", "inf", "-inf", so they stay valid JSON
+    and apart from a missing value (null); every other value as it is."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(float(x))
     return x
 
 

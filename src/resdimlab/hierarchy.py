@@ -14,6 +14,9 @@ Two subdivision rules are supported per level: the eight-cell carpet rule
 (child digits 1..8, the center ninth removed) and the five-cell plus-sign
 rule (digits 0,1,3,5,7).  A Schedule assigns one rule to each level; the
 mixed schedule switches rule by the predicate k^2(k-1) < n <= k^3.
+
+A level stores its cell boxes only, parent-major, so a cell's parent and
+child digit follow from its index and the level's rule.
 """
 
 from __future__ import annotations
@@ -269,13 +272,15 @@ class GridIndex:
 
 @dataclass
 class _Level:
-    """Cells of one level, in lexicographic address order."""
+    """Cell boxes of one level, in lexicographic address order.
+
+    The order is parent-major: with b the branching of the level's rule,
+    cell i is child `rule.digits[i % b]` of previous-level cell i // b.
+    """
 
     n: int
     ix: np.ndarray          # int64, grid x of the box
     iy: np.ndarray          # int64
-    parent: np.ndarray      # index into previous level (-1 at level 0)
-    digit: np.ndarray       # child digit (-1 at level 0)
 
     @cached_property
     def grid_index(self) -> GridIndex:
@@ -337,8 +342,7 @@ class PartitionHierarchy:
         self._marker_rel_cache: Dict[int, Fraction] = {}
 
         total = 1
-        self.levels.append(_Level(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                                  np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int64)))
+        self.levels.append(_Level(0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)))
         for n in range(1, depth + 1):
             rule = schedule.rule_at(n)
             prev = self.levels[-1]
@@ -347,10 +351,7 @@ class PartitionHierarchy:
                 raise ValueError(
                     f"level {n} would hold {total} cells, above the cap {CELL_CAP}"
                 )
-            parent = np.repeat(np.arange(prev.count, dtype=np.int64), rule.branching)
-            digit = np.tile(np.array(rule.digits, dtype=np.int64), prev.count)
-            ix, iy = child_boxes(prev.ix, prev.iy, rule.digits)
-            self.levels.append(_Level(n, ix, iy, parent, digit))
+            self.levels.append(_Level(n, *child_boxes(prev.ix, prev.iy, rule.digits)))
 
     # -- addresses ---------------------------------------------------------
 
@@ -359,8 +360,9 @@ class PartitionHierarchy:
         down (the empty word at the root), built one level at a time."""
         words = np.array([""])
         for m in range(1, n + 1):
-            lvl = self.levels[m]
-            words = np.char.add(words[lvl.parent], lvl.digit.astype("U1"))
+            digits = self.schedule.rule_at(m).digits
+            words = np.char.add(np.repeat(words, len(digits)),
+                                np.tile(np.array(digits).astype("U1"), len(words)))
         return words.tolist()
 
     # -- markers -----------------------------------------------------------
@@ -456,22 +458,17 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
 def chain_ball(g: AdjacencyGraph, sources: Sequence[int]) -> np.ndarray:
     """Sorted ids of the cells within the chain radius M_STAR of `sources`.
 
-    Breadth-first over CSR rows, so a query touches only the cells of the ball."""
-    seen = set(int(s) for s in sources)
-    bad = sorted(s for s in seen if not 0 <= s < g.count)
+    Each of M_STAR rounds joins the ball with the CSR rows of its cells, so a
+    query touches only the cells of the ball."""
+    ball = np.unique(np.asarray(sources, dtype=np.int64))
+    bad = [s for s in ball.tolist() if not 0 <= s < g.count]
     if bad:
         raise ValueError(f"source cell {bad[0]} outside 0..{g.count - 1}")
     indptr, indices = g.csr.indptr, g.csr.indices
-    frontier = list(seen)
     for _ in range(M_STAR):
-        nxt = []
-        for v in frontier:
-            for u in indices[indptr[v]:indptr[v + 1]].tolist():
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return np.array(sorted(seen), dtype=np.int64)
+        ball = np.unique(np.concatenate([ball] + [indices[indptr[v]:indptr[v + 1]]
+                                                  for v in ball.tolist()]))
+    return ball
 
 
 def sample_corners(h: PartitionHierarchy, level: int, count: int,

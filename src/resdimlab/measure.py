@@ -299,7 +299,7 @@ class PsiMeasure(_MassTable):
                 a, b = divmod(key, len(value))
                 if bound * value[a] < value[b]:
                     violations += cnt
-        return {"violations": violations, "bound": bound}
+        return {"violations": violations}
 
     def growth_exponent(self, samples: int = 30, seed: int = 0) -> dict:
         """Per-original-level volume growth exponent, sup over sampled centers.

@@ -228,6 +228,15 @@ def single_pair_resistance(solver, x, y):
     return float(u[x] - u[y])
 
 
+def parent_cell(h, n, i):
+    """The level-(n-1) cell whose box holds the box of level-n cell i: the
+    one at (ix // 3, iy // 3) on the coarser grid."""
+    lvl = h.levels[n]
+    parent = int(h.levels[n - 1].grid_index.lookup(lvl.ix[i] // 3, lvl.iy[i] // 3))
+    assert parent >= 0
+    return parent
+
+
 def exact_mass(m, n, i):
     """The mass of level-n cell i of the measure m, as a Fraction read from
     its exact table."""

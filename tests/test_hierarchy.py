@@ -7,9 +7,11 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from resdimlab import hierarchy
-from resdimlab.hierarchy import (D4, M_STAR, GridIndex, Schedule, adjacency, build_hierarchy,
-                                 chain_ball, delta_level, nstar_estimate, sample_corners,
-                                 validate_framework)
+from resdimlab.hierarchy import (CHILD_OFFSET, D4, M_STAR, GridIndex, Schedule, adjacency,
+                                 build_hierarchy, chain_ball, delta_level, nstar_estimate,
+                                 sample_corners, validate_framework)
+
+from conftest import parent_cell
 
 
 def test_cell_counts():
@@ -169,16 +171,21 @@ def _oracle_points(h, count, rng):
     return pts
 
 
-@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
-                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
-def test_chain_distances_match_plain_bfs(schedule):
-    h = build_hierarchy(schedule, 3)
+def _assert_balls_match_plain_bfs(h, radius):
+    """chain_ball on levels 1..3 of h is the set of cells within `radius`
+    plain-BFS steps of the sources."""
     for level in (1, 2, 3):
         count = h.levels[level].count
         for sources in ([0], [count // 2], [count - 1], [0, count // 2]):
             dist = _plain_bfs(h, level, sources)
-            expected = [v for v, d in enumerate(dist) if d is not None and d <= M_STAR]
+            expected = [v for v, d in enumerate(dist) if d is not None and d <= radius]
             assert chain_ball(adjacency(h, level), sources).tolist() == expected
+
+
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
+                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
+def test_chain_distances_match_plain_bfs(schedule):
+    _assert_balls_match_plain_bfs(build_hierarchy(schedule, 3), M_STAR)
     rng = np.random.default_rng(0)
     for depth in (3, 5):
         h = build_hierarchy(schedule, depth)
@@ -192,6 +199,15 @@ def test_chain_distances_match_plain_bfs(schedule):
         for x, y in pairs:
             fx, fy = (tuple(Fraction(g, side) - Fraction(1, 2) for g in p) for p in (x, y))
             assert delta_level(h, x, y) == _plain_delta_level(h, fx, fy)
+
+
+@pytest.mark.parametrize("m_star", [2, 3])
+@pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
+                                      Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
+def test_chain_ball_rounds_match_plain_bfs(monkeypatch, schedule, m_star):
+    # a chain radius above 1 runs the ball's CSR-row rounds more than once
+    monkeypatch.setattr(hierarchy, "M_STAR", m_star)
+    _assert_balls_match_plain_bfs(build_hierarchy(schedule, 3), m_star)
 
 
 @pytest.mark.parametrize("sources, bad", [([-1], -1), ([8], 8), ([0, 8], 8), ([-1, 8], -1)],
@@ -382,12 +398,17 @@ def test_grid_index_box_matches_mask():
             assert lvl.grid_index.box(xlo, xhi, ylo, yhi).tolist() == expect.tolist()
 
 
+_OFFSET_DIGIT = {offset: d for d, offset in CHILD_OFFSET.items()}
+
+
 def _walk_address(h, n, i):
-    """Reference: cell i's digit word, read up its parents from level n."""
+    """Reference: cell i's digit word, read up its parents from level n, each
+    digit from the place (ix mod 3, iy mod 3) of the box in its parent's."""
     digits = []
     for m in range(n, 0, -1):
-        digits.append(str(h.levels[m].digit[i]))
-        i = h.levels[m].parent[i]
+        lvl = h.levels[m]
+        digits.append(str(_OFFSET_DIGIT[int(lvl.ix[i]) % 3, int(lvl.iy[i]) % 3]))
+        i = parent_cell(h, m, i)
     return "".join(reversed(digits))
 
 

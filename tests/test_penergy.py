@@ -130,10 +130,10 @@ def test_build_separation_edge_arguments():
 def shortest_path_separation(h, base_index, k, m_star):
     """(inner, outer) as build_separation found them from csgraph.shortest_path
     chain distances over the whole of level 1."""
-    n = 1 + k
-    anc = np.arange(h.levels[n].count)
-    for m in range(n, 1, -1):
-        anc = h.levels[m].parent[anc]
+    lvl = h.levels[1 + k]
+    # the level-1 box holding each level-(1+k) box
+    anc = h.levels[1].grid_index.lookup(lvl.ix // 3 ** k, lvl.iy // 3 ** k)
+    assert (anc >= 0).all()
     dist = csgraph.shortest_path(adjacency(h, 1).csr, unweighted=True,
                                  indices=base_index)
     far = np.full(len(dist), np.iinfo(np.int64).max, dtype=np.int64)
