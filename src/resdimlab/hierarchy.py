@@ -305,10 +305,6 @@ class AdjacencyGraph:
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.count, self.count))
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.csr.indptr)
-
 
 @dataclass
 class FrameworkParams:
@@ -488,6 +484,12 @@ def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
     (gx/3^depth - 1/2, gy/3^depth - 1/2).  Returns (delta, clipped); clipped
     means the condition still held at the built depth, so the true value
     may exceed it.
+
+    The condition holds at level 0, where the root holds every point, and
+    once it fails it fails on every deeper level, for any M_STAR: the
+    parents of a chain of intersecting closed cells form a chain of at most
+    as many steps, and a point in no level-n cell lies in no deeper one.  So
+    the walk goes down from level 1 and stops at the first level that fails.
     """
     x = (operator.index(x[0]), operator.index(x[1]))
     y = (operator.index(y[0]), operator.index(y[1]))
@@ -497,17 +499,12 @@ def delta_level(h: PartitionHierarchy, x: Tuple[int, int],
     for p in (x, y):
         if not (0 <= p[0] <= side and 0 <= p[1] <= side):
             raise ValueError("point outside the root cell")
-    best: Optional[int] = None
-    for n in range(h.depth + 1):
+    for n in range(1, h.depth + 1):
         wx = h.cells_containing(n, *x)
         wy = h.cells_containing(n, *y)
-        if not wx or not wy:
-            continue
-        if not set(wy).isdisjoint(chain_ball(adjacency(h, n), wx).tolist()):
-            best = n
-    if best is None:
-        raise ValueError("no level satisfies the chain condition (points separated at level 0?)")
-    return best, best == h.depth
+        if not wx or not wy or set(wy).isdisjoint(chain_ball(adjacency(h, n), wx).tolist()):
+            return n - 1, False
+    return h.depth, True
 
 
 def nstar_estimate(h: PartitionHierarchy) -> dict:
@@ -538,9 +535,12 @@ def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:
     every built level, with the chain radius M_STAR.
 
     diam ratio is exact (every cell is a square of side 3^-n); the inner
-    ball witness is the nested marker with xi = 1/6; the chain comparison
-    band is sampled over B3_PAIRS corner-point pairs at the built depth; N*
-    is `nstar_estimate`'s (0 at depth 0).
+    ball witness is the nested marker with xi = 1/6; the degree bound L* is
+    the most edges at one cell of a level 1..depth, counted off the edge
+    list, so no level's CSR is built for it; the chain comparison band is
+    sampled over B3_PAIRS corner-point pairs at the built depth, each
+    pair's delta from `delta_level`, which queries levels 1..delta+1 only;
+    N* is `nstar_estimate`'s (0 at depth 0).
     """
     violations: List[str] = []
     if h.depth == 0:
@@ -569,20 +569,16 @@ def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:
             violations.append(f"marker nesting fails {n} -> {n + 1}")
             break
 
-    # (B4) degree bound.
-    l_star = 0
-    for n in range(1, h.depth + 1):
-        g = adjacency(h, n)
-        if g.count > 1:
-            l_star = max(l_star, int(g.degrees.max()))
+    # (B4) degree bound: the most edges at one cell of a level.
+    l_star = max(int(np.bincount(adjacency(h, n).edges.ravel()).max())
+                 for n in range(1, h.depth + 1))
 
     # (B3) band over sampled corner pairs at the finest level.
     rng = np.random.default_rng(seed)
     s = 3 ** h.depth
     ratios: List[float] = []
-    used = 0
     attempts = 0
-    while used < B3_PAIRS and attempts < 20 * B3_PAIRS:
+    while len(ratios) < B3_PAIRS and attempts < 20 * B3_PAIRS:
         attempts += 1
         p, q = sample_corners(h, h.depth, 2, rng)
         if (p == q).all():
@@ -592,7 +588,6 @@ def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:
             continue  # same finest cell: the ratio is a one-sided bound only
         dist = float(np.hypot(*((p - q) / s)))
         ratios.append(dist * 3.0 ** delta)
-        used += 1
     if ratios:
         band = (min(ratios), max(ratios))
         band_ratio = band[1] / band[0]
@@ -610,6 +605,6 @@ def validate_framework(h: PartitionHierarchy, seed: int = 0) -> FrameworkParams:
         diam_ratio=diam_ratio,
         b3_band=band,
         b3_band_ratio=band_ratio,
-        b3_samples=used,
+        b3_samples=len(ratios),
         violations=violations,
     )

@@ -234,9 +234,8 @@ class PsiMeasure(_MassTable):
         self.n_star = n_star
         self.base = Fraction(n_star) + self.eps
         self.coarse_levels = list(range(0, h.depth + 1, k))
-        self.interior_child: Dict[int, np.ndarray] = {}  # coarse level -> child id per cell
-        self.code: Dict[int, np.ndarray] = {}            # coarse level -> code per cell
-        self.value: Dict[int, List[Fraction]] = {}       # coarse level -> psi per code
+        self.code: Dict[int, np.ndarray] = {}       # coarse level -> code per cell
+        self.value: Dict[int, List[Fraction]] = {}  # coarse level -> psi per code
         self._build()
 
     def _build(self) -> None:
@@ -267,7 +266,6 @@ class PsiMeasure(_MassTable):
             small = 1 / grow
             big = 1 - Fraction(count - 1) / grow
             value = [q * small for q in value] + [q * big for q in value]
-            self.interior_child[top] = interior
             self.code[bot], self.value[bot] = code, value
         _check_denominator(_lcm_denominator(value))
 

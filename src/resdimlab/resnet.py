@@ -218,7 +218,6 @@ def _norms(columns) -> np.ndarray:
 @dataclass
 class ResistanceValue:
     value: float
-    flag: str = "ok"          # "ok" | "infinite"
 
 
 def _check_sets(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -239,12 +238,12 @@ def eff_resistance(g: LevelGraph, A: Sequence[int], B: Sequence[int]) -> Resista
     component at 0, solve for the free vertices, and return 1 / (current out
     of A).
 
-    Disconnected queries return a tagged infinite value rather than raising.
+    A disconnected query returns the value inf rather than raising.
     """
     A, B = _check_sets(g, A, B)
     comp = g.components()
     if len({int(comp[v]) for v in A + B}) > 1:
-        return ResistanceValue(float("inf"), "infinite")
+        return ResistanceValue(float("inf"))
     # uncached, so its factors are freed on return
     solver = _Grounded(g, np.concatenate([A, B, np.flatnonzero(comp != comp[A[0]])]))
     pinned = np.zeros(g.n)

@@ -51,6 +51,13 @@ def _named(node):
     return set()
 
 
+def _owners(cls, classes):
+    """The class `cls` and its private base classes among `classes`, the
+    classes of its module by name."""
+    return [cls] + [classes[b.id] for b in cls.bases if isinstance(b, ast.Name)
+                    and b.id.startswith("_") and b.id in classes]
+
+
 def _public_definitions(tree, public):
     """(label, definition) for every function and class of the module that
     its __all__ names, and every public method or property of such a class,
@@ -61,9 +68,7 @@ def _public_definitions(tree, public):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in public:
             yield node.name, node
             if isinstance(node, ast.ClassDef):
-                bases = [classes[b.id] for b in node.bases if isinstance(b, ast.Name)
-                         and b.id.startswith("_") and b.id in classes]
-                for owner in [node] + bases:
+                for owner in _owners(node, classes):
                     for item in owner.body:
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                             yield f"{node.name}.{item.name}", item
@@ -342,4 +347,42 @@ def test_returned_values_are_read():
             inside = {id(node) for node in ast.walk(own)}
             if not any(id(node) not in inside and _read(node, field) == key for node in nodes):
                 unread.append(f"{name}.{label}.{key}" if field else f"{name}.{label}[{key}]")
+    assert unread == []
+
+
+def _self_attributes(tree, public):
+    """(Class.name, attribute) for every public attribute that a public class,
+    or a private base class of the same module, sets on self."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in sorted(public & set(classes)):
+        attrs = {node.attr for owner in _owners(classes[name], classes)
+                 for node in ast.walk(owner)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                 and isinstance(node.value, ast.Name) and node.value.id == "self"
+                 and not node.attr.startswith("_")}
+        yield from ((f"{name}.{attr}", attr) for attr in sorted(attrs))
+
+
+def test_instance_attributes_are_read():
+    """Every public attribute that a public class sets on self is loaded
+    somewhere in src/, bench/ or tests/test_acceptance.py.  The attribute
+    under a subscript store, self.x in self.x[k] = v, is written, not read:
+    state that no command, report, bench step or acceptance criterion reads
+    is not kept."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pkg = pathlib.Path(importlib.import_module("resdimlab").__file__).parent
+    files = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    trees = [ast.parse(path.read_text()) for path in files]
+    stored = {id(node.value) for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and id(node) not in stored}
+    unread = []
+    for name in MODULES:
+        public = set(importlib.import_module(f"resdimlab.{name}").__all__)
+        tree = ast.parse((pkg / f"{name}.py").read_text())
+        unread += [f"{name}.{label}" for label, attr in _self_attributes(tree, public)
+                   if attr not in loaded]
     assert unread == []

@@ -141,13 +141,14 @@ def _fraction_cells_containing(h, n, x, y):
 
 
 def _plain_delta_level(h, x, y):
-    """delta_level from exact Fraction points and full shortest-path distances."""
+    """delta_level from exact Fraction points and full shortest-path distances
+    on every level, at the chain radius hierarchy.M_STAR of the call."""
     best = None
     for n in range(h.depth + 1):
         wx, wy = _fraction_cells_containing(h, n, *x), _fraction_cells_containing(h, n, *y)
         if wx and wy:
             dist = dijkstra(adjacency(h, n).csr, unweighted=True, indices=wx, min_only=True)
-            if dist[wy].min() <= M_STAR:
+            if dist[wy].min() <= hierarchy.M_STAR:
                 best = n
     return best, best == h.depth
 
@@ -171,6 +172,21 @@ def _oracle_points(h, count, rng):
     return pts
 
 
+def _assert_delta_matches_plain(h, count, rng):
+    """delta_level on pairs of `count` oracle points of h, and on pairs of
+    near points, is the all-levels oracle `_plain_delta_level`."""
+    side = 3 ** h.depth
+    pts = _oracle_points(h, count, rng)
+    # near pairs reach the deep levels and the clipped case
+    near = [tuple(np.clip(np.add(x, rng.integers(-2, 3, 2)), 0, side).tolist())
+            for x in pts[:3 * count // 20]]
+    pairs = [(x, y) for x, y in zip(pts[::2] + pts[:len(near)], pts[1::2] + near) if x != y]
+    assert len(pairs) >= count // 2
+    for x, y in pairs:
+        fx, fy = (tuple(Fraction(g, side) - Fraction(1, 2) for g in p) for p in (x, y))
+        assert delta_level(h, x, y) == _plain_delta_level(h, fx, fy)
+
+
 def _assert_balls_match_plain_bfs(h, radius):
     """chain_ball on levels 1..3 of h is the set of cells within `radius`
     plain-BFS steps of the sources."""
@@ -188,26 +204,21 @@ def test_chain_distances_match_plain_bfs(schedule):
     _assert_balls_match_plain_bfs(build_hierarchy(schedule, 3), M_STAR)
     rng = np.random.default_rng(0)
     for depth in (3, 5):
-        h = build_hierarchy(schedule, depth)
-        side = 3 ** depth
-        pts = _oracle_points(h, 400, rng)
-        # near pairs reach the deep levels and the clipped case
-        near = [tuple(np.clip(np.add(x, rng.integers(-2, 3, 2)), 0, side).tolist())
-                for x in pts[:60]]
-        pairs = [(x, y) for x, y in zip(pts[::2] + pts[:60], pts[1::2] + near) if x != y]
-        assert len(pairs) >= 200
-        for x, y in pairs:
-            fx, fy = (tuple(Fraction(g, side) - Fraction(1, 2) for g in p) for p in (x, y))
-            assert delta_level(h, x, y) == _plain_delta_level(h, fx, fy)
+        _assert_delta_matches_plain(build_hierarchy(schedule, depth), 400, rng)
 
 
 @pytest.mark.parametrize("m_star", [2, 3])
 @pytest.mark.parametrize("schedule", [Schedule.pure_sc(), Schedule.pure_vicsek(),
                                       Schedule.mixed()], ids=["sc", "vicsek", "mixed"])
 def test_chain_ball_rounds_match_plain_bfs(monkeypatch, schedule, m_star):
-    # a chain radius above 1 runs the ball's CSR-row rounds more than once
+    # a chain radius above 1 runs the ball's CSR-row rounds more than once;
+    # delta_level's walk, which stops at the first failing level, must hold
+    # at any radius
     monkeypatch.setattr(hierarchy, "M_STAR", m_star)
     _assert_balls_match_plain_bfs(build_hierarchy(schedule, 3), m_star)
+    rng = np.random.default_rng(m_star)
+    for depth in (3, 4):
+        _assert_delta_matches_plain(build_hierarchy(schedule, depth), 200, rng)
 
 
 @pytest.mark.parametrize("sources, bad", [([-1], -1), ([8], 8), ([0, 8], 8), ([-1, 8], -1)],

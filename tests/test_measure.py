@@ -221,17 +221,25 @@ def test_doubling_mixed(mx_h5):
     assert math.isfinite(out["doubling_constant"])
 
 
+def _interior_children(psi):
+    """coarse level top -> ids of the interior children of its cells: the
+    cells of the next coarse level whose code sets the bit of that step."""
+    levels = psi.coarse_levels
+    return {top: np.flatnonzero(psi.code[bot] & (1 << step))
+            for step, (top, bot) in enumerate(zip(levels, levels[1:]))}
+
+
 def test_psi_vicsek_center_child(vs_h6):
     psi = psi_measure(vs_h6, Fraction(1, 2), 1)
     # the interior child below the root is the center cell (digit 0)
-    assert vs_h6.address_words(1)[psi.interior_child[0][0]] == "0"
+    assert vs_h6.address_words(1)[_interior_children(psi)[0][0]] == "0"
     total = sum(exact_mass(psi, 1, i) for i in range(vs_h6.levels[1].count))
     assert total == 1
 
 
 def test_psi_sc_interior_grandchild(sc_h6):
     psi = psi_measure(sc_h6, Fraction(1, 2), 2)
-    v = psi.interior_child[0][0]
+    v = _interior_children(psi)[0][0]
     ix, iy = int(sc_h6.levels[2].ix[v]), int(sc_h6.levels[2].iy[v])
     assert 1 <= ix <= 7 and 1 <= iy <= 7
     assert sum(exact_mass(psi, 2, i) for i in range(sc_h6.levels[2].count)) == 1
@@ -290,9 +298,10 @@ def test_psi_matches_fraction_reference(schedule, depth, k, n_star):
     eps = Fraction(1, 2)
     psi = PsiMeasure(h, k, eps, n_star)
     ref, ref_interior = _reference_psi(h, k, eps, n_star)
-    assert list(psi.interior_child) == list(ref_interior)
+    interior = _interior_children(psi)
+    assert list(interior) == list(ref_interior)
     for top, kids in ref_interior.items():
-        assert psi.interior_child[top].tolist() == kids
+        assert interior[top].tolist() == kids
     for n, values in ref.items():
         assert [exact_mass(psi, n, i) for i in range(len(values))] == values
         assert np.array_equal(_quotients(*psi.exact_masses(n)), np.array([float(q) for q in values]))
