@@ -255,7 +255,10 @@ def _cmd_penergy(cfg: ExperimentConfig, outdir: str) -> List[dict]:
     cond = 1.0 / rmod.eff_resistance(g, list(prob.inner), list(prob.outer)).value
     vals = [sweep.values(p)[j][i].value for p in sorted(set(cfg.p_grid))]
     mono_ok = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+    uncertified = sum(row["flag"] == "no-convergence" for row in rows)
     return [
+        _check("penergy-certified", "every rates.csv sup energy certified or empty-outer",
+               uncertified, all(row["flag"] in ("ok", "empty-outer") for row in rows)),
         _check("penergy-p2-conductance", "p=2 energy equals effective conductance",
                abs(e2 - cond), abs(e2 - cond) <= 1e-9 * max(cond, 1.0)),
         _check("penergy-monotone-p", "energies nonincreasing in p",

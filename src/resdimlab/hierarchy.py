@@ -454,17 +454,16 @@ def adjacency(h: PartitionHierarchy, n: int) -> AdjacencyGraph:
 def chain_ball(g: AdjacencyGraph, sources: Sequence[int]) -> np.ndarray:
     """Sorted ids of the cells within the chain radius M_STAR of `sources`.
 
-    Each of M_STAR rounds joins the ball with the CSR rows of its cells, so a
-    query touches only the cells of the ball."""
-    ball = np.unique(np.asarray(sources, dtype=np.int64))
-    bad = [s for s in ball.tolist() if not 0 <= s < g.count]
+    Each of M_STAR rounds joins the CSR rows of the ball's cells into one
+    Python set, so a query touches only the cells of the ball."""
+    ball = set(np.asarray(sources, dtype=np.int64).tolist())
+    bad = [s for s in sorted(ball) if not 0 <= s < g.count]
     if bad:
         raise ValueError(f"source cell {bad[0]} outside 0..{g.count - 1}")
     indptr, indices = g.csr.indptr, g.csr.indices
     for _ in range(M_STAR):
-        ball = np.unique(np.concatenate([ball] + [indices[indptr[v]:indptr[v + 1]]
-                                                  for v in ball.tolist()]))
-    return ball
+        ball.update(*[indices[indptr[v]:indptr[v + 1]].tolist() for v in ball])
+    return np.array(sorted(ball), dtype=np.int64)
 
 
 def sample_corners(h: PartitionHierarchy, level: int, count: int,

@@ -7,14 +7,17 @@ the least p-power edge energy over the level-(1+k) cell graph.  p = 1 is an
 exact minimum cut; p = 2 is one sparse solve; other p take projected Newton
 steps on an eps-smoothed energy under the box [0, 1], with energies,
 gradients and the Newton systems all from one signed edge-cell incidence
-matrix D per problem.  Every value is bracketed: above by the energy of its
-potential, below by the maximum flow at p = 1 and otherwise by Hölder's
-bound for a flow made conservative with the last Newton factorization; a
-Newton descent ends as soon as that bracket closes, and a value is certified
-when its gap is within CERT_TOL of it.  The reflections of the square that
-fix w fix the problem, and its energy is convex, so every flow and Newton
-system is solved on the quotient by that stabilizer (half the cells or
-fewer); the potential and flow are lifted back, and the bracket, flag and
+matrix D per problem; a rung of the eps ladder before the last ends after
+its first step with decrement <= RUNG_HANDOFF times the smoothed energy,
+the precision the next rung can use.  Every value is bracketed: above by
+the energy of its potential, below by the maximum flow at p = 1 and
+otherwise by Hölder's bound for a flow made conservative with the last
+Newton factorization; a Newton descent ends as soon as that bracket closes,
+and a value is certified when its gap is within CERT_TOL of it.  The
+reflections of the square that fix w fix the problem, and its energy is
+convex, so every flow and Newton system is solved on the quotient by that
+stabilizer (half the cells or fewer); the potential and flow are lifted
+back, and the bracket, flag and
 residual are taken on the cells.  Every solve reads only the problem's live
 edges, those with a free end or with ends pinned to different values (a
 quarter to a half of them): an edge inside `inner` or inside `outer` carries
@@ -70,6 +73,7 @@ RATE_TOL = 1e-3  # see critical_p
 P_RANGE = (1.0, 2.5)  # the p bracket critical_p bisects
 EPS_LADDER = (1e-2, 1e-4, 1e-6, 1e-9, 1e-12)  # see p_energy
 BRACKET_CLOSED = 1e-12  # a descent ends once upper - lower <= this times upper
+RUNG_HANDOFF = 1e-6  # see p_energy: a rung before the last ends at this decrement
 CERT_TOL = 1e-7  # see p_energy
 
 
@@ -220,12 +224,16 @@ def p_energy(problem: SeparationProblem, p: float,
     above CERT_TOL times the energy.  Other p start there and take Newton steps
     on E_eps = sum (d^2 + eps^2)^(p/2), d = D f, for eps = 1e-2 ... 1e-12,
     with Hessian H = D_F^T W D_F, W = diag(p (d^2+eps^2)^(p/2-2) ((p-1) d^2 +
-    eps^2)), and Armijo backtracking on f_F <- clip(f_F + t s, 0, 1).  A rung
-    ends when the Newton decrement is <= 1e-15 E_eps, when no step decreases
-    E_eps, or after 30 steps.  Once a step's decrement or accepted decrease
-    is below 1e-8 E_eps, the Hölder bracket (`_NewtonSystem.bracket`) is
-    taken at the new iterate with the factorization just used, and the
-    whole ladder ends as soon as upper - lower <= BRACKET_CLOSED * upper.
+    eps^2)), and Armijo backtracking on f_F <- clip(f_F + t s, 0, 1).  The
+    last rung ends when the Newton decrement is <= 1e-15 E_eps; a rung before
+    it ends right after the first accepted step whose decrement was
+    <= RUNG_HANDOFF (1e-6) E_eps, which in the quadratic regime leaves about
+    1e-12 E_eps, as much as the next rung, restarting at a smaller eps, can
+    use.  Any rung ends when no step decreases E_eps, or after 30 steps.
+    Once a step's decrement or accepted decrease is below 1e-8 E_eps, the
+    Hölder bracket (`_NewtonSystem.bracket`) is taken at the new iterate
+    with the factorization just used, and the whole ladder ends as soon as
+    upper - lower <= BRACKET_CLOSED * upper.
     A gap above CERT_TOL times upper flags the value no-convergence; the
     first-order gap is kept as `residual`.
 
@@ -390,11 +398,13 @@ def _descend(system: _NewtonSystem, p: float, f: np.ndarray,
 
 def _newton(system: _NewtonSystem, p: float, f: np.ndarray,
             rungs: Sequence[float]) -> Tuple[float, float, float]:
-    """Projected Newton steps down the rungs, ended as soon as the bracket
+    """Projected Newton steps down the rungs (each before the last handed
+    on at RUNG_HANDOFF, the last run to 1e-15), ended as soon as the bracket
     closes; the bracket at the end, from the last factorization."""
     free, D_F, D_Ft, drive = system.free, system.D_F, system.D_Ft, system.drive
     project = None  # (weights, solve) of the last factorization
     for eps in rungs if system.nf else ():
+        last = eps == rungs[-1]
         for _ in range(30):
             x = f[free]
             d = D_F @ x + drive
@@ -421,6 +431,8 @@ def _newton(system: _NewtonSystem, p: float, f: np.ndarray,
                 bracket = system.bracket(f, p, project)
                 if _closed(*bracket[:2]):
                     return bracket
+            if not last and dec <= RUNG_HANDOFF * e:
+                break  # quadratic: about 1e-12 E_eps left, as much as the next rung can use
     return system.bracket(f, p, project)
 
 

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import inspect
 import json
 import pathlib
@@ -446,6 +447,26 @@ def test_rates_csv_carries_bracket(tmp_path):
     assert [float(row["residual"]) for row in rows] == want
     assert all(float(row["residual"]) <= 1e-7 * float(row["upper"])
                for row in rows if float(row["p"]) == 2.0)
+
+
+def test_penergy_certified_check_fails_on_uncertified_row(tmp_path, monkeypatch):
+    # one sup energy flagged no-convergence fails the check, with the count
+    # of such rows as its value, and the run exits 1
+    p_energy = penergy.p_energy
+
+    def flagged(problem, p, start=None):
+        val = p_energy(problem, p, start)
+        if p == 1.3 and problem.n_cells == 64:  # both k = 1 problems: one rates.csv row
+            val = dataclasses.replace(val, flag="no-convergence")
+        return val
+
+    monkeypatch.setattr(penergy, "p_energy", flagged)
+    code = main(["penergy", "--structure", "sc", "--depth", "3", "--kmax", "2",
+                 "--p-grid", "1.3,2", "--out", str(tmp_path)])
+    assert code == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    check = next(c for c in manifest["checks"] if c["id"] == "penergy-certified")
+    assert (check["pass"], check["value"], manifest["all_pass"]) == (False, 1, False)
 
 
 def test_framework_json_carries_b3_samples(tmp_path):

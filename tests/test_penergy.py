@@ -1189,3 +1189,17 @@ def test_bench_p13_energies_close_early(splu_orderings):
             assert val.upper - val.lower <= penergy.BRACKET_CLOSED * val.upper, (k, i)
             if (k, i) in spun:
                 assert splu_orderings.count("NATURAL") < spun[k, i], (k, i)
+
+
+@pytest.mark.parametrize("p, most", [(1.3, 130), (2.5, 33)])
+def test_intermediate_rungs_stop_early(p, most, splu_orderings):
+    # a cold sweep of the bench penergy problems (SC depth 4, k = 1..3): each
+    # rung before the last ends after the first step whose decrement was
+    # <= RUNG_HANDOFF E_eps (170 and 44 Newton factorizations when every rung
+    # ran to 1e-15 E_eps), and every value is still certified by a closed
+    # bracket
+    vals = SupSweep(build_hierarchy(Schedule.pure_sc(), 4), [1, 2, 3]).values(p)
+    assert splu_orderings.count("NATURAL") <= most
+    for row in vals:
+        for val in row:
+            assert val.flag == "ok" and val.upper - val.lower <= penergy.BRACKET_CLOSED * val.upper
